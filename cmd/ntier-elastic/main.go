@@ -69,13 +69,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return cli.Fail(fs, err)
 	}
-	soft, err := ntier.ParseSoftAlloc(*softS)
+	soft, err := cli.ParseSoftAlloc(*softS)
 	if err != nil {
 		return cli.Fail(fs, err)
 	}
 	policies, err := parsePolicies(*policyS)
 	if err != nil {
-		return cli.Fail(fs, err)
+		return cli.Fail(fs, fmt.Errorf("-policy: %w", err))
 	}
 	traces, err := buildTraces(*traceS, *low, *high, *day)
 	if err != nil {

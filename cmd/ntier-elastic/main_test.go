@@ -1,0 +1,76 @@
+package main
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// smokeArgs is the compressed policy-vs-static sweep of the CI elastic
+// smoke step: a 2-minute diurnal day on 1/1/1/1, well under a second.
+func smokeArgs() []string {
+	return []string{
+		"-hw", "1/1/1/1", "-soft", "50-4-4", "-policy", "STATIC,TOP_JOB",
+		"-trace", "diurnal", "-day", "2m", "-low", "20", "-high", "60",
+		"-ramp", "10s", "-interval", "15s", "-cooldown", "30s",
+	}
+}
+
+// Malformed flags must produce a usage message naming the flag and a
+// non-zero exit.
+func TestRunRejectsMalformedFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring expected on stderr
+	}{
+		{[]string{"-hw", "1/2/1"}, "-hw"},
+		{[]string{"-soft", "400-15"}, "-soft"},
+		{[]string{"-policy", "BOGUS"}, "-policy"},
+		{[]string{"-trace", "sunny"}, "-trace"},
+		{[]string{"-policy", "SOFTMAX", "-calib-soft", "1-2"}, "-calib-soft"},
+		{[]string{"-resume"}, "-state-dir"},
+		{[]string{"-no-such-flag"}, "flag"},
+	}
+	for _, tc := range cases {
+		var stdout, stderr strings.Builder
+		code := run(tc.args, &stdout, &stderr)
+		if code == 0 {
+			t.Errorf("run(%v) = 0, want non-zero", tc.args)
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("run(%v) stderr %q missing %q", tc.args, stderr.String(), tc.want)
+		}
+	}
+}
+
+// The CI smoke sweep: both policies scored, a winner named, and TOP_JOB's
+// decision log printed.
+func TestRunSmoke(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run(smokeArgs(), &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d, stderr:\n%s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"elastic sweep 1/1/1/1 50-4-4", "STATIC", "TOP_JOB", "goodput/unit", "best on diurnal:", "decision log [TOP_JOB on diurnal]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// A journaled sweep resumed from its state directory restores every cell
+// and prints byte-identical output.
+func TestRunResume(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	var first, second, stderr strings.Builder
+	if code := run(append(smokeArgs(), "-state-dir", dir), &first, &stderr); code != 0 {
+		t.Fatalf("journaled run = %d, stderr:\n%s", code, stderr.String())
+	}
+	if code := run(append(smokeArgs(), "-state-dir", dir, "-resume"), &second, &stderr); code != 0 {
+		t.Fatalf("resumed run = %d, stderr:\n%s", code, stderr.String())
+	}
+	if first.String() != second.String() {
+		t.Errorf("resumed output differs:\n--- journaled ---\n%s--- resumed ---\n%s", first.String(), second.String())
+	}
+}

@@ -87,30 +87,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Fail(fs, fmt.Errorf("-mix: unknown mix %q (want browse or rw)", *mix))
 	}
 
-	// With -state-dir the single trial runs through a journal: re-running
-	// the same configuration replays the recorded result, and -wl can vary
-	// across invocations of one state directory (the journal keys trials
-	// by workload).
-	var journal *ntier.Journal
-	fp := ntier.Fingerprint(cfg, "ntier")
-	closeState, err := common.OpenState(&cfg, fp)
+	// The single trial is a one-point workload sweep, so -state-dir
+	// journals it like any campaign: re-running the same configuration
+	// replays the recorded result, and -wl can vary across invocations of
+	// one state directory (the state fingerprint excludes the workload).
+	closeState, err := common.OpenState(&cfg, ntier.Fingerprint(cfg, "ntier"))
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if closeState != nil {
 		defer closeState()
-		if journal, err = cfg.State.Journal("run", fp); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 	}
-
-	res, err := ntier.RunJournaled(cfg, journal)
+	curve, err := ntier.WorkloadSweep(cfg, []int{*users})
+	if err == nil {
+		err = curve.Errs[0]
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return cli.ExitCode(err)
 	}
+	res := curve.Results[0]
 	fmt.Fprintln(stdout, res.Describe())
 	fmt.Fprintln(stdout)
 

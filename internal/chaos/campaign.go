@@ -1,9 +1,8 @@
 // Campaign orchestration: N topology seeds × M plans per seed, run
-// across a worker pool through the experiment package's write-ahead
-// journal. Verdicts journal as TrialRecord.Data payloads with the same
-// fsync/CRC/torn-tail guarantees as result sweeps, so a killed campaign
-// resumes without re-simulating finished trials; cancellations and
-// watchdog timeouts are never journaled and re-run on resume.
+// through the experiment package's campaign runner. Verdicts journal with
+// the same fsync/CRC/torn-tail guarantees as result sweeps, so a killed
+// campaign resumes without re-simulating finished trials; cancellations
+// and watchdog timeouts are never journaled and re-run on resume.
 
 package chaos
 
@@ -11,7 +10,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -91,10 +89,11 @@ func (cfg CampaignConfig) fingerprint() string {
 // metadata.
 func (cfg CampaignConfig) Fingerprint() string { return cfg.fingerprint() }
 
-// RunCampaign executes (or resumes) the campaign and returns one outcome
-// per trial, indexed seed-major. The first trial error — cancellation,
-// watchdog timeout, journal I/O — aborts the fan-out; deterministic
-// failures (oracle violations, panics) are verdicts, not errors.
+// RunCampaign executes (or resumes) the campaign through the experiment
+// campaign runner and returns one outcome per trial, indexed seed-major.
+// Deterministic failures (oracle violations, panics) are verdicts, not
+// errors. Cancellation and journal I/O abort the fan-out; a watchdog
+// timeout is retried on resume and reported as the campaign's error.
 func RunCampaign(cfg CampaignConfig) ([]Outcome, error) {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 1
@@ -102,60 +101,30 @@ func RunCampaign(cfg CampaignConfig) ([]Outcome, error) {
 	if cfg.PlansPerSeed <= 0 {
 		cfg.PlansPerSeed = 1
 	}
-	var j *experiment.Journal
-	if cfg.State != nil {
-		var err error
-		if j, err = cfg.State.Journal("chaos", cfg.fingerprint()); err != nil {
-			return nil, err
-		}
-	}
-	n := cfg.Seeds * cfg.PlansPerSeed
-	out := make([]Outcome, n)
-	err := experiment.ForEachIndexCtx(cfg.Ctx, n, cfg.Parallelism, func(i int) error {
-		si, pi := i/cfg.PlansPerSeed, i%cfg.PlansPerSeed
-		key := fmt.Sprintf("seed=%d/plan=%d", si, pi)
-		if j != nil {
-			if rec, ok := j.Lookup(key); ok && len(rec.Data) > 0 {
-				var o Outcome
-				if err := json.Unmarshal(rec.Data, &o); err != nil {
-					return fmt.Errorf("chaos: journal record %s: %w", key, err)
-				}
-				out[i] = o
-				if cfg.OnVerdict != nil {
-					cfg.OnVerdict(o, true)
-				}
-				return nil
+	base := experiment.RunConfig{Ctx: cfg.Ctx, Parallelism: cfg.Parallelism, State: cfg.State}
+	return experiment.Outs(experiment.RunCampaign(base, experiment.Campaign[Outcome]{
+		Kind: "chaos",
+		Axes: []string{cfg.fingerprint()},
+		N:    cfg.Seeds * cfg.PlansPerSeed,
+		Key:  cfg.key,
+		Run:  cfg.runOne,
+		Observe: func(c experiment.Cell[Outcome]) {
+			if cfg.OnVerdict != nil && c.Err == nil {
+				cfg.OnVerdict(c.Out, c.Restored)
 			}
-		}
-		o, err := cfg.runOne(key, si, pi)
-		if err != nil {
-			return err
-		}
-		if j != nil {
-			data, merr := json.Marshal(o)
-			if merr != nil {
-				return fmt.Errorf("chaos: marshal outcome %s: %w", key, merr)
-			}
-			if err := j.Record(&experiment.TrialRecord{Key: key, Data: data}); err != nil {
-				return err
-			}
-		}
-		out[i] = o
-		if cfg.OnVerdict != nil {
-			cfg.OnVerdict(o, false)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+		},
+	}))
 }
 
-// runOne generates, runs, and (on failure) shrinks one trial.
-func (cfg CampaignConfig) runOne(key string, si, pi int) (Outcome, error) {
-	topoSeed := cfg.BaseSeed + uint64(si)
-	planSeed := topoSeed<<20 | uint64(pi)
+// key names trial i ("seed=S/plan=P").
+func (cfg CampaignConfig) key(i int) string {
+	return fmt.Sprintf("seed=%d/plan=%d", i/cfg.PlansPerSeed, i%cfg.PlansPerSeed)
+}
+
+// runOne generates, runs, and (on failure) shrinks trial i.
+func (cfg CampaignConfig) runOne(i int) (Outcome, error) {
+	topoSeed := cfg.BaseSeed + uint64(i/cfg.PlansPerSeed)
+	planSeed := topoSeed<<20 | uint64(i%cfg.PlansPerSeed)
 	plan := cfg.Gen.Generate(planSeed)
 	tcfg := cfg.Trial
 	tcfg.Topology.Seed = topoSeed
@@ -166,7 +135,7 @@ func (cfg CampaignConfig) runOne(key string, si, pi int) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	o := Outcome{Key: key, TopoSeed: topoSeed, PlanSeed: planSeed, Plan: plan, Verdict: v}
+	o := Outcome{Key: cfg.key(i), TopoSeed: topoSeed, PlanSeed: planSeed, Plan: plan, Verdict: v}
 	if v.Failed() && cfg.ShrinkBudget > 0 {
 		sr, serr := Shrink(plan, v.Class, cfg.ShrinkBudget, func(p fault.Plan) (*Verdict, error) {
 			return RunTrial(tcfg, p)

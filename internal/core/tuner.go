@@ -61,10 +61,6 @@ type Config struct {
 
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-
-	// journal, when Base.State is set, records every ramp trial so an
-	// interrupted tuning run resumes from its completed trials.
-	journal *experiment.Journal
 }
 
 func (c *Config) applyDefaults() {
@@ -139,17 +135,6 @@ type Report struct {
 // run resumed with the same flags replays its completed trials.
 func Tune(cfg Config) (*Report, error) {
 	cfg.applyDefaults()
-	if cfg.Base.State != nil {
-		j, err := cfg.Base.State.Journal("tune", experiment.Fingerprint(cfg.Base, "tune",
-			fmt.Sprint(cfg.Step), fmt.Sprint(cfg.SmallStep),
-			fmt.Sprint(cfg.HWSaturation), fmt.Sprint(cfg.SoftSaturation),
-			fmt.Sprint(cfg.SLA), fmt.Sprint(cfg.WebBufferFactor),
-			fmt.Sprint(cfg.MaxDoublings), fmt.Sprint(cfg.MaxWorkload)))
-		if err != nil {
-			return nil, err
-		}
-		cfg.journal = j
-	}
 	rep := &Report{
 		Hardware:    cfg.Base.Testbed.Hardware,
 		InitialSoft: cfg.Base.Testbed.Soft,
@@ -166,16 +151,6 @@ func Tune(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// run executes one trial at the given soft allocation and workload,
-// consulting the tuning journal when one is open. A per-trial failure is a
-// hard error here: the algorithm's stopping rules read every ramp point.
-func (c *Config) run(soft testbed.SoftAlloc, users int) (*experiment.Result, error) {
-	rc := c.Base
-	rc.Testbed.Soft = soft
-	rc.Users = users
-	return experiment.RunJournaled(rc, c.journal)
-}
-
 // batchSize is how many ramp trials run speculatively at once.
 func (c *Config) batchSize() int {
 	if p := c.Base.Parallelism; p > 0 {
@@ -187,21 +162,21 @@ func (c *Config) batchSize() int {
 // runBatch runs one trial per workload in parallel, results in workload
 // order. The ramp loops consume the batch strictly in order and discard
 // everything past their stopping point, so speculation never changes what
-// the algorithm observes — only how fast it observes it.
+// the algorithm observes — only how fast it observes it. Every batch
+// journals into one "tune" campaign fingerprinted by the algorithm knobs,
+// so a resumed tuning run replays its completed trials. A per-trial
+// failure is a hard error here: the stopping rules read every ramp point.
 func (c *Config) runBatch(soft testbed.SoftAlloc, workloads []int) ([]*experiment.Result, error) {
-	out := make([]*experiment.Result, len(workloads))
-	err := experiment.ForEachIndexCtx(c.Base.Ctx, len(workloads), c.Base.Parallelism, func(i int) error {
-		res, err := c.run(soft, workloads[i])
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	cfgs := make([]experiment.RunConfig, len(workloads))
+	for i, wl := range workloads {
+		cfgs[i] = c.Base
+		cfgs[i].Testbed.Soft, cfgs[i].Users = soft, wl
 	}
-	return out, nil
+	knobs := []string{fmt.Sprint(c.Step), fmt.Sprint(c.SmallStep),
+		fmt.Sprint(c.HWSaturation), fmt.Sprint(c.SoftSaturation),
+		fmt.Sprint(c.SLA), fmt.Sprint(c.WebBufferFactor),
+		fmt.Sprint(c.MaxDoublings), fmt.Sprint(c.MaxWorkload)}
+	return experiment.Outs(experiment.RunTrials(c.Base, "tune", knobs, cfgs))
 }
 
 // rampWorkloads returns start, start+step, ... while <= max, capped at n

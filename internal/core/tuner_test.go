@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -201,13 +204,9 @@ func TestCriticalStatsLookup(t *testing.T) {
 	}
 }
 
-func TestTuneWriteHeavyFindsDiskCritical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tuner runs a full workload ramp")
-	}
-	// Under the write-heavy mix the database disk saturates while every
-	// CPU idles — the algorithm must identify a non-CPU critical resource
-	// on the database tier.
+// writeHeavyConfig is the cheapest full tuning run: the write-heavy mix
+// saturates the database disk at a few thousand users.
+func writeHeavyConfig() Config {
 	cfg := tunerConfig(
 		testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
 		testbed.SoftAlloc{WebThreads: 400, AppThreads: 30, AppConns: 20},
@@ -215,6 +214,59 @@ func TestTuneWriteHeavyFindsDiskCritical(t *testing.T) {
 	cfg.Base.Mix = rubbos.WriteHeavyMix()
 	cfg.Step = 800
 	cfg.SmallStep = 400
+	return cfg
+}
+
+// A resumed tuning run replays every ramp trial from its journal and
+// reports exactly what the original run reported.
+func TestTuneResumeRunsNoTrials(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tuner runs a full workload ramp")
+	}
+	dir := filepath.Join(t.TempDir(), "state")
+	tune := func(resume bool) (rep *Report, restored, ran int) {
+		st, err := experiment.OpenState(dir, "tune-resume-test", resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var mu sync.Mutex
+		cfg := writeHeavyConfig()
+		cfg.Base.State = st
+		cfg.Base.OnTrial = func(key string, wasRestored bool, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if wasRestored {
+				restored++
+			} else {
+				ran++
+			}
+		}
+		if rep, err = Tune(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return rep, restored, ran
+	}
+	// The coarse and fine ramps share workloads, so even the first run
+	// restores the repeats it journaled itself.
+	first, repeats, ran := tune(false)
+	second, restored, reran := tune(true)
+	if reran != 0 || restored != repeats+ran {
+		t.Errorf("resume ran %d trials and restored %d, want 0 and %d", reran, restored, repeats+ran)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("resumed report differs:\n%s\nvs\n%s", first, second)
+	}
+}
+
+func TestTuneWriteHeavyFindsDiskCritical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tuner runs a full workload ramp")
+	}
+	// Under the write-heavy mix the database disk saturates while every
+	// CPU idles — the algorithm must identify a non-CPU critical resource
+	// on the database tier.
+	cfg := writeHeavyConfig()
 	rep, err := Tune(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ package experiment
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -464,51 +463,27 @@ func ElasticSweep(cfg ElasticSweepConfig) (*ElasticOutcome, error) {
 	if len(cfg.Policies) == 0 || len(cfg.Traces) == 0 {
 		return nil, fmt.Errorf("experiment: elastic sweep needs at least one policy and one trace")
 	}
-	out := &ElasticOutcome{
-		Policies: append([]adaptive.Policy(nil), cfg.Policies...),
-		Results:  make([]*ElasticResult, len(cfg.Policies)*len(cfg.Traces)),
-	}
+	out := &ElasticOutcome{Policies: append([]adaptive.Policy(nil), cfg.Policies...)}
 	for _, tr := range cfg.Traces {
 		out.Traces = append(out.Traces, tr.Name)
 	}
-	j, err := sweepJournal(cfg.Run, "elastic", elasticFingerprint(cfg)...)
-	if err != nil {
-		return nil, err
+	cell := func(i int) (adaptive.Policy, ElasticTrace) {
+		return cfg.Policies[i/len(cfg.Traces)], cfg.Traces[i%len(cfg.Traces)]
 	}
-	n := len(cfg.Policies) * len(cfg.Traces)
-	err = ForEachIndexCtx(cfg.Run.Ctx, n, cfg.Run.Parallelism, func(i int) error {
-		pi, ti := i/len(cfg.Traces), i%len(cfg.Traces)
-		policy, tr := cfg.Policies[pi], cfg.Traces[ti]
-		key := fmt.Sprintf("policy=%s trace=%s", policy, tr.Name)
-		if j != nil {
-			if rec, ok := j.Lookup(key); ok && len(rec.Data) > 0 {
-				var r ElasticResult
-				if uerr := json.Unmarshal(rec.Data, &r); uerr != nil {
-					return fmt.Errorf("experiment: elastic journal record %s: %w", key, uerr)
-				}
-				out.Results[i] = &r
-				notifyTrial(cfg.Run, key, true, nil)
-				return nil
-			}
-		}
-		r, rerr := RunElastic(cfg, policy, tr)
-		if rerr != nil {
-			notifyTrial(cfg.Run, key, false, rerr)
-			return fmt.Errorf("experiment: elastic %s: %w", key, rerr)
-		}
-		if j != nil {
-			data, merr := json.Marshal(r)
-			if merr != nil {
-				return fmt.Errorf("experiment: marshal elastic result %s: %w", key, merr)
-			}
-			if jerr := j.Record(&TrialRecord{Key: key, Data: data}); jerr != nil {
-				return jerr
-			}
-		}
-		out.Results[i] = r
-		notifyTrial(cfg.Run, key, false, nil)
-		return nil
-	})
+	var err error
+	out.Results, err = Outs(RunCampaign(cfg.Run, Campaign[*ElasticResult]{
+		Kind: "elastic",
+		Axes: elasticFingerprint(cfg),
+		N:    len(cfg.Policies) * len(cfg.Traces),
+		Key: func(i int) string {
+			policy, tr := cell(i)
+			return fmt.Sprintf("policy=%s trace=%s", policy, tr.Name)
+		},
+		Run: func(i int) (*ElasticResult, error) {
+			policy, tr := cell(i)
+			return RunElastic(cfg, policy, tr)
+		},
+	}))
 	if err != nil {
 		return nil, err
 	}

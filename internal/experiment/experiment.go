@@ -176,9 +176,11 @@ type ApacheTimeline struct {
 	SampleEverySec float64
 }
 
-// Result is the full outcome of one trial.
+// Result is the full outcome of one trial. Its JSON form is the journal
+// image: every field except Config, whose closure-typed hooks cannot
+// round-trip (RunTrials reattaches it on restore), and Obs.
 type Result struct {
-	Config RunConfig
+	Config RunConfig `json:"-"`
 
 	SLA *sla.Collector
 
@@ -215,7 +217,7 @@ type Result struct {
 	// Obs is the observability snapshot recorded when RunConfig.ObsDir is
 	// set (also written to the directory). It is not journaled: a
 	// journal-restored trial has a nil Obs.
-	Obs *obs.TrialObs
+	Obs *obs.TrialObs `json:"-"`
 }
 
 // Throughput returns overall requests/s during the measurement window.

@@ -9,7 +9,6 @@ package experiment
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -407,48 +406,26 @@ func FleetSweep(cfg FleetSweepConfig) (*FleetOutcome, error) {
 		Placements:   append([]fleet.Placement(nil), cfg.Placements...),
 		TenantCounts: append([]int(nil), cfg.TenantCounts...),
 		LoadScales:   append([]float64(nil), cfg.LoadScales...),
-		Results:      make([]*FleetResult, len(cfg.Placements)*len(cfg.TenantCounts)*len(cfg.LoadScales)),
 	}
-	j, err := sweepJournal(cfg.Run, "fleet", fleetFingerprint(cfg)...)
-	if err != nil {
-		return nil, err
+	cell := func(i int) (fleet.Placement, int, float64) {
+		return cfg.Placements[i/(len(cfg.TenantCounts)*len(cfg.LoadScales))],
+			cfg.TenantCounts[i/len(cfg.LoadScales)%len(cfg.TenantCounts)],
+			cfg.LoadScales[i%len(cfg.LoadScales)]
 	}
-	n := len(out.Results)
-	err = ForEachIndexCtx(cfg.Run.Ctx, n, cfg.Run.Parallelism, func(i int) error {
-		pi := i / (len(cfg.TenantCounts) * len(cfg.LoadScales))
-		ci := i / len(cfg.LoadScales) % len(cfg.TenantCounts)
-		si := i % len(cfg.LoadScales)
-		placement, count, scale := cfg.Placements[pi], cfg.TenantCounts[ci], cfg.LoadScales[si]
-		key := fmt.Sprintf("placement=%s tenants=%d scale=%g", placement, count, scale)
-		if j != nil {
-			if rec, ok := j.Lookup(key); ok && len(rec.Data) > 0 {
-				var r FleetResult
-				if uerr := json.Unmarshal(rec.Data, &r); uerr != nil {
-					return fmt.Errorf("experiment: fleet journal record %s: %w", key, uerr)
-				}
-				out.Results[i] = &r
-				notifyTrial(cfg.Run, key, true, nil)
-				return nil
-			}
-		}
-		r, rerr := RunFleet(cfg, placement, count, scale)
-		if rerr != nil {
-			notifyTrial(cfg.Run, key, false, rerr)
-			return fmt.Errorf("experiment: fleet %s: %w", key, rerr)
-		}
-		if j != nil {
-			data, merr := json.Marshal(r)
-			if merr != nil {
-				return fmt.Errorf("experiment: marshal fleet result %s: %w", key, merr)
-			}
-			if jerr := j.Record(&TrialRecord{Key: key, Data: data}); jerr != nil {
-				return jerr
-			}
-		}
-		out.Results[i] = r
-		notifyTrial(cfg.Run, key, false, nil)
-		return nil
-	})
+	var err error
+	out.Results, err = Outs(RunCampaign(cfg.Run, Campaign[*FleetResult]{
+		Kind: "fleet",
+		Axes: fleetFingerprint(cfg),
+		N:    len(cfg.Placements) * len(cfg.TenantCounts) * len(cfg.LoadScales),
+		Key: func(i int) string {
+			placement, count, scale := cell(i)
+			return fmt.Sprintf("placement=%s tenants=%d scale=%g", placement, count, scale)
+		},
+		Run: func(i int) (*FleetResult, error) {
+			placement, count, scale := cell(i)
+			return RunFleet(cfg, placement, count, scale)
+		},
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -500,59 +477,33 @@ func FleetInterference(cfg FleetSweepConfig, placement fleet.Placement, scale fl
 	if scale <= 1 {
 		return nil, fmt.Errorf("experiment: interference ramp scale %g must exceed 1", scale)
 	}
-	j, err := sweepJournal(cfg.Run, "fleet-interf", append(fleetFingerprint(cfg),
-		fmt.Sprintf("placement=%s ramp=%g", placement, scale))...)
-	if err != nil {
-		return nil, err
+	for _, t := range roster {
+		if t.Arrivals != nil {
+			return nil, fmt.Errorf("experiment: interference aggressor %s is open-loop; ramping needs a closed population", t.Name)
+		}
 	}
 	// One trial per roster index; index len(roster) is the baseline. Each
 	// perturbed roster differs from baseline only in the aggressor's
 	// population — tenant seeds are name-keyed, so every victim replays
 	// identical draws and any delta is interference, not noise.
-	trials := make([]*FleetResult, len(roster)+1)
-	err = ForEachIndexCtx(cfg.Run.Ctx, len(trials), cfg.Run.Parallelism, func(i int) error {
-		key := "baseline"
-		r := append([]fleet.TenantSpec(nil), roster...)
-		if i < len(roster) {
-			if roster[i].Arrivals != nil {
-				return fmt.Errorf("experiment: interference aggressor %s is open-loop; ramping needs a closed population", roster[i].Name)
+	trials, err := Outs(RunCampaign(cfg.Run, Campaign[*FleetResult]{
+		Kind: "fleet-interf",
+		Axes: append(fleetFingerprint(cfg), fmt.Sprintf("placement=%s ramp=%g", placement, scale)),
+		N:    len(roster) + 1,
+		Key: func(i int) string {
+			if i == len(roster) {
+				return "baseline"
 			}
-			u := int(scale*float64(r[i].Users) + 0.5)
-			if u < 1 {
-				u = 1
+			return "aggr=" + roster[i].Name
+		},
+		Run: func(i int) (*FleetResult, error) {
+			r := append([]fleet.TenantSpec(nil), roster...)
+			if i < len(roster) {
+				r[i].Users = max(int(scale*float64(r[i].Users)+0.5), 1)
 			}
-			r[i].Users = u
-			key = "aggr=" + roster[i].Name
-		}
-		if j != nil {
-			if rec, ok := j.Lookup(key); ok && len(rec.Data) > 0 {
-				var fr FleetResult
-				if uerr := json.Unmarshal(rec.Data, &fr); uerr != nil {
-					return fmt.Errorf("experiment: interference journal record %s: %w", key, uerr)
-				}
-				trials[i] = &fr
-				notifyTrial(cfg.Run, key, true, nil)
-				return nil
-			}
-		}
-		fr, rerr := runFleetRoster(cfg, placement, r, 1)
-		if rerr != nil {
-			notifyTrial(cfg.Run, key, false, rerr)
-			return fmt.Errorf("experiment: interference %s: %w", key, rerr)
-		}
-		if j != nil {
-			data, merr := json.Marshal(fr)
-			if merr != nil {
-				return fmt.Errorf("experiment: marshal interference result %s: %w", key, merr)
-			}
-			if jerr := j.Record(&TrialRecord{Key: key, Data: data}); jerr != nil {
-				return jerr
-			}
-		}
-		trials[i] = fr
-		notifyTrial(cfg.Run, key, false, nil)
-		return nil
-	})
+			return runFleetRoster(cfg, placement, r, 1)
+		},
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package experiment
 import (
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -219,6 +221,55 @@ func TestFleetSweepJournalResume(t *testing.T) {
 	}
 	if c := second.Result(fleet.PlacementPacked, 3, 1); c == nil || c.NodesUsed != 6 {
 		t.Errorf("PACKED cell nodes used = %+v, want 6", c)
+	}
+}
+
+// An interference matrix journals its baseline and every aggressor ramp;
+// a resumed call restores all of them and rebuilds the identical matrix.
+func TestFleetInterferenceJournalResume(t *testing.T) {
+	hw := testbed.Hardware{Web: 1, App: 1, Mid: 1, DB: 1}
+	soft := testbed.SoftAlloc{WebThreads: 50, AppThreads: 6, AppConns: 6}
+	cfg := FleetSweepConfig{
+		Run: RunConfig{RampUp: 5 * time.Second, Measure: 15 * time.Second},
+		Fleet: fleet.Options{Nodes: 4, SlotsPerNode: 2, Seed: 1, Tenants: []fleet.TenantSpec{
+			{Name: "t1", Hardware: hw, Soft: soft, Users: 100},
+			{Name: "t2", Hardware: hw, Soft: soft, Users: 400},
+		}},
+	}
+	dir := filepath.Join(t.TempDir(), "state")
+	matrix := func(resume bool) (m *InterferenceMatrix, restored, ran int) {
+		st, err := OpenState(dir, "interference-test", resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var mu sync.Mutex
+		cfg.Run.State = st
+		cfg.Run.OnTrial = func(key string, wasRestored bool, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if wasRestored {
+				restored++
+			} else {
+				ran++
+			}
+		}
+		m, err = FleetInterference(cfg, fleet.PlacementPacked, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, restored, ran
+	}
+	first, _, ran := matrix(false)
+	if ran != len(cfg.Fleet.Tenants)+1 {
+		t.Fatalf("first call ran %d trials, want %d", ran, len(cfg.Fleet.Tenants)+1)
+	}
+	second, restored, ran := matrix(true)
+	if ran != 0 || restored != len(cfg.Fleet.Tenants)+1 {
+		t.Errorf("resume ran %d trials and restored %d, want 0 and %d", ran, restored, len(cfg.Fleet.Tenants)+1)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("resumed matrix differs:\n%s\nvs\n%s", first.Format(), second.Format())
 	}
 }
 

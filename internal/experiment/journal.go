@@ -22,8 +22,11 @@ import (
 	"sync"
 )
 
-// journalFormat versions the record payload schema.
-const journalFormat = 1
+// journalFormat versions the record payload schema. Format 2 keeps every
+// trial output, *Result included, in TrialRecord.Data (format 1 gave
+// Results a field of their own) and keys RunTrials records by
+// "soft ... workload ..."; a format-1 state directory is refused.
+const journalFormat = 2
 
 // recordHeaderSize is the framing prefix: 4-byte little-endian payload
 // length followed by 4-byte IEEE CRC32 of the payload.
@@ -43,19 +46,16 @@ type journalHeader struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// TrialRecord is one journaled trial outcome. Either Result is set (the
-// trial completed) or Err describes a deterministic per-trial failure (a
-// panicking simulation) that resume must not retry. Transient failures —
-// cancellation, watchdog timeouts — are never journaled, so they re-run.
-// Campaigns whose trial outcome is not an experiment Result (the chaos
-// verdicts) journal their own payload through Data instead; the framing,
-// fsync, and torn-tail guarantees are identical.
+// TrialRecord is one journaled trial outcome. Either Data holds the
+// trial's JSON-encoded output or Err describes a deterministic per-trial
+// failure (a panicking simulation) that resume must not retry. Transient
+// failures — cancellation, watchdog timeouts — are never journaled, so
+// they re-run. RunCampaign writes and reads every record.
 type TrialRecord struct {
-	Key    string          `json:"key"`
-	Err    string          `json:"err,omitempty"`
-	Stack  string          `json:"stack,omitempty"`
-	Result *resultPayload  `json:"result,omitempty"`
-	Data   json.RawMessage `json:"data,omitempty"`
+	Key   string          `json:"key"`
+	Err   string          `json:"err,omitempty"`
+	Stack string          `json:"stack,omitempty"`
+	Data  json.RawMessage `json:"data,omitempty"`
 }
 
 // Journal is an append-only record of completed trials, safe for

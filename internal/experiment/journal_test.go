@@ -20,8 +20,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trials.journal")
 	j := openTestJournal(t, path, "fp")
 	recs := []*TrialRecord{
-		{Key: "soft=400-15-6 wl=300", Result: &resultPayload{Errors: 1}},
-		{Key: "soft=400-15-6 wl=500", Err: "boom", Stack: "stack"},
+		{Key: "soft 400-15-6 workload 300", Data: []byte(`{"Errors":1}`)},
+		{Key: "soft 400-15-6 workload 500", Err: "boom", Stack: "stack"},
 	}
 	for _, r := range recs {
 		if err := j.Record(r); err != nil {
@@ -37,12 +37,12 @@ func TestJournalRoundTrip(t *testing.T) {
 	if j.Len() != 2 {
 		t.Fatalf("Len() = %d after reopen, want 2", j.Len())
 	}
-	got, ok := j.Lookup("soft=400-15-6 wl=500")
+	got, ok := j.Lookup("soft 400-15-6 workload 500")
 	if !ok || got.Err != "boom" || got.Stack != "stack" {
 		t.Fatalf("Lookup failure record = %+v, %v", got, ok)
 	}
-	got, ok = j.Lookup("soft=400-15-6 wl=300")
-	if !ok || got.Result == nil || got.Result.Errors != 1 {
+	got, ok = j.Lookup("soft 400-15-6 workload 300")
+	if !ok || string(got.Data) != `{"Errors":1}` {
 		t.Fatalf("Lookup result record = %+v, %v", got, ok)
 	}
 }
@@ -51,7 +51,7 @@ func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trials.journal")
 	j := openTestJournal(t, path, "fp")
 	for _, key := range []string{"a", "b", "c"} {
-		if err := j.Record(&TrialRecord{Key: key, Result: &resultPayload{}}); err != nil {
+		if err := j.Record(&TrialRecord{Key: key, Data: []byte(`{}`)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
 		}
 	}
 	// The truncated journal must accept appends again.
-	if err := j.Record(&TrialRecord{Key: "c", Result: &resultPayload{}}); err != nil {
+	if err := j.Record(&TrialRecord{Key: "c", Data: []byte(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -100,10 +100,10 @@ func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
 func TestJournalChecksumMismatchTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trials.journal")
 	j := openTestJournal(t, path, "fp")
-	if err := j.Record(&TrialRecord{Key: "keep", Result: &resultPayload{}}); err != nil {
+	if err := j.Record(&TrialRecord{Key: "keep", Data: []byte(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record(&TrialRecord{Key: "corrupt", Result: &resultPayload{}}); err != nil {
+	if err := j.Record(&TrialRecord{Key: "corrupt", Data: []byte(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -146,35 +146,22 @@ func (c *OverloadCurve) WriteCSV(w io.Writer, thresholds []time.Duration) error 
 // (unprotected). Trials fan out, journal, and resume exactly like
 // WorkloadSweep.
 func OverloadSweep(base RunConfig, rates []float64) (*OverloadCurve, error) {
-	c := &OverloadCurve{
-		Label:   fmt.Sprintf("%s(%s)", base.Testbed.Hardware, base.Testbed.Soft),
-		Rates:   append([]float64(nil), rates...),
-		Results: make([]*Result, len(rates)),
-		Errs:    make([]error, len(rates)),
+	cfgs := make([]RunConfig, len(rates))
+	for i, r := range rates {
+		cfgs[i] = base
+		cfgs[i].Arrivals = trace.Poisson(r)
 	}
 	// base.Arrivals is nil here, so the deadline is not in the base
-	// fingerprint; pin it via the extras along with the rate axis.
-	j, err := sweepJournal(base, "overload", fmt.Sprint(rates), fmt.Sprint(int64(base.Deadline)))
+	// fingerprint; pin it via the axes along with the rates.
+	cells, err := RunTrials(base, "overload", []string{fmt.Sprint(rates), fmt.Sprint(int64(base.Deadline))}, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	err = ForEachIndexCtx(base.Ctx, len(rates), base.Parallelism, func(i int) error {
-		cfg := base
-		cfg.Arrivals = trace.Poisson(rates[i])
-		res, err := RunJournaled(cfg, j)
-		if err != nil {
-			if IsTrialFailure(err) {
-				c.Errs[i] = err
-				return nil
-			}
-			return fmt.Errorf("experiment: rate %g: %w", rates[i], err)
-		}
-		c.Results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	c := &OverloadCurve{
+		Label: fmt.Sprintf("%s(%s)", base.Testbed.Hardware, base.Testbed.Soft),
+		Rates: append([]float64(nil), rates...),
 	}
+	c.Results, c.Errs = resultsOf(cells)
 	return c, nil
 }
 

@@ -19,9 +19,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-
-	"github.com/softres/ntier/internal/sla"
-	"github.com/softres/ntier/internal/trace"
 )
 
 // stateMetaFile identifies a directory as a run-state directory.
@@ -237,140 +234,4 @@ func (c RunConfig) fingerprintBase() string {
 		fmt.Fprintf(&b, " arr=%s deadline=%d", c.Arrivals, int64(c.Deadline))
 	}
 	return b.String()
-}
-
-// resultPayload is the journal image of a Result: every field except
-// Config, whose closure-typed hooks cannot round-trip JSON. The sweep that
-// restores a payload reattaches the RunConfig it would have passed to Run,
-// which the journal fingerprint guarantees is the one that produced the
-// record.
-type resultPayload struct {
-	SLA        *sla.Collector       `json:"sla"`
-	Errors     uint64               `json:"errors,omitempty"`
-	Shed       uint64               `json:"shed,omitempty"`
-	Late       uint64               `json:"late,omitempty"`
-	Abandoned  uint64               `json:"abandoned,omitempty"`
-	Apache     []ServerStats        `json:"apache,omitempty"`
-	Tomcat     []ServerStats        `json:"tomcat,omitempty"`
-	CJDBC      []ServerStats        `json:"cjdbc,omitempty"`
-	MySQL      []ServerStats        `json:"mysql,omitempty"`
-	Timeline   *ApacheTimeline      `json:"timeline,omitempty"`
-	UtilSeries map[string][]float64 `json:"util,omitempty"`
-	Traces     []*trace.Trace       `json:"traces,omitempty"`
-}
-
-// payloadOf strips a Result down to its journalable image.
-func payloadOf(res *Result) *resultPayload {
-	return &resultPayload{
-		SLA:        res.SLA,
-		Errors:     res.Errors,
-		Shed:       res.Shed,
-		Late:       res.Late,
-		Abandoned:  res.Abandoned,
-		Apache:     res.Apache,
-		Tomcat:     res.Tomcat,
-		CJDBC:      res.CJDBC,
-		MySQL:      res.MySQL,
-		Timeline:   res.Timeline,
-		UtilSeries: res.UtilSeries,
-		Traces:     res.Traces,
-	}
-}
-
-// restore rebuilds the Result a journaled trial produced, reattaching cfg.
-func (p *resultPayload) restore(cfg RunConfig) *Result {
-	cfg.applyDefaults()
-	res := &Result{
-		Config:     cfg,
-		SLA:        p.SLA,
-		Errors:     p.Errors,
-		Shed:       p.Shed,
-		Late:       p.Late,
-		Abandoned:  p.Abandoned,
-		Apache:     p.Apache,
-		Tomcat:     p.Tomcat,
-		CJDBC:      p.CJDBC,
-		MySQL:      p.MySQL,
-		Timeline:   p.Timeline,
-		UtilSeries: p.UtilSeries,
-		Traces:     p.Traces,
-	}
-	if res.SLA == nil {
-		res.SLA = sla.NewCollector(cfg.Thresholds)
-		res.SLA.SetElapsed(cfg.Measure)
-	}
-	return res
-}
-
-// trialKey identifies one trial inside a sweep journal. The soft
-// allocation plus workload pins the point on every sweep axis this package
-// has: workload sweeps, allocation grids, and the tuner's ramps all vary
-// exactly these two.
-func trialKey(cfg RunConfig) string {
-	if cfg.Arrivals != nil {
-		// Open-system trials vary the arrival spec instead of the user
-		// population (overload sweeps vary the rate at a fixed allocation).
-		return fmt.Sprintf("soft=%s arr=%s dl=%d", cfg.Testbed.Soft, cfg.Arrivals, int64(cfg.Deadline))
-	}
-	return fmt.Sprintf("soft=%s wl=%d", cfg.Testbed.Soft, cfg.Users)
-}
-
-// RunJournaled executes one sweep trial through a journal (nil j runs
-// directly). A journaled outcome is restored without simulating — a
-// recorded panic replays as its *PanicError, because deterministic
-// failures re-run identically. A fresh success or panic is journaled
-// (fsynced) before returning; cancellations and watchdog timeouts are
-// never journaled, so a resumed campaign retries them.
-func RunJournaled(cfg RunConfig, j *Journal) (*Result, error) {
-	key := trialKey(cfg)
-	if j != nil {
-		if rec, ok := j.Lookup(key); ok {
-			if rec.Err != "" {
-				err := &PanicError{Value: rec.Err, Stack: rec.Stack}
-				notifyTrial(cfg, key, true, err)
-				return nil, err
-			}
-			res := rec.Result.restore(cfg)
-			notifyTrial(cfg, key, true, nil)
-			return res, nil
-		}
-	}
-	res, err := Run(cfg)
-	if err == nil {
-		if j != nil {
-			if jerr := j.Record(&TrialRecord{Key: key, Result: payloadOf(res)}); jerr != nil {
-				return nil, jerr
-			}
-		}
-		notifyTrial(cfg, key, false, nil)
-		return res, nil
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) && j != nil {
-		rec := &TrialRecord{Key: key, Err: fmt.Sprint(pe.Value), Stack: pe.Stack}
-		if jerr := j.Record(rec); jerr != nil {
-			return nil, jerr
-		}
-	}
-	if IsTrialFailure(err) {
-		notifyTrial(cfg, key, false, err)
-	}
-	return nil, err
-}
-
-// notifyTrial invokes the OnTrial hook for a resolved trial.
-func notifyTrial(cfg RunConfig, key string, restored bool, err error) {
-	if cfg.OnTrial != nil {
-		cfg.OnTrial(key, restored, err)
-	}
-}
-
-// sweepJournal opens the journal for one sweep when journaling is enabled
-// (base.State set), or returns nil to run unjournaled.
-func sweepJournal(base RunConfig, kind string, extra ...string) (*Journal, error) {
-	if base.State == nil {
-		return nil, nil
-	}
-	parts := append([]string{kind}, extra...)
-	return base.State.Journal(kind, Fingerprint(base, parts...))
 }

@@ -41,33 +41,20 @@ func (c *Curve) Err() error {
 // failures become error rows (Curve.Errs) while the rest of the sweep
 // keeps going; cancellation via base.Ctx aborts between trials.
 func WorkloadSweep(base RunConfig, users []int) (*Curve, error) {
+	cfgs := make([]RunConfig, len(users))
+	for i, u := range users {
+		cfgs[i] = base
+		cfgs[i].Users = u
+	}
+	cells, err := RunTrials(base, "workload", []string{fmt.Sprint(users)}, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	c := &Curve{
-		Label:   fmt.Sprintf("%s(%s)", base.Testbed.Hardware, base.Testbed.Soft),
-		Users:   append([]int(nil), users...),
-		Results: make([]*Result, len(users)),
-		Errs:    make([]error, len(users)),
+		Label: fmt.Sprintf("%s(%s)", base.Testbed.Hardware, base.Testbed.Soft),
+		Users: append([]int(nil), users...),
 	}
-	j, err := sweepJournal(base, "workload", fmt.Sprint(users))
-	if err != nil {
-		return nil, err
-	}
-	err = ForEachIndexCtx(base.Ctx, len(users), base.Parallelism, func(i int) error {
-		cfg := base
-		cfg.Users = users[i]
-		res, err := RunJournaled(cfg, j)
-		if err != nil {
-			if IsTrialFailure(err) {
-				c.Errs[i] = err
-				return nil
-			}
-			return fmt.Errorf("experiment: workload %d: %w", users[i], err)
-		}
-		c.Results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	c.Results, c.Errs = resultsOf(cells)
 	return c, nil
 }
 
@@ -140,52 +127,30 @@ type AllocPoint struct {
 // trials, so base.Parallelism workers stay busy even when a single
 // workload axis is shorter than the worker pool.
 func AllocSweep(base RunConfig, users []int, sizes []int, vary func(testbed.SoftAlloc, int) testbed.SoftAlloc) ([]AllocPoint, error) {
-	if len(sizes) == 0 || len(users) == 0 {
-		var out []AllocPoint
-		for _, size := range sizes {
-			soft := vary(base.Testbed.Soft, size)
-			out = append(out, AllocPoint{Soft: soft, Curve: &Curve{
-				Label: fmt.Sprintf("%s(%s)", base.Testbed.Hardware, soft),
-			}})
-		}
-		return out, nil
-	}
-	out := make([]AllocPoint, len(sizes))
-	softs := make([]string, len(sizes))
+	softs := make([]testbed.SoftAlloc, len(sizes))
+	var cfgs []RunConfig
 	for j, size := range sizes {
-		soft := vary(base.Testbed.Soft, size)
-		out[j] = AllocPoint{Soft: soft, Curve: &Curve{
-			Label:   fmt.Sprintf("%s(%s)", base.Testbed.Hardware, soft),
-			Users:   append([]int(nil), users...),
-			Results: make([]*Result, len(users)),
-			Errs:    make([]error, len(users)),
-		}}
-		softs[j] = soft.String()
+		softs[j] = vary(base.Testbed.Soft, size)
+		for _, u := range users {
+			cfg := base
+			cfg.Testbed.Soft, cfg.Users = softs[j], u
+			cfgs = append(cfgs, cfg)
+		}
 	}
 	// vary is a closure and cannot be fingerprinted; the allocations it
 	// produced can, and they are what determines the grid's outcomes.
-	jnl, err := sweepJournal(base, "alloc", fmt.Sprint(users), fmt.Sprint(softs))
+	cells, err := RunTrials(base, "alloc", []string{fmt.Sprint(users), fmt.Sprint(softs)}, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	err = ForEachIndexCtx(base.Ctx, len(sizes)*len(users), base.Parallelism, func(k int) error {
-		j, i := k/len(users), k%len(users)
-		cfg := base
-		cfg.Testbed.Soft = out[j].Soft
-		cfg.Users = users[i]
-		res, err := RunJournaled(cfg, jnl)
-		if err != nil {
-			if IsTrialFailure(err) {
-				out[j].Curve.Errs[i] = err
-				return nil
-			}
-			return fmt.Errorf("experiment: alloc %s workload %d: %w", out[j].Soft, users[i], err)
+	out := make([]AllocPoint, len(sizes))
+	for j, soft := range softs {
+		c := &Curve{
+			Label: fmt.Sprintf("%s(%s)", base.Testbed.Hardware, soft),
+			Users: append([]int(nil), users...),
 		}
-		out[j].Curve.Results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		c.Results, c.Errs = resultsOf(cells[j*len(users) : (j+1)*len(users)])
+		out[j] = AllocPoint{Soft: soft, Curve: c}
 	}
 	return out, nil
 }

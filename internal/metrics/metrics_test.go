@@ -8,8 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"github.com/softres/ntier/internal/des"
 )
 
 func TestAccumulatorBasics(t *testing.T) {
@@ -199,48 +197,6 @@ func TestWindowsBucketing(t *testing.T) {
 	rates := w.Rates()
 	if rates[0] != 2 || rates[2] != 1 {
 		t.Errorf("rates %v", rates)
-	}
-}
-
-func TestSamplerPollsGauges(t *testing.T) {
-	env := des.NewEnv()
-	s := NewSampler(env, time.Second)
-	val := 0.0
-	s.Register("g", func() float64 { val++; return val })
-	s.Start()
-	env.Run(5500 * time.Millisecond)
-	series := s.Series("g")
-	if series.Count() != 5 {
-		t.Fatalf("sampled %d times in 5.5s, want 5", series.Count())
-	}
-	if series.Percentile(100) != 5 {
-		t.Errorf("last sample %v, want 5", series.Percentile(100))
-	}
-}
-
-func TestSamplerStop(t *testing.T) {
-	env := des.NewEnv()
-	s := NewSampler(env, time.Second)
-	s.Register("g", func() float64 { return 1 })
-	s.Start()
-	env.Run(2500 * time.Millisecond)
-	s.Stop()
-	env.Run(10 * time.Second)
-	if got := s.Series("g").Count(); got != 2 {
-		t.Errorf("samples after stop %d, want 2", got)
-	}
-}
-
-func TestSamplerReset(t *testing.T) {
-	env := des.NewEnv()
-	s := NewSampler(env, time.Second)
-	s.Register("g", func() float64 { return 1 })
-	s.Start()
-	env.Run(3500 * time.Millisecond)
-	s.Reset()
-	env.Run(5500 * time.Millisecond)
-	if got := s.Series("g").Count(); got != 2 {
-		t.Errorf("samples after reset %d, want 2", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/softres/ntier/internal/experiment"
@@ -188,15 +187,13 @@ type candidate struct {
 
 // searcher carries one run's working state.
 type searcher struct {
-	opts    Options
-	journal *experiment.Journal
-	sur     *Surrogate
-	out     *Outcome
-	used    int
-	slaIdx  int
-
-	mu    sync.Mutex
-	cache map[string]*evalRec
+	opts   Options
+	axes   []string // journal fingerprint axes: every search knob
+	sur    *Surrogate
+	out    *Outcome
+	used   int
+	slaIdx int
+	cache  map[string]*evalRec
 }
 
 // Run executes the search: calibrate the surrogate, pre-rank the
@@ -207,7 +204,9 @@ func Run(opts Options) (*Outcome, error) {
 		return nil, err
 	}
 	s := &searcher{
-		opts:  opts,
+		opts: opts,
+		axes: []string{fmt.Sprint(opts.Workloads), fmt.Sprint(opts.Candidates),
+			fmt.Sprint(opts.Budget), opts.SLA.String(), fmt.Sprint(opts.Eta), fmt.Sprint(opts.Keep)},
 		out:   &Outcome{Thresholds: opts.Base.Thresholds, SLA: opts.SLA},
 		cache: make(map[string]*evalRec),
 	}
@@ -215,16 +214,6 @@ func Run(opts Options) (*Outcome, error) {
 		if th == opts.SLA {
 			s.slaIdx = i
 		}
-	}
-	if opts.Base.State != nil {
-		fp := experiment.Fingerprint(opts.Base, "search",
-			fmt.Sprint(opts.Workloads), fmt.Sprint(opts.Candidates),
-			fmt.Sprint(opts.Budget), opts.SLA.String(), fmt.Sprint(opts.Eta), fmt.Sprint(opts.Keep))
-		j, err := opts.Base.State.Journal("search", fp)
-		if err != nil {
-			return nil, err
-		}
-		s.journal = j
 	}
 	if err := s.search(); err != nil {
 		return nil, err
@@ -241,60 +230,65 @@ func (s *searcher) logf(format string, args ...any) {
 	}
 }
 
-// evaluate resolves one (allocation, workload) trial: an in-process cache
-// hit is free; otherwise the trial runs (or replays from the journal) and
-// consumes budget. The returned Result is non-nil only when the trial ran
-// this call and succeeded. Safe for concurrent rung workers; the
-// simulation itself runs outside the lock.
-func (s *searcher) evaluate(soft testbed.SoftAlloc, wl int) (*evalRec, *experiment.Result, error) {
-	key := fmt.Sprintf("%s@%d", soft, wl)
-	s.mu.Lock()
-	if rec, ok := s.cache[key]; ok {
-		s.out.Cached++
-		s.mu.Unlock()
-		return rec, nil, nil
+// evaluate resolves one (allocation, workload) trial per allocation, in
+// order: an in-process cache hit is free; the rest run (or replay from the
+// journal) in parallel as one campaign and consume budget. The campaign's
+// cells come back too: the trials this call resolved, uncached ones in
+// order.
+func (s *searcher) evaluate(softs []testbed.SoftAlloc, wl int) ([]*evalRec, []experiment.Cell[*experiment.Result], error) {
+	var cfgs []experiment.RunConfig
+	queued := make(map[string]bool)
+	for _, soft := range softs {
+		key := cacheKey(soft, wl)
+		if _, ok := s.cache[key]; ok || queued[key] {
+			s.out.Cached++
+			continue
+		}
+		queued[key] = true
+		cfg := s.opts.Base
+		cfg.Testbed.Soft, cfg.Users = soft, wl
+		cfgs = append(cfgs, cfg)
 	}
-	s.mu.Unlock()
-
-	cfg := s.opts.Base
-	cfg.Testbed.Soft = soft
-	cfg.Users = wl
-	restored := false
-	if s.journal != nil {
-		_, restored = s.journal.Lookup(fmt.Sprintf("soft=%s wl=%d", soft, wl))
-	}
-	res, err := experiment.RunJournaled(cfg, s.journal)
-	if err != nil && !experiment.IsTrialFailure(err) {
+	cells, err := experiment.RunTrials(s.opts.Base, "search", s.axes, cfgs)
+	if err != nil {
 		return nil, nil, err
 	}
-	rec := &evalRec{restored: restored}
-	if err != nil {
-		rec.errText = err.Error()
-	} else {
-		p := &Point{
-			Soft:       soft,
-			Workload:   wl,
-			Units:      TotalUnits(cfg.Testbed.Hardware, soft),
-			Throughput: res.Throughput(),
-			MeanRT:     res.MeanRT(),
+	for i, c := range cells {
+		soft := cfgs[i].Testbed.Soft
+		rec := &evalRec{restored: c.Restored}
+		if c.Err != nil {
+			rec.errText = c.Err.Error()
+		} else {
+			p := &Point{
+				Soft:       soft,
+				Workload:   wl,
+				Units:      TotalUnits(cfgs[i].Testbed.Hardware, soft),
+				Throughput: c.Out.Throughput(),
+				MeanRT:     c.Out.MeanRT(),
+			}
+			for _, th := range s.out.Thresholds {
+				p.Goodputs = append(p.Goodputs, c.Out.Goodput(th))
+			}
+			rec.point = p
+			sum := experiment.Summarize(c.Out, s.opts.SLA)
+			rec.obs = &sum
 		}
-		for _, th := range s.out.Thresholds {
-			p.Goodputs = append(p.Goodputs, res.Goodput(th))
+		s.used++
+		s.out.Trials++
+		if c.Restored {
+			s.out.Restored++
 		}
-		rec.point = p
-		sum := experiment.Summarize(res, s.opts.SLA)
-		rec.obs = &sum
+		s.cache[cacheKey(soft, wl)] = rec
 	}
-	s.mu.Lock()
-	s.used++
-	s.out.Trials++
-	if restored {
-		s.out.Restored++
+	recs := make([]*evalRec, len(softs))
+	for i, soft := range softs {
+		recs[i] = s.cache[cacheKey(soft, wl)]
 	}
-	s.cache[key] = rec
-	s.mu.Unlock()
-	return rec, res, nil
+	return recs, cells, nil
 }
+
+// cacheKey identifies one (allocation, workload) evaluation in the cache.
+func cacheKey(soft testbed.SoftAlloc, wl int) string { return fmt.Sprintf("%s@%d", soft, wl) }
 
 // search is the optimizer loop.
 func (s *searcher) search() error {
@@ -303,14 +297,14 @@ func (s *searcher) search() error {
 	// workload, below the knee, where the utilization law holds.
 	calWL := o.Workloads[0]
 	s.logf("calibrate: %s at workload %d (trial 1/%d)", o.Base.Testbed.Soft, calWL, o.Budget)
-	rec, calRes, err := s.evaluate(o.Base.Testbed.Soft, calWL)
+	recs, cal, err := s.evaluate([]testbed.SoftAlloc{o.Base.Testbed.Soft}, calWL)
 	if err != nil {
 		return err
 	}
-	if rec.point == nil {
-		return fmt.Errorf("search: calibration trial failed: %s", rec.errText)
+	if recs[0].point == nil {
+		return fmt.Errorf("search: calibration trial failed: %s", recs[0].errText)
 	}
-	s.sur, err = Calibrate(calRes)
+	s.sur, err = Calibrate(cal[0].Out)
 	if err != nil {
 		return err
 	}
@@ -360,12 +354,11 @@ func (s *searcher) search() error {
 			s.logf("rung %d: budget exhausted (%d/%d trials)", r, s.used, o.Budget)
 			break
 		}
-		recs := make([]*evalRec, len(cands))
-		err := experiment.ForEachIndexCtx(o.Base.Ctx, len(cands), o.Base.Parallelism, func(i int) error {
-			rec, _, err := s.evaluate(cands[i].soft, wl)
-			recs[i] = rec
-			return err
-		})
+		softs := make([]testbed.SoftAlloc, len(cands))
+		for i, c := range cands {
+			softs[i] = c.soft
+		}
+		recs, _, err := s.evaluate(softs, wl)
 		if err != nil {
 			return err
 		}
@@ -425,7 +418,7 @@ func (s *searcher) search() error {
 		// mutated (they have no measurement yet).
 		survivors := next
 		for _, c := range survivors {
-			rec := s.cache[fmt.Sprintf("%s@%d", c.soft, wl)]
+			rec := s.cache[cacheKey(c.soft, wl)]
 			if rec == nil || rec.obs == nil {
 				continue
 			}
@@ -455,7 +448,7 @@ func (s *searcher) trimToBudget(cands []candidate, wl, rung int) []candidate {
 	var kept []candidate
 	needed := 0
 	for _, c := range cands {
-		if _, ok := s.cache[fmt.Sprintf("%s@%d", c.soft, wl)]; !ok {
+		if _, ok := s.cache[cacheKey(c.soft, wl)]; !ok {
 			if needed == avail {
 				s.logf("rung %d: budget trim %s (%d/%d trials used)",
 					rung, c.soft, s.used, s.opts.Budget)

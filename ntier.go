@@ -134,17 +134,6 @@ type (
 // the run that created the state directory.
 var ErrFingerprintMismatch = experiment.ErrFingerprintMismatch
 
-// Journal is one write-ahead trial journal inside a RunState; obtain one
-// from RunState.Journal and pass it to RunJournaled.
-type Journal = experiment.Journal
-
-// RunJournaled executes one trial through a journal (nil j simply runs):
-// an already-journaled outcome is restored without simulating, a fresh
-// outcome is fsynced to the journal before returning.
-func RunJournaled(cfg RunConfig, j *Journal) (*Result, error) {
-	return experiment.RunJournaled(cfg, j)
-}
-
 // OpenState creates or (with resume) reopens a run-state directory for
 // the invocation identified by fingerprint.
 func OpenState(dir, fingerprint string, resume bool) (*RunState, error) {

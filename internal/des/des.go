@@ -1,14 +1,16 @@
+//go:build go1.23
+
 // Package des implements a deterministic discrete-event simulation engine —
 // the substrate replacing the paper's physical Emulab testbed (§II-B).
 // Every experiment behind the paper's figures runs on this clock, and its
 // strict determinism is what makes the reproduction's trials replayable
 // and its parallel sweeps byte-identical to serial ones.
 //
-// Simulated processes are ordinary Go functions running in goroutines, but
-// execution is strictly serialized: the scheduler and at most one process run
-// at any instant, handing control back and forth over unbuffered channels.
-// All ties are broken by schedule order, so a simulation with seeded random
-// sources replays identically.
+// Simulated processes are ordinary Go functions, each running on a
+// coroutine from iter.Pull, so execution is strictly serialized: the
+// scheduler and at most one process run at any instant, switching control on
+// the same thread. All ties are broken by schedule order, so a simulation
+// with seeded random sources replays identically.
 //
 // The event queue is engineered for the 10⁵–10⁶-client trials of ROADMAP
 // item 1: a calendar queue (timing wheel + sorted bucket runs + small
@@ -24,11 +26,15 @@
 // Simulated time is a time.Duration measured from the start of the
 // simulation. Events and processes interact only through the Env they were
 // created on.
+//
+// The process handoff needs Go 1.23 for iter.Pull; see toolchain.go.
 package des
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -59,33 +65,31 @@ type Env struct {
 	// timers, re-armed completions). They are skipped on pop; when they
 	// outnumber live entries the heap is compacted in place.
 	nDead   int
-	yield   chan struct{} // process -> scheduler handoff
-	kill    chan struct{} // closed by Shutdown to unwind parked processes
 	stopped bool
-	// procs counts processes started and not yet finished. It is atomic
-	// because Shutdown unwinds parked goroutines concurrently, each
-	// decrementing as it exits while callers may poll Live.
-	procs atomic.Int64
+	// live counts processes started and not yet finished; busy lists their
+	// runners and idle this Env's free ones. Both are intrusive lists, so
+	// no slice grows with the process count.
+	live       int
+	busy, idle *runner
 	// interrupted is the only cross-thread input to a running simulation:
 	// wall-clock watchdogs set it to make Run return at the next event
 	// boundary (Shutdown cannot be called concurrently with Run). Run
 	// polls it every interruptStride events, not on every iteration, so
 	// the atomic load stays off the hot path.
 	interrupted atomic.Bool
-	// failure holds a panic captured from a process goroutine, handed to
-	// the scheduler over the yield channel so runProc can re-raise it in
-	// Run's calling context.
+	// failure holds a panic captured on a process's coroutine, left for
+	// runProc to re-raise in Run's calling context.
 	failure *ProcPanic
 }
 
 // ProcPanic is a panic that escaped a simulated process. The process
-// goroutine cannot crash the program directly — the scheduler re-raises
+// coroutine does not crash the program directly — the scheduler re-raises
 // the captured panic as a *ProcPanic from Run, where the experiment layer
 // can recover it and turn the trial into an error result.
 type ProcPanic struct {
 	Proc  string // diagnostic name passed to Go
 	Value any    // the original panic value
-	Stack []byte // the process goroutine's stack at the panic site
+	Stack []byte // the process coroutine's stack at the panic site
 }
 
 func (pp *ProcPanic) Error() string {
@@ -93,12 +97,7 @@ func (pp *ProcPanic) Error() string {
 }
 
 // NewEnv returns an environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		kill:  make(chan struct{}),
-	}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current simulated time.
 func (e *Env) Now() time.Duration { return e.now }
@@ -115,20 +114,16 @@ func (e *Env) queueLen() int { return e.q.len() }
 
 // Live returns the number of processes that have been started with Go and
 // have not yet returned.
-func (e *Env) Live() int { return int(e.procs.Load()) }
+func (e *Env) Live() int { return e.live }
 
 // Audit checks the scheduler's internal bookkeeping: the lazy-deletion
-// dead-entry counter must stay within the physical queue and no derived
-// count may go negative. It is a cheap pure read, called between Run calls
-// by the chaos campaign's conservation-invariant oracle; a violation means
-// the event lifecycle itself lost track of an event, not that the model
-// misbehaved.
+// dead-entry counter must stay within the physical queue. It is a cheap
+// pure read, called between Run calls by the chaos campaign's
+// conservation-invariant oracle; a violation means the event lifecycle
+// itself lost track of an event, not that the model misbehaved.
 func (e *Env) Audit() error {
 	if e.nDead < 0 || e.nDead > e.q.len() {
 		return fmt.Errorf("des: dead-entry counter %d outside physical queue of %d entries", e.nDead, e.q.len())
-	}
-	if live := e.Live(); live < 0 {
-		return fmt.Errorf("des: %d live processes", live)
 	}
 	return nil
 }
@@ -369,15 +364,37 @@ func (e *Env) Interrupt() { e.interrupted.Store(true) }
 // Interrupted reports whether Interrupt has been called.
 func (e *Env) Interrupted() bool { return e.interrupted.Load() }
 
-// Shutdown unwinds every parked or not-yet-started process so their
-// goroutines exit. After Shutdown the Env is unusable. It is safe to call
-// once Run has returned; calling it from scheduler context panics.
+// Shutdown unwinds every parked or not-yet-started process: each is resumed
+// in turn on the caller's thread, unwinds with a sentinel panic and runs its
+// Defer cleanups, so Live() is 0 when Shutdown returns. The freed runners
+// then go to a process-wide pool for the next Env. After Shutdown the Env is
+// unusable. It is safe to call once Run has returned; it must not be called
+// from scheduler context.
 func (e *Env) Shutdown() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	close(e.kill)
+	for r := e.busy; r != nil; r = e.busy {
+		if _, ok := r.resume(); !ok {
+			// The coroutine already ended under its process: a
+			// runtime.Goexit, which went on to end Run's goroutine.
+			e.unbind(r)
+		}
+	}
+	runnerPool.Lock()
+	for e.idle != nil && runnerPool.n < runnerPoolCap {
+		r := e.idle
+		e.idle, r.next = r.next, runnerPool.idle
+		runnerPool.idle = r
+		runnerPool.n++
+	}
+	runnerPool.Unlock()
+	for e.idle != nil {
+		r := e.idle
+		e.idle, r.next = r.next, nil
+		r.stop()
+	}
 }
 
 // Timer is a re-armable scheduled callback owned by a single component —
@@ -431,18 +448,19 @@ func (t *Timer) Stop() {
 // Armed reports whether a firing is pending.
 func (t *Timer) Armed() bool { return t.ev != nil }
 
-// killed is the sentinel panic value used to unwind process goroutines.
+// killed is the sentinel panic value used to unwind killed processes.
 type killedSentinel struct{}
 
-// Proc is a simulated process: a goroutine whose execution interleaves
+// Proc is a simulated process: a function whose execution interleaves
 // deterministically with the simulation clock. All Proc methods must be
-// called from the process's own goroutine.
+// called from the process itself.
 type Proc struct {
-	env      *Env
-	name     string
-	wake     chan struct{}
-	data     any
-	cleanups []func()
+	env     *Env
+	name    string
+	r       *runner // nil once the process has finished
+	fn      func(*Proc)
+	data    any
+	cleanup func() // the Defer callbacks, chained newest first
 }
 
 // SetData attaches arbitrary user data to the process (e.g. a per-request
@@ -455,91 +473,152 @@ func (p *Proc) Data() any { return p.data }
 // Defer registers fn to run when the process ends, on every exit path:
 // normal return, a panic captured by the scheduler, and the unwind paths of
 // Shutdown — including processes killed before their first scheduling.
-// Callbacks run in reverse registration order on the process's goroutine.
+// Callbacks run in reverse registration order on the process's coroutine.
 //
-// During a Shutdown unwind many goroutines run their callbacks
-// concurrently with no scheduler, so callbacks must not touch the Env or
-// anything that schedules events (no Sleep, Park, pool Acquire/Release);
-// they exist to release external accounting, e.g. resource.Pool.Abandon.
-func (p *Proc) Defer(fn func()) { p.cleanups = append(p.cleanups, fn) }
-
-// runCleanups executes the registered callbacks LIFO, once.
-func (p *Proc) runCleanups() {
-	cs := p.cleanups
-	p.cleanups = nil
-	for i := len(cs) - 1; i >= 0; i-- {
-		cs[i]()
+// During a Shutdown unwind no scheduler runs, so callbacks must not touch
+// the Env or anything that schedules events (no Sleep, Park, pool
+// Acquire/Release); they exist to release external accounting, e.g.
+// resource.Pool.Abandon.
+func (p *Proc) Defer(fn func()) {
+	if next := p.cleanup; next != nil {
+		p.cleanup = func() { fn(); next() }
+	} else {
+		p.cleanup = fn
 	}
+}
+
+// A runner is a coroutine that runs processes one after another. Go binds
+// a process to an idle runner; when the process returns, panics or is
+// killed, the runner goes back to its Env's idle list for the next Go, and
+// Shutdown hands idle runners on to runnerPool for the next Env. Control
+// passes between the scheduler and a runner by a runtime coroutine switch
+// on the same thread.
+type runner struct {
+	resume     func() (struct{}, bool) // scheduler -> process
+	yield      func(struct{}) bool     // process -> scheduler; set when the coroutine starts
+	stop       func()                  // ends an idle runner's coroutine
+	p          *Proc                   // the bound process, nil while idle
+	prev, next *runner                 // Env.busy links; idle lists use next only
+}
+
+// runnerPoolCap bounds the idle runners kept between environments; each
+// holds a parked goroutine and its stack. Shutdown stops the excess.
+const runnerPoolCap = 1 << 14
+
+// runnerPool holds idle runners shared by every Env, so the trials of a
+// campaign reuse coroutines instead of starting new ones.
+var runnerPool struct {
+	sync.Mutex
+	idle *runner
+	n    int
+}
+
+// idleRunner returns a free runner: one of e's own, else one from
+// runnerPool, else nil.
+func (e *Env) idleRunner() *runner {
+	if r := e.idle; r != nil {
+		e.idle, r.next = r.next, nil
+		return r
+	}
+	runnerPool.Lock()
+	defer runnerPool.Unlock()
+	r := runnerPool.idle
+	if r != nil {
+		runnerPool.idle, r.next = r.next, nil
+		runnerPool.n--
+	}
+	return r
+}
+
+// unbind detaches r from its finished process and unlinks it from e.busy.
+func (e *Env) unbind(r *runner) {
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		e.busy = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	}
+	r.p.r, r.p.fn = nil, nil
+	r.p, r.prev, r.next = nil, nil, nil
+	e.live--
 }
 
 // Go starts a new process running fn. The process begins executing at the
 // current simulated time (after the caller yields control). name is used in
 // diagnostics only.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, wake: make(chan struct{})}
-	e.procs.Add(1)
-	go func() {
-		select {
-		case <-p.wake:
-		case <-e.kill:
-			// Never started; no scheduler is waiting on us, but the
-			// shutdown cleanups still run to release external accounting.
-			p.runCleanups()
-			e.procs.Add(-1)
-			return
-		}
-		defer func() {
-			r := recover()
-			if _, killed := r.(killedSentinel); killed {
-				p.runCleanups()
-				e.procs.Add(-1)
-				return // unwound by Shutdown; scheduler is not waiting
+	p := &Proc{env: e, name: name, fn: fn}
+	r := e.idleRunner()
+	if r == nil {
+		// The coroutine body and its recover are closures of Go, not
+		// runner methods, so CPU profiles charge them to the handoff.
+		nr := &runner{}
+		nr.resume, nr.stop = iter.Pull(func(yield func(struct{}) bool) {
+			nr.yield = yield
+			for {
+				p := nr.p
+				e := p.env
+				pp := func() (pp *ProcPanic) {
+					defer func() {
+						v := recover()
+						if _, killed := v.(killedSentinel); v != nil && !killed {
+							// Capture the panic site before cleanups grow
+							// the stack.
+							pp = &ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()}
+						}
+					}()
+					if !e.stopped {
+						p.fn(p)
+					}
+					return nil
+				}()
+				e.unbind(nr)
+				if c := p.cleanup; c != nil {
+					p.cleanup = nil
+					c()
+				}
+				nr.next, e.idle = e.idle, nr
+				if pp != nil {
+					// runProc re-raises it in Run's calling context, where
+					// a trial wrapper can recover.
+					e.failure = pp
+				}
+				if !yield(struct{}{}) {
+					return // stopped by Shutdown beyond runnerPoolCap
+				}
 			}
-			// Capture the panic site before cleanups grow the stack.
-			var pp *ProcPanic
-			if r != nil {
-				pp = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
-			p.runCleanups()
-			if pp != nil {
-				// Hand the panic to the scheduler instead of crashing the
-				// program from this goroutine: runProc re-raises it in
-				// Run's calling context, where a trial wrapper can recover.
-				e.failure = pp
-			}
-			e.procs.Add(-1)
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
+		})
+		r = nr
+	}
+	r.p, r.next = p, e.busy
+	if e.busy != nil {
+		e.busy.prev = r
+	}
+	e.busy = r
+	e.live++
+	p.r = r
 	e.schedProc(e.now, p)
 	return p
 }
 
-// runProc transfers control to p and blocks until p yields again. If the
-// process died with a real panic, the captured *ProcPanic is re-raised
-// here — in scheduler context — so it propagates out of Run.
+// runProc transfers control to p until p yields again. If the process died
+// with a real panic, the captured *ProcPanic is re-raised here — in
+// scheduler context — so it propagates out of Run.
 func (e *Env) runProc(p *Proc) {
-	p.wake <- struct{}{}
-	<-e.yield
+	p.r.resume()
 	if f := e.failure; f != nil {
 		e.failure = nil
 		panic(f)
 	}
 }
 
-// yield returns control to the scheduler and blocks until this process is
-// woken by a scheduled event (or unwound by Shutdown).
+// yield returns control to the scheduler until this process is resumed by
+// a scheduled event, or by Shutdown, which unwinds it.
 func (p *Proc) yield() {
-	p.env.yield <- struct{}{}
-	select {
-	case <-p.wake:
-	case <-p.env.kill:
-		// The live-process count is decremented in Go's recover handler,
-		// after cleanups run — so Live() == 0 means every unwound process
-		// has finished releasing its external accounting, and the atomic
-		// gives an observer of 0 a happens-before edge to those cleanup
-		// writes.
+	p.r.yield(struct{}{})
+	if p.env.stopped {
 		panic(killedSentinel{})
 	}
 }
@@ -571,77 +650,4 @@ func (p *Proc) Park() { p.yield() }
 func (p *Proc) Unpark() {
 	e := p.env
 	e.schedProc(e.now, p)
-}
-
-// eventHeap is a 4-ary min-heap of entries ordered by (at, seq) — half the
-// levels of a binary heap, with the four children of a node adjacent in
-// memory, so a sift touches a fraction of the cache lines. It serves as the
-// whole queue in heap mode and as the cur/far components of the calendar
-// queue (see queue.go).
-type eventHeap []entry
-
-func (h *eventHeap) push(en entry) {
-	*h = append(*h, en)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !en.less(hh[parent]) {
-			break
-		}
-		hh[i] = hh[parent]
-		i = parent
-	}
-	hh[i] = en
-}
-
-// pop removes the minimum entry; the caller has already captured h[0].
-// Truncated entries are left in place — they are pointer-free and pin
-// nothing.
-func (h *eventHeap) pop() {
-	old := *h
-	last := len(old) - 1
-	en := old[last]
-	*h = old[:last]
-	if last > 0 {
-		old[0] = en
-		(*h).siftDown(0)
-	}
-}
-
-// init re-establishes the heap invariant over arbitrary contents in O(n);
-// sweep uses it after filtering entries in place.
-func (h eventHeap) init() {
-	if n := len(h); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			h.siftDown(i)
-		}
-	}
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	en := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		m := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h[c].less(h[m]) {
-				m = c
-			}
-		}
-		if !h[m].less(en) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = en
 }

@@ -280,3 +280,76 @@ func (q *eventQueue) rebuild() {
 		q.push(en)
 	}
 }
+
+// eventHeap is a 4-ary min-heap of entries ordered by (at, seq) — half the
+// levels of a binary heap, with the four children of a node adjacent in
+// memory, so a sift touches a fraction of the cache lines. It serves as the
+// whole queue in heap mode and as the cur/far components of the calendar
+// queue (see queue.go).
+type eventHeap []entry
+
+func (h *eventHeap) push(en entry) {
+	*h = append(*h, en)
+	hh := *h
+	i := len(hh) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !en.less(hh[parent]) {
+			break
+		}
+		hh[i] = hh[parent]
+		i = parent
+	}
+	hh[i] = en
+}
+
+// pop removes the minimum entry; the caller has already captured h[0].
+// Truncated entries are left in place — they are pointer-free and pin
+// nothing.
+func (h *eventHeap) pop() {
+	old := *h
+	last := len(old) - 1
+	en := old[last]
+	*h = old[:last]
+	if last > 0 {
+		old[0] = en
+		(*h).siftDown(0)
+	}
+}
+
+// init re-establishes the heap invariant over arbitrary contents in O(n);
+// sweep uses it after filtering entries in place.
+func (h eventHeap) init() {
+	if n := len(h); n > 1 {
+		for i := (n - 2) / 4; i >= 0; i-- {
+			h.siftDown(i)
+		}
+	}
+}
+
+func (h eventHeap) siftDown(i int) {
+	n := len(h)
+	en := h[i]
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		m := first
+		end := first + 4
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			if h[c].less(h[m]) {
+				m = c
+			}
+		}
+		if !h[m].less(en) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = en
+}

@@ -191,7 +191,10 @@ func TestFleetSweepJournalResume(t *testing.T) {
 	defer st.Close()
 	cfg.Run.State = st
 	restored, ran := 0, 0
+	var mu sync.Mutex // workers call OnTrial concurrently
 	cfg.Run.OnTrial = func(key string, wasRestored bool, err error) {
+		mu.Lock()
+		defer mu.Unlock()
 		if err != nil {
 			t.Errorf("trial %s: %v", key, err)
 		}

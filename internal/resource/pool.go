@@ -6,7 +6,6 @@ package resource
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
@@ -67,10 +66,6 @@ type Pool struct {
 	timeouts  uint64
 	totalWait time.Duration
 	maxQueue  int
-
-	// abandonMu serializes Abandon, which — unlike every other method —
-	// runs from process goroutines unwinding concurrently during Shutdown.
-	abandonMu sync.Mutex
 }
 
 // NewPool creates a pool of `capacity` units. Capacity must be positive.
@@ -292,13 +287,11 @@ func (pl *Pool) Release() {
 // statistics, or scheduling events — the shutdown-safe counterpart of
 // Release. Register it with des.Proc.Defer so a process killed mid-hold by
 // Env.Shutdown (e.g. a watchdog-flagged trial) still balances the pool's
-// books: several goroutines may unwind at once, with no scheduler running,
-// which is exactly when Release's event-queue interaction is unsafe.
+// books: the unwind runs after the scheduler has stopped, so Release's
+// waiter handoff and event scheduling would act on a dead simulation.
 // Abandoning with nothing in use is a no-op; it must not be mixed with live
 // simulation traffic.
 func (pl *Pool) Abandon() {
-	pl.abandonMu.Lock()
-	defer pl.abandonMu.Unlock()
 	if pl.inUse > 0 {
 		pl.inUse--
 	}

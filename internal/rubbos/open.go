@@ -84,10 +84,10 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 	src := cfg.Arrivals.NewSource(rng.NewStream(cfg.Seed, "arrivals"))
 	nav := rng.NewStream(cfg.Seed, "nav")
 	// The arrival pump is a re-armed timer, not a generator process: a
-	// dedicated goroutine would cost two channel handoffs per arrival, which
-	// at the 10⁵/s rates of the overload experiments dominates the run. Gaps
-	// are drawn a batch at a time (exact — see trace.FillGaps); request
-	// processes still get their own goroutine, since they block in the tiers.
+	// generator would cost two process switches per arrival, which at the
+	// 10⁵/s rates of the overload experiments dominates the run. Gaps are
+	// drawn a batch at a time (exact — see trace.FillGaps); requests still
+	// run as processes, since they block in the tiers.
 	state := StoriesOfTheDay
 	gaps := make([]time.Duration, arrivalBatch)
 	idx := len(gaps)

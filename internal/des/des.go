@@ -6,11 +6,15 @@
 // strict determinism is what makes the reproduction's trials replayable
 // and its parallel sweeps byte-identical to serial ones.
 //
-// Simulated processes are ordinary Go functions, each running on a
-// coroutine from iter.Pull, so execution is strictly serialized: the
-// scheduler and at most one process run at any instant, switching control on
-// the same thread. All ties are broken by schedule order, so a simulation
-// with seeded random sources replays identically.
+// Simulated processes are ordinary Go functions run on coroutines from
+// iter.Pull, so execution is strictly serialized: the scheduler and at most
+// one process run at any instant, switching control on the same thread. A
+// process holds a coroutine only while it is inside a run — from its
+// dispatch until its function returns, through any Sleep or Park. A process
+// that waits between runs with Rest holds none, so a closed workload of many
+// mostly-thinking users needs only as many coroutines as it has requests in
+// flight. All ties are broken by schedule order, so a simulation with seeded
+// random sources replays identically.
 //
 // The event queue is engineered for the 10⁵–10⁶-client trials of ROADMAP
 // item 1: a calendar queue (timing wheel + sorted bucket runs + small
@@ -113,7 +117,9 @@ func (e *Env) Pending() int { return e.q.len() - e.nDead }
 func (e *Env) queueLen() int { return e.q.len() }
 
 // Live returns the number of processes that have been started with Go and
-// have not yet returned.
+// have not yet finished: those inside a run (running, or blocked in Sleep or
+// Park), those resting between runs, and those not yet started. A process
+// finishes when fn returns without Rest, panics, or is ended by Shutdown.
 func (e *Env) Live() int { return e.live }
 
 // Audit checks the scheduler's internal bookkeeping: the lazy-deletion
@@ -208,7 +214,7 @@ func (e *Env) evAt(i uint32) *event {
 func (e *Env) alloc() *event {
 	if len(e.free) == 0 {
 		base := len(e.arena) * slabSize
-		if base >= 1<<32 {
+		if uint64(base) >= 1<<32 {
 			panic("des: event arena exhausted (2^32 retained records)")
 		}
 		slab := make([]event, slabSize)
@@ -364,12 +370,14 @@ func (e *Env) Interrupt() { e.interrupted.Store(true) }
 // Interrupted reports whether Interrupt has been called.
 func (e *Env) Interrupted() bool { return e.interrupted.Load() }
 
-// Shutdown unwinds every parked or not-yet-started process: each is resumed
-// in turn on the caller's thread, unwinds with a sentinel panic and runs its
-// Defer cleanups, so Live() is 0 when Shutdown returns. The freed runners
-// then go to a process-wide pool for the next Env. After Shutdown the Env is
-// unusable. It is safe to call once Run has returned; it must not be called
-// from scheduler context.
+// Shutdown ends every live process and runs its Defer cleanups, so Live()
+// is 0 when it returns. A process inside a run (blocked in Sleep or Park)
+// is resumed on the caller's thread and unwinds with a sentinel panic. A
+// process that holds no runner — not yet started, or resting — is found
+// through its one pending wake event, and its cleanups run on the caller's
+// thread. The freed runners then go to a process-wide pool for the next Env.
+// After Shutdown the Env is unusable. It is safe to call once Run has
+// returned; it must not be called from scheduler context.
 func (e *Env) Shutdown() {
 	if e.stopped {
 		return
@@ -379,9 +387,17 @@ func (e *Env) Shutdown() {
 		if _, ok := r.resume(); !ok {
 			// The coroutine already ended under its process: a
 			// runtime.Goexit, which went on to end Run's goroutine.
+			p := r.p
 			e.unbind(r)
+			e.finish(p)
 		}
 	}
+	e.q.each(func(en entry) {
+		ev := e.evAt(en.evi)
+		if p := ev.proc; p != nil && p.fn != nil && ev.seq == en.seq && ev.state == statePending {
+			e.finish(p)
+		}
+	})
 	runnerPool.Lock()
 	for e.idle != nil && runnerPool.n < runnerPoolCap {
 		r := e.idle
@@ -454,11 +470,16 @@ type killedSentinel struct{}
 // Proc is a simulated process: a function whose execution interleaves
 // deterministically with the simulation clock. All Proc methods must be
 // called from the process itself.
+//
+// A Proc holds a runner (a coroutine) only while it is inside a run of fn:
+// from the dispatch that starts the run until fn returns, including any
+// Sleep or Park in between. A process that has not started yet, or that
+// ended its last run with Rest, holds none.
 type Proc struct {
 	env     *Env
 	name    string
-	r       *runner // nil once the process has finished
-	fn      func(*Proc)
+	r       *runner     // nil unless the process is inside a run of fn
+	fn      func(*Proc) // nil once the process has finished
 	data    any
 	cleanup func() // the Defer callbacks, chained newest first
 }
@@ -472,8 +493,10 @@ func (p *Proc) Data() any { return p.data }
 
 // Defer registers fn to run when the process ends, on every exit path:
 // normal return, a panic captured by the scheduler, and the unwind paths of
-// Shutdown — including processes killed before their first scheduling.
-// Callbacks run in reverse registration order on the process's coroutine.
+// Shutdown — including processes killed before their first scheduling or
+// while resting. Callbacks run in reverse registration order. A run that
+// ends with Rest does not end the process, so its callbacks stay pending;
+// a process that rests registers each cleanup once, not once per run.
 //
 // During a Shutdown unwind no scheduler runs, so callbacks must not touch
 // the Env or anything that schedules events (no Sleep, Park, pool
@@ -487,18 +510,31 @@ func (p *Proc) Defer(fn func()) {
 	}
 }
 
-// A runner is a coroutine that runs processes one after another. Go binds
-// a process to an idle runner; when the process returns, panics or is
-// killed, the runner goes back to its Env's idle list for the next Go, and
-// Shutdown hands idle runners on to runnerPool for the next Env. Control
-// passes between the scheduler and a runner by a runtime coroutine switch
-// on the same thread.
+// finish marks p as ended and runs its Defer callbacks.
+func (e *Env) finish(p *Proc) {
+	p.fn = nil
+	e.live--
+	if c := p.cleanup; c != nil {
+		p.cleanup = nil
+		c()
+	}
+}
+
+// A runner is a coroutine that runs processes one after another. runProc
+// binds an idle runner to a process the first time it dispatches a run of
+// it; when the run ends — the process returns, rests, panics or is killed —
+// the runner goes back to its Env's idle list, and Shutdown hands idle
+// runners on to runnerPool for the next Env. Control passes between the
+// scheduler and a runner by a runtime coroutine switch on the same thread.
 type runner struct {
 	resume     func() (struct{}, bool) // scheduler -> process
 	yield      func(struct{}) bool     // process -> scheduler; set when the coroutine starts
 	stop       func()                  // ends an idle runner's coroutine
 	p          *Proc                   // the bound process, nil while idle
 	prev, next *runner                 // Env.busy links; idle lists use next only
+	// rest is set by Rest: the bound process's wake is scheduled, and when
+	// fn returns the process stays live without this runner.
+	rest bool
 }
 
 // runnerPoolCap bounds the idle runners kept between environments; each
@@ -530,7 +566,7 @@ func (e *Env) idleRunner() *runner {
 	return r
 }
 
-// unbind detaches r from its finished process and unlinks it from e.busy.
+// unbind detaches r from its process and unlinks it from e.busy.
 func (e *Env) unbind(r *runner) {
 	if r.prev != nil {
 		r.prev.next = r.next
@@ -540,74 +576,78 @@ func (e *Env) unbind(r *runner) {
 	if r.next != nil {
 		r.next.prev = r.prev
 	}
-	r.p.r, r.p.fn = nil, nil
+	r.p.r = nil
 	r.p, r.prev, r.next = nil, nil, nil
-	e.live--
 }
 
 // Go starts a new process running fn. The process begins executing at the
 // current simulated time (after the caller yields control). name is used in
-// diagnostics only.
+// diagnostics only. No coroutine is bound until the process first runs.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn}
-	r := e.idleRunner()
-	if r == nil {
-		// The coroutine body and its recover are closures of Go, not
-		// runner methods, so CPU profiles charge them to the handoff.
-		nr := &runner{}
-		nr.resume, nr.stop = iter.Pull(func(yield func(struct{}) bool) {
-			nr.yield = yield
-			for {
-				p := nr.p
-				e := p.env
-				pp := func() (pp *ProcPanic) {
-					defer func() {
-						v := recover()
-						if _, killed := v.(killedSentinel); v != nil && !killed {
-							// Capture the panic site before cleanups grow
-							// the stack.
-							pp = &ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()}
-						}
-					}()
-					if !e.stopped {
-						p.fn(p)
-					}
-					return nil
-				}()
-				e.unbind(nr)
-				if c := p.cleanup; c != nil {
-					p.cleanup = nil
-					c()
-				}
-				nr.next, e.idle = e.idle, nr
-				if pp != nil {
-					// runProc re-raises it in Run's calling context, where
-					// a trial wrapper can recover.
-					e.failure = pp
-				}
-				if !yield(struct{}{}) {
-					return // stopped by Shutdown beyond runnerPoolCap
-				}
-			}
-		})
-		r = nr
-	}
-	r.p, r.next = p, e.busy
-	if e.busy != nil {
-		e.busy.prev = r
-	}
-	e.busy = r
 	e.live++
-	p.r = r
 	e.schedProc(e.now, p)
 	return p
 }
 
-// runProc transfers control to p until p yields again. If the process died
-// with a real panic, the captured *ProcPanic is re-raised here — in
-// scheduler context — so it propagates out of Run.
+// runProc transfers control to p until p yields again, first binding a
+// runner if p holds none (it has not started, or it rested). If the
+// process died with a real panic, the captured *ProcPanic is re-raised
+// here — in scheduler context — so it propagates out of Run.
 func (e *Env) runProc(p *Proc) {
-	p.r.resume()
+	r := p.r
+	if r == nil {
+		if p.fn == nil {
+			return // the wake of a process that panicked after Rest
+		}
+		if r = e.idleRunner(); r == nil {
+			// The coroutine body and its recover are closures of runProc,
+			// not runner methods, so CPU profiles charge them to the
+			// handoff.
+			nr := &runner{}
+			nr.resume, nr.stop = iter.Pull(func(yield func(struct{}) bool) {
+				nr.yield = yield
+				for {
+					p := nr.p
+					e := p.env
+					pp := func() (pp *ProcPanic) {
+						defer func() {
+							v := recover()
+							if _, killed := v.(killedSentinel); v != nil && !killed {
+								// Capture the panic site before cleanups
+								// grow the stack.
+								pp = &ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()}
+							}
+						}()
+						p.fn(p)
+						return nil
+					}()
+					rested := nr.rest && pp == nil
+					nr.rest = false
+					e.unbind(nr)
+					if !rested {
+						e.finish(p)
+					}
+					nr.next, e.idle = e.idle, nr
+					if pp != nil {
+						// runProc re-raises it in Run's calling context,
+						// where a trial wrapper can recover.
+						e.failure = pp
+					}
+					if !yield(struct{}{}) {
+						return // stopped by Shutdown beyond runnerPoolCap
+					}
+				}
+			})
+			r = nr
+		}
+		r.p, p.r, r.next = p, r, e.busy
+		if e.busy != nil {
+			e.busy.prev = r
+		}
+		e.busy = r
+	}
+	r.resume()
 	if f := e.failure; f != nil {
 		e.failure = nil
 		panic(f)
@@ -632,21 +672,49 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 // Name returns the diagnostic name given to Go.
 func (p *Proc) Name() string { return p.name }
 
-// Sleep suspends the process for d of simulated time. Negative d panics.
+// Sleep suspends the process for d of simulated time. Negative d panics, as
+// does a Sleep after Rest in the same run.
 func (p *Proc) Sleep(d time.Duration) {
+	if p.r.rest {
+		panic("des: Sleep after Rest in the same run")
+	}
 	p.env.schedProc(p.env.now+d, p)
 	p.yield()
 }
 
+// Rest ends the process's current run without ending the process: it
+// schedules the same wake Sleep(d) would, and when fn returns the process
+// stays live but gives its coroutine back. At the wake, fn runs again from
+// the top, so whatever the process must remember between runs lives
+// outside fn's stack. fn must return after Rest without calling Sleep,
+// Park or Rest again; those panic. Negative d panics.
+//
+// A process that spends most of its life waiting — a closed-loop user
+// thinking between requests — rests instead of sleeping, so only
+// processes inside a run hold a coroutine and its stack.
+func (p *Proc) Rest(d time.Duration) {
+	if p.r.rest {
+		panic("des: Rest twice in the same run")
+	}
+	p.env.schedProc(p.env.now+d, p)
+	p.r.rest = true
+}
+
 // Park suspends the process until another component calls Unpark on it.
 // Typical use: append p to a wait queue, then Park; the component that
-// grants the resource calls Unpark.
-func (p *Proc) Park() { p.yield() }
+// grants the resource calls Unpark. Park after Rest in the same run panics.
+func (p *Proc) Park() {
+	if p.r.rest {
+		panic("des: Park after Rest in the same run")
+	}
+	p.yield()
+}
 
 // Unpark schedules p to resume at the current simulated time. It must be
 // called from scheduler context (another process or an event callback), and
 // p must be parked — or guaranteed to park before any further simulated
-// event fires — when the wakeup is delivered.
+// event fires — when the wakeup is delivered. A resting process is not
+// parked: its wake is already scheduled.
 func (p *Proc) Unpark() {
 	e := p.env
 	e.schedProc(e.now, p)

@@ -180,6 +180,25 @@ func (q *eventQueue) advance() {
 	})
 }
 
+// each calls fn on every physical entry, dead ones included, in no
+// particular order. fn must not modify the queue.
+func (q *eventQueue) each(fn func(entry)) {
+	for _, en := range q.run[q.runHead:] {
+		fn(en)
+	}
+	for _, en := range q.cur {
+		fn(en)
+	}
+	for _, s := range q.slots {
+		for _, en := range s {
+			fn(en)
+		}
+	}
+	for _, en := range q.far {
+		fn(en)
+	}
+}
+
 // sweep drops every entry keep reports false for, in place. Geometry,
 // cursor, and — critically — per-slot capacity are preserved, so the
 // compaction that runs every few thousand cancels does not force the wheel

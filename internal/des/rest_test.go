@@ -1,0 +1,244 @@
+package des
+
+import (
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// Proc stays in the 64-byte size class: Rest keeps its flag on the runner,
+// so open workloads, which start one Proc per request, allocate no more.
+func TestProcIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Proc{}); n != 64 {
+		t.Errorf("unsafe.Sizeof(Proc{}) = %d, want 64", n)
+	}
+}
+
+// Rest schedules the same wake Sleep would: a resting process and a
+// sleeping one, started in the same order, wake in the same (at, seq)
+// order against a bystander scheduled at the same instants.
+func TestRestWakesLikeSleep(t *testing.T) {
+	trace := func(rest bool) []string {
+		env := NewEnv()
+		defer env.Shutdown()
+		var log []string
+		runs := 0
+		env.Go("user", func(p *Proc) {
+			if rest {
+				if runs < 3 {
+					runs++
+					log = append(log, "user@"+p.Now().String())
+					p.Rest(time.Second)
+				}
+				return
+			}
+			for i := 0; i < 3; i++ {
+				log = append(log, "user@"+p.Now().String())
+				p.Sleep(time.Second)
+			}
+		})
+		for i := 0; i < 4; i++ {
+			env.At(time.Duration(i)*time.Second, func() { log = append(log, "tick@"+env.Now().String()) })
+		}
+		env.Run(10 * time.Second)
+		return log
+	}
+	sleeping, resting := trace(false), trace(true)
+	if strings.Join(resting, " ") != strings.Join(sleeping, " ") {
+		t.Errorf("resting order\n  %v\nsleeping order\n  %v", resting, sleeping)
+	}
+}
+
+// N resting processes share the runners of the few that are inside a run at
+// once: a run that sleeps holds its runner, a run that rests gives it back.
+func TestRestingProcsShareRunners(t *testing.T) {
+	env := NewEnv()
+	defer env.Shutdown()
+	const procs = 1000
+	runners := map[*runner]bool{}
+	inside, most := 0, 0
+	for i := 0; i < procs; i++ {
+		runs := 0
+		env.Go("user", func(p *Proc) {
+			runners[p.r] = true
+			inside++
+			most = max(most, inside)
+			runs++
+			if runs%4 == 0 {
+				// A request: hold the runner across simulated time.
+				p.Sleep(time.Duration(1+i%7) * time.Millisecond)
+			}
+			inside--
+			p.Rest(time.Duration(5+i%11) * time.Millisecond)
+		})
+	}
+	env.Run(time.Second)
+	if env.Live() != procs {
+		t.Fatalf("Live() = %d, want %d resting processes", env.Live(), procs)
+	}
+	if most < 2 || most > procs/2 {
+		t.Fatalf("at most %d processes inside a run at once; the test needs overlap well below %d", most, procs)
+	}
+	if len(runners) > most {
+		t.Errorf("%d runners bound, more than the %d processes ever inside a run at once", len(runners), most)
+	}
+	held := 0
+	for _, list := range []*runner{env.busy, env.idle} {
+		for r := list; r != nil; r = r.next {
+			held++
+		}
+	}
+	if held != len(runners) {
+		t.Errorf("Env holds %d runners, want the %d it bound", held, len(runners))
+	}
+}
+
+// Shutdown finds processes that hold no runner — resting or never started —
+// through their pending wake and runs their cleanups, newest first.
+func TestShutdownRunsRunnerlessCleanups(t *testing.T) {
+	env := NewEnv()
+	var order []string
+	lifo := func(p *Proc, name string) {
+		p.Defer(func() { order = append(order, name+"-first") })
+		p.Defer(func() { order = append(order, name+"-second") })
+	}
+	runs := 0
+	env.Go("resting", func(p *Proc) {
+		if runs == 0 {
+			lifo(p, "resting")
+		}
+		runs++
+		p.Rest(time.Hour)
+	})
+	env.Run(time.Second)
+	never := env.Go("never-started", func(*Proc) { t.Error("killed process ran its body") })
+	lifo(never, "never")
+	if env.Live() != 2 {
+		t.Fatalf("Live() = %d before Shutdown, want 2", env.Live())
+	}
+	env.Shutdown()
+	if env.Live() != 0 {
+		t.Errorf("Live() = %d after Shutdown, want 0", env.Live())
+	}
+	got := strings.Join(order, " ")
+	for _, name := range []string{"resting", "never"} {
+		if !strings.Contains(got, name+"-second "+name+"-first") {
+			t.Errorf("cleanups %q: %s's did not run newest first", got, name)
+		}
+	}
+	if len(order) != 4 {
+		t.Errorf("%d cleanups ran, want 4: %v", len(order), order)
+	}
+	if runs != 1 {
+		t.Errorf("resting process ran %d times, want 1", runs)
+	}
+}
+
+// A panic in a run that began at a Rest wake surfaces from Run as a
+// *ProcPanic naming the process, and its cleanups run once.
+func TestPanicAfterRestWake(t *testing.T) {
+	env := NewEnv()
+	cleaned := 0
+	runs := 0
+	env.Go("rested", func(p *Proc) {
+		runs++
+		if runs == 1 {
+			p.Defer(func() { cleaned++ })
+			p.Rest(time.Second)
+			return
+		}
+		p.Sleep(time.Millisecond)
+		panic("kaboom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		env.Run(time.Hour)
+	}()
+	pp, ok := got.(*ProcPanic)
+	if !ok {
+		t.Fatalf("Run recovered %T (%v), want *ProcPanic", got, got)
+	}
+	if pp.Proc != "rested" || pp.Value != "kaboom" {
+		t.Errorf("ProcPanic{Proc: %q, Value: %v}, want rested/kaboom", pp.Proc, pp.Value)
+	}
+	if cleaned != 1 || env.Live() != 0 {
+		t.Errorf("after the panic: %d cleanups, Live() = %d; want 1 and 0", cleaned, env.Live())
+	}
+	env.Shutdown()
+	if cleaned != 1 {
+		t.Errorf("%d cleanups after Shutdown, want 1", cleaned)
+	}
+}
+
+// After Rest a run must return: blocking again, or resting twice, panics.
+// A process that panics after Rest is finished; its pending wake does not
+// run it again.
+func TestBlockingAfterRestPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		then func(p *Proc)
+		want string
+	}{
+		{"Sleep", func(p *Proc) { p.Sleep(time.Second) }, "Sleep after Rest"},
+		{"Park", func(p *Proc) { p.Park() }, "Park after Rest"},
+		{"Rest", func(p *Proc) { p.Rest(time.Second) }, "Rest twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := NewEnv()
+			defer env.Shutdown()
+			runs := 0
+			env.Go("bad", func(p *Proc) {
+				runs++
+				p.Rest(time.Second)
+				tc.then(p)
+			})
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				env.Run(time.Hour)
+			}()
+			pp, ok := got.(*ProcPanic)
+			if !ok {
+				t.Fatalf("Run recovered %T (%v), want *ProcPanic", got, got)
+			}
+			if s, _ := pp.Value.(string); !strings.Contains(s, tc.want) {
+				t.Errorf("panic value %v, want it to mention %q", pp.Value, tc.want)
+			}
+			if n := env.Run(time.Hour); n > 2 || runs != 1 || env.Live() != 0 {
+				t.Errorf("after the panic: %d more events, %d runs, Live() = %d; want at most 2, 1, 0", n, runs, env.Live())
+			}
+		})
+	}
+}
+
+// BenchmarkRestingUsers is the closed-workload shape at scale: 10⁴
+// processes that each rest 1 ms between one-step runs, at staggered
+// phases. One op is one simulated millisecond, a run of every process.
+func BenchmarkRestingUsers(b *testing.B) {
+	const users = 10000
+	env := NewEnv()
+	defer env.Shutdown()
+	for i := 0; i < users; i++ {
+		phase := time.Millisecond * time.Duration(i) / users
+		started := false
+		env.Go("user", func(p *Proc) {
+			if !started {
+				started = true
+				p.Rest(phase)
+				return
+			}
+			p.Rest(time.Millisecond)
+		})
+	}
+	env.Run(time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	fired := 0
+	for i := 0; i < b.N; i++ {
+		fired += env.Run(env.Now() + time.Millisecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/wake")
+}

@@ -22,7 +22,25 @@ type Rand struct {
 
 // New returns a generator seeded from seed.
 func New(seed uint64) *Rand {
-	r := &Rand{}
+	r := seeded(seed)
+	return &r
+}
+
+// NewStream derives an independent generator from a base seed and a stream
+// label. Streams with different labels are statistically independent.
+func NewStream(seed uint64, label string) *Rand {
+	r := Stream(seed, label)
+	return &r
+}
+
+// Stream is NewStream returning the generator by value, for callers that
+// keep it inside a larger allocation instead of behind its own pointer.
+func Stream(seed uint64, label string) Rand {
+	return seeded(seed ^ fnv1a(label))
+}
+
+func seeded(seed uint64) Rand {
+	var r Rand
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -36,12 +54,6 @@ func New(seed uint64) *Rand {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r
-}
-
-// NewStream derives an independent generator from a base seed and a stream
-// label. Streams with different labels are statistically independent.
-func NewStream(seed uint64, label string) *Rand {
-	return New(seed ^ fnv1a(label))
 }
 
 // SubSeed derives an independent base seed for a named component — e.g. one

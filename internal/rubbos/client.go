@@ -2,6 +2,7 @@ package rubbos
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
@@ -59,8 +60,10 @@ func DefaultClientConfig(users int) ClientConfig {
 
 // Workload is a running set of emulated user sessions.
 type Workload struct {
-	cfg   ClientConfig
-	table *Table
+	cfg     ClientConfig
+	table   *Table
+	target  Target    // closed-loop sessions only
+	collect Collector // closed-loop sessions only
 
 	issued    uint64
 	completed uint64
@@ -171,6 +174,9 @@ func (w *Workload) AuditQuiescent() error {
 // loops forever: think, issue the current interaction, record the response
 // time, pick the next interaction from the navigation matrix. Sessions stop
 // when the simulation stops; the experiment layer gates measurement windows.
+//
+// A session rests (des.Proc.Rest) through its ramp offset and every think
+// time, so it holds a coroutine only while a request is in flight.
 func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect Collector) (*Workload, error) {
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("rubbos: %d users", cfg.Users)
@@ -187,66 +193,102 @@ func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect 
 	if cfg.Patience > 0 && cfg.AbandonThink == 0 {
 		cfg.AbandonThink = 3 * cfg.ThinkMean
 	}
-	w := &Workload{cfg: cfg, table: table}
+	w := &Workload{cfg: cfg, table: table, target: target, collect: collect}
+	var buf [32]byte
 	for u := 0; u < cfg.Users; u++ {
 		// label doubles as the RNG stream name and the diagnostic process
 		// name; it is part of the deterministic contract (changing stream
-		// labels changes every trial outcome) and so must stay "user-%d".
-		label := fmt.Sprintf("user-%d", u)
-		r := rng.NewStream(cfg.Seed, label)
-		var offset time.Duration
+		// labels changes every trial outcome) and so must stay "user-<u>".
+		// Formatting into buf costs one allocation, the label itself.
+		label := string(strconv.AppendInt(append(buf[:0], "user-"...), int64(u), 10))
+		s := &session{w: w, r: rng.Stream(cfg.Seed, label), state: StoriesOfTheDay}
 		if cfg.RampUp > 0 {
-			offset = time.Duration(uint64(cfg.RampUp) * uint64(u) / uint64(cfg.Users))
+			s.think = time.Duration(uint64(cfg.RampUp) * uint64(u) / uint64(cfg.Users))
 		}
-		env.Go(label, func(p *des.Proc) {
-			p.Sleep(offset)
-			state := StoriesOfTheDay
-			think := cfg.ThinkMean
-			for {
-				p.Sleep(time.Duration(r.Exp(float64(think))))
-				if w.stopped {
-					return
-				}
-				think = cfg.ThinkMean
-				it := &w.table.Items[state]
-				issued := p.Now()
-				w.issued++
-				var tr *trace.Trace
-				if cfg.Tracer != nil {
-					if tr = cfg.Tracer.Sample(it.Name, issued); tr != nil {
-						p.SetData(tr)
-					}
-				}
-				err := target.Do(p, it)
-				if tr != nil {
-					cfg.Tracer.Finish(tr, p.Now())
-					p.SetData(nil)
-				}
-				rt := p.Now() - issued
-				if err != nil {
-					// Error page: the user stays on the same state and
-					// reloads after a normal think time.
-					w.failed++
-					if collect != nil {
-						collect(it, issued, rt, err)
-					}
-					continue
-				}
-				w.completed++
-				if collect != nil {
-					collect(it, issued, rt, nil)
-				}
-				if cfg.Patience > 0 && rt > cfg.Patience {
-					// Frustrated user: abandon the navigation, return to
-					// the home page after a long pause.
-					w.abandoned++
-					state = StoriesOfTheDay
-					think = cfg.AbandonThink
-					continue
-				}
-				state = cfg.Matrix.Next(r, state)
-			}
-		})
+		env.Go(label, s.run)
 	}
 	return w, nil
+}
+
+// session is one emulated user's state between the runs of its process,
+// kept in one allocation. Each run does one step of the closed loop and
+// ends with a Rest, so no coroutine stack is held through think times.
+type session struct {
+	w     *Workload
+	r     rng.Rand
+	state int           // the interaction the user issues next
+	think time.Duration // mean of the next think time; until the first run, the ramp offset
+	phase sessionPhase
+}
+
+type sessionPhase uint8
+
+const (
+	ramping  sessionPhase = iota // first run: rest through the ramp offset
+	arriving                     // second run: rest through the first think
+	browsing                     // every later run: one request, then a think
+)
+
+func (s *session) run(p *des.Proc) {
+	w := s.w
+	switch s.phase {
+	case ramping:
+		s.phase = arriving
+		p.Rest(s.think)
+		s.think = w.cfg.ThinkMean
+		return
+	case arriving:
+		s.phase = browsing
+	case browsing:
+		if w.stopped {
+			return
+		}
+		s.request(p)
+	}
+	p.Rest(time.Duration(s.r.Exp(float64(s.think))))
+}
+
+// request issues the current interaction, records its outcome, and picks
+// the next interaction and think-time mean.
+func (s *session) request(p *des.Proc) {
+	w := s.w
+	cfg := &w.cfg
+	s.think = cfg.ThinkMean
+	it := &w.table.Items[s.state]
+	issued := p.Now()
+	w.issued++
+	var tr *trace.Trace
+	if cfg.Tracer != nil {
+		if tr = cfg.Tracer.Sample(it.Name, issued); tr != nil {
+			p.SetData(tr)
+		}
+	}
+	err := w.target.Do(p, it)
+	if tr != nil {
+		cfg.Tracer.Finish(tr, p.Now())
+		p.SetData(nil)
+	}
+	rt := p.Now() - issued
+	if err != nil {
+		// Error page: the user stays on the same state and reloads after a
+		// normal think time.
+		w.failed++
+		if w.collect != nil {
+			w.collect(it, issued, rt, err)
+		}
+		return
+	}
+	w.completed++
+	if w.collect != nil {
+		w.collect(it, issued, rt, nil)
+	}
+	if cfg.Patience > 0 && rt > cfg.Patience {
+		// Frustrated user: abandon the navigation, return to the home page
+		// after a long pause.
+		w.abandoned++
+		s.state = StoriesOfTheDay
+		s.think = cfg.AbandonThink
+		return
+	}
+	s.state = cfg.Matrix.Next(&s.r, s.state)
 }

@@ -345,9 +345,10 @@ func (tb *Testbed) StartOpenWorkload(cfg rubbos.OpenConfig, collect rubbos.Colle
 	nodes := float64(w.ClientNodes())
 	var prev uint64
 	var ewma float64
+	started := false
+	// The follower rests between ticks, so it holds no coroutine.
 	tb.Env.Go("fin-load", func(p *des.Proc) {
-		for {
-			p.Sleep(finLoadInterval)
+		if started {
 			if w.Stopped() {
 				return // let a draining trial reach zero live processes
 			}
@@ -364,6 +365,8 @@ func (tb *Testbed) StartOpenWorkload(cfg rubbos.OpenConfig, collect rubbos.Colle
 				a.SetFinLoad(users)
 			}
 		}
+		started = true
+		p.Rest(finLoadInterval)
 	})
 	return w, nil
 }

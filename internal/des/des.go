@@ -16,16 +16,20 @@
 // flight. All ties are broken by schedule order, so a simulation with seeded
 // random sources replays identically.
 //
-// The event queue is engineered for the 10⁵–10⁶-client trials of ROADMAP
-// item 1: a calendar queue (timing wheel + sorted bucket runs + small
-// 4-ary heaps of pointer-free value entries, see queue.go) that pushes and
-// pops in O(1) amortized at scale
-// while preserving strict (at, seq) pop order; lazy deletion with periodic
-// compaction so cancel/re-arm churn (the PS-CPU's completion timer cancels
-// on nearly every state change) cannot accumulate dead entries; and
-// slab-backed free-list recycling of event records so the steady-state hot
-// path — process sleeps, parks, timer re-arms — allocates nothing.
-// Recycling never weakens the Event handle API: see Canceled.
+// The event queue (queue.go) is shaped by the traffic a closed-loop trial
+// puts through it while preserving strict (at, seq) pop order: a FIFO lane
+// for events scheduled at the current time (process starts, Unparks — 29%
+// of the pushes on the paper's Fig 3 trial), and a calendar queue for the
+// rest, its bucket width fitted to the spacing of the events nearest the
+// head and re-fitted when it stops matching, over a 4-ary heap for events
+// past its horizon. All queue memory is pointer-free and reused, so after
+// warm-up neither pushes, pops nor re-fits allocate. Cancellation is lazy
+// deletion with periodic compaction, so cancel/re-arm churn (the PS-CPU's
+// completion timer cancels on nearly every state change) cannot accumulate
+// dead entries, and event records are recycled through a slab-backed free
+// list, so the steady-state hot path — process sleeps, parks, timer
+// re-arms — allocates nothing. Recycling never weakens the Event handle
+// API: see Canceled.
 //
 // Simulated time is a time.Duration measured from the start of the
 // simulation. Events and processes interact only through the Env they were
@@ -123,15 +127,18 @@ func (e *Env) queueLen() int { return e.q.len() }
 func (e *Env) Live() int { return e.live }
 
 // Audit checks the scheduler's internal bookkeeping: the lazy-deletion
-// dead-entry counter must stay within the physical queue. It is a cheap
-// pure read, called between Run calls by the chaos campaign's
-// conservation-invariant oracle; a violation means the event lifecycle
-// itself lost track of an event, not that the model misbehaved.
+// dead-entry counter must stay within the physical queue, and the queue's
+// own accounting must hold — its components sum to its size, the wheel's
+// count matches its buckets, and every lane entry is at the lane's clock.
+// It is a pure read, linear in the queue size, called between Run calls by
+// the chaos campaign's conservation-invariant oracle; a violation means the
+// event lifecycle itself lost track of an event, not that the model
+// misbehaved.
 func (e *Env) Audit() error {
 	if e.nDead < 0 || e.nDead > e.q.len() {
 		return fmt.Errorf("des: dead-entry counter %d outside physical queue of %d entries", e.nDead, e.q.len())
 	}
-	return nil
+	return e.q.audit()
 }
 
 // Event lifecycle states. An event record is reused through the free list
@@ -283,7 +290,7 @@ func (e *Env) At(t time.Duration, fn func()) Event {
 	}
 	ev := e.alloc()
 	ev.fn = fn
-	e.q.push(entry{at: t, seq: ev.seq, evi: ev.idx})
+	e.q.push(entry{at: t, seq: ev.seq, evi: ev.idx}, e.now)
 	return Event{env: e, ev: ev, seq: ev.seq}
 }
 
@@ -301,7 +308,7 @@ func (e *Env) schedProc(t time.Duration, p *Proc) {
 	}
 	ev := e.alloc()
 	ev.proc = p
-	e.q.push(entry{at: t, seq: ev.seq, evi: ev.idx})
+	e.q.push(entry{at: t, seq: ev.seq, evi: ev.idx}, e.now)
 }
 
 // Run processes events in timestamp order until the queue is empty or the
@@ -445,7 +452,7 @@ func (t *Timer) ArmAt(at time.Duration) {
 	t.Stop()
 	ev := e.alloc()
 	ev.timer = t
-	e.q.push(entry{at: at, seq: ev.seq, evi: ev.idx})
+	e.q.push(entry{at: at, seq: ev.seq, evi: ev.idx}, e.now)
 	t.ev = ev
 }
 

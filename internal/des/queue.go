@@ -1,46 +1,71 @@
 package des
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 )
 
-// The pending-event queue. Two regimes:
+// The pending-event queue. Its structure follows the traffic it serves,
+// measured on the paper's closed-loop trial (DESIGN.md §7 has the table):
+// about 29% of pushes are zero-delay (process starts and Unparks), most of
+// the rest land microseconds to milliseconds ahead, and a few percent are
+// think times seconds away.
 //
-//   - Small queues (under calendarMin physical entries) run as a plain
-//     4-ary min-heap: every entry lives in `far`, pops cost O(log n) over a
-//     few cache-hot levels, and no wheel memory is committed.
-//   - Large queues (the 10⁵–10⁶-client trials) switch to a calendar queue:
-//     a timing wheel of unsorted buckets, plus the 4-ary heap (`far`) for
-//     events beyond the wheel's horizon. Pushes append to a bucket in O(1).
-//     When the cursor reaches a bucket, its entries are sorted once into
-//     `run` and served sequentially — most pops are a bounds check and an
-//     index increment, not a root-to-leaf sift over a half-megabyte heap
-//     (the hot-path cache killer the wheel exists to remove).
+//   - The lane is a FIFO of entries pushed at the current clock. Such an
+//     entry carries the largest seq issued so far, and any other entry due
+//     at that time was pushed earlier, so append order is pop order:
+//     zero-delay pushes and pops are O(1), and the t=0 pile-up of a closed
+//     workload's session starts never reaches the calendar below.
+//   - The calendar holds every other entry. Small calendars (under
+//     calendarMin entries) are a plain 4-ary min-heap, `far`, which peek
+//     and pop serve directly. Large ones are a calendar queue: a timing
+//     wheel of unsorted buckets, plus `far` for entries past the wheel's
+//     horizon. Pushes link into a bucket in O(1); when the cursor reaches a
+//     bucket, its entries (and far's due ones) are sorted once into `run`
+//     and served sequentially.
 //
+// Bucket width follows Brown's calendar queue (CACM 31(10), 1988): about
+// three times the spacing of the entries nearest the head, not span/size,
+// so a far-future tail of think times does not coarsen the buckets the
+// head is served from. A width fitted at one shape of traffic (a ramp's
+// start times, say) is re-fitted once the heaps — far, or the cur heap of
+// pushes into the bucket under the cursor — serve more pops than the
+// calendar holds: a re-fit costs O(size), so it stays amortized O(1) per
+// pop.
+//
+// The lane and the wheel's buckets are intrusive singly linked lists over
+// one chunked node arena with a free list, so the wheel costs 4 bytes per
+// bucket plus one 24-byte node per entry, and rebuilds relink nodes in
+// place: after warm-up nothing in the queue allocates, re-fits included.
 // Entries carry an arena index (entry.evi), not a pointer, so all queue
-// memory is pointer-free: the garbage collector never scans the buckets and
-// heap sifts need no write barriers.
+// memory is pointer-free: the garbage collector never scans it and heap
+// sifts need no write barriers.
 //
 // Determinism is structural, not incidental: entries are keyed by
-// (at, seq), a total order with unique keys, and an entry is available to
-// pop no later than the advance() that moves the cursor onto its bucket —
-// before any entry of that bucket pops. Entries pushed into the bucket
-// already under the cursor go to the `cur` heap, and peek/pop serve the
-// minimum of run-head and cur-top. So the pop sequence is exactly ascending
-// (at, seq) regardless of bucket geometry, and rebuilds (growing the wheel,
-// falling back to heap mode) cannot perturb replay.
+// (at, seq), a total order with unique keys. A calendar entry is available
+// to pop no later than the advance() that moves the cursor onto its
+// bucket, before any entry of that bucket pops; entries pushed into the
+// bucket already under the cursor go to the `cur` heap; peek serves the
+// minimum of lane head, run head and cur top. So the pop sequence is
+// exactly ascending (at, seq) regardless of geometry, and rebuilds
+// (growing the wheel, re-fitting it, falling back to heap mode) cannot
+// perturb replay.
 //
 // All times are non-negative (scheduling in the past panics), so bucket
 // indexes are simply uint64(at) >> shift.
 
 // entry is one queue slot: the firing key (at, seq) inline so heap sifts
-// and bucket sorts compare contiguous memory, plus the event record's arena
-// index. No pointers — see the package note above.
+// and bucket sorts compare contiguous memory, the event record's arena
+// index, and the link to the next node when the entry sits in a lane or
+// bucket list (it fills what would otherwise be padding). No pointers —
+// see the package note above.
 type entry struct {
-	at  time.Duration
-	seq uint64
-	evi uint32
+	at   time.Duration
+	seq  uint64
+	evi  uint32
+	next uint32
 }
 
 func (a entry) less(b entry) bool {
@@ -51,105 +76,239 @@ func (a entry) less(b entry) bool {
 }
 
 const (
-	// calendarMin is the physical queue size at which the wheel engages;
-	// below it the queue is a plain 4-ary heap.
+	// calendarMin is the calendar size at which the wheel engages; below
+	// it the calendar is a plain 4-ary heap.
 	calendarMin = 4096
 	// maxShift caps bucket width at 2^40 ns (~18 min) so sparse far-future
 	// schedules cannot produce absurd wheel geometry.
 	maxShift = 40
-	// slotEstCap is the per-bucket capacity rebuild pre-carves out of one
-	// block allocation, so a fresh wheel does not pay thousands of tiny
-	// append regrowths to reach working capacity. Busier buckets regrow
-	// individually past it.
-	slotEstCap = 8
+	// headSample is how many of the earliest calendar entries a rebuild
+	// measures the spacing of (Brown samples about 25).
+	headSample = 32
+	// nodeChunk is the node arena's chunk size; a power of two.
+	nodeChunk = 256
+)
+
+// Sources peek can find the minimum in; pop removes from the one the
+// preceding peek chose.
+const (
+	fromLane uint8 = iota
+	fromRun
+	fromCur
+	fromFar
 )
 
 type eventQueue struct {
+	// The lane: a FIFO node list of entries at laneAt, the clock when they
+	// were pushed.
+	laneHead, laneTail uint32
+	laneN              int
+	laneAt             time.Duration
+
 	// run is the bucket under the cursor, sorted ascending at advance()
 	// time and consumed from runHead. Capacity is retained across buckets.
 	run     []entry
 	runHead int
 	// cur holds entries pushed into the bucket under the cursor after its
-	// sort — schedule-now events, sub-bucket-width gaps. Usually empty or
-	// tiny; peek/pop take the minimum of run-head and cur-top.
+	// sort — sub-bucket-width gaps. Usually empty or tiny.
 	cur eventHeap
-	// slots is the wheel: slot b&mask holds entries of exactly one bucket
-	// index b in (curB, curB+len(slots)), unsorted. len(slots) is a power
-	// of two (possibly 1, in which case the window is empty and the queue
-	// degenerates to pure heap mode).
-	slots  [][]entry
+	// heads is the wheel: heads[b&mask] is the node list of bucket b, for
+	// b in (curB, curB+len(heads)), unsorted. len(heads) is a power of two,
+	// or 0 in heap mode, where every calendar entry lives in far.
+	heads  []uint32
 	mask   uint64
 	shift  uint
 	curB   uint64 // cursor bucket index
-	wheelN int    // entries currently in slots
-	// far holds entries past the wheel horizon. They never move to slots:
-	// advance() pulls them straight into run when the cursor reaches their
-	// bucket.
+	wheelN int    // entries currently in the wheel's lists
+	// far holds entries past the wheel horizon. They never move to the
+	// wheel: advance() pulls them straight into run when the cursor
+	// reaches their bucket.
 	far  eventHeap
 	size int // total physical entries (including dead ones)
+
+	src uint8 // where the last peek found the minimum
+	// heapPops counts pops the heaps served (cur pops and far pulls) since
+	// the last rebuild; past the calendar's size it triggers a re-fit.
+	heapPops int
+
+	// nodes is the arena behind the lane and bucket lists, nodeChunk
+	// entries per chunk. Index 0 is never handed out, so 0 ends a list and
+	// the zero eventQueue is valid. free heads the list of released nodes.
+	nodes [][]entry
+	nodeN uint32
+	free  uint32
+
+	stats queueStats
+}
+
+// queueStats are cumulative counters white-box tests check the geometry
+// against.
+type queueStats struct {
+	farPops  int // entries far served, in heap mode or pulled by advance
+	rebuilds int // rebuilds that changed the geometry
+	moved    int // calendar entries those rebuilds redistributed
 }
 
 func (q *eventQueue) len() int { return q.size }
 
-func (q *eventQueue) push(en entry) {
+// calN is the calendar's population: every entry not in the lane.
+func (q *eventQueue) calN() int { return q.size - q.laneN }
+
+func (q *eventQueue) node(i uint32) *entry {
+	return &q.nodes[i/nodeChunk][i%nodeChunk]
+}
+
+// newNode stores en in a node from the free list, or a fresh one, and
+// returns its index.
+func (q *eventQueue) newNode(en entry) uint32 {
+	i := q.free
+	if i != 0 {
+		q.free = q.node(i).next
+	} else {
+		if q.nodeN == 0 {
+			q.nodeN = 1
+		}
+		if int(q.nodeN/nodeChunk) == len(q.nodes) {
+			q.nodes = append(q.nodes, make([]entry, nodeChunk))
+		}
+		i = q.nodeN
+		q.nodeN++
+	}
+	*q.node(i) = en
+	return i
+}
+
+func (q *eventQueue) freeNode(i uint32) {
+	q.node(i).next = q.free
+	q.free = i
+}
+
+// link adds a calendar entry to bucket b's list.
+func (q *eventQueue) link(en entry, b uint64) {
+	s := &q.heads[b&q.mask]
+	en.next = *s
+	*s = q.newNode(en)
+	q.wheelN++
+}
+
+// push adds en. now is the scheduler's clock: an entry due now joins the
+// lane.
+func (q *eventQueue) push(en entry, now time.Duration) {
 	q.size++
+	if en.at == now {
+		en.next = 0
+		i := q.newNode(en)
+		if q.laneN == 0 {
+			q.laneHead = i
+		} else {
+			q.node(q.laneTail).next = i
+		}
+		q.laneTail = i
+		q.laneN++
+		q.laneAt = now
+		return
+	}
+	if len(q.heads) == 0 {
+		q.far.push(en)
+		if q.calN() >= calendarMin {
+			q.rebuild()
+		}
+		return
+	}
 	b := uint64(en.at) >> q.shift
 	switch {
 	case b <= q.curB:
 		q.cur.push(en)
-	case b < q.curB+uint64(len(q.slots)):
-		s := &q.slots[b&q.mask]
-		*s = append(*s, en)
-		q.wheelN++
+	case b < q.curB+uint64(len(q.heads)):
+		q.link(en, b)
 	default:
 		q.far.push(en)
 	}
-	if q.size >= calendarMin && q.size > 8*len(q.slots) {
+	if q.calN() > 8*len(q.heads) {
 		q.rebuild()
 	}
 }
 
 // peek returns the minimum entry without removing it, advancing the cursor
 // over empty buckets as needed. The mutation is order-neutral: advancing
-// only makes already-pending entries poppable.
+// only makes already-pending entries poppable. A pop must follow before
+// the queue changes.
 func (q *eventQueue) peek() (entry, bool) {
-	if q.size*16 < len(q.slots) {
-		q.rebuild() // queue shrank far below its wheel; drop to heap mode
+	if len(q.heads) == 0 {
+		switch {
+		case q.laneN > 0 && (len(q.far) == 0 || q.node(q.laneHead).less(q.far[0])):
+			q.src = fromLane
+			return *q.node(q.laneHead), true
+		case len(q.far) > 0:
+			q.src = fromFar
+			return q.far[0], true
+		}
+		return entry{}, false
+	}
+	if n := q.calN(); n*16 < len(q.heads) || q.heapPops > n {
+		q.rebuild() // shrunk far below the wheel, or the wheel misfits
+		return q.peek()
 	}
 	for q.runHead == len(q.run) && len(q.cur) == 0 {
+		// With run and cur empty, the lane (if any) holds the minimum: a
+		// calendar entry due at the lane's time was pushed before the clock
+		// got there, and the clock got there either by a Run horizon, which
+		// popped it, or by popping from its bucket, which leaves it in run
+		// or cur.
+		if q.laneN > 0 {
+			q.src = fromLane
+			return *q.node(q.laneHead), true
+		}
 		if q.wheelN == 0 && len(q.far) == 0 {
 			return entry{}, false
 		}
 		q.advance()
 	}
-	if q.runHead < len(q.run) && (len(q.cur) == 0 || q.run[q.runHead].less(q.cur[0])) {
-		return q.run[q.runHead], true
+	min, src := entry{}, fromCur
+	if len(q.cur) > 0 {
+		min = q.cur[0]
 	}
-	return q.cur[0], true
+	if q.runHead < len(q.run) && (len(q.cur) == 0 || q.run[q.runHead].less(min)) {
+		min, src = q.run[q.runHead], fromRun
+	}
+	if q.laneN > 0 && q.node(q.laneHead).less(min) {
+		min, src = *q.node(q.laneHead), fromLane
+	}
+	q.src = src
+	return min, true
 }
 
-// pop removes the entry peek returned.
+// pop removes the entry the preceding peek returned.
 func (q *eventQueue) pop() {
 	q.size--
-	if q.runHead < len(q.run) && (len(q.cur) == 0 || q.run[q.runHead].less(q.cur[0])) {
+	switch q.src {
+	case fromLane:
+		i := q.laneHead
+		q.laneHead = q.node(i).next
+		q.laneN--
+		q.freeNode(i)
+	case fromRun:
 		q.runHead++
-		return
+	case fromCur:
+		q.cur.pop()
+		q.heapPops++
+	default:
+		q.far.pop()
+		q.stats.farPops++
 	}
-	q.cur.pop()
 }
 
 // advance moves the cursor to the next bucket with entries and sorts that
-// bucket — from its wheel slot and from far — into run. Callers guarantee
+// bucket — from its wheel list and from far — into run. Callers guarantee
 // run and cur are exhausted and wheelN+len(far) > 0.
 func (q *eventQueue) advance() {
 	q.run = q.run[:0]
 	q.runHead = 0
 	if q.wheelN == 0 {
-		// Nothing in the wheel: jump straight to the earliest far bucket
-		// (heap mode, with its empty window, always takes this path).
+		// Nothing in the wheel: jump straight to the earliest far bucket.
 		q.curB = uint64(q.far[0].at) >> q.shift
 	} else {
-		// Scan to the next occupied slot, stopping early if a far bucket
+		// Scan to the next occupied bucket, stopping early if a far bucket
 		// comes due first. Bounded by the wheel size, and amortized O(1)
 		// per event when the width matches the event spacing (rebuild's
 		// job).
@@ -158,55 +317,112 @@ func (q *eventQueue) advance() {
 			if len(q.far) > 0 && uint64(q.far[0].at)>>q.shift <= q.curB {
 				break
 			}
-			if len(q.slots[q.curB&q.mask]) > 0 {
+			if q.heads[q.curB&q.mask] != 0 {
 				break
 			}
 		}
-		if s := &q.slots[q.curB&q.mask]; len(*s) > 0 {
-			q.run = append(q.run, *s...)
-			q.wheelN -= len(*s)
-			*s = (*s)[:0] // keep capacity: the slot is reused next revolution
+		s := &q.heads[q.curB&q.mask]
+		for i := *s; i != 0; {
+			nd := q.node(i)
+			next := nd.next
+			q.run = append(q.run, *nd)
+			q.wheelN--
+			q.freeNode(i)
+			i = next
 		}
+		*s = 0
 	}
 	for len(q.far) > 0 && uint64(q.far[0].at)>>q.shift <= q.curB {
 		q.run = append(q.run, q.far[0])
 		q.far.pop()
+		q.heapPops++
+		q.stats.farPops++
 	}
-	slices.SortFunc(q.run, func(a, b entry) int {
-		if a.less(b) {
-			return -1
+	sortEntries(q.run)
+}
+
+// sortEntries sorts s ascending by (at, seq). A bucket holds a handful of
+// entries, where an insertion sort with the comparison inlined beats
+// slices.SortFunc's indirect calls.
+func sortEntries(s []entry) {
+	if len(s) > 12 {
+		slices.SortFunc(s, func(a, b entry) int {
+			if a.less(b) {
+				return -1
+			}
+			return 1 // (at, seq) keys are unique; equality cannot occur
+		})
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		en, j := s[i], i
+		for ; j > 0 && en.less(s[j-1]); j-- {
+			s[j] = s[j-1]
 		}
-		return 1 // (at, seq) keys are unique; equality cannot occur
-	})
+		s[j] = en
+	}
 }
 
 // each calls fn on every physical entry, dead ones included, in no
 // particular order. fn must not modify the queue.
 func (q *eventQueue) each(fn func(entry)) {
+	q.eachList(q.laneHead, fn)
+	q.eachCalendar(fn)
+}
+
+// eachCalendar is each over the calendar's entries only.
+func (q *eventQueue) eachCalendar(fn func(entry)) {
 	for _, en := range q.run[q.runHead:] {
 		fn(en)
 	}
 	for _, en := range q.cur {
 		fn(en)
 	}
-	for _, s := range q.slots {
-		for _, en := range s {
-			fn(en)
-		}
+	for _, h := range q.heads {
+		q.eachList(h, fn)
 	}
 	for _, en := range q.far {
 		fn(en)
 	}
 }
 
+func (q *eventQueue) eachList(i uint32, fn func(entry)) {
+	for ; i != 0; i = q.node(i).next {
+		fn(*q.node(i))
+	}
+}
+
+// filterList drops the nodes keep reports false for from the list at head,
+// preserving order, and returns the new head, tail and length.
+func (q *eventQueue) filterList(head uint32, keep func(entry) bool) (h, t uint32, n int) {
+	for i := head; i != 0; {
+		nd := q.node(i)
+		next := nd.next
+		if keep(*nd) {
+			if t == 0 {
+				h = i
+			} else {
+				q.node(t).next = i
+			}
+			t = i
+			n++
+		} else {
+			q.freeNode(i)
+		}
+		i = next
+	}
+	if t != 0 {
+		q.node(t).next = 0
+	}
+	return h, t, n
+}
+
 // sweep drops every entry keep reports false for, in place. Geometry,
-// cursor, and — critically — per-slot capacity are preserved, so the
-// compaction that runs every few thousand cancels does not force the wheel
-// to regrow all of its buckets (that re-allocation dominated the event-loop
-// profile when compaction rebuilt the wheel). Pop order is unaffected:
-// run keeps its sorted order under filtering, and heap pop order depends
-// only on contents — (at, seq) is a total order with unique keys — not on
-// the internal array layout.
+// cursor and lane order are preserved, so the compaction that runs every
+// few thousand cancels costs one pass and no allocation. Pop order is
+// unaffected: run keeps its sorted order under filtering, and heap pop
+// order depends only on contents — (at, seq) is a total order with unique
+// keys — not on the internal array layout.
 func (q *eventQueue) sweep(keep func(entry) bool) {
 	filter := func(s []entry) []entry {
 		kept := s[:0]
@@ -217,98 +433,213 @@ func (q *eventQueue) sweep(keep func(entry) bool) {
 		}
 		return kept
 	}
+	q.laneHead, q.laneTail, q.laneN = q.filterList(q.laneHead, keep)
 	// The consumed prefix run[:runHead] must not resurface: filter only the
 	// unconsumed tail, compacted to the front.
 	q.run = filter(append(q.run[:0], q.run[q.runHead:]...))
 	q.runHead = 0
 	q.cur = eventHeap(filter(q.cur))
 	q.cur.init()
-	for i, s := range q.slots {
-		before := len(s)
-		q.slots[i] = filter(s)
-		q.wheelN -= before - len(q.slots[i])
+	q.wheelN = 0
+	for b, h := range q.heads {
+		var n int
+		q.heads[b], _, n = q.filterList(h, keep)
+		q.wheelN += n
 	}
 	q.far = eventHeap(filter(q.far))
 	q.far.init()
-	q.size = len(q.run) + len(q.cur) + q.wheelN + len(q.far)
+	q.size = q.laneN + len(q.run) + len(q.cur) + q.wheelN + len(q.far)
 }
 
-// rebuild redistributes every entry into fresh geometry sized for the
-// current population: bucket width ~ span/size (so the cursor skips few
-// empty buckets) and ~8 entries per occupied bucket. Below calendarMin the
-// queue collapses to pure heap mode (a single-slot wheel with an empty
-// window).
+// fit samples the calendar for its geometry: the earliest entry's time,
+// and the bucket shift for a width of about three times the spacing of the
+// headSample earliest entries. As in Brown's calendar queue, gaps wider
+// than twice the sample's mean gap are left out of the spacing, so one
+// outlier does not widen every bucket. A head with no spacing at all
+// (entries piled up at one instant) falls back to the calendar's mean
+// spacing.
+func (q *eventQueue) fit() (minAt time.Duration, shift uint) {
+	// The headSample earliest times, kept sorted while scanning.
+	var sample [headSample]time.Duration
+	s := sample[:0]
+	var maxAt time.Duration
+	q.eachCalendar(func(en entry) {
+		maxAt = max(maxAt, en.at)
+		if len(s) == cap(s) {
+			if en.at >= s[len(s)-1] {
+				return
+			}
+			s = s[:len(s)-1]
+		}
+		i, _ := slices.BinarySearch(s, en.at)
+		s = slices.Insert(s, i, en.at)
+	})
+	var gap uint64
+	if m := len(s); m > 1 {
+		mean := uint64(s[m-1]-s[0]) / uint64(m-1)
+		var sum, n uint64
+		for i := 1; i < m; i++ {
+			if g := uint64(s[i] - s[i-1]); g <= 2*mean {
+				sum += g
+				n++
+			}
+		}
+		gap = sum / n
+	}
+	if gap == 0 {
+		gap = uint64(maxAt-s[0]) / uint64(q.calN())
+	}
+	if w := 3 * gap; w > 0 {
+		shift = min(uint(bits.Len64(w))-1, maxShift)
+	}
+	return s[0], shift
+}
+
+// rebuild re-fits the calendar to its population. Below calendarMin it
+// collapses to heap mode; otherwise it takes the width from fit and one
+// bucket per one to two entries, and returns without moving anything if
+// that is the geometry already in place. Every entry is moved in place —
+// wheel nodes are relinked, run and cur are folded into far, far is
+// filtered into the new window — so a rebuild allocates only when the
+// wheel, a heap or the node arena outgrows its largest size so far. The
+// lane is untouched.
 func (q *eventQueue) rebuild() {
-	all := make([]entry, 0, q.size)
-	all = append(all, q.run[q.runHead:]...)
-	all = append(all, q.cur...)
-	for _, s := range q.slots {
-		all = append(all, s...)
+	q.heapPops = 0
+	n := q.calN()
+	nb, shift, minAt := 0, uint(0), time.Duration(0)
+	if n >= calendarMin {
+		nb = 1
+		for nb < n/2 {
+			nb *= 2
+		}
+		minAt, shift = q.fit()
+		if nb == len(q.heads) && shift == q.shift {
+			return
+		}
 	}
-	all = append(all, q.far...)
+	q.stats.rebuilds++
+	q.stats.moved += n
 
-	q.size = len(all)
-	q.run = q.run[:0]
-	q.runHead = 0
-	q.cur = q.cur[:0]
-	q.far = q.far[:0]
+	// Fold run and cur into far, which stays an unordered bag until the
+	// re-heapify below, and detach the wheel's lists into one chain.
+	q.far.grow(len(q.run) - q.runHead + len(q.cur))
+	q.far = append(q.far, q.run[q.runHead:]...)
+	q.far = append(q.far, q.cur...)
+	q.run, q.runHead, q.cur = q.run[:0], 0, q.cur[:0]
+	var chain uint32
+	for b, i := range q.heads {
+		for i != 0 {
+			nd := q.node(i)
+			next := nd.next
+			nd.next = chain
+			chain = i
+			i = next
+		}
+		q.heads[b] = 0
+	}
 	q.wheelN = 0
-	if q.size < calendarMin {
-		q.slots = q.slots[:0]
-		q.slots = append(q.slots, nil) // heap mode: empty window
-		q.mask = 0
-		q.shift = 0
-		q.curB = 0
-		for _, en := range all {
-			q.far.push(en)
-		}
-		// Everything landed in far regardless of bucket; that is exactly
-		// heap mode's invariant.
-		return
+	if cap(q.heads) < nb {
+		q.heads = make([]uint32, nb)
 	}
+	q.heads = q.heads[:nb]
+	q.shift, q.mask, q.curB = shift, uint64(nb)-1, uint64(minAt)>>shift
 
-	minAt, maxAt := all[0].at, all[0].at
-	for _, en := range all[1:] {
-		if en.at < minAt {
-			minAt = en.at
+	// place files en by bucket: the cursor's bucket into cur, the window
+	// into the wheel; it reports false for entries past the horizon. In
+	// heap mode (no wheel) everything is past it.
+	place := func(en entry) bool {
+		b := uint64(en.at) >> q.shift
+		switch {
+		case nb == 0:
+			return false
+		case b <= q.curB:
+			q.cur.add(en)
+		case b < q.curB+uint64(nb):
+			q.link(en, b)
+		default:
+			return false
 		}
-		if en.at > maxAt {
-			maxAt = en.at
+		return true
+	}
+	for i := chain; i != 0; {
+		// Free the node first: link takes it straight back off the free
+		// list, so relinking does not grow the arena.
+		en := *q.node(i)
+		q.freeNode(i)
+		i = en.next
+		if !place(en) {
+			q.far.add(en)
 		}
 	}
-	nb := 1
-	for nb < q.size/4 {
-		nb *= 2
+	kept := q.far[:0]
+	for _, en := range q.far {
+		if !place(en) {
+			kept = append(kept, en)
+		}
 	}
-	span := uint64(maxAt - minAt)
-	q.shift = 0
-	for q.shift < maxShift && span>>q.shift >= uint64(nb) {
-		q.shift++
+	q.far = kept
+	q.far.init()
+	q.cur.init()
+}
+
+// audit checks the queue's bookkeeping: the lane's length and clock, the
+// wheel's count and windows, and that the components sum to size.
+func (q *eventQueue) audit() error {
+	n := 0
+	for i := q.laneHead; i != 0; i = q.node(i).next {
+		if at := q.node(i).at; at != q.laneAt {
+			return fmt.Errorf("des: lane entry at %v, lane clock %v", at, q.laneAt)
+		}
+		n++
 	}
-	// One block allocation backs every slot's starting capacity; busier
-	// slots break off and regrow individually.
-	backing := make([]entry, nb*slotEstCap)
-	q.slots = make([][]entry, nb)
-	for i := range q.slots {
-		q.slots[i] = backing[i*slotEstCap : i*slotEstCap : (i+1)*slotEstCap]
+	if n != q.laneN {
+		return fmt.Errorf("des: lane holds %d entries, counted %d", n, q.laneN)
 	}
-	q.mask = uint64(nb) - 1
-	q.curB = uint64(minAt) >> q.shift
-	for _, en := range all {
-		q.size-- // push re-counts
-		q.push(en)
+	n = 0
+	for s, i := range q.heads {
+		for ; i != 0; i = q.node(i).next {
+			b := uint64(q.node(i).at) >> q.shift
+			if b&q.mask != uint64(s) || b <= q.curB || b >= q.curB+uint64(len(q.heads)) {
+				return fmt.Errorf("des: wheel slot %d holds bucket %d outside window (%d, %d)",
+					s, b, q.curB, q.curB+uint64(len(q.heads)))
+			}
+			n++
+		}
 	}
+	if n != q.wheelN {
+		return fmt.Errorf("des: wheel holds %d entries, counted %d", n, q.wheelN)
+	}
+	if got := q.laneN + len(q.run) - q.runHead + len(q.cur) + q.wheelN + len(q.far); got != q.size {
+		return fmt.Errorf("des: queue components hold %d entries, size %d", got, q.size)
+	}
+	return nil
 }
 
 // eventHeap is a 4-ary min-heap of entries ordered by (at, seq) — half the
 // levels of a binary heap, with the four children of a node adjacent in
-// memory, so a sift touches a fraction of the cache lines. It serves as the
-// whole queue in heap mode and as the cur/far components of the calendar
-// queue (see queue.go).
+// memory, so a sift touches a fraction of the cache lines. It is the
+// calendar in heap mode and the cur/far components in calendar mode.
 type eventHeap []entry
 
-func (h *eventHeap) push(en entry) {
+// grow makes room for n more entries, doubling the capacity where append
+// would take 1.25× steps: at 10⁵ entries that chain of copies was most of
+// the queue's allocation.
+func (h *eventHeap) grow(n int) {
+	if need := len(*h) + n; need > cap(*h) {
+		g := make(eventHeap, len(*h), max(need, 2*cap(*h), 64))
+		copy(g, *h)
+		*h = g
+	}
+}
+
+// add appends en without restoring the heap order; init must follow.
+func (h *eventHeap) add(en entry) {
+	h.grow(1)
 	*h = append(*h, en)
+}
+
+func (h *eventHeap) push(en entry) {
+	h.add(en)
 	hh := *h
 	i := len(hh) - 1
 	for i > 0 {
@@ -337,7 +668,7 @@ func (h *eventHeap) pop() {
 }
 
 // init re-establishes the heap invariant over arbitrary contents in O(n);
-// sweep uses it after filtering entries in place.
+// sweep and rebuild use it after moving entries in bulk.
 func (h eventHeap) init() {
 	if n := len(h); n > 1 {
 		for i := (n - 2) / 4; i >= 0; i-- {

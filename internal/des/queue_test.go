@@ -170,10 +170,27 @@ func (d *queueDiff) run(until time.Duration) {
 	}
 }
 
+// stall advances the clock with no event due — Run(until) stops short of
+// the earliest pending entry — then schedules n entries at the new Now, so
+// the lane opens at a clock no pop set.
+func (d *queueDiff) stall(n int) {
+	d.t.Helper()
+	if len(d.ref) == 0 || d.ref[0].at-d.env.Now() < 2 {
+		return
+	}
+	d.run(d.env.Now() + (d.ref[0].at-d.env.Now())/2)
+	for i := 0; i < n; i++ {
+		d.push(d.env.Now())
+	}
+}
+
 // The event queue pops in exact (at, seq) order through random schedules,
-// cancels, Timer re-arms and Run horizons, while its size crosses the
-// heap↔calendar switch both ways. The first phase is the closed-workload
-// shape: thousands of entries at t=0, then spread out by their callbacks.
+// zero-delay pushes, cancels, Timer re-arms, Run horizons, clock advances
+// with no pop, and compactions with live lane entries, while the calendar
+// crosses the heap↔calendar switch both ways. The first phase is the
+// closed-workload shape: thousands of entries at t=0, which the lane
+// absorbs, then spread out by their callbacks; every grow phase opens with
+// a burst of spread-out entries that takes the calendar past calendarMin.
 func TestQueueMatchesSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -185,8 +202,14 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 				d.push(0)
 			}
 			crossed := map[bool]int{}
+			laneSweeps := 0
 			for round := 0; round < 300; round++ {
 				grow := (round/50)%2 == 0
+				if round%100 == 0 {
+					for i := 0; i < 3*calendarMin/2; i++ {
+						d.push(d.env.Now() + 1 + time.Duration(d.rnd.Int63n(int64(10*time.Second))))
+					}
+				}
 				for op := d.rnd.Intn(200); op > 0; op-- {
 					switch r := d.rnd.Intn(10); {
 					case r < 5 && grow, r < 2:
@@ -197,16 +220,29 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 						d.rearm(d.timers[d.rnd.Intn(len(d.timers))])
 					}
 				}
+				if d.rnd.Intn(4) == 0 {
+					d.stall(1 + d.rnd.Intn(8))
+				}
+				if d.env.q.laneN > 0 && d.rnd.Intn(8) == 0 {
+					d.env.compact()
+					laneSweeps++
+					if err := d.env.Audit(); err != nil {
+						t.Fatal(err)
+					}
+				}
 				horizon := time.Duration(0)
 				if d.rnd.Intn(4) > 0 {
 					horizon = d.delay()
 				}
 				d.run(d.env.Now() + horizon)
-				crossed[len(d.env.q.slots) > 1]++
+				crossed[len(d.env.q.heads) > 0]++
 			}
 			d.run(2 * time.Hour * 300)
 			if crossed[true] == 0 || crossed[false] == 0 {
 				t.Errorf("rounds in calendar mode %d, in heap mode %d: the switch was not exercised both ways", crossed[true], crossed[false])
+			}
+			if laneSweeps == 0 {
+				t.Error("no compaction ran with live lane entries")
 			}
 			if d.fired < 5*calendarMin {
 				t.Errorf("only %d events fired", d.fired)

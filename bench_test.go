@@ -404,9 +404,9 @@ func BenchmarkExtensionMVAAccuracy(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionAdaptiveRecovery — beyond the paper: the runtime
-// feedback controller grows a 3-thread pool out of its software bottleneck;
-// the bench reports static vs adaptive steady-state throughput.
+// BenchmarkExtensionAdaptiveRecovery — beyond the paper: the elastic
+// controller's TOP_JOB policy grows a 3-thread pool out of its software
+// bottleneck; the bench reports static vs adaptive steady-state throughput.
 func BenchmarkExtensionAdaptiveRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, controlled := range []bool{false, true} {
@@ -419,7 +419,9 @@ func BenchmarkExtensionAdaptiveRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			if controlled {
-				adaptive.Attach(tb, adaptive.Config{})
+				if _, err := adaptive.AttachElastic(tb, adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob}); err != nil {
+					b.Fatal(err)
+				}
 			}
 			ccfg := rubbos.DefaultClientConfig(5000)
 			ccfg.RampUp = 10 * time.Second

@@ -7,8 +7,7 @@ package ntier_test
 // and (b) no command re-declares one of the shared names inline, where its
 // usage could drift. Commands that run no trials may exempt themselves by
 // documenting it in their source ("exempt from cli.RegisterCommonFlags"):
-// ntier-report (which also uses -obs as an input directory) and
-// ntier-bench (a pure stdin-to-stdout filter).
+// ntier-report, which also uses -obs as an input directory.
 
 import (
 	"go/ast"

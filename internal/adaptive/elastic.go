@@ -1,13 +1,34 @@
-// Elastic reallocation: a policy-driven controller that resizes every soft
-// pool in the topology mid-run under a total-units budget — the online
-// counterpart of the paper's offline Algorithm 1, for the regime the paper
-// leaves open: traffic that shifts faster than an offline recalibration.
-// Where the basic Controller (adaptive.go) governs only the Tomcat thread
-// pools, the elastic controller moves units between the Apache worker pool,
-// the Tomcat servlet threads, and the Tomcat→C-JDBC connection pools (whose
-// resident middleware threads — the §III-B over-allocation cost — track
-// every resize), trading them off under one budget.
-
+// Package adaptive implements elastic soft-resource reallocation: a
+// policy-driven controller that resizes every soft pool in the topology
+// mid-run under a total-units budget — the online counterpart of the
+// paper's offline Algorithm 1, for the regime the paper leaves open:
+// traffic that shifts faster than an offline recalibration. It moves units
+// between the Apache worker pool, the Tomcat servlet threads, and the
+// Tomcat→C-JDBC connection pools (whose resident middleware threads — the
+// §III-B over-allocation cost — track every resize), trading them off
+// under one budget.
+//
+// The paper's related work surveys feedback-control approaches and notes
+// that "determining suitable parameters of control is a highly challenging
+// task"; the TOP_JOB policy encodes the paper's own findings as the
+// control law:
+//
+//   - Soft bottleneck (the §III-A signature): a pool pinned at capacity
+//     with waiters while the hardware idles → grow that axis.
+//   - Over-allocation (the §III-B signature): capacity far above the
+//     window's peak occupancy → shrink toward the observed need, shedding
+//     GC and scheduling overhead.
+//
+// Pools are resized in place (resource.Pool.Resize); no requests are
+// dropped.
+//
+// Limitation (inherent, not incidental): once the system is deeply
+// saturated, an over-allocated pool fills completely with queued jobs, so
+// pool occupancy no longer distinguishes over-allocation from genuine
+// need. The controller therefore shrinks reliably only while the system
+// is near — not far past — the knee. This observability gap is exactly
+// the paper's argument for the offline measurement-driven Algorithm 1
+// (internal/core) over pure feedback control.
 package adaptive
 
 import (
@@ -67,16 +88,33 @@ const (
 
 var axisNames = [numAxes]string{"web-threads", "app-threads", "app-conns"}
 
+// The fixed parts of the control law; ElasticConfig holds the knobs.
+const (
+	// SampleEvery is the pool sampling grid within a control window.
+	SampleEvery = time.Second
+	// MinPer and MaxPer bound every per-server pool capacity.
+	MinPer = 2
+	MaxPer = 2048
+	// GrowFactor multiplies a bottlenecked axis's capacity under TOP_JOB.
+	GrowFactor = 1.5
+	// ShrinkMargin leaves headroom over the observed peak occupancy when
+	// shrinking; shrinking triggers only when capacity exceeds
+	// ShrinkTrigger times the peak.
+	ShrinkMargin  = 1.25
+	ShrinkTrigger = 2.0
+	// Temperature is the SOFTMAX temperature in goodput units (req/s):
+	// smaller values concentrate the budget on the best axis.
+	Temperature = 5.0
+)
+
 // ElasticConfig tunes the elastic controller. Zero values take defaults.
 type ElasticConfig struct {
 	// Policy selects the decision rule (required; STATIC is rejected —
 	// simply do not attach a controller for the static baseline).
 	Policy Policy
 
-	// Interval is the control period (default 20s); SampleEvery the pool
-	// sampling grid within it (default 1s).
-	Interval    time.Duration
-	SampleEvery time.Duration
+	// Interval is the control period (default 20s).
+	Interval time.Duration
 
 	// Budget caps the total soft-resource units (sum of all pool
 	// capacities across servers; default: the units of the build-time
@@ -95,23 +133,6 @@ type ElasticConfig struct {
 	// (default 2×Interval).
 	Cooldown time.Duration
 
-	// MinPer/MaxPer bound every per-server pool capacity (defaults 2/2048).
-	MinPer int
-	MaxPer int
-
-	// GrowFactor multiplies a bottlenecked axis's capacity under TOP_JOB
-	// (default 1.5, the basic controller's law). ShrinkMargin leaves
-	// headroom over the observed peak occupancy when shrinking (default
-	// 1.25); shrinking triggers only when capacity exceeds ShrinkTrigger
-	// times the peak (default 2).
-	GrowFactor    float64
-	ShrinkMargin  float64
-	ShrinkTrigger float64
-
-	// Judge holds the bottleneck-verdict thresholds TOP_JOB consumes
-	// (zero values take the obs defaults).
-	Judge obs.JudgeConfig
-
 	// Goodput estimates an allocation's goodput at a closed-equivalent
 	// population — SOFTMAX's marginal-gain oracle, typically a calibrated
 	// search.Surrogate behind a closure. Required for SOFTMAX.
@@ -121,17 +142,11 @@ type ElasticConfig struct {
 	// known rate converted through rubbos.OpenEquivUsers. Required for
 	// SOFTMAX.
 	UsersAt func(at time.Duration) int
-	// Temperature is the softmax temperature in goodput units (default 5
-	// req/s): smaller values concentrate the budget on the best axis.
-	Temperature float64
 }
 
 func (c *ElasticConfig) applyDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 20 * time.Second
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = time.Second
 	}
 	if c.MaxStep <= 0 {
 		c.MaxStep = 16
@@ -141,24 +156,6 @@ func (c *ElasticConfig) applyDefaults() {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * c.Interval
-	}
-	if c.MinPer <= 0 {
-		c.MinPer = 2
-	}
-	if c.MaxPer <= 0 {
-		c.MaxPer = 2048
-	}
-	if c.GrowFactor <= 1 {
-		c.GrowFactor = 1.5
-	}
-	if c.ShrinkMargin <= 1 {
-		c.ShrinkMargin = 1.25
-	}
-	if c.ShrinkTrigger <= 1 {
-		c.ShrinkTrigger = 2
-	}
-	if c.Temperature <= 0 {
-		c.Temperature = 5
 	}
 }
 
@@ -385,7 +382,7 @@ func (c *ElasticController) resetWindow() {
 }
 
 func (c *ElasticController) scheduleSample() {
-	c.sampleEv = c.tb.Env.After(c.cfg.SampleEvery, func() {
+	c.sampleEv = c.tb.Env.After(SampleEvery, func() {
 		if c.stopped {
 			return
 		}
@@ -420,7 +417,7 @@ func (c *ElasticController) scheduleControl() {
 func (c *ElasticController) summarize() (obs.TrialSummary, bool) {
 	w := &c.win
 	secs := c.cfg.Interval.Seconds()
-	s := obs.TrialSummary{SLASeconds: c.cfg.Judge.SoftSaturation}
+	var s obs.TrialSummary
 	for i, n := range c.nodes {
 		busy := n.busy()
 		if busy < w.nodeBusy[i] {
@@ -502,7 +499,7 @@ func (c *ElasticController) control() {
 	if !ok {
 		return // monitor reset mid-window: observations unusable
 	}
-	verdict := obs.Judge(summary, c.cfg.Judge)
+	verdict := obs.Judge(summary, obs.JudgeConfig{})
 
 	var targets [numAxes]int
 	var reasons [numAxes]string
@@ -547,7 +544,7 @@ func (c *ElasticController) planTopJob(v obs.Verdict, targets *[numAxes]int, rea
 			return
 		}
 		cur := axisGet(c.soft, ax)
-		targets[ax] = int(float64(cur)*c.cfg.GrowFactor) + 1
+		targets[ax] = int(float64(cur)*GrowFactor) + 1
 		reasons[ax] = fmt.Sprintf("soft-bottleneck %s sat %.0f%%", blame.Name, blame.Saturated*100)
 
 		// Donate from the most over-provisioned other axis if growth would
@@ -565,7 +562,7 @@ func (c *ElasticController) planTopJob(v obs.Verdict, targets *[numAxes]int, rea
 				}
 			}
 			if donor >= 0 {
-				targets[donor] = int(float64(c.peakPer(donor))*c.cfg.ShrinkMargin) + 1
+				targets[donor] = int(float64(c.peakPer(donor))*ShrinkMargin) + 1
 				reasons[donor] = fmt.Sprintf("donate to %s", axisNames[ax])
 			}
 		}
@@ -575,8 +572,8 @@ func (c *ElasticController) planTopJob(v obs.Verdict, targets *[numAxes]int, rea
 	// the load back down (and shedding the §III-B GC cost of idle pools).
 	for ax := axisWeb; ax < numAxes; ax++ {
 		cur, peak := axisGet(c.soft, ax), c.peakPer(ax)
-		if float64(cur) > c.cfg.ShrinkTrigger*float64(peak) {
-			targets[ax] = int(float64(peak)*c.cfg.ShrinkMargin) + 1
+		if float64(cur) > ShrinkTrigger*float64(peak) {
+			targets[ax] = int(float64(peak)*ShrinkMargin) + 1
 			why := "idle"
 			if v.HardwareLimited() {
 				why = v.SaturatedHW[0].String()
@@ -600,8 +597,8 @@ func (c *ElasticController) planSoftmax(targets *[numAxes]int, reasons *[numAxes
 	for ax := axisWeb; ax < numAxes; ax++ {
 		probe := c.soft
 		grown := axisGet(probe, ax) + c.cfg.MaxStep
-		if grown > c.cfg.MaxPer {
-			grown = c.cfg.MaxPer
+		if grown > MaxPer {
+			grown = MaxPer
 		}
 		axisSet(&probe, ax, grown)
 		g, err := c.cfg.Goodput(probe, users)
@@ -613,7 +610,7 @@ func (c *ElasticController) planSoftmax(targets *[numAxes]int, reasons *[numAxes
 	var sum float64
 	var weights [numAxes]float64
 	for ax := axisWeb; ax < numAxes; ax++ {
-		weights[ax] = math.Exp(gains[ax] / c.cfg.Temperature)
+		weights[ax] = math.Exp(gains[ax] / Temperature)
 		sum += weights[ax]
 	}
 	for ax := axisWeb; ax < numAxes; ax++ {
@@ -638,11 +635,11 @@ func (c *ElasticController) applyTargets(targets [numAxes]int, reasons [numAxes]
 			return
 		}
 		cur := axisGet(next, ax)
-		if t < c.cfg.MinPer {
-			t = c.cfg.MinPer
+		if t < MinPer {
+			t = MinPer
 		}
-		if t > c.cfg.MaxPer {
-			t = c.cfg.MaxPer
+		if t > MaxPer {
+			t = MaxPer
 		}
 		delta := t - cur
 		if wantShrink != (delta < 0) {

@@ -52,24 +52,9 @@ func TestAttachElasticValidation(t *testing.T) {
 	}
 }
 
-// TestStopCancelsPendingEvents is the regression test for the Stop fix:
-// stopping a controller must cancel its scheduled sample/control events in
-// the DES — not merely set a flag that leaves orphaned callbacks firing
-// forever.
-func TestStopCancelsPendingEvents(t *testing.T) {
-	tb := buildTB(t, testbed.SoftAlloc{WebThreads: 400, AppThreads: 4, AppConns: 20}, 3)
-	ctl := Attach(tb, Config{})
-	before := tb.Env.Pending()
-	ctl.Stop()
-	if got := tb.Env.Pending(); got != before-2 {
-		t.Errorf("Stop left events pending: %d -> %d, want %d", before, got, before-2)
-	}
-	ctl.Stop() // idempotent
-	if got := tb.Env.Pending(); got != before-2 {
-		t.Errorf("second Stop changed pending events: %d", got)
-	}
-}
-
+// TestElasticStopCancelsPendingEvents: stopping a controller must cancel
+// its scheduled sample/control events in the DES — not merely set a flag
+// that leaves orphaned callbacks firing forever.
 func TestElasticStopCancelsPendingEvents(t *testing.T) {
 	tb := buildTB(t, testbed.SoftAlloc{WebThreads: 400, AppThreads: 4, AppConns: 20}, 3)
 	ctl, err := AttachElastic(tb, ElasticConfig{Policy: PolicyTopJob})
@@ -80,6 +65,10 @@ func TestElasticStopCancelsPendingEvents(t *testing.T) {
 	ctl.Stop()
 	if got := tb.Env.Pending(); got != before-2 {
 		t.Errorf("Stop left events pending: %d -> %d, want %d", before, got, before-2)
+	}
+	ctl.Stop() // idempotent
+	if got := tb.Env.Pending(); got != before-2 {
+		t.Errorf("second Stop changed pending events: %d", got)
 	}
 	// Advancing the simulation past several control periods after Stop must
 	// produce no decisions and no resizes.
@@ -93,71 +82,144 @@ func TestElasticStopCancelsPendingEvents(t *testing.T) {
 	}
 }
 
+// steadyFrom is where runElastic starts counting steady-state
+// throughput: a minute in, after the controller has had time to converge.
+const steadyFrom = time.Minute
+
 // runElastic drives a closed workload under one policy and returns the
-// controller.
-func runElastic(t *testing.T, cfg ElasticConfig, soft testbed.SoftAlloc, users int, horizon time.Duration) (*ElasticController, *testbed.Testbed) {
+// controller (nil for STATIC, which attaches none), the testbed, and the
+// throughput of the requests issued from steadyFrom to the horizon.
+func runElastic(t *testing.T, cfg ElasticConfig, soft testbed.SoftAlloc, users int, horizon time.Duration) (*ElasticController, *testbed.Testbed, float64) {
 	t.Helper()
 	tb := buildTB(t, soft, 23)
-	ctl, err := AttachElastic(tb, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var ctl *ElasticController
+	if cfg.Policy != PolicyStatic {
+		var err error
+		if ctl, err = AttachElastic(tb, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ccfg := rubbos.DefaultClientConfig(users)
 	ccfg.RampUp = 10 * time.Second
-	if _, err := tb.StartWorkload(ccfg, nil); err != nil {
+	var steady uint64
+	if _, err := tb.StartWorkload(ccfg, func(_ *rubbos.Interaction, issued, _ time.Duration, _ error) {
+		if issued >= steadyFrom {
+			steady++
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	tb.Env.Run(horizon)
-	return ctl, tb
+	return ctl, tb, float64(steady) / (horizon - steadyFrom).Seconds()
 }
 
 func TestElasticGrowsBottleneckAxis(t *testing.T) {
-	// Three servlet threads per Tomcat under 5000 users is the §III-A soft
-	// bottleneck; TOP_JOB must blame the threads axis and grow it — and
-	// since the start sits exactly at the budget, a donor axis must fund
-	// the growth in the same step.
-	ctl, tb := runElastic(t, ElasticConfig{Policy: PolicyTopJob, Interval: 10 * time.Second},
-		testbed.SoftAlloc{WebThreads: 400, AppThreads: 3, AppConns: 20}, 5000, 2*time.Minute)
-	grew, donated := false, false
-	for _, d := range ctl.Decisions() {
-		if d.Axis == "app-threads" && d.To > d.From && strings.HasPrefix(d.Reason, "soft-bottleneck") {
-			grew = true
-		}
-		if d.To < d.From && strings.HasPrefix(d.Reason, "donate to") {
-			donated = true
-		}
-	}
-	if !grew {
-		t.Fatalf("TOP_JOB never grew the bottlenecked threads axis:\n%s", FormatDecisions(ctl.Decisions()))
-	}
-	if !donated {
-		t.Errorf("growth at the budget limit without a donor shrink:\n%s", FormatDecisions(ctl.Decisions()))
-	}
-	if got := tb.Tomcats[0].Threads.Capacity(); got <= 3 {
-		t.Errorf("final threads capacity %d, want grown", got)
+	for _, tc := range []struct {
+		name     string
+		soft     testbed.SoftAlloc
+		users    int
+		interval time.Duration
+		horizon  time.Duration
+		// bottleneck: TOP_JOB must grow the threads axis, funded by a
+		// donor, and beat STATIC's steady-state throughput by 1.3×.
+		// Otherwise it must make no soft-bottleneck growth and stay
+		// within 2% of STATIC.
+		bottleneck bool
+	}{
+		// Three servlet threads per Tomcat under 5000 users is the §III-A
+		// soft bottleneck; the start sits exactly at the budget.
+		{"soft-bottleneck", testbed.SoftAlloc{WebThreads: 400, AppThreads: 3, AppConns: 20}, 5000,
+			10 * time.Second, 2 * time.Minute, true},
+		{"soft-bottleneck-default-interval", testbed.SoftAlloc{WebThreads: 400, AppThreads: 3, AppConns: 20}, 5000,
+			0, 100 * time.Second, true},
+		// At 4000 users the 20-thread pools have comfortable headroom.
+		{"healthy", testbed.SoftAlloc{WebThreads: 400, AppThreads: 20, AppConns: 20}, 4000,
+			0, 100 * time.Second, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, staticTP := runElastic(t, ElasticConfig{Policy: PolicyStatic}, tc.soft, tc.users, tc.horizon)
+			ctl, tb, tp := runElastic(t, ElasticConfig{Policy: PolicyTopJob, Interval: tc.interval},
+				tc.soft, tc.users, tc.horizon)
+			log := FormatDecisions(ctl.Decisions())
+			grewAny, grewThreads, donated := false, false, false
+			for _, d := range ctl.Decisions() {
+				if d.To > d.From && strings.HasPrefix(d.Reason, "soft-bottleneck") {
+					grewAny = true
+					grewThreads = grewThreads || d.Axis == "app-threads"
+				}
+				if d.To < d.From && strings.HasPrefix(d.Reason, "donate to") {
+					donated = true
+				}
+			}
+			if !tc.bottleneck {
+				if grewAny {
+					t.Errorf("TOP_JOB grew a healthy allocation:\n%s", log)
+				}
+				if tp < staticTP*0.98 || tp > staticTP*1.02 {
+					t.Errorf("TOP_JOB TP %.1f strays over 2%% from static TP %.1f:\n%s", tp, staticTP, log)
+				}
+				return
+			}
+			if !grewThreads {
+				t.Fatalf("TOP_JOB never grew the bottlenecked threads axis:\n%s", log)
+			}
+			if !donated {
+				t.Errorf("growth at the budget limit without a donor shrink:\n%s", log)
+			}
+			if got := tb.Tomcats[0].Threads.Capacity(); got <= 3 {
+				t.Errorf("final threads capacity %d, want grown", got)
+			}
+			if tp < staticTP*1.3 {
+				t.Errorf("TOP_JOB TP %.1f not clearly above static TP %.1f", tp, staticTP)
+			}
+		})
 	}
 }
 
 func TestElasticShrinksIdleAllocation(t *testing.T) {
-	ctl, _ := runElastic(t, ElasticConfig{Policy: PolicyTopJob, Interval: 10 * time.Second},
-		testbed.SoftAlloc{WebThreads: 400, AppThreads: 100, AppConns: 50}, 300, 2*time.Minute)
-	shrank := false
-	for _, d := range ctl.Decisions() {
-		if d.To < d.From && strings.HasPrefix(d.Reason, "over-allocation") {
-			shrank = true
-		}
-	}
-	if !shrank {
-		t.Fatalf("TOP_JOB never released an idle over-allocation:\n%s", FormatDecisions(ctl.Decisions()))
-	}
-	if ctl.Units() >= ctl.Budget() {
-		t.Errorf("units %d did not drop below the budget %d", ctl.Units(), ctl.Budget())
+	for _, tc := range []struct {
+		name     string
+		soft     testbed.SoftAlloc
+		users    int
+		interval time.Duration
+		horizon  time.Duration
+		reason   string // prefix of the shrink decision's reason
+		// appLo <= final threads capacity < appHi.
+		appLo, appHi int
+	}{
+		{"idle", testbed.SoftAlloc{WebThreads: 400, AppThreads: 100, AppConns: 50}, 300,
+			10 * time.Second, 2 * time.Minute, "over-allocation", MinPer, 100},
+		// 300 threads per Tomcat at 6000 users is far past the knee: the
+		// pool fills with queued jobs, yet TOP_JOB must still release
+		// threads without starving the tier.
+		{"saturated", testbed.SoftAlloc{WebThreads: 400, AppThreads: 300, AppConns: 20}, 6000,
+			0, 100 * time.Second, "donate to", 10, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctl, tb, _ := runElastic(t, ElasticConfig{Policy: PolicyTopJob, Interval: tc.interval},
+				tc.soft, tc.users, tc.horizon)
+			shrank := false
+			for _, d := range ctl.Decisions() {
+				if d.To < d.From && strings.HasPrefix(d.Reason, tc.reason) {
+					shrank = true
+				}
+			}
+			if !shrank {
+				t.Fatalf("TOP_JOB never released an over-allocation (%s):\n%s", tc.reason, FormatDecisions(ctl.Decisions()))
+			}
+			if ctl.Units() >= ctl.Budget() {
+				t.Errorf("units %d did not drop below the budget %d", ctl.Units(), ctl.Budget())
+			}
+			if got := tb.Tomcats[0].Threads.Capacity(); got < tc.appLo || got >= tc.appHi {
+				t.Errorf("final threads capacity %d, want in [%d, %d)", got, tc.appLo, tc.appHi)
+			}
+		})
 	}
 }
 
 func TestElasticRespectsBudgetAndCooldown(t *testing.T) {
 	cfg := ElasticConfig{Policy: PolicyUniform, Interval: 10 * time.Second, Cooldown: 25 * time.Second}
-	ctl, _ := runElastic(t, cfg,
+	ctl, _, _ := runElastic(t, cfg,
 		testbed.SoftAlloc{WebThreads: 300, AppThreads: 10, AppConns: 10}, 2000, 3*time.Minute)
 	if len(ctl.Decisions()) == 0 {
 		t.Fatal("UNIFORM took no rebalancing action on a lopsided allocation")
@@ -177,7 +239,7 @@ func TestElasticRespectsBudgetAndCooldown(t *testing.T) {
 
 func TestElasticDeterministicDecisionLog(t *testing.T) {
 	run := func() string {
-		ctl, _ := runElastic(t, ElasticConfig{Policy: PolicyTopJob, Interval: 10 * time.Second},
+		ctl, _, _ := runElastic(t, ElasticConfig{Policy: PolicyTopJob, Interval: 10 * time.Second},
 			testbed.SoftAlloc{WebThreads: 400, AppThreads: 3, AppConns: 20}, 5000, 90*time.Second)
 		return FormatDecisions(ctl.Decisions())
 	}
@@ -219,10 +281,8 @@ func TestElasticResizeTracksTestbed(t *testing.T) {
 func TestElasticConfigDefaults(t *testing.T) {
 	var c ElasticConfig
 	c.applyDefaults()
-	if c.Interval != 20*time.Second || c.SampleEvery != time.Second ||
-		c.MaxStep != 16 || c.Deadband != 2 || c.Cooldown != 40*time.Second ||
-		c.MinPer != 2 || c.MaxPer != 2048 || c.GrowFactor != 1.5 ||
-		c.ShrinkMargin != 1.25 || c.ShrinkTrigger != 2 || c.Temperature != 5 {
+	if c.Interval != 20*time.Second || c.MaxStep != 16 || c.Deadband != 2 ||
+		c.Cooldown != 40*time.Second {
 		t.Errorf("defaults %+v", c)
 	}
 }

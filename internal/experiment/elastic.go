@@ -436,8 +436,9 @@ func unitsOfAlloc(hw testbed.Hardware, soft testbed.SoftAlloc) int {
 }
 
 // elasticFingerprint pins everything outcome-determining that the base
-// RunConfig fingerprint misses: the grid axes, the controller knobs, and
-// the open-system deadline (base.Arrivals is nil in the base fingerprint).
+// RunConfig fingerprint misses: the grid axes, the controller knobs and
+// constants, and the open-system deadline (base.Arrivals is nil in the
+// base fingerprint).
 func elasticFingerprint(cfg ElasticSweepConfig) []string {
 	c := cfg.Controller
 	parts := []string{fmt.Sprint(cfg.Policies)}
@@ -446,12 +447,26 @@ func elasticFingerprint(cfg ElasticSweepConfig) []string {
 	}
 	parts = append(parts,
 		fmt.Sprintf("ctl=%d/%d/%d/%d/%d/%d/%d/%d/%g/%g/%g/%g",
-			int64(c.Interval), int64(c.SampleEvery), c.Budget, c.MaxStep,
-			c.Deadband, int64(c.Cooldown), c.MinPer, c.MaxPer,
-			c.GrowFactor, c.ShrinkMargin, c.ShrinkTrigger, c.Temperature),
+			int64(c.Interval), int64(fixedSlot(adaptive.SampleEvery, time.Second)), c.Budget, c.MaxStep,
+			c.Deadband, int64(c.Cooldown), fixedSlot(adaptive.MinPer, 2), fixedSlot(adaptive.MaxPer, 2048),
+			fixedSlot(adaptive.GrowFactor, 1.5), fixedSlot(adaptive.ShrinkMargin, 1.25),
+			fixedSlot(adaptive.ShrinkTrigger, 2.0), fixedSlot(adaptive.Temperature, 5.0)),
 		fmt.Sprintf("window=%d sla=%d deadline=%d",
 			int64(cfg.Window), int64(cfg.GoodputThreshold), int64(cfg.Run.Deadline)))
 	return parts
+}
+
+// fixedSlot renders a controller constant in the ctl= slot of the settable
+// field it replaced, where 0 stood for the field's default (was). The slot
+// stays 0 while the constant keeps that value, so journals written when it
+// was a field still resume, and shows the new value once it changes, so a
+// retuned constant refuses them.
+func fixedSlot[T comparable](v, was T) T {
+	if v == was {
+		var zero T
+		return zero
+	}
+	return v
 }
 
 // ElasticSweep runs every (policy, trace) grid cell, fanning out, journaling,

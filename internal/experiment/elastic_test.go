@@ -54,6 +54,41 @@ func TestUsersAtFor(t *testing.T) {
 	}
 }
 
+// TestElasticFingerprintPinned pins the journal fingerprint of
+// ntier-elastic's default sweep (every flag at its default) to the string
+// earlier releases wrote, so the state directories they left keep
+// resuming. The ctl= slots of the fixed controller constants read 0 while
+// the constants keep the defaults they had as settable fields.
+func TestElasticFingerprintPinned(t *testing.T) {
+	cfg := ElasticSweepConfig{
+		Controller:       adaptive.ElasticConfig{Interval: 20 * time.Second, MaxStep: 16, Deadband: 2},
+		Policies:         []adaptive.Policy{adaptive.PolicyStatic, adaptive.PolicyTopJob},
+		Traces:           []ElasticTrace{{Name: "diurnal", Spec: trace.Diurnal(40, 120, 8*time.Minute)}},
+		Window:           10 * time.Second,
+		GoodputThreshold: time.Second,
+	}
+	cfg.applyDefaults()
+	want := []string{
+		"[STATIC TOP_JOB]",
+		"diurnal=sched(40/sx2m0s,40..120/sx1m0s,120/sx2m40s,120..40/sx1m0s,40/s)",
+		"ctl=20000000000/0/0/16/2/0/0/0/0/0/0/0",
+		"window=10000000000 sla=1000000000 deadline=0",
+	}
+	got := elasticFingerprint(cfg)
+	if len(got) != len(want) {
+		t.Fatalf("fingerprint %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("fingerprint part %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+	// A retuned constant must leave its 0 and refuse the old journals.
+	if fixedSlot(1.6, 1.5) != 1.6 || fixedSlot(2048, 2048) != 0 {
+		t.Error("fixedSlot does not separate a retuned constant from its old default")
+	}
+}
+
 // elasticBase is the small shared config for the elastic trials: the 1/2/1/2
 // topology on a compressed two-minute day.
 func elasticBase(t *testing.T) ElasticSweepConfig {

@@ -33,9 +33,9 @@ type ScenarioConfig struct {
 	RecoverFrac    float64
 	RecoverWindows int
 
-	// Adaptive, when set, attaches the feedback controller so the
-	// scenario evaluates soft-resource control under faults.
-	Adaptive *adaptive.Config
+	// Elastic, when set, attaches the elastic controller so the scenario
+	// evaluates soft-resource control under faults.
+	Elastic *adaptive.ElasticConfig
 }
 
 func (c *ScenarioConfig) applyDefaults() {
@@ -91,8 +91,8 @@ type ScenarioResult struct {
 	// measurement window — the retry-amplification metric.
 	MeanCJDBCBusy float64
 
-	// Decisions holds the adaptive controller's actions (nil without one).
-	Decisions []adaptive.Decision
+	// Decisions holds the elastic controller's actions (nil without one).
+	Decisions []adaptive.ElasticDecision
 }
 
 // Servers returns all per-server stats in tier order.
@@ -162,9 +162,11 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, err
 	}
 
-	var ctl *adaptive.Controller
-	if cfg.Adaptive != nil {
-		ctl = adaptive.Attach(tb, *cfg.Adaptive)
+	var ctl *adaptive.ElasticController
+	if cfg.Elastic != nil {
+		if ctl, err = adaptive.AttachElastic(tb, *cfg.Elastic); err != nil {
+			return nil, err
+		}
 	}
 
 	collector := sla.NewCollector(cfg.Run.Thresholds)

@@ -201,9 +201,9 @@ func TestNamedScenarios(t *testing.T) {
 	}
 }
 
-// TestScenarioUnderAdaptiveControl: the controller hook runs under faults
+// TestScenarioUnderElasticControl: the controller hook runs under faults
 // and the scenario completes with decisions recorded deterministically.
-func TestScenarioUnderAdaptiveControl(t *testing.T) {
+func TestScenarioUnderElasticControl(t *testing.T) {
 	base := RunConfig{
 		Testbed: testbed.Options{
 			Hardware: testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
@@ -217,7 +217,7 @@ func TestScenarioUnderAdaptiveControl(t *testing.T) {
 	sr, err := RunScenario(ScenarioConfig{
 		Run:        base,
 		Resilience: defaultScenarioResilience(),
-		Adaptive:   &adaptive.Config{},
+		Elastic:    &adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob},
 		Plan: fault.Plan{Events: []fault.Event{
 			fault.Brownout("tomcat2", 20*time.Second, 40*time.Second, 0.4),
 		}},
@@ -226,7 +226,7 @@ func TestScenarioUnderAdaptiveControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sr.SLA.Throughput() <= 0 {
-		t.Fatal("no throughput under adaptive control")
+		t.Fatal("no throughput under elastic control")
 	}
 	// The under-allocated pools under load should trigger at least one
 	// controller action; the hook's value is that it runs at all under

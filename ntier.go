@@ -340,8 +340,6 @@ type (
 	ScenarioPoint = experiment.ScenarioPoint
 	// Scenario is a named, self-configuring fault scenario.
 	Scenario = experiment.Scenario
-	// AdaptiveConfig tunes the feedback controller evaluated under faults.
-	AdaptiveConfig = adaptive.Config
 )
 
 // Fault-event constructors for FaultPlan.Events.

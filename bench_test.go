@@ -3,7 +3,7 @@
 // (short ramp and measurement windows) and reports the figure's headline
 // quantities via b.ReportMetric, so `go test -bench=.` regenerates the
 // shape of every result: who wins, by what factor, and where the
-// crossovers fall. cmd/ntier-figures produces the full-resolution datasets
+// crossovers fall. `ntier figures` produces the full-resolution datasets
 // (including paper-scale 8-min/12-min trials with -full).
 package ntier
 
@@ -15,8 +15,10 @@ import (
 
 	"github.com/softres/ntier/internal/adaptive"
 	"github.com/softres/ntier/internal/experiment"
+	"github.com/softres/ntier/internal/fleet"
 	"github.com/softres/ntier/internal/queuing"
 	"github.com/softres/ntier/internal/rubbos"
+	"github.com/softres/ntier/internal/sla"
 	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/tier"
 )
@@ -58,7 +60,7 @@ func BenchmarkFig2Goodput112(b *testing.B) {
 		low := mustSweep(b, benchConfig(b, "1/2/1/2", "400-6-6"), users)
 		good := mustSweep(b, benchConfig(b, "1/2/1/2", "400-15-6"), users)
 		for j, n := range users {
-			for _, th := range StandardThresholds {
+			for _, th := range sla.StandardThresholds {
 				label := fmt.Sprintf("g%.1fs_wl%d", th.Seconds(), n)
 				b.ReportMetric(low.Goodputs(th)[j], "400-6-6_"+label)
 				b.ReportMetric(good.Goodputs(th)[j], "400-15-6_"+label)
@@ -349,7 +351,7 @@ func BenchmarkExtensionWriteMixDisk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchConfig(b, "1/2/1/2", "400-30-20")
 		cfg.Users = 3000
-		cfg.Mix = ReadWriteMix()
+		cfg.Mix = rubbos.ReadWriteMix()
 		rw, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -506,11 +508,11 @@ func BenchmarkFleetSweep(b *testing.B) {
 	hw := Hardware{Web: 1, App: 1, Mid: 1, DB: 1}
 	light := SoftAlloc{WebThreads: 60, AppThreads: 4, AppConns: 4}
 	for i := 0; i < b.N; i++ {
-		out, err := FleetSweep(FleetSweepConfig{
+		out, err := experiment.FleetSweep(experiment.FleetSweepConfig{
 			Run: RunConfig{RampUp: 15 * time.Second, Measure: 30 * time.Second},
-			Fleet: FleetOptions{
+			Fleet: fleet.Options{
 				Nodes: 8, SlotsPerNode: 2, Seed: 1,
-				Tenants: []FleetTenantSpec{
+				Tenants: []fleet.TenantSpec{
 					{Name: "vic", Hardware: hw, Soft: light, Users: 400},
 					{Name: "aggr", Hardware: hw,
 						Soft:  SoftAlloc{WebThreads: 300, AppThreads: 30, AppConns: 20},
@@ -522,8 +524,8 @@ func BenchmarkFleetSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		packed := out.Result(FleetPacked, 3, 1)
-		greedy := out.Result(FleetGreedy, 3, 1)
+		packed := out.Result(fleet.PlacementPacked, 3, 1)
+		greedy := out.Result(fleet.PlacementGreedy, 3, 1)
 		b.ReportMetric(float64(packed.SLOAttained()), "packedSLOMet")
 		b.ReportMetric(float64(greedy.SLOAttained()), "greedySLOMet")
 		b.ReportMetric(greedy.GoodputPerNode, "greedyGoodputPerNode")

@@ -17,7 +17,7 @@ const (
 	stateDirUsage     = "run-state directory for crash-safe journaling"
 	resumeUsage       = "resume the campaign journaled in -state-dir"
 	trialTimeoutUsage = "wall-clock watchdog per trial (0 = none)"
-	obsUsage          = "record per-trial observability snapshots into DIR (see ntier-report)"
+	obsUsage          = "record per-trial observability snapshots into DIR (see ntier report)"
 )
 
 // CommonFlags holds the five execution-control flags shared by every

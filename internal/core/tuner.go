@@ -191,7 +191,7 @@ func rampWorkloads(start, step, max, n int) []int {
 }
 
 // judge classifies one ramp trial through the obs bottleneck analyzer —
-// the same detection rules cmd/ntier-report applies — replacing the
+// the same detection rules `ntier report` applies — replacing the
 // tuner's former ad-hoc saturation scan.
 func (c *Config) judge(res *experiment.Result) obs.Verdict {
 	return obs.Judge(experiment.Summarize(res, c.SLA), obs.JudgeConfig{

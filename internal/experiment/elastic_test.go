@@ -55,7 +55,7 @@ func TestUsersAtFor(t *testing.T) {
 }
 
 // TestElasticFingerprintPinned pins the journal fingerprint of
-// ntier-elastic's default sweep (every flag at its default) to the string
+// `ntier elastic`'s default sweep (every flag at its default) to the string
 // earlier releases wrote, so the state directories they left keep
 // resuming. The ctl= slots of the fixed controller constants read 0 while
 // the constants keep the defaults they had as settable fields.

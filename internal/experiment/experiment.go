@@ -46,7 +46,7 @@ type RunConfig struct {
 
 	// Trial protocol. The paper runs 8-minute ramps and 12-minute
 	// runtimes; the defaults are scaled down for fast simulation and can
-	// be raised to paper scale via cmd/ntier-figures -full.
+	// be raised to paper scale via `ntier figures -full`.
 	RampUp  time.Duration // default 40s
 	Measure time.Duration // default 60s
 
@@ -69,7 +69,7 @@ type RunConfig struct {
 	// (internal/obs) to every trial: per-node CPU/GC/disk timelines, pool
 	// occupancy and wait-queue series, lingering-close worker counts —
 	// written as one JSON snapshot per trial into the directory, readable
-	// by cmd/ntier-report. Sampling is pure-read and non-perturbing:
+	// by `ntier report`. Sampling is pure-read and non-perturbing:
 	// results are byte-identical with and without it. Obs holds the
 	// recorder settings (grid, memory bound, SLA); its zero value takes
 	// the defaults. Journal-restored trials are not re-recorded.

@@ -1,5 +1,5 @@
 // TrialObs files: one JSON snapshot per trial, written next to a sweep's
-// journals (the -obs directory) and consumed by cmd/ntier-report.
+// journals (the -obs directory) and consumed by `ntier report`.
 
 package obs
 

@@ -1,5 +1,5 @@
 // Run reports: the text table, per-step CSV, and signature lines rendered
-// by cmd/ntier-report from a directory of TrialObs snapshots.
+// by `ntier report` from a directory of TrialObs snapshots.
 
 package obs
 

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/softres/ntier/internal/rubbos"
+	"github.com/softres/ntier/internal/sla"
 )
 
 func testRunConfig(t *testing.T, hw, soft string, users int) RunConfig {
@@ -48,8 +51,8 @@ func TestFacadeParseErrors(t *testing.T) {
 }
 
 func TestFacadeMixes(t *testing.T) {
-	browse := BrowseOnlyMix()
-	rw := ReadWriteMix()
+	browse := rubbos.BrowseOnlyMix()
+	rw := rubbos.ReadWriteMix()
 	if browse == nil || rw == nil {
 		t.Fatal("nil mixes")
 	}
@@ -69,11 +72,11 @@ func TestFacadeMixes(t *testing.T) {
 }
 
 func TestFacadeStandardThresholds(t *testing.T) {
-	if len(StandardThresholds) != 3 {
-		t.Fatalf("thresholds %v", StandardThresholds)
+	if len(sla.StandardThresholds) != 3 {
+		t.Fatalf("thresholds %v", sla.StandardThresholds)
 	}
 	want := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second}
-	for i, th := range StandardThresholds {
+	for i, th := range sla.StandardThresholds {
 		if th != want[i] {
 			t.Errorf("threshold %d = %v, want %v", i, th, want[i])
 		}
@@ -138,8 +141,8 @@ func TestPaperHeadlineUnderAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	prevRatio := 0.0
-	for i := len(StandardThresholds) - 1; i >= 0; i-- { // 2s, 1s, 0.5s
-		th := StandardThresholds[i]
+	for i := len(sla.StandardThresholds) - 1; i >= 0; i-- { // 2s, 1s, 0.5s
+		th := sla.StandardThresholds[i]
 		g, l := good.Goodput(th), low.Goodput(th)
 		if g < l {
 			t.Errorf("at %v: 400-15-6 goodput %.1f < 400-6-6 %.1f", th, g, l)

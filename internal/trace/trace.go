@@ -109,7 +109,9 @@ type PhaseBreakdown struct {
 	Percent float64
 }
 
-// Breakdown computes the per-phase decomposition over the traces.
+// Breakdown computes the per-phase decomposition over the traces, largest
+// total first; phases with equal totals come in Phase order, so the table
+// is the same on every run.
 func Breakdown(traces []*Trace) []PhaseBreakdown {
 	if len(traces) == 0 {
 		return nil
@@ -131,7 +133,12 @@ func Breakdown(traces []*Trace) []PhaseBreakdown {
 		}
 		out = append(out, pb)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Total > out[j].Total })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Phase < out[j].Phase
+	})
 	return out
 }
 

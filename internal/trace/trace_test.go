@@ -90,6 +90,27 @@ func TestBreakdown(t *testing.T) {
 	}
 }
 
+// Phases with equal totals (the 0 s waits of an unloaded run, above all)
+// come out in Phase order, not in the map's iteration order.
+func TestBreakdownBreaksTiesByPhase(t *testing.T) {
+	tr := &Trace{Done: 5 * time.Millisecond}
+	for _, ph := range []string{"worker-wait", "conn-wait", "thread-wait", "backoff"} {
+		tr.Add("tomcat1", ph, time.Millisecond, time.Millisecond)
+	}
+	tr.Add("apache1", "cpu", 0, time.Millisecond)
+	tr.Add("mysql1", "query", 0, time.Millisecond)
+	want := []string{"apache/cpu", "mysql/query", "tomcat/backoff", "tomcat/conn-wait", "tomcat/thread-wait", "tomcat/worker-wait"}
+	for run := 0; run < 20; run++ {
+		var got []string
+		for _, b := range Breakdown([]*Trace{tr}) {
+			got = append(got, b.Phase)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("run %d: phase order %v, want %v", run, got, want)
+		}
+	}
+}
+
 func TestBreakdownEmpty(t *testing.T) {
 	if Breakdown(nil) != nil {
 		t.Error("empty breakdown should be nil")

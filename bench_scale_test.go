@@ -8,6 +8,7 @@
 package ntier
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -68,8 +69,9 @@ func BenchmarkEventLoop(b *testing.B) {
 // emulated users (one session process each) against the paper's 1/2/1/2
 // testbed, two orders of magnitude past the figures' populations, plus an
 // open-system stream whose Little's-law equivalent population is 10⁶
-// (rate × 7 s think time, see rubbos.OpenEquivUsers). The closed run
-// reports issued/completed pages; the open run reports served vs shed.
+// (rate × 7 s think time, see rubbos.OpenEquivUsers). Both report the
+// full conservation breakdown (issued = completed + failed + shed +
+// in-flight) and their peak goroutines and bound runners.
 func BenchmarkMillionClients(b *testing.B) {
 	b.Run("closed=100000", func(b *testing.B) {
 		b.ReportAllocs()
@@ -88,10 +90,8 @@ func BenchmarkMillionClients(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tb.Env.Run(15 * time.Second)
+			runReporting(b, tb, w, 15*time.Second)
 			b.ReportMetric(float64(ccfg.Users), "clients")
-			b.ReportMetric(float64(w.Issued()), "issued")
-			b.ReportMetric(float64(w.Completed()), "completed")
 			tb.Close()
 		}
 	})
@@ -117,12 +117,27 @@ func BenchmarkMillionClients(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tb.Env.Run(8 * time.Second)
+			runReporting(b, tb, w, 8*time.Second)
 			b.ReportMetric(rubbos.OpenEquivUsers(rate), "equivUsers")
-			b.ReportMetric(float64(w.Issued()), "issued")
-			b.ReportMetric(float64(w.Completed()), "completed")
-			b.ReportMetric(float64(w.Shed()), "shed")
 			tb.Close()
 		}
 	})
+}
+
+// runReporting runs tb to horizon in one-second legs, sampling the
+// goroutine count between legs, and reports w's conservation breakdown,
+// the peak goroutines, and the peak runners the engine bound at once.
+func runReporting(b *testing.B, tb *testbed.Testbed, w *rubbos.Workload, horizon time.Duration) {
+	peak := runtime.NumGoroutine()
+	for until := time.Second; until <= horizon; until += time.Second {
+		tb.Env.Run(until)
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	b.ReportMetric(float64(w.Issued()), "issued")
+	b.ReportMetric(float64(w.Completed()), "completed")
+	b.ReportMetric(float64(w.Failed()), "failed")
+	b.ReportMetric(float64(w.Shed()), "shed")
+	b.ReportMetric(float64(w.InFlight()), "inflight")
+	b.ReportMetric(float64(peak), "goroutines-peak")
+	b.ReportMetric(float64(tb.Env.Counters().PeakBound), "runners-peak")
 }

@@ -11,10 +11,12 @@
 // one process run at any instant, switching control on the same thread. A
 // process holds a coroutine only while it is inside a run — from its
 // dispatch until its function returns, through any Sleep or Park. A process
-// that waits between runs with Rest holds none, so a closed workload of many
-// mostly-thinking users needs only as many coroutines as it has requests in
-// flight. All ties are broken by schedule order, so a simulation with seeded
-// random sources replays identically.
+// that waits between runs holds none: Rest waits for a time, Suspend for
+// another component's Unpark (a queued request's grant). So a closed
+// workload of many users, most of them thinking and the rest queued for a
+// worker, needs only as many coroutines as it has requests in service. All
+// ties are broken by schedule order, so a simulation with seeded random
+// sources replays identically.
 //
 // The event queue (queue.go) is shaped by the traffic a closed-loop trial
 // puts through it while preserving strict (at, seq) pop order: a FIFO lane
@@ -75,10 +77,14 @@ type Env struct {
 	nDead   int
 	stopped bool
 	// live counts processes started and not yet finished; busy lists their
-	// runners and idle this Env's free ones. Both are intrusive lists, so
-	// no slice grows with the process count.
-	live       int
-	busy, idle *runner
+	// runners and idle this Env's free ones; suspended lists the marks of
+	// suspended processes (runner records without a coroutine, see
+	// runner) and marks the spare marks. All are intrusive lists, so no
+	// slice grows with the process count.
+	live                         int
+	busy, idle, suspended, marks *runner
+	bound                        int // runners on busy
+	counters                     Counters
 	// interrupted is the only cross-thread input to a running simulation:
 	// wall-clock watchdogs set it to make Run return at the next event
 	// boundary (Shutdown cannot be called concurrently with Run). Run
@@ -122,9 +128,27 @@ func (e *Env) queueLen() int { return e.q.len() }
 
 // Live returns the number of processes that have been started with Go and
 // have not yet finished: those inside a run (running, or blocked in Sleep or
-// Park), those resting between runs, and those not yet started. A process
-// finishes when fn returns without Rest, panics, or is ended by Shutdown.
+// Park), those resting or suspended between runs, and those not yet
+// started. A process finishes when fn returns without Rest or Suspend,
+// panics, or is ended by Shutdown.
 func (e *Env) Live() int { return e.live }
+
+// Counters are the engine's exact process-handoff counts. They depend on
+// the simulation alone, never on the host, so a trial reports the same
+// values on every run and every architecture.
+type Counters struct {
+	// Binds counts runs that took a runner: every dispatch of a process
+	// that held none (its start, and each wake after Rest or Suspend).
+	Binds uint64
+	// Suspensions counts runs ended by Suspend.
+	Suspensions uint64
+	// PeakBound is the most runners bound to processes at once: the
+	// simulation's peak coroutine demand.
+	PeakBound int
+}
+
+// Counters returns the handoff counts so far. Pure read.
+func (e *Env) Counters() Counters { return e.counters }
 
 // Audit checks the scheduler's internal bookkeeping: the lazy-deletion
 // dead-entry counter must stay within the physical queue, and the queue's
@@ -381,8 +405,9 @@ func (e *Env) Interrupted() bool { return e.interrupted.Load() }
 // is 0 when it returns. A process inside a run (blocked in Sleep or Park)
 // is resumed on the caller's thread and unwinds with a sentinel panic. A
 // process that holds no runner — not yet started, or resting — is found
-// through its one pending wake event, and its cleanups run on the caller's
-// thread. The freed runners then go to a process-wide pool for the next Env.
+// through its one pending wake event, and a suspended one through its
+// mark; their cleanups run on the caller's thread. The freed runners then
+// go to a process-wide pool for the next Env.
 // After Shutdown the Env is unusable. It is safe to call once Run has
 // returned; it must not be called from scheduler context.
 func (e *Env) Shutdown() {
@@ -405,6 +430,12 @@ func (e *Env) Shutdown() {
 			e.finish(p)
 		}
 	})
+	// A suspended process already Unparked was finished through its wake.
+	for m := e.suspended; m != nil; m = m.next {
+		if p := m.p; p.fn != nil {
+			e.finish(p)
+		}
+	}
 	runnerPool.Lock()
 	for e.idle != nil && runnerPool.n < runnerPoolCap {
 		r := e.idle
@@ -481,11 +512,13 @@ type killedSentinel struct{}
 // A Proc holds a runner (a coroutine) only while it is inside a run of fn:
 // from the dispatch that starts the run until fn returns, including any
 // Sleep or Park in between. A process that has not started yet, or that
-// ended its last run with Rest, holds none.
+// ended its last run with Rest or Suspend, holds none. In a trial that
+// means: a request in service holds one, while a thinking user (resting)
+// and a request queued at its front door (suspended) do not.
 type Proc struct {
 	env     *Env
 	name    string
-	r       *runner     // nil unless the process is inside a run of fn
+	r       *runner     // inside a run of fn its runner; while suspended its mark; else nil
 	fn      func(*Proc) // nil once the process has finished
 	data    any
 	cleanup func() // the Defer callbacks, chained newest first
@@ -529,19 +562,42 @@ func (e *Env) finish(p *Proc) {
 
 // A runner is a coroutine that runs processes one after another. runProc
 // binds an idle runner to a process the first time it dispatches a run of
-// it; when the run ends — the process returns, rests, panics or is killed —
-// the runner goes back to its Env's idle list, and Shutdown hands idle
-// runners on to runnerPool for the next Env. Control passes between the
-// scheduler and a runner by a runtime coroutine switch on the same thread.
+// it; when the run ends — the process returns, rests, suspends, panics or
+// is killed — the runner goes back to its Env's idle list, and Shutdown
+// hands idle runners on to runnerPool for the next Env. Control passes
+// between the scheduler and a runner by a runtime coroutine switch on the
+// same thread.
+//
+// A runner record with no coroutine (resume == nil) is a mark: it stands
+// in for a suspended process on Env.suspended, so Shutdown can find a
+// process that holds no runner and has no wake scheduled. Marks are
+// recycled through Env.marks.
 type runner struct {
-	resume     func() (struct{}, bool) // scheduler -> process
+	resume     func() (struct{}, bool) // scheduler -> process; nil for a mark
 	yield      func(struct{}) bool     // process -> scheduler; set when the coroutine starts
 	stop       func()                  // ends an idle runner's coroutine
-	p          *Proc                   // the bound process, nil while idle
-	prev, next *runner                 // Env.busy links; idle lists use next only
-	// rest is set by Rest: the bound process's wake is scheduled, and when
-	// fn returns the process stays live without this runner.
-	rest bool
+	p          *Proc                   // the bound (or marked) process, nil while idle
+	prev, next *runner                 // Env.busy and Env.suspended links; free lists use next only
+	// end is how the bound process ended its current run: Rest (its wake
+	// is scheduled) or Suspend (its Unpark will come); either way, when fn
+	// returns the process stays live without this runner.
+	end runEnd
+}
+
+// runEnd records which call, if any, ended the current run early.
+type runEnd uint8
+
+const (
+	running runEnd = iota
+	rested
+	suspended
+)
+
+func (r runEnd) String() string {
+	if r == rested {
+		return "Rest"
+	}
+	return "Suspend"
 }
 
 // runnerPoolCap bounds the idle runners kept between environments; each
@@ -573,18 +629,63 @@ func (e *Env) idleRunner() *runner {
 	return r
 }
 
-// unbind detaches r from its process and unlinks it from e.busy.
-func (e *Env) unbind(r *runner) {
+// link pushes r onto the doubly linked list at *head.
+func link(head **runner, r *runner) {
+	r.prev, r.next = nil, *head
+	if r.next != nil {
+		r.next.prev = r
+	}
+	*head = r
+}
+
+// unlink removes r from the doubly linked list at *head.
+func unlink(head **runner, r *runner) {
 	if r.prev != nil {
 		r.prev.next = r.next
 	} else {
-		e.busy = r.next
+		*head = r.next
 	}
 	if r.next != nil {
 		r.next.prev = r.prev
 	}
+	r.prev, r.next = nil, nil
+}
+
+// bind attaches the free runner r to p and links it into e.busy.
+func (e *Env) bind(r *runner, p *Proc) {
+	r.p, p.r = p, r
+	link(&e.busy, r)
+	e.bound++
+	e.counters.Binds++
+	e.counters.PeakBound = max(e.counters.PeakBound, e.bound)
+}
+
+// unbind detaches r from its process and unlinks it from e.busy.
+func (e *Env) unbind(r *runner) {
+	unlink(&e.busy, r)
 	r.p.r = nil
-	r.p, r.prev, r.next = nil, nil, nil
+	r.p = nil
+	e.bound--
+}
+
+// suspend marks p, which just ended a run with Suspend, on e.suspended.
+func (e *Env) suspend(p *Proc) {
+	m := e.marks
+	if m != nil {
+		e.marks = m.next
+	} else {
+		m = &runner{}
+	}
+	m.p, p.r = p, m
+	link(&e.suspended, m)
+	e.counters.Suspensions++
+}
+
+// unsuspend drops the mark m of a suspended process about to run again.
+func (e *Env) unsuspend(m *runner) {
+	unlink(&e.suspended, m)
+	m.p.r = nil
+	m.p, m.next, e.marks = nil, e.marks, m
 }
 
 // Go starts a new process running fn. The process begins executing at the
@@ -598,14 +699,17 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // runProc transfers control to p until p yields again, first binding a
-// runner if p holds none (it has not started, or it rested). If the
-// process died with a real panic, the captured *ProcPanic is re-raised
-// here — in scheduler context — so it propagates out of Run.
+// runner if p holds none (it has not started, it rested, or it suspended).
+// If the process died with a real panic, the captured *ProcPanic is
+// re-raised here — in scheduler context — so it propagates out of Run.
 func (e *Env) runProc(p *Proc) {
 	r := p.r
-	if r == nil {
+	if r == nil || r.resume == nil {
 		if p.fn == nil {
-			return // the wake of a process that panicked after Rest
+			return // the wake of a process that panicked after Rest or Suspend
+		}
+		if r != nil {
+			e.unsuspend(r)
 		}
 		if r = e.idleRunner(); r == nil {
 			// The coroutine body and its recover are closures of runProc,
@@ -629,12 +733,15 @@ func (e *Env) runProc(p *Proc) {
 						p.fn(p)
 						return nil
 					}()
-					rested := nr.rest && pp == nil
-					nr.rest = false
+					end := nr.end
+					nr.end = running
 					e.unbind(nr)
-					if !rested {
+					switch {
+					case pp != nil || end == running:
 						e.finish(p)
-					}
+					case end == suspended:
+						e.suspend(p)
+					} // a rested process waits for its scheduled wake
 					nr.next, e.idle = e.idle, nr
 					if pp != nil {
 						// runProc re-raises it in Run's calling context,
@@ -648,11 +755,7 @@ func (e *Env) runProc(p *Proc) {
 			})
 			r = nr
 		}
-		r.p, p.r, r.next = p, r, e.busy
-		if e.busy != nil {
-			e.busy.prev = r
-		}
-		e.busy = r
+		e.bind(r, p)
 	}
 	r.resume()
 	if f := e.failure; f != nil {
@@ -679,11 +782,11 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 // Name returns the diagnostic name given to Go.
 func (p *Proc) Name() string { return p.name }
 
-// Sleep suspends the process for d of simulated time. Negative d panics, as
-// does a Sleep after Rest in the same run.
+// Sleep blocks the process for d of simulated time. Negative d panics, as
+// does a Sleep after Rest or Suspend in the same run.
 func (p *Proc) Sleep(d time.Duration) {
-	if p.r.rest {
-		panic("des: Sleep after Rest in the same run")
+	if p.r.end != running {
+		p.misuse("Sleep")
 	}
 	p.env.schedProc(p.env.now+d, p)
 	p.yield()
@@ -694,34 +797,64 @@ func (p *Proc) Sleep(d time.Duration) {
 // stays live but gives its coroutine back. At the wake, fn runs again from
 // the top, so whatever the process must remember between runs lives
 // outside fn's stack. fn must return after Rest without calling Sleep,
-// Park or Rest again; those panic. Negative d panics.
+// Park, Rest or Suspend again; those panic. Negative d panics.
 //
 // A process that spends most of its life waiting — a closed-loop user
 // thinking between requests — rests instead of sleeping, so only
 // processes inside a run hold a coroutine and its stack.
 func (p *Proc) Rest(d time.Duration) {
-	if p.r.rest {
-		panic("des: Rest twice in the same run")
+	if p.r.end != running {
+		p.misuse("Rest")
 	}
 	p.env.schedProc(p.env.now+d, p)
-	p.r.rest = true
+	p.r.end = rested
 }
 
-// Park suspends the process until another component calls Unpark on it.
+// Suspend ends the process's current run without ending the process and
+// without scheduling a wake: the process waits, holding no coroutine, until
+// another component calls Unpark on it, and then fn runs again from the
+// top. Suspend is Park for a process with nothing on its stack worth
+// keeping — a request queued for a worker it has not yet got: it records
+// its place in the wait queue outside fn, suspends, and returns from fn;
+// at the grant, its next run resumes from that record. fn must return
+// after Suspend without calling Sleep, Park, Rest or Suspend again; those
+// panic.
+//
+// The Unpark schedules the same wake it would for a parked process, so
+// replacing a Park by a Suspend leaves every event's (at, seq) unchanged.
+func (p *Proc) Suspend() {
+	if p.r.end != running {
+		p.misuse("Suspend")
+	}
+	p.r.end = suspended
+}
+
+// misuse panics for a blocking or run-ending call made after Rest or
+// Suspend already ended the run.
+func (p *Proc) misuse(call string) {
+	end := p.r.end.String()
+	if end == call {
+		panic("des: " + call + " twice in the same run")
+	}
+	panic("des: " + call + " after " + end + " in the same run")
+}
+
+// Park blocks the process until another component calls Unpark on it.
 // Typical use: append p to a wait queue, then Park; the component that
-// grants the resource calls Unpark. Park after Rest in the same run panics.
+// grants the resource calls Unpark. Park after Rest or Suspend in the same
+// run panics.
 func (p *Proc) Park() {
-	if p.r.rest {
-		panic("des: Park after Rest in the same run")
+	if p.r.end != running {
+		p.misuse("Park")
 	}
 	p.yield()
 }
 
 // Unpark schedules p to resume at the current simulated time. It must be
 // called from scheduler context (another process or an event callback), and
-// p must be parked — or guaranteed to park before any further simulated
-// event fires — when the wakeup is delivered. A resting process is not
-// parked: its wake is already scheduled.
+// p must be parked or suspended — or guaranteed to park or suspend before
+// any further simulated event fires — when the wakeup is delivered. A
+// resting process is neither: its wake is already scheduled.
 func (p *Proc) Unpark() {
 	e := p.env
 	e.schedProc(e.now, p)

@@ -1,0 +1,189 @@
+package des
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+)
+
+// A suspended process's Unpark schedules exactly the wake a parked one's
+// does: the same (at, seq) against bystanders scheduled just before and
+// just after the Unpark at the same instant, and the same event count.
+func TestSuspendWakesLikePark(t *testing.T) {
+	trace := func(suspend bool) string {
+		env := NewEnv()
+		defer env.Shutdown()
+		var log []string
+		note := func(what string) { log = append(log, what+"@"+env.Now().String()) }
+		runs := 0
+		waiter := env.Go("waiter", func(p *Proc) {
+			if suspend {
+				if runs < 3 {
+					runs++
+					note("waiter")
+					p.Suspend()
+				}
+				return
+			}
+			for i := 0; i < 3; i++ {
+				note("waiter")
+				p.Park()
+			}
+		})
+		for i := 1; i <= 3; i++ {
+			env.At(time.Duration(i)*time.Second, func() {
+				env.At(env.Now(), func() { note("before") })
+				waiter.Unpark()
+				env.At(env.Now(), func() { note("after") })
+			})
+		}
+		n := env.Run(10 * time.Second)
+		return fmt.Sprintf("%v events=%d", log, n)
+	}
+	parked, suspended := trace(false), trace(true)
+	if parked != suspended {
+		t.Errorf("suspending process\n  %s\nparking process\n  %s", suspended, parked)
+	}
+}
+
+// Shutdown ends a suspended process — it has no wake to be found by — and
+// runs its cleanups once, also when an Unpark already scheduled its wake.
+func TestShutdownEndsSuspended(t *testing.T) {
+	env := NewEnv()
+	cleaned := map[string]int{}
+	var procs []*Proc
+	for _, name := range []string{"forgotten", "unparked"} {
+		runs := 0
+		procs = append(procs, env.Go(name, func(p *Proc) {
+			if runs == 0 {
+				p.Defer(func() { cleaned[name]++ })
+			}
+			runs++
+			p.Suspend()
+		}))
+	}
+	env.Run(time.Second)
+	if env.Live() != 2 || env.Pending() != 0 {
+		t.Fatalf("Live() = %d, Pending() = %d; want 2 suspended processes and no events", env.Live(), env.Pending())
+	}
+	procs[1].Unpark()
+	env.Shutdown()
+	if env.Live() != 0 {
+		t.Errorf("Live() = %d after Shutdown, want 0", env.Live())
+	}
+	if cleaned["forgotten"] != 1 || cleaned["unparked"] != 1 {
+		t.Errorf("cleanups ran %v, want once each", cleaned)
+	}
+}
+
+// After Suspend a run must return: blocking again, resting or suspending
+// again panics, as does Suspend after Rest. The process is then finished,
+// and its Unpark does not run it again.
+func TestBlockingAfterSuspendPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		first func(p *Proc)
+		then  func(p *Proc)
+		want  string
+	}{
+		{"Sleep", (*Proc).Suspend, func(p *Proc) { p.Sleep(time.Second) }, "Sleep after Suspend"},
+		{"Park", (*Proc).Suspend, (*Proc).Park, "Park after Suspend"},
+		{"Rest", (*Proc).Suspend, func(p *Proc) { p.Rest(time.Second) }, "Rest after Suspend"},
+		{"Suspend", (*Proc).Suspend, (*Proc).Suspend, "Suspend twice"},
+		{"SuspendAfterRest", func(p *Proc) { p.Rest(time.Second) }, (*Proc).Suspend, "Suspend after Rest"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := NewEnv()
+			defer env.Shutdown()
+			runs := 0
+			bad := env.Go("bad", func(p *Proc) {
+				runs++
+				tc.first(p)
+				tc.then(p)
+			})
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				env.Run(time.Hour)
+			}()
+			pp, ok := got.(*ProcPanic)
+			if !ok {
+				t.Fatalf("Run recovered %T (%v), want *ProcPanic", got, got)
+			}
+			if s, _ := pp.Value.(string); !strings.Contains(s, tc.want) {
+				t.Errorf("panic value %v, want it to mention %q", pp.Value, tc.want)
+			}
+			bad.Unpark()
+			if n := env.Run(2 * time.Hour); n > 2 || runs != 1 || env.Live() != 0 {
+				t.Errorf("after the panic: %d more events, %d runs, Live() = %d; want at most 2, 1, 0", n, runs, env.Live())
+			}
+		})
+	}
+}
+
+// A panic in the run an Unpark woke after Suspend surfaces from Run as a
+// *ProcPanic naming the process, and its cleanups run once.
+func TestPanicAfterSuspendWake(t *testing.T) {
+	env := NewEnv()
+	cleaned := 0
+	runs := 0
+	p := env.Go("suspended", func(p *Proc) {
+		runs++
+		if runs == 1 {
+			p.Defer(func() { cleaned++ })
+			p.Suspend()
+			return
+		}
+		p.Sleep(time.Millisecond)
+		panic("kaboom")
+	})
+	env.At(time.Second, p.Unpark)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		env.Run(time.Hour)
+	}()
+	pp, ok := got.(*ProcPanic)
+	if !ok {
+		t.Fatalf("Run recovered %T (%v), want *ProcPanic", got, got)
+	}
+	if pp.Proc != "suspended" || pp.Value != "kaboom" {
+		t.Errorf("ProcPanic{Proc: %q, Value: %v}, want suspended/kaboom", pp.Proc, pp.Value)
+	}
+	if cleaned != 1 || env.Live() != 0 {
+		t.Errorf("after the panic: %d cleanups, Live() = %d; want 1 and 0", cleaned, env.Live())
+	}
+	env.Shutdown()
+	if cleaned != 1 {
+		t.Errorf("%d cleanups after Shutdown, want 1", cleaned)
+	}
+}
+
+// Counters count every runner bind and suspension, and the peak number of
+// runners bound at once: three processes that each sleep, suspend, and
+// finish after their Unpark bind twice each and hold at most three
+// runners, all while sleeping together.
+func TestCounters(t *testing.T) {
+	env := NewEnv()
+	defer env.Shutdown()
+	for i := 0; i < 3; i++ {
+		runs := 0
+		p := env.Go("proc", func(p *Proc) {
+			runs++
+			if runs == 1 {
+				p.Sleep(time.Millisecond)
+				p.Suspend()
+			}
+		})
+		env.At(time.Second+time.Duration(i)*time.Millisecond, p.Unpark)
+	}
+	env.Run(time.Hour)
+	want := Counters{Binds: 6, Suspensions: 3, PeakBound: 3}
+	if got := env.Counters(); got != want {
+		t.Errorf("Counters() = %+v, want %+v", got, want)
+	}
+	if env.Live() != 0 {
+		t.Errorf("Live() = %d, want 0", env.Live())
+	}
+}

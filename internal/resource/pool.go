@@ -17,9 +17,11 @@ import (
 // every acquisition would otherwise allocate — and each record owns a
 // des.Timer whose callback is built once and survives reuse.
 type waiter struct {
-	proc    *des.Proc
+	proc  *des.Proc
+	since time.Duration // when the process queued
+	timer *des.Timer
+	// granted is decided before the process resumes.
 	granted bool
-	timer   *des.Timer
 }
 
 // Pool is a counted resource with FIFO blocking acquisition, modeling a
@@ -36,6 +38,10 @@ type waiter struct {
 // AcquireTimeout bounds the queueing delay (the per-hop acquire timeout of
 // the resilience layer), and Leak/Restore model connection-leak faults that
 // bleed units out of the pool without going through a holder.
+//
+// A waiter either parks inside Acquire/AcquireTimeout, keeping its stack,
+// or — through AcquireOrSuspend and Resolve — waits suspended, holding no
+// coroutine; both go through the same queue, timeout and bookkeeping.
 type Pool struct {
 	env      *des.Env
 	name     string
@@ -48,6 +54,9 @@ type Pool struct {
 	waiters []*waiter
 	wHead   int
 	freeW   []*waiter
+	// woken holds the records of resolved waits whose processes have not
+	// yet run again to Resolve them.
+	woken []*waiter
 
 	// leaked units are counted in inUse but held by no process (a leak
 	// fault); leakPending leaks wait for the next release to swallow.
@@ -172,14 +181,23 @@ func (pl *Pool) popWaiter() *waiter {
 	}
 	w.timer.Stop()
 	w.granted = true
-	w.proc.Unpark()
+	pl.wake(w)
 	return w
 }
 
-// enqueue parks the caller at the tail, arming a timeout if d > 0.
-func (pl *Pool) enqueue(p *des.Proc, d time.Duration) *waiter {
+// wake resumes the process of a waiter whose acquisition just resolved.
+func (pl *Pool) wake(w *waiter) {
+	pl.woken = append(pl.woken, w)
+	w.proc.Unpark()
+}
+
+// enqueue queues the caller at the tail, arming a timeout if d > 0. The
+// caller then parks or suspends until wake, and resolves the wait with
+// Resolve.
+func (pl *Pool) enqueue(p *des.Proc, d time.Duration) {
 	pl.account()
 	w := pl.getWaiter(p)
+	w.since = pl.env.Now()
 	pl.waiters = append(pl.waiters, w)
 	if q := pl.Queued(); q > pl.maxQueue {
 		pl.maxQueue = q
@@ -187,7 +205,6 @@ func (pl *Pool) enqueue(p *des.Proc, d time.Duration) *waiter {
 	if d > 0 {
 		w.timer.Arm(d)
 	}
-	return w
 }
 
 // expire handles a timeout firing: if the waiter is still queued it is
@@ -199,53 +216,72 @@ func (pl *Pool) expire(w *waiter) {
 	}
 	pl.account()
 	if pl.removeWaiter(w) {
-		w.proc.Unpark()
+		pl.wake(w)
 	}
 }
 
 // Acquire obtains one unit, blocking the calling process in FIFO order until
 // one is available. It returns the time spent waiting.
 func (pl *Pool) Acquire(p *des.Proc) time.Duration {
-	if pl.TryAcquire() {
-		return 0
-	}
-	start := pl.env.Now()
-	wt := pl.enqueue(p, 0)
-	p.Park()
-	// The releaser transferred ownership of a unit to us before Unpark;
-	// inUse has already been kept at its level on our behalf.
-	pl.putWaiter(wt)
-	w := pl.env.Now() - start
-	pl.waited++
-	pl.totalWait += w
-	pl.grants++
-	return w
+	_, wait := pl.AcquireTimeout(p, 0)
+	return wait
 }
 
 // AcquireTimeout obtains one unit like Acquire, but gives up after waiting
 // `timeout`. It reports whether a unit was obtained and the time spent
 // waiting. A non-positive timeout blocks indefinitely.
 func (pl *Pool) AcquireTimeout(p *des.Proc, timeout time.Duration) (bool, time.Duration) {
-	if timeout <= 0 {
-		return true, pl.Acquire(p)
-	}
 	if pl.TryAcquire() {
 		return true, 0
 	}
-	start := pl.env.Now()
-	wt := pl.enqueue(p, timeout)
+	pl.enqueue(p, timeout)
 	p.Park()
-	granted := wt.granted
-	pl.putWaiter(wt)
-	w := pl.env.Now() - start
-	if !granted {
-		pl.timeouts++
-		return false, w
+	return pl.Resolve(p)
+}
+
+// AcquireOrSuspend is the non-blocking AcquireTimeout, for a caller with
+// nothing on its stack worth keeping while it waits: it either takes a
+// unit now and returns true, or queues p in FIFO order (giving up after
+// timeout, if positive), suspends it (des.Proc.Suspend) and returns
+// false. The caller must then end its run; at the grant or the timeout
+// its process runs again and calls Resolve. The queue, timeout and
+// statistics are those of AcquireTimeout, event for event.
+func (pl *Pool) AcquireOrSuspend(p *des.Proc, timeout time.Duration) bool {
+	if pl.TryAcquire() {
+		return true
 	}
-	pl.waited++
-	pl.totalWait += w
-	pl.grants++
-	return true, w
+	pl.enqueue(p, timeout)
+	p.Suspend()
+	return false
+}
+
+// Resolve completes the acquisition p began with AcquireOrSuspend, on the
+// run its grant or timeout woke. Like AcquireTimeout it reports whether a
+// unit was obtained and the time spent waiting; p queued at Now() minus
+// that wait. It reads the outcome from p's waiter record, recycles the
+// record, and books the wait: a grant (the releaser already transferred
+// the unit, so inUse stays at its level on p's behalf) or a timeout.
+// Resolve panics if p has no resolved acquisition here.
+func (pl *Pool) Resolve(p *des.Proc) (bool, time.Duration) {
+	for i, w := range pl.woken {
+		if w.proc != p {
+			continue
+		}
+		last := len(pl.woken) - 1
+		pl.woken[i], pl.woken[last] = pl.woken[last], nil
+		pl.woken = pl.woken[:last]
+		granted, wait := w.granted, pl.env.Now()-w.since
+		pl.putWaiter(w)
+		if !granted {
+			pl.timeouts++
+			return false, wait
+		}
+		pl.waited++
+		pl.totalWait += wait
+		pl.grants++
+		return true, wait
+	}
+	panic(fmt.Sprintf("resource: pool %q: Resolve by process %q with no resolved acquisition", pl.name, p.Name()))
 }
 
 // TryAcquire obtains a unit without blocking, returning false if none is
@@ -503,8 +539,8 @@ func (pl *Pool) AuditQuiescent() error {
 	if pl.leaked != 0 || pl.leakPending != 0 {
 		return fmt.Errorf("resource: pool %q still leaking after reverts (leaked=%d pending=%d)", pl.name, pl.leaked, pl.leakPending)
 	}
-	if pl.inUse != 0 || pl.Queued() != 0 {
-		return fmt.Errorf("resource: pool %q not quiescent (inUse=%d queued=%d)", pl.name, pl.inUse, pl.Queued())
+	if pl.inUse != 0 || pl.Queued() != 0 || len(pl.woken) != 0 {
+		return fmt.Errorf("resource: pool %q not quiescent (inUse=%d queued=%d woken=%d)", pl.name, pl.inUse, pl.Queued(), len(pl.woken))
 	}
 	return nil
 }

@@ -10,12 +10,30 @@ import (
 	"github.com/softres/ntier/internal/trace"
 )
 
-// Target is the system under test as seen by an emulated browser: Do blocks
-// until the complete response (including static follow-ups) is received. A
-// non-nil error means the browser got an error or degraded response instead
-// of the page (crash faults, shed requests, timeouts).
+// Target is the system under test as seen by an emulated browser. Do
+// serves one interaction for the calling process and reports whether it
+// is done: the complete response (including static follow-ups) received.
+// A non-nil error then means the browser got an error or degraded
+// response instead of the page (crash faults, shed requests, timeouts).
+//
+// Do is re-entrant. A request that must queue at its front door for a
+// worker has nothing on its stack worth keeping, so it waits without a
+// coroutine: Do records the wait in c, suspends the process
+// (des.Proc.Suspend) and returns false. The caller must then end its run
+// without blocking; on the process's next run — the grant, or the wait's
+// timeout — it calls Do again with the same it and c, until Do returns
+// true. A new request starts from the zero Call.
 type Target interface {
-	Do(p *des.Proc, it *Interaction) error
+	Do(p *des.Proc, it *Interaction, c *Call) (done bool, err error)
+}
+
+// Call is what a Target keeps about one request between the runs of its
+// process. The zero Call is a request not yet sent.
+type Call struct {
+	// Queued is set while the request waits at its front door.
+	Queued bool
+	// Server is the target's index of the server the request queued at.
+	Server uint16
 }
 
 // Collector receives one record per finished request; err is non-nil when
@@ -176,7 +194,8 @@ func (w *Workload) AuditQuiescent() error {
 // when the simulation stops; the experiment layer gates measurement windows.
 //
 // A session rests (des.Proc.Rest) through its ramp offset and every think
-// time, so it holds a coroutine only while a request is in flight.
+// time, and its request suspends while queued at the front door (see
+// Target), so it holds a coroutine only while a request is in service.
 func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect Collector) (*Workload, error) {
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("rubbos: %d users", cfg.Users)
@@ -201,7 +220,7 @@ func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect 
 		// labels changes every trial outcome) and so must stay "user-<u>".
 		// Formatting into buf costs one allocation, the label itself.
 		label := string(strconv.AppendInt(append(buf[:0], "user-"...), int64(u), 10))
-		s := &session{w: w, r: rng.Stream(cfg.Seed, label), state: StoriesOfTheDay}
+		s := &session{w: w, r: rng.Stream(cfg.Seed, label), state: uint8(StoriesOfTheDay)}
 		if cfg.RampUp > 0 {
 			s.think = time.Duration(uint64(cfg.RampUp) * uint64(u) / uint64(cfg.Users))
 		}
@@ -211,22 +230,32 @@ func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect 
 }
 
 // session is one emulated user's state between the runs of its process,
-// kept in one allocation. Each run does one step of the closed loop and
-// ends with a Rest, so no coroutine stack is held through think times.
+// kept in one 64-byte allocation. Each run does one step of the closed
+// loop and ends with a Rest, or with a suspension while its request is
+// queued at the front door, so no coroutine stack is held through think
+// times or front-door waits.
 type session struct {
-	w     *Workload
-	r     rng.Rand
-	state int           // the interaction the user issues next
-	think time.Duration // mean of the next think time; until the first run, the ramp offset
-	phase sessionPhase
+	w      *Workload
+	r      rng.Rand
+	think  time.Duration // mean of the next think time; until the first run, the ramp offset
+	issued time.Duration // when the request in flight was issued
+	state  uint8         // the interaction the user issues next
+	phase  sessionPhase
+	// call is the request's front-door state; while call.Queued the
+	// session is in its queued phase, and its next run resumes the
+	// request.
+	call Call
 }
+
+// Every interaction index fits session.state.
+const _ uint8 = NumInteractions - 1
 
 type sessionPhase uint8
 
 const (
 	ramping  sessionPhase = iota // first run: rest through the ramp offset
 	arriving                     // second run: rest through the first think
-	browsing                     // every later run: one request, then a think
+	browsing                     // every later run: one request (over as many runs as it queues), then a think
 )
 
 func (s *session) run(p *des.Proc) {
@@ -240,34 +269,43 @@ func (s *session) run(p *des.Proc) {
 	case arriving:
 		s.phase = browsing
 	case browsing:
-		if w.stopped {
+		if !s.call.Queued && w.stopped {
 			return
 		}
-		s.request(p)
+		if !s.request(p) {
+			return // queued: suspended until the grant
+		}
 	}
 	p.Rest(time.Duration(s.r.Exp(float64(s.think))))
 }
 
-// request issues the current interaction, records its outcome, and picks
-// the next interaction and think-time mean.
-func (s *session) request(p *des.Proc) {
+// request issues the current interaction, or resumes it after a queued
+// wait. It reports false while the request waits at the front door, with
+// the process suspended; once done it records the outcome and picks the
+// next interaction and think-time mean.
+func (s *session) request(p *des.Proc) bool {
 	w := s.w
 	cfg := &w.cfg
-	s.think = cfg.ThinkMean
 	it := &w.table.Items[s.state]
-	issued := p.Now()
-	w.issued++
-	var tr *trace.Trace
-	if cfg.Tracer != nil {
-		if tr = cfg.Tracer.Sample(it.Name, issued); tr != nil {
-			p.SetData(tr)
+	if !s.call.Queued {
+		s.issued = p.Now()
+		w.issued++
+		if cfg.Tracer != nil {
+			if tr := cfg.Tracer.Sample(it.Name, s.issued); tr != nil {
+				p.SetData(tr)
+			}
 		}
 	}
-	err := w.target.Do(p, it)
-	if tr != nil {
+	done, err := w.target.Do(p, it, &s.call)
+	if !done {
+		return false
+	}
+	if tr, _ := p.Data().(*trace.Trace); tr != nil {
 		cfg.Tracer.Finish(tr, p.Now())
 		p.SetData(nil)
 	}
+	s.think = cfg.ThinkMean
+	issued := s.issued
 	rt := p.Now() - issued
 	if err != nil {
 		// Error page: the user stays on the same state and reloads after a
@@ -276,7 +314,7 @@ func (s *session) request(p *des.Proc) {
 		if w.collect != nil {
 			w.collect(it, issued, rt, err)
 		}
-		return
+		return true
 	}
 	w.completed++
 	if w.collect != nil {
@@ -286,9 +324,10 @@ func (s *session) request(p *des.Proc) {
 		// Frustrated user: abandon the navigation, return to the home page
 		// after a long pause.
 		w.abandoned++
-		s.state = StoriesOfTheDay
+		s.state = uint8(StoriesOfTheDay)
 		s.think = cfg.AbandonThink
-		return
+		return true
 	}
-	s.state = cfg.Matrix.Next(&s.r, s.state)
+	s.state = uint8(cfg.Matrix.Next(&s.r, int(s.state)))
+	return true
 }

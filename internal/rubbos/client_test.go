@@ -33,7 +33,7 @@ func TestStartAllocationsPerUser(t *testing.T) {
 // fails every fifth, so sessions take the error and abandon paths too.
 type flakyTarget struct{ n int }
 
-func (f *flakyTarget) Do(p *des.Proc, it *Interaction) error {
+func (f *flakyTarget) Do(p *des.Proc, it *Interaction, _ *Call) (bool, error) {
 	f.n++
 	d := 20 * time.Millisecond
 	if f.n%3 == 0 {
@@ -41,9 +41,9 @@ func (f *flakyTarget) Do(p *des.Proc, it *Interaction) error {
 	}
 	p.Sleep(d)
 	if f.n%5 == 0 {
-		return errors.New("flaky: error page")
+		return true, errors.New("flaky: error page")
 	}
-	return nil
+	return true, nil
 }
 
 // sleepingStart is the closed loop written with Sleep, one coroutine per
@@ -63,7 +63,7 @@ func sleepingStart(env *des.Env, cfg ClientConfig, table *Table, target Target, 
 				think = cfg.ThinkMean
 				it := &table.Items[state]
 				issued := p.Now()
-				err := target.Do(p, it)
+				_, err := target.Do(p, it, &Call{})
 				rt := p.Now() - issued
 				collect(it, issued, rt, err)
 				if err != nil {

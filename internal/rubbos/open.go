@@ -52,9 +52,10 @@ type OpenConfig struct {
 // StartOpen launches an open-system workload against target: a single
 // generator process draws inter-arrival gaps from cfg.Arrivals and spawns
 // one request process per arrival. Each request carries a trace.Ctx with
-// its deadline and interaction class down the tier chain. Failures are
-// split by kind: rejections that implement `Shed() bool` (admission
-// control, deadline fail-fast) count as shed, everything else as failed.
+// its deadline and interaction class down the tier chain, and suspends
+// while queued at the front door (see Target). Failures are split by
+// kind: rejections that implement `Shed() bool` (admission control,
+// deadline fail-fast) count as shed, everything else as failed.
 func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collect Collector) (*Workload, error) {
 	if cfg.Arrivals == nil {
 		return nil, fmt.Errorf("rubbos: open workload without an arrival spec")
@@ -81,6 +82,7 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 		cfg:   ClientConfig{Users: equiv, ClientNodes: cfg.ClientNodes, Seed: cfg.Seed},
 		table: table,
 	}
+	g := &openGen{w: w, target: target, tracer: cfg.Tracer, collect: collect}
 	src := cfg.Arrivals.NewSource(rng.NewStream(cfg.Seed, "arrivals"))
 	nav := rng.NewStream(cfg.Seed, "nav")
 	// The arrival pump is a re-armed timer, not a generator process: a
@@ -100,35 +102,14 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 		state = cfg.Matrix.Next(nav, state)
 		issued := env.Now()
 		w.issued++
-		ctx := &trace.Ctx{Write: it.Write}
+		req := &openReq{Ctx: trace.Ctx{Write: it.Write}, gen: g, it: it, issued: issued}
 		if cfg.Deadline > 0 {
-			ctx.Deadline = issued + cfg.Deadline
+			req.Deadline = issued + cfg.Deadline
 		}
 		if cfg.Tracer != nil {
-			ctx.Trace = cfg.Tracer.Sample(it.Name, issued)
+			req.Trace = cfg.Tracer.Sample(it.Name, issued)
 		}
-		env.Go("req", func(rp *des.Proc) {
-			rp.SetData(ctx)
-			err := target.Do(rp, it)
-			if ctx.Trace != nil {
-				cfg.Tracer.Finish(ctx.Trace, rp.Now())
-			}
-			rt := rp.Now() - issued
-			switch {
-			case err == nil:
-				w.completed++
-				if ctx.Deadline > 0 && rp.Now() > ctx.Deadline {
-					w.late++
-				}
-			case isShed(err):
-				w.shed++
-			default:
-				w.failed++
-			}
-			if collect != nil {
-				collect(it, issued, rt, err)
-			}
-		})
+		env.Go("req", req.run)
 		if idx == len(gaps) {
 			trace.FillGaps(src, gaps)
 			idx = 0
@@ -146,6 +127,55 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 		pump.ArmAt(first)
 	}
 	return w, nil
+}
+
+// openGen is what every request of one open workload shares.
+type openGen struct {
+	w       *Workload
+	target  Target
+	tracer  *trace.Tracer
+	collect Collector
+}
+
+// openReq is one open-system request between the runs of its process, in
+// one allocation: its context, carried down the tier chain as the
+// process's data, and its front-door state. Its first run sends it; while
+// call.Queued it is in its queued phase, and its next run resumes it.
+type openReq struct {
+	trace.Ctx
+	gen    *openGen
+	it     *Interaction
+	issued time.Duration
+	call   Call
+}
+
+func (r *openReq) run(p *des.Proc) {
+	if !r.call.Queued {
+		p.SetData(&r.Ctx)
+	}
+	g := r.gen
+	done, err := g.target.Do(p, r.it, &r.call)
+	if !done {
+		return // queued: suspended until the grant
+	}
+	if r.Trace != nil {
+		g.tracer.Finish(r.Trace, p.Now())
+	}
+	w := g.w
+	switch {
+	case err == nil:
+		w.completed++
+		if r.Deadline > 0 && p.Now() > r.Deadline {
+			w.late++
+		}
+	case isShed(err):
+		w.shed++
+	default:
+		w.failed++
+	}
+	if g.collect != nil {
+		g.collect(r.it, r.issued, p.Now()-r.issued, err)
+	}
 }
 
 // arrivalBatch is how many inter-arrival gaps the pump pre-draws per refill.

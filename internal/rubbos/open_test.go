@@ -18,7 +18,7 @@ type stubTarget struct {
 	deadlines []time.Duration
 }
 
-func (s *stubTarget) Do(p *des.Proc, it *Interaction) error {
+func (s *stubTarget) Do(p *des.Proc, it *Interaction, _ *Call) (bool, error) {
 	s.served++
 	if c, ok := p.Data().(*trace.Ctx); ok && c != nil {
 		s.deadlines = append(s.deadlines, c.Deadline)
@@ -28,7 +28,7 @@ func (s *stubTarget) Do(p *des.Proc, it *Interaction) error {
 	if s.delay > 0 {
 		p.Sleep(s.delay)
 	}
-	return s.err
+	return true, s.err
 }
 
 // shedErr satisfies the structural Shed() contract the tier package's

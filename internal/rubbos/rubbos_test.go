@@ -141,10 +141,10 @@ type fakeTarget struct {
 	calls int
 }
 
-func (f *fakeTarget) Do(p *des.Proc, it *Interaction) error {
+func (f *fakeTarget) Do(p *des.Proc, it *Interaction, _ *Call) (bool, error) {
 	f.calls++
 	p.Sleep(f.delay)
-	return nil
+	return true, nil
 }
 
 func TestClosedLoopThroughputFollowsLittlesLaw(t *testing.T) {

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
@@ -103,6 +104,9 @@ func Build(opts Options) (*Testbed, error) {
 	}
 	if err := opts.Soft.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Hardware.Web > math.MaxUint16+1 {
+		return nil, fmt.Errorf("testbed: %d web servers, at most %d", opts.Hardware.Web, math.MaxUint16+1)
 	}
 	if opts.NodeSpec.Cores == 0 {
 		opts.NodeSpec = hw.PC3000()
@@ -260,11 +264,15 @@ func (tb *Testbed) SoftUnits() int {
 	return units
 }
 
-// Do implements rubbos.Target, balancing sessions across web servers.
-func (tb *Testbed) Do(p *des.Proc, it *rubbos.Interaction) error {
-	a := tb.Apaches[tb.rr%len(tb.Apaches)]
-	tb.rr++
-	return a.Do(p, it)
+// Do implements rubbos.Target, balancing requests across web servers
+// round-robin. A request queued for a worker resumes at the server it
+// queued at (c.Server), without taking another turn.
+func (tb *Testbed) Do(p *des.Proc, it *rubbos.Interaction, c *rubbos.Call) (bool, error) {
+	if !c.Queued {
+		c.Server = uint16(tb.rr % len(tb.Apaches))
+		tb.rr++
+	}
+	return tb.Apaches[c.Server].Do(p, it, c)
 }
 
 // FaultTargets exposes the deployment's fault-injection surface: every

@@ -252,3 +252,36 @@ func TestNoClientLinkByDefault(t *testing.T) {
 		t.Error("client link present without ClientLinkMbps")
 	}
 }
+
+// Past the knee a closed workload queues most of its requests for an
+// Apache worker, and a queued request holds no runner: the peak number of
+// runners bound at once stays within the worker pool plus the few
+// requests crossing the network or backing off outside it, while
+// thousands wait suspended.
+func TestQueuedRequestsHoldNoRunner(t *testing.T) {
+	const workers = 100
+	tb, err := Build(Options{Hardware: Hardware{1, 1, 1, 1}, Soft: SoftAlloc{workers, 8, 4}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	cfg := rubbos.DefaultClientConfig(20000)
+	cfg.RampUp = time.Second
+	w, err := tb.StartWorkload(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Env.Run(3 * time.Second)
+	c := tb.Env.Counters()
+	queued := tb.Apaches[0].Workers.Queued()
+	if queued < 1000 || c.Suspensions < uint64(queued) {
+		t.Fatalf("%d requests queued after %d suspensions; the trial does not saturate the front door", queued, c.Suspensions)
+	}
+	t.Logf("%d queued, %+v", queued, c)
+	if limit := workers + 32; c.PeakBound > limit {
+		t.Errorf("peak %d runners bound with %d workers, want at most %d (%d requests in flight)", c.PeakBound, workers, limit, w.InFlight())
+	}
+	if c.Binds < w.Issued()+c.Suspensions {
+		t.Errorf("%d binds, want at least one per request issued (%d) and per queued wait (%d)", c.Binds, w.Issued(), c.Suspensions)
+	}
+}

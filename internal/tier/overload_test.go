@@ -30,7 +30,7 @@ func TestDeadlineFailFastEveryTier(t *testing.T) {
 	var errs []error
 	env.Go("req", func(p *des.Proc) {
 		expired(p)
-		errs = append(errs, a.Do(p, testInteraction()))
+		errs = append(errs, mustDo(p, a, testInteraction()))
 		errs = append(errs, tc.Serve(p, testInteraction()))
 		errs = append(errs, c.Checkout(p))
 		errs = append(errs, backends[0].Query(p, testInteraction()))
@@ -68,13 +68,13 @@ func TestDeadlineEstimatorShedsBeforeQueueing(t *testing.T) {
 	a, _ := newApache(env, 10, netsim.FinConfig{})
 	var warmErr, tightErr error
 	env.Go("req", func(p *des.Proc) {
-		warmErr = a.Do(p, testInteraction()) // no deadline: always admitted
+		warmErr = mustDo(p, a, testInteraction()) // no deadline: always admitted
 		est := a.est.get()
 		if est <= 0 {
 			t.Error("estimator not warmed by a served request")
 		}
 		p.SetData(&trace.Ctx{Deadline: p.Now() + est/2})
-		tightErr = a.Do(p, testInteraction())
+		tightErr = mustDo(p, a, testInteraction())
 	})
 	env.Run(time.Minute)
 	if warmErr != nil {
@@ -92,7 +92,7 @@ func TestDeadlineGenerousBudgetServes(t *testing.T) {
 	var err error
 	env.Go("req", func(p *des.Proc) {
 		p.SetData(&trace.Ctx{Deadline: p.Now() + time.Minute})
-		err = a.Do(p, testInteraction())
+		err = mustDo(p, a, testInteraction())
 	})
 	env.Run(time.Minute)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestDeadlineShedNeitherRetriedNorBreaking(t *testing.T) {
 	var err error
 	env.Go("req", func(p *des.Proc) {
 		p.SetData(&trace.Ctx{Deadline: p.Now() + 5*time.Millisecond})
-		err = a.Do(p, testInteraction())
+		err = mustDo(p, a, testInteraction())
 	})
 	env.Run(time.Minute)
 	if k, ok := ErrKind(err); !ok || k != FailDeadline {
@@ -269,9 +269,7 @@ func TestAdmissionShedsUnderOverloadEndToEnd(t *testing.T) {
 	a.SetResilience(&ResilienceConfig{Admission: DefaultAdmissionConfig()}, rng.New(3))
 	env.Go("load", func(p *des.Proc) {
 		for i := 0; ; i++ {
-			env.Go(fmt.Sprintf("req-%d", i), func(rp *des.Proc) {
-				a.Do(rp, testInteraction())
-			})
+			goServe(env, a, testInteraction(), nil)
 			p.Sleep(5 * time.Millisecond)
 		}
 	})

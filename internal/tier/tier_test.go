@@ -9,12 +9,109 @@ import (
 	"github.com/softres/ntier/internal/netsim"
 	"github.com/softres/ntier/internal/rng"
 	"github.com/softres/ntier/internal/rubbos"
+	"github.com/softres/ntier/internal/trace"
 )
 
 func testInteraction() *rubbos.Interaction {
 	return &rubbos.Interaction{
 		Name: "test", ApacheMS: 0.5, ServletMS: 2.0, Queries: 2,
 		CJDBCMS: 0.4, MySQLMS: 1.0, CV: 0, AllocTomcatMiB: 0.1, AllocCJDBCMiB: 0.05,
+	}
+}
+
+// mustDo serves it through a, which must have a worker free: Do would
+// otherwise queue the request and suspend p, which a caller that goes on
+// to block cannot do.
+func mustDo(p *des.Proc, a *Apache, it *rubbos.Interaction) error {
+	done, err := a.Do(p, it, &rubbos.Call{})
+	if !done {
+		panic("mustDo: request queued for a worker")
+	}
+	return err
+}
+
+// goServe starts a process that serves it through a to completion,
+// running Do again each time the request's worker wait ends, and passes
+// the outcome to done (if set).
+func goServe(env *des.Env, a *Apache, it *rubbos.Interaction, done func(p *des.Proc, err error)) {
+	var c rubbos.Call
+	env.Go("req", func(p *des.Proc) {
+		if ok, err := a.Do(p, it, &c); ok && done != nil {
+			done(p, err)
+		}
+	})
+}
+
+// Requests queued for a busy worker hold no coroutine: five requests on
+// one worker all complete, four of them after a suspended wait, and at
+// most the one in service plus one arriving hold a runner.
+func TestApacheQueuedRequestsSuspend(t *testing.T) {
+	env := des.NewEnv()
+	defer env.Shutdown()
+	a, _ := newApache(env, 1, netsim.FinConfig{})
+	var rts []time.Duration
+	for i := 0; i < 5; i++ {
+		goServe(env, a, testInteraction(), func(p *des.Proc, err error) {
+			if err != nil {
+				t.Errorf("request failed: %v", err)
+			}
+			rts = append(rts, p.Now())
+		})
+	}
+	env.Run(time.Minute)
+	if len(rts) != 5 {
+		t.Fatalf("%d requests completed, want 5", len(rts))
+	}
+	for i := 1; i < len(rts); i++ {
+		if rts[i] <= rts[i-1] {
+			t.Errorf("completions %v not in FIFO order", rts)
+		}
+	}
+	c := env.Counters()
+	if c.Suspensions != 4 {
+		t.Errorf("%d suspensions, want 4 (every request but the first queued)", c.Suspensions)
+	}
+	if c.PeakBound > 2 {
+		t.Errorf("peak %d runners bound, want at most 2", c.PeakBound)
+	}
+	if st := a.Workers.Stats(); st.Waited != 4 || st.Grants != 5 {
+		t.Errorf("worker pool waited %d / granted %d, want 4 / 5", st.Waited, st.Grants)
+	}
+}
+
+// A queued request whose worker wait runs past the acquire timeout fails
+// with FailTimeout and a worker-timeout span covering the wait.
+func TestApacheQueuedRequestTimesOut(t *testing.T) {
+	env := des.NewEnv()
+	defer env.Shutdown()
+	fin := netsim.FinConfig{BaseMean: time.Second}
+	a, _ := newApache(env, 1, fin)
+	a.SetResilience(&ResilienceConfig{AcquireTimeout: 100 * time.Millisecond}, rng.New(1))
+	var errs []error
+	var spans []trace.Span
+	for i := 0; i < 2; i++ {
+		tr := &trace.Trace{}
+		var c rubbos.Call
+		env.Go("req", func(p *des.Proc) {
+			p.SetData(tr)
+			if ok, err := a.Do(p, testInteraction(), &c); ok {
+				errs = append(errs, err)
+				spans = append(spans, tr.Spans[0])
+			}
+		})
+	}
+	env.Run(time.Minute)
+	if len(errs) != 2 || errs[1] != nil {
+		t.Fatalf("outcomes %v, want the timeout then the served request", errs)
+	}
+	if k, ok := ErrKind(errs[0]); !ok || k != FailTimeout {
+		t.Errorf("queued request got %v, want FailTimeout", errs[0])
+	}
+	if s := spans[0]; s.Phase != "worker-timeout" || s.Dur() != 100*time.Millisecond {
+		t.Errorf("timed-out request's first span %+v, want a 100ms worker-timeout", s)
+	}
+	if st := a.Resilience(); st.AcquireTimeouts != 1 || st.Failures != 1 {
+		t.Errorf("acquire timeouts %d, failures %d; want 1 and 1", st.AcquireTimeouts, st.Failures)
 	}
 }
 
@@ -275,7 +372,7 @@ func TestApacheServesEndToEnd(t *testing.T) {
 	done := 0
 	for i := 0; i < 5; i++ {
 		env.Go("req", func(p *des.Proc) {
-			a.Do(p, testInteraction())
+			mustDo(p, a, testInteraction())
 			done++
 		})
 	}
@@ -303,7 +400,7 @@ func TestApacheFinWaitParksWorker(t *testing.T) {
 	var rt time.Duration
 	env.Go("req", func(p *des.Proc) {
 		start := p.Now()
-		a.Do(p, testInteraction())
+		mustDo(p, a, testInteraction())
 		rt = p.Now() - start
 	})
 	env.Run(time.Minute)
@@ -323,7 +420,7 @@ func TestApacheConnectingCounter(t *testing.T) {
 		during = a.Connecting()
 	})
 	env.Go("req", func(p *des.Proc) {
-		a.Do(p, testInteraction())
+		mustDo(p, a, testInteraction())
 	})
 	env.Run(time.Minute)
 	if during != 1 {
@@ -341,7 +438,7 @@ func TestApacheTimeline(t *testing.T) {
 	a.EnableTimeline(0, time.Second)
 	for i := 0; i < 3; i++ {
 		env.Go("req", func(p *des.Proc) {
-			a.Do(p, testInteraction())
+			mustDo(p, a, testInteraction())
 		})
 	}
 	env.Run(time.Minute)
@@ -372,7 +469,7 @@ func TestApacheRoundRobinAcrossTomcats(t *testing.T) {
 	node := hw.NewNode(env, "apache1", hw.PC3000())
 	a := NewApache(env, node, ApacheConfig{Workers: 10}, tcs, netsim.Link{}, rng.New(6))
 	for i := 0; i < 6; i++ {
-		env.Go("req", func(p *des.Proc) { a.Do(p, testInteraction()) })
+		env.Go("req", func(p *des.Proc) { mustDo(p, a, testInteraction()) })
 	}
 	env.Run(time.Minute)
 	if tcs[0].Log().Count() != 3 || tcs[1].Log().Count() != 3 {

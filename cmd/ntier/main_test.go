@@ -143,6 +143,7 @@ func TestStateFingerprintsPinned(t *testing.T) {
 		want string
 	}{
 		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s"}, "bd0603abcecb7b75"},
+		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s", "-diagnose"}, "7f0082a9ce39ed9f"},
 		{[]string{"sweep", "-hw", "1/1/1/1", "-soft", "50-6-6,50-4-4", "-wl", "10,20", "-ramp", "1s", "-measure", "1s"}, "f0ba42238fa7d360"},
 		{[]string{"sweep", "-hw", "1/1/1/1", "-soft", "50-6-3", "-rate", "20", "-deadline", "1s", "-admission", "-ramp", "1s", "-measure", "1s"}, "7e0816dfe78e8102"},
 		{[]string{"tune", "-hw", "1/1/1/1", "-soft0", "50-6-6", "-ramp", "1s", "-measure", "1s", "-step", "10", "-smallstep", "5", "-q"}, "fdce8269dc904eb5"},

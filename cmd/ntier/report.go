@@ -31,14 +31,22 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 		obsDir  = fs.String("obs", "", "directory of obs-*.json snapshots (from a run with -obs)")
 		outDir  = fs.String("out", "", "directory for report.csv and SVG timelines (default: the -obs directory)")
 		noSVG   = fs.Bool("no-svg", false, "skip the SVG timelines")
-		hwSat   = fs.Float64("hw-saturation", 0, "hardware saturation threshold (default 0.95)")
-		softSat = fs.Float64("soft-saturation", 0, "soft-resource saturation threshold (default 0.5)")
+		hwSat   = fs.Float64("hw-saturation", obs.DefaultHWSaturation, "hardware utilization at which a resource counts as saturated, in (0, 1]")
+		softSat = fs.Float64("soft-saturation", obs.DefaultSoftSaturation, "share of time a pool must be full with waiters to count as saturated, in (0, 1]")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *obsDir == "" {
 		return cli.Fail(fs, fmt.Errorf("-obs DIR is required"))
+	}
+	for _, th := range []struct {
+		flag string
+		v    float64
+	}{{"-hw-saturation", *hwSat}, {"-soft-saturation", *softSat}} {
+		if !(th.v > 0 && th.v <= 1) {
+			return cli.Fail(fs, fmt.Errorf("%s: threshold must be in (0, 1], got %g", th.flag, th.v))
+		}
 	}
 	if *outDir == "" {
 		*outDir = *obsDir

@@ -90,5 +90,8 @@ func TestReportRejectsMalformedFlags(t *testing.T) {
 	rejectsMalformedFlags(t, "report", []flagCase{
 		{[]string{}, "-obs"},
 		{[]string{"-no-such-flag"}, "-no-such-flag"},
+		// Below 0 every resource would count as saturated, above 1 none.
+		{[]string{"-obs", "x", "-hw-saturation", "-1"}, "-hw-saturation"},
+		{[]string{"-obs", "x", "-soft-saturation", "1.5"}, "-soft-saturation"},
 	})
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/cli"
-	"github.com/softres/ntier/internal/core"
 	"github.com/softres/ntier/internal/experiment"
+	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/rubbos"
 	"github.com/softres/ntier/internal/trace"
 )
@@ -116,7 +116,7 @@ func runTrial(args []string, stdout, stderr io.Writer) int {
 	}
 	if *diag {
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, core.ClassifyBottlenecks(res.UtilSeries, core.BottleneckConfig{}).String())
+		fmt.Fprint(stdout, obs.ClassifyWindows(res.UtilSeries).String())
 	}
 	return 0
 }

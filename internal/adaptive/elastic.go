@@ -531,14 +531,7 @@ func (c *ElasticController) planUniform(targets *[numAxes]int, reasons *[numAxes
 // over-provisioned other axis donates units in the same step.
 func (c *ElasticController) planTopJob(v obs.Verdict, targets *[numAxes]int, reasons *[numAxes]string) {
 	if v.SoftLimited() {
-		// Blame the most saturated pool; ties go to the downstream-most
-		// (the cascade's root cause — the pool Algorithm 1 would grow).
-		blame := v.SaturatedSoft[0]
-		for _, q := range v.SaturatedSoft[1:] {
-			if q.Saturated >= blame.Saturated {
-				blame = q
-			}
-		}
+		blame := v.Blamed()
 		ax, ok := axisOf(blame.Name)
 		if !ok {
 			return

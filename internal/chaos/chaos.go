@@ -193,6 +193,11 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (verdict *Verdict, err error) {
 	if cfg.LeakRestoreDeficit > 0 && plan.JitterFrac != 0 {
 		return nil, fmt.Errorf("chaos: LeakRestoreDeficit requires an unjittered plan (jitter %g)", plan.JitterFrac)
 	}
+	// A context already done refuses the trial outright: the watchdog
+	// goroutine might not interrupt a short run before it finishes.
+	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+		return nil, cfg.Ctx.Err()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			verdict, err = &Verdict{Class: ClassPanic, Violations: []string{panicString(r)}}, nil

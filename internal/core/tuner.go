@@ -41,12 +41,6 @@ type Config struct {
 	// InferMinConcurrentJobs (default 400).
 	Step, SmallStep int
 
-	// HWSaturation is the CPU utilization treated as hardware saturation
-	// (default 0.95).
-	HWSaturation float64
-	// SoftSaturation is the fraction of time a pool must be full with
-	// waiters queued to count as a soft-resource bottleneck (default 0.5).
-	SoftSaturation float64
 	// SLA is the response-time bound whose satisfaction ratio drives the
 	// intervention analysis (default 2s).
 	SLA time.Duration
@@ -69,12 +63,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SmallStep <= 0 {
 		c.SmallStep = 400
-	}
-	if c.HWSaturation <= 0 {
-		c.HWSaturation = 0.95
-	}
-	if c.SoftSaturation <= 0 {
-		c.SoftSaturation = 0.5
 	}
 	if c.SLA == 0 {
 		c.SLA = 2 * time.Second
@@ -173,7 +161,7 @@ func (c *Config) runBatch(soft testbed.SoftAlloc, workloads []int) ([]*experimen
 		cfgs[i].Testbed.Soft, cfgs[i].Users = soft, wl
 	}
 	knobs := []string{fmt.Sprint(c.Step), fmt.Sprint(c.SmallStep),
-		fmt.Sprint(c.HWSaturation), fmt.Sprint(c.SoftSaturation),
+		fmt.Sprint(obs.DefaultHWSaturation), fmt.Sprint(obs.DefaultSoftSaturation),
 		fmt.Sprint(c.SLA), fmt.Sprint(c.WebBufferFactor),
 		fmt.Sprint(c.MaxDoublings), fmt.Sprint(c.MaxWorkload)}
 	return experiment.Outs(experiment.RunTrials(c.Base, "tune", knobs, cfgs))
@@ -194,10 +182,7 @@ func rampWorkloads(start, step, max, n int) []int {
 // the same detection rules `ntier report` applies — replacing the
 // tuner's former ad-hoc saturation scan.
 func (c *Config) judge(res *experiment.Result) obs.Verdict {
-	return obs.Judge(experiment.Summarize(res, c.SLA), obs.JudgeConfig{
-		HWSaturation:   c.HWSaturation,
-		SoftSaturation: c.SoftSaturation,
-	})
+	return obs.Judge(experiment.Summarize(res, c.SLA), obs.JudgeConfig{})
 }
 
 // softNames lists the saturated pools' names for logging.
@@ -282,13 +267,13 @@ ramp:
 // Diagnose runs one trial with per-window utilization monitoring and
 // classifies its bottleneck pattern — the analysis the paper defers to for
 // the multi-bottleneck cases Algorithm 1 cannot handle.
-func Diagnose(rc experiment.RunConfig) (Diagnosis, error) {
+func Diagnose(rc experiment.RunConfig) (obs.Pattern, error) {
 	rc.WindowUtil = true
 	res, err := experiment.Run(rc)
 	if err != nil {
-		return Diagnosis{}, err
+		return obs.Pattern{}, err
 	}
-	return ClassifyBottlenecks(res.UtilSeries, BottleneckConfig{}), nil
+	return obs.ClassifyWindows(res.UtilSeries), nil
 }
 
 // criticalStats returns the critical tier's per-server stats of a result.
@@ -369,7 +354,7 @@ ramp:
 				util += s.CPUUtil
 			}
 		}
-		if len(crit) > 0 && util/float64(len(crit)) >= c.HWSaturation {
+		if len(crit) > 0 && util/float64(len(crit)) >= obs.DefaultHWSaturation {
 			k = i
 			break
 		}

@@ -270,24 +270,23 @@ func runFleetRoster(cfg FleetSweepConfig, placement fleet.Placement, roster []fl
 			Errors:     errCounts[ti],
 			Shed:       c.Shed(),
 			Top:        v.MostUtilized.String(),
-			Verdict:    "-",
 		}
 		if t.Spec.Arrivals != nil {
 			tr.Users = 0
 		}
 		tr.SLOMet = tr.Attainment >= cfg.SLOTarget && tr.Errors == 0
+		// The fleet's rule: any saturated pool with no saturated hardware
+		// is a soft verdict (Steps also wants the hardware idle).
+		sv := obs.StepVerdict{Kind: obs.StepNone, Soft: v.SaturatedSoft}
 		switch {
 		case v.HardwareLimited():
 			tr.HWLimited = true
-			tr.Verdict = "hardware: " + v.SaturatedHW[0].String()
+			sv.Kind, sv.Top = obs.StepHardware, v.SaturatedHW[0]
 		case v.SoftLimited():
 			tr.SoftLimited = true
-			names := make([]string, len(v.SaturatedSoft))
-			for i, p := range v.SaturatedSoft {
-				names[i] = fmt.Sprintf("%s (sat %.0f%%)", p.Name, p.Saturated*100)
-			}
-			tr.Verdict = "soft: " + strings.Join(names, ", ")
+			sv.Kind = obs.StepSoft
 		}
+		tr.Verdict = sv.Attribution()
 		res.PerTenant = append(res.PerTenant, tr)
 		res.FleetGoodput += tr.Goodput
 

@@ -2,7 +2,10 @@
 // Algorithm 1's monitoring premise) over trial summaries. Judge classifies
 // one trial; Steps attributes every workload step of a ramped run; the
 // Detect* functions recognize the figure signatures — Fig. 2 software
-// bottleneck, Fig. 5 GC over-allocation, Fig. 6–8 buffering starvation.
+// bottleneck, Fig. 5 GC over-allocation, Fig. 6–8 buffering starvation;
+// ClassifyWindows reads per-window CPU series for the multi-bottleneck
+// patterns Algorithm 1 cannot handle. This file is the one place that
+// decides what "saturated" means.
 
 package obs
 
@@ -53,48 +56,47 @@ type TrialSummary struct {
 	Soft       []SoftResource `json:"soft"`       // tier order
 }
 
-// JudgeConfig holds the detection thresholds. Zero values take defaults.
+// JudgeConfig holds the two settable detection thresholds (`ntier report`
+// sets them from flags). Zero values take the defaults.
 type JudgeConfig struct {
 	// HWSaturation is the utilization at which a hardware resource counts
-	// as saturated (default 0.95 — the paper treats >95% CPU as the
-	// critical hardware resource, §III-A).
+	// as saturated (default DefaultHWSaturation).
 	HWSaturation float64
 	// SoftSaturation is the saturated-time fraction at which a pool counts
-	// as a software bottleneck (default 0.5: full with waiters queued for
-	// half the window).
+	// as a software bottleneck (default DefaultSoftSaturation).
 	SoftSaturation float64
-	// HWIdle is the utilization every hardware resource must stay under
-	// for the Fig. 2 "all hardware idle" signature (default 0.85).
-	HWIdle float64
-	// GCAlarm is the GC share marking over-allocation (default 0.15 —
-	// Fig. 5(c) reports 33–90% at the over-allocated settings).
-	GCAlarm float64
-	// CapSlack is the relative goodput growth under which a step counts as
-	// capped (default 0.02: less than 2% gain for a workload increase).
-	CapSlack float64
-	// UtilDrop is the absolute utilization decrease marking the Fig. 8
-	// starvation signature (default 0.10).
-	UtilDrop float64
 }
+
+// Detection thresholds. The first two are JudgeConfig's defaults; the
+// rest are fixed.
+const (
+	// DefaultHWSaturation: the paper treats >95% CPU as the critical
+	// hardware resource (§III-A).
+	DefaultHWSaturation = 0.95
+	// DefaultSoftSaturation: a pool full with waiters queued for half the
+	// window.
+	DefaultSoftSaturation = 0.5
+
+	// hwIdle is the utilization every hardware resource must stay under
+	// for the Fig. 2 "all hardware idle" signature.
+	hwIdle = 0.85
+	// gcAlarm is the GC share marking over-allocation (Fig. 5(c) reports
+	// 33–90% at the over-allocated settings).
+	gcAlarm = 0.15
+	// capSlack is the relative goodput growth under which a step counts as
+	// capped: less than 2% gain for a workload increase.
+	capSlack = 0.02
+	// utilDrop is the absolute utilization decrease marking the Fig. 8
+	// starvation signature.
+	utilDrop = 0.10
+)
 
 func (c *JudgeConfig) applyDefaults() {
 	if c.HWSaturation == 0 {
-		c.HWSaturation = 0.95
+		c.HWSaturation = DefaultHWSaturation
 	}
 	if c.SoftSaturation == 0 {
-		c.SoftSaturation = 0.5
-	}
-	if c.HWIdle == 0 {
-		c.HWIdle = 0.85
-	}
-	if c.GCAlarm == 0 {
-		c.GCAlarm = 0.15
-	}
-	if c.CapSlack == 0 {
-		c.CapSlack = 0.02
-	}
-	if c.UtilDrop == 0 {
-		c.UtilDrop = 0.10
+		c.SoftSaturation = DefaultSoftSaturation
 	}
 }
 
@@ -108,6 +110,34 @@ type Verdict struct {
 	SaturatedHW []HWResource
 	// SaturatedSoft lists pools at or above SoftSaturation, tier order.
 	SaturatedSoft []SoftResource
+}
+
+// Blamed returns the pool a software bottleneck is blamed on: the most
+// saturated pool, ties going to the downstream-most in tier order. In a
+// fully backed-up cascade the upstream pools pin full waiting on the real
+// constraint, so the downstream one is the root cause — the pool the
+// paper's Algorithm 1 would grow. It is the zero value when no pool
+// saturated.
+func (v Verdict) Blamed() SoftResource {
+	var p SoftResource
+	for i, q := range v.SaturatedSoft {
+		if i == 0 || q.Saturated >= p.Saturated {
+			p = q
+		}
+	}
+	return p
+}
+
+// OverCollected returns the most utilized saturated hardware resource
+// whose garbage-collection share is past the over-allocation alarm, if
+// any: the JVM whose pools pin too large a live set (Fig. 5).
+func (v Verdict) OverCollected() (HWResource, bool) {
+	for _, h := range v.SaturatedHW {
+		if h.GCShare >= gcAlarm {
+			return h, true
+		}
+	}
+	return HWResource{}, false
 }
 
 // HardwareLimited reports whether a hardware resource saturated.
@@ -181,7 +211,6 @@ func (s StepVerdict) Attribution() string {
 // hardware resource, and whether the step is hardware-limited or shows the
 // Fig. 2 software-bottleneck state (saturated pool, all hardware idle).
 func Steps(trials []TrialSummary, cfg JudgeConfig) []StepVerdict {
-	cfg.applyDefaults()
 	out := make([]StepVerdict, 0, len(trials))
 	for _, t := range trials {
 		v := Judge(t, cfg)
@@ -197,12 +226,125 @@ func Steps(trials []TrialSummary, cfg JudgeConfig) []StepVerdict {
 		case v.HardwareLimited():
 			sv.Kind = StepHardware
 			sv.Top = v.SaturatedHW[0]
-		case len(v.SaturatedSoft) > 0 && v.MostUtilized.Util < cfg.HWIdle:
+		case len(v.SaturatedSoft) > 0 && v.MostUtilized.Util < hwIdle:
 			sv.Kind = StepSoft
 		}
 		out = append(out, sv)
 	}
 	return out
+}
+
+// Windowed saturation patterns. The paper's Algorithm 1 assumes one
+// hardware bottleneck and defers the case where "the saturation of
+// hardware resources may oscillate among multiple servers located in
+// different tiers" (citing Malkowski et al., IISWC'09) to future work.
+// ClassifyWindows diagnoses that case from per-window utilization, so the
+// tuner can at least identify the case it cannot solve and name the
+// servers taking part.
+const (
+	PatternNone        = "none"        // no server saturates in a meaningful share of windows
+	PatternSingle      = "single"      // one server saturated in most windows
+	PatternConcurrent  = "concurrent"  // several servers each saturated in most windows
+	PatternOscillatory = "oscillatory" // none persistently saturated, yet some server is in most windows
+)
+
+// Windowed pattern thresholds.
+const (
+	windowSaturation = 0.9 // a window at or above this utilization is saturated
+	persistentShare  = 0.8 // a server saturated in this share of windows is persistent
+	oscillatoryShare = 0.6 // with none persistent, some server saturated this often oscillates
+)
+
+// ServerSaturation summarizes one server's windowed saturation.
+type ServerSaturation struct {
+	Name        string
+	MeanUtil    float64
+	SatFraction float64 // fraction of windows at or above windowSaturation
+}
+
+// Pattern is the windowed saturation pattern of one trial.
+type Pattern struct {
+	Kind    string // PatternNone, PatternSingle, PatternConcurrent, PatternOscillatory
+	Windows int
+	// Servers is sorted by descending saturation fraction; only servers
+	// saturated in at least one window are listed.
+	Servers []ServerSaturation
+	// AnySatFraction is the fraction of windows in which at least one
+	// server was saturated.
+	AnySatFraction float64
+}
+
+// ClassifyWindows classifies per-window utilization series, one per server
+// keyed by name (the Recorder's <node>/cpu series). Series should have
+// equal lengths; a shorter one counts as idle in its missing windows.
+func ClassifyWindows(series map[string][]float64) Pattern {
+	windows := 0
+	for _, s := range series {
+		windows = max(windows, len(s))
+	}
+	p := Pattern{Kind: PatternNone, Windows: windows}
+	if windows == 0 {
+		return p
+	}
+	anySat := make([]bool, windows)
+	for name, s := range series {
+		sat, sum := 0, 0.0
+		for i, u := range s {
+			sum += u
+			if u >= windowSaturation {
+				sat++
+				anySat[i] = true
+			}
+		}
+		if sat > 0 {
+			p.Servers = append(p.Servers, ServerSaturation{
+				Name:        name,
+				MeanUtil:    sum / float64(len(s)),
+				SatFraction: float64(sat) / float64(windows),
+			})
+		}
+	}
+	sort.Slice(p.Servers, func(i, j int) bool {
+		if p.Servers[i].SatFraction != p.Servers[j].SatFraction {
+			return p.Servers[i].SatFraction > p.Servers[j].SatFraction
+		}
+		return p.Servers[i].Name < p.Servers[j].Name
+	})
+	anyCount := 0
+	for _, b := range anySat {
+		if b {
+			anyCount++
+		}
+	}
+	p.AnySatFraction = float64(anyCount) / float64(windows)
+
+	persistent := 0
+	for _, s := range p.Servers {
+		if s.SatFraction >= persistentShare {
+			persistent++
+		}
+	}
+	switch {
+	case persistent == 1:
+		p.Kind = PatternSingle
+	case persistent > 1:
+		p.Kind = PatternConcurrent
+	case p.AnySatFraction >= oscillatoryShare:
+		p.Kind = PatternOscillatory
+	}
+	return p
+}
+
+// String renders the pattern and its saturated servers.
+func (p Pattern) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "bottleneck pattern: %s (%d windows, some-server-saturated %.0f%%)\n",
+		p.Kind, p.Windows, p.AnySatFraction*100)
+	for _, s := range p.Servers {
+		fmt.Fprintf(&b, "  %-10s mean util %5.1f%%  saturated %5.1f%% of windows\n",
+			s.Name, s.MeanUtil*100, s.SatFraction*100)
+	}
+	return b.String()
 }
 
 // Signature is one detected figure pattern.
@@ -236,35 +378,25 @@ func DetectSignatures(trials []TrialSummary, cfg JudgeConfig) []Signature {
 // capped throughput with no busy hardware — is the paper's definition of a
 // software bottleneck (§III-A).
 func DetectSoftBottleneck(trials []TrialSummary, cfg JudgeConfig) *Signature {
-	cfg.applyDefaults()
 	for i := 1; i < len(trials); i++ {
 		prev, cur := trials[i-1], trials[i]
 		if cur.Workload <= prev.Workload || prev.Goodput <= 0 {
 			continue
 		}
-		if cur.Goodput >= prev.Goodput*(1+cfg.CapSlack) {
+		if cur.Goodput >= prev.Goodput*(1+capSlack) {
 			continue // still growing
 		}
 		v := Judge(cur, cfg)
-		if v.MostUtilized.Util >= cfg.HWIdle || len(v.SaturatedSoft) == 0 {
+		if v.MostUtilized.Util >= hwIdle || len(v.SaturatedSoft) == 0 {
 			continue
 		}
-		// Blame the most saturated pool; on ties (a fully backed-up
-		// cascade, where upstream pools pin full waiting on the real
-		// constraint) the downstream-most pool in tier order wins — that is
-		// the root cause the paper's Algorithm 1 would grow.
-		p := v.SaturatedSoft[0]
-		for _, q := range v.SaturatedSoft[1:] {
-			if q.Saturated >= p.Saturated {
-				p = q
-			}
-		}
+		p := v.Blamed()
 		return &Signature{
 			Kind:   "soft-bottleneck",
 			Figure: "Fig. 2",
 			Detail: fmt.Sprintf(
 				"goodput capped at %.0f req/s from workload %d to %d while all hardware stayed below %.0f%% (max %s); pool %s saturated %.0f%% of the time",
-				cur.Goodput, prev.Workload, cur.Workload, cfg.HWIdle*100,
+				cur.Goodput, prev.Workload, cur.Workload, hwIdle*100,
 				v.MostUtilized, p.Name, p.Saturated*100),
 		}
 	}
@@ -284,7 +416,7 @@ func DetectGCOverallocation(trials []TrialSummary, cfg JudgeConfig) *Signature {
 		if len(v.SaturatedHW) > 0 {
 			cand = v.SaturatedHW[0]
 		}
-		if cand.Util < cfg.HWSaturation || cand.GCShare < cfg.GCAlarm {
+		if cand.Util < cfg.HWSaturation || cand.GCShare < gcAlarm {
 			continue
 		}
 		return &Signature{
@@ -303,7 +435,6 @@ func DetectGCOverallocation(trials []TrialSummary, cfg JudgeConfig) *Signature {
 // upstream pool saturates with workers parked buffering (Apache's
 // lingering close) instead of driving work downstream (§III-C).
 func DetectBufferingStarvation(trials []TrialSummary, cfg JudgeConfig) *Signature {
-	cfg.applyDefaults()
 	if len(trials) < 2 {
 		return nil
 	}
@@ -317,7 +448,7 @@ func DetectBufferingStarvation(trials []TrialSummary, cfg JudgeConfig) *Signatur
 		return nil // no starved-upstream evidence
 	}
 	var best *Signature
-	bestDrop := cfg.UtilDrop
+	bestDrop := utilDrop
 	for _, t := range trials[:len(trials)-1] {
 		if t.Workload >= last.Workload {
 			continue

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -188,7 +189,7 @@ func TestDetectBufferingStarvation(t *testing.T) {
 		t.Fatalf("unsaturated pool flagged: %v", s)
 	}
 
-	// A small dip below UtilDrop must not trigger.
+	// A small dip below utilDrop must not trigger.
 	shallow := late
 	shallow.Hardware = []HWResource{cpu("apache1", "apache", 0.55, 0), cpu("cjdbc1", "cjdbc", 0.83, 0.04)}
 	if s := DetectBufferingStarvation([]TrialSummary{early, shallow}, JudgeConfig{}); s != nil {
@@ -204,5 +205,67 @@ func TestDetectSignaturesCollects(t *testing.T) {
 	}
 	if got := sigs[0].String(); !strings.HasPrefix(got, "Fig. 2 soft-bottleneck: ") {
 		t.Fatalf("String() = %q", got)
+	}
+}
+
+func repeat(v float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+func TestClassifyWindows(t *testing.T) {
+	// Saturation alternating between two servers: neither is persistent,
+	// but some server is saturated in every window.
+	alt, alt2 := make([]float64, 30), make([]float64, 30)
+	for i := range alt {
+		alt[i], alt2[i] = 0.97, 0.5
+		if i%2 == 1 {
+			alt[i], alt2[i] = 0.5, 0.97
+		}
+	}
+	cases := []struct {
+		name    string
+		series  map[string][]float64
+		kind    string
+		windows int
+		servers []string // saturated servers, in reported order
+		anySat  float64
+	}{
+		{"none", map[string][]float64{"a": repeat(0.4, 30), "b": repeat(0.6, 30)}, PatternNone, 30, nil, 0},
+		{"single", map[string][]float64{"tomcat1": repeat(0.97, 30), "cjdbc1": repeat(0.60, 30)}, PatternSingle, 30, []string{"tomcat1"}, 1},
+		{"concurrent", map[string][]float64{"tomcat1": repeat(0.96, 30), "cjdbc1": repeat(0.95, 30)}, PatternConcurrent, 30, []string{"cjdbc1", "tomcat1"}, 1},
+		{"oscillatory", map[string][]float64{"a": alt, "b": alt2}, PatternOscillatory, 30, []string{"a", "b"}, 1},
+		{"empty", nil, PatternNone, 0, nil, 0},
+		// The window threshold is inclusive at 0.9.
+		{"below-threshold", map[string][]float64{"x": repeat(0.8999, 20)}, PatternNone, 20, nil, 0},
+		{"at-threshold", map[string][]float64{"x": repeat(0.9, 20)}, PatternSingle, 20, []string{"x"}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := ClassifyWindows(tc.series)
+			var names []string
+			for _, s := range p.Servers {
+				names = append(names, s.Name)
+			}
+			if p.Kind != tc.kind || p.Windows != tc.windows || p.AnySatFraction != tc.anySat ||
+				strings.Join(names, ",") != strings.Join(tc.servers, ",") {
+				t.Errorf("got %s %d windows, servers %v, any-sat %v; want %s %d, %v, %v",
+					p.Kind, p.Windows, names, p.AnySatFraction, tc.kind, tc.windows, tc.servers, tc.anySat)
+			}
+			if !strings.HasPrefix(p.String(), "bottleneck pattern: "+tc.kind+" (") {
+				t.Errorf("rendering %q does not name %s", p.String(), tc.kind)
+			}
+		})
+	}
+	// Per-server figures of the oscillating pair: each saturated in half
+	// the windows, mean utilization (0.97+0.5)/2.
+	p := ClassifyWindows(map[string][]float64{"a": alt, "b": alt2})
+	for _, s := range p.Servers {
+		if s.SatFraction != 0.5 || math.Abs(s.MeanUtil-0.735) > 1e-12 {
+			t.Errorf("%s: sat %v, mean util %v; want 0.5, 0.735", s.Name, s.SatFraction, s.MeanUtil)
+		}
 	}
 }

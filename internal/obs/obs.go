@@ -12,7 +12,8 @@
 // (capped goodput while every hardware resource idles), the Fig. 5
 // over-allocation signature (GC inflation consuming the critical CPU),
 // and the Fig. 8 buffering starvation (downstream CPU falling as load
-// rises).
+// rises); ClassifyWindows reads the per-window CPU series for the
+// multi-bottleneck patterns (single, concurrent, oscillatory).
 //
 // Sampling is provably non-perturbing: every probe is a pure read
 // (resource.CPU, resource.Pool, jvm.JVM, and the tier gauges never mutate

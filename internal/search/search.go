@@ -50,9 +50,6 @@ type Options struct {
 	// (default 2).
 	Eta int
 
-	// Judge tunes the bottleneck attribution steering mutation.
-	Judge obs.JudgeConfig
-
 	// Log receives the decision log as it is written (nil = collect in
 	// Outcome.Log only).
 	Log io.Writer
@@ -473,18 +470,10 @@ type mutation struct {
 // (a saturated JVM CPU with a high GC share) shrinks the pool pinning that
 // JVM's heap.
 func (s *searcher) mutations(soft testbed.SoftAlloc, sum obs.TrialSummary) []mutation {
-	cfg := s.opts.Judge
-	v := obs.Judge(sum, cfg)
+	v := obs.Judge(sum, obs.JudgeConfig{})
 	var out []mutation
 	if v.SoftLimited() {
-		// Blame the most saturated pool; ties go to the downstream-most,
-		// matching obs.DetectSoftBottleneck.
-		p := v.SaturatedSoft[0]
-		for _, q := range v.SaturatedSoft[1:] {
-			if q.Saturated >= p.Saturated {
-				p = q
-			}
-		}
+		p := v.Blamed()
 		if m, ok := growPool(soft, p.Name); ok {
 			out = append(out, mutation{
 				soft:   m,
@@ -492,27 +481,16 @@ func (s *searcher) mutations(soft testbed.SoftAlloc, sum obs.TrialSummary) []mut
 			})
 		}
 	}
-	for _, h := range v.SaturatedHW {
-		if h.GCShare < gcAlarm(cfg) {
-			continue
-		}
+	// One shrink per trial: the most utilized over-collecting JVM.
+	if h, ok := v.OverCollected(); ok {
 		if m, ok := shrinkPool(soft, h.Tier); ok {
 			out = append(out, mutation{
 				soft:   m,
 				reason: fmt.Sprintf("Fig. 5 GC over-allocation: %s %.0f%% GC", h.Server, h.GCShare*100),
 			})
 		}
-		break // one shrink per trial: the first (most utilized) JVM
 	}
 	return out
-}
-
-// gcAlarm mirrors obs.JudgeConfig's GCAlarm default.
-func gcAlarm(cfg obs.JudgeConfig) float64 {
-	if cfg.GCAlarm > 0 {
-		return cfg.GCAlarm
-	}
-	return 0.15
 }
 
 // growPool doubles the pool named by the saturated resource ("…/workers",

@@ -160,6 +160,18 @@ type Verdict struct {
 	Drained bool `json:"drained"`
 	// Faults counts injector actions applied (applies + reverts).
 	Faults int `json:"faults"`
+	// Requests is the workload's conservation record after the drain.
+	Requests Requests `json:"requests"`
+}
+
+// Requests holds the conservation buckets of a trial's workload: issued
+// = completed + failed + shed + in flight.
+type Requests struct {
+	Issued    uint64 `json:"issued"`
+	Completed uint64 `json:"completed"`
+	Failed    uint64 `json:"failed"`
+	Shed      uint64 `json:"shed"`
+	InFlight  int    `json:"in_flight"`
 }
 
 // Failed reports whether either oracle flagged the trial.
@@ -314,6 +326,8 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (verdict *Verdict, err error) {
 		Recovery: recovery.stats(cfg.Recovery),
 		Drained:  env.Live() == 0 && env.Pending() == 0,
 		Faults:   len(inj.Records()),
+		Requests: Requests{Issued: w.Issued(), Completed: w.Completed(), Failed: w.Failed(),
+			Shed: w.Shed(), InFlight: w.InFlight()},
 	}
 	if !v.Drained {
 		invariant = append(invariant, fmt.Sprintf(

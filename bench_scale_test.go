@@ -15,6 +15,7 @@ import (
 	"github.com/softres/ntier/internal/des"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/rubbos"
+	"github.com/softres/ntier/internal/sla"
 	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/trace"
 )
@@ -71,7 +72,9 @@ func BenchmarkEventLoop(b *testing.B) {
 // open-system stream whose Little's-law equivalent population is 10⁶
 // (rate × 7 s think time, see rubbos.OpenEquivUsers). Both report the
 // full conservation breakdown (issued = completed + failed + shed +
-// in-flight) and their peak goroutines and bound runners.
+// in-flight) and their peak goroutines and bound runners; the open stream
+// also reports the goodput it served within its 2 s deadline after a 1 s
+// ramp, and the arrivals its accept backlog dropped.
 func BenchmarkMillionClients(b *testing.B) {
 	b.Run("closed=100000", func(b *testing.B) {
 		b.ReportAllocs()
@@ -97,7 +100,12 @@ func BenchmarkMillionClients(b *testing.B) {
 	})
 	b.Run("openEquiv=1000000", func(b *testing.B) {
 		b.ReportAllocs()
-		const rate = 1e6 / 7.0 // Little's law: 10⁶ users at 7 s think time
+		const (
+			rate     = 1e6 / 7.0 // Little's law: 10⁶ users at 7 s think time
+			deadline = 2 * time.Second
+			ramp     = time.Second
+			horizon  = 8 * time.Second
+		)
 		for i := 0; i < b.N; i++ {
 			tb, err := testbed.Build(testbed.Options{
 				Hardware:   testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
@@ -108,16 +116,28 @@ func BenchmarkMillionClients(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			window := sla.NewCollector([]time.Duration{deadline})
 			w, err := tb.StartOpenWorkload(rubbos.OpenConfig{
 				Arrivals: trace.Poisson(rate),
 				Matrix:   rubbos.BrowseOnlyMix(),
 				Seed:     1,
-				Deadline: 2 * time.Second,
-			}, nil)
+				Deadline: deadline,
+			}, func(_ *rubbos.Interaction, issued, rt time.Duration, err error) {
+				if issued >= ramp && err == nil {
+					window.Observe(rt)
+				}
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			runReporting(b, tb, w, 8*time.Second)
+			runReporting(b, tb, w, horizon)
+			window.SetElapsed(horizon - ramp)
+			var drops uint64
+			for _, a := range tb.Apaches {
+				drops += a.BacklogDrops()
+			}
+			b.ReportMetric(window.Goodput(deadline), "goodput/s")
+			b.ReportMetric(float64(drops), "backlog-drops")
 			b.ReportMetric(rubbos.OpenEquivUsers(rate), "equivUsers")
 			tb.Close()
 		}

@@ -75,7 +75,7 @@ func (cfg CampaignConfig) fingerprint() string {
 		o.Hardware, o.Soft, o.Seed, o.NodeSpec, int64(o.LinkLatency), o.ClientLinkMbps, o.DisableGC, o.DisableFinWait)
 	fmt.Fprintf(h, " tuneA=%t tuneT=%t tuneC=%t", o.TuneApache != nil, o.TuneTomcat != nil, o.TuneCJDBC != nil)
 	if o.Resilience != nil {
-		fmt.Fprintf(h, " res=%+v", *o.Resilience)
+		fmt.Fprintf(h, " res=%s", o.Resilience.Fingerprint())
 	}
 	fmt.Fprintf(h, " users=%d think=%d ramp=%d baseline=%d grace=%d recovery=%d drain=%d",
 		t.Users, int64(t.ThinkMean), int64(t.RampUp), int64(t.Baseline), int64(t.Grace), int64(t.Recovery), int64(t.DrainBudget))

@@ -20,11 +20,16 @@ import (
 	"github.com/softres/ntier/internal/trace"
 )
 
-// OverloadProtection returns the overload-survival policy: the adaptive
-// CoDel-style admission controller at the web tier, a tight static queue
-// bound as its burst backstop, and a cheap degraded response for everything
-// shed. Pair it with RunConfig.Deadline for deadline propagation down the
-// chain.
+// OverloadProtection returns the overload-survival policy: a bounded accept
+// backlog that drops arrivals at no CPU cost, the adaptive CoDel-style
+// admission controller at the web tier, a tight static queue bound as its
+// burst backstop, and a cheap degraded response for everything shed. Pair
+// it with RunConfig.Deadline for deadline propagation down the chain.
+//
+// The backlog is Linux's long-standing SOMAXCONN default, 128. It bounds
+// the degraded responses sharing Apache's CPU at any offered load (to
+// 128-50 = 78 once the worker queue is at MaxQueue), so the served
+// requests keep their share of it: no receive livelock.
 //
 // Deliberately absent are the fault-recovery mechanisms of
 // DefaultResilienceConfig: under *sustained* overload, acquire timeouts and
@@ -37,6 +42,7 @@ func OverloadProtection() *tier.ResilienceConfig {
 	return &tier.ResilienceConfig{
 		Admission:  tier.DefaultAdmissionConfig(),
 		MaxQueue:   50,
+		Backlog:    128,
 		DegradedMS: 0.05,
 	}
 }

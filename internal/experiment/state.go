@@ -218,7 +218,7 @@ func (c RunConfig) fingerprintBase() string {
 		o.Hardware, o.Soft, o.Seed, o.NodeSpec, int64(o.LinkLatency), o.ClientLinkMbps)
 	fmt.Fprintf(&b, " tuneA=%t tuneT=%t tuneC=%t", o.TuneApache != nil, o.TuneTomcat != nil, o.TuneCJDBC != nil)
 	if o.Resilience != nil {
-		fmt.Fprintf(&b, " res=%+v", *o.Resilience)
+		fmt.Fprintf(&b, " res=%s", o.Resilience.Fingerprint())
 	}
 	fmt.Fprintf(&b, " nogc=%t nofin=%t", o.DisableGC, o.DisableFinWait)
 	mix := sha256.Sum256([]byte(fmt.Sprintf("%+v", *c.Mix)))

@@ -40,7 +40,7 @@ type Options struct {
 	Place func(name string, spec hw.Spec) *hw.Node
 
 	NodeSpec    hw.Spec       // hardware per node (default PC3000)
-	LinkLatency time.Duration // tier-to-tier hop (default 150µs)
+	LinkLatency time.Duration // tier-to-tier hop (default 700µs)
 
 	// ClientLinkMbps, when positive, models the client-facing network
 	// segment as a shared capacity-limited link: responses contend for

@@ -60,6 +60,12 @@ type Apache struct {
 	est     estimator
 	dlSheds uint64
 
+	// rejecting counts the requests whose degraded response is on the CPU;
+	// with Workers.Queued() it is the accept backlog the Backlog bound
+	// holds. backlogDrops counts the arrivals dropped at that bound.
+	rejecting    int
+	backlogDrops uint64
+
 	// finLoad is the emulated-user count per client node, driving the FIN
 	// tail (set by the topology builder).
 	finLoad float64
@@ -125,9 +131,14 @@ func (a *Apache) Resilience() *ResilienceStats { return a.res.Stats() }
 // deadline budget could not cover this server's residence estimate.
 func (a *Apache) DeadlineSheds() uint64 { return a.dlSheds }
 
+// BacklogDrops returns the cumulative count of arrivals dropped at a full
+// accept backlog (ResilienceConfig.Backlog). Pure read.
+func (a *Apache) BacklogDrops() uint64 { return a.backlogDrops }
+
 // Sheds returns the cumulative count of requests this server refused at the
-// front door (static queue-depth sheds, adaptive admission drops, and
-// deadline fail-fasts). Pure read — safe for observability probes.
+// front door (accept-backlog drops, static queue-depth sheds, adaptive
+// admission drops, and deadline fail-fasts). Pure read — safe for
+// observability probes.
 func (a *Apache) Sheds() uint64 {
 	n := a.dlSheds
 	if a.res.enabled() {
@@ -205,15 +216,27 @@ func (a *Apache) Do(p *des.Proc, it *rubbos.Interaction, c *rubbos.Call) (bool, 
 }
 
 // admit takes the request in at the front door: the network hop, then the
-// refusals that come before any worker is held — a crashed server, a
-// deadline the residence estimate cannot meet, a full queue, and adaptive
-// admission. A refused request gets its error response here.
+// refusals that come before any worker is held — a crashed server, a full
+// accept backlog, a deadline the residence estimate cannot meet, a full
+// queue, and adaptive admission. A refused request gets its error response
+// here.
 func (a *Apache) admit(p *des.Proc, it *rubbos.Interaction) error {
 	a.link.Traverse(p)
 	if a.down {
 		// Connection refused: the client learns after the network hop.
 		a.link.Traverse(p)
 		return &Error{Kind: FailDown, Server: a.Node.Name()}
+	}
+	if a.res.enabled() && a.res.cfg.Backlog > 0 && a.Workers.Queued()+a.rejecting >= a.res.cfg.Backlog {
+		// Accept-queue overflow: the kernel drops the connection before
+		// the server reads it, so the refusal costs no CPU. Without this
+		// bound every refusal is a degraded response sharing Apache's CPU,
+		// and a flood of them starves the requests being served (receive
+		// livelock).
+		a.res.stats.Shed++
+		a.backlogDrops++
+		a.link.Traverse(p)
+		return &Error{Kind: FailShed, Server: a.Node.Name()}
 	}
 	if overDeadline(p, &a.est) {
 		// Deadline propagation: the remaining budget cannot cover this
@@ -372,10 +395,13 @@ func isDeadline(err error) bool {
 	return ok && k == FailDeadline
 }
 
-// degraded emits the error/degraded response without holding a worker.
+// degraded emits the error/degraded response without holding a worker;
+// the request counts toward the accept backlog while it does.
 func (a *Apache) degraded(p *des.Proc) {
 	if a.res.enabled() && a.res.cfg.DegradedMS > 0 {
+		a.rejecting++
 		a.Node.CPU().Use(p, time.Duration(a.res.cfg.DegradedMS*float64(time.Millisecond)))
+		a.rejecting--
 	}
 }
 

@@ -13,17 +13,20 @@ import "fmt"
 
 // Audit checks the web server's bookkeeping; quiescent additionally
 // requires every worker returned (none connecting downstream, none parked
-// in the lingering close) and the crash flag cleared.
+// in the lingering close), no degraded response in progress and the crash
+// flag cleared.
 func (a *Apache) Audit(quiescent bool) error {
-	if a.connecting < 0 || a.finWaiting < 0 {
-		return fmt.Errorf("tier: %s worker gauges negative (connecting=%d finwait=%d)", a.Node.Name(), a.connecting, a.finWaiting)
+	if a.connecting < 0 || a.finWaiting < 0 || a.rejecting < 0 {
+		return fmt.Errorf("tier: %s worker gauges negative (connecting=%d finwait=%d rejecting=%d)",
+			a.Node.Name(), a.connecting, a.finWaiting, a.rejecting)
 	}
 	if quiescent {
 		if a.down {
 			return fmt.Errorf("tier: %s still down after reverts", a.Node.Name())
 		}
-		if a.connecting != 0 || a.finWaiting != 0 {
-			return fmt.Errorf("tier: %s not quiescent (connecting=%d finwait=%d)", a.Node.Name(), a.connecting, a.finWaiting)
+		if a.connecting != 0 || a.finWaiting != 0 || a.rejecting != 0 {
+			return fmt.Errorf("tier: %s not quiescent (connecting=%d finwait=%d rejecting=%d)",
+				a.Node.Name(), a.connecting, a.finWaiting, a.rejecting)
 		}
 		return a.Workers.AuditQuiescent()
 	}

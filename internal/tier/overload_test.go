@@ -286,6 +286,111 @@ func TestAdmissionShedsUnderOverloadEndToEnd(t *testing.T) {
 	}
 }
 
+// backlogApache is an Apache with one worker held by a test process for
+// the first second, and the given protection.
+func backlogApache(env *des.Env, cfg *ResilienceConfig) *Apache {
+	a, _ := newApache(env, 1, netsim.FinConfig{})
+	a.SetResilience(cfg, rng.New(3))
+	env.Go("holder", func(p *des.Proc) {
+		a.Workers.Acquire(p)
+		p.Sleep(time.Second)
+		a.Workers.Release()
+	})
+	return a
+}
+
+// An arrival at a full accept backlog is dropped before the server reads
+// it: FailShed, counted in Shed, BacklogDrops and Sheds, and no CPU work.
+func TestBacklogDropCostsNoCPU(t *testing.T) {
+	env := des.NewEnv()
+	defer env.Shutdown()
+	a := backlogApache(env, &ResilienceConfig{Backlog: 2, DegradedMS: 0.05})
+	env.At(time.Millisecond, func() {
+		goServe(env, a, testInteraction(), nil)
+		goServe(env, a, testInteraction(), nil)
+	})
+	var err error
+	env.At(2*time.Millisecond, func() {
+		env.Go("arrival", func(p *des.Proc) {
+			if q := a.Workers.Queued(); q != 2 {
+				t.Errorf("queued %d, want the backlog of 2", q)
+			}
+			cpu := a.Node.CPU()
+			jobs, work := cpu.Stats().JobsDone, cpu.WorkDone()
+			err = mustDo(p, a, testInteraction())
+			if got := cpu.Stats().JobsDone; got != jobs {
+				t.Errorf("backlog drop ran %d CPU jobs", got-jobs)
+			}
+			if got := cpu.WorkDone(); got != work {
+				t.Errorf("backlog drop admitted %g s of CPU work", got-work)
+			}
+		})
+	})
+	env.Run(time.Minute)
+	if k, ok := ErrKind(err); !ok || k != FailShed {
+		t.Fatalf("arrival at the backlog got %v, want FailShed", err)
+	}
+	if a.BacklogDrops() != 1 || a.Resilience().Shed != 1 || a.Sheds() != 1 {
+		t.Errorf("BacklogDrops %d, Shed %d, Sheds %d, want 1 each",
+			a.BacklogDrops(), a.Resilience().Shed, a.Sheds())
+	}
+	if err := a.Audit(true); err != nil {
+		t.Error(err)
+	}
+}
+
+// A request whose degraded response is still on the CPU holds a backlog
+// slot: with one request queued (MaxQueue 1) and one being shed, the next
+// arrival finds the backlog of 2 full and is dropped.
+func TestBacklogCountsDegradedInProgress(t *testing.T) {
+	env := des.NewEnv()
+	defer env.Shutdown()
+	a := backlogApache(env, &ResilienceConfig{Backlog: 2, MaxQueue: 1, DegradedMS: 10})
+	env.At(time.Millisecond, func() { goServe(env, a, testInteraction(), nil) })
+	var shed, dropped error
+	env.At(2*time.Millisecond, func() {
+		env.Go("shed", func(p *des.Proc) { shed = mustDo(p, a, testInteraction()) })
+	})
+	env.At(3*time.Millisecond, func() {
+		env.Go("dropped", func(p *des.Proc) { dropped = mustDo(p, a, testInteraction()) })
+	})
+	env.Run(time.Minute)
+	for _, err := range []error{shed, dropped} {
+		if k, ok := ErrKind(err); !ok || k != FailShed {
+			t.Errorf("got %v, want FailShed", err)
+		}
+	}
+	if a.BacklogDrops() != 1 || a.Resilience().Shed != 2 {
+		t.Errorf("BacklogDrops %d, Shed %d, want 1 and 2", a.BacklogDrops(), a.Resilience().Shed)
+	}
+	if err := a.Audit(true); err != nil {
+		t.Error(err)
+	}
+}
+
+// Backlog 0 is unbounded: 500 requests queue behind the held worker and
+// every one is served.
+func TestBacklogZeroNeverDrops(t *testing.T) {
+	env := des.NewEnv()
+	defer env.Shutdown()
+	a := backlogApache(env, &ResilienceConfig{DegradedMS: 0.05})
+	served := 0
+	env.At(time.Millisecond, func() {
+		for i := 0; i < 500; i++ {
+			goServe(env, a, testInteraction(), func(p *des.Proc, err error) {
+				if err != nil {
+					t.Errorf("request failed: %v", err)
+				}
+				served++
+			})
+		}
+	})
+	env.Run(time.Minute)
+	if served != 500 || a.BacklogDrops() != 0 || a.Sheds() != 0 {
+		t.Errorf("served %d of 500, BacklogDrops %d, Sheds %d", served, a.BacklogDrops(), a.Sheds())
+	}
+}
+
 func breakerEnv(t *testing.T) (*des.Env, *Breaker) {
 	t.Helper()
 	env := des.NewEnv()

@@ -11,6 +11,7 @@ package tier
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
@@ -107,6 +108,12 @@ type ResilienceConfig struct {
 	// MaxQueue, at the web tier, sheds requests arriving while this many
 	// are already queued for a worker (0 = no admission control).
 	MaxQueue int
+	// Backlog, at the web tier, bounds the kernel accept queue ahead of
+	// admission control: an arrival finding this many requests waiting at
+	// the front door (queued for a worker, or getting their degraded
+	// response) is dropped before the server sees it, at no CPU cost
+	// (0 = unbounded).
+	Backlog int
 	// DegradedMS is the CPU cost of emitting the degraded/error response
 	// for a shed or failed request (served without holding a worker).
 	DegradedMS float64
@@ -132,6 +139,17 @@ func DefaultResilienceConfig() ResilienceConfig {
 		MaxQueue:       200,
 		DegradedMS:     0.05,
 	}
+}
+
+// Fingerprint renders the configuration for journal fingerprints: its %+v
+// form, without Backlog while that is zero, so fingerprints written before
+// the field existed still match.
+func (c ResilienceConfig) Fingerprint() string {
+	s := fmt.Sprintf("%+v", c)
+	if c.Backlog == 0 {
+		s = strings.Replace(s, " Backlog:0 ", " ", 1)
+	}
+	return s
 }
 
 // backoff returns the delay before retry attempt `attempt` (0-based), with

@@ -92,6 +92,9 @@ func runFlood(t *testing.T, rate float64) floodOutcome {
 // requests in flight stay bounded by the backlog, the workers and the
 // requests on the wire.
 func TestFloodKeepsCapacityGoodput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("flood acceptance runs 12 simulated seconds; skipped with -short")
+	}
 	capacity := runFlood(t, 700).goodput
 	if capacity < 600 {
 		t.Fatalf("goodput %.1f req/s at 700 req/s, implausibly low for the topology", capacity)

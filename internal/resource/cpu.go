@@ -260,10 +260,6 @@ func (c *CPU) BusyIntegral() float64 {
 	return c.busyIntegral + busy
 }
 
-// WorkDone returns the seconds of service admitted since the last
-// ResetStats. Pure read.
-func (c *CPU) WorkDone() float64 { return c.workDone }
-
 // cpuAuditSlack absorbs float64 rounding in the busy-integral bound: the
 // integral is a sum of dt*rate products whose error grows with event
 // count, so the capacity comparison needs a small relative tolerance.

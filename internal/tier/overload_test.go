@@ -316,13 +316,13 @@ func TestBacklogDropCostsNoCPU(t *testing.T) {
 				t.Errorf("queued %d, want the backlog of 2", q)
 			}
 			cpu := a.Node.CPU()
-			jobs, work := cpu.Stats().JobsDone, cpu.WorkDone()
+			jobs, work := cpu.Stats().JobsDone, cpu.BusyIntegral()
 			err = mustDo(p, a, testInteraction())
 			if got := cpu.Stats().JobsDone; got != jobs {
 				t.Errorf("backlog drop ran %d CPU jobs", got-jobs)
 			}
-			if got := cpu.WorkDone(); got != work {
-				t.Errorf("backlog drop admitted %g s of CPU work", got-work)
+			if got := cpu.BusyIntegral(); got != work {
+				t.Errorf("backlog drop used %g core-seconds of CPU", got-work)
 			}
 		})
 	})

@@ -24,7 +24,8 @@ type FailKind int
 const (
 	// FailDown: the server refused work (crash fault window).
 	FailDown FailKind = iota
-	// FailShed: admission control rejected the request (queue full).
+	// FailShed: the accept backlog or admission control rejected the
+	// request.
 	FailShed
 	// FailTimeout: a pool-acquire or downstream call exceeded its budget.
 	FailTimeout
@@ -170,7 +171,7 @@ func (c *ResilienceConfig) backoff(r *rng.Rand, attempt int) time.Duration {
 
 // ResilienceStats counts the resilience layer's interventions on one server.
 type ResilienceStats struct {
-	Shed            uint64 // requests rejected by admission control
+	Shed            uint64 // requests rejected at the front door (backlog drops and admission control)
 	AdmissionSheds  uint64 // subset of Shed dropped by the adaptive controller
 	AcquireTimeouts uint64 // pool waits abandoned
 	CallTimeouts    uint64 // downstream calls past the deadline

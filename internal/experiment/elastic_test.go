@@ -2,11 +2,14 @@ package experiment
 
 import (
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/softres/ntier/internal/adaptive"
+	"github.com/softres/ntier/internal/obs"
+	"github.com/softres/ntier/internal/rubbos"
 	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/trace"
 )
@@ -112,6 +115,55 @@ func elasticBase(t *testing.T) ElasticSweepConfig {
 			Name: "diurnal",
 			Spec: trace.Diurnal(30, 90, 2*time.Minute),
 		}},
+	}
+}
+
+// elasticObsSnapshot runs elasticBase's TOP_JOB day with ObsDir set and
+// returns the one snapshot it writes, with its file name.
+func elasticObsSnapshot(t *testing.T) (*obs.TrialObs, string) {
+	t.Helper()
+	cfg := elasticBase(t)
+	cfg.Run.ObsDir = t.TempDir()
+	if _, err := RunElastic(cfg, adaptive.PolicyTopJob, cfg.Traces[0]); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(cfg.Run.ObsDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := obs.ReadDir(cfg.Run.ObsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || len(snaps) != 1 {
+		t.Fatalf("obs dir holds %v, want one snapshot", names)
+	}
+	return snaps[0], filepath.Base(names[0])
+}
+
+// TestRunElasticObsSnapshot: an elastic trial with ObsDir set writes one
+// snapshot, labelled with the policy (so grid cells do not collide on one
+// file) and with the trace's peak-rate closed equivalent as its workload.
+func TestRunElasticObsSnapshot(t *testing.T) {
+	snap, name := elasticObsSnapshot(t)
+	cfg := elasticBase(t)
+	users := int(rubbos.OpenEquivUsers(cfg.Traces[0].Spec.MaxRate()))
+	if !strings.HasSuffix(snap.Soft, "-top_job") {
+		t.Errorf("snapshot Soft label %q does not end in -top_job", snap.Soft)
+	}
+	if snap.Workload != users || snap.Summary.Workload != users {
+		t.Errorf("snapshot workload %d (summary %d), want the peak-rate equivalent %d",
+			snap.Workload, snap.Summary.Workload, users)
+	}
+	if snap.Hardware != "1/2/1/2" || snap.Seed != cfg.Run.Testbed.Seed {
+		t.Errorf("snapshot labelled %s seed %d", snap.Hardware, snap.Seed)
+	}
+	if name != snap.FileName() {
+		t.Errorf("snapshot written as %s, want %s", name, snap.FileName())
+	}
+	if snap.Summary.SLASeconds != 1 || snap.Summary.Goodput <= 0 {
+		t.Errorf("summary SLA %gs goodput %g, want the 1s goodput threshold and positive goodput",
+			snap.Summary.SLASeconds, snap.Summary.Goodput)
 	}
 }
 

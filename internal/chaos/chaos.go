@@ -222,8 +222,7 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (verdict *Verdict, err error) {
 	}
 	defer tb.Close()
 	env := tb.Env
-	stopWatchdog := watch(cfg, env)
-	defer stopWatchdog()
+	defer experiment.Watchdog(cfg.Ctx, cfg.TrialTimeout, env)()
 
 	// Timeline. Jitter shifts a window by at most ±JitterFrac of its own
 	// start offset, so every effective start stays ≥ (1-J)·start ≥ 0 —
@@ -376,42 +375,4 @@ func panicString(r any) string {
 		return fmt.Sprintf("process %q panicked: %v", pp.Proc, pp.Value)
 	}
 	return fmt.Sprint(r)
-}
-
-// watch arms a goroutine that interrupts the DES run when the trial
-// context is done or the wall-clock budget expires; the returned function
-// disarms it and waits, so no Interrupt lands on a later trial's Env.
-func watch(cfg TrialConfig, env *des.Env) func() {
-	var ctxDone <-chan struct{}
-	if cfg.Ctx != nil {
-		ctxDone = cfg.Ctx.Done()
-	}
-	if ctxDone == nil && cfg.TrialTimeout <= 0 {
-		return func() {}
-	}
-	var timerC <-chan time.Time
-	var timer *time.Timer
-	if cfg.TrialTimeout > 0 {
-		timer = time.NewTimer(cfg.TrialTimeout)
-		timerC = timer.C
-	}
-	stopc := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if timer != nil {
-			defer timer.Stop()
-		}
-		select {
-		case <-stopc:
-		case <-ctxDone:
-			env.Interrupt()
-		case <-timerC:
-			env.Interrupt()
-		}
-	}()
-	return func() {
-		close(stopc)
-		<-done
-	}
 }

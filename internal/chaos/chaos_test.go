@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fault"
 	"github.com/softres/ntier/internal/testbed"
 )
@@ -129,5 +130,26 @@ func TestTrialCancellation(t *testing.T) {
 	}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// A trial past its wall-clock budget is interrupted by the shared
+// experiment watchdog and returns a *experiment.TimeoutError, not a
+// verdict: timeouts are environmental, so campaigns retry them.
+func TestTrialTimeoutReturnsTimeoutError(t *testing.T) {
+	cfg := tinyTrial()
+	cfg.Users = 300 // enough simulated work to outlast a 1ns budget
+	cfg.TrialTimeout = time.Nanosecond
+	plan := fault.Plan{Events: []fault.Event{fault.Crash("tomcat1", time.Second, 2*time.Second)}}
+	v, err := RunTrial(cfg, plan)
+	var te *experiment.TimeoutError
+	if !errors.As(err, &te) {
+		t.Fatalf("RunTrial err = %v, want *experiment.TimeoutError", err)
+	}
+	if v != nil {
+		t.Errorf("timed-out trial returned a verdict: %+v", v)
+	}
+	if te.Timeout != time.Nanosecond {
+		t.Errorf("TimeoutError.Timeout = %v, want 1ns", te.Timeout)
 	}
 }

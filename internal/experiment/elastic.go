@@ -16,11 +16,8 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/adaptive"
-	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/rubbos"
-	"github.com/softres/ntier/internal/sla"
 	"github.com/softres/ntier/internal/testbed"
-	"github.com/softres/ntier/internal/tier"
 	"github.com/softres/ntier/internal/trace"
 )
 
@@ -262,31 +259,24 @@ func unitsAt(initial int, ds []adaptive.ElasticDecision, at time.Duration) int {
 // report the windowed timeline, the decision log, and the efficiency score.
 // Deterministic: a re-run with the same config reproduces the identical
 // timeline and a byte-identical decision log.
-func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace) (res *ElasticResult, err error) {
+func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace) (*ElasticResult, error) {
 	cfg.applyDefaults()
 	if tr.Spec == nil {
 		return nil, fmt.Errorf("experiment: elastic trace %q has no arrival spec", tr.Name)
 	}
-	if cerr := ctxErr(cfg.Run.Ctx); cerr != nil {
-		return nil, cerr
+	rc := cfg.Run
+	rc.Arrivals = tr.Spec
+	// The obs snapshot's Workload is the trace's peak-rate closed
+	// equivalent (an open trial has no user population), its summary is
+	// judged at the goodput threshold, and its Soft label carries the
+	// policy so grid cells do not collide on the same file name.
+	rc.Users = int(rubbos.OpenEquivUsers(tr.Spec.MaxRate()))
+	rc.Obs.SLA = cfg.GoodputThreshold
+	win := &windowing{
+		width:     cfg.Window,
+		threshold: cfg.GoodputThreshold,
+		obsLabel:  "-" + strings.ToLower(string(policy)),
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, newPanicError(r)
-		}
-	}()
-	tb, err := testbed.Build(cfg.Run.Testbed)
-	if err != nil {
-		return nil, err
-	}
-	defer tb.Close()
-	dog := startWatchdog(cfg.Run, tb.Env)
-	defer dog.stop()
-
-	measureStart := cfg.Run.RampUp
-	horizon := cfg.Run.RampUp + cfg.Run.Measure
-	windows := int((cfg.Run.Measure + cfg.Window - 1) / cfg.Window)
-
 	var ctl *adaptive.ElasticController
 	if policy != adaptive.PolicyStatic {
 		ccfg := cfg.Controller
@@ -294,139 +284,44 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 		if ccfg.UsersAt == nil {
 			ccfg.UsersAt = UsersAtFor(tr.Spec)
 		}
-		if ctl, err = adaptive.AttachElastic(tb, ccfg); err != nil {
-			return nil, err
+		win.disturb = func(tb *testbed.Testbed) (err error) {
+			ctl, err = adaptive.AttachElastic(tb, ccfg)
+			return err
 		}
 	}
-
-	collector := sla.NewCollector(cfg.Run.Thresholds)
-	var errCount uint64
-	points := make([]ElasticPoint, windows)
-	for i := range points {
-		points[i].Second = float64(i) * cfg.Window.Seconds()
-	}
-	bucket := func(done time.Duration) int {
-		if done < measureStart {
-			return -1
-		}
-		i := int((done - measureStart) / cfg.Window)
-		if i >= windows {
-			return -1
-		}
-		return i
-	}
-
-	var rec *obs.Recorder
-	if cfg.Run.ObsDir != "" {
-		rec = obs.Attach(tb, measureStart, cfg.Run.Obs)
-	}
-
-	_, err = tb.StartOpenWorkload(rubbos.OpenConfig{
-		Arrivals:    tr.Spec,
-		ClientNodes: cfg.Run.ClientNodes,
-		Matrix:      cfg.Run.Mix,
-		Seed:        cfg.Run.Testbed.Seed,
-		Deadline:    cfg.Run.Deadline,
-	}, func(it *rubbos.Interaction, issued, rt time.Duration, rerr error) {
-		done := issued + rt
-		shed := false
-		if k, ok := tier.ErrKind(rerr); ok && (k == tier.FailShed || k == tier.FailDeadline) {
-			shed = true
-		}
-		if i := bucket(done); i >= 0 {
-			points[i].Completed++
-			switch {
-			case shed:
-				points[i].Shed++
-			case rerr != nil:
-				points[i].Errors++
-			default:
-				if rt <= cfg.GoodputThreshold {
-					points[i].Goodput += 1 / cfg.Window.Seconds()
-				}
-				if cfg.Run.Deadline > 0 && rt > cfg.Run.Deadline {
-					points[i].Late++
-				}
-			}
-		}
-		if issued < measureStart {
-			return
-		}
-		switch {
-		case shed:
-			collector.ObserveShed()
-		case rerr != nil:
-			errCount++
-		default:
-			collector.Observe(rt)
-			if cfg.Run.Deadline > 0 && rt > cfg.Run.Deadline {
-				collector.ObserveLate()
-			}
-		}
-	})
+	res, err := run(rc, win)
 	if err != nil {
 		return nil, err
 	}
 
-	tb.Env.Run(measureStart)
-	if aerr := trialAborted(cfg.Run, tb.Env); aerr != nil {
-		return nil, aerr
-	}
-	tb.ResetStats()
-	tb.Env.Run(horizon)
-	if aerr := trialAborted(cfg.Run, tb.Env); aerr != nil {
-		return nil, aerr
-	}
-	if ctl != nil {
-		ctl.Stop()
-	}
-
-	collector.SetElapsed(cfg.Run.Measure)
-	initialUnits := unitsOfAlloc(cfg.Run.Testbed.Hardware, cfg.Run.Testbed.Soft)
+	measureStart, horizon := rc.RampUp, rc.RampUp+rc.Measure
+	initialUnits := unitsOfAlloc(rc.Testbed.Hardware, rc.Testbed.Soft)
 	var decisions []adaptive.ElasticDecision
 	if ctl != nil {
 		decisions = ctl.Decisions()
 	}
-	for i := range points {
-		points[i].Units = unitsAt(initialUnits, decisions,
-			measureStart+time.Duration(i)*cfg.Window)
-	}
-
-	res = &ElasticResult{
+	er := &ElasticResult{
 		Policy:      policy,
 		Trace:       tr.Name,
-		Throughput:  collector.Throughput(),
-		Goodput:     collector.Goodput(cfg.GoodputThreshold),
-		Errors:      errCount,
-		Shed:        collector.Shed(),
-		Late:        collector.Late(),
+		Throughput:  res.Throughput(),
+		Goodput:     res.Goodput(cfg.GoodputThreshold),
+		Errors:      res.Errors,
+		Shed:        res.Shed,
+		Late:        res.Late,
 		MeanUnits:   unitsOver(initialUnits, decisions, measureStart, horizon),
 		Decisions:   decisions,
 		DecisionLog: adaptive.FormatDecisions(decisions),
-		Timeline:    points,
+		Timeline:    make([]ElasticPoint, len(win.points)),
 	}
-	if res.MeanUnits > 0 {
-		res.GoodputPerUnit = res.Goodput / res.MeanUnits
+	for i, p := range win.points {
+		er.Timeline[i] = ElasticPoint{Second: p.second, Completed: p.completed, Goodput: p.goodput,
+			Errors: p.errors, Shed: p.shed, Late: p.late,
+			Units: unitsAt(initialUnits, decisions, measureStart+time.Duration(i)*win.width)}
 	}
-
-	if rec != nil {
-		// The snapshot's Soft label carries the policy so grid cells do not
-		// collide on the same file name; Workload is the trace's peak-rate
-		// closed equivalent (an open trial has no user population).
-		full := &Result{Config: cfg.Run, SLA: collector, Errors: errCount,
-			Shed: res.Shed, Late: res.Late}
-		full.Config.Users = int(rubbos.OpenEquivUsers(tr.Spec.MaxRate()))
-		full.Apache, full.Tomcat, full.CJDBC, full.MySQL = collectStats(tb)
-		snap := rec.Snapshot(Summarize(full, cfg.GoodputThreshold))
-		snap.Hardware = cfg.Run.Testbed.Hardware.String()
-		snap.Soft = cfg.Run.Testbed.Soft.String() + "-" + strings.ToLower(string(policy))
-		snap.Workload = full.Config.Users
-		snap.Seed = cfg.Run.Testbed.Seed
-		if werr := obs.WriteFile(cfg.Run.ObsDir, snap); werr != nil {
-			return nil, werr
-		}
+	if er.MeanUnits > 0 {
+		er.GoodputPerUnit = er.Goodput / er.MeanUnits
 	}
-	return res, nil
+	return er, nil
 }
 
 // unitsOfAlloc is search.TotalUnits without the import cycle: the soft

@@ -264,7 +264,12 @@ func TierCPU(ss []ServerStats) float64 {
 // bad grid point cannot take down a sweep's worker pool. Cancellation via
 // Ctx and the TrialTimeout watchdog interrupt the simulation between
 // events and shut the testbed down cleanly.
-func Run(cfg RunConfig) (res *Result, err error) {
+func Run(cfg RunConfig) (*Result, error) { return run(cfg, nil) }
+
+// run is Run, plus the windowed timeline of a fault scenario, flash crowd
+// or elastic day when win is set: its disturbance is armed before the
+// workload starts, and its per-window points and gauges are filled in.
+func run(cfg RunConfig, win *windowing) (res *Result, err error) {
 	cfg.applyDefaults()
 	if cerr := ctxErr(cfg.Ctx); cerr != nil {
 		return nil, cerr
@@ -279,12 +284,19 @@ func Run(cfg RunConfig) (res *Result, err error) {
 		return nil, err
 	}
 	defer tb.Close()
-	dog := startWatchdog(cfg, tb.Env)
-	defer dog.stop()
+	defer Watchdog(cfg.Ctx, cfg.TrialTimeout, tb.Env)()
+	if win != nil && win.disturb != nil {
+		if err := win.disturb(tb); err != nil {
+			return nil, err
+		}
+	}
 
 	collector := sla.NewCollector(cfg.Thresholds)
 	measureStart := cfg.RampUp
 	horizon := cfg.RampUp + cfg.Measure
+	if win != nil {
+		win.start(cfg.Measure)
+	}
 
 	ccfg := rubbos.ClientConfig{
 		Users:       cfg.Users,
@@ -301,24 +313,32 @@ func Run(cfg RunConfig) (res *Result, err error) {
 	}
 	var errCount uint64
 	collect := func(it *rubbos.Interaction, issued, rt time.Duration, rerr error) {
+		shed := false
+		if rerr != nil {
+			k, ok := tier.ErrKind(rerr)
+			shed = ok && (k == tier.FailShed || k == tier.FailDeadline)
+		}
+		late := rerr == nil && cfg.Deadline > 0 && rt > cfg.Deadline
+		if win != nil {
+			win.observe(issued+rt-measureStart, rt, rerr != nil, shed, late)
+		}
 		if issued < measureStart {
 			return
 		}
-		if rerr != nil {
-			if k, ok := tier.ErrKind(rerr); ok && (k == tier.FailShed || k == tier.FailDeadline) {
-				// Shed requests were refused cheaply and deliberately —
-				// count them apart from errors so overload protection is
-				// visible, not hidden inside the failure column.
-				collector.ObserveShed()
-				return
-			}
+		switch {
+		case shed:
+			// Shed requests were refused cheaply and deliberately —
+			// count them apart from errors so overload protection is
+			// visible, not hidden inside the failure column.
+			collector.ObserveShed()
+		case rerr != nil:
 			// Error responses are not goodput; count them separately.
 			errCount++
-			return
-		}
-		collector.Observe(rt)
-		if cfg.Deadline > 0 && rt > cfg.Deadline {
-			collector.ObserveLate()
+		default:
+			collector.Observe(rt)
+			if late {
+				collector.ObserveLate()
+			}
 		}
 	}
 	var w *rubbos.Workload
@@ -341,6 +361,11 @@ func Run(cfg RunConfig) (res *Result, err error) {
 	// ramp-end ResetStats so only window abandonments count (pure read).
 	var abandonedBase uint64
 	tb.Env.At(measureStart+time.Nanosecond, func() { abandonedBase = w.Abandoned() })
+	if win != nil && win.gauge != nil {
+		for i := range win.gauges {
+			tb.Env.At(measureStart+time.Duration(i)*win.width, func() { win.gauges[i] = win.gauge(tb) })
+		}
+	}
 
 	var sampled *samples
 	if cfg.Timeline {
@@ -419,6 +444,9 @@ func Run(cfg RunConfig) (res *Result, err error) {
 		if cfg.ObsDir != "" {
 			snap.Hardware = cfg.Testbed.Hardware.String()
 			snap.Soft = cfg.Testbed.Soft.String()
+			if win != nil {
+				snap.Soft += win.obsLabel
+			}
 			snap.Workload = cfg.Users
 			snap.Seed = cfg.Testbed.Seed
 			if werr := obs.WriteFile(cfg.ObsDir, snap); werr != nil {
@@ -431,7 +459,7 @@ func Run(cfg RunConfig) (res *Result, err error) {
 }
 
 // collectStats reads every server's monitors for the window that started at
-// the last ResetStats (shared by Run and RunScenario).
+// the last ResetStats (shared by Run and RunFleet).
 func collectStats(tb *testbed.Testbed) (apache, tomcat, cjdbc, mysql []ServerStats) {
 	now := tb.Env.Now()
 	for _, a := range tb.Apaches {

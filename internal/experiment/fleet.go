@@ -187,8 +187,7 @@ func runFleetRoster(cfg FleetSweepConfig, placement fleet.Placement, roster []fl
 		return nil, err
 	}
 	defer f.Close()
-	dog := startWatchdog(cfg.Run, f.Env)
-	defer dog.stop()
+	defer Watchdog(cfg.Run.Ctx, cfg.Run.TrialTimeout, f.Env)()
 
 	measureStart := cfg.Run.RampUp
 	horizon := cfg.Run.RampUp + cfg.Run.Measure

@@ -13,9 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/softres/ntier/internal/rubbos"
-	"github.com/softres/ntier/internal/sla"
-	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/tier"
 	"github.com/softres/ntier/internal/trace"
 )
@@ -173,7 +170,9 @@ func OverloadSweep(base RunConfig, rates []float64) (*OverloadCurve, error) {
 
 // FlashCrowdConfig describes one flash-crowd trial: a steady base arrival
 // rate that multiplies for a bounded spike window, with the timeline
-// instrumentation needed to measure absorption and drain.
+// instrumentation needed to measure absorption and drain. The timeline has
+// 1s windows; recovery is the trailing 5-window goodput average regaining
+// 90% of the pre-spike baseline.
 type FlashCrowdConfig struct {
 	Run RunConfig
 
@@ -185,15 +184,8 @@ type FlashCrowdConfig struct {
 	SpikeStart time.Duration
 	SpikeDur   time.Duration
 
-	// Window is the timeline bucket width (default 1s).
-	Window time.Duration
 	// GoodputThreshold classifies a response as goodput (default 1s).
 	GoodputThreshold time.Duration
-	// RecoverFrac is the fraction of pre-spike goodput regarded as
-	// recovered (default 0.9); RecoverWindows the trailing moving-average
-	// width for the test (default 5).
-	RecoverFrac    float64
-	RecoverWindows int
 }
 
 func (c *FlashCrowdConfig) applyDefaults() {
@@ -206,17 +198,8 @@ func (c *FlashCrowdConfig) applyDefaults() {
 	if c.SpikeDur <= 0 {
 		c.SpikeDur = 10 * time.Second
 	}
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
 	if c.GoodputThreshold <= 0 {
 		c.GoodputThreshold = time.Second
-	}
-	if c.RecoverFrac <= 0 {
-		c.RecoverFrac = 0.9
-	}
-	if c.RecoverWindows <= 0 {
-		c.RecoverWindows = 5
 	}
 	c.Run.applyDefaults()
 	// The window must see the spike plus a drain tail.
@@ -237,23 +220,18 @@ type FlashPoint struct {
 	Queued    float64 // requests waiting in tier queues at the bucket start
 }
 
-// FlashCrowdResult is the outcome of one flash-crowd trial.
+// FlashCrowdResult is the outcome of one flash-crowd trial: the trial's
+// Result with its timeline, recovery and drain statistics.
 type FlashCrowdResult struct {
+	*Result
 	Config FlashCrowdConfig
-
-	SLA    *sla.Collector
-	Errors uint64
-	Shed   uint64
-	Late   uint64
-
-	Apache, Tomcat, CJDBC, MySQL []ServerStats
 
 	Timeline []FlashPoint
 
 	// PreSpikeGoodput is the mean windowed goodput before the spike.
 	PreSpikeGoodput float64
 	// RecoveredAt is the offset from measurement start at which the
-	// trailing goodput average regained RecoverFrac of the pre-spike
+	// trailing goodput average regained 90% of the pre-spike
 	// baseline after the spike ended (-1 when it never did); RecoveryTime
 	// is that offset minus the spike end.
 	RecoveredAt  time.Duration
@@ -264,16 +242,6 @@ type FlashCrowdResult struct {
 	// spike end.
 	DrainedAt time.Duration
 	DrainTime time.Duration
-}
-
-// Servers returns all per-server stats in tier order.
-func (fr *FlashCrowdResult) Servers() []ServerStats {
-	out := make([]ServerStats, 0, len(fr.Apache)+len(fr.Tomcat)+len(fr.CJDBC)+len(fr.MySQL))
-	out = append(out, fr.Apache...)
-	out = append(out, fr.Tomcat...)
-	out = append(out, fr.CJDBC...)
-	out = append(out, fr.MySQL...)
-	return out
 }
 
 // Describe summarizes the flash-crowd outcome in one line.
@@ -327,207 +295,40 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	if cfg.BaseRate <= 0 {
 		return nil, fmt.Errorf("experiment: flash crowd needs a positive base rate")
 	}
-	if cerr := ctxErr(cfg.Run.Ctx); cerr != nil {
-		return nil, cerr
-	}
-	tb, err := testbed.Build(cfg.Run.Testbed)
-	if err != nil {
-		return nil, err
-	}
-	defer tb.Close()
-	dog := startWatchdog(cfg.Run, tb.Env)
-	defer dog.stop()
-
-	measureStart := cfg.Run.RampUp
-	horizon := cfg.Run.RampUp + cfg.Run.Measure
-	windows := int((cfg.Run.Measure + cfg.Window - 1) / cfg.Window)
-
-	collector := sla.NewCollector(cfg.Run.Thresholds)
-	var errCount uint64
-	points := make([]FlashPoint, windows)
-	for i := range points {
-		points[i].Second = float64(i) * cfg.Window.Seconds()
-	}
-	bucket := func(done time.Duration) int {
-		if done < measureStart {
-			return -1
-		}
-		i := int((done - measureStart) / cfg.Window)
-		if i >= windows {
-			return -1
-		}
-		return i
-	}
-
 	// The arrival clock starts at sim t=0, so spike offsets (relative to
 	// the measurement window) shift by the ramp.
-	spec := trace.FlashCrowd(cfg.BaseRate, cfg.BaseRate*cfg.SpikeMult,
+	cfg.Run.Arrivals = trace.FlashCrowd(cfg.BaseRate, cfg.BaseRate*cfg.SpikeMult,
 		cfg.Run.RampUp+cfg.SpikeStart, cfg.SpikeDur)
-	_, err = tb.StartOpenWorkload(rubbos.OpenConfig{
-		Arrivals:    spec,
-		ClientNodes: cfg.Run.ClientNodes,
-		Matrix:      cfg.Run.Mix,
-		Seed:        cfg.Run.Testbed.Seed,
-		Deadline:    cfg.Run.Deadline,
-	}, func(it *rubbos.Interaction, issued, rt time.Duration, rerr error) {
-		done := issued + rt
-		shed := false
-		if k, ok := tier.ErrKind(rerr); ok && (k == tier.FailShed || k == tier.FailDeadline) {
-			shed = true
-		}
-		if i := bucket(done); i >= 0 {
-			points[i].Completed++
-			switch {
-			case shed:
-				points[i].Shed++
-			case rerr != nil:
-				points[i].Errors++
-			default:
-				if rt <= cfg.GoodputThreshold {
-					points[i].Goodput += 1 / cfg.Window.Seconds()
-				}
-				if cfg.Run.Deadline > 0 && rt > cfg.Run.Deadline {
-					points[i].Late++
-				}
-			}
-		}
-		if issued < measureStart {
-			return
-		}
-		switch {
-		case shed:
-			collector.ObserveShed()
-		case rerr != nil:
-			errCount++
-		default:
-			collector.Observe(rt)
-			if cfg.Run.Deadline > 0 && rt > cfg.Run.Deadline {
-				collector.ObserveLate()
-			}
-		}
-	})
+	win := &windowing{width: timelineWindow, threshold: cfg.GoodputThreshold, gauge: queued}
+	res, err := run(cfg.Run, win)
 	if err != nil {
 		return nil, err
 	}
-
-	// Sample total queued requests (worker, servlet-thread, and DB-conn
-	// wait queues) at every window boundary — pure reads.
-	queuedAt := make([]float64, windows+1)
-	readQueued := func() float64 {
-		sum := 0
-		for _, a := range tb.Apaches {
-			sum += a.Workers.Queued()
-		}
-		for _, t := range tb.Tomcats {
-			sum += t.Threads.Queued() + t.Conns.Queued()
-		}
-		return float64(sum)
-	}
-	for i := 0; i <= windows; i++ {
-		i := i
-		tb.Env.At(measureStart+time.Duration(i)*cfg.Window, func() { queuedAt[i] = readQueued() })
-	}
-
-	tb.Env.Run(measureStart)
-	if aerr := trialAborted(cfg.Run, tb.Env); aerr != nil {
-		return nil, aerr
-	}
-	tb.ResetStats()
-	tb.Env.Run(horizon)
-	if aerr := trialAborted(cfg.Run, tb.Env); aerr != nil {
-		return nil, aerr
-	}
-
-	collector.SetElapsed(cfg.Run.Measure)
 	fr := &FlashCrowdResult{
-		Config:       cfg,
-		SLA:          collector,
-		Errors:       errCount,
-		Shed:         collector.Shed(),
-		Late:         collector.Late(),
-		Timeline:     points,
-		RecoveredAt:  -1,
-		RecoveryTime: -1,
-		DrainedAt:    -1,
-		DrainTime:    -1,
+		Result:    res,
+		Config:    cfg,
+		Timeline:  make([]FlashPoint, len(win.points)),
+		DrainedAt: -1,
+		DrainTime: -1,
 	}
-	fr.Apache, fr.Tomcat, fr.CJDBC, fr.MySQL = collectStats(tb)
-	for i := 0; i < windows; i++ {
-		points[i].Queued = queuedAt[i]
+	for i, p := range win.points {
+		fr.Timeline[i] = FlashPoint{Second: p.second, Completed: p.completed, Goodput: p.goodput,
+			Errors: p.errors, Shed: p.shed, Late: p.late, Queued: win.gauges[i]}
 	}
-	fr.computeRecovery()
-	fr.computeDrain(queuedAt)
-	return fr, nil
-}
-
-// computeRecovery derives the pre-spike goodput baseline and the time to
-// regain RecoverFrac of it after the spike ends.
-func (fr *FlashCrowdResult) computeRecovery() {
-	cfg := &fr.Config
 	spikeEnd := cfg.SpikeStart + cfg.SpikeDur
+	fr.PreSpikeGoodput, fr.RecoveredAt, fr.RecoveryTime = win.recovery(cfg.SpikeStart, spikeEnd, flashRecoverFrac)
 
-	pre, n := 0.0, 0
-	for _, pt := range fr.Timeline {
-		if time.Duration((pt.Second+cfg.Window.Seconds())*float64(time.Second)) > cfg.SpikeStart {
-			break
-		}
-		pre += pt.Goodput
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	fr.PreSpikeGoodput = pre / float64(n)
-	if fr.PreSpikeGoodput <= 0 {
-		return
-	}
-
-	k := cfg.RecoverWindows
-	for i := range fr.Timeline {
-		end := time.Duration(float64(i+1) * cfg.Window.Seconds() * float64(time.Second))
-		if end < spikeEnd || i+1 < k {
-			continue
-		}
-		avg := 0.0
-		for j := i + 1 - k; j <= i; j++ {
-			avg += fr.Timeline[j].Goodput
-		}
-		avg /= float64(k)
-		if avg >= cfg.RecoverFrac*fr.PreSpikeGoodput {
-			fr.RecoveredAt = end
-			fr.RecoveryTime = end - spikeEnd
-			if fr.RecoveryTime < 0 {
-				fr.RecoveryTime = 0
-			}
-			return
-		}
-	}
-}
-
-// computeDrain finds the first window boundary at or after the spike end
-// where the queued backlog fell back to its pre-spike maximum.
-func (fr *FlashCrowdResult) computeDrain(queuedAt []float64) {
-	cfg := &fr.Config
-	spikeEnd := cfg.SpikeStart + cfg.SpikeDur
+	// Drain: the first window boundary at or after the spike end where the
+	// queued backlog fell back to its pre-spike maximum.
 	preMax := 0.0
-	for i := range queuedAt {
-		at := time.Duration(i) * cfg.Window
-		if at >= cfg.SpikeStart {
+	for i, q := range win.gauges {
+		at := time.Duration(i) * win.width
+		if at < cfg.SpikeStart {
+			preMax = max(preMax, q)
+		} else if at >= spikeEnd && q <= preMax {
+			fr.DrainedAt, fr.DrainTime = at, at-spikeEnd
 			break
 		}
-		if queuedAt[i] > preMax {
-			preMax = queuedAt[i]
-		}
 	}
-	for i := range queuedAt {
-		at := time.Duration(i) * cfg.Window
-		if at < spikeEnd {
-			continue
-		}
-		if queuedAt[i] <= preMax {
-			fr.DrainedAt = at
-			fr.DrainTime = at - spikeEnd
-			return
-		}
-	}
+	return fr, nil
 }

@@ -158,7 +158,7 @@ func TestFlashCrowdRecoversAndDrains(t *testing.T) {
 	}
 	if fr.RecoveryTime < 0 {
 		t.Errorf("goodput never recovered to %.0f%% of the pre-spike baseline %.1f req/s",
-			fr.Config.RecoverFrac*100, fr.PreSpikeGoodput)
+			flashRecoverFrac*100, fr.PreSpikeGoodput)
 	}
 	if fr.DrainTime < 0 {
 		t.Error("queue backlog never drained back to its pre-spike level")

@@ -6,15 +6,15 @@ import (
 
 	"github.com/softres/ntier/internal/adaptive"
 	"github.com/softres/ntier/internal/fault"
-	"github.com/softres/ntier/internal/rubbos"
-	"github.com/softres/ntier/internal/sla"
 	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/tier"
 )
 
 // ScenarioConfig describes one fault-injection trial: a base experiment, a
 // fault plan (offsets relative to the start of the measurement window), and
-// the resilience policy under test.
+// the resilience policy under test. The timeline has 1s windows; recovery
+// is the trailing 5-window goodput average regaining 95% of the pre-fault
+// baseline.
 type ScenarioConfig struct {
 	Run  RunConfig
 	Plan fault.Plan
@@ -23,15 +23,8 @@ type ScenarioConfig struct {
 	// fault-free pipeline against the plan — no timeouts, no retries).
 	Resilience *tier.ResilienceConfig
 
-	// Window is the timeline bucket width (default 1s).
-	Window time.Duration
 	// GoodputThreshold classifies a response as goodput (default 1s).
 	GoodputThreshold time.Duration
-	// RecoverFrac is the fraction of pre-fault goodput regarded as
-	// recovered (default 0.95). RecoverWindows is the trailing
-	// moving-average width used for the recovery test (default 5).
-	RecoverFrac    float64
-	RecoverWindows int
 
 	// Elastic, when set, attaches the elastic controller so the scenario
 	// evaluates soft-resource control under faults.
@@ -40,17 +33,8 @@ type ScenarioConfig struct {
 
 func (c *ScenarioConfig) applyDefaults() {
 	c.Run.applyDefaults()
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
 	if c.GoodputThreshold <= 0 {
 		c.GoodputThreshold = time.Second
-	}
-	if c.RecoverFrac <= 0 {
-		c.RecoverFrac = 0.95
-	}
-	if c.RecoverWindows <= 0 {
-		c.RecoverWindows = 5
 	}
 }
 
@@ -60,18 +44,19 @@ type ScenarioPoint struct {
 	Second    float64 // bucket start, seconds from measurement start
 	Completed int     // responses (ok or error) finishing in the bucket
 	Goodput   float64 // in-threshold successes per second
-	Errors    int     // error responses finishing in the bucket
+	Errors    int     // error and shed responses finishing in the bucket
 	CJDBCBusy float64 // mean checked-out C-JDBC connections over the bucket
 }
 
-// ScenarioResult is the outcome of one fault-injection trial.
+// ScenarioResult is the outcome of one fault-injection trial: the trial's
+// Result with its fault timeline and recovery statistics.
 type ScenarioResult struct {
+	*Result
 	Config ScenarioConfig
 
-	SLA    *sla.Collector
-	Errors uint64 // error responses during the measurement window
-
-	Apache, Tomcat, CJDBC, MySQL []ServerStats
+	// Errors counts error and shed responses during the measurement window
+	// (Result.Errors and Result.Shed hold them apart).
+	Errors uint64
 
 	Timeline []ScenarioPoint
 	Records  []fault.Record // injector actions actually applied
@@ -80,8 +65,8 @@ type ScenarioResult struct {
 	// (the recovery baseline).
 	PreFaultGoodput float64
 	// RecoveredAt is the offset from measurement start at which the
-	// trailing goodput average regained RecoverFrac of the pre-fault
-	// baseline after the last fault ended (-1 when it never did).
+	// trailing goodput average regained 95% of the pre-fault baseline
+	// after the last fault ended (-1 when it never did).
 	RecoveredAt time.Duration
 	// RecoveryTime is RecoveredAt minus the last fault's end (-1 when the
 	// system never recovered).
@@ -93,16 +78,6 @@ type ScenarioResult struct {
 
 	// Decisions holds the elastic controller's actions (nil without one).
 	Decisions []adaptive.ElasticDecision
-}
-
-// Servers returns all per-server stats in tier order.
-func (sr *ScenarioResult) Servers() []ServerStats {
-	out := make([]ServerStats, 0, len(sr.Apache)+len(sr.Tomcat)+len(sr.CJDBC)+len(sr.MySQL))
-	out = append(out, sr.Apache...)
-	out = append(out, sr.Tomcat...)
-	out = append(out, sr.CJDBC...)
-	out = append(out, sr.MySQL...)
-	return out
 }
 
 // TotalResilience sums the resilience counters across all servers.
@@ -141,182 +116,49 @@ func (sr *ScenarioResult) Describe() string {
 // the timeline with recovery statistics.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	cfg.applyDefaults()
-	if cerr := ctxErr(cfg.Run.Ctx); cerr != nil {
-		return nil, cerr
-	}
 	cfg.Run.Testbed.Resilience = cfg.Resilience
-	tb, err := testbed.Build(cfg.Run.Testbed)
-	if err != nil {
-		return nil, err
-	}
-	defer tb.Close()
-	dog := startWatchdog(cfg.Run, tb.Env)
-	defer dog.stop()
-
-	measureStart := cfg.Run.RampUp
-	horizon := cfg.Run.RampUp + cfg.Run.Measure
-	windows := int((cfg.Run.Measure + cfg.Window - 1) / cfg.Window)
-
-	inj := fault.NewInjector(tb.Env, tb.FaultTargets(), cfg.Run.Testbed.Seed)
-	if err := inj.Schedule(measureStart, cfg.Plan); err != nil {
-		return nil, err
-	}
-
-	var ctl *adaptive.ElasticController
-	if cfg.Elastic != nil {
-		if ctl, err = adaptive.AttachElastic(tb, *cfg.Elastic); err != nil {
-			return nil, err
-		}
-	}
-
-	collector := sla.NewCollector(cfg.Run.Thresholds)
-	var errCount uint64
-	points := make([]ScenarioPoint, windows)
-	for i := range points {
-		points[i].Second = float64(i) * cfg.Window.Seconds()
-	}
-	bucket := func(done time.Duration) int {
-		if done < measureStart {
-			return -1
-		}
-		i := int((done - measureStart) / cfg.Window)
-		if i >= windows {
-			return -1
-		}
-		return i
-	}
-
-	ccfg := rubbos.ClientConfig{
-		Users:       cfg.Run.Users,
-		ClientNodes: cfg.Run.ClientNodes,
-		ThinkMean:   cfg.Run.ThinkMean,
-		RampUp:      cfg.Run.RampUp / 2,
-		Matrix:      cfg.Run.Mix,
-		Seed:        cfg.Run.Testbed.Seed,
-	}
-	_, err = tb.StartWorkload(ccfg, func(it *rubbos.Interaction, issued, rt time.Duration, rerr error) {
-		done := issued + rt
-		if i := bucket(done); i >= 0 {
-			points[i].Completed++
-			if rerr != nil {
-				points[i].Errors++
-			} else if rt <= cfg.GoodputThreshold {
-				points[i].Goodput += 1 / cfg.Window.Seconds()
+	var (
+		inj *fault.Injector
+		ctl *adaptive.ElasticController
+	)
+	win := &windowing{
+		width:     timelineWindow,
+		threshold: cfg.GoodputThreshold,
+		disturb: func(tb *testbed.Testbed) (err error) {
+			inj = fault.NewInjector(tb.Env, tb.FaultTargets(), cfg.Run.Testbed.Seed)
+			if err := inj.Schedule(cfg.Run.RampUp, cfg.Plan); err != nil {
+				return err
 			}
-		}
-		if issued < measureStart {
-			return
-		}
-		if rerr != nil {
-			errCount++
-			return
-		}
-		collector.Observe(rt)
-	})
+			if cfg.Elastic != nil {
+				ctl, err = adaptive.AttachElastic(tb, *cfg.Elastic)
+			}
+			return err
+		},
+		gauge: cjdbcBusy,
+	}
+	res, err := run(cfg.Run, win)
 	if err != nil {
 		return nil, err
 	}
-
-	// Sample the C-JDBC busy integral at every window boundary: the diff
-	// over a window is busy-unit-seconds, i.e. mean effective concurrency.
-	busyAt := make([]float64, windows+1)
-	readBusy := func() float64 {
-		sum := 0.0
-		for _, c := range tb.CJDBCs {
-			sum += c.BusyIntegral()
-		}
-		return sum
-	}
-	for i := 0; i <= windows; i++ {
-		i := i
-		tb.Env.At(measureStart+time.Duration(i)*cfg.Window, func() { busyAt[i] = readBusy() })
-	}
-
-	tb.Env.Run(measureStart)
-	if aerr := trialAborted(cfg.Run, tb.Env); aerr != nil {
-		return nil, aerr
-	}
-	tb.ResetStats()
-	tb.Env.Run(horizon)
-	if ctl != nil {
-		ctl.Stop()
-	}
-	if aerr := trialAborted(cfg.Run, tb.Env); aerr != nil {
-		return nil, aerr
-	}
-
-	collector.SetElapsed(cfg.Run.Measure)
 	sr := &ScenarioResult{
-		Config:       cfg,
-		SLA:          collector,
-		Errors:       errCount,
-		Timeline:     points,
-		Records:      inj.Records(),
-		RecoveredAt:  -1,
-		RecoveryTime: -1,
+		Result:   res,
+		Config:   cfg,
+		Errors:   res.Errors + res.Shed,
+		Timeline: make([]ScenarioPoint, len(win.points)),
+		Records:  inj.Records(),
 	}
-	sr.Apache, sr.Tomcat, sr.CJDBC, sr.MySQL = collectStats(tb)
 	if ctl != nil {
 		sr.Decisions = ctl.Decisions()
 	}
-	for i := 0; i < windows; i++ {
-		points[i].CJDBCBusy = (busyAt[i+1] - busyAt[i]) / cfg.Window.Seconds()
+	sec := win.width.Seconds()
+	for i, p := range win.points {
+		sr.Timeline[i] = ScenarioPoint{Second: p.second, Completed: p.completed, Goodput: p.goodput,
+			Errors: p.errors + p.shed, CJDBCBusy: (win.gauges[i+1] - win.gauges[i]) / sec}
 	}
-	if windows > 0 {
-		sr.MeanCJDBCBusy = (busyAt[windows] - busyAt[0]) / (float64(windows) * cfg.Window.Seconds())
+	if n := len(win.points); n > 0 {
+		sr.MeanCJDBCBusy = (win.gauges[n] - win.gauges[0]) / (float64(n) * sec)
 	}
-	sr.computeRecovery()
+	sr.PreFaultGoodput, sr.RecoveredAt, sr.RecoveryTime =
+		win.recovery(cfg.Plan.FirstStart(), cfg.Plan.LastEnd(), faultRecoverFrac)
 	return sr, nil
-}
-
-// computeRecovery derives the pre-fault baseline and the time to regain
-// RecoverFrac of it after the last fault ends.
-func (sr *ScenarioResult) computeRecovery() {
-	cfg := &sr.Config
-	if len(cfg.Plan.Events) == 0 || len(sr.Timeline) == 0 {
-		return
-	}
-	firstStart := cfg.Plan.FirstStart()
-	lastEnd := cfg.Plan.LastEnd()
-
-	// Baseline: mean goodput over the windows wholly before the first
-	// fault; without any, the fault hit at t=0 and no baseline exists.
-	pre, n := 0.0, 0
-	for _, pt := range sr.Timeline {
-		if time.Duration((pt.Second+cfg.Window.Seconds())*float64(time.Second)) > firstStart {
-			break
-		}
-		pre += pt.Goodput
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	sr.PreFaultGoodput = pre / float64(n)
-	if sr.PreFaultGoodput <= 0 {
-		return
-	}
-
-	// Recovery: trailing moving average over RecoverWindows buckets, first
-	// reaching RecoverFrac of the baseline at or after the last fault end.
-	k := cfg.RecoverWindows
-	for i := range sr.Timeline {
-		end := time.Duration(float64(i+1) * cfg.Window.Seconds() * float64(time.Second))
-		if end < lastEnd || i+1 < k {
-			continue
-		}
-		avg := 0.0
-		for j := i + 1 - k; j <= i; j++ {
-			avg += sr.Timeline[j].Goodput
-		}
-		avg /= float64(k)
-		if avg >= cfg.RecoverFrac*sr.PreFaultGoodput {
-			sr.RecoveredAt = end
-			sr.RecoveryTime = end - lastEnd
-			if sr.RecoveryTime < 0 {
-				sr.RecoveryTime = 0
-			}
-			return
-		}
-	}
 }

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/softres/ntier/internal/adaptive"
 	"github.com/softres/ntier/internal/tier"
+	"github.com/softres/ntier/internal/trace"
 )
 
 func TestOpenStateLifecycle(t *testing.T) {
@@ -133,6 +135,41 @@ func poisonTomcat(size int, calls *atomic.Int64) func(*tier.TomcatConfig) {
 		if c.Threads == size {
 			panic("poisoned tomcat config")
 		}
+	}
+}
+
+// TestWindowedTrialsContainPanics: a model bug inside a fault scenario, a
+// flash crowd or an elastic day comes back as a *PanicError, as it does
+// from Run, instead of killing the caller's worker pool.
+func TestWindowedTrialsContainPanics(t *testing.T) {
+	base := fastSweepConfig(1)
+	base.Users = 100
+	base.Testbed.TuneTomcat = poisonTomcat(base.Testbed.Soft.AppThreads, nil)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"scenario", func() error {
+			_, err := RunScenario(ScenarioConfig{Run: base, Resilience: defaultScenarioResilience()})
+			return err
+		}},
+		{"flash-crowd", func() error {
+			_, err := RunFlashCrowd(FlashCrowdConfig{Run: base, BaseRate: 50})
+			return err
+		}},
+		{"elastic", func() error {
+			tr := ElasticTrace{Name: "steady", Spec: trace.Poisson(50)}
+			_, err := RunElastic(ElasticSweepConfig{Run: base}, adaptive.PolicyStatic, tr)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var pe *PanicError
+			if err := tc.run(); !errors.As(err, &pe) || pe.Value != "poisoned tomcat config" {
+				t.Fatalf("err = %v, want the poisoned build's *PanicError", err)
+			}
+		})
 	}
 }
 

@@ -71,55 +71,42 @@ func IsTrialFailure(err error) bool {
 	return errors.As(err, &te)
 }
 
-// watchdog interrupts a DES run when the trial context is canceled or the
-// wall-clock budget expires.
-type watchdog struct {
-	stopc chan struct{}
-	done  chan struct{}
-}
-
-// startWatchdog arms the watchdog for one trial, or returns nil when
-// neither a context nor a timeout is configured. env.Interrupt is the only
-// cross-thread call made.
-func startWatchdog(cfg RunConfig, env *des.Env) *watchdog {
+// Watchdog interrupts env's run when ctx is done or the wall-clock
+// timeout (0 = none) expires; env.Interrupt is the only cross-thread call
+// made. The returned stop disarms it and waits for its goroutine, so no
+// Interrupt can land on a later trial's Env.
+func Watchdog(ctx context.Context, timeout time.Duration, env *des.Env) (stop func()) {
 	var ctxDone <-chan struct{}
-	if cfg.Ctx != nil {
-		ctxDone = cfg.Ctx.Done()
+	if ctx != nil {
+		ctxDone = ctx.Done()
 	}
-	if ctxDone == nil && cfg.TrialTimeout <= 0 {
-		return nil
+	if ctxDone == nil && timeout <= 0 {
+		return func() {}
 	}
 	var timerC <-chan time.Time
 	var timer *time.Timer
-	if cfg.TrialTimeout > 0 {
-		timer = time.NewTimer(cfg.TrialTimeout)
+	if timeout > 0 {
+		timer = time.NewTimer(timeout)
 		timerC = timer.C
 	}
-	w := &watchdog{stopc: make(chan struct{}), done: make(chan struct{})}
+	stopc, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer close(w.done)
+		defer close(done)
 		if timer != nil {
 			defer timer.Stop()
 		}
 		select {
-		case <-w.stopc:
+		case <-stopc:
 		case <-ctxDone:
 			env.Interrupt()
 		case <-timerC:
 			env.Interrupt()
 		}
 	}()
-	return w
-}
-
-// stop disarms the watchdog and waits for its goroutine, so no Interrupt
-// can land on a later trial's Env. Safe on nil.
-func (w *watchdog) stop() {
-	if w == nil {
-		return
+	return func() {
+		close(stopc)
+		<-done
 	}
-	close(w.stopc)
-	<-w.done
 }
 
 // trialAborted classifies an interrupted DES run: the context's own error

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/chaos"
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fault"
 	"github.com/softres/ntier/internal/testbed"
@@ -41,7 +40,7 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		soft:   fs.String("soft", "400-15-6", "soft allocation Wt-At-Ac"),
 		seed:   fs.Uint64("seed", 1, "base seed (trial s uses topology seed base+s)"),
 		ramp:   fs.Duration("ramp", 5*time.Second, "ramp-up period (simulated)"),
-		common: cli.RegisterCommonFlags(fs),
+		common: registerCommonFlags(fs),
 	}
 	var (
 		seeds = fs.Int("seeds", 1, "topology seeds to fuzz")
@@ -72,13 +71,13 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	if err := refuse(fs, "chaos trials record no observability snapshots", "obs"); err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 	if *seeds <= 0 || *plans <= 0 {
-		return cli.Fail(fs, fmt.Errorf("-seeds and -plans must be positive (got %d, %d)", *seeds, *plans))
+		return failUsage(fs, fmt.Errorf("-seeds and -plans must be positive (got %d, %d)", *seeds, *plans))
 	}
 	if *jitter < 0 || *jitter >= 1 {
-		return cli.Fail(fs, fmt.Errorf("-jitter: %g outside [0,1)", *jitter))
+		return failUsage(fs, fmt.Errorf("-jitter: %g outside [0,1)", *jitter))
 	}
 	if *plant > 0 {
 		*jitter = 0 // the planted revert is scheduled at the nominal end
@@ -96,10 +95,10 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		GoodputTol:         *goodTol,
 		P95Factor:          *p95Fac,
 		LeakRestoreDeficit: *plant,
-		TrialTimeout:       *tf.common.TrialTimeout,
+		TrialTimeout:       *tf.common.trialTimeout,
 	}
 
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
 	trial.Ctx = ctx
 
@@ -110,7 +109,7 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 	trial.Topology.Seed = *tf.seed
 	targets, err := chaos.Discover(trial.Topology)
 	if err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 	cfg := chaos.CampaignConfig{
 		Trial: trial,
@@ -125,13 +124,13 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		Seeds:        *seeds,
 		PlansPerSeed: *plans,
 		ShrinkBudget: *shrink,
-		Parallelism:  *tf.common.Parallel,
+		Parallelism:  *tf.common.parallel,
 		Ctx:          ctx,
 	}
 
-	fail := func(err error) int { return exitErr(stderr, *tf.common.StateDir, err) }
-	if *tf.common.StateDir != "" {
-		st, err := experiment.OpenState(*tf.common.StateDir, cfg.Fingerprint(), *tf.common.Resume)
+	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
+	if *tf.common.stateDir != "" {
+		st, err := experiment.OpenState(*tf.common.stateDir, cfg.Fingerprint(), *tf.common.resume)
 		if err != nil {
 			return fail(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/adaptive"
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/search"
@@ -36,7 +35,7 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 		soft:   fs.String("soft", "60-4-4", "starting (and STATIC baseline) allocation Wt-At-Ac"),
 		seed:   fs.Uint64("seed", 1, "random seed"),
 		ramp:   fs.Duration("ramp", 40*time.Second, "ramp-up period (simulated)"),
-		common: cli.RegisterCommonFlags(fs),
+		common: registerCommonFlags(fs),
 	}
 	var (
 		policyS  = fs.String("policy", "STATIC,TOP_JOB", "comma-separated policies: STATIC, UNIFORM, TOP_JOB, SOFTMAX")
@@ -66,14 +65,14 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 	}
 	policies, err := parsePolicies(*policyS)
 	if err != nil {
-		return cli.Fail(fs, fmt.Errorf("-policy: %w", err))
+		return failUsage(fs, fmt.Errorf("-policy: %w", err))
 	}
 	traces, err := buildTraces(*traceS, *low, *high, *day)
 	if err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
 
 	hw, soft := tf.hardware, tf.allocs[0]
@@ -97,7 +96,7 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 		Window:           *window,
 		GoodputThreshold: *slaS,
 	}
-	fail := func(err error) int { return exitErr(stderr, *tf.common.StateDir, err) }
+	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
 
 	// SOFTMAX consults the MVA surrogate for marginal goodput; calibrate it
 	// once from a generously provisioned closed-loop trial (not journaled:
@@ -105,7 +104,7 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 	if hasPolicy(policies, adaptive.PolicySoftmax) {
 		calib, cerr := testbed.ParseSoftAlloc(*calibSoft)
 		if cerr != nil {
-			return cli.Fail(fs, fmt.Errorf("-calib-soft: %w", cerr))
+			return failUsage(fs, fmt.Errorf("-calib-soft: %w", cerr))
 		}
 		sur, err := calibrate(stderr, base, calib, *calibWL, "surrogate")
 		if err != nil {
@@ -121,7 +120,7 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	closeState, err := tf.common.OpenState(&cfg.Run, experiment.Fingerprint(base, journalTag("elastic"),
+	closeState, err := tf.common.openState(&cfg.Run, experiment.Fingerprint(base, journalTag("elastic"),
 		*policyS, *traceS, fmt.Sprint(*low), fmt.Sprint(*high), day.String(),
 		interval.String(), fmt.Sprint(*budget), fmt.Sprint(*step),
 		fmt.Sprint(*deadband), cooldown.String(), window.String(), slaS.String()))

@@ -7,7 +7,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/experiment"
 )
 
@@ -37,7 +36,7 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 		seed:      fs.Uint64("seed", 1, "random seed"),
 		ramp:      fs.Duration("ramp", 15*time.Second, "ramp-up period (simulated)"),
 		measure:   fs.Duration("measure", 0, "measured runtime (simulated; 0 = scenario default)"),
-		common:    cli.RegisterCommonFlags(fs),
+		common:    registerCommonFlags(fs),
 	}
 	var (
 		list     = fs.Bool("list", false, "list the built-in fault scenarios")
@@ -66,13 +65,13 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *scenario == "" {
-		return cli.Fail(fs, fmt.Errorf("-scenario: required (run -list for the catalogue)"))
+		return failUsage(fs, fmt.Errorf("-scenario: required (run -list for the catalogue)"))
 	}
 	if err := refuse(fs, "fault trials record no observability snapshots", "obs"); err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
 
 	// trial runs one allocation's scenario from its base configuration,
@@ -83,10 +82,10 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 	)
 	if *scenario == "flash-crowd" {
 		if *rate <= 0 {
-			return cli.Fail(fs, fmt.Errorf("-rate: must be positive, got %g", *rate))
+			return failUsage(fs, fmt.Errorf("-rate: must be positive, got %g", *rate))
 		}
 		if err := refuse(fs, "flash-crowd trials are not journaled", "state-dir"); err != nil {
-			return cli.Fail(fs, err)
+			return failUsage(fs, err)
 		}
 		trial = func(base experiment.RunConfig, w io.Writer, csv string) error {
 			base.Deadline = *deadline
@@ -113,19 +112,19 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 	} else {
 		sc, err := experiment.ScenarioByName(*scenario)
 		if err != nil {
-			return cli.Fail(fs, fmt.Errorf("-scenario: %w", err))
+			return failUsage(fs, fmt.Errorf("-scenario: %w", err))
 		}
 		if *users <= 0 {
-			return cli.Fail(fs, fmt.Errorf("-wl: workload must be positive, got %d", *users))
+			return failUsage(fs, fmt.Errorf("-wl: workload must be positive, got %d", *users))
 		}
 		// A state directory pins the campaign identity (fingerprint-checked
 		// on -resume); scenario trials are short and re-run rather than
 		// replay.
-		if *tf.common.StateDir != "" {
+		if *tf.common.stateDir != "" {
 			fp := tf.base(ctx)
 			fp.Users = *users
-			st, err := experiment.OpenState(*tf.common.StateDir, experiment.Fingerprint(fp,
-				journalTag("faults"), *scenario, *tf.soft, thS.String()), *tf.common.Resume)
+			st, err := experiment.OpenState(*tf.common.stateDir, experiment.Fingerprint(fp,
+				journalTag("faults"), *scenario, *tf.soft, thS.String()), *tf.common.resume)
 			if err != nil {
 				return exitErr(stderr, "", err)
 			}
@@ -151,7 +150,7 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 	// buffered per allocation and printed in flag order, so -parallel
 	// never reorders the report.
 	outputs := make([]bytes.Buffer, len(tf.allocs))
-	err := experiment.ForEachIndexCtx(ctx, len(tf.allocs), *tf.common.Parallel, func(i int) error {
+	err := experiment.ForEachIndexCtx(ctx, len(tf.allocs), *tf.common.parallel, func(i int) error {
 		base := tf.base(ctx)
 		base.Testbed.Soft = tf.allocs[i]
 		base.State = state

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/core"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/sla"
@@ -127,7 +126,7 @@ func runFigures(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("figures", stderr)
 	tf := trialFlags{
 		seed:   fs.Uint64("seed", 1, "random seed"),
-		common: cli.RegisterCommonFlags(fs),
+		common: registerCommonFlags(fs),
 	}
 	var (
 		out  = fs.String("out", "results", "output directory")
@@ -139,10 +138,10 @@ func runFigures(args []string, stdout, stderr io.Writer) int {
 	}
 	names, err := selectNames(*only)
 	if err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
 
 	g := &generator{run: tf.base(ctx)}
@@ -150,16 +149,16 @@ func runFigures(args []string, stdout, stderr io.Writer) int {
 	if *full {
 		g.run.RampUp, g.run.Measure = 8*time.Minute, 12*time.Minute
 	}
-	fail := func(err error) int { return exitErr(stderr, *tf.common.StateDir, err) }
+	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return fail(err)
 	}
 
-	if *tf.common.StateDir != "" {
+	if *tf.common.stateDir != "" {
 		// The per-sweep journal fingerprints cover each figure's actual
 		// configurations; the directory fingerprint pins the shared knobs.
-		st, err := experiment.OpenState(*tf.common.StateDir,
-			experiment.Fingerprint(g.run, journalTag("figures")), *tf.common.Resume)
+		st, err := experiment.OpenState(*tf.common.stateDir,
+			experiment.Fingerprint(g.run, journalTag("figures")), *tf.common.resume)
 		if err != nil {
 			return fail(err)
 		}
@@ -171,7 +170,7 @@ func runFigures(args []string, stdout, stderr io.Writer) int {
 	// pool the sweeps use. Each writes its own file; the datasets are
 	// byte-identical to a serial run at any -parallel setting.
 	var mu sync.Mutex
-	err = experiment.ForEachIndexCtx(ctx, len(names), *tf.common.Parallel, func(i int) error {
+	err = experiment.ForEachIndexCtx(ctx, len(names), *tf.common.parallel, func(i int) error {
 		name := names[i]
 		start := time.Now()
 		text, err := registry[name](g)

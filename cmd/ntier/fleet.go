@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fleet"
 	"github.com/softres/ntier/internal/testbed"
@@ -42,7 +41,7 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 	tf := trialFlags{
 		ramp:    fs.Duration("ramp", 40*time.Second, "ramp-up period (simulated)"),
 		measure: fs.Duration("measure", 60*time.Second, "measured period (simulated)"),
-		common:  cli.RegisterCommonFlags(fs),
+		common:  registerCommonFlags(fs),
 	}
 	var (
 		nodes = fs.Int("nodes", 8, "shared pool size (physical nodes)")
@@ -77,22 +76,22 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 	}
 	tenants, err := parseTenants(*hwS, *softS, *wlS, *namesS, *sloS, *think)
 	if err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 	placements, err := parsePlacements(*placeS)
 	if err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
-	counts, err := cli.ParseInts(*countsS)
+	counts, err := parseInts(*countsS)
 	if err != nil {
-		return cli.Fail(fs, fmt.Errorf("-counts: %w", err))
+		return failUsage(fs, fmt.Errorf("-counts: %w", err))
 	}
-	scales, err := cli.ParseFloats(*scaleS)
+	scales, err := parseFloats(*scaleS)
 	if err != nil {
-		return cli.Fail(fs, fmt.Errorf("-scale: %w", err))
+		return failUsage(fs, fmt.Errorf("-scale: %w", err))
 	}
 
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
 
 	base := tf.base(ctx)
@@ -110,7 +109,7 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 		LoadScales:   scales,
 		SLOTarget:    *sloTarget,
 	}
-	fail := func(err error) int { return exitErr(stderr, *tf.common.StateDir, err) }
+	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
 
 	if *planOnly {
 		for _, p := range placements {
@@ -131,7 +130,7 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 	if *calibWL > 0 {
 		calib, err := testbed.ParseSoftAlloc(*calibSoft)
 		if err != nil {
-			return cli.Fail(fs, fmt.Errorf("-calib-soft: %w", err))
+			return failUsage(fs, fmt.Errorf("-calib-soft: %w", err))
 		}
 		cbase := base
 		cbase.Testbed = testbed.Options{Hardware: tenants[0].Hardware, Seed: *seed}
@@ -144,7 +143,7 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	closeState, err := tf.common.OpenState(&cfg.Run, experiment.Fingerprint(base, journalTag("fleet"),
+	closeState, err := tf.common.openState(&cfg.Run, experiment.Fingerprint(base, journalTag("fleet"),
 		*hwS, *softS, *wlS, *namesS, *sloS, think.String(), *placeS, *countsS, *scaleS,
 		fmt.Sprint(*nodes), fmt.Sprint(*slots), fmt.Sprint(*budget), fmt.Sprint(*seed),
 		fmt.Sprint(*sloTarget), fmt.Sprint(*interference), fmt.Sprint(*aggrScale),

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/testbed"
 )
@@ -86,7 +85,7 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 
 // trialFlags is the flag block the trial-running subcommands share: the
 // testbed (-hw, -soft, -seed), the measurement protocol (-ramp, -measure)
-// and cli's execution-control flags. Each subcommand declares the block
+// and the shared execution-control flags. Each subcommand declares the block
 // with its own defaults and usage text, leaving nil what it does not
 // take; parse validates it once for all of them.
 type trialFlags struct {
@@ -94,7 +93,7 @@ type trialFlags struct {
 	multiSoft     bool // -soft is a comma-separated list
 	seed          *uint64
 	ramp, measure *time.Duration
-	common        *cli.CommonFlags
+	common        *commonFlags
 
 	hardware testbed.Hardware
 	allocs   []testbed.SoftAlloc
@@ -107,28 +106,28 @@ func (t *trialFlags) parse(fs *flag.FlagSet, args []string) int {
 		return 2
 	}
 	if err := t.check(); err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 	return 0
 }
 
 func (t *trialFlags) check() error {
-	if err := t.common.Validate(); err != nil {
+	if err := t.common.validate(); err != nil {
 		return err
 	}
 	var err error
 	if t.hw != nil {
-		if t.hardware, err = cli.ParseHardware(*t.hw); err != nil {
+		if t.hardware, err = parseHardware(*t.hw); err != nil {
 			return err
 		}
 	}
 	switch {
 	case t.soft == nil:
 	case t.multiSoft:
-		t.allocs, err = cli.ParseSoftAllocs(*t.soft)
+		t.allocs, err = parseSoftAllocs(*t.soft)
 	default:
 		var soft testbed.SoftAlloc
-		soft, err = cli.ParseSoftAlloc(*t.soft)
+		soft, err = parseSoftAlloc(*t.soft)
 		t.allocs = []testbed.SoftAlloc{soft}
 	}
 	return err
@@ -151,7 +150,7 @@ func (t *trialFlags) base(ctx context.Context) experiment.RunConfig {
 	if t.measure != nil {
 		cfg.Measure = *t.measure
 	}
-	t.common.Apply(&cfg)
+	t.common.apply(&cfg)
 	return cfg
 }
 
@@ -179,10 +178,10 @@ func refuse(fs *flag.FlagSet, why string, names ...string) error {
 // status; an interrupted journaled run also gets the resume hint.
 func exitErr(stderr io.Writer, stateDir string, err error) int {
 	fmt.Fprintln(stderr, err)
-	if hint := cli.ResumeHint(stateDir); hint != "" && cli.ExitCode(err) == cli.ExitInterrupted {
+	if hint := resumeHint(stateDir); hint != "" && exitCode(err) == exitInterrupted {
 		fmt.Fprintln(stderr, hint)
 	}
-	return cli.ExitCode(err)
+	return exitCode(err)
 }
 
 // writeFile streams one emitter into the file at path.

@@ -31,7 +31,7 @@ type flagCase struct {
 
 // rejectsMalformedFlags checks that each malformed command line of sub
 // fails with an error that names the offending flag exactly once (shared
-// parser coverage lives in internal/cli).
+// parser coverage lives in flags_test.go).
 func rejectsMalformedFlags(t *testing.T, sub string, cases []flagCase) {
 	t.Helper()
 	for _, tc := range cases {
@@ -105,7 +105,7 @@ func TestRunWithoutSubcommand(t *testing.T) {
 }
 
 // Every trial-running subcommand exposes the shared execution-control
-// flags with cli's canonical usage text. A subcommand that re-declared one
+// flags with the canonical usage text. A subcommand that re-declared one
 // of them would panic in flag when registering the block, so -h working at
 // all covers that. report runs no trials; its -obs names an input
 // directory.

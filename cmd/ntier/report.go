@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/obs"
 )
 
@@ -22,7 +21,7 @@ import (
 // The text report goes to stdout; report.csv and obs-*.svg are written to
 // -out (default: the -obs directory itself).
 //
-// report is the one subcommand without cli.RegisterCommonFlags: it runs
+// report is the one subcommand without registerCommonFlags: it runs
 // no trials, so the execution-control flags have nothing to control, and
 // its -obs is an input directory rather than a recording destination.
 func runReport(args []string, stdout, stderr io.Writer) int {
@@ -38,14 +37,14 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *obsDir == "" {
-		return cli.Fail(fs, fmt.Errorf("-obs DIR is required"))
+		return failUsage(fs, fmt.Errorf("-obs DIR is required"))
 	}
 	for _, th := range []struct {
 		flag string
 		v    float64
 	}{{"-hw-saturation", *hwSat}, {"-soft-saturation", *softSat}} {
 		if !(th.v > 0 && th.v <= 1) {
-			return cli.Fail(fs, fmt.Errorf("%s: threshold must be in (0, 1], got %g", th.flag, th.v))
+			return failUsage(fs, fmt.Errorf("%s: threshold must be in (0, 1], got %g", th.flag, th.v))
 		}
 	}
 	if *outDir == "" {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/rubbos"
@@ -27,7 +26,7 @@ func runTrial(args []string, stdout, stderr io.Writer) int {
 		seed:    fs.Uint64("seed", 1, "random seed"),
 		ramp:    fs.Duration("ramp", 40*time.Second, "ramp-up period (simulated)"),
 		measure: fs.Duration("measure", 60*time.Second, "measured runtime (simulated)"),
-		common:  cli.RegisterCommonFlags(fs),
+		common:  registerCommonFlags(fs),
 	}
 	var (
 		users  = fs.Int("wl", 6000, "workload (emulated users)")
@@ -41,11 +40,11 @@ func runTrial(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	if *users <= 0 {
-		return cli.Fail(fs, fmt.Errorf("-wl: workload must be positive, got %d", *users))
+		return failUsage(fs, fmt.Errorf("-wl: workload must be positive, got %d", *users))
 	}
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
-	fail := func(err error) int { return exitErr(stderr, *tf.common.StateDir, err) }
+	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
 
 	cfg := tf.base(ctx)
 	cfg.Testbed.Soft = tf.allocs[0]
@@ -60,14 +59,14 @@ func runTrial(args []string, stdout, stderr io.Writer) int {
 	case "rw":
 		cfg.Mix = rubbos.ReadWriteMix()
 	default:
-		return cli.Fail(fs, fmt.Errorf("-mix: unknown mix %q (want browse or rw)", *mix))
+		return failUsage(fs, fmt.Errorf("-mix: unknown mix %q (want browse or rw)", *mix))
 	}
 
 	// The single trial is a one-point workload sweep, so -state-dir
 	// journals it like any campaign: re-running the same configuration
 	// replays the recorded result, and -wl can vary across invocations of
 	// one state directory (the state fingerprint excludes the workload).
-	closeState, err := tf.common.OpenState(&cfg, experiment.Fingerprint(cfg, "ntier"))
+	closeState, err := tf.common.openState(&cfg, experiment.Fingerprint(cfg, "ntier"))
 	if err != nil {
 		return fail(err)
 	}

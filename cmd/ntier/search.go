@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/search"
 	"github.com/softres/ntier/internal/sla"
@@ -36,7 +35,7 @@ func runSearch(args []string, stdout, stderr io.Writer) int {
 		seed:    fs.Uint64("seed", 1, "random seed"),
 		ramp:    fs.Duration("ramp", 30*time.Second, "ramp-up period per trial (simulated)"),
 		measure: fs.Duration("measure", 45*time.Second, "measured runtime per trial (simulated)"),
-		common:  cli.RegisterCommonFlags(fs),
+		common:  registerCommonFlags(fs),
 	}
 	var (
 		webS    = fs.String("web", "", "candidate Apache worker counts (default: the calibration allocation's)")
@@ -54,23 +53,23 @@ func runSearch(args []string, stdout, stderr io.Writer) int {
 	if code := tf.parse(fs, args); code != 0 {
 		return code
 	}
-	workloads, err := cli.ParseWorkloads(*wlS)
+	workloads, err := parseWorkloads(*wlS)
 	if err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 	webAxis := []int{tf.allocs[0].WebThreads}
 	if *webS != "" {
-		if webAxis, err = cli.ParseInts(*webS); err != nil {
-			return cli.Fail(fs, fmt.Errorf("-web: %w", err))
+		if webAxis, err = parseInts(*webS); err != nil {
+			return failUsage(fs, fmt.Errorf("-web: %w", err))
 		}
 	}
-	threadAxis, err := cli.ParseInts(*thrS)
+	threadAxis, err := parseInts(*thrS)
 	if err != nil {
-		return cli.Fail(fs, fmt.Errorf("-threads: %w", err))
+		return failUsage(fs, fmt.Errorf("-threads: %w", err))
 	}
-	connAxis, err := cli.ParseInts(*connS)
+	connAxis, err := parseInts(*connS)
 	if err != nil {
-		return cli.Fail(fs, fmt.Errorf("-conns: %w", err))
+		return failUsage(fs, fmt.Errorf("-conns: %w", err))
 	}
 
 	// The goodput thresholds reported in the Pareto output are the paper's
@@ -86,15 +85,15 @@ func runSearch(args []string, stdout, stderr io.Writer) int {
 		thresholds = append(thresholds, *slaS)
 	}
 
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
-	fail := func(err error) int { return exitErr(stderr, *tf.common.StateDir, err) }
+	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
 
 	base := tf.base(ctx)
 	base.Testbed.Soft = tf.allocs[0]
 	base.Thresholds = thresholds
 
-	closeState, err := tf.common.OpenState(&base, experiment.Fingerprint(base, journalTag("search"),
+	closeState, err := tf.common.openState(&base, experiment.Fingerprint(base, journalTag("search"),
 		*webS, *thrS, *connS, *wlS, fmt.Sprint(*budget), slaS.String(),
 		fmt.Sprint(*eta), fmt.Sprint(*keep)))
 	if err != nil {

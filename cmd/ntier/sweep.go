@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/sla"
@@ -36,7 +35,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		seed:      fs.Uint64("seed", 1, "random seed"),
 		ramp:      fs.Duration("ramp", 40*time.Second, "ramp-up period (simulated)"),
 		measure:   fs.Duration("measure", 60*time.Second, "measured runtime (simulated)"),
-		common:    cli.RegisterCommonFlags(fs),
+		common:    registerCommonFlags(fs),
 	}
 	var (
 		wlS    = fs.String("wl", "5000:6800:400", "workloads: list 5000,5600 or range lo:hi:step")
@@ -54,14 +53,14 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	if code := tf.parse(fs, args); code != 0 {
 		return code
 	}
-	users, err := cli.ParseWorkloads(*wlS)
+	users, err := parseWorkloads(*wlS)
 	if err != nil {
-		return cli.Fail(fs, err)
+		return failUsage(fs, err)
 	}
 
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
-	fail := func(err error) int { return exitErr(stderr, *tf.common.StateDir, err) }
+	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
 
 	base := tf.base(ctx)
 	base.Testbed.DisableGC = *noGC
@@ -77,7 +76,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	if *rateS != "" {
 		fpExtra = append(fpExtra, *rateS, deadline.String())
 	}
-	closeState, err := tf.common.OpenState(&base, experiment.Fingerprint(base, fpExtra...))
+	closeState, err := tf.common.openState(&base, experiment.Fingerprint(base, fpExtra...))
 	if err != nil {
 		return fail(err)
 	}
@@ -86,9 +85,9 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *rateS != "" {
-		rates, err := cli.ParseFloats(*rateS)
+		rates, err := parseFloats(*rateS)
 		if err != nil || len(rates) == 0 {
-			return cli.Fail(fs, fmt.Errorf("-rate: need a comma-separated rate list (got %q)", *rateS))
+			return failUsage(fs, fmt.Errorf("-rate: need a comma-separated rate list (got %q)", *rateS))
 		}
 		return runOverload(stdout, fail, base, tf.allocs, rates, *deadline, *thS, *csvPath)
 	}
@@ -96,9 +95,9 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	var curves []*experiment.Curve
 	if *vary != "" {
 		base.Testbed.Soft = tf.allocs[0]
-		sizes, err := cli.ParseInts(*sizesS)
+		sizes, err := parseInts(*sizesS)
 		if err != nil || len(sizes) == 0 {
-			return cli.Fail(fs, fmt.Errorf("-vary needs -sizes (got %q)", *sizesS))
+			return failUsage(fs, fmt.Errorf("-vary needs -sizes (got %q)", *sizesS))
 		}
 		var fn func(testbed.SoftAlloc, int) testbed.SoftAlloc
 		switch *vary {
@@ -109,7 +108,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		case "web":
 			fn = experiment.VaryWebThreads
 		default:
-			return cli.Fail(fs, fmt.Errorf("-vary: unknown pool %q (want threads, conns, or web)", *vary))
+			return failUsage(fs, fmt.Errorf("-vary: unknown pool %q (want threads, conns, or web)", *vary))
 		}
 		points, err := experiment.AllocSweep(base, users, sizes, fn)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/softres/ntier/internal/cli"
 	"github.com/softres/ntier/internal/core"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/testbed"
@@ -27,7 +26,7 @@ func runTune(args []string, stdout, stderr io.Writer) int {
 		seed:    fs.Uint64("seed", 1, "random seed"),
 		ramp:    fs.Duration("ramp", 30*time.Second, "ramp-up period per trial (simulated)"),
 		measure: fs.Duration("measure", 45*time.Second, "measured runtime per trial (simulated)"),
-		common:  cli.RegisterCommonFlags(fs),
+		common:  registerCommonFlags(fs),
 	}
 	var (
 		soft0    = fs.String("soft0", "400-15-20", "initial soft allocation S0")
@@ -41,12 +40,12 @@ func runTune(args []string, stdout, stderr io.Writer) int {
 	}
 	soft, err := testbed.ParseSoftAlloc(*soft0)
 	if err != nil {
-		return cli.Fail(fs, fmt.Errorf("-soft0: %w", err))
+		return failUsage(fs, fmt.Errorf("-soft0: %w", err))
 	}
 
-	ctx, stop := cli.WithSignalContext(context.Background())
+	ctx, stop := withSignalContext(context.Background())
 	defer stop()
-	fail := func(err error) int { return exitErr(stderr, *tf.common.StateDir, err) }
+	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
 
 	cfg := core.Config{Base: tf.base(ctx), Step: *step, SmallStep: *small}
 	cfg.Base.Testbed.Soft = soft
@@ -56,7 +55,7 @@ func runTune(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	closeState, err := tf.common.OpenState(&cfg.Base, experiment.Fingerprint(cfg.Base, journalTag("tune"),
+	closeState, err := tf.common.openState(&cfg.Base, experiment.Fingerprint(cfg.Base, journalTag("tune"),
 		fmt.Sprint(*step), fmt.Sprint(*small), fmt.Sprint(*validate)))
 	if err != nil {
 		return fail(err)

@@ -142,14 +142,15 @@ func elasticObsSnapshot(t *testing.T) (*obs.TrialObs, string) {
 }
 
 // TestRunElasticObsSnapshot: an elastic trial with ObsDir set writes one
-// snapshot, labelled with the policy (so grid cells do not collide on one
-// file) and with the trace's peak-rate closed equivalent as its workload.
+// snapshot, labelled with the policy and the trace (so grid cells do not
+// collide on one file) and with the trace's peak-rate closed equivalent as
+// its workload.
 func TestRunElasticObsSnapshot(t *testing.T) {
 	snap, name := elasticObsSnapshot(t)
 	cfg := elasticBase(t)
 	users := int(rubbos.OpenEquivUsers(cfg.Traces[0].Spec.MaxRate()))
-	if !strings.HasSuffix(snap.Soft, "-top_job") {
-		t.Errorf("snapshot Soft label %q does not end in -top_job", snap.Soft)
+	if !strings.HasSuffix(snap.Soft, "-top_job-diurnal") {
+		t.Errorf("snapshot Soft label %q does not end in -top_job-diurnal", snap.Soft)
 	}
 	if snap.Workload != users || snap.Summary.Workload != users {
 		t.Errorf("snapshot workload %d (summary %d), want the peak-rate equivalent %d",

@@ -2,12 +2,16 @@ package experiment
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/softres/ntier/internal/adaptive"
+	"github.com/softres/ntier/internal/fleet"
 	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/testbed"
+	"github.com/softres/ntier/internal/trace"
 )
 
 func obsBase(t *testing.T, hw, soft string, ramp, measure time.Duration) RunConfig {
@@ -213,4 +217,69 @@ func TestOverAllocationAttribution(t *testing.T) {
 		t.Errorf("signature should blame cjdbc1: %s", sig.Detail)
 	}
 	t.Logf("signature: %s", sig)
+}
+
+// TestObsOneSnapshotPerTrial: every trial of a campaign writes its own obs
+// snapshot, one per testbed, so no trial silently overwrites another's.
+// Open-loop trials are told apart by their peak rate, elastic cells by
+// policy and trace, and fleet tenants by the cell they ran in.
+func TestObsOneSnapshotPerTrial(t *testing.T) {
+	base := obsBase(t, "1/1/1/1", "50-6-3", 2*time.Second, 3*time.Second)
+	base.Parallelism = 1
+	fleetCfg := func(dir string) FleetSweepConfig {
+		cfg := smallFleet()
+		cfg.Run.RampUp, cfg.Run.Measure, cfg.Run.ObsDir = 2*time.Second, 3*time.Second, dir
+		cfg.Placements = []fleet.Placement{fleet.PlacementPacked}
+		return cfg
+	}
+	cases := []struct {
+		name string
+		run  func(dir string) error
+		want int
+	}{
+		{"overload-rates", func(dir string) error {
+			cfg := base
+			cfg.ObsDir = dir
+			_, err := OverloadSweep(cfg, []float64{60, 120, 180})
+			return err
+		}, 3},
+		{"elastic-policies-traces", func(dir string) error {
+			cfg := ElasticSweepConfig{Run: base, Window: time.Second,
+				Policies: []adaptive.Policy{adaptive.PolicyStatic, adaptive.PolicyTopJob},
+				Traces: []ElasticTrace{
+					{Name: "diurnal", Spec: trace.Diurnal(20, 60, time.Minute)},
+					{Name: "mmpp", Spec: trace.MMPP(trace.MMPPState{Rate: 20, Mean: 4 * time.Second},
+						trace.MMPPState{Rate: 60, Mean: 4 * time.Second})},
+					{Name: "flash", Spec: trace.FlashCrowd(20, 180, 30*time.Second, 4*time.Second)},
+				}}
+			cfg.Run.ObsDir = dir
+			_, err := ElasticSweep(cfg)
+			return err
+		}, 6},
+		{"fleet-counts", func(dir string) error {
+			cfg := fleetCfg(dir)
+			cfg.TenantCounts = []int{1, 2}
+			_, err := FleetSweep(cfg)
+			return err
+		}, 3},
+		{"fleet-interference", func(dir string) error {
+			_, err := FleetInterference(fleetCfg(dir), fleet.PlacementPacked, 3)
+			return err
+		}, 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.run(dir); err != nil {
+				t.Fatal(err)
+			}
+			names, err := filepath.Glob(filepath.Join(dir, "obs-*.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != tc.want {
+				t.Errorf("%d snapshots written, want one per trial per testbed (%d): %v", len(names), tc.want, names)
+			}
+		})
+	}
 }

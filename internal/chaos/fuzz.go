@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/fault"
-	"github.com/softres/ntier/internal/fleet"
 	"github.com/softres/ntier/internal/rng"
 	"github.com/softres/ntier/internal/testbed"
 )
@@ -33,19 +32,7 @@ type TargetSet struct {
 
 // TargetsOf derives the sorted target set from a built testbed.
 func TargetsOf(tb *testbed.Testbed) TargetSet {
-	return targetsFrom(tb.FaultTargets())
-}
-
-// TargetsOfFleet derives the fleet-wide target set: every tenant's
-// namespaced surface merged, so generated plans crash, brown out, leak, and
-// spike across tenant boundaries — the consolidation failure modes a
-// single-app campaign cannot reach.
-func TargetsOfFleet(f *fleet.Fleet) TargetSet {
-	return targetsFrom(f.FaultTargets())
-}
-
-// targetsFrom sorts a merged fault surface into a deterministic TargetSet.
-func targetsFrom(ft fault.Targets) TargetSet {
+	ft := tb.FaultTargets()
 	var ts TargetSet
 	for n := range ft.Nodes {
 		ts.Nodes = append(ts.Nodes, n)
@@ -75,17 +62,6 @@ func Discover(opts testbed.Options) (TargetSet, error) {
 	}
 	defer tb.Close()
 	return TargetsOf(tb), nil
-}
-
-// DiscoverFleet builds the multi-tenant topology once, extracts its merged
-// target set, and tears it down.
-func DiscoverFleet(opts fleet.Options) (TargetSet, error) {
-	f, err := fleet.Build(opts)
-	if err != nil {
-		return TargetSet{}, err
-	}
-	defer f.Close()
-	return TargetsOfFleet(f), nil
 }
 
 // GenConfig bounds the plan generator: which targets, how many events,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/fault"
-	"github.com/softres/ntier/internal/fleet"
 	"github.com/softres/ntier/internal/testbed"
 )
 
@@ -125,50 +124,5 @@ func TestGenerateEmptyTargets(t *testing.T) {
 	pl := GenConfig{Horizon: time.Second}.Generate(1)
 	if len(pl.Events) != 0 {
 		t.Fatalf("plan over an empty target set has %d events", len(pl.Events))
-	}
-}
-
-// DiscoverFleet must surface every tenant's namespaced injection surface —
-// chaos discovery stays unambiguous over multi-tenant topologies.
-func TestDiscoverFleetTargets(t *testing.T) {
-	hw := testbed.Hardware{Web: 1, App: 1, Mid: 1, DB: 1}
-	soft := testbed.SoftAlloc{WebThreads: 50, AppThreads: 6, AppConns: 6}
-	ts, err := DiscoverFleet(fleet.Options{
-		Nodes: 4, SlotsPerNode: 2, Seed: 1,
-		Placement: fleet.PlacementPacked,
-		Tenants: []fleet.TenantSpec{
-			{Name: "a", Hardware: hw, Soft: soft, Users: 10},
-			{Name: "b", Hardware: hw, Soft: soft, Users: 10},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNodes := []string{"a/apache1", "a/cjdbc1", "a/mysql1", "a/tomcat1",
-		"b/apache1", "b/cjdbc1", "b/mysql1", "b/tomcat1"}
-	if !reflect.DeepEqual(ts.Nodes, wantNodes) {
-		t.Errorf("nodes = %v, want %v", ts.Nodes, wantNodes)
-	}
-	if !reflect.DeepEqual(ts.CPUs, wantNodes) {
-		t.Errorf("cpus = %v, want %v", ts.CPUs, wantNodes)
-	}
-	wantPools := []PoolTarget{
-		{Name: "a/apache1/workers", Cap: 50},
-		{Name: "a/tomcat1/conns", Cap: 6},
-		{Name: "a/tomcat1/threads", Cap: 6},
-		{Name: "b/apache1/workers", Cap: 50},
-		{Name: "b/tomcat1/conns", Cap: 6},
-		{Name: "b/tomcat1/threads", Cap: 6},
-	}
-	if !reflect.DeepEqual(ts.Pools, wantPools) {
-		t.Errorf("pools = %v, want %v", ts.Pools, wantPools)
-	}
-	if !reflect.DeepEqual(ts.Links, []string{"a/link", "b/link"}) {
-		t.Errorf("links = %v", ts.Links)
-	}
-	// Fuzzed plans generate over the merged surface deterministically.
-	g := GenConfig{Targets: ts, Horizon: 20 * time.Second, MinEvents: 2, MaxEvents: 6}
-	if a, b := g.Generate(3), g.Generate(3); !reflect.DeepEqual(a, b) {
-		t.Error("same seed produced different fleet plans")
 	}
 }

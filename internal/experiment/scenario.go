@@ -136,7 +136,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		},
 		gauge: cjdbcBusy,
 	}
-	res, err := run(cfg.Run, win)
+	res, err := run(cfg.Run, win, "")
 	if err != nil {
 		return nil, err
 	}

@@ -36,8 +36,6 @@ type windowing struct {
 	disturb func(tb *testbed.Testbed) error
 	// gauge, when set, is read at every window boundary (pure read).
 	gauge func(tb *testbed.Testbed) float64
-	// obsLabel is appended to the obs snapshot's Soft label.
-	obsLabel string
 
 	points []windowPoint // one per window of the measurement
 	gauges []float64     // gauge at each window boundary, len(points)+1

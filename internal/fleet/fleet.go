@@ -3,8 +3,8 @@
 // setting the paper's single-application study (§II) leads to: soft
 // over-allocation in one tenant becomes a noisy-neighbor problem for every
 // stack sharing its CPUs and disks. Each tenant is a full testbed topology
-// built under its own namespace (so obs series, audits, and chaos discovery
-// stay unambiguous) with its servers aliased onto shared physical nodes
+// built under its own namespace (so obs series and audits stay
+// unambiguous) with its servers aliased onto shared physical nodes
 // according to a placement plan; per-tenant workloads and SLOs then measure
 // how placement and soft-resource splits trade isolation for density.
 package fleet
@@ -14,10 +14,7 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/des"
-	"github.com/softres/ntier/internal/fault"
 	"github.com/softres/ntier/internal/hw"
-	"github.com/softres/ntier/internal/netsim"
-	"github.com/softres/ntier/internal/resource"
 	"github.com/softres/ntier/internal/rng"
 	"github.com/softres/ntier/internal/rubbos"
 	"github.com/softres/ntier/internal/testbed"
@@ -131,7 +128,8 @@ type Tenant struct {
 	Seed uint64           // rng.SubSeed(fleet seed, "tenant/"+name)
 	TB   *testbed.Testbed // the tenant's namespaced topology
 
-	// Workload is set once StartWorkloads launches the tenant's load.
+	// Workload is the tenant's load, set by whoever starts it; Audit checks
+	// it when set.
 	Workload *rubbos.Workload
 }
 
@@ -210,67 +208,6 @@ func Build(opts Options) (*Fleet, error) {
 	return f, nil
 }
 
-// Collector receives one tenant's completed interaction: the tenant index,
-// the interaction, issue time, response time, and error (nil on success).
-type Collector func(tenant int, it *rubbos.Interaction, issued, rt time.Duration, err error)
-
-// StartWorkloads launches every tenant's load: closed-loop populations ramp
-// their users in over clientRamp, open tenants start their arrival pumps
-// immediately. Each tenant draws from its own derived seed.
-func (f *Fleet) StartWorkloads(clientRamp time.Duration, collect Collector) error {
-	for ti, t := range f.Tenants {
-		ti := ti
-		var tcollect rubbos.Collector
-		if collect != nil {
-			tcollect = func(it *rubbos.Interaction, issued, rt time.Duration, err error) {
-				collect(ti, it, issued, rt, err)
-			}
-		}
-		mix := t.Spec.Mix
-		if mix == nil {
-			mix = rubbos.BrowseOnlyMix()
-		}
-		var w *rubbos.Workload
-		var err error
-		if t.Spec.Arrivals != nil {
-			w, err = t.TB.StartOpenWorkload(rubbos.OpenConfig{
-				Arrivals:    t.Spec.Arrivals,
-				ClientNodes: 2,
-				Matrix:      mix,
-				Seed:        t.Seed,
-			}, tcollect)
-		} else {
-			think := t.Spec.ThinkMean
-			if think <= 0 {
-				think = 7 * time.Second
-			}
-			w, err = t.TB.StartWorkload(rubbos.ClientConfig{
-				Users:       t.Spec.Users,
-				ClientNodes: 2,
-				ThinkMean:   think,
-				RampUp:      clientRamp,
-				Matrix:      mix,
-				Seed:        t.Seed,
-			}, tcollect)
-		}
-		if err != nil {
-			return fmt.Errorf("fleet: tenant %s workload: %w", t.Spec.Name, err)
-		}
-		t.Workload = w
-	}
-	return nil
-}
-
-// StopWorkloads stops every started workload (new requests cease; in-flight
-// ones drain as the simulation runs on).
-func (f *Fleet) StopWorkloads() {
-	for _, t := range f.Tenants {
-		if t.Workload != nil {
-			t.Workload.Stop()
-		}
-	}
-}
-
 // ResetStats starts a fresh measurement window on every tenant at once.
 // Shared hardware is reset through each alias; repeated resets at one
 // instant are idempotent, and resetting all tenants together keeps their
@@ -279,44 +216,6 @@ func (f *Fleet) ResetStats() {
 	for _, t := range f.Tenants {
 		t.TB.ResetStats()
 	}
-}
-
-// SoftUnits sums the currently allocated soft units across tenants.
-func (f *Fleet) SoftUnits() int {
-	units := 0
-	for _, t := range f.Tenants {
-		units += t.TB.SoftUnits()
-	}
-	return units
-}
-
-// FaultTargets merges every tenant's fault surface. Namespacing keeps the
-// keys disjoint; co-located tenants' CPU targets alias the same physical
-// processor, so browning out either name slows both (the injector's
-// refcounted composition keeps overlapping faults consistent).
-func (f *Fleet) FaultTargets() fault.Targets {
-	ft := fault.Targets{
-		Nodes:  map[string]fault.Downable{},
-		CPUs:   map[string]*resource.CPU{},
-		Pools:  map[string]*resource.Pool{},
-		Spikes: map[string]*netsim.Spike{},
-	}
-	for _, t := range f.Tenants {
-		sub := t.TB.FaultTargets()
-		for k, v := range sub.Nodes {
-			ft.Nodes[k] = v
-		}
-		for k, v := range sub.CPUs {
-			ft.CPUs[k] = v
-		}
-		for k, v := range sub.Pools {
-			ft.Pools[k] = v
-		}
-		for k, v := range sub.Spikes {
-			ft.Spikes[k] = v
-		}
-	}
-	return ft
 }
 
 // Audit runs every tenant's full conservation audit (scheduler, shared

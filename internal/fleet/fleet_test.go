@@ -213,6 +213,32 @@ func smallFleet(t *testing.T) *Fleet {
 	return f
 }
 
+// startLoads starts every tenant's closed-loop load as a fleet trial does
+// (two client nodes, a one-second ramp, browse-only mix, the tenant's seed)
+// and sets Tenant.Workload. collect, when set, receives tenant ti's
+// completions.
+func startLoads(t *testing.T, f *Fleet, collect func(ti int, issued, rt time.Duration, err error)) {
+	t.Helper()
+	for ti, tn := range f.Tenants {
+		var c rubbos.Collector
+		if collect != nil {
+			c = func(_ *rubbos.Interaction, issued, rt time.Duration, err error) { collect(ti, issued, rt, err) }
+		}
+		w, err := tn.TB.StartWorkload(rubbos.ClientConfig{
+			Users:       tn.Spec.Users,
+			ClientNodes: 2,
+			ThinkMean:   tn.Spec.ThinkMean,
+			RampUp:      time.Second,
+			Matrix:      rubbos.BrowseOnlyMix(),
+			Seed:        tn.Seed,
+		}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn.Workload = w
+	}
+}
+
 // drainFleet advances the clock until every process has exited and the
 // event queue is empty, or the budget runs out.
 func drainFleet(t *testing.T, f *Fleet, budget time.Duration) {
@@ -233,13 +259,11 @@ func TestFleetAuditQuiescent(t *testing.T) {
 	f := smallFleet(t)
 	defer f.Close()
 	done := make([]int, len(f.Tenants))
-	if err := f.StartWorkloads(time.Second, func(ti int, _ *rubbos.Interaction, _, _ time.Duration, err error) {
+	startLoads(t, f, func(ti int, _, _ time.Duration, err error) {
 		if err == nil {
 			done[ti]++
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	f.Env.Run(10 * time.Second)
 	if errs := f.Audit(false); len(errs) > 0 {
 		t.Fatalf("mid-run audit violations: %v", errs)
@@ -249,7 +273,9 @@ func TestFleetAuditQuiescent(t *testing.T) {
 			t.Fatalf("tenant %s completed nothing; audit is vacuous", f.Tenants[ti].Spec.Name)
 		}
 	}
-	f.StopWorkloads()
+	for _, tn := range f.Tenants {
+		tn.Workload.Stop()
+	}
 	drainFleet(t, f, time.Minute)
 	if errs := f.Audit(true); len(errs) > 0 {
 		t.Errorf("quiescent audit violations: %v", errs)
@@ -275,9 +301,7 @@ func TestApplySoftTenantIsolation(t *testing.T) {
 	beforeUnits := b.TB.SoftUnits()
 
 	rec := obs.Attach(b.TB, 0, obs.Config{Interval: time.Second})
-	if err := f.StartWorkloads(time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
+	startLoads(t, f, nil)
 	f.Env.Run(5 * time.Second)
 	resized := testbed.SoftAlloc{WebThreads: 200, AppThreads: 24, AppConns: 12}
 	if err := a.TB.ApplySoft(resized); err != nil {
@@ -344,15 +368,12 @@ func TestTenantIndependenceAcrossRosters(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		err = f.StartWorkloads(time.Second, func(ti int, _ *rubbos.Interaction, _, rt time.Duration, err error) {
+		startLoads(t, f, func(ti int, _, rt time.Duration, err error) {
 			if f.Tenants[ti].Spec.Name == "a" && err == nil {
 				count++
 				sum += rt
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		f.Env.Run(20 * time.Second)
 		return count, sum
 	}
@@ -380,12 +401,9 @@ func TestFleetDeterministicReplay(t *testing.T) {
 		f := smallFleet(t)
 		defer f.Close()
 		var log strings.Builder
-		err := f.StartWorkloads(time.Second, func(ti int, _ *rubbos.Interaction, issued, rt time.Duration, err error) {
+		startLoads(t, f, func(ti int, issued, rt time.Duration, err error) {
 			fmt.Fprintf(&log, "%d %d %d %v\n", ti, issued, rt, err)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		f.Env.Run(15 * time.Second)
 		return log.String()
 	}

@@ -28,9 +28,8 @@ type Options struct {
 	Env *des.Env
 
 	// Namespace, when non-empty, prefixes every node, pool, RNG-stream,
-	// and fault-target identity with "<Namespace>/" so obs series,
-	// audits, and chaos discovery stay unambiguous when several stacks
-	// coexist. Empty reproduces the paper's bare names exactly.
+	// and fault-target identity with "<Namespace>/" so obs series and
+	// audits stay unambiguous when several stacks coexist. Empty reproduces the paper's bare names exactly.
 	Namespace string
 
 	// Place, when set, supplies the hardware node hosting each

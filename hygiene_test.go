@@ -3,10 +3,11 @@ package ntier_test
 // Repository hygiene gates, run as part of `go test ./...` and therefore
 // in CI: gofmt cleanliness, no dangling relative links in the Markdown
 // docs, the godoc paper-reference audit (every internal/ package comment
-// must say which paper section or figure it reproduces), and a build of
-// every examples/ program.
+// must say which paper section or figure it reproduces), a build of
+// every examples/ program, and the dead-code gate over internal/.
 
 import (
+	"go/ast"
 	"go/format"
 	"go/parser"
 	"go/token"
@@ -15,6 +16,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -166,5 +168,80 @@ func TestExamplesBuild(t *testing.T) {
 	out, err := exec.Command("go", "build", "./examples/...").CombinedOutput()
 	if err != nil {
 		t.Fatalf("examples do not build: %v\n%s", err, out)
+	}
+}
+
+// TestNoDeadInternalFuncs is the dead-code gate. Go forbids importing
+// internal/ from outside this repository, so an exported top-level
+// function there that no non-test code references, and that no test of
+// another package calls, has no user. Every non-test file is parsed,
+// bench/ included, since it imports internal packages.
+func TestNoDeadInternalFuncs(t *testing.T) {
+	const module = "github.com/softres/ntier/"
+	declared := map[string]token.Position{} // "internal/pkg.Func" -> declaration
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		test := strings.HasSuffix(path, "_test.go")
+		imports := map[string]string{} // local name -> repository directory
+		for _, imp := range f.Imports {
+			ip := strings.Trim(imp.Path.Value, `"`)
+			if !strings.HasPrefix(ip, module+"internal/") {
+				continue
+			}
+			name := ip[strings.LastIndexByte(ip, '/')+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = strings.TrimPrefix(ip, module)
+		}
+		var decls map[*ast.Ident]bool
+		if !test {
+			decls = map[*ast.Ident]bool{}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil {
+					continue
+				}
+				decls[fd.Name] = true
+				if strings.HasPrefix(dir, "internal/") && fd.Name.IsExported() {
+					declared[dir+"."+fd.Name.Name] = fset.Position(fd.Pos())
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				// pkg.Func from another directory; a test of the
+				// package itself does not count.
+				if x, ok := n.X.(*ast.Ident); ok {
+					if pkg, ok := imports[x.Name]; ok && !(test && pkg == dir) {
+						used[pkg+"."+n.Sel.Name] = true
+					}
+				}
+			case *ast.Ident:
+				// A bare name in the package's own non-test code.
+				if !test && !decls[n] {
+					used[dir+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var dead []string
+	for key, pos := range declared {
+		if !used[key] {
+			dead = append(dead, pos.String()+": "+key)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d exported internal functions have no user outside their own package's tests; delete them:\n%s",
+			len(dead), strings.Join(dead, "\n"))
 	}
 }

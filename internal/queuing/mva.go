@@ -111,20 +111,6 @@ func MVA(stations []Station, think time.Duration, n int) (MVAResult, error) {
 	return res, nil
 }
 
-// MVASweep solves the network at each population, returning one result per
-// entry of ns.
-func MVASweep(stations []Station, think time.Duration, ns []int) ([]MVAResult, error) {
-	out := make([]MVAResult, 0, len(ns))
-	for _, n := range ns {
-		r, err := MVA(stations, think, n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // BottleneckStation returns the index of the station with the largest
 // per-server demand D/m — the analytic bottleneck, since an m-server
 // station saturates at throughput m/D — or -1 for an empty network.

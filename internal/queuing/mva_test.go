@@ -86,17 +86,6 @@ func TestMVAErrors(t *testing.T) {
 	}
 }
 
-func TestMVASweep(t *testing.T) {
-	st := []Station{{Name: "a", Demand: 2 * time.Millisecond}}
-	rs, err := MVASweep(st, time.Second, []int{10, 100, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 || rs[0].N != 10 || rs[2].N != 1000 {
-		t.Errorf("sweep results %v", rs)
-	}
-}
-
 func TestBottleneckStation(t *testing.T) {
 	st := []Station{
 		{Name: "a", Demand: 3 * time.Millisecond},

@@ -1,8 +1,8 @@
 // Package queuing implements the operational laws the paper's allocation
 // algorithm builds on (Denning & Buzen, "The operational analysis of
-// queueing network models"): Little's law, the Forced Flow law, the
-// Utilization law, and the Interactive Response Time law — plus consistency
-// validators used to sanity-check measured data.
+// queueing network models"): Little's law and the Forced Flow law's visit
+// ratio, a Little's-law consistency check for measured data, and the MVA
+// solver the search surrogate calibrates.
 package queuing
 
 import (
@@ -17,78 +17,12 @@ func Little(x float64, r time.Duration) float64 {
 	return x * r.Seconds()
 }
 
-// ResidenceFromLittle inverts Little's law: R = L / X. It returns 0 when X
-// is not positive.
-func ResidenceFromLittle(l, x float64) time.Duration {
-	if x <= 0 {
-		return 0
-	}
-	return time.Duration(l / x * float64(time.Second))
-}
-
-// ForcedFlow returns the station throughput X_k = V_k * X given the system
-// throughput X and the visit ratio V_k (the paper's Req_ratio: SQL queries
-// issued per servlet request).
-func ForcedFlow(x, visitRatio float64) float64 {
-	return x * visitRatio
-}
-
 // VisitRatio returns V_k = X_k / X, or 0 when X is not positive.
 func VisitRatio(xk, x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	return xk / x
-}
-
-// Utilization returns U = X * D for throughput X and service demand D.
-func Utilization(x float64, d time.Duration) float64 {
-	return x * d.Seconds()
-}
-
-// DemandFromUtilization inverts the utilization law: D = U / X. It returns
-// 0 when X is not positive.
-func DemandFromUtilization(u, x float64) time.Duration {
-	if x <= 0 {
-		return 0
-	}
-	return time.Duration(u / x * float64(time.Second))
-}
-
-// InteractiveResponseTime returns R = N/X - Z for a closed interactive
-// system with N users, throughput X, and think time Z. It returns 0 when X
-// is not positive or the computed R is negative (measurement noise).
-func InteractiveResponseTime(n int, x float64, z time.Duration) time.Duration {
-	if x <= 0 {
-		return 0
-	}
-	r := float64(n)/x - z.Seconds()
-	if r < 0 {
-		return 0
-	}
-	return time.Duration(r * float64(time.Second))
-}
-
-// ThroughputBound returns the asymptotic closed-system throughput bounds
-// min(N/(Z+R0), 1/Dmax): the balanced-job bound the tuner uses to sanity
-// check saturation workloads. R0 is the zero-load residence and Dmax the
-// largest per-station demand.
-func ThroughputBound(n int, z, r0, dmax time.Duration) float64 {
-	demandBound := math.Inf(1)
-	if dmax > 0 {
-		demandBound = 1 / dmax.Seconds()
-	}
-	population := float64(n) / (z + r0).Seconds()
-	return math.Min(population, demandBound)
-}
-
-// SaturationPopulation returns N* = (Z + R0) / Dmax, the user population at
-// which the closed system saturates its bottleneck.
-func SaturationPopulation(z, r0, dmax time.Duration) float64 {
-	if dmax <= 0 {
-		return math.Inf(1)
-	}
-	return (z + r0).Seconds() / dmax.Seconds()
 }
 
 // CheckLittle validates that measured L, X, and R satisfy Little's law
@@ -98,26 +32,6 @@ func CheckLittle(l, x float64, r time.Duration, tol float64) error {
 	scale := math.Max(math.Abs(expect), 1e-9)
 	if math.Abs(l-expect)/scale > tol {
 		return fmt.Errorf("queuing: Little's law violated: L=%.4g but X*R=%.4g (tol %.2g)", l, expect, tol)
-	}
-	return nil
-}
-
-// CheckForcedFlow validates X_k = V_k * X within relative tolerance tol.
-func CheckForcedFlow(xk, x, visitRatio, tol float64) error {
-	expect := ForcedFlow(x, visitRatio)
-	scale := math.Max(math.Abs(expect), 1e-9)
-	if math.Abs(xk-expect)/scale > tol {
-		return fmt.Errorf("queuing: forced flow law violated: Xk=%.4g but V*X=%.4g (tol %.2g)", xk, expect, tol)
-	}
-	return nil
-}
-
-// CheckUtilization validates U = X * D within relative tolerance tol.
-func CheckUtilization(u, x float64, d time.Duration, tol float64) error {
-	expect := Utilization(x, d)
-	scale := math.Max(math.Abs(expect), 1e-9)
-	if math.Abs(u-expect)/scale > tol {
-		return fmt.Errorf("queuing: utilization law violated: U=%.4g but X*D=%.4g (tol %.2g)", u, expect, tol)
 	}
 	return nil
 }

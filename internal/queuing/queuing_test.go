@@ -1,7 +1,6 @@
 package queuing
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -10,73 +9,14 @@ func TestLittle(t *testing.T) {
 	if got := Little(100, 50*time.Millisecond); got != 5 {
 		t.Errorf("Little(100, 50ms) = %v, want 5", got)
 	}
-	if got := ResidenceFromLittle(5, 100); got != 50*time.Millisecond {
-		t.Errorf("ResidenceFromLittle(5, 100) = %v, want 50ms", got)
-	}
-	if got := ResidenceFromLittle(5, 0); got != 0 {
-		t.Errorf("ResidenceFromLittle with X=0 should be 0, got %v", got)
-	}
 }
 
 func TestForcedFlow(t *testing.T) {
-	if got := ForcedFlow(100, 2.4); got != 240 {
-		t.Errorf("ForcedFlow(100, 2.4) = %v, want 240", got)
-	}
 	if got := VisitRatio(240, 100); got != 2.4 {
 		t.Errorf("VisitRatio(240, 100) = %v, want 2.4", got)
 	}
 	if got := VisitRatio(240, 0); got != 0 {
 		t.Errorf("VisitRatio with X=0 should be 0, got %v", got)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	if got := Utilization(400, 2*time.Millisecond); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("Utilization(400, 2ms) = %v, want 0.8", got)
-	}
-	if got := DemandFromUtilization(0.8, 400); got != 2*time.Millisecond {
-		t.Errorf("DemandFromUtilization(0.8, 400) = %v, want 2ms", got)
-	}
-}
-
-func TestInteractiveResponseTime(t *testing.T) {
-	// N=6000, X=750, Z=7s: R = 8 - 7 = 1s.
-	if got := InteractiveResponseTime(6000, 750, 7*time.Second); got != time.Second {
-		t.Errorf("R = %v, want 1s", got)
-	}
-	if got := InteractiveResponseTime(100, 0, time.Second); got != 0 {
-		t.Errorf("R with X=0 should be 0, got %v", got)
-	}
-	// Light load can measure N/X < Z: clamp at 0.
-	if got := InteractiveResponseTime(10, 100, 7*time.Second); got != 0 {
-		t.Errorf("negative R should clamp to 0, got %v", got)
-	}
-}
-
-func TestThroughputBound(t *testing.T) {
-	// Population-limited region.
-	x := ThroughputBound(100, 7*time.Second, time.Second, 2*time.Millisecond)
-	if math.Abs(x-12.5) > 1e-9 {
-		t.Errorf("population bound %v, want 12.5", x)
-	}
-	// Demand-limited region.
-	x = ThroughputBound(100000, 7*time.Second, time.Second, 2*time.Millisecond)
-	if math.Abs(x-500) > 1e-9 {
-		t.Errorf("demand bound %v, want 500", x)
-	}
-	if !math.IsInf(ThroughputBound(10, time.Second, time.Second, 0), 1) &&
-		ThroughputBound(10, time.Second, time.Second, 0) != 5 {
-		t.Error("zero Dmax should give population bound")
-	}
-}
-
-func TestSaturationPopulation(t *testing.T) {
-	// N* = (7s + 1s) / 2ms = 4000.
-	if got := SaturationPopulation(7*time.Second, time.Second, 2*time.Millisecond); math.Abs(got-4000) > 1e-9 {
-		t.Errorf("N* = %v, want 4000", got)
-	}
-	if !math.IsInf(SaturationPopulation(time.Second, time.Second, 0), 1) {
-		t.Error("zero Dmax should give infinite N*")
 	}
 }
 
@@ -86,17 +26,5 @@ func TestValidators(t *testing.T) {
 	}
 	if err := CheckLittle(8, 100, 50*time.Millisecond, 0.01); err == nil {
 		t.Error("inconsistent Little data accepted")
-	}
-	if err := CheckForcedFlow(240, 100, 2.4, 0.01); err != nil {
-		t.Errorf("consistent forced-flow data rejected: %v", err)
-	}
-	if err := CheckForcedFlow(300, 100, 2.4, 0.01); err == nil {
-		t.Error("inconsistent forced-flow data accepted")
-	}
-	if err := CheckUtilization(0.8, 400, 2*time.Millisecond, 0.01); err != nil {
-		t.Errorf("consistent utilization data rejected: %v", err)
-	}
-	if err := CheckUtilization(0.5, 400, 2*time.Millisecond, 0.01); err == nil {
-		t.Error("inconsistent utilization data accepted")
 	}
 }

@@ -1,11 +1,10 @@
 // Package stats provides the statistical machinery behind the paper's
-// allocation algorithm: Welch's t-test and the intervention (change-point)
-// analysis used to locate the minimum workload that saturates the critical
-// hardware resource (paper §IV-B, citing Malkowski et al., DSOM'07).
+// allocation algorithm: the intervention (change-point) analysis used to
+// locate the minimum workload that saturates the critical hardware resource
+// (paper §IV-B, citing Malkowski et al., DSOM'07).
 package stats
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -35,121 +34,6 @@ func Variance(xs []float64) float64 {
 		sum += d * d
 	}
 	return sum / float64(n-1)
-}
-
-// TTest holds the result of a Welch two-sample t-test.
-type TTest struct {
-	T  float64 // t statistic (positive when mean(a) > mean(b))
-	DF float64 // Welch-Satterthwaite degrees of freedom
-	P  float64 // two-sided p-value
-}
-
-// Welch runs Welch's unequal-variance t-test on two samples. Each sample
-// needs at least two values.
-func Welch(a, b []float64) (TTest, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return TTest{}, fmt.Errorf("stats: Welch needs >=2 values per sample (got %d, %d)", len(a), len(b))
-	}
-	ma, mb := Mean(a), Mean(b)
-	va, vb := Variance(a), Variance(b)
-	na, nb := float64(len(a)), float64(len(b))
-	sa, sb := va/na, vb/nb
-	se := math.Sqrt(sa + sb)
-	if se == 0 {
-		// Identical constant samples: no evidence of difference; distinct
-		// constants: infinite evidence.
-		if ma == mb {
-			return TTest{T: 0, DF: na + nb - 2, P: 1}, nil
-		}
-		t := math.Inf(1)
-		if ma < mb {
-			t = math.Inf(-1)
-		}
-		return TTest{T: t, DF: na + nb - 2, P: 0}, nil
-	}
-	t := (ma - mb) / se
-	df := (sa + sb) * (sa + sb) / (sa*sa/(na-1) + sb*sb/(nb-1))
-	return TTest{T: t, DF: df, P: studentTwoSidedP(t, df)}, nil
-}
-
-// studentTwoSidedP returns the two-sided p-value for a Student-t statistic
-// with df degrees of freedom, via the regularized incomplete beta function.
-func studentTwoSidedP(t, df float64) float64 {
-	if math.IsInf(t, 0) {
-		return 0
-	}
-	x := df / (df + t*t)
-	return regIncBeta(df/2, 0.5, x)
-}
-
-// regIncBeta computes the regularized incomplete beta function I_x(a, b)
-// using the continued-fraction expansion (Numerical Recipes betacf).
-func regIncBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	ln := lgamma(a+b) - lgamma(a) - lgamma(b) + a*math.Log(x) + b*math.Log(1-x)
-	front := math.Exp(ln)
-	if x < (a+1)/(a+b+2) {
-		return front * betacf(a, b, x) / a
-	}
-	return 1 - front*betacf(b, a, 1-x)/b
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
-// betacf evaluates the continued fraction for the incomplete beta function.
-func betacf(a, b, x float64) float64 {
-	const (
-		maxIter = 200
-		eps     = 3e-14
-		fpmin   = 1e-300
-	)
-	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < fpmin {
-		d = fpmin
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
 }
 
 // Direction says which way a series moves when the system saturates.

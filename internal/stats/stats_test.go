@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -16,101 +15,6 @@ func TestMeanVariance(t *testing.T) {
 	}
 	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Error("degenerate inputs should return 0")
-	}
-}
-
-func TestWelchDistinguishesShiftedSamples(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	a := make([]float64, 30)
-	b := make([]float64, 30)
-	for i := range a {
-		a[i] = r.NormFloat64()
-		b[i] = r.NormFloat64() + 2
-	}
-	tt, err := Welch(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tt.P > 1e-6 {
-		t.Errorf("p = %v for clearly shifted samples, want tiny", tt.P)
-	}
-	if tt.T >= 0 {
-		t.Errorf("t = %v, want negative (mean(a) < mean(b))", tt.T)
-	}
-}
-
-func TestWelchSameDistribution(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	rejected := 0
-	trials := 200
-	for trial := 0; trial < trials; trial++ {
-		a := make([]float64, 20)
-		b := make([]float64, 20)
-		for i := range a {
-			a[i] = r.NormFloat64()
-			b[i] = r.NormFloat64()
-		}
-		tt, err := Welch(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tt.P < 0.05 {
-			rejected++
-		}
-	}
-	// Expect ~5% false positives; allow generous slack.
-	if rejected > trials/5 {
-		t.Errorf("rejected %d/%d same-distribution pairs at alpha=0.05", rejected, trials)
-	}
-}
-
-func TestWelchConstantSamples(t *testing.T) {
-	tt, err := Welch([]float64{1, 1, 1}, []float64{1, 1, 1})
-	if err != nil || tt.P != 1 {
-		t.Errorf("identical constants: p=%v err=%v, want p=1", tt.P, err)
-	}
-	tt, err = Welch([]float64{1, 1, 1}, []float64{2, 2, 2})
-	if err != nil || tt.P != 0 {
-		t.Errorf("distinct constants: p=%v err=%v, want p=0", tt.P, err)
-	}
-}
-
-func TestWelchRequiresTwoValues(t *testing.T) {
-	if _, err := Welch([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("single-value sample accepted")
-	}
-}
-
-func TestStudentPKnownValues(t *testing.T) {
-	// t=2.0, df=10: two-sided p ≈ 0.0734.
-	if p := studentTwoSidedP(2.0, 10); math.Abs(p-0.0734) > 0.002 {
-		t.Errorf("p(t=2, df=10) = %v, want ~0.0734", p)
-	}
-	// t=0: p = 1.
-	if p := studentTwoSidedP(0, 10); math.Abs(p-1) > 1e-9 {
-		t.Errorf("p(t=0) = %v, want 1", p)
-	}
-	// Large t: p ~ 0.
-	if p := studentTwoSidedP(50, 20); p > 1e-9 {
-		t.Errorf("p(t=50) = %v, want ~0", p)
-	}
-}
-
-func TestRegIncBetaBounds(t *testing.T) {
-	if regIncBeta(2, 3, 0) != 0 || regIncBeta(2, 3, 1) != 1 {
-		t.Error("I_0 and I_1 should be 0 and 1")
-	}
-	// I_x(1,1) = x (uniform CDF).
-	for _, x := range []float64{0.1, 0.5, 0.9} {
-		if got := regIncBeta(1, 1, x); math.Abs(got-x) > 1e-9 {
-			t.Errorf("I_%v(1,1) = %v, want %v", x, got, x)
-		}
-	}
-	// Symmetry: I_x(a,b) = 1 - I_{1-x}(b,a).
-	got := regIncBeta(2.5, 4, 0.3)
-	sym := 1 - regIncBeta(4, 2.5, 0.7)
-	if math.Abs(got-sym) > 1e-9 {
-		t.Errorf("symmetry violated: %v vs %v", got, sym)
 	}
 }
 

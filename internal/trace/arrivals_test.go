@@ -39,7 +39,7 @@ func TestArrivalSourcesDeterministic(t *testing.T) {
 	specs := []ArrivalSpec{
 		Poisson(50),
 		FlashCrowd(40, 200, 5*time.Second, 2*time.Second),
-		RampUpSpec(10, 100, 8*time.Second),
+		Schedule(Phase{Rate: 10, RampTo: 100, For: 8 * time.Second}, Phase{Rate: 100}),
 		MMPP(MMPPState{Rate: 20, Mean: time.Second}, MMPPState{Rate: 200, Mean: 500 * time.Millisecond}),
 	}
 	for _, spec := range specs {
@@ -172,7 +172,7 @@ func TestArrivalSpecStrings(t *testing.T) {
 	}{
 		{Poisson(120), "poisson(120/s)"},
 		{FlashCrowd(50, 200, 10*time.Second, 5*time.Second), "sched(50/sx10s,200/sx5s,50/s)"},
-		{RampUpSpec(10, 90, 30*time.Second), "sched(10..90/sx30s,90/s)"},
+		{Schedule(Phase{Rate: 10, RampTo: 90, For: 30 * time.Second}, Phase{Rate: 90}), "sched(10..90/sx30s,90/s)"},
 		{MMPP(MMPPState{Rate: 5, Mean: time.Second}), "mmpp(5/s@1s)"},
 	}
 	for _, c := range cases {

@@ -8,17 +8,24 @@ import (
 	"time"
 )
 
-// WriteCSV writes one curve's full per-workload record — throughput,
-// goodput per threshold, error/degraded responses, shed/abandoned/late
-// counts, mean/p95 response time, and per-tier CPU — as CSV for external
-// plotting. The errors column keeps badput visible in fault-scenario
-// curves; shed and abandoned keep deliberate rejections and frustrated
-// users visible next to it. A workload whose trial failed
-// (Curve.Errs) still gets a row: empty metric cells and the failure in the
-// status column, so a partially-failed sweep remains plottable.
+// WriteCSV writes one curve's full per-workload record as CSV for external
+// plotting, one writeTrialsCSV row per workload.
 func (c *Curve) WriteCSV(w io.Writer, thresholds []time.Duration) error {
+	return writeTrialsCSV(w, "workload", func(i int) string { return strconv.Itoa(c.Users[i]) },
+		c.Results, c.Errs, thresholds)
+}
+
+// writeTrialsCSV writes a sweep's per-trial record — the axis value,
+// throughput, goodput per threshold, error/degraded responses,
+// shed/abandoned/late counts, mean/p95 response time, and per-tier CPU —
+// as CSV, with axisName heading the first column. The errors column keeps
+// badput visible in fault-scenario curves; shed and abandoned keep
+// deliberate rejections and frustrated users visible next to it. A trial
+// that failed (errs) still gets a row: empty metric cells and the failure
+// in the status column, so a partially-failed sweep remains plottable.
+func writeTrialsCSV(w io.Writer, axisName string, axis func(i int) string, results []*Result, errs []error, thresholds []time.Duration) error {
 	cw := csv.NewWriter(w)
-	header := []string{"workload", "throughput"}
+	header := []string{axisName, "throughput"}
 	for _, th := range thresholds {
 		header = append(header, fmt.Sprintf("goodput_%s", th))
 	}
@@ -27,12 +34,12 @@ func (c *Curve) WriteCSV(w io.Writer, thresholds []time.Duration) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for i, r := range c.Results {
-		row := []string{strconv.Itoa(c.Users[i])}
+	for i, r := range results {
+		row := []string{axis(i)}
 		if r == nil {
 			status := "missing"
-			if i < len(c.Errs) && c.Errs[i] != nil {
-				status = c.Errs[i].Error()
+			if i < len(errs) && errs[i] != nil {
+				status = errs[i].Error()
 			}
 			for len(row) < len(header)-1 {
 				row = append(row, "")

@@ -225,33 +225,19 @@ func (t *Table) String() string {
 // late — any count accessor) for several curves against the shared
 // workload axis, keeping failure modes visible next to the goodput tables.
 func CurveCountTable(title string, count func(*Result) uint64, curves ...*Curve) *Table {
-	t := &Table{Title: title, Headers: []string{"workload"}}
-	for _, c := range curves {
-		t.Headers = append(t.Headers, c.Label)
-	}
-	if len(curves) == 0 {
-		return t
-	}
-	for i, n := range curves[0].Users {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, c := range curves {
-			switch {
-			case i >= len(c.Results):
-				row = append(row, "-")
-			case c.Results[i] == nil:
-				row = append(row, "ERR")
-			default:
-				row = append(row, fmt.Sprintf("%d", count(c.Results[i])))
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return curveTable(title, func(r *Result) string { return fmt.Sprintf("%d", count(r)) }, curves)
 }
 
 // CurveTable renders several curves' goodput at one threshold against the
 // shared workload axis — the textual form of a paper figure.
 func CurveTable(title string, th time.Duration, curves ...*Curve) *Table {
+	return curveTable(title, func(r *Result) string { return fmt.Sprintf("%.1f", r.Goodput(th)) }, curves)
+}
+
+// curveTable renders one column per curve against the first curve's
+// workload axis: cell of each trial, "ERR" for a failed trial, "-" past a
+// curve's end.
+func curveTable(title string, cell func(*Result) string, curves []*Curve) *Table {
 	t := &Table{Title: title, Headers: []string{"workload"}}
 	for _, c := range curves {
 		t.Headers = append(t.Headers, c.Label)
@@ -268,7 +254,7 @@ func CurveTable(title string, th time.Duration, curves ...*Curve) *Table {
 			case c.Results[i] == nil:
 				row = append(row, "ERR")
 			default:
-				row = append(row, fmt.Sprintf("%.1f", c.Results[i].Goodput(th)))
+				row = append(row, cell(c.Results[i]))
 			}
 		}
 		t.AddRow(row...)

@@ -31,7 +31,10 @@ type digestTrial struct {
 	ramp     time.Duration
 	horizon  time.Duration
 	tracer   *trace.Tracer
-	want     string
+	// setup, when set, runs on the built testbed before the workload
+	// starts (to schedule fault windows).
+	setup func(*Testbed)
+	want  string
 }
 
 // TestDigestPins runs one short trial of each regime whose code paths an
@@ -64,6 +67,12 @@ func TestDigestPins(t *testing.T) {
 		Breaker:        tier.DefaultBreakerConfig(),
 		DegradedMS:     0.05,
 	}
+	backlog := &tier.ResilienceConfig{
+		Admission:  tier.DefaultAdmissionConfig(),
+		MaxQueue:   50,
+		Backlog:    128,
+		DegradedMS: 0.05,
+	}
 	trials := []digestTrial{
 		{
 			// Past the knee at scale: thousands of requests queue for
@@ -91,6 +100,26 @@ func TestDigestPins(t *testing.T) {
 			tracer: trace.NewTracer(7, 1<<20),
 			want:   "43f3990c5542f6576202d9be",
 		},
+		{
+			// 10⁶ open-equivalent users against the accept backlog:
+			// nearly every arrival is dropped there, the rest are shed
+			// with a degraded response or served.
+			name: "open-flood-backlog", opts: Options{Hardware: hw1212, Soft: soft, Seed: 5, Resilience: backlog},
+			rate: 1e6 / 7, deadline: 2 * time.Second, ramp: 500 * time.Millisecond, horizon: 1500 * time.Millisecond,
+			want: "0a6c4ea6b7cd6c128cacdea9",
+		},
+		{
+			// Apache refuses every request for one second; every
+			// request is traced, refused ones included.
+			name: "open-traced-down", opts: Options{Hardware: Hardware{Web: 1, App: 1, Mid: 1, DB: 1}, Soft: SoftAlloc{WebThreads: 40, AppThreads: 8, AppConns: 4}, Seed: 6},
+			rate: 300, ramp: 2 * time.Second, horizon: 6 * time.Second,
+			tracer: trace.NewTracer(1, 1<<20),
+			setup: func(tb *Testbed) {
+				tb.Env.At(3*time.Second, func() { tb.Apaches[0].SetDown(true) })
+				tb.Env.At(4*time.Second, func() { tb.Apaches[0].SetDown(false) })
+			},
+			want: "5703ac3ccb74151d8c6a25d2",
+		},
 	}
 	for _, tc := range trials {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,6 +144,9 @@ func runDigest(t *testing.T, tc digestTrial) (string, string) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
+	if tc.setup != nil {
+		tc.setup(tb)
+	}
 	h := sha256.New()
 	collect := func(it *rubbos.Interaction, issued, rt time.Duration, err error) {
 		msg := ""

@@ -179,7 +179,7 @@ func TestCounters(t *testing.T) {
 		env.At(time.Second+time.Duration(i)*time.Millisecond, p.Unpark)
 	}
 	env.Run(time.Hour)
-	want := Counters{Binds: 6, Suspensions: 3, PeakBound: 3}
+	want := Counters{Binds: 6, Suspensions: 3, Resumes: 9, PeakBound: 3}
 	if got := env.Counters(); got != want {
 		t.Errorf("Counters() = %+v, want %+v", got, want)
 	}

@@ -153,18 +153,32 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
+// CV is a coefficient of variation (stddev/mean) for LogNormalMean, with
+// the parameters it fixes of the lognormal — sigma² = log(1+cv²) and sigma
+// — computed once instead of at every draw. The zero CV is no variation.
+type CV struct {
+	cv, sigma2, sigma float64
+}
+
+// NewCV returns the coefficient of variation cv.
+func NewCV(cv float64) CV {
+	if cv <= 0 {
+		return CV{}
+	}
+	sigma2 := math.Log(1 + cv*cv)
+	return CV{cv: cv, sigma2: sigma2, sigma: math.Sqrt(sigma2)}
+}
+
 // LogNormalMean returns a lognormal value with the given (arithmetic) mean
-// and coefficient of variation cv (= stddev/mean). cv <= 0 returns mean.
-func (r *Rand) LogNormalMean(mean, cv float64) float64 {
+// and coefficient of variation cv. No variation returns mean.
+func (r *Rand) LogNormalMean(mean float64, cv CV) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	if cv <= 0 {
+	if cv.cv <= 0 {
 		return mean
 	}
-	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return r.LogNormal(mu, math.Sqrt(sigma2))
+	return r.LogNormal(math.Log(mean)-cv.sigma2/2, cv.sigma)
 }
 
 // Pareto returns a bounded Pareto value on [lo, hi] with tail index alpha.

@@ -132,7 +132,7 @@ func TestLogNormalMeanMatchesTarget(t *testing.T) {
 	sum := 0.0
 	n := 400000
 	for i := 0; i < n; i++ {
-		sum += r.LogNormalMean(0.005, 1.5)
+		sum += r.LogNormalMean(0.005, NewCV(1.5))
 	}
 	m := sum / float64(n)
 	if math.Abs(m-0.005)/0.005 > 0.05 {
@@ -142,10 +142,10 @@ func TestLogNormalMeanMatchesTarget(t *testing.T) {
 
 func TestLogNormalMeanDegenerate(t *testing.T) {
 	r := New(10)
-	if got := r.LogNormalMean(5, 0); got != 5 {
+	if got := r.LogNormalMean(5, NewCV(0)); got != 5 {
 		t.Errorf("cv=0 should return the mean, got %v", got)
 	}
-	if got := r.LogNormalMean(0, 1); got != 0 {
+	if got := r.LogNormalMean(0, NewCV(1)); got != 0 {
 		t.Errorf("mean<=0 should return 0, got %v", got)
 	}
 }
@@ -305,5 +305,31 @@ func TestSubSeedIndependence(t *testing.T) {
 	}
 	if same == 8 {
 		t.Error("derived stream replays the parent stream")
+	}
+}
+
+// NewCV computes once what LogNormalMean used to compute at every draw,
+// and the draws stay bit for bit those of the per-draw formula.
+func TestLogNormalMeanMatchesPerDrawFormula(t *testing.T) {
+	perDraw := func(r *Rand, mean, cv float64) float64 {
+		if mean <= 0 {
+			return 0
+		}
+		if cv <= 0 {
+			return mean
+		}
+		sigma2 := math.Log(1 + cv*cv)
+		mu := math.Log(mean) - sigma2/2
+		return r.LogNormal(mu, math.Sqrt(sigma2))
+	}
+	for _, cv := range []float64{0, 1e-9, 0.3, 0.4, 0.8, 1.5} {
+		a, b := New(9), New(9)
+		c := NewCV(cv)
+		for i := 0; i < 1000; i++ {
+			mean := float64(i%17) * 0.37
+			if got, want := a.LogNormalMean(mean, c), perDraw(b, mean, cv); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cv %g draw %d: %v, want %v", cv, i, got, want)
+			}
+		}
 	}
 }

@@ -29,11 +29,40 @@ func TestStartAllocationsPerUser(t *testing.T) {
 	}
 }
 
+// A closed user's ramp offset and first think are steps: until its first
+// request a workload binds no runner and switches to no coroutine.
+func TestRampAndFirstThinkBindNoRunner(t *testing.T) {
+	const users = 500
+	env := des.NewEnv()
+	defer env.Shutdown()
+	cfg := DefaultClientConfig(users)
+	cfg.RampUp = 10 * time.Second
+	cfg.ThinkMean = 1000 * time.Hour
+	w, err := Start(env, cfg, NewTable(), &fakeTarget{delay: time.Second}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Run(time.Minute)
+	if w.Issued() != 0 {
+		t.Fatalf("%d requests issued; the window must end inside every first think", w.Issued())
+	}
+	c := env.Counters()
+	if c.Binds != 0 || c.Resumes != 0 || c.PeakBound != 0 {
+		t.Errorf("ramp and first think bound runners: %+v", c)
+	}
+	if c.Steps != 2*users {
+		t.Errorf("%d steps, want 2 per user (start, end of ramp)", c.Steps)
+	}
+}
+
 // flakyTarget serves with a fixed delay, slower every third request, and
 // fails every fifth, so sessions take the error and abandon paths too.
 type flakyTarget struct{ n int }
 
 func (f *flakyTarget) Do(p *des.Proc, it *Interaction, _ *Call) (bool, error) {
+	if !p.Bind() {
+		return false, nil
+	}
 	f.n++
 	d := 20 * time.Millisecond
 	if f.n%3 == 0 {

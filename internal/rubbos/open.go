@@ -52,10 +52,12 @@ type OpenConfig struct {
 // StartOpen launches an open-system workload against target: a single
 // generator process draws inter-arrival gaps from cfg.Arrivals and spawns
 // one request process per arrival. Each request carries a trace.Ctx with
-// its deadline and interaction class down the tier chain, and suspends
-// while queued at the front door (see Target). Failures are split by
-// kind: rejections that implement `Shed() bool` (admission control,
-// deadline fail-fast) count as shed, everything else as failed.
+// its deadline and interaction class down the tier chain. It is a stepping
+// process (des.Env.GoStep), so a request that crosses to the front door,
+// is refused there and crosses back never holds a coroutine (see Target).
+// Failures are split by kind: rejections that implement `Shed() bool`
+// (admission control, deadline fail-fast) count as shed, everything else
+// as failed.
 func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collect Collector) (*Workload, error) {
 	if cfg.Arrivals == nil {
 		return nil, fmt.Errorf("rubbos: open workload without an arrival spec")
@@ -109,7 +111,7 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 		if cfg.Tracer != nil {
 			req.Trace = cfg.Tracer.Sample(it.Name, issued)
 		}
-		env.Go("req", req.run)
+		env.GoStep("req", req.run)
 		if idx == len(gaps) {
 			trace.FillGaps(src, gaps)
 			idx = 0
@@ -137,10 +139,11 @@ type openGen struct {
 	collect Collector
 }
 
-// openReq is one open-system request between the runs of its process, in
-// one allocation: its context, carried down the tier chain as the
-// process's data, and its front-door state. Its first run sends it; while
-// call.Queued it is in its queued phase, and its next run resumes it.
+// openReq is one open-system request between the dispatches of its
+// process, in one allocation: its context, carried down the tier chain as
+// the process's data, and the target's state of it. Each dispatch, a step
+// unless the target bound a runner, takes it on until the target is done
+// with it.
 type openReq struct {
 	trace.Ctx
 	gen    *openGen
@@ -150,9 +153,7 @@ type openReq struct {
 }
 
 func (r *openReq) run(p *des.Proc) {
-	if !r.call.Queued {
-		p.SetData(&r.Ctx)
-	}
+	p.SetData(&r.Ctx)
 	g := r.gen
 	done, err := g.target.Do(p, r.it, &r.call)
 	if !done {

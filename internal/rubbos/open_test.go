@@ -19,6 +19,9 @@ type stubTarget struct {
 }
 
 func (s *stubTarget) Do(p *des.Proc, it *Interaction, _ *Call) (bool, error) {
+	if s.delay > 0 && !p.Bind() {
+		return false, nil
+	}
 	s.served++
 	if c, ok := p.Data().(*trace.Ctx); ok && c != nil {
 		s.deadlines = append(s.deadlines, c.Deadline)

@@ -22,16 +22,22 @@ type poolTarget struct {
 	suspend bool
 }
 
+// poolQueued is poolTarget's Call.Stage for a request queued suspended.
+const poolQueued = 1
+
 func (t *poolTarget) Do(p *des.Proc, it *Interaction, c *Call) (bool, error) {
+	if !p.Bind() {
+		return false, nil
+	}
 	var ok bool
 	switch {
-	case c.Queued:
-		c.Queued = false
+	case c.Stage == poolQueued:
+		c.Stage = 0
 		ok, _ = t.workers.Resolve(p)
 	case t.suspend:
 		p.Sleep(time.Millisecond)
 		if !t.workers.AcquireOrSuspend(p, 150*time.Millisecond) {
-			c.Queued = true
+			c.Stage = poolQueued
 			return false, nil
 		}
 		ok = true

@@ -142,6 +142,9 @@ type fakeTarget struct {
 }
 
 func (f *fakeTarget) Do(p *des.Proc, it *Interaction, _ *Call) (bool, error) {
+	if !p.Bind() {
+		return false, nil
+	}
 	f.calls++
 	p.Sleep(f.delay)
 	return true, nil

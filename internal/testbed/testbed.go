@@ -264,10 +264,10 @@ func (tb *Testbed) SoftUnits() int {
 }
 
 // Do implements rubbos.Target, balancing requests across web servers
-// round-robin. A request queued for a worker resumes at the server it
-// queued at (c.Server), without taking another turn.
+// round-robin as they are sent. A request goes on at the server it was sent
+// to (c.Server) on every later call, without taking another turn.
 func (tb *Testbed) Do(p *des.Proc, it *rubbos.Interaction, c *rubbos.Call) (bool, error) {
-	if !c.Queued {
+	if c.Stage == 0 {
 		c.Server = uint16(tb.rr % len(tb.Apaches))
 		tb.rr++
 	}
@@ -353,8 +353,8 @@ func (tb *Testbed) StartOpenWorkload(cfg rubbos.OpenConfig, collect rubbos.Colle
 	var prev uint64
 	var ewma float64
 	started := false
-	// The follower rests between ticks, so it holds no coroutine.
-	tb.Env.Go("fin-load", func(p *des.Proc) {
+	// The follower never blocks: every tick is a step, with no coroutine.
+	tb.Env.GoStep("fin-load", func(p *des.Proc) {
 		if started {
 			if w.Stopped() {
 				return // let a draining trial reach zero live processes

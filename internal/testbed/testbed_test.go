@@ -257,7 +257,7 @@ func TestNoClientLinkByDefault(t *testing.T) {
 // Apache worker, and a queued request holds no runner: the peak number of
 // runners bound at once stays within the worker pool plus the few
 // requests crossing the network or backing off outside it, while
-// thousands wait suspended.
+// thousands wait suspended. A runner is bound only at the worker.
 func TestQueuedRequestsHoldNoRunner(t *testing.T) {
 	const workers = 100
 	tb, err := Build(Options{Hardware: Hardware{1, 1, 1, 1}, Soft: SoftAlloc{workers, 8, 4}, Seed: 1})
@@ -281,7 +281,15 @@ func TestQueuedRequestsHoldNoRunner(t *testing.T) {
 	if limit := workers + 32; c.PeakBound > limit {
 		t.Errorf("peak %d runners bound with %d workers, want at most %d (%d requests in flight)", c.PeakBound, workers, limit, w.InFlight())
 	}
-	if c.Binds < w.Issued()+c.Suspensions {
-		t.Errorf("%d binds, want at least one per request issued (%d) and per queued wait (%d)", c.Binds, w.Issued(), c.Suspensions)
+	// A request binds a runner at its worker acquire — taking the worker
+	// or queueing for it — and again at the grant that ends a queued wait,
+	// and nowhere else: the users' think times and each request's hop in
+	// are steps (des.Env.GoStep).
+	grants := tb.Apaches[0].Workers.Stats().Grants
+	if c.Binds != grants+c.Suspensions {
+		t.Errorf("%d binds, want one per worker grant (%d) and per queued wait (%d)", c.Binds, grants, c.Suspensions)
+	}
+	if c.Steps < w.Issued() {
+		t.Errorf("%d steps, want at least one per request issued (%d)", c.Steps, w.Issued())
 	}
 }

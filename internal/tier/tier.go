@@ -20,7 +20,7 @@ import (
 
 // sampleMS draws a lognormal service time with the given mean (milliseconds)
 // and coefficient of variation.
-func sampleMS(r *rng.Rand, meanMS, cv float64) time.Duration {
+func sampleMS(r *rng.Rand, meanMS float64, cv rng.CV) time.Duration {
 	if meanMS <= 0 {
 		return 0
 	}

@@ -15,7 +15,7 @@ import (
 func testInteraction() *rubbos.Interaction {
 	return &rubbos.Interaction{
 		Name: "test", ApacheMS: 0.5, ServletMS: 2.0, Queries: 2,
-		CJDBCMS: 0.4, MySQLMS: 1.0, CV: 0, AllocTomcatMiB: 0.1, AllocCJDBCMiB: 0.05,
+		CJDBCMS: 0.4, MySQLMS: 1.0, AllocTomcatMiB: 0.1, AllocCJDBCMiB: 0.05,
 	}
 }
 

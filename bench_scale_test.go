@@ -28,9 +28,8 @@ const eventLoopEpisode = 1 << 20
 
 // BenchmarkEventLoop — the des scheduler under the simulator's real event
 // mix: a resident set of self-re-arming callbacks (think timers, service
-// completions) with every 32nd firing doing cancel/re-arm churn on a
-// further-out event through the public handle API, the residual
-// cancel-and-reschedule traffic components that hold Event handles produce.
+// completions) with every 32nd firing re-arming a further-out Timer, the
+// stop-and-reschedule traffic a PS-CPU's completion timer produces.
 // One op is eventLoopEpisode fired callbacks; ns/op and allocs/op are
 // therefore per-episode.
 func BenchmarkEventLoop(b *testing.B) {
@@ -41,9 +40,10 @@ func BenchmarkEventLoop(b *testing.B) {
 		const fanout = 8192
 		remaining := eventLoopEpisode
 		ticks := make([]func(), fanout)
-		spares := make([]des.Event, fanout)
+		spares := make([]*des.Timer, fanout)
 		for s := 0; s < fanout; s++ {
 			s := s
+			spares[s] = env.NewTimer(noop)
 			gap := time.Duration(s%64+1) * time.Microsecond
 			ticks[s] = func() {
 				if remaining <= 0 {
@@ -51,10 +51,9 @@ func BenchmarkEventLoop(b *testing.B) {
 				}
 				remaining--
 				if remaining%32 == 0 {
-					// Handle churn: cancel the armed spare and re-arm it
-					// further out.
-					spares[s].Cancel()
-					spares[s] = env.After(500*time.Microsecond, noop)
+					// Timer churn: move the spare further out, leaving
+					// any firing it had armed dead in the queue.
+					spares[s].Arm(500 * time.Microsecond)
 				}
 				env.After(gap, ticks[s])
 			}

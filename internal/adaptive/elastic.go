@@ -37,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/softres/ntier/internal/des"
 	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/resource"
 	"github.com/softres/ntier/internal/testbed"
@@ -231,10 +230,6 @@ type ElasticController struct {
 	lastAct   [numAxes]time.Duration
 	acted     [numAxes]bool
 	decisions []ElasticDecision
-
-	sampleEv  des.Event
-	controlEv des.Event
-	stopped   bool
 }
 
 // AttachElastic starts the elastic controller on a freshly built testbed.
@@ -306,14 +301,6 @@ func AttachElastic(tb *testbed.Testbed, cfg ElasticConfig) (*ElasticController, 
 	return c, nil
 }
 
-// Stop halts the controller, canceling both pending events in the DES so no
-// callback fires after it returns.
-func (c *ElasticController) Stop() {
-	c.stopped = true
-	c.sampleEv.Cancel()
-	c.controlEv.Cancel()
-}
-
 // Decisions returns the resize actions applied so far.
 func (c *ElasticController) Decisions() []ElasticDecision { return c.decisions }
 
@@ -382,10 +369,7 @@ func (c *ElasticController) resetWindow() {
 }
 
 func (c *ElasticController) scheduleSample() {
-	c.sampleEv = c.tb.Env.After(SampleEvery, func() {
-		if c.stopped {
-			return
-		}
+	c.tb.Env.After(SampleEvery, func() {
 		w := &c.win
 		w.samples++
 		for i, p := range c.pools {
@@ -402,10 +386,7 @@ func (c *ElasticController) scheduleSample() {
 }
 
 func (c *ElasticController) scheduleControl() {
-	c.controlEv = c.tb.Env.After(c.cfg.Interval, func() {
-		if c.stopped {
-			return
-		}
+	c.tb.Env.After(c.cfg.Interval, func() {
 		c.control()
 		c.scheduleControl()
 	})

@@ -52,36 +52,6 @@ func TestAttachElasticValidation(t *testing.T) {
 	}
 }
 
-// TestElasticStopCancelsPendingEvents: stopping a controller must cancel
-// its scheduled sample/control events in the DES — not merely set a flag
-// that leaves orphaned callbacks firing forever.
-func TestElasticStopCancelsPendingEvents(t *testing.T) {
-	tb := buildTB(t, testbed.SoftAlloc{WebThreads: 400, AppThreads: 4, AppConns: 20}, 3)
-	ctl, err := AttachElastic(tb, ElasticConfig{Policy: PolicyTopJob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tb.Env.Pending()
-	ctl.Stop()
-	if got := tb.Env.Pending(); got != before-2 {
-		t.Errorf("Stop left events pending: %d -> %d, want %d", before, got, before-2)
-	}
-	ctl.Stop() // idempotent
-	if got := tb.Env.Pending(); got != before-2 {
-		t.Errorf("second Stop changed pending events: %d", got)
-	}
-	// Advancing the simulation past several control periods after Stop must
-	// produce no decisions and no resizes.
-	cap0 := tb.Tomcats[0].Threads.Capacity()
-	tb.Env.Run(5 * time.Minute)
-	if len(ctl.Decisions()) != 0 {
-		t.Errorf("stopped controller decided: %v", ctl.Decisions())
-	}
-	if got := tb.Tomcats[0].Threads.Capacity(); got != cap0 {
-		t.Errorf("stopped controller resized: %d -> %d", cap0, got)
-	}
-}
-
 // steadyFrom is where runElastic starts counting steady-state
 // throughput: a minute in, after the controller has had time to converge.
 const steadyFrom = time.Minute

@@ -9,15 +9,16 @@
 // Simulated processes are ordinary Go functions run on coroutines from
 // iter.Pull, so execution is strictly serialized: the scheduler and at most
 // one process run at any instant, switching control on the same thread. A
-// process holds a coroutine only while it is inside a run — from its
-// dispatch until its function returns, through any Sleep or Park. A process
-// that waits between runs holds none: Rest waits for a time, Suspend for
-// another component's Unpark (a queued request's grant). So a closed
-// workload of many users, most of them thinking and the rest queued for a
-// worker, needs only as many coroutines as it has requests in service.
+// process holds a coroutine only while it is inside a run — from the
+// dispatch that binds one until its function returns, through any Sleep or
+// Park. A process that waits between runs holds none: Rest waits for a
+// time, Suspend for another component's Unpark (a queued request's grant).
+// So a closed workload of many users, most of them thinking and the rest
+// queued for a worker, needs only as many coroutines as it has requests in
+// service.
 //
-// A process started with GoStep goes further: each dispatch it gets
-// without a coroutine first runs its function as a step, on the
+// Each dispatch a process gets without a coroutine — its start, and each
+// wake after Rest or Suspend — first runs its function as a step, on the
 // scheduler's own stack. A step that only has to schedule the process's
 // next wake (Rest) or finish it (return) never touches a coroutine; one
 // that reaches code that blocks asks for one (Bind), and the function then
@@ -34,13 +35,13 @@
 // rest, its bucket width fitted to the spacing of the events nearest the
 // head and re-fitted when it stops matching, over a 4-ary heap for events
 // past its horizon. All queue memory is pointer-free and reused, so after
-// warm-up neither pushes, pops nor re-fits allocate. Cancellation is lazy
-// deletion with periodic compaction, so cancel/re-arm churn (the PS-CPU's
-// completion timer cancels on nearly every state change) cannot accumulate
-// dead entries, and event records are recycled through a slab-backed free
-// list, so the steady-state hot path — process sleeps, parks, timer
-// re-arms — allocates nothing. Recycling never weakens the Event handle
-// API: see Canceled.
+// warm-up neither pushes, pops nor re-fits allocate. Only a Timer can be
+// stopped or moved once scheduled. Stopping is lazy deletion with periodic
+// compaction, so stop/re-arm churn (the PS-CPU's completion timer re-arms
+// on nearly every state change) cannot accumulate dead entries, and every
+// event record is recycled through a slab-backed free list the moment it
+// fires or is stopped, so the steady-state hot path — process sleeps,
+// parks, timer re-arms — allocates nothing.
 //
 // Simulated time is a time.Duration measured from the start of the
 // simulation. Events and processes interact only through the Env they were
@@ -74,13 +75,11 @@ type Env struct {
 	// write barriers on heap sifts — both showed up hard in event-loop
 	// profiles when entries carried *event.
 	arena [][]event
-	// free is the event-record free list. Records are recycled when they
-	// can no longer be observed through an Event handle (see recycle).
-	// Fresh records are minted a slab at a time (see alloc), so even
-	// workloads that permanently retire records — publicly canceled events
-	// are never recycled — cost one allocation per slab, not per event.
+	// free is the event-record free list. A record goes back on it the
+	// moment its event fires or is stopped (see recycle); fresh records are
+	// minted a slab at a time (see alloc), one allocation per slab.
 	free []*event
-	// nDead counts heap entries whose event already resolved (canceled
+	// nDead counts heap entries whose event already resolved (stopped
 	// timers, re-armed completions). They are skipped on pop; when they
 	// outnumber live entries the heap is compacted in place.
 	nDead   int
@@ -94,8 +93,8 @@ type Env struct {
 	busy, idle, suspended, marks *runner
 	bound                        int // runners on busy
 	counters                     Counters
-	// stepper stands in for a runner in every process started with GoStep
-	// that holds none: such a process's r points here between its runs,
+	// stepper stands in for a runner in every process that holds none and
+	// is not suspended: such a process's r points here between its runs,
 	// which is how runProc knows to step it, and during a step stepper.end
 	// records how the step is ending. It has no coroutine and is on no
 	// list.
@@ -116,7 +115,7 @@ type Env struct {
 // the captured panic as a *ProcPanic from Run, where the experiment layer
 // can recover it and turn the trial into an error result.
 type ProcPanic struct {
-	Proc  string // diagnostic name passed to Go
+	Proc  string // diagnostic name passed to Go or GoStep
 	Value any    // the original panic value
 	Stack []byte // the process coroutine's stack at the panic site
 }
@@ -132,13 +131,13 @@ func NewEnv() *Env { return &Env{} }
 func (e *Env) Now() time.Duration { return e.now }
 
 // Pending returns the number of events scheduled and not yet fired or
-// canceled. Canceled events are excluded even while their queue entries
-// await lazy removal, so Pending is exactly the count of callbacks that
-// will still run if the clock advances far enough.
+// stopped. Stopped timer firings are excluded even while their queue
+// entries await lazy removal, so Pending is exactly the count of callbacks
+// that will still run if the clock advances far enough.
 func (e *Env) Pending() int { return e.q.len() - e.nDead }
 
 // queueLen reports the physical queue size including dead entries awaiting
-// compaction — white-box tests bound it under cancel churn.
+// compaction — white-box tests bound it under stop/re-arm churn.
 func (e *Env) queueLen() int { return e.q.len() }
 
 // Live returns the number of processes that have been started with Go or
@@ -153,9 +152,8 @@ func (e *Env) Live() int { return e.live }
 // values on every run and every architecture. Every dispatch of a live
 // process is counted once, in Steps or in Resumes.
 type Counters struct {
-	// Binds counts runs that took a runner: every dispatch of a process
-	// that held none (its start, and each wake after Rest or Suspend),
-	// except those a step served alone.
+	// Binds counts runs that took a runner: every step that asked for one
+	// (Bind).
 	Binds uint64
 	// Suspensions counts runs ended by Suspend.
 	Suspensions uint64
@@ -187,68 +185,18 @@ func (e *Env) Audit() error {
 	return e.q.audit()
 }
 
-// Event lifecycle states. An event record is reused through the free list
-// once it can no longer be observed through a handle, so the state of a
-// record is always interpreted together with its seq (see Event).
-const (
-	statePending  uint8 = iota // scheduled, will fire
-	stateCanceled              // Cancel before firing; record never recycled while observable
-	stateFree                  // resolved and recycled (or awaiting reuse)
-)
-
 // event is the scheduler's record of one scheduled callback. Exactly one of
-// fn, proc, timer is set: fn for public At/After callbacks, proc for the
-// engine's own process-resume events (Sleep, Park/Unpark, Go start), timer
-// for Timer-owned events. proc and timer events never escape as handles,
-// which is what makes their records freely recyclable.
+// fn, proc, timer is set: fn for At/After callbacks, proc for the engine's
+// own process wakes (a start, Sleep, Rest, Unpark), timer for a Timer's
+// firing. A record is recycled the moment its event resolves — it fires,
+// or its Timer stops it — and recycling invalidates its seq, so a queue
+// entry is live exactly while its seq matches its record's.
 type event struct {
-	seq   uint64 // identity: matches the heap entry and any handle while live
+	seq   uint64 // identity: matches the queue entry while the event is live
 	idx   uint32 // stable position in Env.arena, set once when minted
-	state uint8
 	fn    func()
 	proc  *Proc
 	timer *Timer
-}
-
-// Event is a handle to a scheduled callback, usable to cancel it. The zero
-// Event is valid and behaves like an already-canceled event.
-type Event struct {
-	env *Env
-	ev  *event
-	seq uint64
-}
-
-// Cancel prevents the event's callback from running. Canceling an event that
-// already fired or was already canceled is a no-op.
-func (ev Event) Cancel() {
-	e := ev.ev
-	if e == nil || e.seq != ev.seq || e.state != statePending {
-		return
-	}
-	// The record stays out of the free list: the handle (and any copy of
-	// it) must keep reporting Canceled() == true for as long as it lives.
-	// The queue entry is skipped on pop or dropped at the next compaction.
-	e.state = stateCanceled
-	e.fn = nil
-	ev.env.bumpDead()
-}
-
-// Canceled reports whether the event was canceled before it fired. A fired
-// event reports false, however long ago it fired: records of canceled
-// events are never recycled while a handle can observe them, so a seq
-// mismatch proves the event fired and its record moved on.
-func (ev Event) Canceled() bool {
-	e := ev.ev
-	if e == nil {
-		return true // zero handle: never scheduled
-	}
-	return e.seq == ev.seq && e.state == stateCanceled
-}
-
-// Pending reports whether the event is still scheduled to fire.
-func (ev Event) Pending() bool {
-	e := ev.ev
-	return e != nil && e.seq == ev.seq && e.state == statePending
 }
 
 // slabSize is how many event records one free-list refill mints. It must
@@ -261,9 +209,8 @@ func (e *Env) evAt(i uint32) *event {
 }
 
 // alloc takes an event record off the free list (refilling it a slab at a
-// time) and stamps it with a fresh seq. seq is the record's identity:
-// handles and heap entries holding an older seq observe that their event
-// resolved.
+// time) and stamps it with a fresh seq. seq is the record's identity: queue
+// entries holding an older seq observe that their event resolved.
 func (e *Env) alloc() *event {
 	if len(e.free) == 0 {
 		base := len(e.arena) * slabSize
@@ -283,16 +230,17 @@ func (e *Env) alloc() *event {
 	e.free = e.free[:n]
 	ev.seq = e.seq
 	e.seq++
-	ev.state = statePending
 	return ev
 }
 
-// recycle returns a resolved record to the free list. Callers guarantee no
-// handle semantics are violated: fired events of any kind (a stale handle's
-// seq mismatch then proves firing), and canceled proc/timer events (no
-// handle ever escaped). Publicly canceled events are never recycled.
+// resolvedSeq is the seq of a record on the free list. No queue entry
+// carries it: seqs are handed out counting up from zero.
+const resolvedSeq = ^uint64(0)
+
+// recycle returns a resolved record to the free list, which leaves any
+// queue entry still naming it dead.
 func (e *Env) recycle(ev *event) {
-	ev.state = stateFree
+	ev.seq = resolvedSeq
 	ev.fn = nil
 	ev.proc = nil
 	ev.timer = nil
@@ -321,33 +269,33 @@ const interruptStride = 64
 
 func (e *Env) compact() {
 	e.q.sweep(func(en entry) bool {
-		ev := e.evAt(en.evi)
-		return ev.seq == en.seq && ev.state == statePending
+		return e.evAt(en.evi).seq == en.seq
 	})
 	e.nDead = 0
 }
 
 // At schedules fn to run at absolute simulated time t. Callbacks run in
 // scheduler context and must not block; to perform blocking operations,
-// start a process with Go instead. Scheduling in the past (t < Now) panics.
-func (e *Env) At(t time.Duration, fn func()) Event {
+// start a process with Go instead. The callback cannot be called off: a
+// component that must stop or move a scheduled callback owns a Timer.
+// Scheduling in the past (t < Now) panics.
+func (e *Env) At(t time.Duration, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
 	ev.fn = fn
 	e.q.push(entry{at: t, seq: ev.seq, evi: ev.idx}, e.now)
-	return Event{env: e, ev: ev, seq: ev.seq}
 }
 
 // After schedules fn to run d from now. A negative d panics.
-func (e *Env) After(d time.Duration, fn func()) Event {
-	return e.At(e.now+d, fn)
+func (e *Env) After(d time.Duration, fn func()) {
+	e.At(e.now+d, fn)
 }
 
 // schedProc schedules p to resume at absolute time t — the engine's
-// allocation-free internal path for Sleep, Unpark, and Go start events,
-// which need no closure and return no handle.
+// allocation-free internal path for process starts and wakes, which need
+// no closure.
 func (e *Env) schedProc(t time.Duration, p *Proc) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
@@ -359,8 +307,9 @@ func (e *Env) schedProc(t time.Duration, p *Proc) {
 
 // Run processes events in timestamp order until the queue is empty or the
 // next event is later than `until`, then advances the clock to `until`.
-// It returns the number of events processed (canceled events are skipped
-// and not counted). Run may be called repeatedly with increasing horizons.
+// It returns the number of events processed (stopped timer firings are
+// skipped and not counted). Run may be called repeatedly with increasing
+// horizons.
 func (e *Env) Run(until time.Duration) int {
 	if e.stopped {
 		panic("des: Run after Shutdown")
@@ -381,14 +330,13 @@ func (e *Env) Run(until time.Duration) int {
 		}
 		e.q.pop()
 		ev := e.evAt(top.evi)
-		if ev.seq != top.seq || ev.state != statePending {
-			e.nDead-- // canceled (or re-armed) in place; entry now drained
+		if ev.seq != top.seq {
+			e.nDead-- // stopped (or re-armed) in place; entry now drained
 			continue
 		}
 		e.now = top.at
 		// Resolve and recycle before dispatch: the callback may schedule
-		// again and reuse this record immediately (a stale handle then
-		// sees a seq mismatch, which proves the event fired).
+		// again and reuse this record immediately.
 		switch {
 		case ev.proc != nil:
 			p := ev.proc
@@ -449,7 +397,7 @@ func (e *Env) Shutdown() {
 	}
 	e.q.each(func(en entry) {
 		ev := e.evAt(en.evi)
-		if p := ev.proc; p != nil && p.fn != nil && ev.seq == en.seq && ev.state == statePending {
+		if p := ev.proc; p != nil && p.fn != nil && ev.seq == en.seq {
 			e.finish(p)
 		}
 	})
@@ -475,12 +423,10 @@ func (e *Env) Shutdown() {
 }
 
 // Timer is a re-armable scheduled callback owned by a single component —
-// the allocation-free replacement for the cancel-and-reschedule pattern
-// (a PS-CPU's completion event, a pool waiter's timeout). Arm cancels any
-// previously armed firing, so at most one is outstanding; because the
-// Timer's event records never escape as handles, canceled ones are
-// recycled immediately instead of lingering for handle exactness. Create
-// with Env.NewTimer; use only from scheduler context.
+// the one scheduled callback that can be stopped or moved (a PS-CPU's
+// completion event, a pool waiter's timeout). Arm cancels any previously
+// armed firing, so at most one is outstanding. Create with Env.NewTimer;
+// use only from scheduler context.
 type Timer struct {
 	env *Env
 	fn  func()
@@ -533,18 +479,16 @@ type killedSentinel struct{}
 // called from the process itself.
 //
 // A Proc holds a runner (a coroutine) only while it is inside a run of fn:
-// from the dispatch that starts the run until fn returns, including any
-// Sleep or Park in between. A process that has not started yet, or that
-// ended its last run with Rest or Suspend, holds none. In a trial that
-// means: a request in service holds one, while a thinking user (resting)
-// and a request queued at its front door (suspended) do not.
-//
-// A process started with GoStep runs fn as a step whenever it is
-// dispatched without a runner (see GoStep); inside a step it holds none.
+// from the dispatch whose step asked for one (Bind) until fn returns,
+// including any Sleep or Park in between. A process that has not started
+// yet, or that ended its last run with Rest or Suspend, holds none, and its
+// next dispatch runs fn as a step (see GoStep). In a trial that means: a
+// request in service holds one, while a thinking user (resting) and a
+// request queued at its front door (suspended) do not.
 type Proc struct {
 	env     *Env
 	name    string
-	r       *runner     // inside a run of fn its runner; while suspended its mark; else &env.stepper if it steps, or nil
+	r       *runner     // inside a run of fn its runner; while suspended its mark; else &env.stepper
 	fn      func(*Proc) // nil once the process has finished
 	data    any
 	cleanup func() // the Defer callbacks, chained newest first
@@ -587,10 +531,10 @@ func (e *Env) finish(p *Proc) {
 }
 
 // A runner is a coroutine that runs processes one after another. runProc
-// binds an idle runner to a process the first time it dispatches a run of
-// it; when the run ends — the process returns, rests, suspends, panics or
-// is killed — the runner goes back to its Env's idle list, and Shutdown
-// hands idle runners on to runnerPool for the next Env. Control passes
+// binds an idle runner to a process whose step asked for one; when the run
+// ends — the process returns, rests, suspends, panics or is killed — the
+// runner goes back to its Env's idle list, and Shutdown hands idle runners
+// on to runnerPool for the next Env. Control passes
 // between the scheduler and a runner by a runtime coroutine switch on the
 // same thread.
 //
@@ -610,9 +554,6 @@ type runner struct {
 	// returns the process stays live without this runner. On Env.stepper
 	// it is how the current step is ending.
 	end runEnd
-	// steps records that the bound or marked process was started with
-	// GoStep, so that it steps again once it holds no runner.
-	steps bool
 }
 
 // runEnd records which call, if any, ended the current run or step early.
@@ -691,7 +632,6 @@ func unlink(head **runner, r *runner) {
 
 // bind attaches the free runner r to p and links it into e.busy.
 func (e *Env) bind(r *runner, p *Proc) {
-	r.steps = p.r == &e.stepper
 	r.p, p.r = p, r
 	link(&e.busy, r)
 	e.bound++
@@ -702,18 +642,9 @@ func (e *Env) bind(r *runner, p *Proc) {
 // unbind detaches r from its process and unlinks it from e.busy.
 func (e *Env) unbind(r *runner) {
 	unlink(&e.busy, r)
-	r.p.r = e.home(r.steps)
+	r.p.r = &e.stepper
 	r.p = nil
 	e.bound--
-}
-
-// home is what p.r holds while a process holds no runner and is not
-// suspended: the stepper for a process that steps, else nil.
-func (e *Env) home(steps bool) *runner {
-	if steps {
-		return &e.stepper
-	}
-	return nil
 }
 
 // suspend marks p, which just ended a run with Suspend, on e.suspended.
@@ -724,7 +655,6 @@ func (e *Env) suspend(p *Proc) {
 	} else {
 		m = &runner{}
 	}
-	m.steps = p.r == &e.stepper
 	m.p, p.r = p, m
 	link(&e.suspended, m)
 	e.counters.Suspensions++
@@ -733,57 +663,58 @@ func (e *Env) suspend(p *Proc) {
 // unsuspend drops the mark m of a suspended process about to run again.
 func (e *Env) unsuspend(m *runner) {
 	unlink(&e.suspended, m)
-	m.p.r = e.home(m.steps)
+	m.p.r = &e.stepper
 	m.p, m.next, e.marks = nil, e.marks, m
 }
 
-// Go starts a new process running fn. The process begins executing at the
-// current simulated time (after the caller yields control). name is used in
-// diagnostics only. No coroutine is bound until the process first runs.
+// Go starts a process like GoStep whose steps only ask for a runner
+// (Bind): fn itself runs only on one, so it may block anywhere, and starts
+// again from the top at each wake after Rest or Suspend.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	return e.start(name, fn, nil)
+	return e.GoStep(name, func(p *Proc) {
+		if p.Bind() {
+			fn(p)
+		}
+	})
 }
 
-// GoStep starts a process like Go, except that whenever it is dispatched
-// without a runner — its start, and each wake after Rest or Suspend — fn
-// first runs as a step: on the scheduler's stack, with no coroutine, at
-// that wake's place in the event order. A step may
+// GoStep starts a new process running fn. The process begins executing at
+// the current simulated time (after the caller yields control). name is
+// used in diagnostics only. Whenever the process is dispatched without a
+// runner — its start, and each wake after Rest or Suspend — fn first runs
+// as a step: on the scheduler's stack, with no coroutine, at that wake's
+// place in the event order. A step may
 //   - schedule the process's next wake with Rest and return;
 //   - return without one, which finishes the process;
 //   - ask for a runner with Bind and return: the engine binds one and runs
 //     fn again from the top on it, at the same instant, before any other
-//     event — from there on fn runs as it would under Go until it returns.
+//     event — from there on fn runs on the runner until it returns.
 //
 // Sleep, Park and Suspend in a step panic: code that blocks must first
-// make sure of a runner with Bind, and Wait rests a stepping process and
-// sleeps any other. A panic in a step finishes the process and leaves Run
-// as a *ProcPanic, as a panic on a runner does.
+// make sure of a runner with Bind. A panic in a step finishes the process
+// and leaves Run as a *ProcPanic, as a panic on a runner does.
 func (e *Env) GoStep(name string, fn func(p *Proc)) *Proc {
-	return e.start(name, fn, &e.stepper)
-}
-
-func (e *Env) start(name string, fn func(p *Proc), home *runner) *Proc {
-	p := &Proc{env: e, name: name, r: home, fn: fn}
+	p := &Proc{env: e, name: name, r: &e.stepper, fn: fn}
 	e.live++
 	e.schedProc(e.now, p)
 	return p
 }
 
-// runProc transfers control to p until p yields again, first binding a
-// runner if p holds none (it has not started, it rested, or it suspended)
-// — unless p steps and its step ends without asking for one. If the
+// runProc transfers control to p until p yields again. A p that holds no
+// runner (it has not started, it rested, or it suspended) is stepped
+// first, and bound to a runner only if its step asks for one. If the
 // process died with a real panic, the captured *ProcPanic is re-raised
 // here — in scheduler context — so it propagates out of Run.
 func (e *Env) runProc(p *Proc) {
 	r := p.r
-	if r == nil || r.resume == nil {
+	if r.resume == nil {
 		if p.fn == nil {
 			return // the wake of a process that panicked after Rest or Suspend
 		}
-		if r != nil && r != &e.stepper {
+		if r != &e.stepper {
 			e.unsuspend(r)
 		}
-		if p.r == &e.stepper && !e.step(p) {
+		if !e.step(p) {
 			return
 		}
 		if r = e.idleRunner(); r == nil {
@@ -885,7 +816,7 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current simulated time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 
-// Name returns the diagnostic name given to Go.
+// Name returns the diagnostic name given to Go or GoStep.
 func (p *Proc) Name() string { return p.name }
 
 // Sleep blocks the process for d of simulated time. Negative d panics, as
@@ -950,19 +881,6 @@ func (p *Proc) Bind() bool {
 	}
 	p.misuse("Bind")
 	return false
-}
-
-// Wait waits d the cheapest way the process allows. A process started
-// with GoStep rests, in a step or on a runner: Wait schedules its next
-// wake d from now and reports false, and fn must return; the wake is a
-// step. Any other process sleeps, and Wait reports true.
-func (p *Proc) Wait(d time.Duration) bool {
-	if r := p.r; r.end == stepping || r.steps {
-		p.Rest(d)
-		return false
-	}
-	p.Sleep(d)
-	return true
 }
 
 // misuse panics for a blocking call made in a step, or a blocking or

@@ -42,20 +42,6 @@ func TestTiesBreakInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	env := NewEnv()
-	fired := false
-	ev := env.After(time.Second, func() { fired = true })
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
-	}
-	env.Run(2 * time.Second)
-	if fired {
-		t.Error("canceled event fired")
-	}
-}
-
 func TestRunHorizonAndResume(t *testing.T) {
 	env := NewEnv()
 	count := 0

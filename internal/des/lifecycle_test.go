@@ -5,96 +5,23 @@ import (
 	"time"
 )
 
-// A fired event must report Canceled() == false forever — even after its
-// record has been recycled and reused by later events. This was the PR's
-// headline bug: the old implementation marked fired events with the same
-// flag as canceled ones, so observers of a completion handle concluded the
-// completion had been canceled.
-func TestFiredEventNeverReportsCanceled(t *testing.T) {
-	env := NewEnv()
-	fired := false
-	ev := env.After(time.Second, func() { fired = true })
-	if ev.Canceled() {
-		t.Fatal("pending event reports Canceled")
-	}
-	if !ev.Pending() {
-		t.Fatal("scheduled event not Pending")
-	}
-	env.Run(2 * time.Second)
-	if !fired {
-		t.Fatal("event did not fire")
-	}
-	if ev.Canceled() {
-		t.Error("fired event reports Canceled")
-	}
-	if ev.Pending() {
-		t.Error("fired event reports Pending")
-	}
-	// Recycle the record through many later events; the stale handle must
-	// still distinguish "fired" from "canceled".
-	for i := 0; i < 100; i++ {
-		env.After(time.Millisecond, func() {})
-	}
-	env.Run(3 * time.Second)
-	if ev.Canceled() {
-		t.Error("fired event reports Canceled after its record was reused")
-	}
-	// Cancel on the stale handle must not touch the record's new owner.
-	ev2 := env.After(time.Second, func() {})
-	ev.Cancel()
-	if ev2.Canceled() || !ev2.Pending() {
-		t.Error("Cancel through a stale handle hit a recycled record's new owner")
-	}
-}
-
-func TestCanceledEventReportsCanceledForever(t *testing.T) {
-	env := NewEnv()
-	ev := env.After(time.Second, func() { t.Error("canceled event fired") })
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("canceled event does not report Canceled")
-	}
-	if ev.Pending() {
-		t.Fatal("canceled event reports Pending")
-	}
-	// Churn the free list: the canceled record must not be handed out again
-	// while this handle exists.
-	for i := 0; i < 1000; i++ {
-		env.After(time.Millisecond, func() {})
-	}
-	env.Run(2 * time.Second)
-	if !ev.Canceled() {
-		t.Error("Canceled() flipped to false after churn")
-	}
-}
-
-func TestZeroEventBehavesCanceled(t *testing.T) {
-	var ev Event
-	if !ev.Canceled() {
-		t.Error("zero Event not Canceled")
-	}
-	if ev.Pending() {
-		t.Error("zero Event Pending")
-	}
-	ev.Cancel() // must not panic
-}
-
-// Pending counts callbacks that will still run: canceled events drop out
+// Pending counts callbacks that will still run: stopped timers drop out
 // immediately, even while their queue entries await lazy removal.
 func TestPendingExcludesCanceled(t *testing.T) {
 	env := NewEnv()
-	evs := make([]Event, 10)
-	for i := range evs {
-		evs[i] = env.After(time.Duration(i+1)*time.Second, func() {})
+	tms := make([]*Timer, 10)
+	for i := range tms {
+		tms[i] = env.NewTimer(func() {})
+		tms[i].Arm(time.Duration(i+1) * time.Second)
 	}
 	if got := env.Pending(); got != 10 {
 		t.Fatalf("Pending() = %d, want 10", got)
 	}
 	for i := 0; i < 4; i++ {
-		evs[i].Cancel()
+		tms[i].Stop()
 	}
 	if got := env.Pending(); got != 6 {
-		t.Errorf("Pending() = %d after 4 cancels, want 6", got)
+		t.Errorf("Pending() = %d after 4 stops, want 6", got)
 	}
 	env.Run(20 * time.Second)
 	if got := env.Pending(); got != 0 {
@@ -102,16 +29,18 @@ func TestPendingExcludesCanceled(t *testing.T) {
 	}
 }
 
-// Cancel/re-arm churn must not grow the physical queue without bound: dead
+// Stop/re-arm churn must not grow the physical queue without bound: dead
 // entries are dropped by compaction once they outnumber live ones, keeping
 // the queue within a constant factor of the live event count.
 func TestCancelChurnBoundsQueue(t *testing.T) {
 	env := NewEnv()
 	const live = 100
-	var ev Event
+	tm := env.NewTimer(func() {})
 	for i := 0; i < 200000; i++ {
-		ev.Cancel()
-		ev = env.After(time.Hour, func() {})
+		if i%2 == 0 {
+			tm.Stop()
+		}
+		tm.Arm(time.Hour)
 	}
 	// Keep a floor of live events so compaction has survivors to keep.
 	for i := 0; i < live; i++ {
@@ -213,27 +142,10 @@ func TestRecycledRecordPreservesTieOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkCancelChurn measures the cancel-and-reschedule pattern that
-// dominates PS-CPU completion management: the heap must stay small (lazy
-// deletion + compaction) and the steady state must not allocate (free-list
-// recycling is exercised by the fired noop events; publicly canceled records
-// are intentionally unrecycled, so churn through Event.Cancel measures the
-// compaction path).
-func BenchmarkCancelChurn(b *testing.B) {
-	b.ReportAllocs()
-	env := NewEnv()
-	noop := func() {}
-	var ev Event
-	for i := 0; i < b.N; i++ {
-		ev.Cancel()
-		ev = env.After(time.Hour, noop)
-		env.After(0, noop)
-		env.Run(env.Now())
-	}
-}
-
-// BenchmarkTimerRearm is the same churn through the handle-free Timer path,
-// which recycles canceled records immediately.
+// BenchmarkTimerRearm measures the stop-and-reschedule pattern that
+// dominates PS-CPU completion management: the queue must stay small (lazy
+// deletion + compaction) and the steady state must not allocate (stopped
+// and fired records are recycled at once).
 func BenchmarkTimerRearm(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()

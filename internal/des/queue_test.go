@@ -42,9 +42,9 @@ func (q *refQueue) remove(en refEntry) bool {
 	return ok
 }
 
-// queueDiff drives an Env with random schedules, cancels, Timer re-arms and
-// Run horizons, and checks every firing against refQueue. Fired callbacks
-// reschedule themselves now and then, as closed-loop users do.
+// queueDiff drives an Env with random schedules, Timer stops and re-arms
+// and Run horizons, and checks every firing against refQueue. Fired
+// callbacks reschedule themselves now and then, as closed-loop users do.
 type queueDiff struct {
 	t      *testing.T
 	env    *Env
@@ -58,7 +58,7 @@ type queueDiff struct {
 }
 
 type handle struct {
-	ev  Event
+	tm  *Timer
 	key refEntry
 }
 
@@ -104,16 +104,31 @@ func (d *queueDiff) fire(id int) {
 	d.fired++
 }
 
+// push schedules a stoppable event: a one-shot Timer that cancel may stop.
 func (d *queueDiff) push(at time.Duration) {
 	en := d.key(at)
-	ev := d.env.At(at, func() {
+	tm := d.env.NewTimer(d.firing(en))
+	tm.ArmAt(at)
+	d.ref.insert(en)
+	d.events = append(d.events, handle{tm, en})
+}
+
+// follow schedules a fired event's successor with At, which nothing stops.
+func (d *queueDiff) follow(at time.Duration) {
+	en := d.key(at)
+	d.env.At(at, d.firing(en))
+	d.ref.insert(en)
+}
+
+// firing is the callback of the event en: it checks the pop order and now
+// and then schedules a successor.
+func (d *queueDiff) firing(en refEntry) func() {
+	return func() {
 		d.fire(en.id)
 		if d.rnd.Intn(3) == 0 {
-			d.push(d.env.Now() + d.delay())
+			d.follow(d.env.Now() + d.delay())
 		}
-	})
-	d.ref.insert(en)
-	d.events = append(d.events, handle{ev, en})
+	}
 }
 
 func (d *queueDiff) cancel() {
@@ -125,10 +140,10 @@ func (d *queueDiff) cancel() {
 	d.events[i] = d.events[len(d.events)-1]
 	d.events = d.events[:len(d.events)-1]
 	pending := d.ref.remove(h.key)
-	if h.ev.Pending() != pending {
-		d.t.Fatalf("event %d: Pending() = %v, reference says %v", h.key.id, h.ev.Pending(), pending)
+	if h.tm.Armed() != pending {
+		d.t.Fatalf("event %d: Armed() = %v, reference says %v", h.key.id, h.tm.Armed(), pending)
 	}
-	h.ev.Cancel()
+	h.tm.Stop()
 }
 
 func (d *queueDiff) newTimer() *diffTimer {

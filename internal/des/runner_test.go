@@ -171,9 +171,13 @@ func TestConcurrentEnvsSharePool(t *testing.T) {
 func TestShortProcAllocatesOnlyProc(t *testing.T) {
 	env := NewEnv()
 	defer env.Shutdown()
-	short := func(p *Proc) { p.Sleep(time.Millisecond) }
+	short := func(p *Proc) {
+		if p.Bind() {
+			p.Sleep(time.Millisecond)
+		}
+	}
 	churn := func() {
-		env.Go("short", short)
+		env.GoStep("short", short)
 		env.Run(env.Now() + time.Millisecond)
 	}
 	for i := 0; i < 100; i++ {

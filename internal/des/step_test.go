@@ -110,41 +110,50 @@ func TestRestingStepsBindNoRunner(t *testing.T) {
 	}
 }
 
-// Wait sleeps a process started with Go and rests one started with GoStep,
-// in a step or on a runner, at the same (at, seq); a stepping process that
-// rested on its runner takes its next wake as a step.
-func TestWaitSleepsOrRests(t *testing.T) {
+// A process that rests on its runner gives the runner back, and its next
+// wake is a step like any other, at the same (at, seq) a Rest in a step
+// would take: a GoStep fn that does not ask for a runner then finishes in
+// the step, and a Go fn is bound a fresh runner by its step.
+func TestRestOnRunnerWakesAsStep(t *testing.T) {
 	var log []string
 	env := NewEnv()
 	defer env.Shutdown()
+	where := func(p *Proc) string {
+		if p.r == &env.stepper {
+			return " in a step"
+		}
+		return " on a runner"
+	}
 	body := func(name string, bind bool) func(p *Proc) {
-		waited := false
+		rested := false
 		return func(p *Proc) {
-			if !waited {
-				if bind && !p.Bind() {
-					return
-				}
-				waited = true
-				if !p.Wait(time.Second) {
-					log = append(log, name+" rested")
-					return
-				}
-				log = append(log, name+" slept")
+			if rested {
+				log = append(log, name+"@"+p.Now().String()+where(p))
+				return
 			}
-			log = append(log, name+"@"+p.Now().String())
+			if bind && !p.Bind() {
+				return
+			}
+			rested = true
+			p.Rest(time.Second)
+			log = append(log, name+" rested"+where(p))
 		}
 	}
-	env.Go("runner", body("runner", false))
+	env.Go("go", body("go", false))
 	env.GoStep("step", body("step", false))
 	env.GoStep("bound", body("bound", true))
 	env.Run(time.Minute)
-	want := "step rested bound rested runner slept runner@1s step@1s bound@1s"
-	if got := strings.Join(log, " "); got != want {
+	want := "go rested on a runner, step rested in a step, bound rested on a runner, " +
+		"go@1s on a runner, step@1s in a step, bound@1s in a step"
+	if got := strings.Join(log, ", "); got != want {
 		t.Errorf("log %q, want %q", got, want)
 	}
-	want2 := Counters{Binds: 2, Steps: 3, Resumes: 3, PeakBound: 2}
+	want2 := Counters{Binds: 3, Steps: 3, Resumes: 3, PeakBound: 1}
 	if c := env.Counters(); c != want2 {
 		t.Errorf("Counters() = %+v, want %+v", c, want2)
+	}
+	if env.Live() != 0 {
+		t.Errorf("Live() = %d, want 0", env.Live())
 	}
 }
 

@@ -44,14 +44,15 @@ func (l Link) Traverse(p *des.Proc) {
 	}
 }
 
-// Cross is Traverse for a process that may step (des.Env.GoStep). It
-// reports whether the hop is behind the process: at once for a hop of no
-// latency, and after sleeping through it for a process that does not step.
-// A stepping process rests instead (des.Proc.Wait): Cross schedules its
-// next wake at the hop's end and reports false, and fn must return.
+// Cross is Traverse for a process that may be in a step (des.Env.GoStep).
+// It reports whether the hop is behind the process: at once for a hop of
+// no latency. Otherwise the process rests through it (des.Proc.Rest):
+// Cross schedules its next wake at the hop's end and reports false, and fn
+// must return.
 func (l Link) Cross(p *des.Proc) bool {
 	if d := l.Delay(); d > 0 {
-		return p.Wait(d)
+		p.Rest(d)
+		return false
 	}
 	return true
 }

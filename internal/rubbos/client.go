@@ -16,13 +16,12 @@ import (
 // A non-nil error then means the browser got an error or degraded
 // response instead of the page (crash faults, shed requests, timeouts).
 //
-// Do is re-entrant, and the first call of each dispatch may come in a step
-// (des.Env.GoStep: no coroutine, on the scheduler's stack), which is how
-// Start and StartOpen run their processes. A Target that has to block
-// first makes sure of a runner with des.Proc.Bind, and where it has
-// nothing on its stack worth keeping it waits without one: it records
-// where the request stands in c, schedules the next wake (des.Proc.Rest
-// or Wait), asks for a runner, or suspends the process
+// Do is re-entrant, and the first call of each dispatch comes in a step
+// (des.Env.GoStep: no coroutine, on the scheduler's stack). A Target that
+// has to block first makes sure of a runner with des.Proc.Bind, and where
+// it has nothing on its stack worth keeping it waits without one: it
+// records where the request stands in c, schedules the next wake
+// (des.Proc.Rest), asks for a runner, or suspends the process
 // (des.Proc.Suspend), and returns false. The caller must then end its run
 // or step without blocking; on the process's next dispatch it calls Do
 // again with the same it and c, until Do returns true. A new request

@@ -124,9 +124,6 @@ func (a *Apache) SetResilience(cfg *ResilienceConfig, r *rng.Rand) {
 // SetDown marks the server crashed (refusing all work) or restored.
 func (a *Apache) SetDown(down bool) { a.down = down }
 
-// Down reports whether the server is refusing work.
-func (a *Apache) Down() bool { return a.down }
-
 // Resilience returns the resilience counters (nil when the layer is off).
 func (a *Apache) Resilience() *ResilienceStats { return a.res.Stats() }
 
@@ -189,17 +186,15 @@ func (a *Apache) Timeline() (processed, ptTotal, ptConnecting *metrics.Windows) 
 // follow-ups, then the connection close. A non-nil error means the browser
 // received an error (or degraded) response instead of the page.
 //
-// Do is the front door, written once for a caller that steps
-// (des.Env.GoStep) and one that does not, as stages recorded in c. For a
-// stepping caller the hop in, the refusals that cost no CPU — a crashed
-// server, a full accept backlog — and every hop back are one step each,
-// with no coroutine; a runner is bound (des.Proc.Bind) at the worker
-// acquire, or for a refusal whose degraded response burns CPU, and given
-// back when the response starts back. A request that must queue for a
-// worker waits suspended (resource.Pool.AcquireOrSuspend). Whenever Do
-// returns false the caller must end its run or step; its next dispatch
-// calls Do again to go on from the stage c records. For a caller that
-// does not step, each hop is a sleep.
+// Do is the front door, written as stages recorded in c. The hop in, the
+// refusals that cost no CPU — a crashed server, a full accept backlog —
+// and every hop back are one step each (des.Env.GoStep), with no
+// coroutine; a runner is bound (des.Proc.Bind) at the worker acquire, or
+// for a refusal whose degraded response burns CPU, and given back when the
+// response starts back. A request that must queue for a worker waits
+// suspended (resource.Pool.AcquireOrSuspend). Whenever Do returns false
+// the caller must end its run or step; its next dispatch calls Do again to
+// go on from the stage c records.
 func (a *Apache) Do(p *des.Proc, it *rubbos.Interaction, c *rubbos.Call) (bool, error) {
 	switch c.Stage {
 	case sending:
@@ -316,9 +311,9 @@ func (a *Apache) degrade(p *des.Proc, c *rubbos.Call) (bool, error) {
 
 // reply sends the response — the page when err is nil — back across the
 // link to the client and ends the request. The page and the front door's
-// own refusals cross as a wait (netsim.Link.Cross), which for a stepping
-// process ends its run or step; the wake at the hop's end delivers the
-// response, rebuilt from c.Reply. An error raised behind the front door is
+// own refusals cross as a rest (netsim.Link.Cross), which ends the run or
+// step; the wake at the hop's end delivers the response, rebuilt from
+// c.Reply. An error raised behind the front door is
 // held only by this runner's stack, so it crosses back asleep.
 func (a *Apache) reply(p *des.Proc, c *rubbos.Call, err error) (bool, error) {
 	c.Reply = 0

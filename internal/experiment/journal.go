@@ -238,9 +238,6 @@ func (j *Journal) Len() int {
 // SalvagedBytes reports how many torn-tail bytes were truncated at open.
 func (j *Journal) SalvagedBytes() int64 { return j.salvagedBytes }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close syncs and closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -71,15 +71,6 @@ func (n *Node) Alias(name string) *Node {
 	return &Node{env: n.env, name: name, spec: n.spec, cpu: n.cpu, host: host}
 }
 
-// Host returns the name of the physical node whose hardware this node uses:
-// the alias target for a logical view, the node's own name otherwise.
-func (n *Node) Host() string {
-	if n.host != nil {
-		return n.host.name
-	}
-	return n.name
-}
-
 // Name returns the node name.
 func (n *Node) Name() string { return n.name }
 

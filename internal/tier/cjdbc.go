@@ -115,9 +115,6 @@ func (c *CJDBC) Busy() int { return c.busy }
 // SetDown marks the middleware crashed (refusing all work) or restored.
 func (c *CJDBC) SetDown(down bool) { c.down = down }
 
-// Down reports whether the middleware is refusing work.
-func (c *CJDBC) Down() bool { return c.down }
-
 // accountBusy integrates the busy-concurrency level up to now. Called only
 // on state changes (Checkout/Release) so reads stay pure.
 func (c *CJDBC) accountBusy() {

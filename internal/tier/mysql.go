@@ -37,9 +37,6 @@ func NewMySQL(env *des.Env, node *hw.Node, link netsim.Link, r *rng.Rand) *MySQL
 // SetDown marks the server crashed (refusing all queries) or restored.
 func (m *MySQL) SetDown(down bool) { m.down = down }
 
-// Down reports whether the server is refusing queries.
-func (m *MySQL) Down() bool { return m.down }
-
 // commitCV is the variation of a write's synchronous disk commit.
 var commitCV = rng.NewCV(0.4)
 
@@ -81,9 +78,6 @@ func (m *MySQL) Query(p *des.Proc, it *rubbos.Interaction) error {
 // DeadlineSheds returns the cumulative count of statements refused because
 // the request's deadline budget could not cover the residence estimate.
 func (m *MySQL) DeadlineSheds() uint64 { return m.dlSheds }
-
-// Inflight returns the number of queries currently executing.
-func (m *MySQL) Inflight() int { return m.inflight }
 
 // Log returns the residence-time log.
 func (m *MySQL) Log() *ServiceLog { return &m.log }

@@ -272,8 +272,7 @@ type Breaker struct {
 	inflight int // probes outstanding while half-open
 	openedAt time.Duration
 
-	opens       uint64
-	transitions uint64
+	opens uint64
 }
 
 // NewBreaker creates a closed breaker (nil if cfg.Enabled is false).
@@ -295,9 +294,6 @@ func (b *Breaker) State() BreakerState {
 // Opens returns the number of times the breaker tripped open.
 func (b *Breaker) Opens() uint64 { return b.opens }
 
-// Transitions returns the total number of state changes.
-func (b *Breaker) Transitions() uint64 { return b.transitions }
-
 // Allow reports whether a call may proceed. While half-open it admits up to
 // HalfOpenProbes concurrent probes. Each allowed call must be matched by a
 // Record.
@@ -310,7 +306,6 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.state = BreakerHalfOpen
-		b.transitions++
 		b.succ = 0
 		b.inflight = 0
 		fallthrough
@@ -346,7 +341,6 @@ func (b *Breaker) Record(ok bool) {
 		b.succ++
 		if b.succ >= b.cfg.CloseAfter {
 			b.state = BreakerClosed
-			b.transitions++
 			b.fails = 0
 		}
 	case BreakerOpen:
@@ -358,7 +352,6 @@ func (b *Breaker) Record(ok bool) {
 // trip moves to open and starts the cool-down window.
 func (b *Breaker) trip() {
 	b.state = BreakerOpen
-	b.transitions++
 	b.opens++
 	b.openedAt = b.env.Now()
 	b.fails = 0

@@ -125,9 +125,6 @@ func (t *Tomcat) SetResilience(cfg *ResilienceConfig, r *rng.Rand) {
 // SetDown marks the server crashed (refusing all work) or restored.
 func (t *Tomcat) SetDown(down bool) { t.down = down }
 
-// Down reports whether the server is refusing work.
-func (t *Tomcat) Down() bool { return t.down }
-
 // Resilience returns the resilience counters (nil when the layer is off).
 func (t *Tomcat) Resilience() *ResilienceStats { return t.res.Stats() }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/chaos"
-	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fault"
 	"github.com/softres/ntier/internal/testbed"
 )
@@ -129,14 +128,12 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
-	if *tf.common.stateDir != "" {
-		st, err := experiment.OpenState(*tf.common.stateDir, cfg.Fingerprint(), *tf.common.resume)
-		if err != nil {
-			return fail(err)
-		}
-		defer st.Close()
-		cfg.State = st
+	st, err := tf.common.openState(cfg.Fingerprint())
+	if err != nil {
+		return fail(err)
 	}
+	defer st.Close()
+	cfg.State = st
 
 	var mu sync.Mutex
 	done := 0

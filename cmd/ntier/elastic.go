@@ -120,16 +120,15 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	closeState, err := tf.common.openState(&cfg.Run, experiment.Fingerprint(base, journalTag("elastic"),
+	st, err := tf.common.openState(experiment.Fingerprint(base, journalTag("elastic"),
 		*policyS, *traceS, fmt.Sprint(*low), fmt.Sprint(*high), day.String(),
 		interval.String(), fmt.Sprint(*budget), fmt.Sprint(*step),
 		fmt.Sprint(*deadband), cooldown.String(), window.String(), slaS.String()))
 	if err != nil {
 		return fail(err)
 	}
-	if closeState != nil {
-		defer closeState()
-	}
+	defer st.Close()
+	cfg.Run.State = st
 
 	out, err := experiment.ElasticSweep(cfg)
 	if err != nil {

@@ -120,17 +120,14 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 		// A state directory pins the campaign identity (fingerprint-checked
 		// on -resume); scenario trials are short and re-run rather than
 		// replay.
-		if *tf.common.stateDir != "" {
-			fp := tf.base(ctx)
-			fp.Users = *users
-			st, err := experiment.OpenState(*tf.common.stateDir, experiment.Fingerprint(fp,
-				journalTag("faults"), *scenario, *tf.soft, thS.String()), *tf.common.resume)
-			if err != nil {
-				return exitErr(stderr, "", err)
-			}
-			defer st.Close()
-			state = st
+		fp := tf.base(ctx)
+		fp.Users = *users
+		state, err = tf.common.openState(experiment.Fingerprint(fp,
+			journalTag("faults"), *scenario, *tf.soft, thS.String()))
+		if err != nil {
+			return exitErr(stderr, "", err)
 		}
+		defer state.Close()
 		trial = func(base experiment.RunConfig, w io.Writer, csv string) error {
 			base.Users = *users
 			cfg := sc.Configure(base)

@@ -154,17 +154,14 @@ func runFigures(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	if *tf.common.stateDir != "" {
-		// The per-sweep journal fingerprints cover each figure's actual
-		// configurations; the directory fingerprint pins the shared knobs.
-		st, err := experiment.OpenState(*tf.common.stateDir,
-			experiment.Fingerprint(g.run, journalTag("figures")), *tf.common.resume)
-		if err != nil {
-			return fail(err)
-		}
-		defer st.Close()
-		g.run.State = st
+	// The per-sweep journal fingerprints cover each figure's actual
+	// configurations; the directory fingerprint pins the shared knobs.
+	st, err := tf.common.openState(experiment.Fingerprint(g.run, journalTag("figures")))
+	if err != nil {
+		return fail(err)
 	}
+	defer st.Close()
+	g.run.State = st
 
 	// Generators are independent — run them on the same bounded worker
 	// pool the sweeps use. Each writes its own file; the datasets are

@@ -186,18 +186,12 @@ func (c *commonFlags) apply(cfg *experiment.RunConfig) {
 }
 
 // openState opens (or, with -resume, reopens) the run-state directory
-// named by -state-dir for the invocation identified by fingerprint and
-// attaches it to cfg. It is a no-op returning a nil cleanup when
-// -state-dir is unset; otherwise the caller must invoke the returned
-// close function when done.
-func (c *commonFlags) openState(cfg *experiment.RunConfig, fingerprint string) (func() error, error) {
+// named by -state-dir for the invocation identified by fingerprint. It
+// returns a nil State when -state-dir is unset; the caller closes what it
+// returns either way.
+func (c *commonFlags) openState(fingerprint string) (*experiment.State, error) {
 	if *c.stateDir == "" {
 		return nil, nil
 	}
-	st, err := experiment.OpenState(*c.stateDir, fingerprint, *c.resume)
-	if err != nil {
-		return nil, err
-	}
-	cfg.State = st
-	return st.Close, nil
+	return experiment.OpenState(*c.stateDir, fingerprint, *c.resume)
 }

@@ -188,35 +188,36 @@ func TestCommonFlagsOpenState(t *testing.T) {
 		}
 		return c
 	}
-	// Unset -state-dir is a no-op: nil cleanup, no state attached.
-	var cfg experiment.RunConfig
-	closeFn, err := parse().openState(&cfg, "fp")
-	if err != nil || closeFn != nil || cfg.State != nil {
-		t.Errorf("OpenState without -state-dir: close=%t err=%v state=%v", closeFn != nil, err, cfg.State)
+	// Unset -state-dir is a no-op: no state, and closing it does nothing.
+	st, err := parse().openState("fp")
+	if err != nil || st != nil {
+		t.Errorf("OpenState without -state-dir: state=%v err=%v", st, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Errorf("closing the nil state: %v", err)
 	}
 
 	dir := filepath.Join(t.TempDir(), "state")
-	closeFn, err = parse("-state-dir", dir).openState(&cfg, "fp")
+	st, err = parse("-state-dir", dir).openState("fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if closeFn == nil || cfg.State == nil {
-		t.Fatal("OpenState with -state-dir attached no state")
+	if st == nil {
+		t.Fatal("OpenState with -state-dir opened no state")
 	}
-	if err := closeFn(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// A populated state dir must be refused without -resume and accepted
 	// with it.
-	var cfg2 experiment.RunConfig
-	if _, err := parse("-state-dir", dir).openState(&cfg2, "fp"); err == nil {
+	if _, err := parse("-state-dir", dir).openState("fp"); err == nil {
 		t.Error("OpenState reopened a populated state dir without -resume")
 	}
-	closeFn, err = parse("-state-dir", dir, "-resume").openState(&cfg2, "fp")
+	st, err = parse("-state-dir", dir, "-resume").openState("fp")
 	if err != nil {
 		t.Fatalf("OpenState with -resume: %v", err)
 	}
-	if err := closeFn(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

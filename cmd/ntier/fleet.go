@@ -143,7 +143,7 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	closeState, err := tf.common.openState(&cfg.Run, experiment.Fingerprint(base, journalTag("fleet"),
+	st, err := tf.common.openState(experiment.Fingerprint(base, journalTag("fleet"),
 		*hwS, *softS, *wlS, *namesS, *sloS, think.String(), *placeS, *countsS, *scaleS,
 		fmt.Sprint(*nodes), fmt.Sprint(*slots), fmt.Sprint(*budget), fmt.Sprint(*seed),
 		fmt.Sprint(*sloTarget), fmt.Sprint(*interference), fmt.Sprint(*aggrScale),
@@ -151,9 +151,8 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if closeState != nil {
-		defer closeState()
-	}
+	defer st.Close()
+	cfg.Run.State = st
 
 	if *interference {
 		m, err := experiment.FleetInterference(cfg, placements[0], *aggrScale)

@@ -66,13 +66,12 @@ func runTrial(args []string, stdout, stderr io.Writer) int {
 	// journals it like any campaign: re-running the same configuration
 	// replays the recorded result, and -wl can vary across invocations of
 	// one state directory (the state fingerprint excludes the workload).
-	closeState, err := tf.common.openState(&cfg, experiment.Fingerprint(cfg, "ntier"))
+	st, err := tf.common.openState(experiment.Fingerprint(cfg, "ntier"))
 	if err != nil {
 		return fail(err)
 	}
-	if closeState != nil {
-		defer closeState()
-	}
+	defer st.Close()
+	cfg.State = st
 	curve, err := experiment.WorkloadSweep(cfg, []int{*users})
 	if err == nil {
 		err = curve.Errs[0]

@@ -93,15 +93,14 @@ func runSearch(args []string, stdout, stderr io.Writer) int {
 	base.Testbed.Soft = tf.allocs[0]
 	base.Thresholds = thresholds
 
-	closeState, err := tf.common.openState(&base, experiment.Fingerprint(base, journalTag("search"),
+	st, err := tf.common.openState(experiment.Fingerprint(base, journalTag("search"),
 		*webS, *thrS, *connS, *wlS, fmt.Sprint(*budget), slaS.String(),
 		fmt.Sprint(*eta), fmt.Sprint(*keep)))
 	if err != nil {
 		return fail(err)
 	}
-	if closeState != nil {
-		defer closeState()
-	}
+	defer st.Close()
+	base.State = st
 
 	opts := search.Options{
 		Base:       base,

@@ -76,13 +76,12 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	if *rateS != "" {
 		fpExtra = append(fpExtra, *rateS, deadline.String())
 	}
-	closeState, err := tf.common.openState(&base, experiment.Fingerprint(base, fpExtra...))
+	st, err := tf.common.openState(experiment.Fingerprint(base, fpExtra...))
 	if err != nil {
 		return fail(err)
 	}
-	if closeState != nil {
-		defer closeState()
-	}
+	defer st.Close()
+	base.State = st
 
 	if *rateS != "" {
 		rates, err := parseFloats(*rateS)

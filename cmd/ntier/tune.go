@@ -55,14 +55,13 @@ func runTune(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	closeState, err := tf.common.openState(&cfg.Base, experiment.Fingerprint(cfg.Base, journalTag("tune"),
+	st, err := tf.common.openState(experiment.Fingerprint(cfg.Base, journalTag("tune"),
 		fmt.Sprint(*step), fmt.Sprint(*small), fmt.Sprint(*validate)))
 	if err != nil {
 		return fail(err)
 	}
-	if closeState != nil {
-		defer closeState()
-	}
+	defer st.Close()
+	cfg.Base.State = st
 
 	rep, err := core.Tune(cfg)
 	if err != nil {

@@ -176,8 +176,12 @@ func (s *State) Completed() int {
 	return n
 }
 
-// Close flushes and closes every open journal.
+// Close flushes and closes every open journal. On a nil State, a run
+// without a state directory, it does nothing.
 func (s *State) Close() error {
+	if s == nil {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error

@@ -120,6 +120,24 @@ func TestDigestPins(t *testing.T) {
 			},
 			want: "5703ac3ccb74151d8c6a25d2",
 		},
+		{
+			// Each backend tier loses its first server for half a second
+			// under a deadline-bound overload, so every backend's down
+			// and deadline refusals answer traced requests.
+			name: "open-backend-down", opts: Options{Hardware: hw1212, Soft: soft, Seed: 7},
+			rate: 900, deadline: 300 * time.Millisecond, ramp: 2 * time.Second, horizon: 6 * time.Second,
+			tracer: trace.NewTracer(1, 1<<20),
+			setup: func(tb *Testbed) {
+				down := func(at time.Duration, s interface{ SetDown(bool) }) {
+					tb.Env.At(at, func() { s.SetDown(true) })
+					tb.Env.At(at+500*time.Millisecond, func() { s.SetDown(false) })
+				}
+				down(2500*time.Millisecond, tb.Tomcats[0])
+				down(3500*time.Millisecond, tb.CJDBCs[0])
+				down(4500*time.Millisecond, tb.MySQLs[0])
+			},
+			want: "dee1bf5c394f2c491bc927f7",
+		},
 	}
 	for _, tc := range trials {
 		t.Run(tc.name, func(t *testing.T) {

@@ -131,7 +131,7 @@ func Attach(tb *testbed.Testbed, start time.Duration, cfg Config) *Recorder {
 		r.pool(tc.Threads)
 		r.pool(tc.Conns)
 		r.rate(tc.Node.Name()+"/gc", tc.JVM.GCTimeIntegral, nil, true)
-		r.rate(tc.Node.Name()+"/shed", func() float64 { return float64(tc.Sheds()) }, nil, false)
+		r.rate(tc.Node.Name()+"/shed", func() float64 { return float64(tc.DeadlineSheds()) }, nil, false)
 	}
 	for _, c := range tb.CJDBCs {
 		cj := c

@@ -38,29 +38,18 @@ func DefaultApacheConfig(workers int) ApacheConfig {
 // retries failed proxy calls against the next application server
 // (failover), and guards the Apache→Tomcat hop with a circuit breaker.
 type Apache struct {
-	env  *des.Env
-	Node *hw.Node
-	cfg  ApacheConfig
-	link netsim.Link
-	r    *rng.Rand
-	log  ServiceLog
+	// The estimator tracks time-to-response-delivered, excluding the
+	// lingering close.
+	server
 
 	Workers *resource.Pool
 	Fin     *netsim.FinModel
 
 	tomcats []*Tomcat
 	rr      int
-	errs    failures
 
-	res  resilience
-	adm  *admission // adaptive admission control (nil unless configured)
-	down bool
-
-	// est tracks recent time-to-response-delivered (excluding the lingering
-	// close) for the deadline admission check; dlSheds counts requests shed
-	// because their budget could not cover it.
-	est     estimator
-	dlSheds uint64
+	res resilience
+	adm *admission // adaptive admission control (nil unless configured)
 
 	// rejecting counts the requests whose degraded response is on the CPU;
 	// with Workers.Queued() it is the accept backlog the Backlog bound
@@ -93,20 +82,12 @@ type Apache struct {
 // NewApache creates the web server on node, balancing over tomcats.
 func NewApache(env *des.Env, node *hw.Node, cfg ApacheConfig, tomcats []*Tomcat, link netsim.Link, r *rng.Rand) *Apache {
 	return &Apache{
-		env:     env,
-		Node:    node,
-		cfg:     cfg,
-		link:    link,
-		r:       r,
+		server:  newServer(env, node, link, r),
 		Workers: resource.NewPool(env, node.Name()+"/workers", cfg.Workers),
 		Fin:     netsim.NewFinModel(cfg.Fin, rng.NewStream(r.Uint64(), "fin")),
 		tomcats: tomcats,
-		errs:    newFailures(node.Name()),
 	}
 }
-
-// Config returns the server's configuration.
-func (a *Apache) Config() ApacheConfig { return a.cfg }
 
 // SetResilience attaches the resilience layer; r seeds the backoff jitter.
 // It must be called before the simulation starts. A nil cfg keeps the
@@ -121,15 +102,8 @@ func (a *Apache) SetResilience(cfg *ResilienceConfig, r *rng.Rand) {
 	}
 }
 
-// SetDown marks the server crashed (refusing all work) or restored.
-func (a *Apache) SetDown(down bool) { a.down = down }
-
 // Resilience returns the resilience counters (nil when the layer is off).
 func (a *Apache) Resilience() *ResilienceStats { return a.res.Stats() }
-
-// DeadlineSheds returns the cumulative count of requests shed because their
-// deadline budget could not cover this server's residence estimate.
-func (a *Apache) DeadlineSheds() uint64 { return a.dlSheds }
 
 // BacklogDrops returns the cumulative count of arrivals dropped at a full
 // accept backlog (ResilienceConfig.Backlog). Pure read.
@@ -479,12 +453,8 @@ func (a *Apache) SetFinLoad(usersPerNode float64) { a.finLoad = usersPerNode }
 // disables the bandwidth model).
 func (a *Apache) SetClientLink(l *netsim.SharedLink) { a.clientLink = l }
 
-// Log returns the residence-time log.
-func (a *Apache) Log() *ServiceLog { return &a.log }
-
 // ResetStats starts a new measurement window.
 func (a *Apache) ResetStats() {
-	a.Node.ResetStats()
 	a.Workers.ResetStats()
-	a.log.Reset(a.env.Now())
+	a.resetStats()
 }

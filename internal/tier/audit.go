@@ -21,8 +21,8 @@ func (a *Apache) Audit(quiescent bool) error {
 			a.Node.Name(), a.connecting, a.finWaiting, a.rejecting)
 	}
 	if quiescent {
-		if a.down {
-			return fmt.Errorf("tier: %s still down after reverts", a.Node.Name())
+		if err := a.auditUp(); err != nil {
+			return err
 		}
 		if a.connecting != 0 || a.finWaiting != 0 || a.rejecting != 0 {
 			return fmt.Errorf("tier: %s not quiescent (connecting=%d finwait=%d rejecting=%d)",
@@ -37,8 +37,8 @@ func (a *Apache) Audit(quiescent bool) error {
 // quiescent requires both drained and the crash flag cleared.
 func (t *Tomcat) Audit(quiescent bool) error {
 	if quiescent {
-		if t.down {
-			return fmt.Errorf("tier: %s still down after reverts", t.Node.Name())
+		if err := t.auditUp(); err != nil {
+			return err
 		}
 		if err := t.Threads.AuditQuiescent(); err != nil {
 			return err
@@ -61,8 +61,8 @@ func (c *CJDBC) Audit(quiescent bool) error {
 		return fmt.Errorf("tier: %s has %d connections checked out of %d upstream", c.Node.Name(), c.busy, c.upstreamConns)
 	}
 	if quiescent {
-		if c.down {
-			return fmt.Errorf("tier: %s still down after reverts", c.Node.Name())
+		if err := c.auditUp(); err != nil {
+			return err
 		}
 		if c.busy != 0 {
 			return fmt.Errorf("tier: %s not quiescent (%d connections checked out)", c.Node.Name(), c.busy)
@@ -78,8 +78,8 @@ func (m *MySQL) Audit(quiescent bool) error {
 		return fmt.Errorf("tier: %s has %d queries in flight", m.Node.Name(), m.inflight)
 	}
 	if quiescent {
-		if m.down {
-			return fmt.Errorf("tier: %s still down after reverts", m.Node.Name())
+		if err := m.auditUp(); err != nil {
+			return err
 		}
 		if m.inflight != 0 {
 			return fmt.Errorf("tier: %s not quiescent (%d queries in flight)", m.Node.Name(), m.inflight)

@@ -59,20 +59,12 @@ func (cfg CJDBCConfig) overheadFactor(inflight int) float64 {
 // or idle. That is exactly why over-allocating the Tomcat DB connection pool
 // poisons this tier (paper §III-B).
 type CJDBC struct {
-	env  *des.Env
-	Node *hw.Node
-	cfg  CJDBCConfig
-	link netsim.Link
-	r    *rng.Rand
-	log  ServiceLog
-	errs failures
-
+	server
+	cfg CJDBCConfig
 	JVM *jvm.JVM
 
 	backends []*MySQL
 	rr       int
-
-	down bool
 
 	// upstreamConns is the total capacity of all Tomcat DB connection
 	// pools, set by the topology builder after wiring.
@@ -84,16 +76,11 @@ type CJDBC struct {
 	// the mean effective concurrency (the retry-amplification metric).
 	busyIntegral float64
 	lastBusy     time.Duration
-
-	// est tracks recent query residence for the deadline admission check;
-	// dlSheds counts deadline fail-fasts at checkout.
-	est     estimator
-	dlSheds uint64
 }
 
 // NewCJDBC creates the middleware on node, balancing over backends.
 func NewCJDBC(env *des.Env, node *hw.Node, cfg CJDBCConfig, backends []*MySQL, link netsim.Link, r *rng.Rand) *CJDBC {
-	c := &CJDBC{env: env, Node: node, cfg: cfg, link: link, r: r, errs: newFailures(node.Name()), backends: backends}
+	c := &CJDBC{server: newServer(env, node, link, r), cfg: cfg, backends: backends}
 	c.JVM = jvm.New(env, node.Name()+"/jvm", node.CPU(), cfg.JVM, func() int {
 		return c.upstreamConns + c.busy
 	})
@@ -111,9 +98,6 @@ func (c *CJDBC) UpstreamConns() int { return c.upstreamConns }
 // Busy returns the number of connections currently checked out (busy
 // request-handling threads).
 func (c *CJDBC) Busy() int { return c.busy }
-
-// SetDown marks the middleware crashed (refusing all work) or restored.
-func (c *CJDBC) SetDown(down bool) { c.down = down }
 
 // accountBusy integrates the busy-concurrency level up to now. Called only
 // on state changes (Checkout/Release) so reads stay pure.
@@ -139,18 +123,11 @@ func (c *CJDBC) BusyIntegral() float64 {
 // Checkout marks one upstream connection as checked out and services its
 // validation round (test-on-borrow ping issued by the application server's
 // pool on every acquire). Every successful Checkout must be paired with a
-// Release; a crashed middleware refuses the checkout (holding nothing).
+// Release; a refused checkout (server.refuse: a crashed middleware, or a
+// request that cannot finish in budget) holds nothing.
 func (c *CJDBC) Checkout(p *des.Proc) error {
-	if c.down {
-		c.link.Traverse(p)
-		return &c.errs[FailDown]
-	}
-	if overDeadline(p, &c.est) {
-		// Deadline propagation: refuse the checkout instead of occupying a
-		// handler thread for a request that cannot finish in budget.
-		c.dlSheds++
-		c.link.Traverse(p)
-		return &c.errs[FailDeadline]
+	if err := c.refuse(p); err != nil {
+		return err
 	}
 	c.accountBusy()
 	c.busy++
@@ -208,18 +185,10 @@ func (c *CJDBC) Query(p *des.Proc, it *rubbos.Interaction) error {
 	return err
 }
 
-// DeadlineSheds returns the cumulative count of checkouts refused because
-// the request's deadline budget could not cover the residence estimate.
-func (c *CJDBC) DeadlineSheds() uint64 { return c.dlSheds }
-
-// Log returns the residence-time log.
-func (c *CJDBC) Log() *ServiceLog { return &c.log }
-
 // ResetStats starts a new measurement window.
 func (c *CJDBC) ResetStats() {
 	// Reset the JVM first: the node snapshots the GC-time integral as its
 	// overhead baseline, so the integral must not shrink afterwards.
 	c.JVM.ResetStats()
-	c.Node.ResetStats()
-	c.log.Reset(c.env.Now())
+	c.resetStats()
 }

@@ -11,12 +11,83 @@
 package tier
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
+	"github.com/softres/ntier/internal/hw"
+	"github.com/softres/ntier/internal/netsim"
 	"github.com/softres/ntier/internal/rng"
 	"github.com/softres/ntier/internal/trace"
 )
+
+// server is the core the four server models embed: the node and link it
+// runs on, its service-time stream, residence log and error responses, the
+// crash flag, and the deadline admission check with its shed count. The
+// models differ only in their pools and service phases.
+type server struct {
+	env  *des.Env
+	Node *hw.Node
+	link netsim.Link
+	r    *rng.Rand
+	log  ServiceLog
+	errs failures
+	down bool
+
+	// est tracks recent residence for the deadline admission check;
+	// dlSheds counts deadline fail-fasts.
+	est     estimator
+	dlSheds uint64
+}
+
+func newServer(env *des.Env, node *hw.Node, link netsim.Link, r *rng.Rand) server {
+	return server{env: env, Node: node, link: link, r: r, errs: newFailures(node.Name())}
+}
+
+// SetDown marks the server crashed (refusing all work) or restored.
+func (s *server) SetDown(down bool) { s.down = down }
+
+// Log returns the residence-time log.
+func (s *server) Log() *ServiceLog { return &s.log }
+
+// DeadlineSheds returns the cumulative count of requests refused because
+// their deadline budget could not cover this server's residence estimate.
+// Pure read — safe for observability probes.
+func (s *server) DeadlineSheds() uint64 { return s.dlSheds }
+
+// resetStats starts a new measurement window for the node and the log.
+func (s *server) resetStats() {
+	s.Node.ResetStats()
+	s.log.Reset(s.env.Now())
+}
+
+// auditUp is the quiescent crash-flag audit: every fault plan reverts its
+// crashes, so a server still down after it has drained lost a revert.
+func (s *server) auditUp() error {
+	if s.down {
+		return fmt.Errorf("tier: %s still down after reverts", s.Node.Name())
+	}
+	return nil
+}
+
+// refuse is the entry check of a backend server, run once the request has
+// reached it: a crashed server refuses it, and so does one whose recent
+// residence the request's remaining deadline budget cannot cover (deadline
+// propagation: no pool slot or CPU is spent on work the client will never
+// use). A refusal crosses back to the caller and returns its error; nil
+// admits the request.
+func (s *server) refuse(p *des.Proc) error {
+	if s.down {
+		s.link.Traverse(p)
+		return &s.errs[FailDown]
+	}
+	if overDeadline(p, &s.est) {
+		s.dlSheds++
+		s.link.Traverse(p)
+		return &s.errs[FailDeadline]
+	}
+	return nil
+}
 
 // sampleMS draws a lognormal service time with the given mean (milliseconds)
 // and coefficient of variation.

@@ -52,27 +52,15 @@ func DefaultTomcatConfig(threads, conns int) TomcatConfig {
 // bounded, failed queries are retried with backoff, and the Tomcat→C-JDBC
 // hop is guarded by a circuit breaker.
 type Tomcat struct {
-	env  *des.Env
-	Node *hw.Node
-	cfg  TomcatConfig
-	link netsim.Link
-	r    *rng.Rand
-	log  ServiceLog
-	errs failures
+	server // its estimator tracks servlet residence, thread wait included
+	cfg    TomcatConfig
 
 	Threads *resource.Pool
 	Conns   *resource.Pool
 	JVM     *jvm.JVM
 
 	backend Backend
-
-	res  resilience
-	down bool
-
-	// est tracks recent servlet residence (thread wait included) for the
-	// deadline admission check; dlSheds counts deadline fail-fasts.
-	est     estimator
-	dlSheds uint64
+	res     resilience
 }
 
 // Backend executes SQL statements on behalf of an application server; in
@@ -90,12 +78,8 @@ type Backend interface {
 // backend.
 func NewTomcat(env *des.Env, node *hw.Node, cfg TomcatConfig, backend Backend, link netsim.Link, r *rng.Rand) *Tomcat {
 	t := &Tomcat{
-		env:     env,
-		Node:    node,
+		server:  newServer(env, node, link, r),
 		cfg:     cfg,
-		link:    link,
-		r:       r,
-		errs:    newFailures(node.Name()),
 		Threads: resource.NewPool(env, node.Name()+"/threads", cfg.Threads),
 		Conns:   resource.NewPool(env, node.Name()+"/conns", cfg.Conns),
 		backend: backend,
@@ -113,32 +97,14 @@ func NewTomcat(env *des.Env, node *hw.Node, cfg TomcatConfig, backend Backend, l
 	return t
 }
 
-// Config returns the server's configuration.
-func (t *Tomcat) Config() TomcatConfig { return t.cfg }
-
 // SetResilience attaches the resilience layer; r seeds the backoff jitter.
 // It must be called before the simulation starts.
 func (t *Tomcat) SetResilience(cfg *ResilienceConfig, r *rng.Rand) {
 	t.res = newResilience(t.env, cfg, r)
 }
 
-// SetDown marks the server crashed (refusing all work) or restored.
-func (t *Tomcat) SetDown(down bool) { t.down = down }
-
 // Resilience returns the resilience counters (nil when the layer is off).
 func (t *Tomcat) Resilience() *ResilienceStats { return t.res.Stats() }
-
-// DeadlineSheds returns the cumulative count of requests shed because their
-// deadline budget could not cover this server's residence estimate.
-func (t *Tomcat) DeadlineSheds() uint64 { return t.dlSheds }
-
-// Sheds returns the cumulative count of requests this server refused before
-// queueing (deadline fail-fasts; Tomcat has no front-door admission
-// control). Pure read — safe for observability probes.
-func (t *Tomcat) Sheds() uint64 { return t.dlSheds }
-
-// Breaker returns the Tomcat→C-JDBC circuit breaker (nil if not enabled).
-func (t *Tomcat) Breaker() *Breaker { return t.res.breaker(0) }
 
 // Serve processes one servlet request for the calling process: acquire a
 // servlet thread, run the servlet's CPU phases, and issue its SQL queries
@@ -146,27 +112,18 @@ func (t *Tomcat) Breaker() *Breaker { return t.res.breaker(0) }
 // connector returns an error response upstream).
 func (t *Tomcat) Serve(p *des.Proc, it *rubbos.Interaction) error {
 	t.link.Traverse(p)
-	if t.down {
-		t.link.Traverse(p)
-		return &t.errs[FailDown]
+	if err := t.refuse(p); err != nil {
+		return err
 	}
 	entry := p.Now()
-	if overDeadline(p, &t.est) {
-		// Deadline propagation: don't queue for a servlet thread the
-		// request has no budget to use.
-		t.dlSheds++
-		t.link.Traverse(p)
-		return &t.errs[FailDeadline]
-	}
-	t0 := p.Now()
 	if ok, _ := t.Threads.AcquireTimeout(p, t.res.acquireTimeout()); !ok {
 		t.res.stats.AcquireTimeouts++
 		t.res.stats.Failures++
-		addSpan(p, t.Node.Name(), "thread-timeout", t0)
+		addSpan(p, t.Node.Name(), "thread-timeout", entry)
 		t.link.Traverse(p)
 		return &t.errs[FailTimeout]
 	}
-	addSpan(p, t.Node.Name(), "thread-wait", t0)
+	addSpan(p, t.Node.Name(), "thread-wait", entry)
 	// Residence is measured while holding a servlet thread: the log's
 	// Little's-law estimate counts jobs *inside* the server, which is what
 	// the allocation algorithm sizes pools from (a request waiting in the
@@ -196,7 +153,7 @@ func (t *Tomcat) Serve(p *des.Proc, it *rubbos.Interaction) error {
 	// Stream the response out through the connector while still holding
 	// the servlet thread (but no DB connection).
 	if t.cfg.ResponseTransferMS > 0 {
-		t0 = p.Now()
+		t0 := p.Now()
 		p.Sleep(sampleMS(t.r, t.cfg.ResponseTransferMS, transferCV))
 		addSpan(p, t.Node.Name(), "response-transfer", t0)
 	}
@@ -294,14 +251,10 @@ func (t *Tomcat) sampleQueries(mean float64) int {
 	return n
 }
 
-// Log returns the residence-time log.
-func (t *Tomcat) Log() *ServiceLog { return &t.log }
-
 // ResetStats starts a new measurement window.
 func (t *Tomcat) ResetStats() {
 	t.JVM.ResetStats()
-	t.Node.ResetStats()
 	t.Threads.ResetStats()
 	t.Conns.ResetStats()
-	t.log.Reset(t.env.Now())
+	t.resetStats()
 }

@@ -143,9 +143,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Dir returns the state directory path.
-func (s *State) Dir() string { return s.dir }
-
 // Journal opens (or returns the already-open) journal for one sweep,
 // identified by a short kind ("workload", "alloc", "tune") and the sweep's
 // fingerprint. Distinct sweeps of one campaign get distinct journal files;

@@ -244,15 +244,5 @@ func (f *Fleet) Audit(quiescent bool) []error {
 	return errs
 }
 
-// Tenant returns the named tenant, or nil.
-func (f *Fleet) Tenant(name string) *Tenant {
-	for _, t := range f.Tenants {
-		if t.Spec.Name == name {
-			return t
-		}
-	}
-	return nil
-}
-
 // Close shuts the shared environment down; every tenant is unusable after.
 func (f *Fleet) Close() { f.Env.Shutdown() }

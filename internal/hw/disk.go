@@ -36,9 +36,6 @@ func (d *Disk) Use(p *des.Proc, service time.Duration) {
 // last reset.
 func (d *Disk) Utilization() float64 { return d.queue.Stats().Utilization }
 
-// Queued returns the number of transfers waiting.
-func (d *Disk) Queued() int { return d.queue.Queued() }
-
 // BusyIntegral returns accumulated busy seconds (the device serves one
 // transfer at a time, so unit-seconds equal busy seconds). Window samplers
 // diff successive readings. Pure read: never mutates the disk.

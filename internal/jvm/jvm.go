@@ -79,9 +79,6 @@ func New(env *des.Env, name string, cpu *resource.CPU, cfg Config, slots func() 
 	return &JVM{env: env, cpu: cpu, cfg: cfg, name: name, slots: slots}
 }
 
-// Name returns the JVM's diagnostic name.
-func (j *JVM) Name() string { return j.name }
-
 // live returns the current live set in MiB.
 func (j *JVM) live() float64 {
 	return j.cfg.BaseLiveMiB + j.cfg.LiveMiBPerSlot*float64(j.slots())

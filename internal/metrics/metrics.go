@@ -62,9 +62,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest observation, or 0 with none.
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Sum returns mean*count.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
-
 // Sample retains every observation for exact percentile queries.
 type Sample struct {
 	values []float64

@@ -15,7 +15,6 @@ import (
 // measurable first-class resource and supports what-if studies on slower
 // segments (e.g. a 100 Mbps client uplink).
 type SharedLink struct {
-	name    string
 	mbps    float64
 	latency time.Duration
 	// pipe reuses the processor-sharing engine: capacity 1 "core", work
@@ -32,15 +31,11 @@ func NewSharedLink(env *des.Env, name string, mbps float64, latency time.Duratio
 		panic(fmt.Sprintf("netsim: link %q with %v Mbps", name, mbps))
 	}
 	return &SharedLink{
-		name:    name,
 		mbps:    mbps,
 		latency: latency,
 		pipe:    resource.NewCPU(env, name, 1),
 	}
 }
-
-// Name returns the link's diagnostic name.
-func (l *SharedLink) Name() string { return l.name }
 
 // TransferTime returns the exclusive (uncontended) line time for kb
 // kilobytes.

@@ -63,12 +63,6 @@ func NewCPU(env *des.Env, name string, cores int) *CPU {
 	return c
 }
 
-// Name returns the CPU's diagnostic name.
-func (c *CPU) Name() string { return c.name }
-
-// Cores returns the configured core count.
-func (c *CPU) Cores() int { return c.cores }
-
 // Active returns the number of jobs currently on the CPU.
 func (c *CPU) Active() int { return len(c.jobs) }
 

@@ -137,7 +137,7 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 
 	units := *budget
 	if units <= 0 {
-		units = search.TotalUnits(hw, soft)
+		units = soft.Units(hw)
 	}
 	fmt.Fprintf(stdout, "elastic sweep %s %s over %v (budget %d units):\n", hw, soft, *day, units)
 	for _, r := range out.Results {

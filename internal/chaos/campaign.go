@@ -59,12 +59,13 @@ type Outcome struct {
 	ShrinkTrials int `json:"shrink_trials,omitempty"`
 }
 
-// fingerprint identifies everything that determines a trial's outcome —
+// Fingerprint identifies everything that determines a trial's outcome —
 // topology, workload timeline, oracle tolerances, generator bounds, seed
 // anchor, shrink budget — and nothing that only affects execution
 // (parallelism, context, campaign size: keys are self-describing, so a
-// grown campaign legitimately extends its journal).
-func (cfg CampaignConfig) fingerprint() string {
+// grown campaign legitimately extends its journal). The journal and the
+// command's state-dir metadata both carry it.
+func (cfg CampaignConfig) Fingerprint() string {
 	t := cfg.Trial
 	t.applyDefaults()
 	o := t.Topology
@@ -85,10 +86,6 @@ func (cfg CampaignConfig) fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// Fingerprint exposes the campaign identity for command-level state-dir
-// metadata.
-func (cfg CampaignConfig) Fingerprint() string { return cfg.fingerprint() }
-
 // RunCampaign executes (or resumes) the campaign through the experiment
 // campaign runner and returns one outcome per trial, indexed seed-major.
 // Deterministic failures (oracle violations, panics) are verdicts, not
@@ -104,7 +101,7 @@ func RunCampaign(cfg CampaignConfig) ([]Outcome, error) {
 	base := experiment.RunConfig{Ctx: cfg.Ctx, Parallelism: cfg.Parallelism, State: cfg.State}
 	return experiment.Outs(experiment.RunCampaign(base, experiment.Campaign[Outcome]{
 		Kind: "chaos",
-		Axes: []string{cfg.fingerprint()},
+		Axes: []string{cfg.Fingerprint()},
 		N:    cfg.Seeds * cfg.PlansPerSeed,
 		Key:  cfg.key,
 		Run:  cfg.runOne,

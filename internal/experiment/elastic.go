@@ -289,7 +289,7 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 	}
 
 	measureStart, horizon := rc.RampUp, rc.RampUp+rc.Measure
-	initialUnits := unitsOfAlloc(rc.Testbed.Hardware, rc.Testbed.Soft)
+	initialUnits := rc.Testbed.Soft.Units(rc.Testbed.Hardware)
 	var decisions []adaptive.ElasticDecision
 	if ctl != nil {
 		decisions = ctl.Decisions()
@@ -316,12 +316,6 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 		er.GoodputPerUnit = er.Goodput / er.MeanUnits
 	}
 	return er, nil
-}
-
-// unitsOfAlloc is search.TotalUnits without the import cycle: the soft
-// units an allocation costs across the topology.
-func unitsOfAlloc(hw testbed.Hardware, soft testbed.SoftAlloc) int {
-	return hw.Web*soft.WebThreads + hw.App*(soft.AppThreads+soft.AppConns)
 }
 
 // elasticFingerprint pins everything outcome-determining that the base

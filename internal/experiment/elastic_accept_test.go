@@ -52,7 +52,7 @@ func TestElasticBeatsBestStaticPerUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("best static: %s (%d units, goodput %.1f req/s)",
-		out.Best, search.TotalUnits(hw, out.Best), out.BestGoodput)
+		out.Best, out.Best.Units(hw), out.BestGoodput)
 
 	// Rerun that optimum as the STATIC baseline against TOP_JOB over the
 	// diurnal day, under the same total-units budget.

@@ -162,7 +162,7 @@ func TestSplitBudget(t *testing.T) {
 	tenants := roster3()
 	units := 0
 	for _, ten := range tenants {
-		units += allocUnits(ten.Hardware, ten.Soft)
+		units += ten.Soft.Units(ten.Hardware)
 	}
 	// A budget at or above the requested total keeps every request as-is.
 	keep, err := SplitBudget(units, tenants)
@@ -187,7 +187,7 @@ func TestSplitBudget(t *testing.T) {
 		if half[i].WebThreads > tenants[i].Soft.WebThreads {
 			t.Errorf("tenant %s grew under a tight budget", tenants[i].Name)
 		}
-		total += allocUnits(tenants[i].Hardware, half[i])
+		total += half[i].Units(tenants[i].Hardware)
 	}
 	if total > units/2+3 { // +3: per-pool floor of one unit may round up
 		t.Errorf("split total %d exceeds budget %d", total, units/2)
@@ -340,7 +340,7 @@ func TestApplySoftTenantIsolation(t *testing.T) {
 		t.Fatal("no /cap series recorded; isolation check is vacuous")
 	}
 	// And A's own resize did land.
-	if got, want := a.TB.SoftUnits(), allocUnits(a.Spec.Hardware, resized); got != want {
+	if got, want := a.TB.SoftUnits(), resized.Units(a.Spec.Hardware); got != want {
 		t.Errorf("tenant a units = %d after resize, want %d", got, want)
 	}
 }

@@ -273,7 +273,7 @@ func SplitBudget(budget int, tenants []TenantSpec) ([]testbed.SoftAlloc, error) 
 			return nil, fmt.Errorf("fleet: tenant %s: %w", t.Name, err)
 		}
 		out[i] = t.Soft
-		total += allocUnits(t.Hardware, t.Soft)
+		total += t.Soft.Units(t.Hardware)
 	}
 	if budget <= 0 || total <= budget {
 		return out, nil
@@ -292,10 +292,4 @@ func SplitBudget(budget int, tenants []TenantSpec) ([]testbed.SoftAlloc, error) 
 		out[i].AppConns = scale(out[i].AppConns)
 	}
 	return out, nil
-}
-
-// allocUnits is the soft-unit cost of one tenant's allocation (matches
-// search.TotalUnits for its topology).
-func allocUnits(h testbed.Hardware, s testbed.SoftAlloc) int {
-	return h.Web*s.WebThreads + h.App*(s.AppThreads+s.AppConns)
 }

@@ -160,14 +160,6 @@ type Outcome struct {
 	Log []string
 }
 
-// TotalUnits is the allocation's cost axis: every pool unit the allocation
-// holds resident across the hardware — Apache workers plus Tomcat threads
-// plus DB connections, each times its tier's node count. This is the
-// resource total the paper's Fig. 5 shows turning from asset to liability.
-func TotalUnits(hw testbed.Hardware, soft testbed.SoftAlloc) int {
-	return hw.Web*soft.WebThreads + hw.App*(soft.AppThreads+soft.AppConns)
-}
-
 // evalRec is one resolved (allocation, workload) evaluation.
 type evalRec struct {
 	point    *Point // nil when the trial failed
@@ -259,7 +251,7 @@ func (s *searcher) evaluate(softs []testbed.SoftAlloc, wl int) ([]*evalRec, []ex
 			p := &Point{
 				Soft:       soft,
 				Workload:   wl,
-				Units:      TotalUnits(cfgs[i].Testbed.Hardware, soft),
+				Units:      soft.Units(cfgs[i].Testbed.Hardware),
 				Throughput: c.Out.Throughput(),
 				MeanRT:     c.Out.MeanRT(),
 			}
@@ -388,8 +380,8 @@ func (s *searcher) search() error {
 			if measured[ia] != measured[ib] {
 				return measured[ia] > measured[ib]
 			}
-			ua := TotalUnits(o.Base.Testbed.Hardware, cands[ia].soft)
-			ub := TotalUnits(o.Base.Testbed.Hardware, cands[ib].soft)
+			ua := cands[ia].soft.Units(o.Base.Testbed.Hardware)
+			ub := cands[ib].soft.Units(o.Base.Testbed.Hardware)
 			if ua != ub {
 				return ua < ub
 			}

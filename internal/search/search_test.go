@@ -307,14 +307,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestTotalUnits(t *testing.T) {
-	hw := testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2}
-	soft := testbed.SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 6}
-	if got := TotalUnits(hw, soft); got != 400+2*(15+6) {
-		t.Errorf("TotalUnits = %d, want %d", got, 400+2*(15+6))
-	}
-}
-
 func TestGrowShrinkPool(t *testing.T) {
 	soft := testbed.SoftAlloc{WebThreads: 100, AppThreads: 8, AppConns: 4}
 	if m, ok := growPool(soft, "tomcat1/threads"); !ok || m.AppThreads != 16 {
@@ -346,7 +338,7 @@ func TestFrontierDominance(t *testing.T) {
 		soft := testbed.SoftAlloc{WebThreads: w, AppThreads: a, AppConns: c}
 		return Point{
 			Soft: soft, Workload: wl,
-			Units:    TotalUnits(testbed.Hardware{Web: 1, App: 1, Mid: 1, DB: 1}, soft),
+			Units:    soft.Units(testbed.Hardware{Web: 1, App: 1, Mid: 1, DB: 1}),
 			Goodputs: []float64{gp},
 		}
 	}

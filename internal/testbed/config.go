@@ -86,6 +86,15 @@ func (s SoftAlloc) Validate() error {
 	return nil
 }
 
+// Units is the allocation's cost axis: every pool unit it holds resident
+// across the hardware — Apache workers plus Tomcat threads plus DB
+// connections, each times its tier's server count. This is the resource
+// total the paper's Fig. 5 shows turning from asset to liability, and the
+// currency of the elastic and fleet budgets.
+func (s SoftAlloc) Units(hw Hardware) int {
+	return hw.Web*s.WebThreads + hw.App*(s.AppThreads+s.AppConns)
+}
+
 // Scale returns the allocation with every pool multiplied by k (the
 // algorithm's soft-saturation doubling step).
 func (s SoftAlloc) Scale(k int) SoftAlloc {

@@ -251,7 +251,7 @@ func (tb *Testbed) ApplySoft(soft SoftAlloc) error {
 // SoftUnits returns the total soft-resource units currently allocated: the
 // sum of every pool's capacity across the topology (Apache workers, Tomcat
 // threads, Tomcat DB connections). This is the elastic budget's currency
-// and matches search.TotalUnits for a uniform allocation.
+// and matches SoftAlloc.Units for a uniform allocation.
 func (tb *Testbed) SoftUnits() int {
 	units := 0
 	for _, a := range tb.Apaches {

@@ -46,6 +46,14 @@ func TestParseSoftAlloc(t *testing.T) {
 	}
 }
 
+func TestSoftAllocUnits(t *testing.T) {
+	hw := Hardware{Web: 1, App: 2, Mid: 1, DB: 2}
+	soft := SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 6}
+	if got := soft.Units(hw); got != 400+2*(15+6) {
+		t.Errorf("Units = %d, want %d", got, 400+2*(15+6))
+	}
+}
+
 func TestBuildWiresTopology(t *testing.T) {
 	tb, err := Build(Options{
 		Hardware: Hardware{1, 2, 1, 2},

@@ -166,9 +166,9 @@ func TestConcurrentEnvsSharePool(t *testing.T) {
 	wg.Wait()
 }
 
-// In steady state, starting and finishing a short process allocates only
-// its Proc: the runner, event record and bookkeeping are all reused.
-func TestShortProcAllocatesOnlyProc(t *testing.T) {
+// In steady state, starting and finishing a short process allocates
+// nothing: its Proc, runner, event record and bookkeeping are all reused.
+func TestShortProcAllocatesNothing(t *testing.T) {
 	env := NewEnv()
 	defer env.Shutdown()
 	short := func(p *Proc) {
@@ -183,8 +183,8 @@ func TestShortProcAllocatesOnlyProc(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		churn()
 	}
-	if allocs := testing.AllocsPerRun(1000, churn); allocs != 1 {
-		t.Errorf("%v allocations per short process, want 1 (its Proc)", allocs)
+	if allocs := testing.AllocsPerRun(1000, churn); allocs != 0 {
+		t.Errorf("%v allocations per short process, want 0", allocs)
 	}
 }
 

@@ -104,14 +104,14 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 		state = cfg.Matrix.Next(nav, state)
 		issued := env.Now()
 		w.issued++
-		req := &openReq{Ctx: trace.Ctx{Write: it.Write}, gen: g, it: it, issued: issued}
+		req := g.newReq(it, issued)
 		if cfg.Deadline > 0 {
 			req.Deadline = issued + cfg.Deadline
 		}
 		if cfg.Tracer != nil {
 			req.Trace = cfg.Tracer.Sample(it.Name, issued)
 		}
-		env.GoStep("req", req.run)
+		env.GoStep("req", req.step)
 		if idx == len(gaps) {
 			trace.FillGaps(src, gaps)
 			idx = 0
@@ -131,25 +131,45 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 	return w, nil
 }
 
-// openGen is what every request of one open workload shares.
+// openGen is what every request of one open workload shares, including
+// the records of finished requests, which later arrivals reuse.
 type openGen struct {
 	w       *Workload
 	target  Target
 	tracer  *trace.Tracer
 	collect Collector
+	free    []*openReq
+}
+
+// newReq returns a request record for an arrival of it at issued: a
+// finished one, fully reset, or else a new one.
+func (g *openGen) newReq(it *Interaction, issued time.Duration) *openReq {
+	var r *openReq
+	if n := len(g.free) - 1; n >= 0 {
+		r = g.free[n]
+		g.free = g.free[:n]
+	} else {
+		r = new(openReq)
+		r.step = r.run
+	}
+	*r = openReq{Ctx: trace.Ctx{Write: it.Write}, gen: g, it: it, issued: issued, step: r.step}
+	return r
 }
 
 // openReq is one open-system request between the dispatches of its
-// process, in one allocation: its context, carried down the tier chain as
-// the process's data, and the target's state of it. Each dispatch, a step
-// unless the target bound a runner, takes it on until the target is done
-// with it.
+// process: its context, carried down the tier chain as the process's
+// data, and the target's state of it. Each dispatch, a step unless the
+// target bound a runner, takes it on until the target is done with it.
+// A finished request's record goes back to its openGen, and step, its
+// process body, is bound once per record, so once the free list covers
+// the requests in flight an arrival allocates nothing.
 type openReq struct {
 	trace.Ctx
 	gen    *openGen
 	it     *Interaction
 	issued time.Duration
 	call   Call
+	step   func(*des.Proc) // r.run
 }
 
 func (r *openReq) run(p *des.Proc) {
@@ -177,6 +197,7 @@ func (r *openReq) run(p *des.Proc) {
 	if g.collect != nil {
 		g.collect(r.it, r.issued, p.Now()-r.issued, err)
 	}
+	g.free = append(g.free, r)
 }
 
 // arrivalBatch is how many inter-arrival gaps the pump pre-draws per refill.

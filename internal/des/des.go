@@ -75,34 +75,37 @@ type Env struct {
 	// write barriers on heap sifts — both showed up hard in event-loop
 	// profiles when entries carried *event.
 	arena [][]event
-	// free is the event-record free list. A record goes back on it the
-	// moment its event fires or is stopped (see recycle); fresh records are
-	// minted a slab at a time (see alloc), one allocation per slab.
-	free []*event
+	// free heads the event-record free list, linked through event.next
+	// (index+1, 0 when empty), so no slice grows to the peak event count.
+	// A record goes back on it the moment its event fires or is stopped
+	// (see recycle); fresh records are minted a slab at a time (see alloc),
+	// one allocation per slab.
+	free uint32
 	// nDead counts heap entries whose event already resolved (stopped
 	// timers, re-armed completions). They are skipped on pop; when they
 	// outnumber live entries the heap is compacted in place.
 	nDead   int
 	stopped bool
 	// live counts processes started and not yet finished; busy lists their
-	// runners and idle this Env's free ones; suspended lists the marks of
-	// suspended processes (runner records without a coroutine, see
-	// runner) and marks the spare marks. All are intrusive lists, so no
-	// slice grows with the process count.
-	live                         int
-	busy, idle, suspended, marks *runner
-	bound                        int // runners on busy
-	counters                     Counters
-	// procs holds processes that finished normally, for GoStep to reuse,
+	// runners and idle this Env's free ones, both intrusive lists.
+	live       int
+	busy, idle *runner
+	bound      int // runners on busy
+	counters   Counters
+	// slabs holds every Proc GoStep ever minted, procSlab to a slab, so
+	// Shutdown finds each live one, suspended ones included, by walking
+	// them. procs holds those that finished normally, for GoStep to reuse,
 	// so it is never longer than the peak number of live processes. A
 	// process on it has r == nil, which Unpark checks.
+	slabs [][]Proc
 	procs []*Proc
 	// stepper stands in for a runner in every process that holds none and
 	// is not suspended: such a process's r points here between its runs,
 	// which is how runProc knows to step it, and during a step stepper.end
-	// records how the step is ending. It has no coroutine and is on no
-	// list.
-	stepper runner
+	// records how the step is ending. waiting does the same for a
+	// suspended process, which Unpark checks. Neither has a coroutine or is
+	// on a list.
+	stepper, waiting runner
 	// interrupted is the only cross-thread input to a running simulation:
 	// wall-clock watchdogs set it to make Run return at the next event
 	// boundary (Shutdown cannot be called concurrently with Run). Run
@@ -198,6 +201,7 @@ func (e *Env) Audit() error {
 type event struct {
 	seq   uint64 // identity: matches the queue entry while the event is live
 	idx   uint32 // stable position in Env.arena, set once when minted
+	next  uint32 // on the free list, the next record's idx+1 (0 ends it)
 	fn    func()
 	proc  *Proc
 	timer *Timer
@@ -206,6 +210,11 @@ type event struct {
 // slabSize is how many event records one free-list refill mints. It must
 // stay a power of two: evAt resolves arena indexes with shift and mask.
 const slabSize = 64
+
+// procSlab is how many Procs GoStep mints at a time. The runtime puts an
+// 8-byte header on a pointerful allocation over 512 bytes, so 64 Procs of
+// 64 bytes would take the 4864-byte size class; 63 fill the 4096-byte one.
+const procSlab = 63
 
 // evAt resolves a queue entry's record index to the record.
 func (e *Env) evAt(i uint32) *event {
@@ -216,22 +225,20 @@ func (e *Env) evAt(i uint32) *event {
 // time) and stamps it with a fresh seq. seq is the record's identity: queue
 // entries holding an older seq observe that their event resolved.
 func (e *Env) alloc() *event {
-	if len(e.free) == 0 {
+	if e.free == 0 {
 		base := len(e.arena) * slabSize
-		if uint64(base) >= 1<<32 {
+		if uint64(base)+slabSize >= 1<<32 {
 			panic("des: event arena exhausted (2^32 retained records)")
 		}
 		slab := make([]event, slabSize)
-		for i := range slab {
+		for i := slabSize - 1; i >= 0; i-- {
 			slab[i].idx = uint32(base + i)
-			e.free = append(e.free, &slab[i])
+			slab[i].next, e.free = e.free, uint32(base+i+1)
 		}
 		e.arena = append(e.arena, slab)
 	}
-	n := len(e.free) - 1
-	ev := e.free[n]
-	e.free[n] = nil
-	e.free = e.free[:n]
+	ev := e.evAt(e.free - 1)
+	e.free = ev.next
 	ev.seq = e.seq
 	e.seq++
 	return ev
@@ -248,7 +255,7 @@ func (e *Env) recycle(ev *event) {
 	ev.fn = nil
 	ev.proc = nil
 	ev.timer = nil
-	e.free = append(e.free, ev)
+	ev.next, e.free = e.free, ev.idx+1
 }
 
 // bumpDead records that a queue entry went dead in place, compacting the
@@ -378,11 +385,10 @@ func (e *Env) Interrupted() bool { return e.interrupted.Load() }
 // Shutdown ends every live process and runs its Defer cleanups, so Live()
 // is 0 when it returns. A process inside a run (blocked in Sleep or Park)
 // is resumed on the caller's thread and unwinds with a sentinel panic. A
-// process that holds no runner — not yet started, resting, or waiting
-// between steps — is found through its one pending wake event, and a
-// suspended one through its mark; their cleanups run on the caller's
-// thread. The freed runners then
-// go to a process-wide pool for the next Env.
+// process that holds no runner — not yet started, resting, suspended, or
+// waiting between steps — is found by walking the slabs GoStep mints
+// processes from; its cleanups run on the caller's thread. The freed
+// runners then go to a process-wide pool for the next Env.
 // After Shutdown the Env is unusable. It is safe to call once Run has
 // returned; it must not be called from scheduler context.
 func (e *Env) Shutdown() {
@@ -399,16 +405,11 @@ func (e *Env) Shutdown() {
 			e.finish(p)
 		}
 	}
-	e.q.each(func(en entry) {
-		ev := e.evAt(en.evi)
-		if p := ev.proc; p != nil && p.fn != nil && ev.seq == en.seq {
-			e.finish(p)
-		}
-	})
-	// A suspended process already Unparked was finished through its wake.
-	for m := e.suspended; m != nil; m = m.next {
-		if p := m.p; p.fn != nil {
-			e.finish(p)
+	for _, s := range e.slabs {
+		for i := range s {
+			if p := &s[i]; p.fn != nil {
+				e.finish(p)
+			}
 		}
 	}
 	runnerPool.Lock()
@@ -493,7 +494,7 @@ type killedSentinel struct{}
 type Proc struct {
 	env     *Env
 	name    string
-	r       *runner     // inside a run of fn its runner; while suspended its mark; on Env.procs nil; else &env.stepper
+	r       *runner     // inside a run of fn its runner; while suspended &env.waiting; on Env.procs nil; else &env.stepper
 	fn      func(*Proc) // nil once the process has finished
 	data    any
 	cleanup func() // the Defer callbacks, chained newest first
@@ -549,19 +550,14 @@ func (e *Env) retire(p *Proc) {
 // runner goes back to its Env's idle list, and Shutdown hands idle runners
 // on to runnerPool for the next Env. Control passes
 // between the scheduler and a runner by a runtime coroutine switch on the
-// same thread.
-//
-// A runner record with no coroutine (resume == nil) is a mark: it stands
-// in for a suspended process on Env.suspended, so Shutdown can find a
-// process that holds no runner and has no wake scheduled. Marks are
-// recycled through Env.marks. Env.stepper is the one other record without
-// a coroutine.
+// same thread. Env.stepper and Env.waiting are the only runner records
+// without a coroutine (resume == nil).
 type runner struct {
-	resume     func() (struct{}, bool) // scheduler -> process; nil for a mark
+	resume     func() (struct{}, bool) // scheduler -> process; nil for stepper and waiting
 	yield      func(struct{}) bool     // process -> scheduler; set when the coroutine starts
 	stop       func()                  // ends an idle runner's coroutine
-	p          *Proc                   // the bound (or marked) process, nil while idle
-	prev, next *runner                 // Env.busy and Env.suspended links; free lists use next only
+	p          *Proc                   // the bound process, nil while idle
+	prev, next *runner                 // Env.busy links; free lists use next only
 	// end is how the bound process ended its current run: Rest (its wake
 	// is scheduled) or Suspend (its Unpark will come); either way, when fn
 	// returns the process stays live without this runner. On Env.stepper
@@ -621,32 +617,14 @@ func (e *Env) idleRunner() *runner {
 	return r
 }
 
-// link pushes r onto the doubly linked list at *head.
-func link(head **runner, r *runner) {
-	r.prev, r.next = nil, *head
-	if r.next != nil {
-		r.next.prev = r
-	}
-	*head = r
-}
-
-// unlink removes r from the doubly linked list at *head.
-func unlink(head **runner, r *runner) {
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		*head = r.next
-	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	}
-	r.prev, r.next = nil, nil
-}
-
 // bind attaches the free runner r to p and links it into e.busy.
 func (e *Env) bind(r *runner, p *Proc) {
 	r.p, p.r = p, r
-	link(&e.busy, r)
+	r.prev, r.next = nil, e.busy
+	if r.next != nil {
+		r.next.prev = r
+	}
+	e.busy = r
 	e.bound++
 	e.counters.Binds++
 	e.counters.PeakBound = max(e.counters.PeakBound, e.bound)
@@ -654,30 +632,18 @@ func (e *Env) bind(r *runner, p *Proc) {
 
 // unbind detaches r from its process and unlinks it from e.busy.
 func (e *Env) unbind(r *runner) {
-	unlink(&e.busy, r)
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		e.busy = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	}
+	r.prev, r.next = nil, nil
 	r.p.r = &e.stepper
 	r.p = nil
 	e.bound--
-}
-
-// suspend marks p, which just ended a run with Suspend, on e.suspended.
-func (e *Env) suspend(p *Proc) {
-	m := e.marks
-	if m != nil {
-		e.marks = m.next
-	} else {
-		m = &runner{}
-	}
-	m.p, p.r = p, m
-	link(&e.suspended, m)
-	e.counters.Suspensions++
-}
-
-// unsuspend drops the mark m of a suspended process about to run again.
-func (e *Env) unsuspend(m *runner) {
-	unlink(&e.suspended, m)
-	m.p.r = &e.stepper
-	m.p, m.next, e.marks = nil, e.marks, m
 }
 
 // Go starts a process like GoStep whose steps only ask for a runner
@@ -716,7 +682,13 @@ func (e *Env) GoStep(name string, fn func(p *Proc)) *Proc {
 		p = e.procs[n]
 		e.procs = e.procs[:n]
 	} else {
-		p = new(Proc)
+		n := len(e.slabs) - 1
+		if n < 0 || len(e.slabs[n]) == procSlab {
+			e.slabs = append(e.slabs, make([]Proc, 0, procSlab))
+			n++
+		}
+		s := e.slabs[n][:len(e.slabs[n])+1]
+		e.slabs[n], p = s, &s[len(s)-1]
 	}
 	*p = Proc{env: e, name: name, r: &e.stepper, fn: fn}
 	e.live++
@@ -735,9 +707,7 @@ func (e *Env) runProc(p *Proc) {
 		if p.fn == nil {
 			return // the wake of a process that panicked after Rest or Suspend
 		}
-		if r != &e.stepper {
-			e.unsuspend(r)
-		}
+		p.r = &e.stepper // a suspended process steps like any other
 		if !e.step(p) {
 			return
 		}
@@ -773,7 +743,8 @@ func (e *Env) runProc(p *Proc) {
 							e.retire(p)
 						}
 					case end == suspended:
-						e.suspend(p)
+						p.r = &e.waiting
+						e.counters.Suspensions++
 					} // a rested process waits for its scheduled wake
 					nr.next, e.idle = e.idle, nr
 					if pp != nil {
@@ -941,8 +912,8 @@ func (p *Proc) Park() {
 // any further simulated event fires — when the wakeup is delivered. A
 // resting process is neither: its wake is already scheduled.
 //
-// Unpark panics if p holds neither a runner nor a suspension mark (it is
-// resting or not yet started), or if p finished normally: its Proc may be
+// Unpark panics if p is neither inside a run nor suspended (it is resting
+// or not yet started), or if p finished normally: its Proc may be
 // reused, so a stale wake would run another process. The Unpark of a
 // process that panicked is a no-op.
 func (p *Proc) Unpark() {

@@ -363,14 +363,8 @@ func sortEntries(s []entry) {
 	}
 }
 
-// each calls fn on every physical entry, dead ones included, in no
-// particular order. fn must not modify the queue.
-func (q *eventQueue) each(fn func(entry)) {
-	q.eachList(q.laneHead, fn)
-	q.eachCalendar(fn)
-}
-
-// eachCalendar is each over the calendar's entries only.
+// eachCalendar calls fn on every physical calendar entry, dead ones
+// included, in no particular order. fn must not modify the queue.
 func (q *eventQueue) eachCalendar(fn func(entry)) {
 	for _, en := range q.run[q.runHead:] {
 		fn(en)

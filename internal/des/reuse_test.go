@@ -96,7 +96,7 @@ func TestPanickedProcIsNotReused(t *testing.T) {
 	}
 }
 
-// Unpark of a process that holds neither a runner nor a suspension mark
+// Unpark of a process that is neither inside a run nor suspended
 // panics, naming the process: one that finished normally (its Proc is
 // about to run another process), one resting and one not yet started.
 func TestStaleUnparkPanics(t *testing.T) {

@@ -187,3 +187,122 @@ func TestCounters(t *testing.T) {
 		t.Errorf("Live() = %d, want 0", env.Live())
 	}
 }
+
+// suspendOnRunner suspends at every run; as a package-level func value it
+// costs GoStep no closure.
+func suspendOnRunner(p *Proc) {
+	if p.Bind() {
+		p.Suspend()
+	}
+}
+
+// A suspension costs nothing beyond the process's own record: 10⁴
+// processes that suspend at once allocate their Procs and start events a
+// slab at a time (about n/32 mallocs) and the queue's nodes a chunk at a
+// time, plus a few slice growths, and nothing per suspension.
+func TestSuspendedProcsAllocateOnlySlabs(t *testing.T) {
+	const n = 10000
+	allocs := testing.AllocsPerRun(1, func() {
+		env := NewEnv()
+		for i := 0; i < n; i++ {
+			env.GoStep("user", suspendOnRunner)
+		}
+		env.Run(time.Second)
+		if env.Live() != n || env.Counters().Suspensions != n {
+			t.Fatalf("Live() = %d, %d suspensions; want %d each", env.Live(), env.Counters().Suspensions, n)
+		}
+		env.Shutdown()
+	})
+	if limit := float64(n/procSlab + n/slabSize + n/nodeChunk + 64); allocs > limit {
+		t.Errorf("%v mallocs for %d suspended processes, want at most %v", allocs, n, limit)
+	}
+}
+
+// Once warm, a suspend/Unpark cycle allocates nothing.
+func TestSuspendUnparkCycleAllocatesNothing(t *testing.T) {
+	env := NewEnv()
+	defer env.Shutdown()
+	p := env.GoStep("waiter", suspendOnRunner)
+	env.Run(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Unpark()
+		env.Run(env.Now())
+	})
+	if allocs != 0 {
+		t.Errorf("%v mallocs per suspend/Unpark cycle, want 0", allocs)
+	}
+	if got := env.Counters().Suspensions; got != 102 {
+		t.Errorf("%d suspensions, want 102: the first and one per cycle", got)
+	}
+}
+
+// Shutdown finds every live process by walking the Proc slabs: over
+// several slabs, the last one partial, it runs each cleanup exactly once
+// for processes suspended, suspended with an Unpark pending, resting,
+// sleeping on a runner and not yet started, while retired and panicked
+// processes, already finished, are left alone.
+func TestShutdownWalksProcSlabs(t *testing.T) {
+	env := NewEnv()
+	cleaned, started := map[string]int{}, map[string]int{}
+	start := func(kind string, fn func(p *Proc)) *Proc {
+		p := env.GoStep(kind, fn)
+		p.Defer(func() { cleaned[kind]++ })
+		started[kind]++
+		return p
+	}
+	var unparked []*Proc
+	const minted = 3*procSlab + 17
+	for i := 0; i < minted; i++ {
+		switch i % 6 {
+		case 0:
+			start("suspended", suspendOnRunner)
+		case 1:
+			unparked = append(unparked, start("unparked", suspendOnRunner))
+		case 2:
+			start("resting", func(p *Proc) { p.Rest(time.Hour) })
+		case 3:
+			start("sleeping", func(p *Proc) {
+				if p.Bind() {
+					p.Sleep(time.Hour)
+				}
+			})
+		case 4:
+			start("retired", func(*Proc) {})
+		case 5:
+			start("panicked", func(*Proc) { panic("kaboom") })
+		}
+	}
+	for done := false; !done; {
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					if _, ok := v.(*ProcPanic); !ok {
+						t.Fatalf("Run raised %v, want only *ProcPanic", v)
+					}
+				}
+			}()
+			env.Run(time.Second)
+			done = true
+		}()
+	}
+	for _, p := range unparked {
+		p.Unpark()
+	}
+	for i := 0; i < 5; i++ {
+		start("unstarted", func(*Proc) { t.Error("an unstarted process ran") })
+	}
+	if n := len(env.slabs); n != 4 || len(env.slabs[n-1]) != 17 {
+		t.Fatalf("%d slabs, the last holding %d; want 4 and 17", n, len(env.slabs[n-1]))
+	}
+	wantLive := started["suspended"] + started["unparked"] + started["resting"] + started["sleeping"] + started["unstarted"]
+	if env.Live() != wantLive {
+		t.Fatalf("Live() = %d before Shutdown, want %d", env.Live(), wantLive)
+	}
+	env.Shutdown()
+	if env.Live() != 0 {
+		t.Errorf("Live() = %d after Shutdown, want 0", env.Live())
+	}
+	if fmt.Sprint(cleaned) != fmt.Sprint(started) {
+		t.Errorf("cleanups %v, want one per process started %v", cleaned, started)
+	}
+}

@@ -14,12 +14,12 @@ import (
 // waiter is one process queued for a unit. Grant state is decided by the
 // releaser (or the timeout event) before the process resumes. Waiter
 // records are recycled through the pool's free list — at 10⁵-client scale
-// every acquisition would otherwise allocate — and each record owns a
-// des.Timer whose callback is built once and survives reuse.
+// every acquisition would otherwise allocate. A record gets its des.Timer
+// the first time it arms a timeout, and keeps it through reuse.
 type waiter struct {
 	proc  *des.Proc
 	since time.Duration // when the process queued
-	timer *des.Timer
+	timer *des.Timer    // nil until the record's first timed wait
 	// granted is decided before the process resumes.
 	granted bool
 }
@@ -137,7 +137,6 @@ func (pl *Pool) getWaiter(p *des.Proc) *waiter {
 		pl.freeW = pl.freeW[:n-1]
 	} else {
 		w = &waiter{}
-		w.timer = pl.env.NewTimer(func() { pl.expire(w) })
 	}
 	w.proc = p
 	w.granted = false
@@ -145,8 +144,8 @@ func (pl *Pool) getWaiter(p *des.Proc) *waiter {
 }
 
 // putWaiter recycles a waiter record once its acquisition resolved and the
-// owning process has read the grant decision. The timer is always stopped
-// by then (grants stop it; a fired timeout disarms itself).
+// owning process has read the grant decision. Its timer, if any, is always
+// stopped by then (grants stop it; a fired timeout disarms itself).
 func (pl *Pool) putWaiter(w *waiter) {
 	w.proc = nil
 	pl.freeW = append(pl.freeW, w)
@@ -179,7 +178,9 @@ func (pl *Pool) popWaiter() *waiter {
 		pl.waiters = pl.waiters[:n]
 		pl.wHead = 0
 	}
-	w.timer.Stop()
+	if w.timer != nil {
+		w.timer.Stop()
+	}
 	w.granted = true
 	pl.wake(w)
 	return w
@@ -193,16 +194,23 @@ func (pl *Pool) wake(w *waiter) {
 
 // enqueue queues the caller at the tail, arming a timeout if d > 0. The
 // caller then parks or suspends until wake, and resolves the wait with
-// Resolve.
+// Resolve. The window grows by doubling, not append's 1.25× steps: a
+// 10⁵-deep queue would otherwise copy itself dozens of times.
 func (pl *Pool) enqueue(p *des.Proc, d time.Duration) {
 	pl.account()
 	w := pl.getWaiter(p)
 	w.since = pl.env.Now()
+	if n := len(pl.waiters); n == cap(pl.waiters) {
+		pl.waiters = append(make([]*waiter, 0, max(2*n, 16)), pl.waiters...)
+	}
 	pl.waiters = append(pl.waiters, w)
 	if q := pl.Queued(); q > pl.maxQueue {
 		pl.maxQueue = q
 	}
 	if d > 0 {
+		if w.timer == nil {
+			w.timer = pl.env.NewTimer(func() { pl.expire(w) })
+		}
 		w.timer.Arm(d)
 	}
 }

@@ -208,6 +208,107 @@ func TestPoolWaiterReuseAfterTimeout(t *testing.T) {
 	}
 }
 
+// Only a timed wait needs a timer: untimed waits, parked or suspended,
+// leave every waiter record without one, queued and recycled alike.
+func TestPoolUntimedWaitsArmNoTimer(t *testing.T) {
+	env := des.NewEnv()
+	defer env.Shutdown()
+	pl := NewPool(env, "pool", 1)
+	env.Go("holder", func(p *des.Proc) {
+		pl.Acquire(p)
+		p.Sleep(time.Second)
+		pl.Release()
+	})
+	const n = 1000
+	for i := 0; i < n; i++ {
+		runs := 0
+		env.GoStep("waiter", func(p *des.Proc) {
+			if !p.Bind() {
+				return
+			}
+			runs++
+			switch {
+			case i%2 == 0:
+				pl.Acquire(p)
+			case runs == 1:
+				if !pl.AcquireOrSuspend(p, 0) {
+					return
+				}
+			default:
+				pl.Resolve(p)
+			}
+			pl.Release()
+		})
+	}
+	countTimers := func(ws []*waiter) (k int) {
+		for _, w := range ws {
+			if w.timer != nil {
+				k++
+			}
+		}
+		return k
+	}
+	env.Run(time.Millisecond)
+	if q := pl.Queued(); q != n {
+		t.Fatalf("Queued() = %d, want %d", q, n)
+	}
+	if k := countTimers(pl.waiters[pl.wHead:]); k != 0 {
+		t.Errorf("%d of %d queued untimed waiters hold a timer, want none", k, n)
+	}
+	env.Run(time.Minute)
+	if st := pl.Stats(); st.Grants != n+1 || len(pl.freeW) == 0 {
+		t.Fatalf("%d grants, %d recycled records; want %d grants", st.Grants, len(pl.freeW), n+1)
+	}
+	if k := countTimers(pl.freeW); k != 0 {
+		t.Errorf("%d of %d recycled records hold a timer, want none", k, len(pl.freeW))
+	}
+}
+
+// A waiter record first used for an untimed wait gets its timer when a
+// later wait reuses it with a timeout, and that wait times out on time.
+func TestPoolWaiterTimerOnFirstTimedReuse(t *testing.T) {
+	env := des.NewEnv()
+	defer env.Shutdown()
+	pl := NewPool(env, "pool", 1)
+	env.Go("holder", func(p *des.Proc) {
+		pl.Acquire(p)
+		p.Sleep(time.Second)
+		pl.Release()
+		p.Sleep(time.Second) // the untimed waiter holds [1s, 1s]
+		pl.Acquire(p)
+		p.Sleep(10 * time.Second)
+		pl.Release()
+	})
+	env.Go("untimed", func(p *des.Proc) {
+		p.Sleep(500 * time.Millisecond)
+		pl.Acquire(p)
+		pl.Release()
+	})
+	timedOut := time.Duration(-1)
+	env.Go("timed", func(p *des.Proc) {
+		p.Sleep(3 * time.Second)
+		if len(pl.freeW) != 1 || pl.freeW[0].timer != nil {
+			t.Fatalf("want one recycled record without a timer before the timed wait")
+		}
+		w := pl.freeW[0]
+		ok, wait := pl.AcquireTimeout(p, 2*time.Second)
+		if ok || wait != 2*time.Second {
+			t.Errorf("AcquireTimeout = %v after %v, want a timeout after 2s", ok, wait)
+		}
+		if len(pl.freeW) != 1 || pl.freeW[0] != w || w.timer == nil {
+			t.Error("the timed wait did not reuse the untimed waiter's record with a new timer")
+		}
+		timedOut = p.Now()
+	})
+	env.Run(time.Minute)
+	if timedOut != 5*time.Second {
+		t.Errorf("timed wait ended at %v, want 5s", timedOut)
+	}
+	if st := pl.Stats(); st.Timeouts != 1 || st.Grants != 3 {
+		t.Errorf("Timeouts = %d, Grants = %d; want 1 and 3", st.Timeouts, st.Grants)
+	}
+}
+
 // The FIFO queue is a sliding window; deep queues with interleaved timeouts
 // must grant strictly in arrival order at O(1) amortized per grant.
 func TestPoolDeepQueueFIFOWithTimeouts(t *testing.T) {

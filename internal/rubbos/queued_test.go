@@ -105,11 +105,11 @@ func TestQueuedRequestsMatchParkedOnes(t *testing.T) {
 	}
 }
 
-// The queued-phase state fits the session's padding: a session stays one
-// 64-byte allocation.
+// The queued-phase state fits the session's padding: a session stays in
+// the 64-byte size class, on 32-bit targets too.
 func TestSessionIs64Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(session{}); n != 64 {
-		t.Errorf("unsafe.Sizeof(session{}) = %d, want 64", n)
+	if n := unsafe.Sizeof(session{}); n > 64 {
+		t.Errorf("unsafe.Sizeof(session{}) = %d, want at most 64", n)
 	}
 }
 

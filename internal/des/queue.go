@@ -18,13 +18,13 @@ import (
 //     at that time was pushed earlier, so append order is pop order:
 //     zero-delay pushes and pops are O(1), and the t=0 pile-up of a closed
 //     workload's session starts never reaches the calendar below.
-//   - The calendar holds every other entry. Small calendars (under
-//     calendarMin entries) are a plain 4-ary min-heap, `far`, which peek
-//     and pop serve directly. Large ones are a calendar queue: a timing
-//     wheel of unsorted buckets, plus `far` for entries past the wheel's
-//     horizon. Pushes link into a bucket in O(1); when the cursor reaches a
-//     bucket, its entries (and far's due ones) are sorted once into `run`
-//     and served sequentially.
+//   - The calendar holds every other entry, at any size (the open
+//     workloads keep a few hundred pending): a calendar queue, a timing
+//     wheel of unsorted buckets plus a heap, `far`, for entries past the
+//     wheel's horizon. Pushes link into a bucket in O(1); when the cursor
+//     reaches a bucket, its entries (and far's due ones) are sorted once
+//     into `run` and served sequentially. An empty calendar has no wheel;
+//     the first entry pushed into it fits one.
 //
 // Bucket width follows Brown's calendar queue (CACM 31(10), 1988): about
 // three times the spacing of the entries nearest the head, not span/size,
@@ -50,8 +50,7 @@ import (
 // bucket already under the cursor go to the `cur` heap; peek serves the
 // minimum of lane head, run head and cur top. So the pop sequence is
 // exactly ascending (at, seq) regardless of geometry, and rebuilds
-// (growing the wheel, re-fitting it, falling back to heap mode) cannot
-// perturb replay.
+// (growing, re-fitting or dropping the wheel) cannot perturb replay.
 //
 // All times are non-negative (scheduling in the past panics), so bucket
 // indexes are simply uint64(at) >> shift.
@@ -76,9 +75,6 @@ func (a entry) less(b entry) bool {
 }
 
 const (
-	// calendarMin is the calendar size at which the wheel engages; below
-	// it the calendar is a plain 4-ary heap.
-	calendarMin = 4096
 	// maxShift caps bucket width at 2^40 ns (~18 min) so sparse far-future
 	// schedules cannot produce absurd wheel geometry.
 	maxShift = 40
@@ -95,7 +91,6 @@ const (
 	fromLane uint8 = iota
 	fromRun
 	fromCur
-	fromFar
 )
 
 type eventQueue struct {
@@ -114,7 +109,7 @@ type eventQueue struct {
 	cur eventHeap
 	// heads is the wheel: heads[b&mask] is the node list of bucket b, for
 	// b in (curB, curB+len(heads)), unsorted. len(heads) is a power of two,
-	// or 0 in heap mode, where every calendar entry lives in far.
+	// or 0 while the calendar is empty.
 	heads  []uint32
 	mask   uint64
 	shift  uint
@@ -144,7 +139,7 @@ type eventQueue struct {
 // queueStats are cumulative counters white-box tests check the geometry
 // against.
 type queueStats struct {
-	farPops  int // entries far served, in heap mode or pulled by advance
+	farPops  int // entries advance pulled from far
 	rebuilds int // rebuilds that changed the geometry
 	moved    int // calendar entries those rebuilds redistributed
 }
@@ -208,13 +203,6 @@ func (q *eventQueue) push(en entry, now time.Duration) {
 		q.laneAt = now
 		return
 	}
-	if len(q.heads) == 0 {
-		q.far.push(en)
-		if q.calN() >= calendarMin {
-			q.rebuild()
-		}
-		return
-	}
 	b := uint64(en.at) >> q.shift
 	switch {
 	case b <= q.curB:
@@ -222,7 +210,7 @@ func (q *eventQueue) push(en entry, now time.Duration) {
 	case b < q.curB+uint64(len(q.heads)):
 		q.link(en, b)
 	default:
-		q.far.push(en)
+		q.far.push(en) // with no wheel, too: the rebuild below fits one
 	}
 	if q.calN() > 8*len(q.heads) {
 		q.rebuild()
@@ -234,20 +222,8 @@ func (q *eventQueue) push(en entry, now time.Duration) {
 // only makes already-pending entries poppable. A pop must follow before
 // the queue changes.
 func (q *eventQueue) peek() (entry, bool) {
-	if len(q.heads) == 0 {
-		switch {
-		case q.laneN > 0 && (len(q.far) == 0 || q.node(q.laneHead).less(q.far[0])):
-			q.src = fromLane
-			return *q.node(q.laneHead), true
-		case len(q.far) > 0:
-			q.src = fromFar
-			return q.far[0], true
-		}
-		return entry{}, false
-	}
 	if n := q.calN(); n*16 < len(q.heads) || q.heapPops > n {
 		q.rebuild() // shrunk far below the wheel, or the wheel misfits
-		return q.peek()
 	}
 	for q.runHead == len(q.run) && len(q.cur) == 0 {
 		// With run and cur empty, the lane (if any) holds the minimum: a
@@ -289,12 +265,9 @@ func (q *eventQueue) pop() {
 		q.freeNode(i)
 	case fromRun:
 		q.runHead++
-	case fromCur:
+	default:
 		q.cur.pop()
 		q.heapPops++
-	default:
-		q.far.pop()
-		q.stats.farPops++
 	}
 }
 
@@ -489,19 +462,18 @@ func (q *eventQueue) fit() (minAt time.Duration, shift uint) {
 	return s[0], shift
 }
 
-// rebuild re-fits the calendar to its population. Below calendarMin it
-// collapses to heap mode; otherwise it takes the width from fit and one
-// bucket per one to two entries, and returns without moving anything if
-// that is the geometry already in place. Every entry is moved in place —
-// wheel nodes are relinked, run and cur are folded into far, far is
-// filtered into the new window — so a rebuild allocates only when the
-// wheel, a heap or the node arena outgrows its largest size so far. The
-// lane is untouched.
+// rebuild re-fits the calendar to its population: the width from fit and
+// one bucket per one to two entries, or no wheel at all for an empty
+// calendar. It returns without moving anything if that is the geometry
+// already in place. Every entry is moved in place — wheel nodes are
+// relinked, run and cur are folded into far, far is filtered into the new
+// window — so a rebuild allocates only when the wheel, a heap or the node
+// arena outgrows its largest size so far. The lane is untouched.
 func (q *eventQueue) rebuild() {
 	q.heapPops = 0
 	n := q.calN()
 	nb, shift, minAt := 0, uint(0), time.Duration(0)
-	if n >= calendarMin {
+	if n > 0 {
 		nb = 1
 		for nb < n/2 {
 			nb *= 2
@@ -539,13 +511,10 @@ func (q *eventQueue) rebuild() {
 	q.shift, q.mask, q.curB = shift, uint64(nb)-1, uint64(minAt)>>shift
 
 	// place files en by bucket: the cursor's bucket into cur, the window
-	// into the wheel; it reports false for entries past the horizon. In
-	// heap mode (no wheel) everything is past it.
+	// into the wheel; it reports false for entries past the horizon.
 	place := func(en entry) bool {
 		b := uint64(en.at) >> q.shift
 		switch {
-		case nb == 0:
-			return false
 		case b <= q.curB:
 			q.cur.add(en)
 		case b < q.curB+uint64(nb):
@@ -611,8 +580,8 @@ func (q *eventQueue) audit() error {
 
 // eventHeap is a 4-ary min-heap of entries ordered by (at, seq) — half the
 // levels of a binary heap, with the four children of a node adjacent in
-// memory, so a sift touches a fraction of the cache lines. It is the
-// calendar in heap mode and the cur/far components in calendar mode.
+// memory, so a sift touches a fraction of the cache lines. It holds the
+// calendar's cur and far components.
 type eventHeap []entry
 
 // grow makes room for n more entries, doubling the capacity where append

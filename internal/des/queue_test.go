@@ -55,6 +55,9 @@ type queueDiff struct {
 	events []handle
 	timers []*diffTimer
 	fired  int
+	// laneOnly counts firings that found the calendar empty and without a
+	// wheel while lane entries were still pending.
+	laneOnly int
 }
 
 type handle struct {
@@ -102,6 +105,9 @@ func (d *queueDiff) fire(id int) {
 	}
 	d.ref = d.ref[1:]
 	d.fired++
+	if q := &d.env.q; q.calN() == 0 && len(q.heads) == 0 && q.laneN > 0 {
+		d.laneOnly++
+	}
 }
 
 // push schedules a stoppable event: a one-shot Timer that cancel may stop.
@@ -199,13 +205,28 @@ func (d *queueDiff) stall(n int) {
 	}
 }
 
+// drain fires every pending event and compacts away the dead entries left
+// behind, so the calendar is empty, then schedules n entries at the new Now
+// and fires them: they pop with only the lane holding entries.
+func (d *queueDiff) drain(n int) {
+	d.t.Helper()
+	for len(d.ref) > 0 {
+		d.run(d.ref[len(d.ref)-1].at)
+	}
+	d.env.compact()
+	for i := 0; i < n; i++ {
+		d.push(d.env.Now())
+	}
+	d.run(d.env.Now())
+}
+
 // The event queue pops in exact (at, seq) order through random schedules,
 // zero-delay pushes, cancels, Timer re-arms, Run horizons, clock advances
 // with no pop, and compactions with live lane entries, while the calendar
-// crosses the heap↔calendar switch both ways. The first phase is the
-// closed-workload shape: thousands of entries at t=0, which the lane
-// absorbs, then spread out by their callbacks; every grow phase opens with
-// a burst of spread-out entries that takes the calendar past calendarMin.
+// drains to empty with lane entries pending and grows a wheel again. The
+// first phase is the closed-workload shape: thousands of entries at t=0,
+// which the lane absorbs, then spread out by their callbacks; every grow
+// phase opens with a burst of thousands of spread-out entries.
 func TestQueueMatchesSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -213,15 +234,17 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				d.timers = append(d.timers, d.newTimer())
 			}
-			for i := 0; i < 2*calendarMin; i++ {
+			for i := 0; i < 8192; i++ {
 				d.push(0)
 			}
-			crossed := map[bool]int{}
-			laneSweeps := 0
+			laneSweeps, regrown := 0, 0
 			for round := 0; round < 300; round++ {
 				grow := (round/50)%2 == 0
+				if round%100 == 99 {
+					d.drain(2 + d.rnd.Intn(8))
+				}
 				if round%100 == 0 {
-					for i := 0; i < 3*calendarMin/2; i++ {
+					for i := 0; i < 6144; i++ {
 						d.push(d.env.Now() + 1 + time.Duration(d.rnd.Int63n(int64(10*time.Second))))
 					}
 				}
@@ -250,16 +273,18 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 					horizon = d.delay()
 				}
 				d.run(d.env.Now() + horizon)
-				crossed[len(d.env.q.heads) > 0]++
+				if d.laneOnly > 0 && len(d.env.q.heads) > 0 {
+					regrown++
+				}
 			}
 			d.run(2 * time.Hour * 300)
-			if crossed[true] == 0 || crossed[false] == 0 {
-				t.Errorf("rounds in calendar mode %d, in heap mode %d: the switch was not exercised both ways", crossed[true], crossed[false])
+			if d.laneOnly == 0 || regrown == 0 {
+				t.Errorf("%d firings with only the lane pending, %d rounds with a wheel after: the calendar did not drain to empty and grow again", d.laneOnly, regrown)
 			}
 			if laneSweeps == 0 {
 				t.Error("no compaction ran with live lane entries")
 			}
-			if d.fired < 5*calendarMin {
+			if d.fired < 20480 {
 				t.Errorf("only %d events fired", d.fired)
 			}
 		})

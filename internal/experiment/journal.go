@@ -189,7 +189,10 @@ func readRecord(f *os.File, offset int64, header []byte) ([]byte, int, error) {
 	return payload, recordHeaderSize + int(length), nil
 }
 
-// append frames, writes, and fsyncs one record. The caller holds no lock
+// append frames, writes, and fsyncs one record. The header and the
+// payload go out as two writes, so the payload (a trial's whole output) is
+// not copied behind the header; a crash between them leaves a short
+// payload, which load drops as a torn tail. The caller holds no lock
 // during load; Record takes the mutex for concurrent sweep workers.
 func (j *Journal) append(v any) error {
 	payload, err := json.Marshal(v)
@@ -199,11 +202,13 @@ func (j *Journal) append(v any) error {
 	if len(payload) > maxRecordSize {
 		return fmt.Errorf("experiment: journal record of %d bytes exceeds limit", len(payload))
 	}
-	buf := make([]byte, recordHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeaderSize:], payload)
-	if _, err := j.f.Write(buf); err != nil {
+	var header [recordHeaderSize]byte
+	binary.LittleEndian.PutUint32(header[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := j.f.Write(header[:]); err != nil {
+		return err
+	}
+	if _, err := j.f.Write(payload); err != nil {
 		return err
 	}
 	return j.f.Sync()

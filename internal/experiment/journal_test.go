@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -48,6 +52,18 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
+	last, err := json.Marshal(&TrialRecord{Key: "c", Data: []byte(`{}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the last record as a crash during append would: mid-payload,
+	// between the header and payload writes, and mid-header.
+	for _, cut := range []int{3, len(last), len(last) + recordHeaderSize - 3} {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) { testTornTail(t, int64(cut)) })
+	}
+}
+
+func testTornTail(t *testing.T, cut int64) {
 	path := filepath.Join(t.TempDir(), "trials.journal")
 	j := openTestJournal(t, path, "fp")
 	for _, key := range []string{"a", "b", "c"} {
@@ -59,15 +75,13 @@ func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cut the last record mid-byte, as a crash during append would.
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()-3); err != nil {
+	if err := os.Truncate(path, info.Size()-cut); err != nil {
 		t.Fatal(err)
 	}
-
 	j = openTestJournal(t, path, "fp")
 	if j.Len() != 2 {
 		t.Fatalf("Len() = %d after torn-tail open, want 2 salvaged", j.Len())
@@ -138,5 +152,46 @@ func TestJournalRefusesForeignFingerprint(t *testing.T) {
 	}
 	if _, err := OpenJournal(path, "fp-two"); !errors.Is(err, ErrFingerprintMismatch) {
 		t.Fatalf("err = %v, want ErrFingerprintMismatch", err)
+	}
+}
+
+// TestTrialRecordsFromEncodingJSONRestore: testdata/trial_records.jsonl
+// holds two journal payloads of one saturated trial (the second after a
+// percentile query sorted its sample), written when encoding/json still
+// encoded metrics.Sample. They must restore, and re-encoding the restored
+// Result must give the same bytes, so journals written before the
+// hand-written encoder resume unchanged.
+func TestTrialRecordsFromEncodingJSONRestore(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "trial_records.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("%d records, want 2", len(lines))
+	}
+	for i, line := range lines {
+		var rec TrialRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		if err := json.Unmarshal(rec.Data, &res); err != nil {
+			t.Fatal(err)
+		}
+		rts := res.SLA.ResponseTimes()
+		if rts.Count() == 0 || sort.Float64sAreSorted(rts.Values()) != (i == 1) {
+			t.Fatalf("record %d restored %d response times, sorted=%v", i, rts.Count(), sort.Float64sAreSorted(rts.Values()))
+		}
+		again, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, rec.Data) {
+			t.Errorf("record %d: re-encoded Result differs:\n%s\nwant\n%s", i, again, rec.Data)
+		}
+		if reline, err := json.Marshal(&TrialRecord{Key: rec.Key, Data: again}); err != nil || !bytes.Equal(reline, line) {
+			t.Errorf("record %d: re-encoded TrialRecord differs (%v)", i, err)
+		}
 	}
 }

@@ -5,10 +5,13 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -68,8 +71,20 @@ type Sample struct {
 	sorted bool
 }
 
-// Add appends one observation.
+// sampleDoubleFrom is the length from which Add doubles the slice itself.
+// Below it append already doubles (it switches to 1.25× steps at 256
+// elements), so small samples grow as append grows them.
+const sampleDoubleFrom = 256
+
+// Add appends one observation. The slice grows by doubling: append's
+// 1.25× steps would allocate four to five times the final slice over a
+// trial, and the response-time sample is a trial's largest allocation.
 func (s *Sample) Add(x float64) {
+	if n := len(s.values); n == cap(s.values) && n >= sampleDoubleFrom {
+		grown := make([]float64, n, 2*n)
+		copy(grown, s.values)
+		s.values = grown
+	}
 	s.values = append(s.values, x)
 	s.sorted = false
 }
@@ -115,27 +130,75 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.values[lo]*(1-frac) + s.values[lo+1]*frac
 }
 
-// Values returns the observations (sorted if a percentile was queried).
+// Values returns the observations, sorted if Percentile or FractionBelow
+// was called since the last Add.
 // The caller must not modify the returned slice.
 func (s *Sample) Values() []float64 { return s.values }
 
-// sampleJSON mirrors Sample for the experiment journal. encoding/json
-// round-trips float64 exactly (shortest decimal representation), and the
-// values keep their current order, so order-dependent statistics (Mean's
-// summation, Percentile's first sort) are bit-identical after a reload.
+// sampleJSON mirrors Sample for the experiment journal. MarshalJSON writes
+// the bytes encoding/json writes for it, without going through it, and
+// UnmarshalJSON decodes through it. float64 round-trips exactly (shortest
+// decimal representation), and the values keep their current order, so
+// order-dependent statistics (Mean's summation, Percentile's first sort)
+// are bit-identical after a reload.
 type sampleJSON struct {
 	Values []float64 `json:"values"`
 	Sorted bool      `json:"sorted,omitempty"`
 }
 
-// MarshalJSON serializes the sample, preserving observation order.
+// sampleValueBytes bounds one encoded value plus its comma. The longest
+// form of a non-negative float64 is 24 bytes (0.0000012345678901234567);
+// a longer (negative) value only makes append grow the buffer.
+const sampleValueBytes = 25
+
+// MarshalJSON serializes the sample, preserving observation order. It
+// appends encoding/json's bytes for sampleJSON into one buffer sized from
+// the sample; NaN and ±Inf fail as they do there.
 func (s *Sample) MarshalJSON() ([]byte, error) {
-	return json.Marshal(sampleJSON{Values: s.values, Sorted: s.sorted})
+	b := make([]byte, 0, len(`{"values":[],"sorted":true}`)+sampleValueBytes*len(s.values))
+	b = append(b, `{"values":`...)
+	if s.values == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, x := range s.values {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(x), Str: strconv.FormatFloat(x, 'g', -1, 64)}
+			}
+			b = appendJSONFloat(b, x)
+		}
+		b = append(b, ']')
+	}
+	if s.sorted {
+		b = append(b, `,"sorted":true`...)
+	}
+	return append(b, '}'), nil
 }
 
-// UnmarshalJSON restores a sample serialized with MarshalJSON.
+// appendJSONFloat appends finite x as encoding/json writes a float64: the
+// shortest decimal that round-trips, in exponent form below 1e-6 and from
+// 1e21 up, with a one-digit negative exponent unpadded (1e-7, not 1e-07).
+func appendJSONFloat(b []byte, x float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// UnmarshalJSON restores a sample serialized with MarshalJSON. The values
+// slice is presized from the comma count, which bounds the element count,
+// so decoding does not regrow it.
 func (s *Sample) UnmarshalJSON(data []byte) error {
-	var v sampleJSON
+	v := sampleJSON{Values: make([]float64, 0, bytes.Count(data, []byte{','})+1)}
 	if err := json.Unmarshal(data, &v); err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"math"
 	"math/rand"
 	"sort"
@@ -232,34 +234,163 @@ func TestSamplePercentileMatchesSort(t *testing.T) {
 	}
 }
 
-func TestSampleJSONRoundTripPreservesOrder(t *testing.T) {
-	s := &Sample{}
-	for _, v := range []float64{3.5, 1.25, 2.75, 0.125} {
-		s.Add(v)
+// TestSampleJSONMatchesEncodingJSON pins the hand-written encoder to the
+// bytes encoding/json writes for sampleJSON, which every journal written
+// before it holds: the 'f'/'e' cutover at 1e-6 and 1e21, the unpadded
+// negative exponent, signed zero, nil versus empty, and the sorted flag.
+func TestSampleJSONMatchesEncodingJSON(t *testing.T) {
+	edges := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e-6, 1e20, 1e21, 5e-324, math.MaxFloat64,
+		1.5e-9, 1e-100, 1.2345678901234567e-6, 123456789012345680000, 1e300}
+	var signed []float64
+	for _, x := range edges {
+		signed = append(signed, x, -x)
 	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
+	r := rand.New(rand.NewSource(11))
+	rts := make([]float64, 2000)
+	for i := range rts {
+		// Response times as sla.Collector records them: Duration.Seconds.
+		rts[i] = (time.Duration(r.ExpFloat64()*float64(300*time.Millisecond)) + time.Duration(r.Intn(3))*time.Second).Seconds()
 	}
-	var back Sample
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	want := s.Values()
-	got := back.Values()
-	if len(got) != len(want) {
-		t.Fatalf("round-trip has %d values, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("value %d = %v, want %v (insertion order must survive)", i, got[i], want[i])
+	for _, c := range []struct {
+		name   string
+		values []float64
+	}{
+		{"nil", nil},
+		{"empty", []float64{}},
+		{"edges", signed},
+		{"response times", rts},
+	} {
+		for _, sorted := range []bool{false, true} {
+			s := &Sample{values: c.values, sorted: sorted}
+			want, err := json.Marshal(sampleJSON{Values: c.values, Sorted: sorted})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.MarshalJSON()
+			if err != nil {
+				t.Fatalf("%s sorted=%v: %v", c.name, sorted, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s sorted=%v: MarshalJSON\n%.300s\nencoding/json\n%.300s", c.name, sorted, got, want)
+			}
+			if nested, err := json.Marshal(s); err != nil || !bytes.Equal(nested, want) {
+				t.Errorf("%s sorted=%v: json.Marshal(sample) = %.300s, %v", c.name, sorted, nested, err)
+			}
 		}
 	}
-	// Percentile (which sorts in place) must agree after the round trip.
-	if got, want := back.Percentile(95), s.Percentile(95); got != want {
-		t.Errorf("Percentile(95) = %v, want %v", got, want)
+}
+
+func TestSampleJSONRejectsNonFinite(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := &Sample{values: []float64{1, x}}
+		if data, err := s.MarshalJSON(); err == nil {
+			t.Errorf("MarshalJSON with %v = %s, want an error", x, data)
+		}
+		if data, err := json.Marshal(s); err == nil {
+			t.Errorf("json.Marshal with %v = %s, want an error", x, data)
+		}
 	}
 }
+
+// TestSampleJSONRoundTripPreservesOrder checks that a decode restores every
+// bit, the insertion order and the sorted flag, into a presized slice, so
+// the statistics match bit for bit.
+func TestSampleJSONRoundTripPreservesOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	s := &Sample{}
+	for i := 0; i < 5000; i++ {
+		s.Add(r.ExpFloat64() * math.Pow(10, float64(r.Intn(40)-20)))
+	}
+	s.Add(math.Copysign(0, -1))
+	for _, query := range []bool{false, true} {
+		if query {
+			s.Percentile(50)
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Sample
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.sorted != s.sorted || len(back.values) != len(s.values) {
+			t.Fatalf("sorted=%v: round trip gave sorted=%v with %d values, want %d", s.sorted, back.sorted, len(back.values), len(s.values))
+		}
+		for i, x := range s.values {
+			if math.Float64bits(back.values[i]) != math.Float64bits(x) {
+				t.Fatalf("sorted=%v: value %d = %v, want %v", s.sorted, i, back.values[i], x)
+			}
+		}
+		if cap(back.values) > len(s.values)+1 {
+			t.Errorf("decoded cap %d for %d values, want it presized", cap(back.values), len(s.values))
+		}
+		orig := Sample{values: append([]float64(nil), s.values...), sorted: s.sorted}
+		for _, p := range []float64{0, 25, 50, 95, 99.9, 100} {
+			if got, want := back.Percentile(p), orig.Percentile(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("sorted=%v: Percentile(%v) = %v, want %v", s.sorted, p, got, want)
+			}
+		}
+		if got, want := back.Mean(), orig.Mean(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("sorted=%v: Mean = %v, want %v", s.sorted, got, want)
+		}
+		if got, want := back.FractionBelow(1), orig.FractionBelow(1); got != want {
+			t.Errorf("sorted=%v: FractionBelow(1) = %v, want %v", s.sorted, got, want)
+		}
+	}
+	for _, values := range [][]float64{nil, {}} {
+		data, err := (&Sample{values: values}).MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Sample
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if (back.values == nil) != (values == nil) || len(back.values) != 0 {
+			t.Errorf("%s round-tripped to %#v", data, back.values)
+		}
+	}
+}
+
+// addSample returns a benchmark body that builds an n-value sample per op.
+func addSample(n int) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			var s Sample
+			for i := range n {
+				s.Add(float64(i))
+			}
+		}
+	}
+}
+
+// TestSampleAddAllocatesAboutFinalSize bounds what n Adds allocate:
+// doubling allocates at most twice the final power-of-two slice, where
+// append's 1.25× steps allocated four to five times the final slice.
+func TestSampleAddAllocatesAboutFinalSize(t *testing.T) {
+	// The allocation is deterministic, so a few ops measure it exactly;
+	// testing.Benchmark would otherwise run each size for a second.
+	bt := flag.Lookup("test.benchtime").Value
+	old := bt.String()
+	if err := bt.Set("5x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bt.Set(old) })
+	for _, n := range []int{300, 5000, 100000} {
+		pow := 1
+		for pow < n {
+			pow *= 2
+		}
+		limit := int64(2*pow*8 + 64)
+		if got := testing.Benchmark(addSample(n)).AllocedBytesPerOp(); got > limit {
+			t.Errorf("%d Adds allocated %d bytes, want at most %d", n, got, limit)
+		}
+	}
+}
+
+func BenchmarkSampleAdd(b *testing.B) { addSample(50000)(b) }
 
 func TestHistogramJSONRoundTrip(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})

@@ -174,3 +174,27 @@ func TestCollectorJSONRejectsMismatchedThresholds(t *testing.T) {
 		t.Error("mismatched good/thresholds unmarshaled without error")
 	}
 }
+
+// BenchmarkCollectorJSON encodes and decodes a collector of 50,000
+// response times, about one paper-scale trial's journal image.
+func BenchmarkCollectorJSON(b *testing.B) {
+	c := NewCollector(StandardThresholds)
+	rt := time.Duration(0)
+	for range 50000 {
+		rt = (rt*7919 + 104729*time.Microsecond) % (3 * time.Second)
+		c.Observe(rt)
+	}
+	c.SetElapsed(60 * time.Second)
+	c.ResponseTimes().Percentile(95)
+	b.ReportAllocs()
+	for range b.N {
+		data, err := json.Marshal(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var back Collector
+		if err := json.Unmarshal(data, &back); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -160,7 +160,10 @@ func TestJournalRefusesForeignFingerprint(t *testing.T) {
 // percentile query sorted its sample), written when encoding/json still
 // encoded metrics.Sample. They must restore, and re-encoding the restored
 // Result must give the same bytes, so journals written before the
-// hand-written encoder resume unchanged.
+// hand-written encoder resume unchanged. testdata/elastic_record.jsonl
+// holds one elastic-sweep cell, a TOP_JOB day whose timeline carries its
+// soft units as integers, written when each result kind had its own
+// timeline point type; it must restore and re-encode the same way.
 func TestTrialRecordsFromEncodingJSONRestore(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "trial_records.jsonl"))
 	if err != nil {
@@ -193,5 +196,32 @@ func TestTrialRecordsFromEncodingJSONRestore(t *testing.T) {
 		if reline, err := json.Marshal(&TrialRecord{Key: rec.Key, Data: again}); err != nil || !bytes.Equal(reline, line) {
 			t.Errorf("record %d: re-encoded TrialRecord differs (%v)", i, err)
 		}
+	}
+
+	line, err := os.ReadFile(filepath.Join("testdata", "elastic_record.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	var rec TrialRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		t.Fatal(err)
+	}
+	var er *ElasticResult
+	if err := json.Unmarshal(rec.Data, &er); err != nil {
+		t.Fatal(err)
+	}
+	if len(er.Timeline) != 12 || len(er.Decisions) != 4 {
+		t.Fatalf("elastic record restored %d windows and %d decisions, want 12 and 4", len(er.Timeline), len(er.Decisions))
+	}
+	again, err := json.Marshal(er)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, rec.Data) {
+		t.Errorf("re-encoded ElasticResult differs:\n%s\nwant\n%s", again, rec.Data)
+	}
+	if reline, err := json.Marshal(&TrialRecord{Key: rec.Key, Data: again}); err != nil || !bytes.Equal(reline, line) {
+		t.Errorf("re-encoded elastic TrialRecord differs (%v)", err)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,17 +17,27 @@ func smokeArgs() []string {
 	}
 }
 
-// The CI smoke sweep: both policies scored, a winner named, and TOP_JOB's
-// decision log printed.
+// The CI smoke sweep: both policies scored, a winner named, TOP_JOB's
+// decision log printed, and one timeline CSV per cell with the units gauge.
 func TestElasticSmoke(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "tl")
 	var stdout, stderr strings.Builder
-	if code := run(smokeArgs(), &stdout, &stderr); code != 0 {
+	if code := run(append(smokeArgs(), "-timeline-csv", prefix), &stdout, &stderr); code != 0 {
 		t.Fatalf("run = %d, stderr:\n%s", code, stderr.String())
 	}
 	out := stdout.String()
 	for _, want := range []string{"elastic sweep 1/1/1/1 50-4-4", "STATIC", "TOP_JOB", "goodput/unit", "best on diurnal:", "decision log [TOP_JOB on diurnal]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, policy := range []string{"static", "top_job"} {
+		data, err := os.ReadFile(prefix + "-" + policy + "-diurnal.csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(data), "second,completed,goodput,errors,shed,late,units\n") {
+			t.Errorf("%s timeline CSV header wrong:\n%s", policy, string(data))
 		}
 	}
 }

@@ -48,6 +48,27 @@ func TestFaultsSmoke(t *testing.T) {
 	}
 }
 
+// A small flash crowd writes its timeline CSV with the split outcome
+// columns and the queued gauge.
+func TestFaultsFlashCrowdSmoke(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "timeline.csv")
+	args := []string{
+		"faults", "-scenario", "flash-crowd", "-hw", "1/1/1/1", "-soft", "50-6-6",
+		"-rate", "20", "-spike-at", "2s", "-spike-for", "2s", "-ramp", "1s", "-csv", csv,
+	}
+	var stdout, stderr strings.Builder
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr %q", args, code, stderr.String())
+	}
+	data, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "second,completed,goodput,errors,shed,late,queued\n") {
+		t.Errorf("timeline CSV header wrong:\n%s", string(data))
+	}
+}
+
 func TestFaultsRejectsMalformedFlags(t *testing.T) {
 	rejectsMalformedFlags(t, "faults", []flagCase{
 		{[]string{}, "-scenario"},

@@ -71,6 +71,4 @@ func main() {
 	fmt.Println("fraction interact with the Tomcat tier — the rest wait for client")
 	fmt.Println("FINs, so the back-end runs dry. Re-run with 400 workers to see the")
 	fmt.Println("buffer absorb the close-wait and keep connTomcat high.")
-
-	_ = time.Second
 }

@@ -75,20 +75,41 @@ func writeTrialsCSV(w io.Writer, axisName string, axis func(i int) string, resul
 	return cw.Error()
 }
 
-// WriteTimelineCSV writes the fault scenario's per-window series as CSV:
-// completions, goodput, error responses, and effective C-JDBC concurrency.
-func (sr *ScenarioResult) WriteTimelineCSV(w io.Writer) error {
+// A timelineColumn is one column of a windowed timeline CSV after second,
+// completed and goodput: its header and its cell for one window.
+type timelineColumn struct {
+	name string
+	cell func(p *WindowPoint) string
+}
+
+// The outcome columns of flash crowds and elastic days, one count each.
+var (
+	errorsColumn = timelineColumn{"errors", func(p *WindowPoint) string { return strconv.Itoa(p.Errors) }}
+	shedColumn   = timelineColumn{"shed", func(p *WindowPoint) string { return strconv.Itoa(p.Shed) }}
+	lateColumn   = timelineColumn{"late", func(p *WindowPoint) string { return strconv.Itoa(p.Late) }}
+)
+
+// gaugeColumn renders the window's gauge under name.
+func gaugeColumn(name, format string) timelineColumn {
+	return timelineColumn{name, func(p *WindowPoint) string { return fmt.Sprintf(format, p.Gauge) }}
+}
+
+// writeTimelineCSV writes a windowed timeline as CSV, one row per window:
+// second, completed and goodput, then cols.
+func writeTimelineCSV(w io.Writer, points []WindowPoint, cols ...timelineColumn) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"second", "completed", "goodput", "errors", "cjdbc_busy"}); err != nil {
+	header := []string{"second", "completed", "goodput"}
+	for _, c := range cols {
+		header = append(header, c.name)
+	}
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, pt := range sr.Timeline {
-		row := []string{
-			fmt.Sprintf("%.0f", pt.Second),
-			strconv.Itoa(pt.Completed),
-			fmt.Sprintf("%.2f", pt.Goodput),
-			strconv.Itoa(pt.Errors),
-			fmt.Sprintf("%.2f", pt.CJDBCBusy),
+	for i := range points {
+		p := &points[i]
+		row := []string{fmt.Sprintf("%.0f", p.Second), strconv.Itoa(p.Completed), fmt.Sprintf("%.2f", p.Goodput)}
+		for _, c := range cols {
+			row = append(row, c.cell(p))
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -96,6 +117,15 @@ func (sr *ScenarioResult) WriteTimelineCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteTimelineCSV writes the fault scenario's per-window series as CSV:
+// completions, goodput, error and shed responses together, and effective
+// C-JDBC concurrency.
+func (sr *ScenarioResult) WriteTimelineCSV(w io.Writer) error {
+	return writeTimelineCSV(w, sr.Timeline,
+		timelineColumn{"errors", func(p *WindowPoint) string { return strconv.Itoa(p.Errors + p.Shed) }},
+		gaugeColumn("cjdbc_busy", "%.2f"))
 }
 
 // WriteTimelineCSV writes the Fig. 7/8 per-second Apache series as CSV.

@@ -59,18 +59,6 @@ func (c *ElasticSweepConfig) applyDefaults() {
 	c.Run.applyDefaults()
 }
 
-// ElasticPoint is one timeline bucket of an elastic trial, bucketed by
-// completion time from the start of the measurement window.
-type ElasticPoint struct {
-	Second    float64 `json:"second"`
-	Completed int     `json:"completed"`
-	Goodput   float64 `json:"goodput"` // in-threshold successes per second
-	Errors    int     `json:"errors"`
-	Shed      int     `json:"shed"`
-	Late      int     `json:"late"`
-	Units     int     `json:"units"` // allocated soft units at bucket start
-}
-
 // ElasticResult is the outcome of one (policy, trace) trial. It is the
 // journaled payload: a resumed sweep restores it verbatim, so the decision
 // log is byte-identical across resumes.
@@ -93,7 +81,9 @@ type ElasticResult struct {
 	Decisions   []adaptive.ElasticDecision `json:"decisions,omitempty"`
 	DecisionLog string                     `json:"decision_log,omitempty"`
 
-	Timeline []ElasticPoint `json:"timeline,omitempty"`
+	// Timeline has one point per window. Its gauge is the allocated soft
+	// units at the window start.
+	Timeline []WindowPoint `json:"timeline,omitempty"`
 }
 
 // Describe summarizes the trial in one line.
@@ -105,26 +95,7 @@ func (r *ElasticResult) Describe() string {
 // WriteTimelineCSV writes the per-window series, including the allocation
 // timeline.
 func (r *ElasticResult) WriteTimelineCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"second", "completed", "goodput", "errors", "shed", "late", "units"}); err != nil {
-		return err
-	}
-	for _, pt := range r.Timeline {
-		row := []string{
-			fmt.Sprintf("%.0f", pt.Second),
-			strconv.Itoa(pt.Completed),
-			fmt.Sprintf("%.2f", pt.Goodput),
-			strconv.Itoa(pt.Errors),
-			strconv.Itoa(pt.Shed),
-			strconv.Itoa(pt.Late),
-			strconv.Itoa(pt.Units),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeTimelineCSV(w, r.Timeline, errorsColumn, shedColumn, lateColumn, gaugeColumn("units", "%.0f"))
 }
 
 // ElasticOutcome is the full sweep grid, policy-major.
@@ -305,12 +276,10 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 		MeanUnits:   unitsOver(initialUnits, decisions, measureStart, horizon),
 		Decisions:   decisions,
 		DecisionLog: adaptive.FormatDecisions(decisions),
-		Timeline:    make([]ElasticPoint, len(win.points)),
+		Timeline:    win.points,
 	}
-	for i, p := range win.points {
-		er.Timeline[i] = ElasticPoint{Second: p.second, Completed: p.completed, Goodput: p.goodput,
-			Errors: p.errors, Shed: p.shed, Late: p.late,
-			Units: unitsAt(initialUnits, decisions, measureStart+time.Duration(i)*win.width)}
+	for i := range win.points {
+		win.points[i].Gauge = float64(unitsAt(initialUnits, decisions, measureStart+time.Duration(i)*win.width))
 	}
 	if er.MeanUnits > 0 {
 		er.GoodputPerUnit = er.Goodput / er.MeanUnits

@@ -330,7 +330,7 @@ type measurement struct {
 	w             *rubbos.Workload
 	abandonedBase uint64
 	tracer        *trace.Tracer
-	sampled       *samples
+	timeline      *ApacheTimeline
 	rec           *obs.Recorder
 }
 
@@ -405,16 +405,22 @@ func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, label 
 	// ramp-end ResetStats so only window abandonments count (pure read).
 	tb.Env.At(measureStart+time.Nanosecond, func() { m.abandonedBase = m.w.Abandoned() })
 	if win != nil && win.gauge != nil {
-		for i := range win.gauges {
-			tb.Env.At(measureStart+time.Duration(i)*win.width, func() { win.gauges[i] = win.gauge(tb) })
-		}
+		atBoundaries(tb.Env, measureStart, win.width, len(win.gauges), func(i int) { win.gauges[i] = win.gauge(tb) })
 	}
 
 	if cfg.Timeline {
 		for _, a := range tb.Apaches {
 			a.EnableTimeline(measureStart, time.Second)
 		}
-		m.sampled = startSampling(tb, measureStart)
+		// The Fig. 7/8 parallelism samples: busy workers and workers
+		// interacting with Tomcat, every second through the horizon.
+		a, n := tb.Apaches[0], int(cfg.Measure/time.Second)+1
+		tl := &ApacheTimeline{SampleEverySec: 1, ActiveRaw: make([]float64, 0, n), ConnectRaw: make([]float64, 0, n)}
+		atBoundaries(tb.Env, measureStart, time.Second, n, func(int) {
+			tl.ActiveRaw = append(tl.ActiveRaw, float64(a.Workers.InUse()))
+			tl.ConnectRaw = append(tl.ConnectRaw, float64(a.Connecting()))
+		})
+		m.timeline = tl
 	}
 	if cfg.WindowUtil {
 		// UtilSeries keeps every window: lift the recorder's memory bound
@@ -444,18 +450,12 @@ func (m *measurement) result() (*Result, error) {
 	}
 	res.Apache, res.Tomcat, res.CJDBC, res.MySQL = collectStats(tb)
 
-	if cfg.Timeline && len(tb.Apaches) > 0 {
-		a := tb.Apaches[0]
-		processed, ptTotal, ptConn := a.Timeline()
-		tl := &ApacheTimeline{SampleEverySec: 1}
+	if tl := m.timeline; tl != nil {
+		processed, ptTotal, ptConn := tb.Apaches[0].Timeline()
 		tl.Processed = processed.Rates()
 		for i := 0; i < ptTotal.Len(); i++ {
 			tl.PTTotalMS = append(tl.PTTotalMS, ptTotal.Mean(i))
 			tl.PTConnectMS = append(tl.PTConnectMS, ptConn.Mean(i))
-		}
-		if m.sampled != nil {
-			tl.ActiveRaw = m.sampled.active
-			tl.ConnectRaw = m.sampled.connecting
 		}
 		res.Timeline = tl
 	}
@@ -540,25 +540,6 @@ func collectStats(tb *testbed.Testbed) (apache, tomcat, cjdbc, mysql []ServerSta
 		mysql = append(mysql, st)
 	}
 	return apache, tomcat, cjdbc, mysql
-}
-
-// samples holds per-second gauge readings for the Fig. 7/8 parallelism
-// plots.
-type samples struct {
-	active, connecting []float64
-}
-
-func startSampling(tb *testbed.Testbed, start time.Duration) *samples {
-	s := &samples{}
-	a := tb.Apaches[0]
-	var tick func()
-	tick = func() {
-		s.active = append(s.active, float64(a.Workers.InUse()))
-		s.connecting = append(s.connecting, float64(a.Connecting()))
-		tb.Env.After(time.Second, tick)
-	}
-	tb.Env.At(start, tick)
-	return s
 }
 
 // Describe summarizes a result in one line (used by the CLIs). Trials that

@@ -7,10 +7,8 @@ package experiment
 // deployment absorbs and drains a transient arrival spike.
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"github.com/softres/ntier/internal/tier"
@@ -160,25 +158,15 @@ func (c *FlashCrowdConfig) applyDefaults() {
 	}
 }
 
-// FlashPoint is one timeline bucket of a flash-crowd trial, bucketed by
-// completion time from the start of the measurement window.
-type FlashPoint struct {
-	Second    float64 // bucket start, seconds from measurement start
-	Completed int     // responses (ok, error, or shed) finishing in the bucket
-	Goodput   float64 // in-threshold successes per second
-	Errors    int     // error responses finishing in the bucket
-	Shed      int     // shed rejections finishing in the bucket
-	Late      int     // deadline-violating completions in the bucket
-	Queued    float64 // requests waiting in tier queues at the bucket start
-}
-
 // FlashCrowdResult is the outcome of one flash-crowd trial: the trial's
 // Result with its timeline, recovery and drain statistics.
 type FlashCrowdResult struct {
 	*Result
 	Config FlashCrowdConfig
 
-	Timeline []FlashPoint
+	// Timeline has one point per 1s window. Its gauge is the requests
+	// waiting in tier queues at the window start.
+	Timeline []WindowPoint
 
 	// PreSpikeGoodput is the mean windowed goodput before the spike.
 	PreSpikeGoodput float64
@@ -215,26 +203,7 @@ func (fr *FlashCrowdResult) Describe() string {
 
 // WriteTimelineCSV writes the flash-crowd per-window series as CSV.
 func (fr *FlashCrowdResult) WriteTimelineCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"second", "completed", "goodput", "errors", "shed", "late", "queued"}); err != nil {
-		return err
-	}
-	for _, pt := range fr.Timeline {
-		row := []string{
-			fmt.Sprintf("%.0f", pt.Second),
-			strconv.Itoa(pt.Completed),
-			fmt.Sprintf("%.2f", pt.Goodput),
-			strconv.Itoa(pt.Errors),
-			strconv.Itoa(pt.Shed),
-			strconv.Itoa(pt.Late),
-			fmt.Sprintf("%.0f", pt.Queued),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeTimelineCSV(w, fr.Timeline, errorsColumn, shedColumn, lateColumn, gaugeColumn("queued", "%.0f"))
 }
 
 // RunFlashCrowd executes one flash-crowd trial: drive the testbed at the
@@ -256,16 +225,9 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fr := &FlashCrowdResult{
-		Result:    res,
-		Config:    cfg,
-		Timeline:  make([]FlashPoint, len(win.points)),
-		DrainedAt: -1,
-		DrainTime: -1,
-	}
-	for i, p := range win.points {
-		fr.Timeline[i] = FlashPoint{Second: p.second, Completed: p.completed, Goodput: p.goodput,
-			Errors: p.errors, Shed: p.shed, Late: p.late, Queued: win.gauges[i]}
+	fr := &FlashCrowdResult{Result: res, Config: cfg, Timeline: win.points, DrainedAt: -1, DrainTime: -1}
+	for i := range win.points {
+		win.points[i].Gauge = win.gauges[i]
 	}
 	spikeEnd := cfg.SpikeStart + cfg.SpikeDur
 	fr.PreSpikeGoodput, fr.RecoveredAt, fr.RecoveryTime = win.recovery(cfg.SpikeStart, spikeEnd, flashRecoverFrac)

@@ -38,27 +38,15 @@ func (c *ScenarioConfig) applyDefaults() {
 	}
 }
 
-// ScenarioPoint is one timeline bucket of a fault trial, indexed from the
-// start of the measurement window and bucketed by completion time.
-type ScenarioPoint struct {
-	Second    float64 // bucket start, seconds from measurement start
-	Completed int     // responses (ok or error) finishing in the bucket
-	Goodput   float64 // in-threshold successes per second
-	Errors    int     // error and shed responses finishing in the bucket
-	CJDBCBusy float64 // mean checked-out C-JDBC connections over the bucket
-}
-
 // ScenarioResult is the outcome of one fault-injection trial: the trial's
 // Result with its fault timeline and recovery statistics.
 type ScenarioResult struct {
 	*Result
 	Config ScenarioConfig
 
-	// Errors counts error and shed responses during the measurement window
-	// (Result.Errors and Result.Shed hold them apart).
-	Errors uint64
-
-	Timeline []ScenarioPoint
+	// Timeline has one point per 1s window. Its gauge is the window's mean
+	// effective C-JDBC concurrency.
+	Timeline []WindowPoint
 	Records  []fault.Record // injector actions actually applied
 
 	// PreFaultGoodput is the mean windowed goodput before the first fault
@@ -107,7 +95,7 @@ func (sr *ScenarioResult) Describe() string {
 	return fmt.Sprintf("%s %s N=%d: goodput(%v) %.1f req/s, errors %d, retries %d, shed %d, breaker opens %d, %s",
 		sr.Config.Run.Testbed.Hardware, sr.Config.Run.Testbed.Soft, sr.Config.Run.Users,
 		sr.Config.GoodputThreshold, sr.SLA.Goodput(sr.Config.GoodputThreshold),
-		sr.Errors, res.Retries, res.Shed, res.BreakerOpens, rec)
+		sr.Errors+sr.Shed, res.Retries, res.Shed, res.BreakerOpens, rec)
 }
 
 // RunScenario executes one fault-injection trial: build the topology with
@@ -140,20 +128,13 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr := &ScenarioResult{
-		Result:   res,
-		Config:   cfg,
-		Errors:   res.Errors + res.Shed,
-		Timeline: make([]ScenarioPoint, len(win.points)),
-		Records:  inj.Records(),
-	}
+	sr := &ScenarioResult{Result: res, Config: cfg, Timeline: win.points, Records: inj.Records()}
 	if ctl != nil {
 		sr.Decisions = ctl.Decisions()
 	}
 	sec := win.width.Seconds()
-	for i, p := range win.points {
-		sr.Timeline[i] = ScenarioPoint{Second: p.second, Completed: p.completed, Goodput: p.goodput,
-			Errors: p.errors + p.shed, CJDBCBusy: (win.gauges[i+1] - win.gauges[i]) / sec}
+	for i := range win.points {
+		win.points[i].Gauge = (win.gauges[i+1] - win.gauges[i]) / sec
 	}
 	if n := len(win.points); n > 0 {
 		sr.MeanCJDBCBusy = (win.gauges[n] - win.gauges[0]) / (float64(n) * sec)

@@ -47,7 +47,7 @@ func TestCrashTomcatRecovery(t *testing.T) {
 	if sr.PreFaultGoodput <= 0 {
 		t.Fatal("no pre-fault goodput baseline")
 	}
-	if sr.Errors == 0 {
+	if sr.Errors+sr.Shed == 0 {
 		t.Error("crash produced no error responses")
 	}
 	// Degradation: some window during the fault drops visibly below the
@@ -162,7 +162,7 @@ func TestScenarioDeterminism(t *testing.T) {
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s\n%v\n%v\n%d\n%+v\n",
-			sr.Describe(), sr.Timeline, sr.Records, sr.Errors, sr.TotalResilience())
+			sr.Describe(), sr.Timeline, sr.Records, sr.Errors+sr.Shed, sr.TotalResilience())
 		if err := sr.WriteTimelineCSV(&b); err != nil {
 			t.Fatal(err)
 		}

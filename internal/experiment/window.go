@@ -10,6 +10,7 @@ package experiment
 import (
 	"time"
 
+	"github.com/softres/ntier/internal/des"
 	"github.com/softres/ntier/internal/testbed"
 )
 
@@ -37,25 +38,31 @@ type windowing struct {
 	// gauge, when set, is read at every window boundary (pure read).
 	gauge func(tb *testbed.Testbed) float64
 
-	points []windowPoint // one per window of the measurement
+	points []WindowPoint // one per window of the measurement
 	gauges []float64     // gauge at each window boundary, len(points)+1
 }
 
-// windowPoint counts the completions of one window.
-type windowPoint struct {
-	second    float64 // window start, seconds from measurement start
-	completed int     // responses of any kind
-	goodput   float64 // in-threshold successes per second
-	errors    int     // error responses
-	shed      int     // shed rejections
-	late      int     // successes past their deadline
+// WindowPoint is one window of a disturbance trial's timeline, bucketed by
+// completion time from the start of the measurement window. Gauge is the
+// one reading the trial adds per window: a fault scenario's mean C-JDBC
+// concurrency over the window, a flash crowd's queued requests and an
+// elastic day's allocated soft units at the window start. Its JSON key is
+// the elastic journal's "units".
+type WindowPoint struct {
+	Second    float64 `json:"second"`    // window start, seconds from measurement start
+	Completed int     `json:"completed"` // responses of any kind
+	Goodput   float64 `json:"goodput"`   // in-threshold successes per second
+	Errors    int     `json:"errors"`    // error responses
+	Shed      int     `json:"shed"`      // shed rejections
+	Late      int     `json:"late"`      // successes past their deadline
+	Gauge     float64 `json:"units"`
 }
 
 // start sizes the timeline for a measurement window.
 func (w *windowing) start(measure time.Duration) {
-	w.points = make([]windowPoint, (measure+w.width-1)/w.width)
+	w.points = make([]WindowPoint, (measure+w.width-1)/w.width)
 	for i := range w.points {
-		w.points[i].second = float64(i) * w.width.Seconds()
+		w.points[i].Second = float64(i) * w.width.Seconds()
 	}
 	if w.gauge != nil {
 		w.gauges = make([]float64, len(w.points)+1)
@@ -73,18 +80,18 @@ func (w *windowing) observe(since, rt time.Duration, failed, shed, late bool) {
 		return
 	}
 	p := &w.points[i]
-	p.completed++
+	p.Completed++
 	switch {
 	case shed:
-		p.shed++
+		p.Shed++
 	case failed:
-		p.errors++
+		p.Errors++
 	default:
 		if rt <= w.threshold {
-			p.goodput += 1 / w.width.Seconds()
+			p.Goodput += 1 / w.width.Seconds()
 		}
 		if late {
-			p.late++
+			p.Late++
 		}
 	}
 }
@@ -97,10 +104,10 @@ func (w *windowing) observe(since, rt time.Duration, failed, shed, late bool) {
 func (w *windowing) recovery(start, end time.Duration, frac float64) (base float64, at, took time.Duration) {
 	n := 0
 	for _, p := range w.points {
-		if time.Duration((p.second+w.width.Seconds())*float64(time.Second)) > start {
+		if time.Duration((p.Second+w.width.Seconds())*float64(time.Second)) > start {
 			break
 		}
-		base += p.goodput
+		base += p.Goodput
 		n++
 	}
 	if n == 0 {
@@ -117,7 +124,7 @@ func (w *windowing) recovery(start, end time.Duration, frac float64) (base float
 		}
 		avg := 0.0
 		for _, p := range w.points[i+1-recoverWindows : i+1] {
-			avg += p.goodput
+			avg += p.Goodput
 		}
 		avg /= recoverWindows
 		if avg >= frac*base {
@@ -125,6 +132,15 @@ func (w *windowing) recovery(start, end time.Duration, frac float64) (base float
 		}
 	}
 	return base, -1, -1
+}
+
+// atBoundaries schedules read(i) at start+i*width for i in [0, n): the
+// window-boundary ticks of the windowed gauges and the Fig. 7/8 samples,
+// all scheduled before the trial's legs run.
+func atBoundaries(env *des.Env, start, width time.Duration, n int, read func(i int)) {
+	for i := range n {
+		env.At(start+time.Duration(i)*width, func() { read(i) })
+	}
 }
 
 // cjdbcBusy reads the C-JDBC busy integral: its difference over a window

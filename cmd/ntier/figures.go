@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,6 +59,14 @@ func span(lo, hi, step int) []int {
 	for n := lo; n <= hi; n += step {
 		out = append(out, n)
 	}
+	return out
+}
+
+// grid returns a figure's workload grid: its span plus the workloads the
+// benchmark and headline readings take, in ascending order.
+func grid(users []int, extra ...int) []int {
+	out := append(users, extra...)
+	sort.Ints(out)
 	return out
 }
 
@@ -192,7 +199,7 @@ func runFigures(args []string, stdout, stderr io.Writer) int {
 // fig2: goodput of 1/2/1/2 under 400-6-6 vs 400-15-6 at three SLA
 // thresholds (under-allocation impact).
 func fig2(g *generator) (string, error) {
-	users := span(4200, 6800, 400)
+	users := grid(span(4200, 6800, 400), 4400, 5200, 6000)
 	low, err := experiment.WorkloadSweep(g.base("1/2/1/2", "400-6-6"), users)
 	if err != nil {
 		return "", err
@@ -213,7 +220,7 @@ func fig2(g *generator) (string, error) {
 // fig3: the same allocations on 1/4/1/4 (over-allocation crossover) plus
 // the response-time distribution at workload 7000.
 func fig3(g *generator) (string, error) {
-	users := span(6000, 7800, 300)
+	users := grid(span(6000, 7800, 300), 7000, 7400)
 	low, err := experiment.WorkloadSweep(g.base("1/4/1/4", "400-6-6"), users)
 	if err != nil {
 		return "", err
@@ -235,15 +242,8 @@ func fig3(g *generator) (string, error) {
 		b.WriteString(experiment.CurveTable(fmt.Sprintf("(threshold %v)", th), th, low, high).String())
 		b.WriteString("\n")
 	}
-	// Use the sweep point closest to the paper's workload 7000.
-	// math.MaxInt (not 1<<62, which overflows int) keeps this portable
-	// to 32-bit targets.
-	idx, best := 0, math.MaxInt
-	for i, n := range users {
-		if d := n - 7000; d*d < best {
-			idx, best = i, d*d
-		}
-	}
+	// The paper's workload 7000 is on the grid.
+	idx := sort.SearchInts(users, 7000)
 	fmt.Fprintf(&b, "Figure 3(c): response-time distribution at workload %d\n", users[idx])
 	fmt.Fprintf(&b, "%-10s %12s %12s\n", "bucket [s]", "400-6-6", "400-15-6")
 	hLow := low.Results[idx].SLA.Histogram()
@@ -319,7 +319,7 @@ func fig4(g *generator) (string, error) {
 // fig5: DB connection-pool over-allocation on 1/4/1/4 — goodput, C-JDBC
 // CPU, and total JVM GC time.
 func fig5(g *generator) (string, error) {
-	users := span(6000, 7800, 600)
+	users := grid(span(6000, 7800, 600), 7000, 7400)
 	base := g.base("1/4/1/4", "400-200-10")
 	points, err := experiment.AllocSweep(base, users, []int{10, 50, 100, 200}, experiment.VaryAppConns)
 	if err != nil {
@@ -369,7 +369,7 @@ func fig5(g *generator) (string, error) {
 // fig6: Apache thread-pool buffering on 1/4/1/4 — goodput and the
 // non-monotone C-JDBC CPU utilization.
 func fig6(g *generator) (string, error) {
-	users := span(6000, 7800, 300)
+	users := grid(span(6000, 7800, 300), 7400)
 	base := g.base("1/4/1/4", "400-6-20")
 	points, err := experiment.AllocSweep(base, users, []int{50, 100, 200, 300, 400}, experiment.VaryWebThreads)
 	if err != nil {
@@ -511,7 +511,7 @@ func ablations(g *generator) (string, error) {
 
 	// (1) Fig. 5 without the JVM GC model: conn over-allocation is nearly
 	// free, flattening the ordering.
-	users := []int{7000, 7800}
+	users := []int{7000, 7400, 7800}
 	for _, disable := range []bool{false, true} {
 		base := g.base("1/4/1/4", "400-200-10")
 		base.Testbed.DisableGC = disable

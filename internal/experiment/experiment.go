@@ -341,6 +341,11 @@ func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, label 
 	m := &measurement{cfg: cfg, tb: tb, label: label, collector: sla.NewCollector(cfg.Thresholds)}
 	measureStart := cfg.RampUp
 	if win != nil {
+		// A partial last window would have its closing gauge past the
+		// horizon, never read, and its goodput divided by a full width.
+		if cfg.Measure%win.width != 0 {
+			return nil, fmt.Errorf("experiment: measure %v is not a whole number of %v windows", cfg.Measure, win.width)
+		}
 		win.start(cfg.Measure)
 	}
 

@@ -152,9 +152,9 @@ func (c *FlashCrowdConfig) applyDefaults() {
 		c.GoodputThreshold = time.Second
 	}
 	c.Run.applyDefaults()
-	// The window must see the spike plus a drain tail.
+	// The window must see the spike plus a drain tail, in whole windows.
 	if min := c.SpikeStart + c.SpikeDur + 30*time.Second; c.Run.Measure < min {
-		c.Run.Measure = min
+		c.Run.Measure = (min + timelineWindow - 1).Truncate(timelineWindow)
 	}
 }
 

@@ -237,3 +237,34 @@ func TestScenarioUnderElasticControl(t *testing.T) {
 		}
 	}
 }
+
+// A windowed trial whose measurement is not a whole number of windows
+// would leave its last boundary gauge past the horizon, unread, and divide
+// a partial window's goodput by a full width: it is refused, naming both
+// values. A flash crowd stretches its measurement to whole windows.
+func TestWindowedTrialRejectsPartialWindow(t *testing.T) {
+	sc, err := ScenarioByName("crash-tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := pinScenarioBase()
+	base.Measure = 20500 * time.Millisecond
+	if _, err := RunScenario(sc.Configure(base)); err == nil ||
+		!strings.Contains(err.Error(), "20.5s") || !strings.Contains(err.Error(), "1s") {
+		t.Errorf("scenario at 20.5s: error %v, want one naming 20.5s and 1s", err)
+	}
+
+	ecfg := elasticBase(t)
+	ecfg.Run.Measure = 125 * time.Second
+	ecfg.applyDefaults()
+	if _, err := RunElastic(ecfg, adaptive.PolicyStatic, ecfg.Traces[0]); err == nil ||
+		!strings.Contains(err.Error(), "2m5s") || !strings.Contains(err.Error(), "10s") {
+		t.Errorf("elastic day at 2m5s: error %v, want one naming 2m5s and 10s", err)
+	}
+
+	fc := FlashCrowdConfig{SpikeStart: 20500 * time.Millisecond}
+	fc.applyDefaults()
+	if fc.Run.Measure != 61*time.Second {
+		t.Errorf("flash crowd stretched to %v, want 61s", fc.Run.Measure)
+	}
+}

@@ -58,9 +58,9 @@ type WindowPoint struct {
 	Gauge     float64 `json:"units"`
 }
 
-// start sizes the timeline for a measurement window.
+// start sizes the timeline for a measurement window of whole windows.
 func (w *windowing) start(measure time.Duration) {
-	w.points = make([]WindowPoint, (measure+w.width-1)/w.width)
+	w.points = make([]WindowPoint, measure/w.width)
 	for i := range w.points {
 		w.points[i].Second = float64(i) * w.width.Seconds()
 	}

@@ -16,332 +16,64 @@ import (
 	"github.com/softres/ntier/internal/adaptive"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fleet"
+	"github.com/softres/ntier/internal/paper"
 	"github.com/softres/ntier/internal/queuing"
 	"github.com/softres/ntier/internal/rubbos"
-	"github.com/softres/ntier/internal/sla"
 	"github.com/softres/ntier/internal/testbed"
-	"github.com/softres/ntier/internal/tier"
 )
 
-// benchConfig returns a scaled-down trial configuration.
-func benchConfig(b *testing.B, hw, soft string) RunConfig {
-	b.Helper()
-	h, err := ParseHardware(hw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := ParseSoftAlloc(soft)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return RunConfig{
-		Testbed: TestbedOptions{Hardware: h, Soft: s, Seed: 1},
-		RampUp:  15 * time.Second,
-		Measure: 30 * time.Second,
-	}
-}
-
-func mustSweep(b *testing.B, cfg RunConfig, users []int) *Curve {
-	b.Helper()
-	c, err := WorkloadSweep(cfg, users)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
-}
-
-// BenchmarkFig2Goodput112 — paper Fig. 2: goodput of 1/2/1/2 under the
-// under-allocated 400-6-6 vs the practitioner 400-15-6, three SLA
-// thresholds. Expected shape: 400-15-6 dominates, and the gap widens as
-// the threshold tightens.
-func BenchmarkFig2Goodput112(b *testing.B) {
-	users := []int{4400, 6000}
+// benchPaper runs the named reading of the paper's figure table alone at
+// the benchmark horizon and reports its numbers.
+func benchPaper(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
-		low := mustSweep(b, benchConfig(b, "1/2/1/2", "400-6-6"), users)
-		good := mustSweep(b, benchConfig(b, "1/2/1/2", "400-15-6"), users)
-		for j, n := range users {
-			for _, th := range sla.StandardThresholds {
-				label := fmt.Sprintf("g%.1fs_wl%d", th.Seconds(), n)
-				b.ReportMetric(low.Goodputs(th)[j], "400-6-6_"+label)
-				b.ReportMetric(good.Goodputs(th)[j], "400-15-6_"+label)
-			}
+		r, d := readPaper(b, paper.Bench, name)
+		for _, n := range r.Numbers {
+			b.ReportMetric(n.Of(d), n.Name)
 		}
 	}
 }
 
-// BenchmarkFig3Crossover141 — paper Fig. 3(a,b): the same allocations on
-// 1/4/1/4. Expected shape: near-parity below the knee, 400-6-6 (the
-// "non-intuitive" small pool) ahead at tight thresholds past it.
-func BenchmarkFig3Crossover141(b *testing.B) {
-	users := []int{6600, 7000, 7400}
-	for i := 0; i < b.N; i++ {
-		low := mustSweep(b, benchConfig(b, "1/4/1/4", "400-6-6"), users)
-		high := mustSweep(b, benchConfig(b, "1/4/1/4", "400-15-6"), users)
-		for j, n := range users {
-			th := 500 * time.Millisecond
-			b.ReportMetric(low.Goodputs(th)[j], fmt.Sprintf("400-6-6_g0.5s_wl%d", n))
-			b.ReportMetric(high.Goodputs(th)[j], fmt.Sprintf("400-15-6_g0.5s_wl%d", n))
-		}
-	}
-}
+// BenchmarkFig2Goodput112 — Fig. 2: the practitioner allocation beats under-allocated pools.
+func BenchmarkFig2Goodput112(b *testing.B) { benchPaper(b, "Fig2Goodput112") }
 
-// BenchmarkFig3cRTDistribution — paper Fig. 3(c): response-time
-// distribution at workload 7000; the small pool has more sub-200ms
-// responses.
-func BenchmarkFig3cRTDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, soft := range []string{"400-6-6", "400-15-6"} {
-			cfg := benchConfig(b, "1/4/1/4", soft)
-			cfg.Users = 7000
-			res, err := Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fr := res.SLA.Histogram().Fractions()
-			b.ReportMetric(fr[0]*100, soft+"_pct_rt<0.2s")
-		}
-	}
-}
+// BenchmarkFig3Crossover141 — Fig. 3(a,b): the small pools lead past the knee at tight SLAs.
+func BenchmarkFig3Crossover141(b *testing.B) { benchPaper(b, "Fig3Crossover141") }
 
-// BenchmarkFig4ThreadPoolUnderAlloc — paper Fig. 4: Tomcat thread pool
-// {6,10,20,200} on 1/2/1/2. Expected: goodput rises 6→10→20; 200 gives
-// part back (GC + scheduling overhead on the critical CPU); pool 6
-// saturates (soft bottleneck) while its CPU idles.
-func BenchmarkFig4ThreadPoolUnderAlloc(b *testing.B) {
-	users := []int{5200, 6000}
-	for i := 0; i < b.N; i++ {
-		points, err := AllocSweep(benchConfig(b, "1/2/1/2", "400-15-20"), users,
-			[]int{6, 10, 20, 200}, VaryAppThreads)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			label := fmt.Sprintf("threads%d", p.Soft.AppThreads)
-			b.ReportMetric(p.Curve.MaxGoodput(2*time.Second), label+"_maxGoodput2s")
-			last := p.Curve.Results[len(p.Curve.Results)-1]
-			b.ReportMetric(experiment.TierCPU(last.Tomcat)*100, label+"_tomcatCPU%")
-			b.ReportMetric(last.Tomcat[0].Pool("/threads").Saturated*100, label+"_poolSat%")
-		}
-	}
-}
+// BenchmarkFig3cRTDistribution — Fig. 3(c): the small pools have more sub-200 ms responses.
+func BenchmarkFig3cRTDistribution(b *testing.B) { benchPaper(b, "Fig3cRTDistribution") }
 
-// BenchmarkFig5ConnPoolOverAlloc — paper Fig. 5: Tomcat DB connection pool
-// {10,50,100,200} on 1/4/1/4 with 200 threads. Expected: the smallest pool
-// wins; C-JDBC CPU grows super-linearly with the pool; GC time explodes at
-// 200 connections.
-func BenchmarkFig5ConnPoolOverAlloc(b *testing.B) {
-	users := []int{7000, 7800}
-	for i := 0; i < b.N; i++ {
-		points, err := AllocSweep(benchConfig(b, "1/4/1/4", "400-200-10"), users,
-			[]int{10, 50, 100, 200}, VaryAppConns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			label := fmt.Sprintf("conns%d", p.Soft.AppConns)
-			b.ReportMetric(p.Curve.MaxThroughput(), label+"_maxTP")
-			last := p.Curve.Results[len(p.Curve.Results)-1]
-			b.ReportMetric(last.CJDBC[0].GC.GCFraction*100, label+"_cjdbcGC%")
-		}
-	}
-}
+// BenchmarkFig4ThreadPoolUnderAlloc — Fig. 4: too few Tomcat threads saturate the pool while its CPU idles.
+func BenchmarkFig4ThreadPoolUnderAlloc(b *testing.B) { benchPaper(b, "Fig4ThreadPoolUnderAlloc") }
 
-// BenchmarkFig6ApacheBuffer — paper Fig. 6: Apache worker pool
-// {100,200,300,400} on 1/4/1/4. Expected: goodput grows with the buffer;
-// C-JDBC CPU *decreases* with workload for small pools.
-func BenchmarkFig6ApacheBuffer(b *testing.B) {
-	users := []int{6600, 7400}
-	for i := 0; i < b.N; i++ {
-		points, err := AllocSweep(benchConfig(b, "1/4/1/4", "400-6-20"), users,
-			[]int{100, 200, 300, 400}, VaryWebThreads)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			label := fmt.Sprintf("web%d", p.Soft.WebThreads)
-			b.ReportMetric(p.Curve.MaxThroughput(), label+"_maxTP")
-			first := p.Curve.Results[0].CJDBC[0].CPUUtil
-			last := p.Curve.Results[len(p.Curve.Results)-1].CJDBC[0].CPUUtil
-			b.ReportMetric((last-first)*100, label+"_cjdbcCPUdelta%")
-		}
-	}
-}
+// BenchmarkFig5ConnPoolOverAlloc — Fig. 5: the smallest DB pool wins; C-JDBC GC explodes at the largest.
+func BenchmarkFig5ConnPoolOverAlloc(b *testing.B) { benchPaper(b, "Fig5ConnPoolOverAlloc") }
 
-// BenchmarkFig7ApacheInternals — paper Fig. 7: per-second internals of a
-// 300-worker Apache at workloads 6000 vs 7400. Expected: at 7400 the
-// active workers pin at the cap while the Tomcat-interacting share drops,
-// and per-request worker busy time spikes (FIN waits).
-func BenchmarkFig7ApacheInternals(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, wl := range []int{6000, 7400} {
-			cfg := benchConfig(b, "1/4/1/4", "300-6-20")
-			cfg.Users = wl
-			cfg.Timeline = true
-			res, err := Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tl := res.Timeline
-			var act, conn, pt float64
-			for j := range tl.ActiveRaw {
-				act += tl.ActiveRaw[j]
-				conn += tl.ConnectRaw[j]
-			}
-			for _, v := range tl.PTTotalMS {
-				pt += v
-			}
-			n := float64(len(tl.ActiveRaw))
-			b.ReportMetric(act/n, fmt.Sprintf("wl%d_activeWorkers", wl))
-			b.ReportMetric(conn/n, fmt.Sprintf("wl%d_connectingTomcat", wl))
-			b.ReportMetric(pt/float64(len(tl.PTTotalMS)), fmt.Sprintf("wl%d_PTtotalMs", wl))
-		}
-	}
-}
+// BenchmarkFig6ApacheBuffer — Fig. 6: goodput grows with the Apache pool; small pools starve C-JDBC.
+func BenchmarkFig6ApacheBuffer(b *testing.B) { benchPaper(b, "Fig6ApacheBuffer") }
 
-// BenchmarkFig8LargeBuffer — paper Fig. 8: the same internals with 400
-// workers at 7400. Expected: the Tomcat-interacting worker count stays
-// well above the 24 concurrent the back-end needs.
-func BenchmarkFig8LargeBuffer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(b, "1/4/1/4", "400-6-20")
-		cfg.Users = 7400
-		cfg.Timeline = true
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tl := res.Timeline
-		var conn float64
-		for _, v := range tl.ConnectRaw {
-			conn += v
-		}
-		b.ReportMetric(conn/float64(len(tl.ConnectRaw)), "connectingTomcat")
-		b.ReportMetric(res.Throughput(), "TP")
-	}
-}
+// BenchmarkFig7ApacheInternals — Fig. 7: past the knee a small Apache pool pins at its cap.
+func BenchmarkFig7ApacheInternals(b *testing.B) { benchPaper(b, "Fig7ApacheInternals") }
 
-// BenchmarkTable1Algorithm — paper Table I: the full allocation algorithm
-// on both hardware configurations. Expected: Tomcat CPU critical on
-// 1/2/1/2, C-JDBC CPU critical on 1/4/1/4, with pool recommendations near
-// the Fig. 10 sweep optima.
-func BenchmarkTable1Algorithm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, hw := range []string{"1/2/1/2", "1/4/1/4"} {
-			cfg := TunerConfig{Base: benchConfig(b, hw, "400-15-20")}
-			rep, err := Tune(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tag := map[string]string{"1/2/1/2": "112", "1/4/1/4": "144"}[hw]
-			b.ReportMetric(float64(rep.SaturationWL), tag+"_WLmin")
-			b.ReportMetric(rep.MinJobs, tag+"_minJobs")
-			if hw == "1/2/1/2" {
-				b.ReportMetric(float64(rep.Recommended.AppThreads), tag+"_recThreads")
-			} else {
-				b.ReportMetric(float64(rep.Recommended.AppConns), tag+"_recConns")
-			}
-		}
-	}
-}
+// BenchmarkFig8LargeBuffer — Fig. 8: a large Apache pool keeps enough workers reaching Tomcat.
+func BenchmarkFig8LargeBuffer(b *testing.B) { benchPaper(b, "Fig8LargeBuffer") }
 
-// BenchmarkFig10aValidate112 — paper Fig. 10(a): max throughput vs Tomcat
-// thread pool size on 1/2/1/2. Expected: a peak in the low tens, far below
-// the rule-of-thumb hundreds.
-func BenchmarkFig10aValidate112(b *testing.B) {
-	users := []int{5600, 6000}
-	for i := 0; i < b.N; i++ {
-		points, err := AllocSweep(benchConfig(b, "1/2/1/2", "400-15-20"), users,
-			[]int{6, 13, 20, 60, 200}, VaryAppThreads)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			b.ReportMetric(p.Curve.MaxThroughput(), fmt.Sprintf("threads%d_maxTP", p.Soft.AppThreads))
-		}
-	}
-}
+// BenchmarkTable1Algorithm — Table I: Tomcat CPU critical on one shape, C-JDBC CPU on the other.
+func BenchmarkTable1Algorithm(b *testing.B) { benchPaper(b, "Table1Algorithm") }
 
-// BenchmarkFig10bValidate141 — paper Fig. 10(b): max throughput vs Tomcat
-// DB connection pool size on 1/4/1/4 with 200 threads. Expected: a peak at
-// a single-digit pool, declining beyond it.
-func BenchmarkFig10bValidate141(b *testing.B) {
-	users := []int{6800, 7200}
-	for i := 0; i < b.N; i++ {
-		points, err := AllocSweep(benchConfig(b, "1/4/1/4", "400-200-10"), users,
-			[]int{2, 4, 6, 8, 12, 20}, VaryAppConns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			b.ReportMetric(p.Curve.MaxThroughput(), fmt.Sprintf("conns%d_maxTP", p.Soft.AppConns))
-		}
-	}
-}
+// BenchmarkFig10aValidate112 — Fig. 10(a): max TP peaks at a Tomcat pool in the low tens.
+func BenchmarkFig10aValidate112(b *testing.B) { benchPaper(b, "Fig10aValidate112") }
 
-// BenchmarkAblationNoGC disables the JVM GC model and re-runs the Fig. 5
-// contrast. Expected: the conns-200 penalty largely disappears,
-// attributing Fig. 5 to garbage collection.
-func BenchmarkAblationNoGC(b *testing.B) {
-	users := []int{7400}
-	for i := 0; i < b.N; i++ {
-		for _, disable := range []bool{false, true} {
-			cfg := benchConfig(b, "1/4/1/4", "400-200-200")
-			cfg.Testbed.DisableGC = disable
-			curve := mustSweep(b, cfg, users)
-			label := "gcOn"
-			if disable {
-				label = "gcOff"
-			}
-			b.ReportMetric(curve.MaxThroughput(), label+"_conns200_TP")
-		}
-	}
-}
+// BenchmarkFig10bValidate141 — Fig. 10(b): max TP peaks at a single-digit DB connection pool.
+func BenchmarkFig10bValidate141(b *testing.B) { benchPaper(b, "Fig10bValidate141") }
 
-// BenchmarkAblationNoFinWait disables Apache's lingering close and re-runs
-// the Fig. 6 contrast. Expected: the small worker pool stops starving the
-// back-end, attributing Fig. 6 to the FIN wait.
-func BenchmarkAblationNoFinWait(b *testing.B) {
-	users := []int{7400}
-	for i := 0; i < b.N; i++ {
-		for _, disable := range []bool{false, true} {
-			cfg := benchConfig(b, "1/4/1/4", "100-6-20")
-			cfg.Testbed.DisableFinWait = disable
-			curve := mustSweep(b, cfg, users)
-			label := "finOn"
-			if disable {
-				label = "finOff"
-			}
-			b.ReportMetric(curve.MaxThroughput(), label+"_web100_TP")
-		}
-	}
-}
+// BenchmarkAblationNoGC — GC model off: Fig. 5's large-pool penalty largely disappears.
+func BenchmarkAblationNoGC(b *testing.B) { benchPaper(b, "AblationNoGC") }
 
-// BenchmarkAblationNoThrash disables the C-JDBC scheduling-overhead model
-// and re-runs the Fig. 3 contrast at high workload. Expected: the
-// over-allocated 400-15-6 stops losing to 400-6-6.
-func BenchmarkAblationNoThrash(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, disable := range []bool{false, true} {
-			cfg := benchConfig(b, "1/4/1/4", "400-15-6")
-			if disable {
-				cfg.Testbed.TuneCJDBC = func(c *tier.CJDBCConfig) {
-					c.ThrashCoeff = 0
-					c.CtxSwitchCoeff = 0
-				}
-			}
-			cfg.Users = 7400
-			res, err := Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			label := "thrashOn"
-			if disable {
-				label = "thrashOff"
-			}
-			b.ReportMetric(res.Goodput(time.Second), label+"_g1s")
-		}
-	}
-}
+// BenchmarkAblationNoFinWait — lingering close off: Fig. 6's small pool stops starving the back-end.
+func BenchmarkAblationNoFinWait(b *testing.B) { benchPaper(b, "AblationNoFinWait") }
+
+// BenchmarkAblationNoThrash — thrash model off: Fig. 3's larger pools stop losing.
+func BenchmarkAblationNoThrash(b *testing.B) { benchPaper(b, "AblationNoThrash") }
 
 // BenchmarkExtensionWriteMixDisk — beyond the paper: under a write-heavy
 // mix the database disk (not any CPU) becomes the critical resource; the
@@ -349,7 +81,7 @@ func BenchmarkAblationNoThrash(b *testing.B) {
 // that reveals it.
 func BenchmarkExtensionWriteMixDisk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(b, "1/2/1/2", "400-30-20")
+		cfg := paperConfig(b, paper.Bench, "1/2/1/2", "400-30-20")
 		cfg.Users = 3000
 		cfg.Mix = rubbos.ReadWriteMix()
 		rw, err := Run(cfg)
@@ -375,7 +107,7 @@ func BenchmarkExtensionWriteMixDisk(b *testing.B) {
 // error at 2x the calibration load.
 func BenchmarkExtensionMVAAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(b, "1/2/1/2", "400-30-20")
+		cfg := paperConfig(b, paper.Bench, "1/2/1/2", "400-30-20")
 		cfg.Users = 2000
 		light, err := Run(cfg)
 		if err != nil {
@@ -459,10 +191,13 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 	for _, p := range pool {
 		b.Run(fmt.Sprintf("parallel=%d", p), func(b *testing.B) {
-			cfg := benchConfig(b, "1/2/1/2", "400-15-6")
+			cfg := paperConfig(b, paper.Bench, "1/2/1/2", "400-15-6")
 			cfg.Parallelism = p
 			for i := 0; i < b.N; i++ {
-				c := mustSweep(b, cfg, users)
+				c, err := WorkloadSweep(cfg, users)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(c.MaxThroughput(), "maxTP")
 			}
 		})
@@ -477,7 +212,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 // that this stays far below the exhaustive grid).
 func BenchmarkSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(b, "1/2/1/2", "200-20-10")
+		cfg := paperConfig(b, paper.Bench, "1/2/1/2", "200-20-10")
 		cfg.Testbed.Seed = 7
 		cfg.RampUp = 2 * time.Second
 		cfg.Measure = 6 * time.Second

@@ -1,17 +1,12 @@
 package main
 
 import (
-	"crypto/sha256"
-	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/softres/ntier/internal/experiment"
-	"github.com/softres/ntier/internal/testbed"
+	"github.com/softres/ntier/internal/paper"
 )
 
 func TestFiguresSelectNamesSkipsBlanksAndValidatesUpFront(t *testing.T) {
@@ -82,8 +77,9 @@ func TestFiguresRejectResumeWithoutStateDir(t *testing.T) {
 func TestFiguresExecuteGeneratorsInParallel(t *testing.T) {
 	// Stub generators keep this fast while exercising the full pipeline:
 	// flag parsing, fan-out, file writing, progress output.
-	registry["stub-a"] = func(*generator) (string, error) { return "alpha\n", nil }
-	registry["stub-b"] = func(*generator) (string, error) { return "beta\n", nil }
+	for name, text := range map[string]string{"stub-a": "alpha\n", "stub-b": "beta\n"} {
+		registry[name] = &paper.Entry{Name: name, Render: func(*paper.Data) (string, error) { return text, nil }}
+	}
 	defer delete(registry, "stub-a")
 	defer delete(registry, "stub-b")
 
@@ -111,50 +107,4 @@ func TestFiguresRejectsMalformedFlags(t *testing.T) {
 		{[]string{"-resume"}, "-state-dir"},
 		{[]string{"-only", "fig2,nope"}, `"nope"`},
 	})
-}
-
-var updatePins = flag.Bool("update-pins", false, "log fresh figure digests instead of checking them")
-
-// TestFigureDigestPins runs every figure generator at a tiny horizon (1 s
-// ramp, 1 s measure, seed 1) and pins a digest of its text, so a refactor
-// of the figures keeps every row. After an intentional change, regenerate
-// with
-//
-//	go test ./cmd/ntier -run FigureDigestPins -update-pins -v
-//
-// and name every changed pin in CHANGES.md.
-func TestFigureDigestPins(t *testing.T) {
-	pins := map[string]string{
-		"ablation": "703ed4c43e51b93f4de65ce6",
-		"fig10":    "1b4220101ac7f5070f207f8a",
-		"fig2":     "6993fb825b663417bb159176",
-		"fig3":     "e46cd92fa8d891a661a6af2d",
-		"fig4":     "b70c5c7953e521f21d6d2966",
-		"fig5":     "a1d0bd5943bc7cc998d5f742",
-		"fig6":     "6e2625e4c63f59dcff42f40c",
-		"fig7":     "d9737b1e25f2a8520a3f0403",
-		"fig8":     "4bdde2fbc7de294d9de81f2e",
-		"table1":   "bb85683ff6e3d0309cb683ab",
-	}
-	g := &generator{run: experiment.RunConfig{
-		Testbed: testbed.Options{Seed: 1},
-		RampUp:  time.Second,
-		Measure: time.Second,
-		// Serial trials cost the fewest CPU-seconds; the text is the same
-		// at any parallelism.
-		Parallelism: 1,
-	}}
-	for _, name := range validNames() {
-		text, err := registry[name](g)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sum := sha256.Sum256([]byte(text))
-		got := fmt.Sprintf("%x", sum[:12])
-		if *updatePins {
-			t.Logf("pin %q: %q,", name, got)
-		} else if got != pins[name] {
-			t.Errorf("%s: digest %s, pinned %s", name, got, pins[name])
-		}
-	}
 }

@@ -6,26 +6,47 @@ import (
 	"testing"
 	"time"
 
+	"github.com/softres/ntier/internal/paper"
 	"github.com/softres/ntier/internal/rubbos"
 	"github.com/softres/ntier/internal/sla"
 )
 
+// paperConfig returns a trial of hw and soft at the horizon.
+func paperConfig(tb testing.TB, h paper.Horizon, hw, soft string) RunConfig {
+	tb.Helper()
+	cfg := h.Config()
+	var err error
+	if cfg.Testbed.Hardware, err = ParseHardware(hw); err != nil {
+		tb.Fatal(err)
+	}
+	if cfg.Testbed.Soft, err = ParseSoftAlloc(soft); err != nil {
+		tb.Fatal(err)
+	}
+	return cfg
+}
+
 func testRunConfig(t *testing.T, hw, soft string, users int) RunConfig {
-	t.Helper()
-	h, err := ParseHardware(hw)
+	cfg := paperConfig(t, paper.Headline, hw, soft)
+	cfg.Users = users
+	return cfg
+}
+
+// readPaper runs the named reading of the paper's figure table alone at
+// the horizon.
+func readPaper(tb testing.TB, h paper.Horizon, name string) (*paper.Reading, *paper.Data) {
+	tb.Helper()
+	r, d, err := paper.Read(h.Config(), name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	s, err := ParseSoftAlloc(soft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return RunConfig{
-		Testbed: TestbedOptions{Hardware: h, Soft: s, Seed: 2},
-		Users:   users,
-		RampUp:  12 * time.Second,
-		Measure: 20 * time.Second,
-	}
+	return r, d
+}
+
+// headline returns the named reading's trials at the headline-test
+// horizon, in reading order.
+func headline(t *testing.T, name string) []*Result {
+	r, d := readPaper(t, paper.Headline, name)
+	return r.Trials(d)
 }
 
 func TestFacadeRun(t *testing.T) {
@@ -96,21 +117,13 @@ func TestFacadeWorkloadSweepAndTable(t *testing.T) {
 }
 
 func TestFacadeAblationSwitches(t *testing.T) {
-	// GC and FIN-wait ablations must change behaviour at stress points.
-	base := testRunConfig(t, "1/4/1/4", "100-6-20", 7400)
-	on, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := base
-	off.Testbed.DisableFinWait = true
-	offRes, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// GC and FIN-wait ablations must change behaviour at stress points:
+	// a small Apache pool under load, FIN wait on and off.
+	rs := headline(t, "AblationNoFinWait")
+	on, offRes := rs[0], rs[1]
 	if offRes.Throughput() < on.Throughput()*2 {
-		t.Errorf("FIN ablation should unthrottle the 100-worker pool: %.1f vs %.1f",
-			on.Throughput(), offRes.Throughput())
+		t.Errorf("FIN ablation should unthrottle the %d-worker pool: %.1f vs %.1f",
+			on.Config.Testbed.Soft.WebThreads, on.Throughput(), offRes.Throughput())
 	}
 }
 
@@ -128,24 +141,18 @@ func TestFacadeRevenue(t *testing.T) {
 }
 
 // TestPaperHeadlineUnderAllocation pins the paper's central Fig. 2 claim at
-// the repository level: on 1/2/1/2 near saturation, the under-allocated
-// 400-6-6 loses goodput versus 400-15-6, and the gap widens as the SLA
-// tightens.
+// the repository level: near saturation, the under-allocated Tomcat pools
+// lose goodput versus the practitioner allocation, and the gap widens as
+// the SLA tightens.
 func TestPaperHeadlineUnderAllocation(t *testing.T) {
-	low, err := Run(testRunConfig(t, "1/2/1/2", "400-6-6", 5200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := Run(testRunConfig(t, "1/2/1/2", "400-15-6", 5200))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := headline(t, "PaperHeadlineUnderAllocation")
+	low, good := rs[0], rs[1]
 	prevRatio := 0.0
 	for i := len(sla.StandardThresholds) - 1; i >= 0; i-- { // 2s, 1s, 0.5s
 		th := sla.StandardThresholds[i]
 		g, l := good.Goodput(th), low.Goodput(th)
 		if g < l {
-			t.Errorf("at %v: 400-15-6 goodput %.1f < 400-6-6 %.1f", th, g, l)
+			t.Errorf("at %v: %v goodput %.1f < %v %.1f", th, good.Config.Testbed.Soft, g, low.Config.Testbed.Soft, l)
 		}
 		ratio := math.Inf(1)
 		if l > 0 {
@@ -164,41 +171,30 @@ func TestPaperHeadlineUnderAllocation(t *testing.T) {
 // outperforms a small one at high workload, and the small pool's C-JDBC
 // utilization is lower (starved back-end).
 func TestPaperHeadlineBuffering(t *testing.T) {
-	small, err := Run(testRunConfig(t, "1/4/1/4", "200-6-20", 7400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := Run(testRunConfig(t, "1/4/1/4", "400-6-20", 7400))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := headline(t, "PaperHeadlineBuffering")
+	small, large := rs[0], rs[1]
 	if large.Throughput() <= small.Throughput() {
-		t.Errorf("400 workers TP %.1f <= 200 workers %.1f", large.Throughput(), small.Throughput())
+		t.Errorf("%v TP %.1f <= %v %.1f", large.Config.Testbed.Soft, large.Throughput(),
+			small.Config.Testbed.Soft, small.Throughput())
 	}
 	if large.CJDBC[0].CPUUtil <= small.CJDBC[0].CPUUtil {
-		t.Errorf("back-end starvation missing: cjdbc util %.2f (400w) <= %.2f (200w)",
-			large.CJDBC[0].CPUUtil, small.CJDBC[0].CPUUtil)
+		t.Errorf("back-end starvation missing: cjdbc util %.2f (%v) <= %.2f (%v)",
+			large.CJDBC[0].CPUUtil, large.Config.Testbed.Soft, small.CJDBC[0].CPUUtil, small.Config.Testbed.Soft)
 	}
 }
 
-// TestPaperHeadlineOverAllocation pins the Fig. 5 claim: 200 DB connections
-// per Tomcat lose badly to 10 at high workload, with C-JDBC GC as the
-// mechanism.
+// TestPaperHeadlineOverAllocation pins the Fig. 5 claim: an over-allocated
+// DB connection pool per Tomcat loses badly to a small one at high
+// workload, with C-JDBC GC as the mechanism.
 func TestPaperHeadlineOverAllocation(t *testing.T) {
-	small, err := Run(testRunConfig(t, "1/4/1/4", "400-200-10", 7400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Run(testRunConfig(t, "1/4/1/4", "400-200-200", 7400))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := headline(t, "PaperHeadlineOverAllocation")
+	small, big := rs[0], rs[1]
 	if big.Throughput() >= small.Throughput()*0.8 {
-		t.Errorf("conns=200 TP %.1f not clearly below conns=10 TP %.1f",
-			big.Throughput(), small.Throughput())
+		t.Errorf("%v TP %.1f not clearly below %v TP %.1f",
+			big.Config.Testbed.Soft, big.Throughput(), small.Config.Testbed.Soft, small.Throughput())
 	}
 	if big.CJDBC[0].GC.GCFraction < small.CJDBC[0].GC.GCFraction*5 {
-		t.Errorf("GC fractions %.3f (200) vs %.3f (10): expected explosion",
-			big.CJDBC[0].GC.GCFraction, small.CJDBC[0].GC.GCFraction)
+		t.Errorf("GC fractions %.3f (%v) vs %.3f (%v): expected explosion",
+			big.CJDBC[0].GC.GCFraction, big.Config.Testbed.Soft, small.CJDBC[0].GC.GCFraction, small.Config.Testbed.Soft)
 	}
 }

@@ -81,9 +81,9 @@ type Number struct {
 // points of its sweep (one point when it varies no pool), or its Table I
 // report.
 type Data struct {
-	Entry   *Entry
-	Points  [][]experiment.AllocPoint
-	Reports []*core.Report
+	entry   *Entry
+	points  [][]experiment.AllocPoint
+	reports []*core.Report
 	sizes   [][]int
 }
 
@@ -92,12 +92,12 @@ type Data struct {
 // and panics.
 func (d *Data) At(s, size, users int) *experiment.Result {
 	if j := slices.Index(d.sizes[s], size); j >= 0 {
-		c := d.Points[s][j].Curve
+		c := d.points[s][j].Curve
 		if i := slices.Index(c.Users, users); i >= 0 {
 			return c.Results[i]
 		}
 	}
-	panic(fmt.Sprintf("paper: %s series %d ran no trial at size %d, workload %d", d.Entry.Name, s, size, users))
+	panic(fmt.Sprintf("paper: %s series %d ran no trial at size %d, workload %d", d.entry.Name, s, size, users))
 }
 
 // Trials returns r's trials from d, a run of r, in order: series, then
@@ -141,7 +141,7 @@ func Read(base experiment.RunConfig, name string) (*Reading, *Data, error) {
 // series' own.
 func (e *Entry) run(base experiment.RunConfig, r *Reading) (*Data, error) {
 	n := len(e.Series)
-	d := &Data{Entry: e, Points: make([][]experiment.AllocPoint, n), Reports: make([]*core.Report, n), sizes: make([][]int, n)}
+	d := &Data{entry: e, points: make([][]experiment.AllocPoint, n), reports: make([]*core.Report, n), sizes: make([][]int, n)}
 	for s, sr := range e.Series {
 		if r.Series != nil && !slices.Contains(r.Series, s) {
 			continue
@@ -157,13 +157,13 @@ func (e *Entry) run(base experiment.RunConfig, r *Reading) (*Data, error) {
 		}
 		switch {
 		case e.tune:
-			d.Reports[s], err = core.Tune(core.Config{Base: cfg})
+			d.reports[s], err = core.Tune(core.Config{Base: cfg})
 		case sr.Vary == nil:
 			var c *experiment.Curve
 			c, err = experiment.WorkloadSweep(cfg, users)
-			d.Points[s] = []experiment.AllocPoint{{Soft: cfg.Testbed.Soft, Curve: c}}
+			d.points[s] = []experiment.AllocPoint{{Soft: cfg.Testbed.Soft, Curve: c}}
 		default:
-			d.Points[s], err = experiment.AllocSweep(cfg, users, d.sizes[s], sr.Vary)
+			d.points[s], err = experiment.AllocSweep(cfg, users, d.sizes[s], sr.Vary)
 		}
 		if err != nil {
 			return nil, err

@@ -49,6 +49,9 @@ func runFullGrid(t *testing.T, e *Entry) *Data {
 //
 // and name every changed pin in CHANGES.md.
 func TestFigureDigestPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every figure, two Algorithm 1 tunes included")
+	}
 	pins := map[string]string{
 		"ablation": "703ed4c43e51b93f4de65ce6",
 		"fig10":    "1b4220101ac7f5070f207f8a",

@@ -39,7 +39,7 @@ func fig2() *Entry {
 func renderFig2(d *Data) (string, error) {
 	var b strings.Builder
 	b.WriteString("Figure 2: goodput comparison, 1/2/1/2, under-allocation of Tomcat pools\n\n")
-	thresholdTables(&b, sla.StandardThresholds, d.Points[0][0].Curve, d.Points[1][0].Curve)
+	thresholdTables(&b, sla.StandardThresholds, d.points[0][0].Curve, d.points[1][0].Curve)
 	return b.String(), nil
 }
 
@@ -71,7 +71,7 @@ func fig3() *Entry {
 
 func renderFig3(d *Data) (string, error) {
 	// The histogram rows below dereference individual sweep points.
-	cs, err := curves(d.Points...)
+	cs, err := curves(d.points...)
 	if err != nil {
 		return "", err
 	}
@@ -79,7 +79,7 @@ func renderFig3(d *Data) (string, error) {
 	b.WriteString("Figure 3: over-allocation crossover, 1/4/1/4\n\n")
 	thresholdTables(&b, []time.Duration{500 * time.Millisecond, time.Second}, cs...)
 	fmt.Fprintf(&b, "Figure 3(c): response-time distribution at workload %d\n", fig3cUsers)
-	fmt.Fprintf(&b, "%-10s %12s %12s\n", "bucket [s]", d.Entry.Series[0].Soft, d.Entry.Series[1].Soft)
+	fmt.Fprintf(&b, "%-10s %12s %12s\n", "bucket [s]", d.entry.Series[0].Soft, d.entry.Series[1].Soft)
 	hLow, hHigh := d.At(0, 0, fig3cUsers).SLA.Histogram(), d.At(1, 0, fig3cUsers).SLA.Histogram()
 	fl, fh := hLow.Fractions(), hHigh.Fractions()
 	for i, lab := range hLow.Labels() {
@@ -240,7 +240,7 @@ func fig8() *Entry {
 // per workload when there are several.
 func apache(name, reading, title, soft string, users []int, nums []Number) *Entry {
 	return &Entry{Name: name, Render: func(d *Data) (string, error) {
-		if _, err := curves(d.Points...); err != nil {
+		if _, err := curves(d.points...); err != nil {
 			return "", err
 		}
 		var b strings.Builder
@@ -278,7 +278,7 @@ func table1() *Entry {
 	return &Entry{Name: "table1", tune: true, Render: func(d *Data) (string, error) {
 		var b strings.Builder
 		b.WriteString("Table I: output of the allocation algorithm\n\n")
-		for _, rep := range d.Reports {
+		for _, rep := range d.reports {
 			b.WriteString(rep.String())
 			b.WriteString("\n")
 		}
@@ -286,12 +286,12 @@ func table1() *Entry {
 	},
 		Series: []Series{{Hardware: "1/2/1/2", Soft: "400-15-20"}, {Hardware: "1/4/1/4", Soft: "400-15-20"}},
 		Readings: []Reading{{Name: "Table1Algorithm", Numbers: []Number{
-			{"112_WLmin", func(d *Data) float64 { return float64(d.Reports[0].SaturationWL) }},
-			{"112_minJobs", func(d *Data) float64 { return d.Reports[0].MinJobs }},
-			{"112_recThreads", func(d *Data) float64 { return float64(d.Reports[0].Recommended.AppThreads) }},
-			{"144_WLmin", func(d *Data) float64 { return float64(d.Reports[1].SaturationWL) }},
-			{"144_minJobs", func(d *Data) float64 { return d.Reports[1].MinJobs }},
-			{"144_recConns", func(d *Data) float64 { return float64(d.Reports[1].Recommended.AppConns) }},
+			{"112_WLmin", func(d *Data) float64 { return float64(d.reports[0].SaturationWL) }},
+			{"112_minJobs", func(d *Data) float64 { return d.reports[0].MinJobs }},
+			{"112_recThreads", func(d *Data) float64 { return float64(d.reports[0].Recommended.AppThreads) }},
+			{"144_WLmin", func(d *Data) float64 { return float64(d.reports[1].SaturationWL) }},
+			{"144_minJobs", func(d *Data) float64 { return d.reports[1].MinJobs }},
+			{"144_recConns", func(d *Data) float64 { return float64(d.reports[1].Recommended.AppConns) }},
 		}}},
 	}
 }
@@ -324,7 +324,7 @@ func renderFig10(d *Data) (string, error) {
 	for s, head := range []string{"(a) 1/2/1/2 (400-#-20): max TP vs thread pool size per Tomcat",
 		"\n(b) 1/4/1/4 (400-200-#): max TP vs DB conn pool size per Tomcat"} {
 		b.WriteString(head + "\n")
-		for j, p := range d.Points[s] {
+		for j, p := range d.points[s] {
 			fmt.Fprintf(&b, "  %s %3d: %8.1f req/s\n", []string{"threads", "conns"}[s], d.sizes[s][j], p.Curve.MaxThroughput())
 		}
 	}
@@ -368,11 +368,11 @@ func renderAblation(d *Data) (string, error) {
 	b.WriteString("Ablations: mechanism attribution\n\n")
 	heads := []string{"conn sweep, GC disabled=%v:\n", "\nApache sweep, FIN wait disabled=%v:\n"}
 	rows := []string{"  %-12s maxTP %8.1f\n", "  %-12s TP %8.1f\n"}
-	for s, points := range d.Points {
+	for s, points := range d.points {
 		off := s%2 == 1
 		if s/2 == 2 {
 			fmt.Fprintf(&b, "\n%s sweep, thrash disabled=%v: goodput(1s) %v\n",
-				d.Entry.Series[s].Soft, off, points[0].Curve.Goodputs(time.Second))
+				d.entry.Series[s].Soft, off, points[0].Curve.Goodputs(time.Second))
 			continue
 		}
 		fmt.Fprintf(&b, heads[s/2], off)
@@ -394,13 +394,13 @@ func thresholdTables(b *strings.Builder, ths []time.Duration, cs ...*experiment.
 // poolStudy writes the title and the 2 s goodput table of a pool-size
 // study (Figs. 4–6) and returns its allocation points.
 func poolStudy(b *strings.Builder, d *Data, title string) ([]experiment.AllocPoint, error) {
-	cs, err := curves(d.Points[0])
+	cs, err := curves(d.points[0])
 	if err != nil {
 		return nil, err
 	}
 	b.WriteString(title + "\n\n")
 	b.WriteString(experiment.CurveTable("(a) goodput, threshold 2s", 2*time.Second, cs...).String())
-	return d.Points[0], nil
+	return d.points[0], nil
 }
 
 // columns writes a workload × allocation table: a header of head(p) per

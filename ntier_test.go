@@ -26,6 +26,7 @@ func paperConfig(tb testing.TB, h paper.Horizon, hw, soft string) RunConfig {
 }
 
 func testRunConfig(t *testing.T, hw, soft string, users int) RunConfig {
+	t.Helper()
 	cfg := paperConfig(t, paper.Headline, hw, soft)
 	cfg.Users = users
 	return cfg
@@ -45,6 +46,7 @@ func readPaper(tb testing.TB, h paper.Horizon, name string) (*paper.Reading, *pa
 // headline returns the named reading's trials at the headline-test
 // horizon, in reading order.
 func headline(t *testing.T, name string) []*Result {
+	t.Helper()
 	r, d := readPaper(t, paper.Headline, name)
 	return r.Trials(d)
 }

@@ -384,7 +384,14 @@ func TestSampleAddAllocatesAboutFinalSize(t *testing.T) {
 			pow *= 2
 		}
 		limit := int64(2*pow*8 + 64)
-		if got := testing.Benchmark(addSample(n)).AllocedBytesPerOp(); got > limit {
+		// Allocations elsewhere in the process (the runtime, the GC) land
+		// in the count and only ever add bytes, so the least of a few
+		// readings is the Adds' own figure.
+		got := testing.Benchmark(addSample(n)).AllocedBytesPerOp()
+		for range 4 {
+			got = min(got, testing.Benchmark(addSample(n)).AllocedBytesPerOp())
+		}
+		if got > limit {
 			t.Errorf("%d Adds allocated %d bytes, want at most %d", n, got, limit)
 		}
 	}

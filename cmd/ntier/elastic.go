@@ -71,6 +71,9 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return failUsage(fs, err)
 	}
+	if *window > 0 && *day%*window != 0 {
+		return failUsage(fs, fmt.Errorf("-day: %v is not a whole number of -window %v windows", *day, *window))
+	}
 
 	ctx, stop := withSignalContext(context.Background())
 	defer stop()

@@ -66,6 +66,7 @@ func TestElasticRejectsMalformedFlags(t *testing.T) {
 		{[]string{"-trace", "sunny"}, "-trace"},
 		{[]string{"-policy", "SOFTMAX", "-calib-soft", "1-2"}, "-calib-soft"},
 		{[]string{"-resume"}, "-state-dir"},
+		{[]string{"-day", "25s", "-window", "10s"}, "-day"},
 		{[]string{"-no-such-flag"}, "-no-such-flag"},
 	})
 }

@@ -117,6 +117,10 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 		if *users <= 0 {
 			return failUsage(fs, fmt.Errorf("-wl: workload must be positive, got %d", *users))
 		}
+		// A fault scenario's timeline is per second.
+		if *tf.measure%time.Second != 0 {
+			return failUsage(fs, fmt.Errorf("-measure: %v is not a whole number of %v windows", *tf.measure, time.Second))
+		}
 		// A state directory pins the campaign identity (fingerprint-checked
 		// on -resume); scenario trials are short and re-run rather than
 		// replay.

@@ -77,6 +77,7 @@ func TestFaultsRejectsMalformedFlags(t *testing.T) {
 		{[]string{"-scenario", "crash-tomcat", "-soft", "400-15"}, "-soft"},
 		{[]string{"-scenario", "crash-tomcat", "-soft", "400-15-6,bad"}, "-soft"},
 		{[]string{"-scenario", "crash-tomcat", "-wl", "0"}, "-wl"},
+		{[]string{"-scenario", "crash-tomcat", "-measure", "20.5s"}, "-measure"},
 		{[]string{"-no-such-flag"}, "-no-such-flag"},
 	})
 }

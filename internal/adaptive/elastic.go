@@ -37,6 +37,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/softres/ntier/internal/hw"
 	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/resource"
 	"github.com/softres/ntier/internal/testbed"
@@ -89,8 +90,11 @@ var axisNames = [numAxes]string{"web-threads", "app-threads", "app-conns"}
 
 // The fixed parts of the control law; ElasticConfig holds the knobs.
 const (
-	// SampleEvery is the pool sampling grid within a control window.
-	SampleEvery = time.Second
+	// PeakHold is how long a window must spend in total at or above an
+	// occupancy level for the level to count as the window's peak: the
+	// occupancy a monitor on the paper's 1 s SysStat grid would expect to
+	// see at least once.
+	PeakHold = time.Second
 	// MinPer and MaxPer bound every per-server pool capacity.
 	MinPer = 2
 	MaxPer = 2048
@@ -187,32 +191,37 @@ func FormatDecisions(ds []ElasticDecision) string {
 	return b.String()
 }
 
-// ctlPool is one governed pool with its axis and tier attribution.
-type ctlPool struct {
-	pl   *resource.Pool
-	ax   axis
-	tier string
-}
-
-// ctlNode is one hardware observation point for the windowed verdict.
-type ctlNode struct {
-	name  string
+// ctlServer is one server the controller observes: its node's CPU and
+// disk, its JVM's GC time, and the pools it governs, with every cumulative
+// integral as it stood at the window start.
+type ctlServer struct {
+	node  *hw.Node
 	tier  string
-	cores float64
-	busy  func() float64 // cumulative CPU busy integral (incl. GC)
 	gc    func() float64 // cumulative GC time integral (nil: no JVM)
-	disk  func() float64 // cumulative disk busy integral (nil: no disk)
+	pools []*resource.Pool
+
+	busy, gcTime, disk float64
+	marks              []poolMark
 }
 
-// elasticWindow accumulates one control period's observations.
-type elasticWindow struct {
-	samples  int
-	sat      []int // per pool: samples with the pool full and queued
-	peak     []int // per pool: peak occupancy observed
-	poolBusy []float64
-	nodeBusy []float64
-	nodeGC   []float64
-	nodeDisk []float64
+// poolMark is one pool's integrals at the window start.
+type poolMark struct {
+	busy float64
+	sat  time.Duration
+	occ  []time.Duration
+}
+
+// integrals reads the server's cumulative CPU busy, GC and disk busy
+// seconds (0 for a monitor the server lacks).
+func (sv *ctlServer) integrals() (busy, gc, disk float64) {
+	busy = sv.node.BusyIntegral()
+	if sv.gc != nil {
+		gc = sv.gc()
+	}
+	if d := sv.node.Disk(); d != nil {
+		disk = d.BusyIntegral()
+	}
+	return busy, gc, disk
 }
 
 // ElasticController reallocates every soft pool of one testbed under a
@@ -223,9 +232,8 @@ type ElasticController struct {
 	soft   testbed.SoftAlloc
 	budget int
 
-	pools []ctlPool
-	nodes []ctlNode
-	win   elasticWindow
+	watched []ctlServer
+	peak    [numAxes]int // each axis's per-server peak occupancy in the last window
 
 	lastAct   [numAxes]time.Duration
 	acted     [numAxes]bool
@@ -254,49 +262,19 @@ func AttachElastic(tb *testbed.Testbed, cfg ElasticConfig) (*ElasticController, 
 	}
 
 	for _, a := range tb.Apaches {
-		c.pools = append(c.pools, ctlPool{pl: a.Workers, ax: axisWeb, tier: "apache"})
+		c.watched = append(c.watched, ctlServer{node: a.Node, tier: "apache", pools: []*resource.Pool{a.Workers}})
 	}
 	for _, t := range tb.Tomcats {
-		c.pools = append(c.pools, ctlPool{pl: t.Threads, ax: axisApp, tier: "tomcat"})
-	}
-	for _, t := range tb.Tomcats {
-		c.pools = append(c.pools, ctlPool{pl: t.Conns, ax: axisConn, tier: "tomcat"})
-	}
-	for _, a := range tb.Apaches {
-		node := a.Node
-		c.nodes = append(c.nodes, ctlNode{name: node.Name(), tier: "apache",
-			cores: float64(node.Spec().Cores), busy: node.BusyIntegral})
-	}
-	for _, t := range tb.Tomcats {
-		node, jvm := t.Node, t.JVM
-		c.nodes = append(c.nodes, ctlNode{name: node.Name(), tier: "tomcat",
-			cores: float64(node.Spec().Cores), busy: node.BusyIntegral, gc: jvm.GCTimeIntegral})
+		c.watched = append(c.watched, ctlServer{node: t.Node, tier: "tomcat", gc: t.JVM.GCTimeIntegral,
+			pools: []*resource.Pool{t.Threads, t.Conns}})
 	}
 	for _, cj := range tb.CJDBCs {
-		node, jvm := cj.Node, cj.JVM
-		c.nodes = append(c.nodes, ctlNode{name: node.Name(), tier: "cjdbc",
-			cores: float64(node.Spec().Cores), busy: node.BusyIntegral, gc: jvm.GCTimeIntegral})
+		c.watched = append(c.watched, ctlServer{node: cj.Node, tier: "cjdbc", gc: cj.JVM.GCTimeIntegral})
 	}
 	for _, m := range tb.MySQLs {
-		node := m.Node
-		cn := ctlNode{name: node.Name(), tier: "mysql",
-			cores: float64(node.Spec().Cores), busy: node.BusyIntegral}
-		if d := node.Disk(); d != nil {
-			cn.disk = d.BusyIntegral
-		}
-		c.nodes = append(c.nodes, cn)
-	}
-
-	c.win = elasticWindow{
-		sat:      make([]int, len(c.pools)),
-		peak:     make([]int, len(c.pools)),
-		poolBusy: make([]float64, len(c.pools)),
-		nodeBusy: make([]float64, len(c.nodes)),
-		nodeGC:   make([]float64, len(c.nodes)),
-		nodeDisk: make([]float64, len(c.nodes)),
+		c.watched = append(c.watched, ctlServer{node: m.Node, tier: "mysql"})
 	}
 	c.resetWindow()
-	c.scheduleSample()
 	c.scheduleControl()
 	return c, nil
 }
@@ -340,41 +318,16 @@ func axisSet(s *testbed.SoftAlloc, ax axis, v int) {
 	}
 }
 
-// resetWindow re-baselines every cumulative integral and zeroes the counts.
+// resetWindow re-baselines every cumulative integral.
 func (c *ElasticController) resetWindow() {
-	w := &c.win
-	w.samples = 0
-	for i, p := range c.pools {
-		w.sat[i] = 0
-		w.peak[i] = p.pl.InUse()
-		w.poolBusy[i] = p.pl.BusyIntegral()
-	}
-	for i, n := range c.nodes {
-		w.nodeBusy[i] = n.busy()
-		if n.gc != nil {
-			w.nodeGC[i] = n.gc()
-		}
-		if n.disk != nil {
-			w.nodeDisk[i] = n.disk()
+	for i := range c.watched {
+		sv := &c.watched[i]
+		sv.busy, sv.gcTime, sv.disk = sv.integrals()
+		sv.marks = sv.marks[:0]
+		for _, pl := range sv.pools {
+			sv.marks = append(sv.marks, poolMark{busy: pl.BusyIntegral(), sat: pl.SaturatedIntegral(), occ: pl.Stats().OccTime})
 		}
 	}
-}
-
-func (c *ElasticController) scheduleSample() {
-	c.tb.Env.After(SampleEvery, func() {
-		w := &c.win
-		w.samples++
-		for i, p := range c.pools {
-			inUse := p.pl.InUse()
-			if inUse > w.peak[i] {
-				w.peak[i] = inUse
-			}
-			if inUse >= p.pl.Capacity() && p.pl.Queued() > 0 {
-				w.sat[i]++
-			}
-		}
-		c.scheduleSample()
-	})
 }
 
 func (c *ElasticController) scheduleControl() {
@@ -384,69 +337,54 @@ func (c *ElasticController) scheduleControl() {
 	})
 }
 
-// summarize reduces the window to the analyzer's per-trial aggregate. ok is
-// false when a monitor reset (the ramp-end ResetStats) shrank an integral
-// mid-window, making the observations unusable.
-func (c *ElasticController) summarize() (obs.TrialSummary, bool) {
-	w := &c.win
+// summarize reduces the window to the analyzer's per-trial aggregate,
+// through the builder experiment.Summarize uses, and records each axis's
+// peak occupancy. ok is false when a monitor reset (the ramp-end
+// ResetStats) shrank an integral mid-window, making the window unusable.
+func (c *ElasticController) summarize() (s obs.TrialSummary, ok bool) {
 	secs := c.cfg.Interval.Seconds()
-	var s obs.TrialSummary
-	for i, n := range c.nodes {
-		busy := n.busy()
-		if busy < w.nodeBusy[i] {
+	var peak [numAxes]int
+	for i := range c.watched {
+		sv := &c.watched[i]
+		busy, gc, disk := sv.integrals()
+		if busy < sv.busy || gc < sv.gcTime || disk < sv.disk {
 			return s, false
 		}
-		util := (busy - w.nodeBusy[i]) / secs / n.cores
-		if util > 1 {
-			util = 1
-		}
-		gc := 0.0
-		if n.gc != nil {
-			if g := n.gc(); g >= w.nodeGC[i] {
-				gc = (g - w.nodeGC[i]) / secs
+		pools := make([]resource.PoolStats, len(sv.pools))
+		for j, pl := range sv.pools {
+			m, st := sv.marks[j], pl.Stats()
+			b, sat := pl.BusyIntegral(), pl.SaturatedIntegral()
+			if b < m.busy || sat < m.sat {
+				return s, false
 			}
-		}
-		s.Hardware = append(s.Hardware, obs.HWResource{
-			Server: n.name, Tier: n.tier, Resource: "CPU", Util: util, GCShare: gc,
-		})
-		if n.disk != nil {
-			if d := n.disk(); d >= w.nodeDisk[i] {
-				du := (d - w.nodeDisk[i]) / secs
-				if du > 1 {
-					du = 1
+			for l, d := range m.occ {
+				if st.OccTime[l] -= d; st.OccTime[l] < 0 {
+					return s, false
 				}
-				s.Hardware = append(s.Hardware, obs.HWResource{
-					Server: n.name, Tier: n.tier, Resource: "disk", Util: du,
-				})
 			}
+			st.Utilization = (b - m.busy) / secs / float64(st.Capacity)
+			st.Saturated = (sat - m.sat).Seconds() / secs
+			pools[j] = st
+			ax, _ := axisOf(st.Name)
+			peak[ax] = max(peak[ax], heldPeak(st.OccTime))
 		}
+		cores := float64(sv.node.Spec().Cores)
+		s.AddServer(sv.node.Name(), sv.tier, (busy-sv.busy)/secs/cores, (gc-sv.gcTime)/secs, (disk-sv.disk)/secs, pools)
 	}
-	for i, p := range c.pools {
-		busy := p.pl.BusyIntegral()
-		if busy < w.poolBusy[i] {
-			return s, false
-		}
-		cap := p.pl.Capacity()
-		util := (busy - w.poolBusy[i]) / secs / float64(cap)
-		s.Soft = append(s.Soft, obs.SoftResource{
-			Name: p.pl.Name(), Tier: p.tier, Capacity: cap,
-			Util:      util,
-			Saturated: float64(w.sat[i]) / float64(w.samples),
-			MaxQueue:  p.pl.Queued(),
-		})
-	}
+	c.peak = peak
 	return s, true
 }
 
-// peakPer returns an axis's peak per-server occupancy over the window.
-func (c *ElasticController) peakPer(ax axis) int {
-	peak := 0
-	for i, p := range c.pools {
-		if p.ax == ax && c.win.peak[i] > peak {
-			peak = c.win.peak[i]
+// heldPeak returns the highest occupancy level at or above which a
+// window's occupancy histogram spent at least PeakHold in total.
+func heldPeak(occ []time.Duration) int {
+	var held time.Duration
+	for l := len(occ) - 1; l > 0; l-- {
+		if held += occ[l]; held >= PeakHold {
+			return l
 		}
 	}
-	return peak
+	return 0
 }
 
 // axisOf maps a pool name to its axis by path suffix.
@@ -465,9 +403,6 @@ func axisOf(name string) (axis, bool) {
 // control runs one policy step and resets the window.
 func (c *ElasticController) control() {
 	defer c.resetWindow()
-	if c.win.samples == 0 {
-		return
-	}
 	summary, ok := c.summarize()
 	if !ok {
 		return // monitor reset mid-window: observations unusable
@@ -523,12 +458,12 @@ func (c *ElasticController) planTopJob(v obs.Verdict, targets *[numAxes]int, rea
 				if d == ax {
 					continue
 				}
-				if h := axisGet(c.soft, d) - c.peakPer(d); h > headroom {
+				if h := axisGet(c.soft, d) - c.peak[d]; h > headroom {
 					donor, headroom = d, h
 				}
 			}
 			if donor >= 0 {
-				targets[donor] = int(float64(c.peakPer(donor))*ShrinkMargin) + 1
+				targets[donor] = int(float64(c.peak[donor])*ShrinkMargin) + 1
 				reasons[donor] = fmt.Sprintf("donate to %s", axisNames[ax])
 			}
 		}
@@ -537,7 +472,7 @@ func (c *ElasticController) planTopJob(v obs.Verdict, targets *[numAxes]int, rea
 	// No soft bottleneck: release what the window did not use, following
 	// the load back down (and shedding the §III-B GC cost of idle pools).
 	for ax := axisWeb; ax < numAxes; ax++ {
-		cur, peak := axisGet(c.soft, ax), c.peakPer(ax)
+		cur, peak := axisGet(c.soft, ax), c.peak[ax]
 		if float64(cur) > ShrinkTrigger*float64(peak) {
 			targets[ax] = int(float64(peak)*ShrinkMargin) + 1
 			why := "idle"

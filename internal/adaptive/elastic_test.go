@@ -270,3 +270,21 @@ func TestElasticDecisionString(t *testing.T) {
 		t.Errorf("FormatDecisions = %q", got)
 	}
 }
+
+// TestHeldPeakNeedsPeakHold covers the peak rule at its edge: a level
+// counts once the window spent PeakHold in total at or above it.
+func TestHeldPeakNeedsPeakHold(t *testing.T) {
+	window := func(top time.Duration) []time.Duration {
+		return []time.Duration{0, 0, 18 * time.Second, 0, 0, top}
+	}
+	if got := heldPeak(window(900 * time.Millisecond)); got != 2 {
+		t.Errorf("level 5 held 0.9s: peak %d, want 2", got)
+	}
+	if got := heldPeak(window(time.Second)); got != 5 {
+		t.Errorf("level 5 held 1s: peak %d, want 5", got)
+	}
+	// Time at the levels above adds up: 0.5s at 4 and 0.5s at 3.
+	if got := heldPeak([]time.Duration{0, 19 * time.Second, 0, 500 * time.Millisecond, 500 * time.Millisecond}); got != 3 {
+		t.Errorf("1s in total at or above 3: peak %d, want 3", got)
+	}
+}

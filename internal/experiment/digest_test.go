@@ -51,17 +51,17 @@ func TestDigestPins(t *testing.T) {
 		run  func(t *testing.T, h hash.Hash) string
 		want string
 	}{
-		{"elastic-topjob-day", digestElasticDay, "028293a54a1335f55e72afca"},
+		{"elastic-topjob-day", digestElasticDay, "c68eb7ac852a8b9aa8970645"},
 		{"fleet-packed-3", digestPackedFleet, "ceb980a8e0c5aa3848392c5a"},
 		{"scenario-brownout-cjdbc", digestNamedScenario("brownout-cjdbc"), "b62c15ca4cc99f4b052f4c66"},
 		{"scenario-crash-tomcat", digestNamedScenario("crash-tomcat"), "d059342ca80cd696d714d56a"},
 		{"scenario-leak-conns", digestNamedScenario("leak-conns"), "0b3daa3f1d00344c6977dce3"},
 		{"scenario-netspike", digestNamedScenario("netspike"), "45b474d505a1ddff065bd945"},
 		{"scenario-retry-storm", digestNamedScenario("retry-storm"), "48c6f08af944222d80b89de5"},
-		{"scenario-elastic-brownout", digestElasticScenario, "56e339874373d007315470e1"},
+		{"scenario-elastic-brownout", digestElasticScenario, "1e6ae238ec6f0429b795bc21"},
 		{"scenario-overload-shed", func(t *testing.T, h hash.Hash) string { return hashScenario(t, h, pinShedScenario(t)) }, "3743c5a982dffceeaa5585e2"},
 		{"flash-crowd", digestFlashCrowd, "19bb46727d0273c07d7c4a96"},
-		{"elastic-obs-snapshot", digestElasticObs, "ff52b9a24b88d38fce6321bd"},
+		{"elastic-obs-snapshot", digestElasticObs, "921c197bdae719dbbe7f751a"},
 		{"fleet-open-tenant", digestOpenTenantFleet, "db256a411a0363dbbe541be6"},
 		{"fleet-interference", digestFleetInterference, "f78b02a957bf4db650d579ea"},
 		{"fleet-obs-snapshot", digestFleetObs, "d5b6f8a7db28b9b65bedcf7f"},
@@ -73,7 +73,7 @@ func TestDigestPins(t *testing.T) {
 		}), "94008799daeeecdb53b1debf"},
 		{"elastic-timeline-csv", digestTimelineCSV(func(t *testing.T) func(io.Writer) error {
 			return pinElasticDay(t).WriteTimelineCSV
-		}), "cde4256049cf77965965077d"},
+		}), "b45cc59046436def6a6b3568"},
 		{"apache-timeline", digestApacheTimeline, "f1022533ed99f7512f8f503a"},
 	}
 	for _, tc := range cases {

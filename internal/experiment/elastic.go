@@ -299,7 +299,7 @@ func elasticFingerprint(cfg ElasticSweepConfig) []string {
 	}
 	parts = append(parts,
 		fmt.Sprintf("ctl=%d/%d/%d/%d/%d/%d/%d/%d/%g/%g/%g/%g",
-			int64(c.Interval), int64(fixedSlot(adaptive.SampleEvery, time.Second)), c.Budget, c.MaxStep,
+			int64(c.Interval), int64(adaptive.PeakHold), c.Budget, c.MaxStep,
 			c.Deadband, int64(c.Cooldown), fixedSlot(adaptive.MinPer, 2), fixedSlot(adaptive.MaxPer, 2048),
 			fixedSlot(adaptive.GrowFactor, 1.5), fixedSlot(adaptive.ShrinkMargin, 1.25),
 			fixedSlot(adaptive.ShrinkTrigger, 2.0), fixedSlot(adaptive.Temperature, 5.0)),
@@ -311,8 +311,9 @@ func elasticFingerprint(cfg ElasticSweepConfig) []string {
 // fixedSlot renders a controller constant in the ctl= slot of the settable
 // field it replaced, where 0 stood for the field's default (was). The slot
 // stays 0 while the constant keeps that value, so journals written when it
-// was a field still resume, and shows the new value once it changes, so a
-// retuned constant refuses them.
+// was a field still resume, and shows the new value once it changes, so
+// the journals written before a retune are not restored: their cells
+// re-run.
 func fixedSlot[T comparable](v, was T) T {
 	if v == was {
 		var zero T

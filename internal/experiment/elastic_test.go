@@ -58,10 +58,14 @@ func TestUsersAtFor(t *testing.T) {
 }
 
 // TestElasticFingerprintPinned pins the journal fingerprint of
-// `ntier elastic`'s default sweep (every flag at its default) to the string
-// earlier releases wrote, so the state directories they left keep
-// resuming. The ctl= slots of the fixed controller constants read 0 while
-// the constants keep the defaults they had as settable fields.
+// `ntier elastic`'s default sweep (every flag at its default). The
+// fingerprint names the sweep's journal file (State.Journal), so a changed
+// string leaves the journals of earlier releases unread: their cells
+// re-run instead of restoring. The ctl= slots of the fixed controller
+// constants read 0 while the constants keep the defaults they had as
+// settable fields. PeakHold writes its raw value in the slot of the 1 s
+// monitor grid it replaced, so the sampled controller's journals are not
+// restored.
 func TestElasticFingerprintPinned(t *testing.T) {
 	cfg := ElasticSweepConfig{
 		Controller:       adaptive.ElasticConfig{Interval: 20 * time.Second, MaxStep: 16, Deadband: 2},
@@ -74,7 +78,7 @@ func TestElasticFingerprintPinned(t *testing.T) {
 	want := []string{
 		"[STATIC TOP_JOB]",
 		"diurnal=sched(40/sx2m0s,40..120/sx1m0s,120/sx2m40s,120..40/sx1m0s,40/s)",
-		"ctl=20000000000/0/0/16/2/0/0/0/0/0/0/0",
+		"ctl=20000000000/1000000000/0/16/2/0/0/0/0/0/0/0",
 		"window=10000000000 sla=1000000000 deadline=0",
 	}
 	got := elasticFingerprint(cfg)
@@ -86,7 +90,7 @@ func TestElasticFingerprintPinned(t *testing.T) {
 			t.Errorf("fingerprint part %d = %q, want %q", i, got[i], want[i])
 		}
 	}
-	// A retuned constant must leave its 0 and refuse the old journals.
+	// A retuned constant must leave its 0, so old journals are not restored.
 	if fixedSlot(1.6, 1.5) != 1.6 || fixedSlot(2048, 2048) != 0 {
 		t.Error("fixedSlot does not separate a retuned constant from its old default")
 	}

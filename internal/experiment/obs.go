@@ -21,31 +21,7 @@ func Summarize(res *Result, sla time.Duration) obs.TrialSummary {
 		SLASeconds: sla.Seconds(),
 	}
 	for _, sv := range res.Servers() {
-		s.Hardware = append(s.Hardware, obs.HWResource{
-			Server:   sv.Name,
-			Tier:     sv.Tier,
-			Resource: "CPU",
-			Util:     sv.CPUUtil,
-			GCShare:  sv.GC.GCFraction,
-		})
-		if sv.DiskUtil > 0 {
-			s.Hardware = append(s.Hardware, obs.HWResource{
-				Server:   sv.Name,
-				Tier:     sv.Tier,
-				Resource: "disk",
-				Util:     sv.DiskUtil,
-			})
-		}
-		for _, pl := range sv.Pools {
-			s.Soft = append(s.Soft, obs.SoftResource{
-				Name:      pl.Name,
-				Tier:      sv.Tier,
-				Capacity:  pl.Capacity,
-				Util:      pl.Utilization,
-				Saturated: pl.Saturated,
-				MaxQueue:  pl.MaxQueue,
-			})
-		}
+		s.AddServer(sv.Name, sv.Tier, sv.CPUUtil, sv.GC.GCFraction, sv.DiskUtil, sv.Pools)
 	}
 	return s
 }

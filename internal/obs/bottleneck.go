@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"github.com/softres/ntier/internal/resource"
 )
 
 // HWResource is one hardware resource observation of a trial: a server's
@@ -45,8 +47,9 @@ type SoftResource struct {
 	MaxQueue  int     `json:"maxQueue"`
 }
 
-// TrialSummary is the per-trial aggregate the analyzer consumes — built by
-// the experiment package from a Result, or decoded from a TrialObs file.
+// TrialSummary is the per-trial aggregate the analyzer consumes — built
+// with AddServer from a Result or from a control window's integrals, or
+// decoded from a TrialObs file.
 type TrialSummary struct {
 	Workload   int            `json:"workload"`
 	Throughput float64        `json:"throughput"` // req/s over the window
@@ -54,6 +57,27 @@ type TrialSummary struct {
 	SLASeconds float64        `json:"slaSeconds"` // the goodput threshold
 	Hardware   []HWResource   `json:"hardware"`   // tier order
 	Soft       []SoftResource `json:"soft"`       // tier order
+}
+
+// AddServer appends one server's readings over a window: its CPU
+// (utilization including GC, clamped at 1, and the GC share), its disk
+// when the disk was busy, and its pools in order. It is the one rule that
+// turns monitor readings into the analyzer's entries: the experiment
+// package reads a Result's servers through it, and the elastic controller
+// its control window's integrals.
+func (s *TrialSummary) AddServer(server, tier string, cpu, gcShare, disk float64, pools []resource.PoolStats) {
+	s.Hardware = append(s.Hardware, HWResource{
+		Server: server, Tier: tier, Resource: "CPU", Util: min(cpu, 1), GCShare: gcShare,
+	})
+	if disk > 0 {
+		s.Hardware = append(s.Hardware, HWResource{Server: server, Tier: tier, Resource: "disk", Util: disk})
+	}
+	for _, pl := range pools {
+		s.Soft = append(s.Soft, SoftResource{
+			Name: pl.Name, Tier: tier, Capacity: pl.Capacity,
+			Util: pl.Utilization, Saturated: pl.Saturated, MaxQueue: pl.MaxQueue,
+		})
+	}
 }
 
 // JudgeConfig holds the two settable detection thresholds (`ntier report`

@@ -503,6 +503,14 @@ func (pl *Pool) BusyIntegral() float64 {
 	return pl.busyIntegral + busy
 }
 
+// SaturatedIntegral returns the accumulated time the pool spent full with
+// waiters queued; window samplers diff successive readings to compute
+// per-window saturation. Pure read: never mutates the pool.
+func (pl *Pool) SaturatedIntegral() time.Duration {
+	_, _, _, sat := pl.pending()
+	return pl.satTime + sat
+}
+
 // Audit checks the pool's conservation invariants: every counter
 // non-negative, leaked units covered by in-use units, waits covered by
 // grants, and the occupancy histogram accounting for every nanosecond

@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -170,5 +171,50 @@ func TestResizeOverfullCountsAsSaturated(t *testing.T) {
 	if st.Saturated < 0.4 {
 		t.Errorf("saturated fraction %v, want substantial", st.Saturated)
 	}
+	env.Shutdown()
+}
+
+// TestSaturatedIntegralMatchesStats reads the saturation integral over a
+// window that starts at a ResetStats: its change equals Stats().Saturated
+// times the window's length at every reading, through time full without
+// waiters, queued behind a full pool, and over-full after a shrink.
+func TestSaturatedIntegralMatchesStats(t *testing.T) {
+	env := des.NewEnv()
+	pl := NewPool(env, "tp", 2)
+	for _, name := range []string{"a", "b"} {
+		env.Go(name, func(p *des.Proc) {
+			pl.Acquire(p)
+			p.Sleep(10 * time.Second)
+			pl.Release()
+		})
+	}
+	env.Go("waiter", func(p *des.Proc) {
+		p.Sleep(3 * time.Second)
+		pl.Acquire(p) // queued from t=3 until a holder leaves at t=10
+		p.Sleep(time.Second)
+		pl.Release()
+	})
+	var mark time.Duration
+	env.At(time.Second, func() {
+		pl.ResetStats()
+		mark = pl.SaturatedIntegral()
+	})
+	env.At(5*time.Second, func() { pl.Resize(1) })
+	for at, want := range map[time.Duration]float64{
+		2 * time.Second:          0, // full, nobody waiting
+		4 * time.Second:          1,
+		7 * time.Second:          4, // over-full after the shrink, still queued
+		10500 * time.Millisecond: 7,
+		15 * time.Second:         7,
+	} {
+		env.At(at, func() {
+			got := (pl.SaturatedIntegral() - mark).Seconds()
+			fromStats := pl.Stats().Saturated * (at - time.Second).Seconds()
+			if math.Abs(got-fromStats) > 1e-9 || math.Abs(got-want) > 1e-9 {
+				t.Errorf("at %v: saturated integral %vs, Stats %vs, want %vs", at, got, fromStats, want)
+			}
+		})
+	}
+	env.Run(20 * time.Second)
 	env.Shutdown()
 }

@@ -72,16 +72,19 @@ func (cfg CampaignConfig) Fingerprint() string {
 	g := cfg.Gen
 	g.applyDefaults()
 	h := sha256.New()
-	fmt.Fprintf(h, "hw=%v soft=%v seed=%d node=%+v lat=%d clink=%g nogc=%t nofin=%t",
-		o.Hardware, o.Soft, o.Seed, o.NodeSpec, int64(o.LinkLatency), o.ClientLinkMbps, o.DisableGC, o.DisableFinWait)
-	fmt.Fprintf(h, " tuneA=%t tuneT=%t tuneC=%t", o.TuneApache != nil, o.TuneTomcat != nil, o.TuneCJDBC != nil)
+	// The node, lat, clink, tuneA and p95s slots print what settings since
+	// made constants printed by default, so state directories written
+	// before keep their fingerprints.
+	fmt.Fprintf(h, "hw=%v soft=%v seed=%d node={Name: Cores:0 MemoryMiB:0} lat=0 clink=0 nogc=%t nofin=%t",
+		o.Hardware, o.Soft, o.Seed, o.DisableGC, o.DisableFinWait)
+	fmt.Fprintf(h, " tuneA=false tuneT=%t tuneC=%t", o.TuneTomcat != nil, o.TuneCJDBC != nil)
 	if o.Resilience != nil {
 		fmt.Fprintf(h, " res=%s", o.Resilience.Fingerprint())
 	}
 	fmt.Fprintf(h, " users=%d think=%d ramp=%d baseline=%d grace=%d recovery=%d drain=%d",
 		t.Users, int64(t.ThinkMean), int64(t.RampUp), int64(t.Baseline), int64(t.Grace), int64(t.Recovery), int64(t.DrainBudget))
 	fmt.Fprintf(h, " gtol=%g p95f=%g p95s=%d deficit=%d",
-		t.GoodputTol, t.P95Factor, int64(t.P95Slack), t.LeakRestoreDeficit)
+		t.GoodputTol, t.P95Factor, int64(p95Slack), t.LeakRestoreDeficit)
 	fmt.Fprintf(h, " gen=%+v base=%d shrink=%d", g, cfg.BaseSeed, cfg.ShrinkBudget)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

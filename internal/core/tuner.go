@@ -27,6 +27,18 @@ import (
 	"github.com/softres/ntier/internal/testbed"
 )
 
+// The algorithm's own constants: sla is the response-time bound whose
+// satisfaction ratio drives the intervention analysis, webBufferFactor
+// oversizes the web tier's thread pool relative to its Little's-law jobs
+// (the §III-C request buffer), and maxDoublings and maxWorkload bound the
+// soft-allocation doubling loop and the workload ramp.
+const (
+	sla             = 2 * time.Second
+	webBufferFactor = 2
+	maxDoublings    = 6
+	maxWorkload     = 20000
+)
+
 // Config tunes the allocation algorithm.
 type Config struct {
 	// Base describes the hardware configuration, initial soft allocation
@@ -41,18 +53,6 @@ type Config struct {
 	// InferMinConcurrentJobs (default 400).
 	Step, SmallStep int
 
-	// SLA is the response-time bound whose satisfaction ratio drives the
-	// intervention analysis (default 2s).
-	SLA time.Duration
-	// WebBufferFactor oversizes the web tier's thread pool relative to its
-	// Little's-law jobs, providing the §III-C request buffer (default 2).
-	WebBufferFactor float64
-
-	// MaxDoublings bounds the soft-allocation doubling loop (default 6);
-	// MaxWorkload bounds the ramp (default 20000 users).
-	MaxDoublings int
-	MaxWorkload  int
-
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -63,18 +63,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SmallStep <= 0 {
 		c.SmallStep = 400
-	}
-	if c.SLA == 0 {
-		c.SLA = 2 * time.Second
-	}
-	if c.WebBufferFactor <= 0 {
-		c.WebBufferFactor = 2
-	}
-	if c.MaxDoublings <= 0 {
-		c.MaxDoublings = 6
-	}
-	if c.MaxWorkload <= 0 {
-		c.MaxWorkload = 20000
 	}
 }
 
@@ -162,8 +150,8 @@ func (c *Config) runBatch(soft testbed.SoftAlloc, workloads []int) ([]*experimen
 	}
 	knobs := []string{fmt.Sprint(c.Step), fmt.Sprint(c.SmallStep),
 		fmt.Sprint(obs.DefaultHWSaturation), fmt.Sprint(obs.DefaultSoftSaturation),
-		fmt.Sprint(c.SLA), fmt.Sprint(c.WebBufferFactor),
-		fmt.Sprint(c.MaxDoublings), fmt.Sprint(c.MaxWorkload)}
+		fmt.Sprint(sla), fmt.Sprint(webBufferFactor),
+		fmt.Sprint(maxDoublings), fmt.Sprint(maxWorkload)}
 	return experiment.Outs(experiment.RunTrials(c.Base, "tune", knobs, cfgs))
 }
 
@@ -182,7 +170,7 @@ func rampWorkloads(start, step, max, n int) []int {
 // the same detection rules `ntier report` applies — replacing the
 // tuner's former ad-hoc saturation scan.
 func (c *Config) judge(res *experiment.Result) obs.Verdict {
-	return obs.Judge(experiment.Summarize(res, c.SLA), obs.JudgeConfig{})
+	return obs.Judge(experiment.Summarize(res, sla), obs.JudgeConfig{})
 }
 
 // softNames lists the saturated pools' names for logging.
@@ -205,7 +193,7 @@ ramp:
 		users := c.Step
 		tpMax := -1.0
 		for {
-			batch := rampWorkloads(users, c.Step, c.MaxWorkload, c.batchSize())
+			batch := rampWorkloads(users, c.Step, maxWorkload, c.batchSize())
 			results, err := c.runBatch(soft, batch)
 			if err != nil {
 				return err
@@ -231,7 +219,7 @@ ramp:
 					return nil
 				}
 				if softSat := softNames(v.SaturatedSoft); len(softSat) > 0 {
-					if rep.Doublings >= c.MaxDoublings {
+					if rep.Doublings >= maxDoublings {
 						return fmt.Errorf("core: soft resources still saturate after %d doublings (%v)", rep.Doublings, softSat)
 					}
 					rep.Doublings++
@@ -257,8 +245,8 @@ ramp:
 				}
 			}
 			users = batch[len(batch)-1] + c.Step
-			if users > c.MaxWorkload {
-				return fmt.Errorf("core: no saturation below %d users", c.MaxWorkload)
+			if users > maxWorkload {
+				return fmt.Errorf("core: no saturation below %d users", maxWorkload)
 			}
 		}
 	}
@@ -305,7 +293,7 @@ func (c *Config) inferMinConcurrentJobs(rep *Report) error {
 	declines := 0
 ramp:
 	for {
-		batch := rampWorkloads(users, c.SmallStep, c.MaxWorkload, c.batchSize())
+		batch := rampWorkloads(users, c.SmallStep, maxWorkload, c.batchSize())
 		batchRes, err := c.runBatch(rep.ReservedSoft, batch)
 		if err != nil {
 			return err
@@ -313,7 +301,7 @@ ramp:
 		for bi, res := range batchRes {
 			wl := batch[bi]
 			tp := res.Throughput()
-			sat := res.SLA.SatisfactionRatio(c.SLA)
+			sat := res.SLA.SatisfactionRatio(sla)
 			workloads = append(workloads, wl)
 			slo = append(slo, sat)
 			results = append(results, res)
@@ -332,7 +320,7 @@ ramp:
 			}
 		}
 		users = batch[len(batch)-1] + c.SmallStep
-		if users > c.MaxWorkload {
+		if users > maxWorkload {
 			break
 		}
 	}
@@ -360,7 +348,7 @@ ramp:
 		}
 	}
 	if k < 0 {
-		k = stats.DetectIntervention(slo, stats.Decrease, stats.InterventionConfig{})
+		k = stats.DetectIntervention(slo, stats.Decrease)
 	}
 	if k < 0 {
 		// Fall back to the response-time series.
@@ -368,7 +356,7 @@ ramp:
 		for _, r := range results {
 			rts = append(rts, r.MeanRT().Seconds())
 		}
-		k = stats.DetectIntervention(rts, stats.Increase, stats.InterventionConfig{})
+		k = stats.DetectIntervention(rts, stats.Increase)
 	}
 	if k < 0 {
 		// Last resort: the point of maximum throughput.
@@ -473,7 +461,7 @@ func (c *Config) calculateMinAllocation(rep *Report) error {
 		// pool behind must not congest the critical tier: >= minJobs.
 		rec.AppThreads = minJobs
 		rec.AppConns = minJobs
-		rec.WebThreads = ceil(apache.Jobs * c.WebBufferFactor)
+		rec.WebThreads = ceil(apache.Jobs * webBufferFactor)
 		tomcat.Recommended = rec.AppThreads
 		apache.Recommended = rec.WebThreads
 		cjdbc.Recommended = rec.AppConns // one C-JDBC thread per connection
@@ -486,7 +474,7 @@ func (c *Config) calculateMinAllocation(rep *Report) error {
 		apps := rep.Hardware.App
 		rec.AppConns = ceil(rep.MinJobs / float64(apps))
 		rec.AppThreads = ceil(tomcat.Jobs)
-		rec.WebThreads = ceil(apache.Jobs * c.WebBufferFactor)
+		rec.WebThreads = ceil(apache.Jobs * webBufferFactor)
 		cjdbc.Recommended = minJobs
 		tomcat.Recommended = rec.AppThreads
 		apache.Recommended = rec.WebThreads
@@ -498,7 +486,7 @@ func (c *Config) calculateMinAllocation(rep *Report) error {
 		tomcat.Recommended = rec.AppThreads
 	case "mysql":
 		// Behind every pool: everything upstream sized to its jobs.
-		rec.WebThreads = ceil(apache.Jobs * c.WebBufferFactor)
+		rec.WebThreads = ceil(apache.Jobs * webBufferFactor)
 		rec.AppThreads = ceil(tomcat.Jobs)
 		rec.AppConns = ceil(tomcat.Jobs)
 	default:

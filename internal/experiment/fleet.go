@@ -267,7 +267,7 @@ func tenantRun(base RunConfig, t *fleet.Tenant) RunConfig {
 	rc := base
 	rc.Testbed = testbed.Options{Hardware: t.Spec.Hardware, Soft: t.Spec.Soft, Seed: t.Seed}
 	rc.Users, rc.Arrivals, rc.Mix = t.Spec.Users, t.Spec.Arrivals, t.Spec.Mix
-	rc.ThinkMean, rc.ClientNodes = max(t.Spec.ThinkMean, 0), 0
+	rc.ThinkMean = max(t.Spec.ThinkMean, 0)
 	rc.Deadline, rc.Timeline, rc.WindowUtil, rc.TraceEvery = 0, false, false, 0
 	rc.Obs.SLA = t.Spec.SLO
 	if rc.Obs.SLA <= 0 {
@@ -278,11 +278,13 @@ func tenantRun(base RunConfig, t *fleet.Tenant) RunConfig {
 }
 
 // fleetFingerprint pins everything outcome-determining beyond the base
-// RunConfig: the pool, the roster, the grid axes, and the SLO target.
+// RunConfig: the pool, the roster, the grid axes, and the SLO target. The
+// node and lat slots print what the settings since made constants printed
+// by default, so state directories written before keep their fingerprints.
 func fleetFingerprint(cfg FleetSweepConfig) []string {
 	o := cfg.Fleet
-	parts := []string{fmt.Sprintf("pool=%d/%d node=%+v lat=%d seed=%d budget=%d",
-		o.Nodes, o.SlotsPerNode, o.NodeSpec, int64(o.LinkLatency), o.Seed, o.BudgetUnits)}
+	parts := []string{fmt.Sprintf("pool=%d/%d node={Name: Cores:0 MemoryMiB:0} lat=0 seed=%d budget=%d",
+		o.Nodes, o.SlotsPerNode, o.Seed, o.BudgetUnits)}
 	if o.Demands != nil {
 		parts = append(parts, fmt.Sprintf("demands=%+v", *o.Demands))
 	}

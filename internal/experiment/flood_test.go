@@ -59,7 +59,7 @@ func runFlood(t *testing.T, rate float64) floodOutcome {
 		t.Fatal(err)
 	}
 
-	hops := int(math.Ceil(rate * 2 * tb.Opts.LinkLatency.Seconds()))
+	hops := int(math.Ceil(rate * 2 * testbed.LinkLatency.Seconds()))
 	out := floodOutcome{bound: res.Backlog + tb.Apaches[0].Workers.Capacity() + 2*hops}
 	for at := 100 * time.Millisecond; at <= ramp+measure; at += 100 * time.Millisecond {
 		env.Run(at)

@@ -68,7 +68,7 @@ func TestObsNonPerturbing(t *testing.T) {
 
 	observed := obsBase(t, "1/2/1/2", "400-6-6", 10*time.Second, 20*time.Second)
 	observed.ObsDir = t.TempDir()
-	observed.Obs = obs.Config{Interval: time.Second, SLA: 2 * time.Second}
+	observed.Obs = obs.Config{SLA: 2 * time.Second}
 	c2, err := WorkloadSweep(observed, users)
 	if err != nil {
 		t.Fatal(err)

@@ -210,24 +210,26 @@ func Fingerprint(base RunConfig, extra ...string) string {
 // canonical string. Tuning hooks are closures and cannot be hashed; their
 // presence is recorded so a tuned run at least never matches an untuned
 // journal. All other fields are plain values with deterministic %v
-// renderings.
+// renderings. The node, lat, clink, tuneA, clients and traceKeep slots
+// print what settings since made constants printed by default, so state
+// directories written before keep their fingerprints.
 func (c RunConfig) fingerprintBase() string {
 	c.applyDefaults()
 	o := c.Testbed
 	var b strings.Builder
-	fmt.Fprintf(&b, "hw=%v soft=%v seed=%d node=%+v lat=%d clink=%g",
-		o.Hardware, o.Soft, o.Seed, o.NodeSpec, int64(o.LinkLatency), o.ClientLinkMbps)
-	fmt.Fprintf(&b, " tuneA=%t tuneT=%t tuneC=%t", o.TuneApache != nil, o.TuneTomcat != nil, o.TuneCJDBC != nil)
+	fmt.Fprintf(&b, "hw=%v soft=%v seed=%d node={Name: Cores:0 MemoryMiB:0} lat=0 clink=0",
+		o.Hardware, o.Soft, o.Seed)
+	fmt.Fprintf(&b, " tuneA=false tuneT=%t tuneC=%t", o.TuneTomcat != nil, o.TuneCJDBC != nil)
 	if o.Resilience != nil {
 		fmt.Fprintf(&b, " res=%s", o.Resilience.Fingerprint())
 	}
 	fmt.Fprintf(&b, " nogc=%t nofin=%t", o.DisableGC, o.DisableFinWait)
 	mix := sha256.Sum256([]byte(fmt.Sprintf("%+v", *c.Mix)))
 	fmt.Fprintf(&b, " mix=%s think=%d clients=%d ramp=%d measure=%d th=%v",
-		hex.EncodeToString(mix[:8]), int64(c.ThinkMean), c.ClientNodes,
+		hex.EncodeToString(mix[:8]), int64(c.ThinkMean), clientNodes,
 		int64(c.RampUp), int64(c.Measure), c.Thresholds)
-	fmt.Fprintf(&b, " timeline=%t window=%t traceEvery=%d traceKeep=%d",
-		c.Timeline, c.WindowUtil, c.TraceEvery, c.TraceKeep)
+	fmt.Fprintf(&b, " timeline=%t window=%t traceEvery=%d traceKeep=0",
+		c.Timeline, c.WindowUtil, c.TraceEvery)
 	// Open-system fields are appended only when present, so every
 	// closed-loop fingerprint (and its journals) predating them is
 	// unchanged.

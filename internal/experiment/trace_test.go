@@ -12,7 +12,6 @@ func TestRunWithTracing(t *testing.T) {
 	cfg.RampUp = 10 * time.Second
 	cfg.Measure = 15 * time.Second
 	cfg.TraceEvery = 50
-	cfg.TraceKeep = 8
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -20,8 +19,8 @@ func TestRunWithTracing(t *testing.T) {
 	if len(res.Traces) == 0 {
 		t.Fatal("no traces collected")
 	}
-	if len(res.Traces) > 8 {
-		t.Fatalf("retained %d traces, cap 8", len(res.Traces))
+	if len(res.Traces) > traceKeep {
+		t.Fatalf("retained %d traces, cap %d", len(res.Traces), traceKeep)
 	}
 	tr := res.Traces[len(res.Traces)-1]
 	if tr.RT() <= 0 {

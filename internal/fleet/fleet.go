@@ -62,9 +62,6 @@ type Options struct {
 	Nodes        int
 	SlotsPerNode int
 
-	NodeSpec    hw.Spec       // hardware per pool node (default PC3000)
-	LinkLatency time.Duration // tier-to-tier hop (testbed default)
-
 	Seed      uint64
 	Placement Placement // default SPREAD
 	Tenants   []TenantSpec
@@ -82,9 +79,6 @@ type Options struct {
 func (o *Options) applyDefaults() {
 	if o.SlotsPerNode <= 0 {
 		o.SlotsPerNode = 2
-	}
-	if o.NodeSpec.Cores == 0 {
-		o.NodeSpec = hw.PC3000()
 	}
 	if o.Placement == "" {
 		o.Placement = PlacementSpread
@@ -168,7 +162,7 @@ func Build(opts Options) (*Fleet, error) {
 	env := des.NewEnv()
 	f := &Fleet{Env: env, Opts: opts, Plan: plan}
 	for i := 0; i < opts.Nodes; i++ {
-		f.Pool = append(f.Pool, hw.NewNode(env, fmt.Sprintf("node%d", i+1), opts.NodeSpec))
+		f.Pool = append(f.Pool, hw.NewNode(env, fmt.Sprintf("node%d", i+1), hw.PC3000()))
 	}
 
 	for ti, spec := range opts.Tenants {
@@ -176,14 +170,12 @@ func Build(opts Options) (*Fleet, error) {
 		seed := rng.SubSeed(opts.Seed, "tenant/"+spec.Name)
 		var placeErr error
 		tb, berr := testbed.Build(testbed.Options{
-			Hardware:    spec.Hardware,
-			Soft:        spec.Soft,
-			Seed:        seed,
-			Env:         env,
-			Namespace:   spec.Name,
-			NodeSpec:    opts.NodeSpec,
-			LinkLatency: opts.LinkLatency,
-			Place: func(name string, _ hw.Spec) *hw.Node {
+			Hardware:  spec.Hardware,
+			Soft:      spec.Soft,
+			Seed:      seed,
+			Env:       env,
+			Namespace: spec.Name,
+			Place: func(name string) *hw.Node {
 				ni, ok := byServer[name]
 				if !ok {
 					// Unreachable as long as Plan and testbed.Build agree

@@ -300,7 +300,7 @@ func TestApplySoftTenantIsolation(t *testing.T) {
 	beforeCaps := capsOf(b)
 	beforeUnits := b.TB.SoftUnits()
 
-	rec := obs.Attach(b.TB, 0, obs.Config{Interval: time.Second})
+	rec := obs.Attach(b.TB, 0, obs.Config{})
 	startLoads(t, f, nil)
 	f.Env.Run(5 * time.Second)
 	resized := testbed.SoftAlloc{WebThreads: 200, AppThreads: 24, AppConns: 12}

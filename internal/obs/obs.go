@@ -29,11 +29,12 @@ import (
 	"github.com/softres/ntier/internal/testbed"
 )
 
+// SampleInterval is the recorder's raw sampling grid in simulated time:
+// the paper's SysStat granularity.
+const SampleInterval = time.Second
+
 // Config tunes the recorder. Zero values take the defaults.
 type Config struct {
-	// Interval is the sampling grid in simulated time (default 1s — the
-	// paper's SysStat granularity).
-	Interval time.Duration
 	// MaxSamples bounds stored samples per series (default 512). When a
 	// series fills, adjacent samples are merged pairwise and the stored
 	// resolution halves — memory stays bounded for arbitrarily long runs.
@@ -44,9 +45,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
 	if c.MaxSamples <= 0 {
 		c.MaxSamples = 512
 	}
@@ -185,7 +183,7 @@ func (r *Recorder) arm() {
 		} else {
 			r.sample()
 		}
-		r.env.After(r.cfg.Interval, tick)
+		r.env.After(SampleInterval, tick)
 	}
 	r.env.At(r.start+time.Nanosecond, tick)
 }
@@ -194,7 +192,7 @@ func (r *Recorder) arm() {
 // the current aggregation group, and store the group mean once `stride`
 // raw ticks have accumulated.
 func (r *Recorder) sample() {
-	window := r.cfg.Interval.Seconds()
+	window := SampleInterval.Seconds()
 	for i, p := range r.probes {
 		var v float64
 		switch p.kind {
@@ -248,7 +246,7 @@ func (r *Recorder) decimate() {
 }
 
 // Stride returns the current decimation factor (raw ticks per stored
-// sample); the effective grid is Interval * Stride.
+// sample); the effective grid is SampleInterval * Stride.
 func (r *Recorder) Stride() int { return r.stride }
 
 // Snapshot freezes the recorded series into a TrialObs, attaching the
@@ -256,7 +254,7 @@ func (r *Recorder) Stride() int { return r.stride }
 // over the ticks it covers. The recorder itself is left untouched.
 func (r *Recorder) Snapshot(summary TrialSummary) *TrialObs {
 	t := &TrialObs{
-		Interval: (time.Duration(r.stride) * r.cfg.Interval).Seconds(),
+		Interval: (time.Duration(r.stride) * SampleInterval).Seconds(),
 		Start:    r.start.Seconds(),
 		Summary:  summary,
 	}

@@ -14,7 +14,7 @@ import (
 // sampling path. The aggregation and decimation logic is identical to the
 // attached path; only the scheduling differs.
 func feedRecorder(maxSamples int, ticks []float64) *Recorder {
-	r := &Recorder{cfg: Config{Interval: time.Second, MaxSamples: maxSamples, SLA: time.Second}, stride: 1}
+	r := &Recorder{cfg: Config{MaxSamples: maxSamples, SLA: time.Second}, stride: 1}
 	i := -1
 	r.gauge("g", func() float64 { return ticks[i] })
 	r.partial = make([]float64, 1)
@@ -73,7 +73,7 @@ func TestSnapshotFlushesPartialGroup(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.applyDefaults()
-	if c.Interval != time.Second || c.MaxSamples != 512 || c.SLA != 2*time.Second {
+	if c.MaxSamples != 512 || c.SLA != 2*time.Second {
 		t.Fatalf("defaults = %+v", c)
 	}
 	odd := Config{MaxSamples: 7}

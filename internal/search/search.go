@@ -23,9 +23,8 @@ type Options struct {
 	// every trial.
 	Base experiment.RunConfig
 
-	// Candidates is the explicit allocation pool. When nil it is the cross
-	// product of the WebThreads × AppThreads × AppConns axes.
-	Candidates                       []testbed.SoftAlloc
+	// The candidate allocations are the cross product of the
+	// WebThreads × AppThreads × AppConns axes.
 	WebThreads, AppThreads, AppConns []int
 
 	// Workloads is the rung ladder: rung r re-evaluates the survivors at
@@ -68,25 +67,6 @@ func (o *Options) applyDefaults() error {
 	if o.Budget < 2 {
 		return fmt.Errorf("search: budget %d leaves no trials after calibration", o.Budget)
 	}
-	if o.Candidates == nil {
-		for _, w := range o.WebThreads {
-			for _, a := range o.AppThreads {
-				for _, c := range o.AppConns {
-					o.Candidates = append(o.Candidates, testbed.SoftAlloc{
-						WebThreads: w, AppThreads: a, AppConns: c,
-					})
-				}
-			}
-		}
-	}
-	if len(o.Candidates) == 0 {
-		return fmt.Errorf("search: no candidate allocations (set Candidates or the three axes)")
-	}
-	for _, c := range o.Candidates {
-		if err := c.Validate(); err != nil {
-			return err
-		}
-	}
 	if len(o.Base.Thresholds) == 0 {
 		o.Base.Thresholds = sla.StandardThresholds
 	}
@@ -112,6 +92,26 @@ func (o *Options) applyDefaults() error {
 	}
 	o.Workloads = dedup
 	return nil
+}
+
+// candidates is the cross product of the three allocation axes.
+func (o *Options) candidates() ([]testbed.SoftAlloc, error) {
+	var cands []testbed.SoftAlloc
+	for _, w := range o.WebThreads {
+		for _, a := range o.AppThreads {
+			for _, c := range o.AppConns {
+				soft := testbed.SoftAlloc{WebThreads: w, AppThreads: a, AppConns: c}
+				if err := soft.Validate(); err != nil {
+					return nil, err
+				}
+				cands = append(cands, soft)
+			}
+		}
+	}
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("search: no candidate allocations (set the three axes)")
+	}
+	return cands, nil
 }
 
 // Point is one measured (allocation, workload) trial of the search.
@@ -176,13 +176,14 @@ type candidate struct {
 
 // searcher carries one run's working state.
 type searcher struct {
-	opts   Options
-	axes   []string // journal fingerprint axes: every search knob
-	sur    *Surrogate
-	out    *Outcome
-	used   int
-	slaIdx int
-	cache  map[string]*evalRec
+	opts       Options
+	candidates []testbed.SoftAlloc
+	axes       []string // journal fingerprint axes: every search knob
+	sur        *Surrogate
+	out        *Outcome
+	used       int
+	slaIdx     int
+	cache      map[string]*evalRec
 }
 
 // Run executes the search: calibrate the surrogate, pre-rank the
@@ -192,9 +193,14 @@ func Run(opts Options) (*Outcome, error) {
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
 	}
+	cands, err := opts.candidates()
+	if err != nil {
+		return nil, err
+	}
 	s := &searcher{
-		opts: opts,
-		axes: []string{fmt.Sprint(opts.Workloads), fmt.Sprint(opts.Candidates),
+		opts:       opts,
+		candidates: cands,
+		axes: []string{fmt.Sprint(opts.Workloads), fmt.Sprint(cands),
 			fmt.Sprint(opts.Budget), opts.SLA.String(), fmt.Sprint(opts.Eta), fmt.Sprint(opts.Keep)},
 		out:   &Outcome{Thresholds: opts.Base.Thresholds, SLA: opts.SLA},
 		cache: make(map[string]*evalRec),
@@ -302,8 +308,8 @@ func (s *searcher) search() error {
 		s.sur.DiskDemand, s.sur.Think)
 
 	// Surrogate pre-ranking of every candidate.
-	cands := make([]candidate, 0, len(o.Candidates))
-	for _, soft := range o.Candidates {
+	cands := make([]candidate, 0, len(s.candidates))
+	for _, soft := range s.candidates {
 		score, err := s.sur.Score(soft, o.Workloads, o.SLA)
 		if err != nil {
 			return err

@@ -290,7 +290,7 @@ func TestOptionsValidation(t *testing.T) {
 		{"budget too small", func(o *Options) { o.Budget = 1 }},
 		{"sla not a threshold", func(o *Options) { o.SLA = 42 * time.Second }},
 		{"invalid candidate", func(o *Options) {
-			o.Candidates = []testbed.SoftAlloc{{WebThreads: 0, AppThreads: 1, AppConns: 1}}
+			o.WebThreads = []int{0}
 		}},
 		{"no candidates", func(o *Options) {
 			o.WebThreads, o.AppThreads, o.AppConns = nil, nil, nil

@@ -46,21 +46,15 @@ const (
 	Decrease
 )
 
-// InterventionConfig tunes the change-point detection.
-type InterventionConfig struct {
-	// MinPre is the minimum number of pre-intervention points forming the
-	// stable baseline (default 3).
-	MinPre int
-	// Sigmas is the baseline-noise multiple a point must exceed to count
-	// as an intervention (default 4).
-	Sigmas float64
-	// MinShift is the minimum absolute deviation to accept, guarding
-	// against flagging negligible drifts in very quiet baselines.
-	MinShift float64
-	// RelShift is the minimum deviation as a fraction of the baseline mean
-	// (default 0.05). The effective threshold is the max of all three.
-	RelShift float64
-}
+// The change-point detection's thresholds: the baseline holds at least
+// interventionMinPre points, and a point must deviate from its mean by
+// more than interventionSigmas baseline deviations and by more than
+// interventionRelShift of the mean.
+const (
+	interventionMinPre   = 3
+	interventionSigmas   = 4
+	interventionRelShift = 0.05
+)
 
 // DetectIntervention locates the first index k at which ys deviates from
 // the preceding stable baseline by more than the noise threshold, in the
@@ -68,16 +62,7 @@ type InterventionConfig struct {
 // paper's intervention analysis on SLO satisfaction: stable under low
 // workload, deteriorating once the critical resource saturates). It returns
 // the index of the last stable point, or -1 if no intervention is found.
-func DetectIntervention(ys []float64, dir Direction, cfg InterventionConfig) int {
-	if cfg.MinPre < 2 {
-		cfg.MinPre = 3
-	}
-	if cfg.Sigmas <= 0 {
-		cfg.Sigmas = 4
-	}
-	if cfg.RelShift <= 0 {
-		cfg.RelShift = 0.05
-	}
+func DetectIntervention(ys []float64, dir Direction) int {
 	dev := func(baseline, y float64) float64 {
 		if dir == Decrease {
 			return baseline - y
@@ -85,11 +70,11 @@ func DetectIntervention(ys []float64, dir Direction, cfg InterventionConfig) int
 		return y - baseline
 	}
 	n := len(ys)
-	for k := cfg.MinPre; k < n; k++ {
+	for k := interventionMinPre; k < n; k++ {
 		pre := ys[:k]
 		m := Mean(pre)
 		sd := math.Sqrt(Variance(pre))
-		thresh := math.Max(cfg.Sigmas*sd, math.Max(cfg.MinShift, cfg.RelShift*math.Abs(m)))
+		thresh := math.Max(interventionSigmas*sd, interventionRelShift*math.Abs(m))
 		if thresh == 0 {
 			thresh = 1e-12
 		}

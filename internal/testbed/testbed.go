@@ -15,6 +15,9 @@ import (
 	"github.com/softres/ntier/internal/tier"
 )
 
+// LinkLatency is the tier-to-tier hop of the paper's LAN.
+const LinkLatency = 700 * time.Microsecond
+
 // Options configures a topology build. Zero values take the paper defaults.
 type Options struct {
 	Hardware Hardware
@@ -35,21 +38,11 @@ type Options struct {
 	// Place, when set, supplies the hardware node hosting each
 	// (namespaced) server — the fleet maps several servers onto one
 	// physical node via hw.Node.Alias. Nil keeps the paper's dedicated
-	// node per server.
-	Place func(name string, spec hw.Spec) *hw.Node
-
-	NodeSpec    hw.Spec       // hardware per node (default PC3000)
-	LinkLatency time.Duration // tier-to-tier hop (default 700µs)
-
-	// ClientLinkMbps, when positive, models the client-facing network
-	// segment as a shared capacity-limited link: responses contend for
-	// bandwidth on their way out. 0 disables the model (the paper's
-	// 1 Gbps LAN never binds).
-	ClientLinkMbps float64
+	// PC3000 node per server.
+	Place func(name string) *hw.Node
 
 	// Tune hooks adjust the per-server model configurations after the
 	// defaults are applied (calibration and ablation knobs).
-	TuneApache func(*tier.ApacheConfig)
 	TuneTomcat func(*tier.TomcatConfig)
 	TuneCJDBC  func(*tier.CJDBCConfig)
 
@@ -75,10 +68,6 @@ type Testbed struct {
 	Tomcats []*tier.Tomcat
 	CJDBCs  []*tier.CJDBC
 	MySQLs  []*tier.MySQL
-
-	// ClientLink is the shared client-facing segment (nil unless
-	// Options.ClientLinkMbps is set).
-	ClientLink *netsim.SharedLink
 
 	// LinkSpike injects extra latency into every tier-to-tier hop (the
 	// fault injector's "link" target); zero extra means no change.
@@ -107,18 +96,12 @@ func Build(opts Options) (*Testbed, error) {
 	if opts.Hardware.Web > math.MaxUint16+1 {
 		return nil, fmt.Errorf("testbed: %d web servers, at most %d", opts.Hardware.Web, math.MaxUint16+1)
 	}
-	if opts.NodeSpec.Cores == 0 {
-		opts.NodeSpec = hw.PC3000()
-	}
-	if opts.LinkLatency == 0 {
-		opts.LinkLatency = 700 * time.Microsecond
-	}
 	env := opts.Env
 	if env == nil {
 		env = des.NewEnv()
 	}
 	spike := &netsim.Spike{}
-	link := netsim.Link{Latency: opts.LinkLatency, Spike: spike}
+	link := netsim.Link{Latency: LinkLatency, Spike: spike}
 	tb := &Testbed{Env: env, Opts: opts, Table: rubbos.NewTable(),
 		LinkSpike: spike, ownsEnv: opts.Env == nil}
 
@@ -128,9 +111,9 @@ func Build(opts Options) (*Testbed, error) {
 	newNode := func(base string) *hw.Node {
 		name := tb.qualify(base)
 		if opts.Place != nil {
-			return opts.Place(name, opts.NodeSpec)
+			return opts.Place(name)
 		}
-		return hw.NewNode(env, name, opts.NodeSpec)
+		return hw.NewNode(env, name, hw.PC3000())
 	}
 
 	// Database tier. Every database node carries a disk for synchronous
@@ -189,26 +172,15 @@ func Build(opts Options) (*Testbed, error) {
 		c.SetUpstreamConns(perMid[i])
 	}
 
-	// Client-facing network segment.
-	var clientLink *netsim.SharedLink
-	if opts.ClientLinkMbps > 0 {
-		clientLink = netsim.NewSharedLink(env, tb.qualify("clientlink"), opts.ClientLinkMbps, opts.LinkLatency)
-		tb.ClientLink = clientLink
-	}
-
 	// Web tier.
 	for i := 0; i < opts.Hardware.Web; i++ {
 		cfg := tier.DefaultApacheConfig(opts.Soft.WebThreads)
-		if opts.TuneApache != nil {
-			opts.TuneApache(&cfg)
-		}
 		if opts.DisableFinWait {
 			cfg.Fin = netsim.FinConfig{}
 		}
 		node := newNode(fmt.Sprintf("apache%d", i+1))
 		r := rng.NewStream(opts.Seed, node.Name())
 		a := tier.NewApache(env, node, cfg, tb.Tomcats, link, r)
-		a.SetClientLink(clientLink)
 		if opts.Resilience != nil {
 			a.SetResilience(opts.Resilience, rng.NewStream(opts.Seed, node.Name()+"/resilience"))
 		}
@@ -398,9 +370,6 @@ func (tb *Testbed) Nodes() []*hw.Node {
 
 // ResetStats starts a fresh measurement window on every server.
 func (tb *Testbed) ResetStats() {
-	if tb.ClientLink != nil {
-		tb.ClientLink.ResetStats()
-	}
 	for _, a := range tb.Apaches {
 		a.ResetStats()
 	}

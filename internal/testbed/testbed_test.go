@@ -197,70 +197,6 @@ func TestHardwareUtilizationReported(t *testing.T) {
 	}
 }
 
-func TestClientLinkBindsWhenNarrow(t *testing.T) {
-	// With the paper's 1 Gbps segment the network never binds; squeeze it
-	// to 100 Mbps and the same workload caps on bandwidth: mean page ~50KB
-	// -> ~250 req/s tops.
-	run := func(mbps float64) (tp float64, util float64) {
-		opts := Options{
-			Hardware:       Hardware{1, 2, 1, 2},
-			Soft:           SoftAlloc{400, 30, 20},
-			Seed:           19,
-			ClientLinkMbps: mbps,
-		}
-		tb, err := Build(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tb.Close()
-		ccfg := rubbos.DefaultClientConfig(3000)
-		ccfg.RampUp = 10 * time.Second
-		var count uint64
-		start := 20 * time.Second
-		if _, err := tb.StartWorkload(ccfg, func(it *rubbos.Interaction, issued, rt time.Duration, err error) {
-			if issued >= start {
-				count++
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		tb.Env.Run(start)
-		tb.ResetStats()
-		tb.Env.Run(50 * time.Second)
-		u := 0.0
-		if tb.ClientLink != nil {
-			u = tb.ClientLink.Utilization()
-		}
-		return float64(count) / 30, u
-	}
-
-	wideTP, wideUtil := run(1000)
-	narrowTP, narrowUtil := run(100)
-	if wideUtil <= 0 || wideUtil > 0.5 {
-		t.Errorf("1 Gbps link utilization %v, want modest and positive", wideUtil)
-	}
-	if narrowUtil < 0.95 {
-		t.Errorf("100 Mbps link utilization %v, want saturated", narrowUtil)
-	}
-	if narrowTP > wideTP*0.8 {
-		t.Errorf("narrow link TP %.1f not clearly below wide link TP %.1f", narrowTP, wideTP)
-	}
-}
-
-func TestNoClientLinkByDefault(t *testing.T) {
-	tb, err := Build(Options{
-		Hardware: Hardware{1, 2, 1, 2},
-		Soft:     SoftAlloc{400, 15, 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-	if tb.ClientLink != nil {
-		t.Error("client link present without ClientLinkMbps")
-	}
-}
-
 // Past the knee a closed workload queues most of its requests for an
 // Apache worker, and a queued request holds no runner: the peak number of
 // runners bound at once stays within the worker pool plus the few

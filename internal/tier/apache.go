@@ -61,10 +61,6 @@ type Apache struct {
 	// tail (set by the topology builder).
 	finLoad float64
 
-	// clientLink, when set, is the shared capacity-limited segment the
-	// response is sent over (worker held during the send).
-	clientLink *netsim.SharedLink
-
 	// connecting counts workers interacting (or waiting to interact) with
 	// the Tomcat tier — Threads_connectingTomcat in Fig. 7(c).
 	connecting int
@@ -355,14 +351,6 @@ func (a *Apache) serve(p *des.Proc, it *rubbos.Interaction, admitted time.Durati
 	a.Node.CPU().Use(p, sampleMS(a.r, it.ApacheMS/2, it.CV))
 	addSpan(p, a.Node.Name(), "cpu", t0)
 
-	// Send the response (page plus static follow-ups) over the shared
-	// client-facing segment, still holding the worker.
-	if a.clientLink != nil {
-		t0 = p.Now()
-		a.clientLink.Transfer(p, it.ResponseKB)
-		addSpan(p, a.Node.Name(), "client-send", t0)
-	}
-
 	// The client has the full response at this point; the lingering close
 	// below holds the worker but adds nothing to the user-visible latency,
 	// so the deadline estimator observes time-to-response-delivered here.
@@ -448,10 +436,6 @@ func isDeadline(err error) bool {
 // SetFinLoad records the per-client-node user load (see
 // rubbos.Workload.UsersPerNode).
 func (a *Apache) SetFinLoad(usersPerNode float64) { a.finLoad = usersPerNode }
-
-// SetClientLink attaches the shared client-facing network segment (nil
-// disables the bandwidth model).
-func (a *Apache) SetClientLink(l *netsim.SharedLink) { a.clientLink = l }
 
 // ResetStats starts a new measurement window.
 func (a *Apache) ResetStats() {

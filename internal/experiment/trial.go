@@ -109,19 +109,17 @@ func Watchdog(ctx context.Context, timeout time.Duration, env *des.Env) (stop fu
 	}
 }
 
-// trialAborted classifies an interrupted DES run: the context's own error
-// when it was canceled, a *TimeoutError when the watchdog expired, nil
-// when the run completed undisturbed.
-func trialAborted(cfg RunConfig, env *des.Env) error {
+// Aborted classifies a run of env that Watchdog(ctx, timeout, env)
+// guarded: the context's own error when it was canceled, a *TimeoutError
+// when the watchdog expired, nil when the run completed undisturbed.
+func Aborted(ctx context.Context, timeout time.Duration, env *des.Env) error {
 	if !env.Interrupted() {
 		return nil
 	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return err
-		}
+	if err := ctxErr(ctx); err != nil {
+		return err
 	}
-	return &TimeoutError{Timeout: cfg.TrialTimeout, SimTime: env.Now()}
+	return &TimeoutError{Timeout: timeout, SimTime: env.Now()}
 }
 
 // ctxErr returns the context's error, tolerating a nil context.

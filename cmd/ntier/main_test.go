@@ -30,16 +30,15 @@ type flagCase struct {
 }
 
 // rejectsMalformedFlags checks that each malformed command line of sub
-// fails with an error that names the offending flag exactly once (shared
-// parser coverage lives in flags_test.go).
+// fails with the usage exit 2 and an error that names the offending flag
+// exactly once (shared parser coverage lives in flags_test.go).
 func rejectsMalformedFlags(t *testing.T, sub string, cases []flagCase) {
 	t.Helper()
 	for _, tc := range cases {
 		args := append([]string{sub}, tc.args...)
 		var stdout, stderr strings.Builder
-		code := run(args, &stdout, &stderr)
-		if code == 0 {
-			t.Errorf("run(%v) = 0, want non-zero", args)
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%v) = %d, want the usage exit 2", args, code)
 			continue
 		}
 		if line := firstLine(stderr.String()); mentions(line, tc.want) != 1 {

@@ -57,6 +57,9 @@ func runSearch(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return failUsage(fs, err)
 	}
+	if *budget < 2 {
+		return failUsage(fs, fmt.Errorf("-budget %d leaves no trials after the calibration trial", *budget))
+	}
 	webAxis := []int{tf.allocs[0].WebThreads}
 	if *webS != "" {
 		if webAxis, err = parseInts(*webS); err != nil {

@@ -93,7 +93,7 @@ func TestSearchRejectsMalformedFlags(t *testing.T) {
 		{[]string{"-conns", "z"}, "-conns"},
 		{[]string{"-web", "q"}, "-web"},
 		{[]string{"-resume"}, "-state-dir"},
-		{[]string{"-budget", "1"}, "budget"},
+		{[]string{"-budget", "1"}, "-budget"},
 		{[]string{"-no-such-flag"}, "-no-such-flag"},
 	})
 }

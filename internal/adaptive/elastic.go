@@ -340,27 +340,29 @@ func (c *ElasticController) scheduleControl() {
 // summarize reduces the window to the analyzer's per-trial aggregate,
 // through the builder experiment.Summarize uses, and records each axis's
 // peak occupancy. ok is false when a monitor reset (the ramp-end
-// ResetStats) shrank an integral mid-window, making the window unusable.
+// ResetStats) fell inside the window: the integrals then mix two
+// baselines, and some pool's occupancy histogram no longer covers exactly
+// the window. The testbed resets every monitor at once, so the pools'
+// histograms speak for the nodes' integrals too.
 func (c *ElasticController) summarize() (s obs.TrialSummary, ok bool) {
 	secs := c.cfg.Interval.Seconds()
 	var peak [numAxes]int
 	for i := range c.watched {
 		sv := &c.watched[i]
 		busy, gc, disk := sv.integrals()
-		if busy < sv.busy || gc < sv.gcTime || disk < sv.disk {
-			return s, false
-		}
 		pools := make([]resource.PoolStats, len(sv.pools))
 		for j, pl := range sv.pools {
 			m, st := sv.marks[j], pl.Stats()
 			b, sat := pl.BusyIntegral(), pl.SaturatedIntegral()
-			if b < m.busy || sat < m.sat {
-				return s, false
-			}
-			for l, d := range m.occ {
-				if st.OccTime[l] -= d; st.OccTime[l] < 0 {
-					return s, false
+			var covered time.Duration
+			for l := range st.OccTime {
+				if l < len(m.occ) {
+					st.OccTime[l] -= m.occ[l]
 				}
+				covered += st.OccTime[l]
+			}
+			if covered != c.cfg.Interval {
+				return s, false
 			}
 			st.Utilization = (b - m.busy) / secs / float64(st.Capacity)
 			st.Saturated = (sat - m.sat).Seconds() / secs

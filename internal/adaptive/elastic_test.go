@@ -288,3 +288,26 @@ func TestHeldPeakNeedsPeakHold(t *testing.T) {
 		t.Errorf("1s in total at or above 3: peak %d, want 3", got)
 	}
 }
+
+// A window that straddles the ramp-end ResetStats mixes two baselines, so
+// the controller skips it. The first window is the case to watch: its
+// baselines were all zero at attach, so no integral shrinks across the
+// reset. UNIFORM acts at its first usable window.
+func TestElasticSkipsWindowAcrossReset(t *testing.T) {
+	tb := buildTB(t, testbed.SoftAlloc{WebThreads: 60, AppThreads: 4, AppConns: 4}, 23)
+	ctl, err := AttachElastic(tb, ElasticConfig{Policy: PolicyUniform, Interval: 15 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := rubbos.DefaultClientConfig(300)
+	ccfg.RampUp = 5 * time.Second
+	if _, err := tb.StartWorkload(ccfg, func(*rubbos.Interaction, time.Duration, time.Duration, error) {}); err != nil {
+		t.Fatal(err)
+	}
+	tb.Env.At(10*time.Second, tb.ResetStats)
+	tb.Env.Run(31 * time.Second)
+	ds := ctl.Decisions()
+	if len(ds) == 0 || ds[0].At != 30*time.Second {
+		t.Fatalf("decisions %v; want the first at 30s, after the window the reset at 10s fell in", ds)
+	}
+}

@@ -51,7 +51,7 @@ func TestDigestPins(t *testing.T) {
 		run  func(t *testing.T, h hash.Hash) string
 		want string
 	}{
-		{"elastic-topjob-day", digestElasticDay, "c68eb7ac852a8b9aa8970645"},
+		{"elastic-topjob-day", digestElasticDay, "084ad0a61ea3ade0d9f19120"},
 		{"fleet-packed-3", digestPackedFleet, "ceb980a8e0c5aa3848392c5a"},
 		{"scenario-brownout-cjdbc", digestNamedScenario("brownout-cjdbc"), "b62c15ca4cc99f4b052f4c66"},
 		{"scenario-crash-tomcat", digestNamedScenario("crash-tomcat"), "d059342ca80cd696d714d56a"},
@@ -61,7 +61,7 @@ func TestDigestPins(t *testing.T) {
 		{"scenario-elastic-brownout", digestElasticScenario, "1e6ae238ec6f0429b795bc21"},
 		{"scenario-overload-shed", func(t *testing.T, h hash.Hash) string { return hashScenario(t, h, pinShedScenario(t)) }, "3743c5a982dffceeaa5585e2"},
 		{"flash-crowd", digestFlashCrowd, "19bb46727d0273c07d7c4a96"},
-		{"elastic-obs-snapshot", digestElasticObs, "921c197bdae719dbbe7f751a"},
+		{"elastic-obs-snapshot", digestElasticObs, "73c7365310b7a293c94781a7"},
 		{"fleet-open-tenant", digestOpenTenantFleet, "db256a411a0363dbbe541be6"},
 		{"fleet-interference", digestFleetInterference, "f78b02a957bf4db650d579ea"},
 		{"fleet-obs-snapshot", digestFleetObs, "d5b6f8a7db28b9b65bedcf7f"},
@@ -73,7 +73,7 @@ func TestDigestPins(t *testing.T) {
 		}), "94008799daeeecdb53b1debf"},
 		{"elastic-timeline-csv", digestTimelineCSV(func(t *testing.T) func(io.Writer) error {
 			return pinElasticDay(t).WriteTimelineCSV
-		}), "b45cc59046436def6a6b3568"},
+		}), "c0067d088551d70b696739c1"},
 		{"apache-timeline", digestApacheTimeline, "f1022533ed99f7512f8f503a"},
 	}
 	for _, tc := range cases {

@@ -289,8 +289,10 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 
 // elasticFingerprint pins everything outcome-determining that the base
 // RunConfig fingerprint misses: the grid axes, the controller knobs and
-// constants, and the open-system deadline (base.Arrivals is nil in the
-// base fingerprint).
+// constants, the open-system deadline (base.Arrivals is nil in the base
+// fingerprint), and the rule by which the controller skips a window that
+// straddles a monitor reset. The skip= part names the rule, so journals
+// decided under an earlier rule re-run instead of restoring.
 func elasticFingerprint(cfg ElasticSweepConfig) []string {
 	c := cfg.Controller
 	parts := []string{fmt.Sprint(cfg.Policies)}
@@ -304,7 +306,8 @@ func elasticFingerprint(cfg ElasticSweepConfig) []string {
 			fixedSlot(adaptive.GrowFactor, 1.5), fixedSlot(adaptive.ShrinkMargin, 1.25),
 			fixedSlot(adaptive.ShrinkTrigger, 2.0), fixedSlot(adaptive.Temperature, 5.0)),
 		fmt.Sprintf("window=%d sla=%d deadline=%d",
-			int64(cfg.Window), int64(cfg.GoodputThreshold), int64(cfg.Run.Deadline)))
+			int64(cfg.Window), int64(cfg.GoodputThreshold), int64(cfg.Run.Deadline)),
+		"skip=occ-cover")
 	return parts
 }
 

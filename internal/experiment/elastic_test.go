@@ -65,7 +65,8 @@ func TestUsersAtFor(t *testing.T) {
 // constants read 0 while the constants keep the defaults they had as
 // settable fields. PeakHold writes its raw value in the slot of the 1 s
 // monitor grid it replaced, so the sampled controller's journals are not
-// restored.
+// restored. The skip= part names the reset-window rule: a window is used
+// only when every pool's occupancy histogram covers exactly the window.
 func TestElasticFingerprintPinned(t *testing.T) {
 	cfg := ElasticSweepConfig{
 		Controller:       adaptive.ElasticConfig{Interval: 20 * time.Second, MaxStep: 16, Deadband: 2},
@@ -80,6 +81,7 @@ func TestElasticFingerprintPinned(t *testing.T) {
 		"diurnal=sched(40/sx2m0s,40..120/sx1m0s,120/sx2m40s,120..40/sx1m0s,40/s)",
 		"ctl=20000000000/1000000000/0/16/2/0/0/0/0/0/0/0",
 		"window=10000000000 sla=1000000000 deadline=0",
+		"skip=occ-cover",
 	}
 	got := elasticFingerprint(cfg)
 	if len(got) != len(want) {

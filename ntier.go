@@ -46,7 +46,8 @@ type (
 	// threads / Tomcat DB connections, per server).
 	SoftAlloc = testbed.SoftAlloc
 	// TestbedOptions configures a topology build, including ablation
-	// switches (DisableGC, DisableFinWait) and model tuning hooks.
+	// switches (DisableGC, DisableFinWait) and the Tomcat and C-JDBC
+	// model tuning hooks.
 	TestbedOptions = testbed.Options
 )
 

@@ -4,8 +4,9 @@ package ntier_test
 // in CI: gofmt cleanliness, no dangling relative links in the Markdown
 // docs, the godoc paper-reference audit (every internal/ package comment
 // must say which paper section or figure it reproduces), a build of
-// every examples/ program, and the dead-code and unset-settings gates
-// over internal/.
+// every examples/ program, the dead-code and unset-settings gates over
+// internal/, and the gate that keeps the journal images' fields in their
+// own packages.
 
 import (
 	"errors"
@@ -605,4 +606,58 @@ func recvTypeName(recv types.Type) *types.TypeName {
 		return n.Obj()
 	}
 	return nil
+}
+
+// imageTypes are the journal images that metrics.Sample, metrics.Histogram
+// and sla.Collector embed: unexported structs that encoding/json writes
+// directly, so their exported fields are promoted.
+var imageTypes = []string{"internal/metrics.sampleJSON", "internal/metrics.histogramJSON", "internal/sla.collectorJSON"}
+
+// TestNoForeignImageFields keeps the promoted fields of the journal images
+// (imageTypes) in their own packages: another package could write c.Good
+// or s.Sorted, and a write to Sorted would corrupt Percentile. No non-test
+// Go file outside the declaring package may select one of those fields.
+func TestNoForeignImageFields(t *testing.T) {
+	fset, pkgs := typecheckRepo(t)
+	test := func(pos token.Pos) bool { return strings.HasSuffix(fset.Position(pos).Filename, "_test.go") }
+	image := map[string]bool{}
+	for _, name := range imageTypes {
+		image[name] = true
+	}
+	fields := map[*types.Var]string{} // field -> "internal/pkg.type.Field"
+	for _, tp := range pkgs {
+		for id, obj := range tp.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || test(id.Pos()) || !image[tp.dir+"."+tn.Name()] {
+				continue
+			}
+			delete(image, tp.dir+"."+tn.Name())
+			st := tn.Type().Underlying().(*types.Struct)
+			for i := range st.NumFields() {
+				fields[st.Field(i)] = tp.dir + "." + tn.Name() + "." + st.Field(i).Name()
+			}
+		}
+	}
+	if len(image) > 0 {
+		t.Errorf("image types not found, drop them from imageTypes: %v", image)
+	}
+	var foreign []string
+	for _, tp := range pkgs {
+		for id, obj := range tp.info.Uses {
+			v, ok := obj.(*types.Var)
+			if !ok || test(id.Pos()) {
+				continue
+			}
+			if name, ok := fields[v]; ok {
+				if dir, _ := repoDir(v.Pkg().Path()); dir != tp.dir {
+					foreign = append(foreign, fmt.Sprintf("%s: %s", fset.Position(id.Pos()), name))
+				}
+			}
+		}
+	}
+	sort.Strings(foreign)
+	if len(foreign) > 0 {
+		t.Errorf("%d selections of a journal image's field outside its package; use the type's methods:\n%s",
+			len(foreign), strings.Join(foreign, "\n"))
+	}
 }

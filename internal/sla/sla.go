@@ -1,7 +1,8 @@
 // Package sla implements the paper's simplified service-level-agreement
 // model: a response-time threshold splits throughput into goodput (requests
 // within the bound, which earn revenue) and badput (requests over the bound,
-// which incur penalties). See paper §II-B.
+// which incur penalties). See paper §II-B. A Collector embeds its
+// experiment-journal image, which encoding/json writes directly.
 package sla
 
 import (
@@ -26,78 +27,87 @@ var RTBounds = []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0}
 // Collector accumulates per-request response times during a measurement
 // window and reports throughput/goodput/badput per threshold.
 type Collector struct {
-	thresholds []time.Duration
-	good       []uint64
-	total      uint64
-	shed       uint64
-	late       uint64
-	elapsed    time.Duration
+	collectorJSON
+}
 
-	rts  metrics.Sample
-	hist *metrics.Histogram
+// collectorJSON is Collector's state and its journal image, which
+// encoding/json writes directly, the sample and histogram inside it
+// included. Durations serialize as integer nanoseconds and counters as
+// integers, so a restored collector reports rates and ratios bit-identical
+// to the original. Only this package writes its promoted fields
+// (TestNoForeignImageFields).
+type collectorJSON struct {
+	Thresholds []time.Duration    `json:"thresholds"`
+	Good       []uint64           `json:"good"`
+	N          uint64             `json:"total"`
+	ShedN      uint64             `json:"shed,omitempty"`
+	LateN      uint64             `json:"late,omitempty"`
+	Elapsed    time.Duration      `json:"elapsed"`
+	RTs        metrics.Sample     `json:"rts"`
+	Hist       *metrics.Histogram `json:"hist,omitempty"`
 }
 
 // NewCollector creates a collector for the given thresholds (typically
 // StandardThresholds).
 func NewCollector(thresholds []time.Duration) *Collector {
-	return &Collector{
-		thresholds: append([]time.Duration(nil), thresholds...),
-		good:       make([]uint64, len(thresholds)),
-		hist:       metrics.NewHistogram(RTBounds),
-	}
+	return &Collector{collectorJSON{
+		Thresholds: append([]time.Duration(nil), thresholds...),
+		Good:       make([]uint64, len(thresholds)),
+		Hist:       metrics.NewHistogram(RTBounds),
+	}}
 }
 
 // Observe records one completed request with response time rt.
 func (c *Collector) Observe(rt time.Duration) {
-	c.total++
-	for i, th := range c.thresholds {
+	c.N++
+	for i, th := range c.Thresholds {
 		if rt <= th {
-			c.good[i]++
+			c.Good[i]++
 		}
 	}
-	c.rts.Add(rt.Seconds())
-	c.hist.Add(rt.Seconds())
+	c.RTs.Add(rt.Seconds())
+	c.Hist.Add(rt.Seconds())
 }
 
 // ObserveShed records one request rejected by load shedding (admission
 // control or deadline fail-fast). Shed requests are not throughput: they
 // never produced a page.
-func (c *Collector) ObserveShed() { c.shed++ }
+func (c *Collector) ObserveShed() { c.ShedN++ }
 
 // ObserveLate records one completed response that blew its end-to-end
 // deadline (the response still counts in Observe; Late is an overlay).
-func (c *Collector) ObserveLate() { c.late++ }
+func (c *Collector) ObserveLate() { c.LateN++ }
 
 // Shed returns the number of shed requests observed.
-func (c *Collector) Shed() uint64 { return c.shed }
+func (c *Collector) Shed() uint64 { return c.ShedN }
 
 // Late returns the number of deadline-violating completions observed.
-func (c *Collector) Late() uint64 { return c.late }
+func (c *Collector) Late() uint64 { return c.LateN }
 
 // SetElapsed records the measurement-window length used for rate
 // computations.
-func (c *Collector) SetElapsed(d time.Duration) { c.elapsed = d }
+func (c *Collector) SetElapsed(d time.Duration) { c.Elapsed = d }
 
 // Total returns the number of requests observed.
-func (c *Collector) Total() uint64 { return c.total }
+func (c *Collector) Total() uint64 { return c.N }
 
 // Throughput returns overall requests per second.
 func (c *Collector) Throughput() float64 {
-	if c.elapsed <= 0 {
+	if c.Elapsed <= 0 {
 		return 0
 	}
-	return float64(c.total) / c.elapsed.Seconds()
+	return float64(c.N) / c.Elapsed.Seconds()
 }
 
 // Goodput returns requests per second within the given threshold. The
 // threshold must be one passed to NewCollector.
 func (c *Collector) Goodput(th time.Duration) float64 {
-	if c.elapsed <= 0 {
+	if c.Elapsed <= 0 {
 		return 0
 	}
-	for i, t := range c.thresholds {
+	for i, t := range c.Thresholds {
 		if t == th {
-			return float64(c.good[i]) / c.elapsed.Seconds()
+			return float64(c.Good[i]) / c.Elapsed.Seconds()
 		}
 	}
 	panic(fmt.Sprintf("sla: threshold %v not collected", th))
@@ -112,52 +122,24 @@ func (c *Collector) Badput(th time.Duration) float64 {
 // (the SLO satisfaction the intervention analysis watches), or 1 with no
 // requests.
 func (c *Collector) SatisfactionRatio(th time.Duration) float64 {
-	if c.total == 0 {
+	if c.N == 0 {
 		return 1
 	}
-	for i, t := range c.thresholds {
+	for i, t := range c.Thresholds {
 		if t == th {
-			return float64(c.good[i]) / float64(c.total)
+			return float64(c.Good[i]) / float64(c.N)
 		}
 	}
 	panic(fmt.Sprintf("sla: threshold %v not collected", th))
 }
 
 // ResponseTimes returns the collected response-time sample (seconds).
-func (c *Collector) ResponseTimes() *metrics.Sample { return &c.rts }
+func (c *Collector) ResponseTimes() *metrics.Sample { return &c.RTs }
 
 // Histogram returns the Fig. 3(c)-style response-time distribution.
-func (c *Collector) Histogram() *metrics.Histogram { return c.hist }
+func (c *Collector) Histogram() *metrics.Histogram { return c.Hist }
 
-// collectorJSON mirrors Collector for the experiment journal. Durations
-// serialize as integer nanoseconds and counters as integers, so a restored
-// collector reports rates and ratios bit-identical to the original.
-type collectorJSON struct {
-	Thresholds []time.Duration    `json:"thresholds"`
-	Good       []uint64           `json:"good"`
-	Total      uint64             `json:"total"`
-	Shed       uint64             `json:"shed,omitempty"`
-	Late       uint64             `json:"late,omitempty"`
-	Elapsed    time.Duration      `json:"elapsed"`
-	RTs        *metrics.Sample    `json:"rts"`
-	Hist       *metrics.Histogram `json:"hist,omitempty"`
-}
-
-// MarshalJSON serializes the collector's full observation state.
-func (c *Collector) MarshalJSON() ([]byte, error) {
-	return json.Marshal(collectorJSON{
-		Thresholds: c.thresholds,
-		Good:       c.good,
-		Total:      c.total,
-		Shed:       c.shed,
-		Late:       c.late,
-		Elapsed:    c.elapsed,
-		RTs:        &c.rts,
-		Hist:       c.hist,
-	})
-}
-
-// UnmarshalJSON restores a collector serialized with MarshalJSON.
+// UnmarshalJSON restores a collector from its journal image.
 func (c *Collector) UnmarshalJSON(data []byte) error {
 	var v collectorJSON
 	if err := json.Unmarshal(data, &v); err != nil {
@@ -166,28 +148,17 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 	if len(v.Good) != len(v.Thresholds) {
 		return fmt.Errorf("sla: collector with %d thresholds and %d good counters", len(v.Thresholds), len(v.Good))
 	}
-	c.thresholds = v.Thresholds
-	c.good = v.Good
-	c.total = v.Total
-	c.shed = v.Shed
-	c.late = v.Late
-	c.elapsed = v.Elapsed
-	if v.RTs != nil {
-		c.rts = *v.RTs
-	} else {
-		c.rts = metrics.Sample{}
-	}
-	c.hist = v.Hist
+	c.collectorJSON = v
 	return nil
 }
 
 // Revenue computes provider revenue under a simple earning/penalty model:
 // earn per good request, pay penalty per bad request (paper §II-B).
 func (c *Collector) Revenue(th time.Duration, earning, penalty float64) float64 {
-	if c.elapsed <= 0 {
+	if c.Elapsed <= 0 {
 		return 0
 	}
-	good := c.Goodput(th) * c.elapsed.Seconds()
-	bad := float64(c.total) - good
+	good := c.Goodput(th) * c.Elapsed.Seconds()
+	bad := float64(c.N) - good
 	return good*earning - bad*penalty
 }

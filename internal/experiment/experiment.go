@@ -22,12 +22,8 @@ import (
 	"github.com/softres/ntier/internal/trace"
 )
 
-// A trial's load comes from clientNodes load-generator machines, as in the
-// paper, and keeps at most traceKeep sampled request traces.
-const (
-	clientNodes = 2
-	traceKeep   = 16
-)
+// A trial keeps at most traceKeep sampled request traces.
+const traceKeep = 16
 
 // RunConfig describes one experiment trial.
 type RunConfig struct {
@@ -352,12 +348,11 @@ func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, label 
 	}
 
 	ccfg := rubbos.ClientConfig{
-		Users:       cfg.Users,
-		ClientNodes: clientNodes,
-		ThinkMean:   cfg.ThinkMean,
-		RampUp:      cfg.RampUp / 2, // users all active well before measuring
-		Matrix:      cfg.Mix,
-		Seed:        cfg.Testbed.Seed,
+		Users:     cfg.Users,
+		ThinkMean: cfg.ThinkMean,
+		RampUp:    cfg.RampUp / 2, // users all active well before measuring
+		Matrix:    cfg.Mix,
+		Seed:      cfg.Testbed.Seed,
 	}
 	if cfg.TraceEvery > 0 {
 		m.tracer = trace.NewTracer(cfg.TraceEvery, traceKeep)
@@ -395,12 +390,11 @@ func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, label 
 	var err error
 	if cfg.Arrivals != nil {
 		m.w, err = tb.StartOpenWorkload(rubbos.OpenConfig{
-			Arrivals:    cfg.Arrivals,
-			ClientNodes: clientNodes,
-			Matrix:      cfg.Mix,
-			Seed:        cfg.Testbed.Seed,
-			Tracer:      m.tracer,
-			Deadline:    cfg.Deadline,
+			Arrivals: cfg.Arrivals,
+			Matrix:   cfg.Mix,
+			Seed:     cfg.Testbed.Seed,
+			Tracer:   m.tracer,
+			Deadline: cfg.Deadline,
 		}, collect)
 	} else {
 		m.w, err = tb.StartWorkload(ccfg, collect)

@@ -19,6 +19,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"github.com/softres/ntier/internal/rubbos"
 )
 
 // stateMetaFile identifies a directory as a run-state directory.
@@ -226,7 +228,7 @@ func (c RunConfig) fingerprintBase() string {
 	fmt.Fprintf(&b, " nogc=%t nofin=%t", o.DisableGC, o.DisableFinWait)
 	mix := sha256.Sum256([]byte(fmt.Sprintf("%+v", *c.Mix)))
 	fmt.Fprintf(&b, " mix=%s think=%d clients=%d ramp=%d measure=%d th=%v",
-		hex.EncodeToString(mix[:8]), int64(c.ThinkMean), clientNodes,
+		hex.EncodeToString(mix[:8]), int64(c.ThinkMean), rubbos.ClientNodes,
 		int64(c.RampUp), int64(c.Measure), c.Thresholds)
 	fmt.Fprintf(&b, " timeline=%t window=%t traceEvery=%d traceKeep=0",
 		c.Timeline, c.WindowUtil, c.TraceEvery)

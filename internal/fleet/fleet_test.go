@@ -225,12 +225,11 @@ func startLoads(t *testing.T, f *Fleet, collect func(ti int, issued, rt time.Dur
 			c = func(_ *rubbos.Interaction, issued, rt time.Duration, err error) { collect(ti, issued, rt, err) }
 		}
 		w, err := tn.TB.StartWorkload(rubbos.ClientConfig{
-			Users:       tn.Spec.Users,
-			ClientNodes: 2,
-			ThinkMean:   tn.Spec.ThinkMean,
-			RampUp:      time.Second,
-			Matrix:      rubbos.BrowseOnlyMix(),
-			Seed:        tn.Seed,
+			Users:     tn.Spec.Users,
+			ThinkMean: tn.Spec.ThinkMean,
+			RampUp:    time.Second,
+			Matrix:    rubbos.BrowseOnlyMix(),
+			Seed:      tn.Seed,
 		}, c)
 		if err != nil {
 			t.Fatal(err)

@@ -47,14 +47,18 @@ type Call struct {
 // the request failed (rt then covers the time until the error response).
 type Collector func(it *Interaction, issued time.Duration, rt time.Duration, err error)
 
+// ClientNodes is the number of load-generator machines a workload is
+// spread over, as in the paper. It only sets the per-node load that drives
+// the FIN-delay model (Workload.UsersPerNode).
+const ClientNodes = 2
+
 // ClientConfig configures the closed-loop load generator.
 type ClientConfig struct {
-	Users       int           // emulated users (the paper's "workload")
-	ClientNodes int           // load-generator machines (2 in the paper)
-	ThinkMean   time.Duration // exponential think time mean (~7 s)
-	RampUp      time.Duration // users start uniformly over this period
-	Matrix      *Matrix       // navigation graph
-	Seed        uint64
+	Users     int           // emulated users (the paper's "workload")
+	ThinkMean time.Duration // exponential think time mean (~7 s)
+	RampUp    time.Duration // users start uniformly over this period
+	Matrix    *Matrix       // navigation graph
+	Seed      uint64
 
 	// Tracer, when set, samples per-request phase traces (see the trace
 	// package).
@@ -71,15 +75,14 @@ type ClientConfig struct {
 }
 
 // DefaultClientConfig mirrors the paper's setup at the given user count:
-// two client nodes, 7-second mean think time, browse-only navigation.
+// 7-second mean think time, browse-only navigation.
 func DefaultClientConfig(users int) ClientConfig {
 	return ClientConfig{
-		Users:       users,
-		ClientNodes: 2,
-		ThinkMean:   7 * time.Second,
-		RampUp:      30 * time.Second,
-		Matrix:      BrowseOnlyMix(),
-		Seed:        1,
+		Users:     users,
+		ThinkMean: 7 * time.Second,
+		RampUp:    30 * time.Second,
+		Matrix:    BrowseOnlyMix(),
+		Seed:      1,
 	}
 }
 
@@ -107,19 +110,7 @@ type Workload struct {
 // UsersPerNode returns the emulated-user count per client node, the load
 // measure that drives the FIN-delay model.
 func (w *Workload) UsersPerNode() float64 {
-	if w.cfg.ClientNodes <= 0 {
-		return float64(w.cfg.Users)
-	}
-	return float64(w.cfg.Users) / float64(w.cfg.ClientNodes)
-}
-
-// ClientNodes returns the number of load-generator machines the workload is
-// spread over (at least 1).
-func (w *Workload) ClientNodes() int {
-	if w.cfg.ClientNodes <= 0 {
-		return 1
-	}
-	return w.cfg.ClientNodes
+	return float64(w.cfg.Users) / ClientNodes
 }
 
 // Issued returns the number of requests sent so far.

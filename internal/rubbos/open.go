@@ -29,10 +29,6 @@ type OpenConfig struct {
 	// Arrivals is the offered-load schedule (Poisson, flash-crowd,
 	// MMPP — see the trace package).
 	Arrivals trace.ArrivalSpec
-	// ClientNodes is the number of load-generator machines the arrival
-	// stream is spread over (2 in the paper); it only affects the
-	// FIN-delay equivalent load.
-	ClientNodes int
 	// Matrix is the navigation graph the stream's interaction sequence is
 	// drawn from (one shared walk — the stream models the aggregate of
 	// many independent sessions).
@@ -71,9 +67,6 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 	if err := cfg.Matrix.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ClientNodes <= 0 {
-		cfg.ClientNodes = 2
-	}
 	if cfg.Deadline < 0 {
 		return nil, fmt.Errorf("rubbos: negative deadline")
 	}
@@ -81,7 +74,7 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 	// (and through it the Apache FIN model).
 	equiv := int(cfg.Arrivals.MaxRate()*openThinkEquiv.Seconds() + 0.5)
 	w := &Workload{
-		cfg:   ClientConfig{Users: equiv, ClientNodes: cfg.ClientNodes, Seed: cfg.Seed},
+		cfg:   ClientConfig{Users: equiv, Seed: cfg.Seed},
 		table: table,
 	}
 	g := &openGen{w: w, target: target, tracer: cfg.Tracer, collect: collect}

@@ -187,18 +187,13 @@ func TestStartOpenCollectorSeesErrors(t *testing.T) {
 func TestOpenEquivalentPopulation(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	cfg := openConfig(100)
-	cfg.ClientNodes = 2
-	w, err := StartOpen(env, cfg, NewTable(), &stubTarget{}, nil)
+	w, err := StartOpen(env, openConfig(100), NewTable(), &stubTarget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 100/s x 7s think-time equivalence = 700 users over 2 nodes.
 	if got := w.UsersPerNode(); got != 350 {
 		t.Errorf("UsersPerNode %v, want 350", got)
-	}
-	if got := w.ClientNodes(); got != 2 {
-		t.Errorf("ClientNodes %v, want 2", got)
 	}
 	if got := OpenEquivUsers(100); got != 700 {
 		t.Errorf("OpenEquivUsers(100) = %v, want 700", got)

@@ -154,7 +154,7 @@ func TestClosedLoopThroughputFollowsLittlesLaw(t *testing.T) {
 	env := des.NewEnv()
 	tgt := &fakeTarget{delay: 500 * time.Millisecond}
 	cfg := ClientConfig{
-		Users: 50, ClientNodes: 2, ThinkMean: 2 * time.Second,
+		Users: 50, ThinkMean: 2 * time.Second,
 		RampUp: 0, Matrix: BrowseOnlyMix(), Seed: 3,
 	}
 	var count int
@@ -184,7 +184,7 @@ func TestRampUpSpreadsStarts(t *testing.T) {
 	env := des.NewEnv()
 	tgt := &fakeTarget{delay: time.Millisecond}
 	cfg := ClientConfig{
-		Users: 10, ClientNodes: 1, ThinkMean: 0,
+		Users: 10, ThinkMean: 0,
 		RampUp: 10 * time.Second, Matrix: BrowseOnlyMix(), Seed: 4,
 	}
 	var firstIssues []time.Duration
@@ -233,13 +233,9 @@ func TestStartValidation(t *testing.T) {
 }
 
 func TestUsersPerNode(t *testing.T) {
-	w := &Workload{cfg: ClientConfig{Users: 6000, ClientNodes: 2}}
+	w := &Workload{cfg: ClientConfig{Users: 6000}}
 	if got := w.UsersPerNode(); got != 3000 {
 		t.Errorf("UsersPerNode = %v, want 3000", got)
-	}
-	w2 := &Workload{cfg: ClientConfig{Users: 10, ClientNodes: 0}}
-	if got := w2.UsersPerNode(); got != 10 {
-		t.Errorf("UsersPerNode with 0 nodes = %v, want 10", got)
 	}
 }
 
@@ -270,7 +266,7 @@ func TestAbandonment(t *testing.T) {
 		env := des.NewEnv()
 		tgt := &fakeTarget{delay: 800 * time.Millisecond} // always "slow"
 		cfg := ClientConfig{
-			Users: 30, ClientNodes: 1, ThinkMean: time.Second,
+			Users: 30, ThinkMean: time.Second,
 			Matrix: BrowseOnlyMix(), Seed: 9, Patience: patience,
 		}
 		count := 0

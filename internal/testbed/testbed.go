@@ -321,7 +321,7 @@ func (tb *Testbed) StartOpenWorkload(cfg rubbos.OpenConfig, collect rubbos.Colle
 	for _, a := range tb.Apaches {
 		a.SetFinLoad(w.UsersPerNode())
 	}
-	nodes := float64(w.ClientNodes())
+	nodes := float64(rubbos.ClientNodes)
 	var prev uint64
 	var ewma float64
 	started := false

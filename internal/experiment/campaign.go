@@ -8,7 +8,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -90,13 +89,14 @@ func RunCampaign[Out any](base RunConfig, c Campaign[Out]) ([]Cell[Out], error) 
 // journaling whatever the failure policy keeps.
 func (c Campaign[Out]) resolve(j *Journal, i int, cell *Cell[Out]) error {
 	if j != nil {
-		if rec, ok := j.Lookup(cell.Key); ok {
+		if ok, err := j.Restore(cell.Key, &cell.Out); ok {
 			cell.Restored = true
-			if rec.Err != "" {
-				cell.Err = &PanicError{Value: rec.Err, Stack: rec.Stack}
+			var pe *PanicError
+			if errors.As(err, &pe) {
+				cell.Err = pe
 				return nil
 			}
-			return json.Unmarshal(rec.Data, &cell.Out)
+			return err
 		}
 	}
 	out, err := c.Run(i)
@@ -109,17 +109,13 @@ func (c Campaign[Out]) resolve(j *Journal, i int, cell *Cell[Out]) error {
 		if j == nil || !errors.As(err, &pe) {
 			return nil
 		}
-		return j.Record(&TrialRecord{Key: cell.Key, Err: fmt.Sprint(pe.Value), Stack: pe.Stack})
+		return j.Record(cell.Key, pe)
 	}
 	cell.Out = out
 	if j == nil {
 		return nil
 	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return err
-	}
-	return j.Record(&TrialRecord{Key: cell.Key, Data: data})
+	return j.Record(cell.Key, out)
 }
 
 // Outs returns a campaign's outputs in index order, or its lowest-index

@@ -1,8 +1,8 @@
-// Scalability benchmarks for the simulator substrate itself (ROADMAP
-// item 1: 10⁵–10⁶ concurrent clients per trial). Unlike the per-figure
-// benchmarks in bench_test.go, which measure experiment shapes, these
-// measure the event-loop hot path and the cost of a client population two
-// orders of magnitude past the paper's Emulab testbed (§II-B). They are
+// Scalability benchmarks for the simulator substrate itself (10⁵–10⁶
+// concurrent clients per trial). Unlike the per-figure benchmarks in
+// bench_test.go, which measure experiment shapes, these measure the
+// event-loop hot path and the cost of a client population two orders of
+// magnitude past the paper's Emulab testbed (§II-B). They are
 // part of the BENCH_*.json trajectory: regenerate snapshots after any
 // engine work (see README "Performance baseline").
 package ntier

@@ -109,9 +109,16 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 		if cerr != nil {
 			return failUsage(fs, fmt.Errorf("-calib-soft: %w", cerr))
 		}
-		sur, err := calibrate(stderr, base, calib, *calibWL, "surrogate")
+		cal := base
+		cal.Testbed.Soft, cal.Users, cal.Measure, cal.ObsDir = calib, *calibWL, 45*time.Second, ""
+		fmt.Fprintf(stderr, "calibrating surrogate (%s, %d users)...\n", calib, *calibWL)
+		res, err := experiment.Run(cal)
 		if err != nil {
 			return fail(err)
+		}
+		sur, err := search.Calibrate(res)
+		if err != nil {
+			return fail(fmt.Errorf("surrogate calibration: %w", err))
 		}
 		sla := *slaS
 		cfg.Controller.Goodput = func(s testbed.SoftAlloc, users int) (float64, error) {
@@ -178,27 +185,6 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// calibrate runs one closed-loop trial of base at the generous allocation
-// soft with users users, unrecorded and 45 s long, and fits the MVA
-// surrogate to it. It is not journaled: it is cheap next to the campaign
-// trials it serves.
-func calibrate(stderr io.Writer, base experiment.RunConfig, soft testbed.SoftAlloc, users int, what string) (*search.Surrogate, error) {
-	base.Testbed.Soft = soft
-	base.Measure = 45 * time.Second
-	base.Users = users
-	base.ObsDir = ""
-	fmt.Fprintf(stderr, "calibrating %s (%s, %d users)...\n", what, soft, users)
-	res, err := experiment.Run(base)
-	if err != nil {
-		return nil, err
-	}
-	sur, err := search.Calibrate(res)
-	if err != nil {
-		return nil, fmt.Errorf("surrogate calibration: %w", err)
-	}
-	return sur, nil
 }
 
 // parsePolicies resolves the comma-separated policy list.

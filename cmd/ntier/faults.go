@@ -70,22 +70,19 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 	if err := refuse(fs, "fault trials record no observability snapshots", "obs"); err != nil {
 		return failUsage(fs, err)
 	}
+	if err := refuse(fs, "fault trials are not journaled", "state-dir"); err != nil {
+		return failUsage(fs, err)
+	}
 
 	ctx, stop := withSignalContext(context.Background())
 	defer stop()
 
 	// trial runs one allocation's scenario from its base configuration,
 	// reporting to w and writing the timeline CSV to csv when set.
-	var (
-		trial func(base experiment.RunConfig, w io.Writer, csv string) error
-		state *experiment.State
-	)
+	var trial func(base experiment.RunConfig, w io.Writer, csv string) error
 	if *scenario == "flash-crowd" {
 		if *rate <= 0 {
 			return failUsage(fs, fmt.Errorf("-rate: must be positive, got %g", *rate))
-		}
-		if err := refuse(fs, "flash-crowd trials are not journaled", "state-dir"); err != nil {
-			return failUsage(fs, err)
 		}
 		trial = func(base experiment.RunConfig, w io.Writer, csv string) error {
 			base.Deadline = *deadline
@@ -121,17 +118,6 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 		if *tf.measure%time.Second != 0 {
 			return failUsage(fs, fmt.Errorf("-measure: %v is not a whole number of %v windows", *tf.measure, time.Second))
 		}
-		// A state directory pins the campaign identity (fingerprint-checked
-		// on -resume); scenario trials are short and re-run rather than
-		// replay.
-		fp := tf.base(ctx)
-		fp.Users = *users
-		state, err = tf.common.openState(experiment.Fingerprint(fp,
-			journalTag("faults"), *scenario, *tf.soft, thS.String()))
-		if err != nil {
-			return exitErr(stderr, "", err)
-		}
-		defer state.Close()
 		trial = func(base experiment.RunConfig, w io.Writer, csv string) error {
 			base.Users = *users
 			cfg := sc.Configure(base)
@@ -151,10 +137,9 @@ func runFaults(args []string, stdout, stderr io.Writer) int {
 	// buffered per allocation and printed in flag order, so -parallel
 	// never reorders the report.
 	outputs := make([]bytes.Buffer, len(tf.allocs))
-	err := experiment.ForEachIndexCtx(ctx, len(tf.allocs), *tf.common.parallel, func(i int) error {
+	err := experiment.ForEachIndex(ctx, len(tf.allocs), *tf.common.parallel, func(i int) error {
 		base := tf.base(ctx)
 		base.Testbed.Soft = tf.allocs[i]
-		base.State = state
 		csv := ""
 		if *csvPath != "" {
 			csv = curveCSVPath(*csvPath, tf.allocs[i].String(), len(tf.allocs) > 1)

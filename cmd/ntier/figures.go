@@ -116,7 +116,7 @@ func runFigures(args []string, stdout, stderr io.Writer) int {
 	// pool the sweeps use. Each writes its own file; the datasets are
 	// byte-identical to a serial run at any -parallel setting.
 	var mu sync.Mutex
-	err = experiment.ForEachIndexCtx(ctx, len(names), *tf.common.parallel, func(i int) error {
+	err = experiment.ForEachIndex(ctx, len(names), *tf.common.parallel, func(i int) error {
 		name := names[i]
 		start := time.Now()
 		text, err := registry[name].Text(base)

@@ -32,8 +32,8 @@ import (
 //	  -placement PACKED -interference -aggr-scale 3
 //
 // An open-loop tenant is declared as open:RATE (Poisson arrivals) in -wl.
-// With -calib-wl N, GREEDY's per-tier demand estimates are calibrated from
-// one single-app trial through the MVA surrogate instead of the defaults.
+// GREEDY scores each tenant's servers by its mix's declared per-tier
+// demands (tier.DeclaredDemand) at its offered load.
 func runFleet(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("fleet", stderr)
 	// -hw and -soft are per-tenant lists, parsed with the roster, and the
@@ -64,9 +64,6 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 
 		interference = fs.Bool("interference", false, "measure the aggressor x victim goodput-loss matrix instead of the sweep")
 		aggrScale    = fs.Float64("aggr-scale", 3, "interference: aggressor load multiplier (> 1)")
-
-		calibWL   = fs.Int("calib-wl", 0, "calibrate GREEDY tier demands from one single-app trial with this many users (0 = defaults)")
-		calibSoft = fs.String("calib-soft", "400-30-20", "calibration trial's generous allocation")
 
 		planOnly = fs.Bool("plan", false, "print the placement plans and exit without simulating")
 		csvPath  = fs.String("csv", "", "write per-tenant sweep results as CSV to this file")
@@ -124,30 +121,11 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// GREEDY ranks servers by estimated CPU demand; with -calib-wl the
-	// estimates come from the MVA surrogate calibrated on one single-app
-	// closed-loop trial.
-	if *calibWL > 0 {
-		calib, err := testbed.ParseSoftAlloc(*calibSoft)
-		if err != nil {
-			return failUsage(fs, fmt.Errorf("-calib-soft: %w", err))
-		}
-		cbase := base
-		cbase.Testbed = testbed.Options{Hardware: tenants[0].Hardware, Seed: *seed}
-		sur, err := calibrate(stderr, cbase, calib, *calibWL, "tier demands")
-		if err != nil {
-			return fail(err)
-		}
-		cfg.Fleet.Demands = &fleet.TierDemands{
-			Web: sur.WebDemand, App: sur.AppDemand, Mid: sur.MidDemand, DB: sur.DBDemand,
-		}
-	}
-
 	st, err := tf.common.openState(experiment.Fingerprint(base, journalTag("fleet"),
 		*hwS, *softS, *wlS, *namesS, *sloS, think.String(), *placeS, *countsS, *scaleS,
 		fmt.Sprint(*nodes), fmt.Sprint(*slots), fmt.Sprint(*budget), fmt.Sprint(*seed),
 		fmt.Sprint(*sloTarget), fmt.Sprint(*interference), fmt.Sprint(*aggrScale),
-		fmt.Sprint(*calibWL)))
+		"0")) // the retired -calib-wl's slot, so earlier state directories resume
 	if err != nil {
 		return fail(err)
 	}

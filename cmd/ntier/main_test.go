@@ -70,6 +70,8 @@ func TestRefusesUnusedCommonFlags(t *testing.T) {
 		{chaosArgs("-seeds", "1", "-plans", "1", "-obs", filepath.Join(dir, "obs")), "-obs"},
 		{[]string{"faults", "-scenario", "flash-crowd", "-hw", "1/1/1/1", "-soft", "50-6-6",
 			"-rate", "5", "-ramp", "1s", "-measure", "2s", "-state-dir", filepath.Join(dir, "state")}, "-state-dir"},
+		{[]string{"faults", "-scenario", "crash-tomcat", "-hw", "1/2/1/2", "-soft", "50-6-6",
+			"-wl", "10", "-ramp", "1s", "-measure", "2s", "-state-dir", filepath.Join(dir, "state")}, "-state-dir"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr strings.Builder
@@ -149,7 +151,6 @@ func TestStateFingerprintsPinned(t *testing.T) {
 		{[]string{"sweep", "-hw", "1/1/1/1", "-soft", "50-6-3", "-rate", "20", "-deadline", "1s", "-admission", "-ramp", "1s", "-measure", "1s"}, "c6bf206ab3de7c24"},
 		{[]string{"tune", "-hw", "1/1/1/1", "-soft0", "50-6-6", "-ramp", "1s", "-measure", "1s", "-step", "10", "-smallstep", "5", "-q"}, "fdce8269dc904eb5"},
 		{[]string{"figures", "-only", "fig8", "-seed", "3", "-out", t.TempDir()}, "7da29ba90b88b261"},
-		{[]string{"faults", "-scenario", "crash-tomcat", "-hw", "1/2/1/2", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "2s", "-sla", "1s"}, "2abdd10fa417d275"},
 		{[]string{"search", "-hw", "1/1/1/1", "-soft", "50-6-6", "-threads", "2,4", "-conns", "2", "-wl", "10,20", "-budget", "3", "-ramp", "1s", "-measure", "1s", "-q"}, "07219dd47fa7f100"},
 		{[]string{"elastic", "-hw", "1/1/1/1", "-soft", "50-4-4", "-policy", "STATIC", "-trace", "diurnal", "-day", "20s", "-low", "5", "-high", "10", "-ramp", "1s", "-interval", "5s"}, "9ef277fcde77c5ad"},
 		{[]string{"fleet", "-nodes", "2", "-slots", "2", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "2s", "-placement", "PACKED"}, "f6126107a267eb79"},

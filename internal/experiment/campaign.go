@@ -65,7 +65,7 @@ func RunCampaign[Out any](base RunConfig, c Campaign[Out]) ([]Cell[Out], error) 
 		}
 	}
 	cells := make([]Cell[Out], c.N)
-	err := ForEachIndexCtx(base.Ctx, c.N, base.Parallelism, func(i int) error {
+	err := ForEachIndex(base.Ctx, c.N, base.Parallelism, func(i int) error {
 		cell := &cells[i]
 		cell.Key = c.Key(i)
 		if err := c.resolve(j, i, cell); err != nil {

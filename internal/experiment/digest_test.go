@@ -62,7 +62,7 @@ func TestDigestPins(t *testing.T) {
 		{"scenario-overload-shed", func(t *testing.T, h hash.Hash) string { return hashScenario(t, h, pinShedScenario(t)) }, "3743c5a982dffceeaa5585e2"},
 		{"flash-crowd", digestFlashCrowd, "19bb46727d0273c07d7c4a96"},
 		{"elastic-obs-snapshot", digestElasticObs, "73c7365310b7a293c94781a7"},
-		{"fleet-open-tenant", digestOpenTenantFleet, "db256a411a0363dbbe541be6"},
+		{"fleet-open-tenant", digestOpenTenantFleet, "6c6fd30ba437c839c564ac9a"},
 		{"fleet-interference", digestFleetInterference, "f78b02a957bf4db650d579ea"},
 		{"fleet-obs-snapshot", digestFleetObs, "d5b6f8a7db28b9b65bedcf7f"},
 		{"scenario-timeline-csv", digestTimelineCSV(func(t *testing.T) func(io.Writer) error {

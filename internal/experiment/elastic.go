@@ -11,6 +11,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -292,7 +293,10 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 // constants, the open-system deadline (base.Arrivals is nil in the base
 // fingerprint), and the rule by which the controller skips a window that
 // straddles a monitor reset. The skip= part names the rule, so journals
-// decided under an earlier rule re-run instead of restoring.
+// decided under an earlier rule re-run instead of restoring. A SOFTMAX
+// campaign is marked apart the same way: its surrogate has read C-JDBC's
+// heap allocation per query, not per request, since the declared demand
+// model replaced the surrogate's copied constants.
 func elasticFingerprint(cfg ElasticSweepConfig) []string {
 	c := cfg.Controller
 	parts := []string{fmt.Sprint(cfg.Policies)}
@@ -308,6 +312,9 @@ func elasticFingerprint(cfg ElasticSweepConfig) []string {
 		fmt.Sprintf("window=%d sla=%d deadline=%d",
 			int64(cfg.Window), int64(cfg.GoodputThreshold), int64(cfg.Run.Deadline)),
 		"skip=occ-cover")
+	if slices.Contains(cfg.Policies, adaptive.PolicySoftmax) {
+		parts = append(parts, "surrogate=declared-alloc")
+	}
 	return parts
 }
 

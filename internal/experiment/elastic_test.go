@@ -92,6 +92,12 @@ func TestElasticFingerprintPinned(t *testing.T) {
 			t.Errorf("fingerprint part %d = %q, want %q", i, got[i], want[i])
 		}
 	}
+	// A SOFTMAX campaign's journals from before its surrogate read the
+	// declared heap allocations are re-run, not restored.
+	cfg.Policies = append(cfg.Policies, adaptive.PolicySoftmax)
+	if got := elasticFingerprint(cfg); got[len(got)-1] != "surrogate=declared-alloc" {
+		t.Errorf("SOFTMAX fingerprint %q lacks the surrogate mark", got)
+	}
 	// A retuned constant must leave its 0, so old journals are not restored.
 	if fixedSlot(1.6, 1.5) != 1.6 || fixedSlot(2048, 2048) != 0 {
 		t.Error("fixedSlot does not separate a retuned constant from its old default")

@@ -11,6 +11,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -281,12 +282,16 @@ func tenantRun(base RunConfig, t *fleet.Tenant) RunConfig {
 // RunConfig: the pool, the roster, the grid axes, and the SLO target. The
 // node and lat slots print what the settings since made constants printed
 // by default, so state directories written before keep their fingerprints.
-func fleetFingerprint(cfg FleetSweepConfig) []string {
+// A campaign whose raced placements include GREEDY is marked apart: GREEDY
+// scores servers by the declared demand model since it replaced fixed
+// per-tier guesses, so a GREEDY journal written under the guesses is
+// re-run, not restored.
+func fleetFingerprint(cfg FleetSweepConfig, raced ...fleet.Placement) []string {
 	o := cfg.Fleet
 	parts := []string{fmt.Sprintf("pool=%d/%d node={Name: Cores:0 MemoryMiB:0} lat=0 seed=%d budget=%d",
 		o.Nodes, o.SlotsPerNode, o.Seed, o.BudgetUnits)}
-	if o.Demands != nil {
-		parts = append(parts, fmt.Sprintf("demands=%+v", *o.Demands))
+	if slices.Contains(raced, fleet.PlacementGreedy) {
+		parts = append(parts, "greedy=declared-demands")
 	}
 	for _, t := range o.Tenants {
 		p := fmt.Sprintf("tenant=%s hw=%v soft=%v wl=%d think=%d slo=%d mix=%t",
@@ -386,7 +391,7 @@ func FleetSweep(cfg FleetSweepConfig) (*FleetOutcome, error) {
 	var err error
 	out.Results, err = Outs(RunCampaign(cfg.Run, Campaign[*FleetResult]{
 		Kind: "fleet",
-		Axes: fleetFingerprint(cfg),
+		Axes: fleetFingerprint(cfg, cfg.Placements...),
 		N:    len(cfg.Placements) * len(cfg.TenantCounts) * len(cfg.LoadScales),
 		Key: func(i int) string {
 			placement, count, scale := cell(i)
@@ -459,7 +464,7 @@ func FleetInterference(cfg FleetSweepConfig, placement fleet.Placement, scale fl
 	// identical draws and any delta is interference, not noise.
 	trials, err := Outs(RunCampaign(cfg.Run, Campaign[*FleetResult]{
 		Kind: "fleet-interf",
-		Axes: append(fleetFingerprint(cfg), fmt.Sprintf("placement=%s ramp=%g", placement, scale)),
+		Axes: append(fleetFingerprint(cfg, placement), fmt.Sprintf("placement=%s ramp=%g", placement, scale)),
 		N:    len(roster) + 1,
 		Key: func(i int) string {
 			if i == len(roster) {

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -224,6 +226,57 @@ func TestFleetSweepJournalResume(t *testing.T) {
 	}
 	if c := second.Result(fleet.PlacementPacked, 3, 1); c == nil || c.NodesUsed != 6 {
 		t.Errorf("PACKED cell nodes used = %+v, want 6", c)
+	}
+}
+
+// GREEDY scores servers by the declared demand model instead of the fixed
+// per-tier guesses it used before, so a GREEDY sweep or interference
+// journal written under the guesses must be re-run, not restored. Journal
+// files are named by fingerprint: a GREEDY campaign's name moves while a
+// PACKED one keeps the name it had (the names before are pinned here).
+func TestFleetGreedyJournalsRenamed(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the journal opens and no trial runs
+	journal := func(interference bool, p fleet.Placement) string {
+		dir := filepath.Join(t.TempDir(), "state")
+		st, err := OpenState(dir, "fleet-test", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		cfg := smallFleet()
+		cfg.Run.Ctx, cfg.Run.State = ctx, st
+		cfg.Placements = []fleet.Placement{p}
+		if interference {
+			_, err = FleetInterference(cfg, p, 3)
+		} else {
+			_, err = FleetSweep(cfg)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled campaign: %v", err)
+		}
+		names, _ := filepath.Glob(filepath.Join(dir, "*.journal"))
+		if len(names) != 1 {
+			t.Fatalf("%d journals, want 1", len(names))
+		}
+		return filepath.Base(names[0])
+	}
+	cases := []struct {
+		interference bool
+		p            fleet.Placement
+		before       string
+	}{
+		{false, fleet.PlacementPacked, "fleet-a56d1814361dc5c2.journal"},
+		{false, fleet.PlacementGreedy, "fleet-4e52cfc75465f1d2.journal"},
+		{true, fleet.PlacementPacked, "fleet-interf-221e808e305d369a.journal"},
+		{true, fleet.PlacementGreedy, "fleet-interf-a904a94f7c5496bf.journal"},
+	}
+	for _, tc := range cases {
+		got := journal(tc.interference, tc.p)
+		if kept := got == tc.before; kept != (tc.p != fleet.PlacementGreedy) {
+			t.Errorf("%s (interference %t) journal %s, before %s: kept = %t",
+				tc.p, tc.interference, got, tc.before, kept)
+		}
 	}
 }
 

@@ -85,12 +85,12 @@ func runFlood(t *testing.T, rate float64) floodOutcome {
 	return out
 }
 
-// TestFloodKeepsCapacityGoodput is ROADMAP item 2's acceptance: offered 20x
-// and 200x (10^6 open-equivalent users) the capacity of the protected
-// 1/2/1/2, the accept backlog drops the excess at no CPU cost, so goodput
-// stays within 10% of the same topology's at its 700 req/s capacity and the
-// requests in flight stay bounded by the backlog, the workers and the
-// requests on the wire.
+// TestFloodKeepsCapacityGoodput is overload protection's acceptance at
+// scale: offered 20x and 200x (10^6 open-equivalent users) the capacity of
+// the protected 1/2/1/2, the accept backlog drops the excess at no CPU
+// cost, so goodput stays within 10% of the same topology's at its 700 req/s
+// capacity and the requests in flight stay bounded by the backlog, the
+// workers and the requests on the wire.
 func TestFloodKeepsCapacityGoodput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flood acceptance runs 12 simulated seconds; skipped with -short")

@@ -19,17 +19,11 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 // On the first error no new indices are started; trials already in flight
 // run to completion and the error with the lowest index is returned — the
 // same error serial execution would have reported when failures are a
-// deterministic function of the index.
-func ForEachIndex(n, parallelism int, fn func(i int) error) error {
-	return ForEachIndexCtx(nil, n, parallelism, fn)
-}
-
-// ForEachIndexCtx is ForEachIndex honoring a context (nil = none): once
-// ctx is done no new indices are claimed, trials already in flight run to
-// completion, and — unless an earlier-indexed trial error takes
-// precedence — the context's error is returned. Cancellation between
+// deterministic function of the index. Once ctx (nil = none) is done no new
+// indices are claimed either, and — unless an earlier-indexed trial error
+// takes precedence — the context's error is returned. Cancellation between
 // trials is what lets a SIGINT-ed sweep stop at a journal-clean boundary.
-func ForEachIndexCtx(ctx context.Context, n, parallelism int, fn func(i int) error) error {
+func ForEachIndex(ctx context.Context, n, parallelism int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}

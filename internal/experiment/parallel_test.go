@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -17,7 +18,7 @@ func TestForEachIndexCoversAllIndices(t *testing.T) {
 		const n = 37
 		var mu sync.Mutex
 		seen := make(map[int]int)
-		err := ForEachIndex(n, p, func(i int) error {
+		err := ForEachIndex(context.Background(), n, p, func(i int) error {
 			mu.Lock()
 			seen[i]++
 			mu.Unlock()
@@ -35,7 +36,7 @@ func TestForEachIndexCoversAllIndices(t *testing.T) {
 			}
 		}
 	}
-	if err := ForEachIndex(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachIndex(context.Background(), 0, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Errorf("empty range: %v", err)
 	}
 }
@@ -44,7 +45,7 @@ func TestForEachIndexReturnsLowestIndexError(t *testing.T) {
 	// Several indices fail; the reported error must be the lowest one —
 	// what a serial loop would have returned.
 	for _, p := range []int{1, 4, 16} {
-		err := ForEachIndex(40, p, func(i int) error {
+		err := ForEachIndex(context.Background(), 40, p, func(i int) error {
 			if i%7 == 5 { // fails at 5, 12, 19, ...
 				return fmt.Errorf("trial %d failed", i)
 			}
@@ -63,7 +64,7 @@ func TestForEachIndexCancelsOnFirstError(t *testing.T) {
 	othersIn := make(chan struct{}, n)
 	release := make(chan struct{})
 	boom := errors.New("boom")
-	err := ForEachIndex(n, p, func(i int) error {
+	err := ForEachIndex(context.Background(), n, p, func(i int) error {
 		mu.Lock()
 		started[i] = true
 		mu.Unlock()

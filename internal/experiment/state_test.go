@@ -330,7 +330,7 @@ func TestForEachIndexCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
-	err := ForEachIndexCtx(ctx, 10, 1, func(i int) error {
+	err := ForEachIndex(ctx, 10, 1, func(i int) error {
 		ran++
 		if i == 2 {
 			cancel()
@@ -348,7 +348,7 @@ func TestForEachIndexCtxCancellation(t *testing.T) {
 	done, dcancel := context.WithCancel(context.Background())
 	dcancel()
 	var parRan atomic.Int64
-	err = ForEachIndexCtx(done, 10, 4, func(i int) error {
+	err = ForEachIndex(done, 10, 4, func(i int) error {
 		parRan.Add(1)
 		return nil
 	})
@@ -363,7 +363,7 @@ func TestForEachIndexCtxCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	boom := errors.New("boom")
-	err = ForEachIndexCtx(ctx2, 8, 1, func(i int) error {
+	err = ForEachIndex(ctx2, 8, 1, func(i int) error {
 		if i == 1 {
 			cancel2()
 			return boom

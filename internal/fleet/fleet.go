@@ -66,11 +66,6 @@ type Options struct {
 	Placement Placement // default SPREAD
 	Tenants   []TenantSpec
 
-	// Demands overrides the per-tier demand estimates GREEDY scores with
-	// (nil = DefaultTierDemands; wire a calibrated MVA surrogate's
-	// measured demands for sharper packing).
-	Demands *TierDemands
-
 	// BudgetUnits, when positive, caps the fleet's total soft-resource
 	// units: tenant allocations shrink proportionally via SplitBudget.
 	BudgetUnits int

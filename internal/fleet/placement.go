@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/testbed"
+	"github.com/softres/ntier/internal/tier"
 )
 
 // Placement selects the strategy mapping tenant servers onto the shared
@@ -26,8 +27,8 @@ const (
 	// estimated CPU demand (hottest first), each assigned to the
 	// least-loaded node with a free slot — so two hot servers are never
 	// co-located while a cold node has room. The demand estimate is the
-	// utilization law over per-tier service demands; calibrating those
-	// from the MVA surrogate (Options.Demands) sharpens the ranking.
+	// utilization law over the tenant mix's declared per-tier demands
+	// (tier.DeclaredDemand).
 	PlacementGreedy Placement = "GREEDY"
 )
 
@@ -47,26 +48,6 @@ func ParsePlacement(s string) (Placement, error) {
 		return PlacementGreedy, nil
 	}
 	return "", fmt.Errorf("fleet: unknown placement %q (want PACKED, SPREAD, or GREEDY)", s)
-}
-
-// TierDemands is the per-request CPU demand of each tier used to score
-// servers for GREEDY placement. The defaults are ballpark figures for the
-// browsing mix; a calibrated MVA surrogate (search.Calibrate) supplies
-// measured ones.
-type TierDemands struct {
-	Web, App, Mid, DB time.Duration
-}
-
-// DefaultTierDemands approximates the browsing-mix service demands the
-// paper's measurements imply: the application tier is the heavy one, the
-// web and clustering tiers light, the database moderate.
-func DefaultTierDemands() TierDemands {
-	return TierDemands{
-		Web: 3 * time.Millisecond,
-		App: 12 * time.Millisecond,
-		Mid: 3 * time.Millisecond,
-		DB:  6 * time.Millisecond,
-	}
 }
 
 // Assignment maps one tenant server onto one physical pool node.
@@ -105,29 +86,21 @@ func (t TenantSpec) offeredRate() float64 {
 // pattern. Names match what testbed.Build creates under each tenant's
 // namespace.
 func (o *Options) servers() []server {
-	d := DefaultTierDemands()
-	if o.Demands != nil {
-		d = *o.Demands
-	}
-	tiers := []struct {
-		base   string
-		count  func(h testbed.Hardware) int
-		demand time.Duration
-	}{
-		{"apache", func(h testbed.Hardware) int { return h.Web }, d.Web},
-		{"tomcat", func(h testbed.Hardware) int { return h.App }, d.App},
-		{"cjdbc", func(h testbed.Hardware) int { return h.Mid }, d.Mid},
-		{"mysql", func(h testbed.Hardware) int { return h.DB }, d.DB},
+	demands := make([]tier.Demand, len(o.Tenants))
+	for i, t := range o.Tenants {
+		demands[i] = tier.DeclaredDemand(t.Mix)
 	}
 	var out []server
-	for _, tier := range tiers {
-		for _, t := range o.Tenants {
-			n := tier.count(t.Hardware)
+	for ti, base := range []string{"apache", "tomcat", "cjdbc", "mysql"} {
+		for i, t := range o.Tenants {
+			h, d := t.Hardware, demands[i]
+			n := [...]int{h.Web, h.App, h.Mid, h.DB}[ti]
+			perReq := [...]time.Duration{d.Web, d.App, d.Mid, d.DB}[ti]
 			rate := t.offeredRate()
-			for i := 0; i < n; i++ {
+			for k := 0; k < n; k++ {
 				out = append(out, server{
-					name:   t.Name + "/" + fmt.Sprintf("%s%d", tier.base, i+1),
-					demand: rate * tier.demand.Seconds() / float64(n),
+					name:   fmt.Sprintf("%s/%s%d", t.Name, base, k+1),
+					demand: rate * perReq.Seconds() / float64(n),
 				})
 			}
 		}

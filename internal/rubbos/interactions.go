@@ -230,6 +230,9 @@ type Aggregate struct {
 	Queries   float64 // = Req_ratio
 	CJDBCMS   float64 // per request (queries * per-query routing demand)
 	MySQLMS   float64 // per request
+
+	AllocTomcatMiB float64 // Tomcat heap per request
+	AllocCJDBCMiB  float64 // C-JDBC heap per request (queries * per-query allocation)
 }
 
 // Aggregate computes mix-weighted mean demands. Weights must be
@@ -248,6 +251,8 @@ func (t *Table) Aggregate(weights []float64) Aggregate {
 		agg.Queries += w * it.Queries
 		agg.CJDBCMS += w * it.Queries * it.CJDBCMS
 		agg.MySQLMS += w * it.Queries * it.MySQLMS
+		agg.AllocTomcatMiB += w * it.AllocTomcatMiB
+		agg.AllocCJDBCMiB += w * it.Queries * it.AllocCJDBCMiB
 	}
 	if total > 0 {
 		agg.ApacheMS /= total
@@ -255,6 +260,8 @@ func (t *Table) Aggregate(weights []float64) Aggregate {
 		agg.Queries /= total
 		agg.CJDBCMS /= total
 		agg.MySQLMS /= total
+		agg.AllocTomcatMiB /= total
+		agg.AllocCJDBCMiB /= total
 	}
 	return agg
 }

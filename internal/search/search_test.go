@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -64,7 +65,7 @@ func TestSearchAcceptance(t *testing.T) {
 	var mu sync.Mutex
 	gridBest := 0.0
 	var gridBestAt cell
-	err := experiment.ForEachIndex(len(grid), 4, func(i int) error {
+	err := experiment.ForEachIndex(context.Background(), len(grid), 4, func(i int) error {
 		cfg := opts.Base
 		cfg.Testbed.Soft = grid[i].soft
 		cfg.Users = grid[i].wl

@@ -22,6 +22,7 @@ import (
 	"github.com/softres/ntier/internal/jvm"
 	"github.com/softres/ntier/internal/queuing"
 	"github.com/softres/ntier/internal/testbed"
+	"github.com/softres/ntier/internal/tier"
 )
 
 // Surrogate is the analytic stand-in for a simulation trial: a closed
@@ -52,17 +53,11 @@ type Surrogate struct {
 	QueriesPerReq float64
 
 	// GC model mirrors of the simulator's JVM configuration and the
-	// workload's per-request allocation (MiB) at each JVM tier.
+	// workload's per-request allocation (MiB) at each JVM tier, C-JDBC's
+	// summed over the request's queries (tier.DeclaredDemand).
 	AppJVM, MidJVM           jvm.Config
 	AllocAppMiB, AllocMidMiB float64
 }
-
-// Per-request heap allocation of the RUBBoS-style workload at the two JVM
-// tiers, mirroring internal/rubbos.
-const (
-	defaultAllocAppMiB = 0.25
-	defaultAllocMidMiB = 0.04
-)
 
 // Calibrate builds a surrogate from one measured trial via the utilization
 // law (D = U/X per node, summed per tier). The calibration trial should
@@ -102,6 +97,7 @@ func Calibrate(res *experiment.Result) (*Surrogate, error) {
 		}
 		return time.Duration(wsum / tp * float64(time.Second)), tp
 	}
+	declared := tier.DeclaredDemand(res.Config.Mix)
 	s := &Surrogate{
 		HW:          res.Config.Testbed.Hardware,
 		Think:       res.Config.ThinkMean,
@@ -112,8 +108,8 @@ func Calibrate(res *experiment.Result) (*Surrogate, error) {
 		DiskDemand:  time.Duration(disk / x * float64(time.Second)),
 		AppJVM:      jvm.DefaultConfig(),
 		MidJVM:      jvm.DefaultConfig(),
-		AllocAppMiB: defaultAllocAppMiB,
-		AllocMidMiB: defaultAllocMidMiB,
+		AllocAppMiB: declared.AllocAppMiB,
+		AllocMidMiB: declared.AllocMidMiB,
 	}
 	// Residual latencies: what a pool holder actually waits for beyond the
 	// CPU-only zero-load residence of its downstream subnetwork. The

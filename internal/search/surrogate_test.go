@@ -7,7 +7,9 @@ import (
 
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/jvm"
+	"github.com/softres/ntier/internal/rubbos"
 	"github.com/softres/ntier/internal/testbed"
+	"github.com/softres/ntier/internal/tier"
 )
 
 // quickstartConfig mirrors the README quickstart topology: 1/2/1/2
@@ -151,5 +153,89 @@ func TestGCFraction(t *testing.T) {
 	}
 	if f := gcFraction(cfg, 100000, 1e9); f != 0.9 {
 		t.Errorf("thrashing gc fraction = %.2f, want clamp at 0.9", f)
+	}
+}
+
+// The declared demand model (tier.DeclaredDemand) against the utilization
+// law: one below-knee trial per hardware shape, read the way Calibrate
+// reads it (CPU utilization minus GC over throughput, summed per tier, and
+// queries per request from C-JDBC's visit rate). Tolerance 3% per tier and
+// 1% on Req_ratio. Service times are lognormal with CV 0.8, so about 8,700
+// requests in the window put one standard error of a tier's mean near
+// 0.9%; sessions start at the home page, so the mix also nears its
+// stationary weights only after a few requests per user. An omitted
+// charge the size of C-JDBC's per-query validation (13% of its demand)
+// lies far outside the band. Measured at seed 21, 15 s + 30 s, 2000 users:
+// every tier within 1.6% and Req_ratio within 0.5% on both shapes.
+func TestDeclaredDemandsMatchUtilizationLaw(t *testing.T) {
+	declared := tier.DeclaredDemand(nil)
+	soft := testbed.SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 6}
+	for _, hw := range []testbed.Hardware{{Web: 1, App: 2, Mid: 1, DB: 2}, {Web: 1, App: 4, Mid: 1, DB: 4}} {
+		cfg := quickstartConfig(soft, 2000)
+		cfg.Testbed.Hardware = hw
+		res, err := experiment.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sur, err := Calibrate(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gap := func(measured, want float64) float64 { return (measured - want) / want }
+		for _, c := range []struct {
+			name           string
+			measured, want time.Duration
+		}{
+			{"Apache", sur.WebDemand, declared.Web},
+			{"Tomcat", sur.AppDemand, declared.App},
+			{"C-JDBC", sur.MidDemand, declared.Mid},
+			{"MySQL", sur.DBDemand, declared.DB},
+		} {
+			g := gap(float64(c.measured), float64(c.want))
+			t.Logf("%v %s: measured %v, declared %v (%+.2f%%)", hw, c.name, c.measured, c.want, 100*g)
+			if math.Abs(g) > 0.03 {
+				t.Errorf("%v %s demand: measured %v, declared %v (gap %+.2f%%, tol 3%%)",
+					hw, c.name, c.measured, c.want, 100*g)
+			}
+		}
+		g := gap(sur.QueriesPerReq, declared.Queries)
+		t.Logf("%v Req_ratio: measured %.4f, declared %.4f (%+.2f%%)", hw, sur.QueriesPerReq, declared.Queries, 100*g)
+		if math.Abs(g) > 0.01 {
+			t.Errorf("%v Req_ratio: measured %.4f, declared %.4f (gap %+.2f%%, tol 1%%)",
+				hw, sur.QueriesPerReq, declared.Queries, 100*g)
+		}
+	}
+}
+
+// C-JDBC allocates heap per query, so at throughput x the surrogate's
+// C-JDBC collector must see x × Req_ratio × the per-query allocation, not
+// x × the per-query allocation. 200 connections per Tomcat pin enough live
+// heap that the GC share tells the two rates apart.
+func TestSurrogateCJDBCAllocRate(t *testing.T) {
+	cfg := quickstartConfig(testbed.SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 6}, 1000)
+	cfg.RampUp, cfg.Measure = 5*time.Second, 10*time.Second
+	res, err := experiment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sur, err := Calibrate(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soft := testbed.SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 200}
+	p, err := sur.Predict(soft, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perQuery := rubbos.NewTable().Items[rubbos.StoriesOfTheDay].AllocCJDBCMiB
+	rate := p.Throughput * tier.DeclaredDemand(nil).Queries * perQuery
+	midSlots := sur.HW.App * soft.AppConns / sur.HW.Mid
+	want := gcFraction(sur.MidJVM, midSlots, rate/float64(sur.HW.Mid))
+	if want <= 0 || want >= 0.9 {
+		t.Fatalf("expected C-JDBC GC share %.3f is not informative", want)
+	}
+	if math.Abs(p.MidGCFrac-want) > 1e-3*want {
+		t.Errorf("C-JDBC GC share %.4f at %.1f req/s, want %.4f (allocation %.2f MiB/s)",
+			p.MidGCFrac, p.Throughput, want, rate)
 	}
 }

@@ -47,6 +47,15 @@
 // simulation. Events and processes interact only through the Env they were
 // created on.
 //
+// An Env's storage outlives it (storage.go). Shutdown resets its event
+// records, Proc slabs and queue memory to a new Env's state and hands them
+// to a process-wide pool of at most GOMAXPROCS sets; NewEnv adopts one, so
+// the trials of a campaign run on the storage earlier trials left; and
+// DropStorage, which a campaign calls when it returns, lets the pool's
+// memory go. A warm Env takes its records in the order a new one mints
+// them, so it replays identically, and a shut-down Env panics at any call
+// that would write into the storage it handed on.
+//
 // The process handoff needs Go 1.23 for iter.Pull; see toolchain.go.
 package des
 
@@ -94,10 +103,13 @@ type Env struct {
 	counters   Counters
 	// slabs holds every Proc GoStep ever minted, procSlab to a slab, so
 	// Shutdown finds each live one, suspended ones included, by walking
-	// them. procs holds those that finished normally, for GoStep to reuse,
-	// so it is never longer than the peak number of live processes. A
-	// process on it has r == nil, which Unpark checks.
+	// them; slabs[slab] is the one GoStep mints from next, and those after
+	// it, adopted from an earlier Env, are empty. procs holds those that
+	// finished normally, for GoStep to reuse, so it is never longer than
+	// the peak number of live processes. A process on it has r == nil,
+	// which Unpark checks.
 	slabs [][]Proc
+	slab  int
 	procs []*Proc
 	// stepper stands in for a runner in every process that holds none and
 	// is not suspended: such a process's r points here between its runs,
@@ -131,8 +143,13 @@ func (pp *ProcPanic) Error() string {
 	return fmt.Sprintf("des: process %q panicked: %v", pp.Proc, pp.Value)
 }
 
-// NewEnv returns an environment with the clock at zero.
-func NewEnv() *Env { return &Env{} }
+// NewEnv returns an environment with the clock at zero. It runs on the
+// storage of an Env shut down earlier, if the process-wide pool holds one.
+func NewEnv() *Env {
+	e := &Env{}
+	e.adopt()
+	return e
+}
 
 // Now returns the current simulated time.
 func (e *Env) Now() time.Duration { return e.now }
@@ -291,8 +308,8 @@ func (e *Env) compact() {
 // component that must stop or move a scheduled callback owns a Timer.
 // Scheduling in the past (t < Now) panics.
 func (e *Env) At(t time.Duration, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
+	if t < e.now || e.stopped {
+		e.badSchedule(t)
 	}
 	ev := e.alloc()
 	ev.fn = fn
@@ -308,12 +325,21 @@ func (e *Env) After(d time.Duration, fn func()) {
 // allocation-free internal path for process starts and wakes, which need
 // no closure.
 func (e *Env) schedProc(t time.Duration, p *Proc) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
+	if t < e.now || e.stopped {
+		e.badSchedule(t)
 	}
 	ev := e.alloc()
 	ev.proc = p
 	e.q.push(entry{at: t, seq: ev.seq, evi: ev.idx}, e.now)
+}
+
+// badSchedule panics for scheduling at t in the past, or on an Env whose
+// Shutdown handed its storage on to another.
+func (e *Env) badSchedule(t time.Duration) {
+	if e.stopped {
+		panic("des: scheduling an event after Shutdown")
+	}
+	panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
 }
 
 // Run processes events in timestamp order until the queue is empty or the
@@ -388,9 +414,14 @@ func (e *Env) Interrupted() bool { return e.interrupted.Load() }
 // process that holds no runner — not yet started, resting, suspended, or
 // waiting between steps — is found by walking the slabs GoStep mints
 // processes from; its cleanups run on the caller's thread. The freed
-// runners then go to a process-wide pool for the next Env.
-// After Shutdown the Env is unusable. It is safe to call once Run has
-// returned; it must not be called from scheduler context.
+// runners then go to a process-wide pool for the next Env, and so does
+// the Env's storage — its event records, Proc slabs and queue memory —
+// for the next NewEnv to adopt (see DropStorage).
+//
+// After Shutdown the Env is unusable, and scheduling on it — At, After,
+// Timer.Arm, ArmAt or Stop, Unpark — panics rather than write into
+// storage another Env may own by then. Shutdown is safe to call once Run
+// has returned; it must not be called from scheduler context.
 func (e *Env) Shutdown() {
 	if e.stopped {
 		return
@@ -425,6 +456,7 @@ func (e *Env) Shutdown() {
 		e.idle, r.next = r.next, nil
 		r.stop()
 	}
+	e.handOn()
 }
 
 // Timer is a re-armable scheduled callback owned by a single component —
@@ -451,10 +483,12 @@ func (t *Timer) Arm(d time.Duration) { t.ArmAt(t.env.now + d) }
 // earlier pending firing. Scheduling in the past panics.
 func (t *Timer) ArmAt(at time.Duration) {
 	e := t.env
-	if at < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", at, e.now))
+	if at < e.now || e.stopped {
+		e.badSchedule(at)
 	}
-	t.Stop()
+	if t.ev != nil {
+		t.cancel()
+	}
 	ev := e.alloc()
 	ev.timer = t
 	e.q.push(entry{at: at, seq: ev.seq, evi: ev.idx}, e.now)
@@ -463,10 +497,18 @@ func (t *Timer) ArmAt(at time.Duration) {
 
 // Stop cancels the pending firing, if any. The record is recycled
 // immediately; the queue entry is skipped on pop or dropped at compaction.
+// Stop after Shutdown panics: the record may belong to another Env now.
 func (t *Timer) Stop() {
-	if t.ev == nil {
-		return
+	if t.env.stopped {
+		panic("des: Timer.Stop after Shutdown")
 	}
+	if t.ev != nil {
+		t.cancel()
+	}
+}
+
+// cancel recycles the pending firing's record.
+func (t *Timer) cancel() {
 	ev := t.ev
 	t.ev = nil
 	t.env.recycle(ev)
@@ -675,20 +717,23 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 //
 // The returned *Proc is valid only until the process finishes: a process
 // that finishes normally is reused by a later GoStep, so an open workload
-// that starts one process per request allocates none once warm.
+// that starts one process per request allocates none once warm; after
+// Shutdown, every Proc may be reused by a later Env's GoStep.
 func (e *Env) GoStep(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procs) - 1; n >= 0 {
 		p = e.procs[n]
 		e.procs = e.procs[:n]
 	} else {
-		n := len(e.slabs) - 1
-		if n < 0 || len(e.slabs[n]) == procSlab {
+		if e.slab == len(e.slabs) {
 			e.slabs = append(e.slabs, make([]Proc, 0, procSlab))
-			n++
 		}
-		s := e.slabs[n][:len(e.slabs[n])+1]
-		e.slabs[n], p = s, &s[len(s)-1]
+		s := e.slabs[e.slab]
+		s = s[:len(s)+1]
+		e.slabs[e.slab], p = s, &s[len(s)-1]
+		if len(s) == procSlab {
+			e.slab++
+		}
 	}
 	*p = Proc{env: e, name: name, r: &e.stepper, fn: fn}
 	e.live++
@@ -913,9 +958,9 @@ func (p *Proc) Park() {
 // resting process is neither: its wake is already scheduled.
 //
 // Unpark panics if p is neither inside a run nor suspended (it is resting
-// or not yet started), or if p finished normally: its Proc may be
-// reused, so a stale wake would run another process. The Unpark of a
-// process that panicked is a no-op.
+// or not yet started), if p finished normally, or if its Env was shut
+// down: its Proc may be reused, so a stale wake would run another
+// process. The Unpark of a process that panicked is a no-op.
 func (p *Proc) Unpark() {
 	e := p.env
 	if r := p.r; r == nil || r == &e.stepper && p.fn != nil {
@@ -925,8 +970,11 @@ func (p *Proc) Unpark() {
 }
 
 // badUnpark panics for the Unpark of a process that is neither parked nor
-// suspended.
+// suspended, or that its Env's Shutdown cleared.
 func (p *Proc) badUnpark() {
+	if p.env == nil {
+		panic("des: Unpark of a process after its Env's Shutdown")
+	}
 	if p.r == nil {
 		panic(fmt.Sprintf("des: Unpark of process %q after it finished", p.name))
 	}

@@ -146,6 +146,15 @@ type queueStats struct {
 
 func (q *eventQueue) len() int { return q.size }
 
+// reset empties q and keeps its memory — the node chunks and the run, cur,
+// heads and far arrays — for the next Env. A reset queue behaves exactly as
+// a new one: every decision reads lengths, never capacities, node indexes
+// start over at 1, and heads past its length stay zero, as rebuild expects.
+func (q *eventQueue) reset() {
+	clear(q.heads)
+	*q = eventQueue{run: q.run[:0], cur: q.cur[:0], heads: q.heads[:0], far: q.far[:0], nodes: q.nodes}
+}
+
 // calN is the calendar's population: every entry not in the lane.
 func (q *eventQueue) calN() int { return q.size - q.laneN }
 

@@ -120,7 +120,7 @@ func TestStaleUnparkPanics(t *testing.T) {
 }
 
 // Shutdown ends the live processes, and only those, while finished ones
-// wait on the free list for reuse; the processes it ends are not reused.
+// wait on the free list for reuse; then it hands all of them on.
 func TestShutdownWithRetiredProcs(t *testing.T) {
 	env := NewEnv()
 	cleaned := map[string]int{}
@@ -143,15 +143,15 @@ func TestShutdownWithRetiredProcs(t *testing.T) {
 		}
 	})
 	env.Run(2 * time.Second)
-	if env.Live() != 2 {
-		t.Fatalf("Live() = %d before Shutdown, want 2", env.Live())
+	if env.Live() != 2 || len(env.procs) != 4 {
+		t.Fatalf("Live() = %d with %d processes on the free list before Shutdown, want 2 and 4", env.Live(), len(env.procs))
 	}
 	env.Shutdown()
 	if env.Live() != 0 {
 		t.Errorf("Live() = %d after Shutdown, want 0", env.Live())
 	}
-	if n := len(env.procs); n != 4 {
-		t.Errorf("%d processes on the free list after Shutdown, want the 4 left unused; Shutdown retires none", n)
+	if env.procs != nil || env.slabs != nil {
+		t.Errorf("the Env kept %d free and %d slabs of processes after Shutdown, want none: they go to the next Env", len(env.procs), len(env.slabs))
 	}
 	want := map[string]int{"stepped": 3, "ran": 3, "resting": 1, "sleeping": 1}
 	if fmt.Sprint(cleaned) != fmt.Sprint(want) {

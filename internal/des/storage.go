@@ -1,0 +1,97 @@
+//go:build go1.23
+
+package des
+
+import (
+	"runtime"
+	"sync"
+)
+
+// storage is the memory an Env's events and processes live in: the
+// event-record arena, the Proc slabs, the finished-Proc free list and the
+// queue's node chunks and arrays. Shutdown hands it to storagePool and
+// NewEnv adopts it, so the trials of a campaign run on the storage earlier
+// trials left instead of minting their own.
+type storage struct {
+	arena [][]event
+	slabs [][]Proc
+	procs []*Proc
+	q     eventQueue
+}
+
+// storagePool holds the storage of shut-down Envs for the next NewEnv: at
+// most GOMAXPROCS sets, one per trial a campaign runs at once.
+var storagePool struct {
+	sync.Mutex
+	sets []storage
+}
+
+// DropStorage empties the storage pool, so the memory of the Envs shut
+// down so far can be collected, and reports how many sets it dropped. A
+// campaign calls it when it returns: its trials reuse each other's
+// storage, and nothing they used outlives it.
+func DropStorage() int {
+	storagePool.Lock()
+	defer storagePool.Unlock()
+	n := len(storagePool.sets)
+	clear(storagePool.sets)
+	storagePool.sets = storagePool.sets[:0]
+	return n
+}
+
+// adopt gives e, a new Env, the storage of the Env shut down last, if the
+// pool holds any. It is already in a new Env's state (see handOn).
+func (e *Env) adopt() {
+	storagePool.Lock()
+	defer storagePool.Unlock()
+	n := len(storagePool.sets) - 1
+	if n < 0 {
+		return
+	}
+	s := storagePool.sets[n]
+	storagePool.sets[n] = storage{}
+	storagePool.sets = storagePool.sets[:n]
+	e.arena, e.slabs, e.procs, e.q = s.arena, s.slabs, s.procs, s.q
+	e.free = 1 // every record, ascending
+}
+
+// handOn resets e's storage to a new Env's state and hands it to the pool,
+// or drops it if the pool is full; e keeps none of it. Shutdown calls it
+// once every process has ended. A new Env mints event records a slab at a
+// time, each slab's records on the free list in ascending index order, so
+// every record goes back resolved and on one ascending list: the records a
+// warm Env takes, and the order it takes them in, are those a new Env
+// would mint. A record still queued releases its Timer, which then reports
+// itself unarmed. The Procs and the free list are cleared, so a kept set
+// pins nothing of the Env it came from.
+func (e *Env) handOn() {
+	s := storage{arena: e.arena, slabs: e.slabs, procs: e.procs[:0]}
+	e.arena, e.slabs, e.procs, e.slab, e.free, e.nDead = nil, nil, nil, 0, 0, 0
+	for _, slab := range s.arena {
+		for i := range slab {
+			ev := &slab[i]
+			if t := ev.timer; t != nil {
+				t.ev = nil
+			}
+			*ev = event{seq: resolvedSeq, idx: ev.idx, next: ev.idx + 2}
+		}
+	}
+	if n := len(s.arena); n > 0 {
+		s.arena[n-1][slabSize-1].next = 0
+	}
+	for i, slab := range s.slabs {
+		clear(slab)
+		s.slabs[i] = slab[:0]
+	}
+	clear(s.procs[:cap(s.procs)])
+	s.q, e.q = e.q, eventQueue{}
+	s.q.reset()
+	if len(s.arena) == 0 {
+		return // an Env that scheduled nothing has nothing worth keeping
+	}
+	storagePool.Lock()
+	defer storagePool.Unlock()
+	if len(storagePool.sets) < runtime.GOMAXPROCS(0) {
+		storagePool.sets = append(storagePool.sets, s)
+	}
+}

@@ -291,8 +291,8 @@ func TestShutdownWalksProcSlabs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		start("unstarted", func(*Proc) { t.Error("an unstarted process ran") })
 	}
-	if n := len(env.slabs); n != 4 || len(env.slabs[n-1]) != 17 {
-		t.Fatalf("%d slabs, the last holding %d; want 4 and 17", n, len(env.slabs[n-1]))
+	if n := env.slab; n != 3 || len(env.slabs[n]) != 17 {
+		t.Fatalf("minting from slab %d, which holds %d; want 3 and 17", n, len(env.slabs[n]))
 	}
 	wantLive := started["suspended"] + started["unparked"] + started["resting"] + started["sleeping"] + started["unstarted"]
 	if env.Live() != wantLive {

@@ -10,6 +10,8 @@ package experiment
 import (
 	"errors"
 	"fmt"
+
+	"github.com/softres/ntier/internal/des"
 )
 
 // Campaign describes N independent trials of one kind.
@@ -56,7 +58,12 @@ type Cell[Out any] struct {
 //     the lowest-index one wins.
 //
 // Cells come back in index order, identical at every parallelism.
+//
+// Each trial's engine runs on the storage an earlier one shut down left
+// (des.NewEnv), and RunCampaign drops what is left when it returns, so
+// nothing its trials used outlives the campaign.
 func RunCampaign[Out any](base RunConfig, c Campaign[Out]) ([]Cell[Out], error) {
+	defer des.DropStorage()
 	var j *Journal
 	if base.State != nil {
 		var err error

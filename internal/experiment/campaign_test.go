@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/softres/ntier/internal/des"
 )
 
 // squares is a synthetic campaign — cell i outputs i*i, no simulation —
@@ -212,6 +214,31 @@ func TestRunCampaignLowestIndexErrorWins(t *testing.T) {
 	}))
 	if !errors.Is(err, bad[3]) || !strings.Contains(err.Error(), "cell=3") {
 		t.Fatalf("err = %v, want index 3's error labeled with its key", err)
+	}
+}
+
+// Nothing a campaign's trials used outlives it: the engine storage their
+// Envs hand on to each other is dropped when RunCampaign returns, on
+// success and on an aborting error alike.
+func TestRunCampaignDropsEngineStorage(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		var runs atomic.Int64
+		c := squares(6, &runs, func(i int) error {
+			env := des.NewEnv()
+			env.After(time.Second, func() {})
+			env.Run(2 * time.Second)
+			env.Shutdown()
+			if abort && i == 5 {
+				return errors.New("abort")
+			}
+			return nil
+		})
+		if _, err := RunCampaign(RunConfig{Parallelism: 2}, c); (err != nil) != abort {
+			t.Fatalf("abort=%v: err = %v", abort, err)
+		}
+		if n := des.DropStorage(); n != 0 {
+			t.Errorf("abort=%v: %d sets of engine storage kept after RunCampaign returned, want 0", abort, n)
+		}
 	}
 }
 

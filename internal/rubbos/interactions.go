@@ -30,7 +30,7 @@ type Interaction struct {
 	Queries     float64 // mean SQL queries per request
 	CJDBCMS     float64 // C-JDBC routing CPU per query
 	MySQLMS     float64 // MySQL CPU per query
-	WriteMS     float64 // MySQL synchronous disk commit per request (writes only)
+	WriteMS     float64 // MySQL synchronous disk commit per SQL statement (writes only)
 	ResponseKB  float64 // page weight incl. static follow-ups (client link)
 	CV          rng.CV  // coefficient of variation of CPU times
 
@@ -182,7 +182,8 @@ func Interactions() []Interaction {
 	})
 
 	// Write interactions pay a synchronous disk commit at the database
-	// (log flush + fsync on the 10k-rpm drive).
+	// (log flush + fsync on the 10k-rpm drive), once per SQL statement:
+	// MySQL.Query charges it on each of the request's Queries.
 	writeCost := map[int]float64{
 		RegisterUser: 6, StoreComment: 8, AcceptStory: 7, RejectStory: 6,
 		StoreStory: 9, StoreModeratorComment: 7, SubmitStory: 5,

@@ -345,15 +345,15 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // TestNoDeadInternalFuncs is the dead-code gate. Go forbids importing
-// internal/ from outside this repository, so an exported top-level
-// function there that no non-test code references, and that no test of
-// another package calls, has no user. An exported method there has none
-// if no Go file at all, test or not, selects it, and it implements no
-// interface method that some file selects, and the standard library does
-// not call it (stdlibMethods). Selections are resolved by type, so a
-// field, a package function or another type's method of the same name
-// does not keep a method alive. Every file is checked, bench/ included,
-// since it imports internal packages.
+// internal/ from outside this repository, so an exported function or
+// method there that no non-test code references, and that no test of
+// another package calls, has no user: its own package's tests alone do
+// not keep it. A method is kept also if it implements an interface method
+// that some file, test or not, selects, or if the standard library calls
+// it (stdlibMethods). Selections are resolved by type, so a field, a
+// package function or another type's method of the same name does not
+// keep a method alive. Every file is checked, bench/ included, since it
+// imports internal packages.
 func TestNoDeadInternalFuncs(t *testing.T) {
 	fset, pkgs := typecheckRepo(t)
 	declared := map[*types.Func]string{} // declaration -> "pos: internal/pkg.Func" or "...pkg.Type.Method"
@@ -392,17 +392,14 @@ func TestNoDeadInternalFuncs(t *testing.T) {
 			}
 			fn = fn.Origin()
 			recv := fn.Type().(*types.Signature).Recv()
-			switch {
-			case recv == nil:
-				// A function counts where non-test code references it or
-				// a test of another package calls it.
-				test := strings.HasSuffix(fset.Position(id.Pos()).Filename, "_test.go")
-				if declDir, ok := repoDir(fn.Pkg().Path()); !test || !ok || declDir != tp.dir {
-					used[fn] = true
-				}
-			case types.IsInterface(recv.Type()):
+			if recv != nil && types.IsInterface(recv.Type()) {
 				ifaceMethods[fn] = true
-			default:
+				continue
+			}
+			// A function or method counts where non-test code selects it
+			// or a test of another package does.
+			test := strings.HasSuffix(fset.Position(id.Pos()).Filename, "_test.go")
+			if declDir, ok := repoDir(fn.Pkg().Path()); !test || !ok || declDir != tp.dir {
 				used[fn] = true
 			}
 		}
@@ -422,25 +419,16 @@ func TestNoDeadInternalFuncs(t *testing.T) {
 			}
 		}
 	}
-	var dead, deadMethods []string
+	var dead []string
 	for fn, decl := range declared {
-		switch {
-		case used[fn]:
-		case fn.Type().(*types.Signature).Recv() == nil:
+		if !used[fn] {
 			dead = append(dead, decl)
-		default:
-			deadMethods = append(deadMethods, decl)
 		}
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Errorf("%d exported internal functions have no user outside their own package's tests; delete them:\n%s",
+		t.Errorf("%d exported internal functions and methods have no user outside their own package's tests; delete or unexport them:\n%s",
 			len(dead), strings.Join(dead, "\n"))
-	}
-	sort.Strings(deadMethods)
-	if len(deadMethods) > 0 {
-		t.Errorf("%d exported internal methods are selected by no Go file, test or not, and implement no selected interface method; delete them:\n%s",
-			len(deadMethods), strings.Join(deadMethods, "\n"))
 	}
 }
 

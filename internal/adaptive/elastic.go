@@ -282,12 +282,6 @@ func AttachElastic(tb *testbed.Testbed, cfg ElasticConfig) (*ElasticController, 
 // Decisions returns the resize actions applied so far.
 func (c *ElasticController) Decisions() []ElasticDecision { return c.decisions }
 
-// Units returns the currently allocated total units.
-func (c *ElasticController) Units() int { return c.soft.Units(c.tb.Opts.Hardware) }
-
-// Budget returns the effective total-units budget.
-func (c *ElasticController) Budget() int { return c.budget }
-
 // servers returns how many per-server pools an axis spans.
 func (c *ElasticController) servers(ax axis) int {
 	if ax == axisWeb {

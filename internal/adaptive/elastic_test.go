@@ -177,8 +177,8 @@ func TestElasticShrinksIdleAllocation(t *testing.T) {
 			if !shrank {
 				t.Fatalf("TOP_JOB never released an over-allocation (%s):\n%s", tc.reason, FormatDecisions(ctl.Decisions()))
 			}
-			if ctl.Units() >= ctl.Budget() {
-				t.Errorf("units %d did not drop below the budget %d", ctl.Units(), ctl.Budget())
+			if ctl.soft.Units(ctl.tb.Opts.Hardware) >= ctl.budget {
+				t.Errorf("units %d did not drop below the budget %d", ctl.soft.Units(ctl.tb.Opts.Hardware), ctl.budget)
 			}
 			if got := tb.Tomcats[0].Threads.Capacity(); got < tc.appLo || got >= tc.appHi {
 				t.Errorf("final threads capacity %d, want in [%d, %d)", got, tc.appLo, tc.appHi)
@@ -196,8 +196,8 @@ func TestElasticRespectsBudgetAndCooldown(t *testing.T) {
 	}
 	last := map[string]time.Duration{}
 	for _, d := range ctl.Decisions() {
-		if d.Units > ctl.Budget() {
-			t.Errorf("decision exceeded the budget %d: %v", ctl.Budget(), d)
+		if d.Units > ctl.budget {
+			t.Errorf("decision exceeded the budget %d: %v", ctl.budget, d)
 		}
 		if prev, ok := last[d.Axis]; ok && d.At-prev < cfg.Cooldown {
 			t.Errorf("axis %s resized %v after %v, inside the %v cooldown",

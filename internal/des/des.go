@@ -47,14 +47,16 @@
 // simulation. Events and processes interact only through the Env they were
 // created on.
 //
-// An Env's storage outlives it (storage.go). Shutdown resets its event
-// records, Proc slabs and queue memory to a new Env's state and hands them
-// to a process-wide pool of at most GOMAXPROCS sets; NewEnv adopts one, so
-// the trials of a campaign run on the storage earlier trials left; and
-// DropStorage, which a campaign calls when it returns, lets the pool's
-// memory go. A warm Env takes its records in the order a new one mints
-// them, so it replays identically, and a shut-down Env panics at any call
-// that would write into the storage it handed on.
+// Shutdown ends every live process: one inside a run unwinds its stack,
+// deferred calls included, and one that holds no coroutine has no stack
+// and never runs again. An Env's storage outlives it (storage.go):
+// Shutdown resets its event records, Proc slabs and queue memory to a new
+// Env's state and hands them to a process-wide pool of at most GOMAXPROCS
+// sets; NewEnv adopts one, so the trials of a campaign run on the storage
+// earlier trials left; and DropStorage, which a campaign calls when it
+// returns, lets the pool's memory go. A warm Env takes its records in the
+// order a new one mints them, so it replays identically, and a shut-down
+// Env panics at any call that would write into the storage it handed on.
 //
 // The process handoff needs Go 1.23 for iter.Pull; see toolchain.go.
 package des
@@ -101,12 +103,12 @@ type Env struct {
 	busy, idle *runner
 	bound      int // runners on busy
 	counters   Counters
-	// slabs holds every Proc GoStep ever minted, procSlab to a slab, so
-	// Shutdown finds each live one, suspended ones included, by walking
-	// them; slabs[slab] is the one GoStep mints from next, and those after
-	// it, adopted from an earlier Env, are empty. procs holds those that
-	// finished normally, for GoStep to reuse, so it is never longer than
-	// the peak number of live processes. A process on it has r == nil,
+	// slabs holds every Proc GoStep ever minted, procSlab to a slab, one
+	// allocation each, which Shutdown hands on with the rest of the Env's
+	// storage; slabs[slab] is the one GoStep mints from next, and those
+	// after it, adopted from an earlier Env, are empty. procs holds those
+	// that finished normally, for GoStep to reuse, so it is never longer
+	// than the peak number of live processes. A process on it has r == nil,
 	// which Unpark checks.
 	slabs [][]Proc
 	slab  int
@@ -229,9 +231,9 @@ type event struct {
 const slabSize = 64
 
 // procSlab is how many Procs GoStep mints at a time. The runtime puts an
-// 8-byte header on a pointerful allocation over 512 bytes, so 64 Procs of
-// 64 bytes would take the 4864-byte size class; 63 fill the 4096-byte one.
-const procSlab = 63
+// 8-byte header on a pointerful allocation over 512 bytes, so 73 Procs of
+// 56 bytes fill the 4096-byte size class exactly.
+const procSlab = 73
 
 // evAt resolves a queue entry's record index to the record.
 func (e *Env) evAt(i uint32) *event {
@@ -408,15 +410,15 @@ func (e *Env) Interrupt() { e.interrupted.Store(true) }
 // Interrupted reports whether Interrupt has been called.
 func (e *Env) Interrupted() bool { return e.interrupted.Load() }
 
-// Shutdown ends every live process and runs its Defer cleanups, so Live()
-// is 0 when it returns. A process inside a run (blocked in Sleep or Park)
-// is resumed on the caller's thread and unwinds with a sentinel panic. A
-// process that holds no runner — not yet started, resting, suspended, or
-// waiting between steps — is found by walking the slabs GoStep mints
-// processes from; its cleanups run on the caller's thread. The freed
-// runners then go to a process-wide pool for the next Env, and so does
-// the Env's storage — its event records, Proc slabs and queue memory —
-// for the next NewEnv to adopt (see DropStorage).
+// Shutdown ends every live process, so Live() is 0 when it returns. A
+// process inside a run (blocked in Sleep or Park) is resumed on the
+// caller's thread and unwinds with a sentinel panic, which runs its
+// deferred calls. A process that holds no runner — not yet started,
+// resting, suspended, or waiting between steps — has no stack to unwind
+// and simply never runs again. The freed runners then go to a
+// process-wide pool for the next Env, and so does the Env's storage — its
+// event records, Proc slabs and queue memory — for the next NewEnv to
+// adopt (see DropStorage).
 //
 // After Shutdown the Env is unusable, and scheduling on it — At, After,
 // Timer.Arm, ArmAt or Stop, Unpark — panics rather than write into
@@ -431,18 +433,11 @@ func (e *Env) Shutdown() {
 		if _, ok := r.resume(); !ok {
 			// The coroutine already ended under its process: a
 			// runtime.Goexit, which went on to end Run's goroutine.
-			p := r.p
 			e.unbind(r)
-			e.finish(p)
 		}
 	}
-	for _, s := range e.slabs {
-		for i := range s {
-			if p := &s[i]; p.fn != nil {
-				e.finish(p)
-			}
-		}
-	}
+	// The processes still live hold no runner; handOn clears their Procs.
+	e.live = 0
 	runnerPool.Lock()
 	for e.idle != nil && runnerPool.n < runnerPoolCap {
 		r := e.idle
@@ -515,9 +510,6 @@ func (t *Timer) cancel() {
 	t.env.bumpDead()
 }
 
-// Armed reports whether a firing is pending.
-func (t *Timer) Armed() bool { return t.ev != nil }
-
 // killed is the sentinel panic value used to unwind killed processes.
 type killedSentinel struct{}
 
@@ -532,14 +524,15 @@ type killedSentinel struct{}
 // next dispatch runs fn as a step (see GoStep). In a trial that means: a
 // request in service holds one, while a thinking user (resting) and a
 // request queued at its front door (suspended) do not. A Proc that
-// finishes normally is reused by a later GoStep.
+// finishes normally is reused by a later GoStep. Code that must run when
+// a run ends uses a plain defer, which runs at fn's return, at a panic,
+// and in Shutdown's unwind.
 type Proc struct {
-	env     *Env
-	name    string
-	r       *runner     // inside a run of fn its runner; while suspended &env.waiting; on Env.procs nil; else &env.stepper
-	fn      func(*Proc) // nil once the process has finished
-	data    any
-	cleanup func() // the Defer callbacks, chained newest first
+	env  *Env
+	name string
+	r    *runner     // inside a run of fn its runner; while suspended &env.waiting; on Env.procs nil; else &env.stepper
+	fn   func(*Proc) // nil once the process has finished
+	data any
 }
 
 // SetData attaches arbitrary user data to the process (e.g. a per-request
@@ -549,33 +542,10 @@ func (p *Proc) SetData(v any) { p.data = v }
 // Data returns the value set with SetData, or nil.
 func (p *Proc) Data() any { return p.data }
 
-// Defer registers fn to run when the process ends, on every exit path:
-// normal return, a panic captured by the scheduler, and the unwind paths of
-// Shutdown — including processes killed before their first scheduling or
-// while resting. Callbacks run in reverse registration order. A run that
-// ends with Rest does not end the process, so its callbacks stay pending;
-// a process that rests registers each cleanup once, not once per run.
-//
-// During a Shutdown unwind no scheduler runs, so callbacks must not touch
-// the Env or anything that schedules events (no Sleep, Park, pool
-// Acquire/Release); they exist to release external accounting, e.g.
-// resource.Pool.Abandon.
-func (p *Proc) Defer(fn func()) {
-	if next := p.cleanup; next != nil {
-		p.cleanup = func() { fn(); next() }
-	} else {
-		p.cleanup = fn
-	}
-}
-
-// finish marks p as ended and runs its Defer callbacks.
+// finish marks p as ended.
 func (e *Env) finish(p *Proc) {
 	p.fn = nil
 	e.live--
-	if c := p.cleanup; c != nil {
-		p.cleanup = nil
-		c()
-	}
 }
 
 // retire puts p, which finished normally, on e.procs for GoStep to reuse.
@@ -770,8 +740,6 @@ func (e *Env) runProc(p *Proc) {
 						defer func() {
 							v := recover()
 							if _, killed := v.(killedSentinel); v != nil && !killed {
-								// Capture the panic site before cleanups
-								// grow the stack.
 								pp = &ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()}
 							}
 						}()
@@ -831,9 +799,8 @@ func (e *Env) step(p *Proc) bool {
 	return false
 }
 
-// callStep calls p's fn on the scheduler's stack. A panic finishes p, runs
-// its cleanups and leaves Run as a *ProcPanic carrying the stack at the
-// panic site.
+// callStep calls p's fn on the scheduler's stack. A panic finishes p and
+// leaves Run as a *ProcPanic carrying the stack at the panic site.
 func (e *Env) callStep(p *Proc) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -853,9 +820,6 @@ func (p *Proc) yield() {
 		panic(killedSentinel{})
 	}
 }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() time.Duration { return p.env.now }

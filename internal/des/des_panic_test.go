@@ -42,51 +42,57 @@ func TestProcPanicPropagatesToRunCaller(t *testing.T) {
 	}
 }
 
+// A process that returns after a wake runs its deferred calls newest
+// first before Run returns.
 func TestDeferRunsLIFOOnNormalExit(t *testing.T) {
 	env := NewEnv()
 	var order []string
 	env.Go("worker", func(p *Proc) {
-		p.Defer(func() { order = append(order, "first-registered") })
-		p.Defer(func() { order = append(order, "second-registered") })
+		defer func() { order = append(order, "first-registered") }()
+		defer func() { order = append(order, "second-registered") }()
 		p.Sleep(time.Second)
 	})
 	env.Run(2 * time.Second)
-	if len(order) != 2 || order[0] != "second-registered" || order[1] != "first-registered" {
-		t.Fatalf("cleanup order %v, want LIFO", order)
+	if len(order) != 2 || order[0] != "second-registered" || order[1] != "first-registered" || env.Live() != 0 {
+		t.Fatalf("deferred call order %v, Live() = %d; want LIFO and 0", order, env.Live())
 	}
 }
 
+// A process killed inside a run unwinds its stack: its deferred calls run
+// before Shutdown returns, and Live() reaches 0.
 func TestDeferRunsOnShutdownUnwind(t *testing.T) {
 	env := NewEnv()
 	cleaned := make(chan string, 2)
 	env.Go("parked", func(p *Proc) {
-		p.Defer(func() { cleaned <- "parked" })
+		defer func() { cleaned <- "parked" }()
 		p.Park()
 	})
 	env.Go("sleeping", func(p *Proc) {
-		p.Defer(func() { cleaned <- "sleeping" })
+		defer func() { cleaned <- "sleeping" }()
 		p.Sleep(time.Hour)
 	})
 	env.Run(time.Second)
 	env.Shutdown()
-	if len(cleaned) != 2 {
-		t.Fatalf("%d cleanups after Shutdown, want both", len(cleaned))
+	if len(cleaned) != 2 || env.Live() != 0 {
+		t.Fatalf("%d deferred calls ran and Live() = %d after Shutdown, want 2 and 0", len(cleaned), env.Live())
 	}
 }
 
+// A process that panics unwinds its stack, deferred calls included, before
+// the scheduler captures the panic.
 func TestDeferRunsOnPanicUnwind(t *testing.T) {
 	env := NewEnv()
 	cleaned := false
 	env.Go("bomb", func(p *Proc) {
-		p.Defer(func() { cleaned = true })
+		defer func() { cleaned = true }()
 		panic("boom")
 	})
 	func() {
 		defer func() { recover() }()
 		env.Run(time.Second)
 	}()
-	if !cleaned {
-		t.Error("Defer did not run when the proc panicked")
+	if !cleaned || env.Live() != 0 {
+		t.Errorf("deferred call ran: %v, Live() = %d; want true and 0 after the panic", cleaned, env.Live())
 	}
 }
 

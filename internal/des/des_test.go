@@ -182,7 +182,7 @@ func TestNestedSpawn(t *testing.T) {
 	var order []string
 	env.Go("parent", func(p *Proc) {
 		order = append(order, "parent-start")
-		p.Env().Go("child", func(c *Proc) {
+		p.env.Go("child", func(c *Proc) {
 			order = append(order, "child")
 		})
 		p.Sleep(time.Millisecond)

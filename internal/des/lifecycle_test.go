@@ -61,15 +61,15 @@ func TestTimerRearmAndStop(t *testing.T) {
 	env := NewEnv()
 	fires := 0
 	tm := env.NewTimer(func() { fires++ })
-	if tm.Armed() {
-		t.Fatal("new timer Armed")
+	if tm.ev != nil {
+		t.Fatal("new timer armed")
 	}
 	// Re-arm 100k times: only the last schedule survives.
 	for i := 0; i < 100000; i++ {
 		tm.Arm(time.Duration(i%1000+1) * time.Millisecond)
 	}
-	if !tm.Armed() {
-		t.Fatal("armed timer not Armed")
+	if tm.ev == nil {
+		t.Fatal("re-armed timer has no pending firing")
 	}
 	if q := env.queueLen(); q > compactMin+2 {
 		t.Errorf("queueLen() = %d after re-arm churn, want <= %d", q, compactMin+2)
@@ -78,14 +78,14 @@ func TestTimerRearmAndStop(t *testing.T) {
 	if fires != 1 {
 		t.Fatalf("timer fired %d times, want 1 (only the last arm)", fires)
 	}
-	if tm.Armed() {
-		t.Error("fired timer still Armed")
+	if tm.ev != nil {
+		t.Error("fired timer still armed")
 	}
 
 	tm.Arm(time.Second)
 	tm.Stop()
-	if tm.Armed() {
-		t.Error("stopped timer Armed")
+	if tm.ev != nil {
+		t.Error("stopped timer armed")
 	}
 	env.Run(10 * time.Second)
 	if fires != 1 {
@@ -116,8 +116,8 @@ func TestTimerStopInsideCallback(t *testing.T) {
 	tm = env.NewTimer(func() { tm.Stop() })
 	tm.Arm(time.Second)
 	env.Run(2 * time.Second)
-	if tm.Armed() {
-		t.Error("timer Armed after self-stop")
+	if tm.ev != nil {
+		t.Error("timer armed after self-stop")
 	}
 	// The queue must still drain cleanly.
 	env.After(time.Second, func() {})

@@ -8,30 +8,27 @@ import (
 )
 
 // A process that finishes normally, in a step or on a runner, is reused by
-// the next GoStep, and starts clean: its new name, no data, none of the
-// previous life's cleanups, and Live() counts it once.
+// the next GoStep, and starts clean: its new name, no data, and Live()
+// counts it once.
 func TestReusedProcStartsClean(t *testing.T) {
 	for _, onRunner := range []bool{false, true} {
 		t.Run(fmt.Sprintf("runner=%v", onRunner), func(t *testing.T) {
 			env := NewEnv()
 			defer env.Shutdown()
-			cleaned := map[string]int{}
 			first := env.GoStep("first", func(p *Proc) {
 				if onRunner && !p.Bind() {
 					return
 				}
 				p.SetData("first's data")
-				p.Defer(func() { cleaned["first"]++ })
 			})
 			env.Run(time.Second)
-			if env.Live() != 0 || cleaned["first"] != 1 {
-				t.Fatalf("after the first life: Live() = %d, %d cleanups; want 0 and 1", env.Live(), cleaned["first"])
+			if env.Live() != 0 {
+				t.Fatalf("Live() = %d after the first life, want 0", env.Live())
 			}
 			var name string
 			var data any
 			second := env.GoStep("second", func(p *Proc) {
 				name, data = p.Name(), p.Data()
-				p.Defer(func() { cleaned["second"]++ })
 			})
 			if second != first {
 				t.Fatal("GoStep did not reuse the finished process")
@@ -43,8 +40,8 @@ func TestReusedProcStartsClean(t *testing.T) {
 			if name != "second" || data != nil {
 				t.Errorf("reused process saw Name() = %q, Data() = %v; want second and nil", name, data)
 			}
-			if cleaned["first"] != 1 || cleaned["second"] != 1 || env.Live() != 0 {
-				t.Errorf("after the second life: cleanups %v, Live() = %d; want one each and 0", cleaned, env.Live())
+			if env.Live() != 0 {
+				t.Errorf("Live() = %d after the second life, want 0", env.Live())
 			}
 		})
 	}
@@ -120,28 +117,27 @@ func TestStaleUnparkPanics(t *testing.T) {
 }
 
 // Shutdown ends the live processes, and only those, while finished ones
-// wait on the free list for reuse; then it hands all of them on.
+// wait on the free list for reuse; then it hands all of them on. Each
+// process that ran on a runner unwinds once: at its return, or at
+// Shutdown.
 func TestShutdownWithRetiredProcs(t *testing.T) {
 	env := NewEnv()
-	cleaned := map[string]int{}
-	start := func(name string, fn func(p *Proc)) {
-		env.GoStep(name, fn).Defer(func() { cleaned[name]++ })
+	unwound := map[string]int{}
+	onRunner := func(name string, d time.Duration) func(p *Proc) {
+		return func(p *Proc) {
+			if p.Bind() {
+				defer func() { unwound[name]++ }()
+				p.Sleep(d)
+			}
+		}
 	}
 	for i := 0; i < 3; i++ {
-		start("stepped", func(*Proc) {})
-		start("ran", func(p *Proc) {
-			if p.Bind() {
-				p.Sleep(time.Millisecond)
-			}
-		})
+		env.GoStep("stepped", func(*Proc) {})
+		env.GoStep("ran", onRunner("ran", time.Millisecond))
 	}
 	env.Run(time.Second)
-	start("resting", func(p *Proc) { p.Rest(time.Hour) })
-	start("sleeping", func(p *Proc) {
-		if p.Bind() {
-			p.Sleep(time.Hour)
-		}
-	})
+	env.GoStep("resting", func(p *Proc) { p.Rest(time.Hour) })
+	env.GoStep("sleeping", onRunner("sleeping", time.Hour))
 	env.Run(2 * time.Second)
 	if env.Live() != 2 || len(env.procs) != 4 {
 		t.Fatalf("Live() = %d with %d processes on the free list before Shutdown, want 2 and 4", env.Live(), len(env.procs))
@@ -153,8 +149,8 @@ func TestShutdownWithRetiredProcs(t *testing.T) {
 	if env.procs != nil || env.slabs != nil {
 		t.Errorf("the Env kept %d free and %d slabs of processes after Shutdown, want none: they go to the next Env", len(env.procs), len(env.slabs))
 	}
-	want := map[string]int{"stepped": 3, "ran": 3, "resting": 1, "sleeping": 1}
-	if fmt.Sprint(cleaned) != fmt.Sprint(want) {
-		t.Errorf("cleanups %v, want %v", cleaned, want)
+	want := map[string]int{"ran": 3, "sleeping": 1}
+	if fmt.Sprint(unwound) != fmt.Sprint(want) {
+		t.Errorf("unwound %v, want %v", unwound, want)
 	}
 }

@@ -9,22 +9,21 @@ import (
 )
 
 // Shutdown unwinds synchronously: the moment it returns, every process has
-// finished and run its cleanups, with no polling.
+// finished and run its deferred calls, with no polling.
 func TestShutdownLeavesNoLiveProcs(t *testing.T) {
 	env := NewEnv()
 	cleaned := 0
 	env.Go("parked", func(p *Proc) {
-		p.Defer(func() { cleaned++ })
+		defer func() { cleaned++ }()
 		p.Park()
 	})
 	env.Go("sleeping", func(p *Proc) {
-		p.Defer(func() { cleaned++ })
-		p.Defer(func() { cleaned++ })
+		defer func() { cleaned++ }()
+		defer func() { cleaned++ }()
 		p.Sleep(time.Hour)
 	})
 	env.Run(time.Second)
-	never := env.Go("never-started", func(p *Proc) { t.Error("killed process ran its body") })
-	never.Defer(func() { cleaned++ })
+	env.Go("never-started", func(p *Proc) { t.Error("killed process ran its body") })
 	if env.Live() != 3 {
 		t.Fatalf("Live() = %d before Shutdown, want 3", env.Live())
 	}
@@ -32,8 +31,8 @@ func TestShutdownLeavesNoLiveProcs(t *testing.T) {
 	if env.Live() != 0 {
 		t.Errorf("Live() = %d the moment Shutdown returned, want 0", env.Live())
 	}
-	if cleaned != 4 {
-		t.Errorf("%d cleanups done the moment Shutdown returned, want 4", cleaned)
+	if cleaned != 3 {
+		t.Errorf("%d deferred calls done the moment Shutdown returned, want 3", cleaned)
 	}
 }
 
@@ -50,32 +49,33 @@ func runnerOf(env *Env, name string, body func(p *Proc)) **runner {
 func panicker(*Proc) { panic("kaboom") }
 
 // A runner freed by a normal return, a ProcPanic or a kill runs the next
-// process normally: same coroutine, LIFO cleanups, and a ProcPanic stack
-// that still names the panicking function.
+// process normally: same coroutine, deferred calls run newest first, and a
+// ProcPanic stack that still names the panicking function.
 func TestRunnerReuse(t *testing.T) {
 	env := NewEnv()
 	var order []string
 	check := func(exit string) {
 		t.Helper()
 		if len(order) != 2 || order[0] != "second" || order[1] != "first" {
-			t.Errorf("after %s: cleanup order %v, want [second first]", exit, order)
+			t.Errorf("after %s: deferred call order %v, want [second first]", exit, order)
 		}
 		order = nil
 	}
-	lifo := func(p *Proc) {
-		p.Defer(func() { order = append(order, "first") })
-		p.Defer(func() { order = append(order, "second") })
+	note := func(name string) func() {
+		return func() { order = append(order, name) }
 	}
 
 	first := runnerOf(env, "returns", func(p *Proc) {
-		lifo(p)
+		defer note("first")()
+		defer note("second")()
 		p.Sleep(time.Second)
 	})
 	env.Run(2 * time.Second)
 	check("return")
 
 	second := runnerOf(env, "panics", func(p *Proc) {
-		lifo(p)
+		defer note("first")()
+		defer note("second")()
 		p.Sleep(time.Second)
 		panicker(p)
 	})
@@ -97,7 +97,8 @@ func TestRunnerReuse(t *testing.T) {
 	check("panic")
 
 	third := runnerOf(env, "killed", func(p *Proc) {
-		lifo(p)
+		defer note("first")()
+		defer note("second")()
 		p.Park()
 	})
 	env.Run(5 * time.Second)
@@ -112,7 +113,8 @@ func TestRunnerReuse(t *testing.T) {
 	next := NewEnv()
 	done := false
 	fourth := runnerOf(next, "after-kill", func(p *Proc) {
-		lifo(p)
+		defer note("first")()
+		defer note("second")()
 		p.Sleep(time.Second)
 		done = true
 	})
@@ -141,11 +143,11 @@ func TestConcurrentEnvsSharePool(t *testing.T) {
 				started, cleaned := 0, 0
 				for u := 0; u < users; u++ {
 					env.Go("user", func(p *Proc) {
-						p.Defer(func() { cleaned++ })
+						defer func() { cleaned++ }()
 						for {
 							started++
-							p.Env().Go("request", func(q *Proc) {
-								q.Defer(func() { cleaned++ })
+							p.env.Go("request", func(q *Proc) {
+								defer func() { cleaned++ }()
 								q.Sleep(time.Millisecond)
 							})
 							p.Sleep(3 * time.Millisecond)
@@ -158,7 +160,7 @@ func TestConcurrentEnvsSharePool(t *testing.T) {
 					t.Errorf("Live() = %d after Shutdown, want 0", env.Live())
 				}
 				if want := users + started; cleaned != want {
-					t.Errorf("%d cleanups after Shutdown, want %d", cleaned, want)
+					t.Errorf("%d deferred calls after Shutdown, want %d", cleaned, want)
 				}
 			}
 		}()

@@ -159,15 +159,13 @@ func TestRestOnRunnerWakesAsStep(t *testing.T) {
 
 // A panic in a step leaves Run as a *ProcPanic naming the process, with
 // the panic value and the stack at the panic site, and finishes the
-// process: its cleanups run and its pending wake is ignored.
+// process: its pending wake is ignored.
 func TestStepPanicSurfacesAsProcPanic(t *testing.T) {
 	env := NewEnv()
 	defer env.Shutdown()
-	cleaned := 0
 	runs := 0
 	env.GoStep("stepper", func(p *Proc) {
 		if runs++; runs == 1 {
-			p.Defer(func() { cleaned++ })
 			p.Rest(time.Second)
 			return
 		}
@@ -191,8 +189,8 @@ func TestStepPanicSurfacesAsProcPanic(t *testing.T) {
 	if !strings.Contains(string(pp.Stack), "panicInStep") {
 		t.Errorf("stack does not reach the panic site:\n%s", pp.Stack)
 	}
-	if cleaned != 1 || env.Live() != 0 {
-		t.Errorf("after the panic: %d cleanups, Live() = %d; want 1 and 0", cleaned, env.Live())
+	if env.Live() != 0 {
+		t.Errorf("Live() = %d after the panic, want 0", env.Live())
 	}
 	env.Run(time.Hour) // the rested wake finds the process finished
 	if runs != 2 {
@@ -235,26 +233,29 @@ func TestStepMisusePanics(t *testing.T) {
 
 // Shutdown finishes every stepping process whatever it waits on — its
 // start, a rested wake, a suspension begun on a runner, or a sleep inside
-// a run — and runs each one's cleanups, so Live() reaches 0.
+// a run, which unwinds — so Live() reaches 0.
 func TestShutdownFinishesSteppingProcs(t *testing.T) {
 	env := NewEnv()
-	cleaned := map[string]int{}
-	start := func(name string, fn func(p *Proc)) {
-		env.GoStep(name, fn).Defer(func() { cleaned[name]++ })
-	}
-	start("resting", func(p *Proc) { p.Rest(time.Hour) })
-	start("suspended", func(p *Proc) {
+	runs := map[string]int{}
+	unwound := false
+	env.GoStep("resting", func(p *Proc) {
+		runs["resting"]++
+		p.Rest(time.Hour)
+	})
+	env.GoStep("suspended", func(p *Proc) {
+		runs["suspended"]++
 		if p.Bind() {
 			p.Suspend()
 		}
 	})
-	start("sleeping", func(p *Proc) {
+	env.GoStep("sleeping", func(p *Proc) {
 		if p.Bind() {
+			defer func() { unwound = true }()
 			p.Sleep(time.Hour)
 		}
 	})
 	env.Run(time.Second)
-	start("unstarted", func(p *Proc) { t.Error("an unstarted process ran") })
+	env.GoStep("unstarted", func(p *Proc) { t.Error("an unstarted process ran") })
 	if env.Live() != 4 {
 		t.Fatalf("Live() = %d before Shutdown, want 4", env.Live())
 	}
@@ -262,10 +263,11 @@ func TestShutdownFinishesSteppingProcs(t *testing.T) {
 	if env.Live() != 0 {
 		t.Errorf("Live() = %d after Shutdown, want 0", env.Live())
 	}
-	for _, name := range []string{"resting", "suspended", "sleeping", "unstarted"} {
-		if cleaned[name] != 1 {
-			t.Errorf("%s: %d cleanups, want 1", name, cleaned[name])
-		}
+	if !unwound {
+		t.Error("the sleeping process did not unwind")
+	}
+	if runs["resting"] != 1 || runs["suspended"] != 2 {
+		t.Errorf("runs %v, want resting 1 (its start) and suspended 2 (its step and its run)", runs)
 	}
 }
 

@@ -57,13 +57,14 @@ func (e *Env) adopt() {
 
 // handOn resets e's storage to a new Env's state and hands it to the pool,
 // or drops it if the pool is full; e keeps none of it. Shutdown calls it
-// once every process has ended. A new Env mints event records a slab at a
+// once no process holds a runner. A new Env mints event records a slab at a
 // time, each slab's records on the free list in ascending index order, so
 // every record goes back resolved and on one ascending list: the records a
 // warm Env takes, and the order it takes them in, are those a new Env
-// would mint. A record still queued releases its Timer, which then reports
-// itself unarmed. The Procs and the free list are cleared, so a kept set
-// pins nothing of the Env it came from.
+// would mint. A record still queued releases its Timer, which is left
+// unarmed. The Procs and the free list are cleared, which ends the
+// processes that held no runner, so a kept set pins nothing of the Env it
+// came from.
 func (e *Env) handOn() {
 	s := storage{arena: e.arena, slabs: e.slabs, procs: e.procs[:0]}
 	e.arena, e.slabs, e.procs, e.slab, e.free, e.nDead = nil, nil, nil, 0, 0, 0

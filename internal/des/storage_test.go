@@ -131,15 +131,15 @@ func TestStoragePoolConcurrentEnvs(t *testing.T) {
 // A kept set is exactly a new Env's state and holds nothing of the Env it
 // came from: every record resolved, with no callback, process or Timer,
 // and on the free list in ascending index order; every Proc and the free
-// list of Procs cleared; the queue empty. A Timer armed at Shutdown
-// reports itself unarmed.
+// list of Procs cleared; the queue empty. A Timer armed at Shutdown is
+// left unarmed.
 func TestKeptStorageIsNew(t *testing.T) {
 	DropStorage()
 	env := NewEnv()
 	armed := env.NewTimer(func() {})
 	armed.Arm(time.Hour)
 	churn(env, 2000, 3, 100*time.Millisecond)
-	if armed.Armed() {
+	if armed.ev != nil {
 		t.Error("a Timer armed at Shutdown still reports a pending firing")
 	}
 	if len(storagePool.sets) != 1 {

@@ -47,21 +47,13 @@ func TestSuspendWakesLikePark(t *testing.T) {
 	}
 }
 
-// Shutdown ends a suspended process — it has no wake to be found by — and
-// runs its cleanups once, also when an Unpark already scheduled its wake.
+// Shutdown ends a suspended process — it has no wake to be found by —
+// also when an Unpark already scheduled its wake.
 func TestShutdownEndsSuspended(t *testing.T) {
 	env := NewEnv()
-	cleaned := map[string]int{}
 	var procs []*Proc
 	for _, name := range []string{"forgotten", "unparked"} {
-		runs := 0
-		procs = append(procs, env.Go(name, func(p *Proc) {
-			if runs == 0 {
-				p.Defer(func() { cleaned[name]++ })
-			}
-			runs++
-			p.Suspend()
-		}))
+		procs = append(procs, env.Go(name, func(p *Proc) { p.Suspend() }))
 	}
 	env.Run(time.Second)
 	if env.Live() != 2 || env.Pending() != 0 {
@@ -71,9 +63,6 @@ func TestShutdownEndsSuspended(t *testing.T) {
 	env.Shutdown()
 	if env.Live() != 0 {
 		t.Errorf("Live() = %d after Shutdown, want 0", env.Live())
-	}
-	if cleaned["forgotten"] != 1 || cleaned["unparked"] != 1 {
-		t.Errorf("cleanups ran %v, want once each", cleaned)
 	}
 }
 
@@ -123,15 +112,13 @@ func TestBlockingAfterSuspendPanics(t *testing.T) {
 }
 
 // A panic in the run an Unpark woke after Suspend surfaces from Run as a
-// *ProcPanic naming the process, and its cleanups run once.
+// *ProcPanic naming the process, and finishes it.
 func TestPanicAfterSuspendWake(t *testing.T) {
 	env := NewEnv()
-	cleaned := 0
 	runs := 0
 	p := env.Go("suspended", func(p *Proc) {
 		runs++
 		if runs == 1 {
-			p.Defer(func() { cleaned++ })
 			p.Suspend()
 			return
 		}
@@ -151,12 +138,12 @@ func TestPanicAfterSuspendWake(t *testing.T) {
 	if pp.Proc != "suspended" || pp.Value != "kaboom" {
 		t.Errorf("ProcPanic{Proc: %q, Value: %v}, want suspended/kaboom", pp.Proc, pp.Value)
 	}
-	if cleaned != 1 || env.Live() != 0 {
-		t.Errorf("after the panic: %d cleanups, Live() = %d; want 1 and 0", cleaned, env.Live())
+	if env.Live() != 0 {
+		t.Errorf("Live() = %d after the panic, want 0", env.Live())
 	}
 	env.Shutdown()
-	if cleaned != 1 {
-		t.Errorf("%d cleanups after Shutdown, want 1", cleaned)
+	if env.Live() != 0 || runs != 2 {
+		t.Errorf("after Shutdown: Live() = %d, %d runs; want 0 and 2", env.Live(), runs)
 	}
 }
 
@@ -236,33 +223,37 @@ func TestSuspendUnparkCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// Shutdown finds every live process by walking the Proc slabs: over
-// several slabs, the last one partial, it runs each cleanup exactly once
-// for processes suspended, suspended with an Unpark pending, resting,
-// sleeping on a runner and not yet started, while retired and panicked
-// processes, already finished, are left alone.
+// Shutdown ends every live process over several Proc slabs, the last one
+// partial: processes suspended, suspended with an Unpark pending, resting,
+// sleeping on a runner and not yet started. Live() is 0 when it returns;
+// the sleeping ones have unwound; and none of them runs again, neither at
+// the wakes its old Env had queued nor on the next Env, which takes over
+// the storage. Retired and panicked processes, already finished, stay so.
 func TestShutdownWalksProcSlabs(t *testing.T) {
 	env := NewEnv()
-	cleaned, started := map[string]int{}, map[string]int{}
+	runs, started := map[string]int{}, map[string]int{}
+	unwound := 0
 	start := func(kind string, fn func(p *Proc)) *Proc {
-		p := env.GoStep(kind, fn)
-		p.Defer(func() { cleaned[kind]++ })
 		started[kind]++
-		return p
+		return env.GoStep(kind, func(p *Proc) {
+			runs[kind]++
+			fn(p)
+		})
 	}
-	var unparked []*Proc
+	var suspended []*Proc
 	const minted = 3*procSlab + 17
 	for i := 0; i < minted; i++ {
 		switch i % 6 {
 		case 0:
-			start("suspended", suspendOnRunner)
+			suspended = append(suspended, start("suspended", suspendOnRunner))
 		case 1:
-			unparked = append(unparked, start("unparked", suspendOnRunner))
+			suspended = append(suspended, start("unparked", suspendOnRunner))
 		case 2:
 			start("resting", func(p *Proc) { p.Rest(time.Hour) })
 		case 3:
 			start("sleeping", func(p *Proc) {
 				if p.Bind() {
+					defer func() { unwound++ }()
 					p.Sleep(time.Hour)
 				}
 			})
@@ -285,8 +276,10 @@ func TestShutdownWalksProcSlabs(t *testing.T) {
 			done = true
 		}()
 	}
-	for _, p := range unparked {
-		p.Unpark()
+	for _, p := range suspended {
+		if p.Name() == "unparked" {
+			p.Unpark()
+		}
 	}
 	for i := 0; i < 5; i++ {
 		start("unstarted", func(*Proc) { t.Error("an unstarted process ran") })
@@ -298,11 +291,29 @@ func TestShutdownWalksProcSlabs(t *testing.T) {
 	if env.Live() != wantLive {
 		t.Fatalf("Live() = %d before Shutdown, want %d", env.Live(), wantLive)
 	}
+	before := fmt.Sprint(runs)
 	env.Shutdown()
 	if env.Live() != 0 {
 		t.Errorf("Live() = %d after Shutdown, want 0", env.Live())
 	}
-	if fmt.Sprint(cleaned) != fmt.Sprint(started) {
-		t.Errorf("cleanups %v, want one per process started %v", cleaned, started)
+	if unwound != started["sleeping"] {
+		t.Errorf("%d sleeping processes unwound, want %d", unwound, started["sleeping"])
+	}
+	for _, p := range suspended {
+		func() {
+			defer func() {
+				if s, _ := recover().(string); !strings.Contains(s, "after its Env's Shutdown") {
+					t.Errorf("Unpark of %s after Shutdown panicked with %q", p.Name(), s)
+				}
+			}()
+			p.Unpark()
+		}()
+	}
+	next := NewEnv()
+	defer next.Shutdown()
+	next.GoStep("next", func(p *Proc) { p.Rest(time.Minute) })
+	next.Run(2 * time.Hour)
+	if after := fmt.Sprint(runs); after != before {
+		t.Errorf("runs %s after Shutdown, want %s: an ended process ran again", after, before)
 	}
 }

@@ -87,8 +87,8 @@ func TestRunCampaignReplaysJournaledPanic(t *testing.T) {
 	if !errors.As(cells[2].Err, &pe) || cells[3].Out != 9 {
 		t.Fatalf("cells = %+v, want a panic at 2 and the rest run", cells)
 	}
-	if st.Completed() != 4 {
-		t.Fatalf("journaled %d cells, want 4 (the panic included)", st.Completed())
+	if st.completed() != 4 {
+		t.Fatalf("journaled %d cells, want 4 (the panic included)", st.completed())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -127,8 +127,8 @@ func TestRunCampaignRetriesTimeouts(t *testing.T) {
 	if !errors.As(cells[1].Err, &te) {
 		t.Fatalf("cell 1 err = %v, want *TimeoutError", cells[1].Err)
 	}
-	if st.Completed() != 2 {
-		t.Fatalf("journaled %d cells, want 2 (timeouts are not journaled)", st.Completed())
+	if st.completed() != 2 {
+		t.Fatalf("journaled %d cells, want 2 (timeouts are not journaled)", st.completed())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -160,8 +160,8 @@ func TestRunCampaignCancellationIsJournalClean(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if runs.Load() != 3 || st.Completed() != 2 {
-		t.Fatalf("ran %d and journaled %d cells, want 3 and 2", runs.Load(), st.Completed())
+	if runs.Load() != 3 || st.completed() != 2 {
+		t.Fatalf("ran %d and journaled %d cells, want 3 and 2", runs.Load(), st.completed())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

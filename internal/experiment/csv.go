@@ -127,35 +127,3 @@ func (sr *ScenarioResult) WriteTimelineCSV(w io.Writer) error {
 		timelineColumn{"errors", func(p *WindowPoint) string { return strconv.Itoa(p.Errors + p.Shed) }},
 		gaugeColumn("cjdbc_busy", "%.2f"))
 }
-
-// WriteTimelineCSV writes the Fig. 7/8 per-second Apache series as CSV.
-// The result must have been produced with RunConfig.Timeline set.
-func (r *Result) WriteTimelineCSV(w io.Writer) error {
-	if r.Timeline == nil {
-		return fmt.Errorf("experiment: result has no timeline (set RunConfig.Timeline)")
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"second", "processed", "pt_total_ms", "pt_connecting_ms", "active_workers", "connecting_workers"}); err != nil {
-		return err
-	}
-	tl := r.Timeline
-	for i := range tl.Processed {
-		act, conn := "", ""
-		if i < len(tl.ActiveRaw) {
-			act = fmt.Sprintf("%.0f", tl.ActiveRaw[i])
-			conn = fmt.Sprintf("%.0f", tl.ConnectRaw[i])
-		}
-		row := []string{
-			strconv.Itoa(i),
-			fmt.Sprintf("%.0f", tl.Processed[i]),
-			fmt.Sprintf("%.2f", tl.PTTotalMS[i]),
-			fmt.Sprintf("%.2f", tl.PTConnectMS[i]),
-			act, conn,
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

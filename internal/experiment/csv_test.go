@@ -68,45 +68,6 @@ func TestWriteCSVSurfacesErrors(t *testing.T) {
 	}
 }
 
-func TestWriteTimelineCSV(t *testing.T) {
-	cfg := baseConfig(500)
-	cfg.RampUp = 10 * time.Second
-	cfg.Measure = 12 * time.Second
-	cfg.Timeline = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := res.WriteTimelineCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) < 10 {
-		t.Fatalf("timeline csv has %d rows", len(records))
-	}
-	if records[0][1] != "processed" {
-		t.Errorf("header %v", records[0])
-	}
-}
-
-func TestWriteTimelineCSVWithoutTimeline(t *testing.T) {
-	cfg := baseConfig(200)
-	cfg.RampUp = 5 * time.Second
-	cfg.Measure = 5 * time.Second
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := res.WriteTimelineCSV(&b); err == nil {
-		t.Error("missing timeline should error")
-	}
-}
-
 func TestWindowUtilSeries(t *testing.T) {
 	cfg := baseConfig(1200)
 	cfg.RampUp = 10 * time.Second

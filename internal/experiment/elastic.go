@@ -106,8 +106,8 @@ type ElasticOutcome struct {
 	Results  []*ElasticResult // index = policy*len(Traces) + trace
 }
 
-// Result returns the grid cell, or nil.
-func (o *ElasticOutcome) Result(p adaptive.Policy, trace string) *ElasticResult {
+// result returns the grid cell, or nil.
+func (o *ElasticOutcome) result(p adaptive.Policy, trace string) *ElasticResult {
 	for pi, pol := range o.Policies {
 		if pol != p {
 			continue

@@ -73,8 +73,8 @@ func TestElasticBeatsBestStaticPerUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := grid.Result(adaptive.PolicyStatic, "diurnal")
-	elastic := grid.Result(adaptive.PolicyTopJob, "diurnal")
+	// One trace, so the policy-major grid holds one cell per policy.
+	static, elastic := grid.Results[0], grid.Results[1]
 	if static == nil || elastic == nil {
 		t.Fatal("missing grid cells")
 	}

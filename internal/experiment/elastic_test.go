@@ -263,11 +263,11 @@ func TestElasticSweepJournalResume(t *testing.T) {
 			t.Errorf("%s/%s: resumed efficiency %v, want %v", a.Policy, a.Trace, b.GoodputPerUnit, a.GoodputPerUnit)
 		}
 	}
-	tj := first.Result(adaptive.PolicyTopJob, "diurnal")
+	tj := first.result(adaptive.PolicyTopJob, "diurnal")
 	if tj == nil || len(tj.Decisions) == 0 {
 		t.Error("TOP_JOB cell has no decisions")
 	}
-	if s := first.Result(adaptive.PolicyStatic, "diurnal"); s == nil || len(s.Decisions) != 0 {
+	if s := first.result(adaptive.PolicyStatic, "diurnal"); s == nil || len(s.Decisions) != 0 {
 		t.Error("STATIC cell should have no decisions")
 	}
 }

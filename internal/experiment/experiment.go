@@ -462,7 +462,7 @@ func (m *measurement) result() (*Result, error) {
 	if m.rec != nil {
 		sla := cfg.Obs.SLA
 		if sla <= 0 {
-			sla = 2 * time.Second
+			sla = 2 * time.Second // the paper's response-time bound
 		}
 		snap := m.rec.Snapshot(Summarize(res, sla))
 		if cfg.WindowUtil {

@@ -185,7 +185,10 @@ func TestWorkloadSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tps := curve.Throughputs()
+	var tps []float64
+	for _, r := range curve.Results {
+		tps = append(tps, r.Throughput())
+	}
 	if len(tps) != 3 {
 		t.Fatalf("sweep produced %d results", len(tps))
 	}

@@ -341,9 +341,6 @@ func (j *Journal) Len() int {
 	return len(j.done)
 }
 
-// SalvagedBytes reports how many torn-tail bytes were truncated at open.
-func (j *Journal) SalvagedBytes() int64 { return j.salvagedBytes }
-
 // Close syncs and closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -119,8 +119,8 @@ func testTornTail(t *testing.T, cut int64) {
 	if j.Len() != 2 {
 		t.Fatalf("Len() = %d after torn-tail open, want 2 salvaged", j.Len())
 	}
-	if j.SalvagedBytes() == 0 {
-		t.Error("SalvagedBytes() = 0, want the torn bytes counted")
+	if j.salvagedBytes == 0 {
+		t.Error("salvagedBytes = 0, want the torn bytes counted")
 	}
 	if journaled(t, j, "c") {
 		t.Error("torn record still visible after recovery")
@@ -211,9 +211,9 @@ func TestJournalForgedLengthIsTorn(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Errorf("opening the journal allocated %d bytes, want under 1 MiB", got)
 	}
-	if j.SalvagedBytes() != int64(len(forged)) || j.Len() != 1 || !journaled(t, j, "keep") {
+	if j.salvagedBytes != int64(len(forged)) || j.Len() != 1 || !journaled(t, j, "keep") {
 		t.Errorf("after open: %d salvaged bytes, %d records; want %d and the one intact record",
-			j.SalvagedBytes(), j.Len(), len(forged))
+			j.salvagedBytes, j.Len(), len(forged))
 	}
 }
 
@@ -438,8 +438,8 @@ func TestJournalRestoresTwoPassFile(t *testing.T) {
 	j := openTestJournal(t, path, "golden")
 	defer j.Close()
 	trials := goldenTrials(t)
-	if j.Len() != len(trials) || j.SalvagedBytes() != 0 {
-		t.Fatalf("opened %d records, salvaged %d bytes; want %d and 0", j.Len(), j.SalvagedBytes(), len(trials))
+	if j.Len() != len(trials) || j.salvagedBytes != 0 {
+		t.Fatalf("opened %d records, salvaged %d bytes; want %d and 0", j.Len(), j.salvagedBytes, len(trials))
 	}
 	for _, tr := range trials {
 		var (

@@ -68,7 +68,6 @@ func TestObsNonPerturbing(t *testing.T) {
 
 	observed := obsBase(t, "1/2/1/2", "400-6-6", 10*time.Second, 20*time.Second)
 	observed.ObsDir = t.TempDir()
-	observed.Obs = obs.Config{SLA: 2 * time.Second}
 	c2, err := WorkloadSweep(observed, users)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +92,9 @@ func TestObsNonPerturbing(t *testing.T) {
 		}
 		if tr.Summary.Throughput <= 0 || len(tr.Summary.Hardware) == 0 || len(tr.Summary.Soft) == 0 {
 			t.Fatalf("snapshot summary empty: %+v", tr.Summary)
+		}
+		if tr.Summary.SLASeconds != 2 {
+			t.Fatalf("summary SLA = %gs with Obs.SLA unset, want the paper's 2s", tr.Summary.SLASeconds)
 		}
 		for _, want := range []string{"tomcat1/cpu", "cjdbc1/gc", "tomcat1/threads/occ",
 			"tomcat1/conns/util", "apache1/finwait", "cjdbc1/busy", "mysql1/disk"} {

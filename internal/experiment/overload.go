@@ -52,16 +52,6 @@ type OverloadCurve struct {
 	Errs    []error
 }
 
-// Err returns the first per-trial failure in rate order, or nil.
-func (c *OverloadCurve) Err() error {
-	for i, e := range c.Errs {
-		if e != nil {
-			return fmt.Errorf("experiment: rate %g: %w", c.Rates[i], e)
-		}
-	}
-	return nil
-}
-
 // Goodputs returns the goodput series at the threshold (zero for failed
 // points).
 func (c *OverloadCurve) Goodputs(th time.Duration) []float64 {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func TestOverloadSurvivalAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := curve.Err(); err != nil {
+	if err := errors.Join(curve.Errs...); err != nil {
 		t.Fatal(err)
 	}
 	peak := curve.PeakGoodput(slaTh)
@@ -104,7 +105,7 @@ func TestOverloadSweepResumesFromJournal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Err(); err != nil {
+		if err := errors.Join(c.Errs...); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -164,8 +164,8 @@ func (s *State) Journal(kind, fingerprint string) (*Journal, error) {
 	return j, nil
 }
 
-// Completed sums the journaled trial counts across the open journals.
-func (s *State) Completed() int {
+// completed sums the journaled trial counts across the open journals.
+func (s *State) completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0

@@ -82,7 +82,7 @@ func TestResumeDeterminism(t *testing.T) {
 	if _, err := WorkloadSweep(base, users); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep err = %v, want context.Canceled", err)
 	}
-	if got := st.Completed(); got != 1 {
+	if got := st.completed(); got != 1 {
 		t.Fatalf("journaled %d trials before cancellation, want 1", got)
 	}
 	if err := st.Close(); err != nil {
@@ -299,8 +299,8 @@ func TestTimeoutNotJournaled(t *testing.T) {
 	if !errors.As(c.Errs[0], &te) {
 		t.Fatalf("trial error = %v, want *TimeoutError", c.Errs[0])
 	}
-	if st.Completed() != 0 {
-		t.Fatalf("journaled %d trials, want 0 — timeouts must not be journaled", st.Completed())
+	if st.completed() != 0 {
+		t.Fatalf("journaled %d trials, want 0 — timeouts must not be journaled", st.completed())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -70,18 +70,6 @@ func (c *Curve) Goodputs(th time.Duration) []float64 {
 	return out
 }
 
-// Throughputs returns the overall-throughput series (zero for failed
-// points).
-func (c *Curve) Throughputs() []float64 {
-	out := make([]float64, len(c.Results))
-	for i, r := range c.Results {
-		if r != nil {
-			out[i] = r.Throughput()
-		}
-	}
-	return out
-}
-
 // MaxThroughput returns the highest overall throughput across the sweep —
 // the paper's Fig. 10 "max TP" metric. Failed points are skipped.
 func (c *Curve) MaxThroughput() float64 {

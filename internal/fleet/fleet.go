@@ -205,13 +205,13 @@ func (f *Fleet) ResetStats() {
 	}
 }
 
-// Audit runs every tenant's full conservation audit (scheduler, shared
+// audit runs every tenant's full conservation audit (scheduler, shared
 // hardware through each tenant's aliases, servers) plus the per-tenant
 // workload audits, returning all violations. Quiescent additionally
 // requires drained pools, idle CPUs at full speed, and stopped workloads
 // with nothing in flight — the fleet-wide conservation check the chaos
 // oracle and the consolidation regression tests rely on. Pure read.
-func (f *Fleet) Audit(quiescent bool) []error {
+func (f *Fleet) audit(quiescent bool) []error {
 	var errs []error
 	for _, t := range f.Tenants {
 		for _, err := range t.TB.Audit(quiescent) {

@@ -264,7 +264,7 @@ func TestFleetAuditQuiescent(t *testing.T) {
 		}
 	})
 	f.Env.Run(10 * time.Second)
-	if errs := f.Audit(false); len(errs) > 0 {
+	if errs := f.audit(false); len(errs) > 0 {
 		t.Fatalf("mid-run audit violations: %v", errs)
 	}
 	for ti, n := range done {
@@ -276,7 +276,7 @@ func TestFleetAuditQuiescent(t *testing.T) {
 		tn.Workload.Stop()
 	}
 	drainFleet(t, f, time.Minute)
-	if errs := f.Audit(true); len(errs) > 0 {
+	if errs := f.audit(true); len(errs) > 0 {
 		t.Errorf("quiescent audit violations: %v", errs)
 	}
 }

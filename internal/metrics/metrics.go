@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives the experiments use:
-// streaming accumulators, exact-percentile samples, fixed-bucket histograms
-// (the paper's response-time distributions), per-interval time windows (the
-// paper's 1-second SysStat granularity), and a simulation-driven sampler.
+// exact-percentile samples, fixed-bucket histograms (the paper's
+// response-time distributions) and per-interval time windows (the paper's
+// 1-second SysStat granularity).
 // Sample and Histogram embed their experiment-journal image, which
 // encoding/json writes directly.
 package metrics
@@ -10,60 +10,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
-
-// Accumulator computes streaming count/mean/variance/min/max using
-// Welford's algorithm.
-type Accumulator struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates one observation.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// Count returns the number of observations.
-func (a *Accumulator) Count() uint64 { return a.n }
-
-// Mean returns the sample mean, or 0 with no observations.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Var returns the unbiased sample variance, or 0 with fewer than two
-// observations.
-func (a *Accumulator) Var() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }
-
-// Min returns the smallest observation, or 0 with none.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 with none.
-func (a *Accumulator) Max() float64 { return a.max }
 
 // Sample retains every observation for exact percentile queries.
 type Sample struct {
@@ -141,8 +90,8 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.Obs[lo]*(1-frac) + s.Obs[lo+1]*frac
 }
 
-// Values returns the observations, sorted if Percentile or FractionBelow
-// was called since the last Add.
+// Values returns the observations, sorted if Percentile was called since
+// the last Add.
 // The caller must not modify the returned slice.
 func (s *Sample) Values() []float64 { return s.Obs }
 
@@ -160,19 +109,6 @@ func (s *Sample) UnmarshalJSON(data []byte) error {
 	}
 	s.sampleJSON = v
 	return nil
-}
-
-// FractionBelow returns the fraction of observations <= x.
-func (s *Sample) FractionBelow(x float64) float64 {
-	n := len(s.Obs)
-	if n == 0 {
-		return 0
-	}
-	if !s.Sorted {
-		sort.Float64s(s.Obs)
-		s.Sorted = true
-	}
-	return float64(sort.SearchFloat64s(s.Obs, math.Nextafter(x, math.Inf(1)))) / float64(n)
 }
 
 // Histogram counts observations into fixed buckets. Bucket i covers
@@ -306,15 +242,8 @@ func (w *Windows) Count(i int) uint64 {
 	return w.counts[i]
 }
 
-// Sum returns the value sum in window i (0 beyond the end).
-func (w *Windows) Sum(i int) float64 {
-	if i < 0 || i >= len(w.sums) {
-		return 0
-	}
-	return w.sums[i]
-}
-
-// Mean returns Sum(i)/Count(i), or 0 for an empty window.
+// Mean returns window i's value sum over its count, or 0 for an empty
+// window.
 func (w *Windows) Mean(i int) float64 {
 	if w.Count(i) == 0 {
 		return 0

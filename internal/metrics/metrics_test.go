@@ -17,65 +17,6 @@ import (
 	"time"
 )
 
-func TestAccumulatorBasics(t *testing.T) {
-	var a Accumulator
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		a.Add(x)
-	}
-	if a.Count() != 8 {
-		t.Errorf("count %d, want 8", a.Count())
-	}
-	if math.Abs(a.Mean()-5) > 1e-12 {
-		t.Errorf("mean %v, want 5", a.Mean())
-	}
-	if math.Abs(a.Std()-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("std %v, want %v", a.Std(), math.Sqrt(32.0/7.0))
-	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("min/max %v/%v, want 2/9", a.Min(), a.Max())
-	}
-}
-
-func TestAccumulatorEmpty(t *testing.T) {
-	var a Accumulator
-	if a.Mean() != 0 || a.Var() != 0 || a.Count() != 0 {
-		t.Error("empty accumulator should be all zeros")
-	}
-}
-
-func TestQuickAccumulatorMatchesDirect(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) < 2 {
-			return true
-		}
-		var a Accumulator
-		sum := 0.0
-		for _, x := range clean {
-			a.Add(x)
-			sum += x
-		}
-		mean := sum / float64(len(clean))
-		varSum := 0.0
-		for _, x := range clean {
-			varSum += (x - mean) * (x - mean)
-		}
-		v := varSum / float64(len(clean)-1)
-		scale := math.Max(1, math.Abs(mean))
-		return math.Abs(a.Mean()-mean)/scale < 1e-9 &&
-			math.Abs(a.Var()-v)/math.Max(1, v) < 1e-6
-	}
-	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(4))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSamplePercentiles(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {
@@ -91,25 +32,9 @@ func TestSamplePercentiles(t *testing.T) {
 	}
 }
 
-func TestSampleFractionBelow(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{0.1, 0.5, 1.0, 2.0, 3.0} {
-		s.Add(x)
-	}
-	if got := s.FractionBelow(1.0); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("FractionBelow(1.0) = %v, want 0.6 (inclusive)", got)
-	}
-	if got := s.FractionBelow(0.05); got != 0 {
-		t.Errorf("FractionBelow(0.05) = %v, want 0", got)
-	}
-	if got := s.FractionBelow(10); got != 1 {
-		t.Errorf("FractionBelow(10) = %v, want 1", got)
-	}
-}
-
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Percentile(50) != 0 || s.Mean() != 0 || s.FractionBelow(1) != 0 {
+	if s.Percentile(50) != 0 || s.Mean() != 0 {
 		t.Error("empty sample should return zeros")
 	}
 }
@@ -192,8 +117,8 @@ func TestWindowsBucketing(t *testing.T) {
 	w.Observe(10*time.Second, 2)
 	w.Observe(10500*time.Millisecond, 3)
 	w.Observe(12*time.Second, 4)
-	if w.Count(0) != 2 || w.Sum(0) != 5 {
-		t.Errorf("window 0: count %d sum %v, want 2/5", w.Count(0), w.Sum(0))
+	if w.Count(0) != 2 || w.Mean(0) != 2.5 {
+		t.Errorf("window 0: count %d mean %v, want 2/2.5", w.Count(0), w.Mean(0))
 	}
 	if w.Count(1) != 0 {
 		t.Errorf("window 1 count %d, want 0", w.Count(1))
@@ -367,9 +292,6 @@ func TestSampleJSONRoundTripPreservesOrder(t *testing.T) {
 		}
 		if got, want := back.Mean(), orig.Mean(); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("sorted=%v: Mean = %v, want %v", s.Sorted, got, want)
-		}
-		if got, want := back.FractionBelow(1), orig.FractionBelow(1); got != want {
-			t.Errorf("sorted=%v: FractionBelow(1) = %v, want %v", s.Sorted, got, want)
 		}
 	}
 	for _, values := range [][]float64{nil, {}} {

@@ -39,8 +39,9 @@ type Config struct {
 	// series fills, adjacent samples are merged pairwise and the stored
 	// resolution halves — memory stays bounded for arbitrarily long runs.
 	MaxSamples int
-	// SLA is the goodput threshold the analyzer reports against
-	// (default 2s, the paper's response-time bound).
+	// SLA is the goodput threshold the trial summary reports against
+	// (zero means 2s, the paper's response-time bound). The experiment
+	// layer reads it when it summarizes a trial; the recorder does not.
 	SLA time.Duration
 }
 
@@ -50,9 +51,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxSamples%2 != 0 {
 		c.MaxSamples++
-	}
-	if c.SLA <= 0 {
-		c.SLA = 2 * time.Second
 	}
 }
 
@@ -244,10 +242,6 @@ func (r *Recorder) decimate() {
 	}
 	r.stride *= 2
 }
-
-// Stride returns the current decimation factor (raw ticks per stored
-// sample); the effective grid is SampleInterval * Stride.
-func (r *Recorder) Stride() int { return r.stride }
 
 // Snapshot freezes the recorded series into a TrialObs, attaching the
 // given summary. A trailing partial aggregation group is flushed as a mean

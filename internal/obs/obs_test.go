@@ -30,8 +30,8 @@ func TestDecimationBoundsMemory(t *testing.T) {
 	// 4 raw ticks fill the buffer → halve to [1.5, 3.5], stride 2; the
 	// next four ticks land as two stride-2 means, filling it again →
 	// halve to [2.5, 6.5], stride 4.
-	if r.Stride() != 4 {
-		t.Fatalf("stride = %d, want 4", r.Stride())
+	if r.stride != 4 {
+		t.Fatalf("stride = %d, want 4", r.stride)
 	}
 	got := r.values[0]
 	want := []float64{2.5, 6.5}
@@ -73,7 +73,7 @@ func TestSnapshotFlushesPartialGroup(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.applyDefaults()
-	if c.MaxSamples != 512 || c.SLA != 2*time.Second {
+	if c.MaxSamples != 512 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	odd := Config{MaxSamples: 7}

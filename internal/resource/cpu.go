@@ -63,9 +63,6 @@ func NewCPU(env *des.Env, name string, cores int) *CPU {
 	return c
 }
 
-// Active returns the number of jobs currently on the CPU.
-func (c *CPU) Active() int { return len(c.jobs) }
-
 // Speed returns the current speed factor.
 func (c *CPU) Speed() float64 { return c.speed }
 

@@ -327,20 +327,6 @@ func (pl *Pool) Release() {
 	pl.inUse--
 }
 
-// Abandon returns one unit's accounting without waking waiters, touching
-// statistics, or scheduling events — the shutdown-safe counterpart of
-// Release. Register it with des.Proc.Defer so a process killed mid-hold by
-// Env.Shutdown (e.g. a watchdog-flagged trial) still balances the pool's
-// books: the unwind runs after the scheduler has stopped, so Release's
-// waiter handoff and event scheduling would act on a dead simulation.
-// Abandoning with nothing in use is a no-op; it must not be mixed with live
-// simulation traffic.
-func (pl *Pool) Abandon() {
-	if pl.inUse > 0 {
-		pl.inUse--
-	}
-}
-
 // Leak bleeds n units out of the pool — a connection-leak fault. Free units
 // are taken immediately; the remainder become pending and swallow the next
 // releases. Leaked units count as in use until Restore returns them.

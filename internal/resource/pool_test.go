@@ -250,59 +250,3 @@ func TestQuickPoolConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAbandonReleasesAccountingOnShutdown(t *testing.T) {
-	env := des.NewEnv()
-	pl := NewPool(env, "conns", 2)
-	for i := 0; i < 2; i++ {
-		env.Go("holder", func(p *des.Proc) {
-			held := false
-			p.Defer(func() {
-				if held {
-					pl.Abandon()
-				}
-			})
-			pl.Acquire(p)
-			held = true
-			p.Sleep(time.Hour) // killed mid-hold by Shutdown
-		})
-	}
-	env.Run(time.Second)
-	if pl.InUse() != 2 {
-		t.Fatalf("InUse() = %d before shutdown, want 2", pl.InUse())
-	}
-	env.Shutdown()
-	if env.Live() != 0 {
-		t.Fatalf("Live() = %d after Shutdown, want 0", env.Live())
-	}
-	if pl.InUse() != 0 {
-		t.Fatalf("InUse() = %d after Shutdown, want 0 (Abandon should balance the books)", pl.InUse())
-	}
-}
-
-func TestAbandonHeldFlagAvoidsDoubleRelease(t *testing.T) {
-	env := des.NewEnv()
-	pl := NewPool(env, "conns", 1)
-	env.Go("clean", func(p *des.Proc) {
-		held := false
-		p.Defer(func() {
-			if held {
-				pl.Abandon()
-			}
-		})
-		pl.Acquire(p)
-		held = true
-		p.Sleep(time.Second)
-		pl.Release()
-		held = false
-	})
-	env.Run(time.Minute)
-	if pl.InUse() != 0 {
-		t.Fatalf("InUse() = %d after clean exit, want 0", pl.InUse())
-	}
-	// Abandon on an idle pool must not underflow.
-	pl.Abandon()
-	if pl.InUse() != 0 {
-		t.Fatalf("InUse() = %d after stray Abandon, want 0", pl.InUse())
-	}
-}

@@ -1,9 +1,9 @@
 // Package rng provides a small, fast, deterministic random number generator
-// with the distributions the simulator needs (exponential, lognormal,
-// uniform, bounded Pareto, categorical). These drive the paper's workload
-// model: RUBBoS think times around 7 seconds and per-interaction service
-// demands (§II-B), with independent per-component streams so trials replay
-// identically — the property every figure reproduction relies on.
+// with the distributions the simulator needs (exponential, normal,
+// lognormal, uniform). These drive the paper's workload model: RUBBoS think
+// times around 7 seconds and per-interaction service demands (§II-B), with
+// independent per-component streams so trials replay identically — the
+// property every figure reproduction relies on.
 //
 // The generator is xoshiro256**, seeded through splitmix64 so that any
 // 64-bit seed (including 0) produces a well-mixed state. Independent streams
@@ -179,43 +179,6 @@ func (r *Rand) LogNormalMean(mean float64, cv CV) float64 {
 		return mean
 	}
 	return r.LogNormal(math.Log(mean)-cv.sigma2/2, cv.sigma)
-}
-
-// Pareto returns a bounded Pareto value on [lo, hi] with tail index alpha.
-// It panics if lo <= 0, hi <= lo, or alpha <= 0.
-func (r *Rand) Pareto(lo, hi, alpha float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		panic("rng: invalid bounded Pareto parameters")
-	}
-	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
-// Categorical returns an index drawn proportionally to weights. Negative
-// weights are treated as zero; if all weights are zero it returns 0.
-func (r *Rand) Categorical(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // Bool returns true with probability p.

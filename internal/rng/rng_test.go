@@ -150,60 +150,6 @@ func TestLogNormalMeanDegenerate(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	r := New(11)
-	for i := 0; i < 100000; i++ {
-		x := r.Pareto(0.001, 1.0, 1.3)
-		if x < 0.001-1e-12 || x > 1.0+1e-9 {
-			t.Fatalf("Pareto %v outside [0.001, 1]", x)
-		}
-	}
-}
-
-func TestParetoPanics(t *testing.T) {
-	r := New(12)
-	for _, c := range []struct{ lo, hi, a float64 }{{0, 1, 1}, {1, 1, 1}, {1, 2, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Pareto(%v,%v,%v) did not panic", c.lo, c.hi, c.a)
-				}
-			}()
-			r.Pareto(c.lo, c.hi, c.a)
-		}()
-	}
-}
-
-func TestCategoricalFrequencies(t *testing.T) {
-	r := New(13)
-	weights := []float64{1, 2, 3, 4}
-	counts := make([]int, 4)
-	n := 100000
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(weights)]++
-	}
-	for i, w := range weights {
-		want := w / 10
-		got := float64(counts[i]) / float64(n)
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("category %d frequency %v, want ~%v", i, got, want)
-		}
-	}
-}
-
-func TestCategoricalEdgeCases(t *testing.T) {
-	r := New(14)
-	if r.Categorical([]float64{0, 0}) != 0 {
-		t.Error("all-zero weights should return 0")
-	}
-	if r.Categorical([]float64{0, 5, 0}) != 1 {
-		t.Error("single positive weight should always be chosen")
-	}
-	if r.Categorical([]float64{-1, 2}) != 1 {
-		t.Error("negative weight should be skipped")
-	}
-}
-
 func TestIntnRangeAndPanic(t *testing.T) {
 	r := New(15)
 	for i := 0; i < 10000; i++ {

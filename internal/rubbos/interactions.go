@@ -213,8 +213,8 @@ type Table struct {
 // NewTable returns the standard interaction table.
 func NewTable() *Table { return &Table{Items: Interactions()} }
 
-// ByName returns the interaction with the given name.
-func (t *Table) ByName(name string) (*Interaction, error) {
+// byName returns the interaction with the given name.
+func (t *Table) byName(name string) (*Interaction, error) {
 	for i := range t.Items {
 		if t.Items[i].Name == name {
 			return &t.Items[i], nil

@@ -37,11 +37,11 @@ func TestTableHas24Interactions(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	tbl := NewTable()
-	it, err := tbl.ByName("ViewStory")
+	it, err := tbl.byName("ViewStory")
 	if err != nil || it.Name != "ViewStory" {
 		t.Fatalf("ByName(ViewStory) = %v, %v", it, err)
 	}
-	if _, err := tbl.ByName("NoSuch"); err == nil {
+	if _, err := tbl.byName("NoSuch"); err == nil {
 		t.Error("ByName of unknown interaction should error")
 	}
 }

@@ -113,11 +113,6 @@ func (c *Collector) Goodput(th time.Duration) float64 {
 	panic(fmt.Sprintf("sla: threshold %v not collected", th))
 }
 
-// Badput returns Throughput minus Goodput for the threshold.
-func (c *Collector) Badput(th time.Duration) float64 {
-	return c.Throughput() - c.Goodput(th)
-}
-
 // SatisfactionRatio returns the fraction of requests within the threshold
 // (the SLO satisfaction the intervention analysis watches), or 1 with no
 // requests.

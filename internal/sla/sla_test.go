@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,15 +34,6 @@ func TestGoodputBadputSplit(t *testing.T) {
 	}
 	if got := c.Goodput(2 * time.Second); got != 4 {
 		t.Errorf("goodput(2s) %v, want 4", got)
-	}
-	if got := c.Badput(2 * time.Second); got != 1 {
-		t.Errorf("badput(2s) %v, want 1", got)
-	}
-	// Goodput + badput = throughput for every threshold.
-	for _, th := range StandardThresholds {
-		if diff := c.Goodput(th) + c.Badput(th) - c.Throughput(); math.Abs(diff) > 1e-12 {
-			t.Errorf("goodput+badput != throughput at %v", th)
-		}
 	}
 }
 

@@ -126,9 +126,6 @@ func (a *Apache) AdmissionLevel() float64 {
 	return a.adm.Level()
 }
 
-// Breakers returns the per-Tomcat circuit breakers (nil if not enabled).
-func (a *Apache) Breakers() []*Breaker { return a.res.breakers }
-
 // Connecting returns the number of workers currently interacting (or
 // queued to interact) with the Tomcat tier.
 func (a *Apache) Connecting() int { return a.connecting }

@@ -133,9 +133,9 @@ func TestDeadlineShedNeitherRetriedNorBreaking(t *testing.T) {
 	if st.Retries != 0 {
 		t.Errorf("deadline shed was retried %d times, want 0", st.Retries)
 	}
-	if st.BreakerOpens != 0 || a.Breakers()[0].State() != BreakerClosed {
+	if st.BreakerOpens != 0 || a.res.breakers[0].State() != BreakerClosed {
 		t.Errorf("deadline shed tripped the breaker (opens %d, state %v)",
-			st.BreakerOpens, a.Breakers()[0].State())
+			st.BreakerOpens, a.res.breakers[0].State())
 	}
 }
 

@@ -184,18 +184,18 @@ func TestArrivalSpecStrings(t *testing.T) {
 
 func TestCtxRemaining(t *testing.T) {
 	var nilCtx *Ctx
-	if nilCtx.Remaining(time.Second) < time.Hour {
+	if nilCtx.remaining(time.Second) < time.Hour {
 		t.Error("nil ctx should have an unbounded budget")
 	}
 	c := &Ctx{}
-	if c.Remaining(time.Second) < time.Hour {
+	if c.remaining(time.Second) < time.Hour {
 		t.Error("zero deadline should mean an unbounded budget")
 	}
 	c.Deadline = 3 * time.Second
-	if got := c.Remaining(time.Second); got != 2*time.Second {
+	if got := c.remaining(time.Second); got != 2*time.Second {
 		t.Errorf("remaining %v, want 2s", got)
 	}
-	if got := c.Remaining(5 * time.Second); got != -2*time.Second {
+	if got := c.remaining(5 * time.Second); got != -2*time.Second {
 		t.Errorf("remaining past deadline %v, want -2s", got)
 	}
 }

@@ -20,9 +20,9 @@ type Ctx struct {
 	Write bool
 }
 
-// Remaining returns the budget left at now (negative once past the
+// remaining returns the budget left at now (negative once past the
 // deadline); it returns a very large value when no deadline is set.
-func (c *Ctx) Remaining(now time.Duration) time.Duration {
+func (c *Ctx) remaining(now time.Duration) time.Duration {
 	if c == nil || c.Deadline == 0 {
 		return time.Duration(1<<63 - 1)
 	}

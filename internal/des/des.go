@@ -6,24 +6,18 @@
 // strict determinism is what makes the reproduction's trials replayable
 // and its parallel sweeps byte-identical to serial ones.
 //
-// Simulated processes are ordinary Go functions run on coroutines from
-// iter.Pull, so execution is strictly serialized: the scheduler and at most
-// one process run at any instant, switching control on the same thread. A
-// process holds a coroutine only while it is inside a run — from the
-// dispatch that binds one until its function returns, through any Sleep or
-// Park. A process that waits between runs holds none: Rest waits for a
-// time, Suspend for another component's Unpark (a queued request's grant).
-// So a closed workload of many users, most of them thinking and the rest
-// queued for a worker, needs only as many coroutines as it has requests in
-// service.
-//
-// Each dispatch a process gets without a coroutine — its start, and each
-// wake after Rest or Suspend — first runs its function as a step, on the
-// scheduler's own stack. A step that only has to schedule the process's
-// next wake (Rest) or finish it (return) never touches a coroutine; one
-// that reaches code that blocks asks for one (Bind), and the function then
-// runs again on it at the same instant. A request refused at its front
-// door, or a user between think times, is served by steps alone.
+// Simulated processes are ordinary Go functions, so execution is strictly
+// serialized: the scheduler and at most one process run at any instant, on
+// the same thread. Each dispatch of a process — its start, and each wake —
+// runs its function as a step, on the scheduler's own stack, at that
+// wake's place in the event order. A step schedules the process's next
+// wake (Rest), waits for another component's Unpark (Suspend), or returns
+// without either, which finishes the process; what the process remembers
+// between its steps lives outside the function. The simulator's own
+// processes wait only that way. A process may instead ask for a coroutine
+// (Bind): its function then runs again on a runner, a coroutine from
+// iter.Pull, where it may block in Sleep or Park until it returns. Go
+// starts such a process; tests and the handoff microbenchmark use them.
 //
 // All ties are broken by schedule order, so a simulation with seeded random
 // sources replays identically.
@@ -58,7 +52,7 @@
 // order a new one mints them, so it replays identically, and a shut-down
 // Env panics at any call that would write into the storage it handed on.
 //
-// The process handoff needs Go 1.23 for iter.Pull; see toolchain.go.
+// The runners need Go 1.23 for iter.Pull; see toolchain.go.
 package des
 
 import (
@@ -181,7 +175,7 @@ type Counters struct {
 	// Binds counts runs that took a runner: every step that asked for one
 	// (Bind).
 	Binds uint64
-	// Suspensions counts runs ended by Suspend.
+	// Suspensions counts runs and steps ended by Suspend.
 	Suspensions uint64
 	// Steps counts dispatches served by a step alone, without a runner.
 	Steps uint64
@@ -520,13 +514,13 @@ type killedSentinel struct{}
 // A Proc holds a runner (a coroutine) only while it is inside a run of fn:
 // from the dispatch whose step asked for one (Bind) until fn returns,
 // including any Sleep or Park in between. A process that has not started
-// yet, or that ended its last run with Rest or Suspend, holds none, and its
-// next dispatch runs fn as a step (see GoStep). In a trial that means: a
-// request in service holds one, while a thinking user (resting) and a
-// request queued at its front door (suspended) do not. A Proc that
-// finishes normally is reused by a later GoStep. Code that must run when
-// a run ends uses a plain defer, which runs at fn's return, at a panic,
-// and in Shutdown's unwind.
+// yet, or that ended its last run or step with Rest or Suspend, holds none,
+// and its next dispatch runs fn as a step (see GoStep). In a trial no
+// process asks for one: a thinking user rests, and a request in service
+// rests through each hop and pause and suspends through each CPU burst and
+// pool wait. A Proc that finishes normally is reused by a later GoStep.
+// Code that must run when a run ends uses a plain defer, which runs at fn's
+// return, at a panic, and in Shutdown's unwind.
 type Proc struct {
 	env  *Env
 	name string
@@ -578,8 +572,8 @@ type runner struct {
 }
 
 // runEnd records which call, if any, ended the current run or step early.
-// The order matters: Rest is allowed at stepping and below, the blocking
-// calls only at running.
+// The order matters: Rest and Suspend are allowed at stepping and below,
+// the blocking calls only at running.
 type runEnd uint8
 
 const (
@@ -676,14 +670,15 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // as a step: on the scheduler's stack, with no coroutine, at that wake's
 // place in the event order. A step may
 //   - schedule the process's next wake with Rest and return;
-//   - return without one, which finishes the process;
+//   - wait for another component's Unpark with Suspend and return;
+//   - return without either, which finishes the process;
 //   - ask for a runner with Bind and return: the engine binds one and runs
 //     fn again from the top on it, at the same instant, before any other
 //     event — from there on fn runs on the runner until it returns.
 //
-// Sleep, Park and Suspend in a step panic: code that blocks must first
-// make sure of a runner with Bind. A panic in a step finishes the process
-// and leaves Run as a *ProcPanic, as a panic on a runner does.
+// Sleep and Park in a step panic: code that blocks must first make sure of
+// a runner with Bind. A panic in a step finishes the process and leaves
+// Run as a *ProcPanic, as a panic on a runner does.
 //
 // The returned *Proc is valid only until the process finishes: a process
 // that finishes normally is reused by a later GoStep, so an open workload
@@ -783,7 +778,7 @@ func (e *Env) runProc(p *Proc) {
 }
 
 // step runs fn as a step of p and reports whether it asked for a runner.
-// A step that neither rested nor asked for one finishes p.
+// A step that neither rested, suspended nor asked for one finishes p.
 func (e *Env) step(p *Proc) bool {
 	s := &e.stepper
 	s.end = stepping
@@ -794,6 +789,9 @@ func (e *Env) step(p *Proc) bool {
 	case stepping:
 		e.finish(p)
 		e.retire(p)
+	case suspended:
+		p.r = &e.waiting
+		e.counters.Suspensions++
 	}
 	e.counters.Steps++
 	return false
@@ -856,20 +854,18 @@ func (p *Proc) Rest(d time.Duration) {
 	p.r.end = rested
 }
 
-// Suspend ends the process's current run without ending the process and
-// without scheduling a wake: the process waits, holding no coroutine, until
-// another component calls Unpark on it, and then fn runs again from the
-// top. Suspend is Park for a process with nothing on its stack worth
-// keeping — a request queued for a worker it has not yet got: it records
-// its place in the wait queue outside fn, suspends, and returns from fn;
-// at the grant, its next run resumes from that record. fn must return
-// after Suspend without calling Sleep, Park, Rest, Suspend or Bind again;
-// those panic, as Suspend in a step does.
+// Suspend ends the process's current run or step without ending the
+// process and without scheduling a wake: the process waits, holding no
+// coroutine, until another component calls Unpark on it, and then fn runs
+// again from the top, as a step — a request waiting for a pool unit or
+// its CPU burst records where it stands outside fn and suspends. fn must
+// return after Suspend without calling Sleep, Park, Rest, Suspend or Bind
+// again; those panic.
 //
 // The Unpark schedules the same wake it would for a parked process, so
 // replacing a Park by a Suspend leaves every event's (at, seq) unchanged.
 func (p *Proc) Suspend() {
-	if p.r.end != running {
+	if p.r.end > stepping {
 		p.misuse("Suspend")
 	}
 	p.r.end = suspended

@@ -200,8 +200,58 @@ func TestStepPanicSurfacesAsProcPanic(t *testing.T) {
 
 func panicInStep() { panic("step kaboom") }
 
+// A step may suspend: the process then waits without a runner until an
+// Unpark, and its wake is a step at the place in the event order a parked
+// runner's wake takes. Both logs, interleaved with a bystander's ticks at
+// the same instants, read the same, and the stepping process never binds.
+func TestSuspendInStepWakesLikePark(t *testing.T) {
+	trace := func(step bool) ([]string, Counters) {
+		env := NewEnv()
+		defer env.Shutdown()
+		var log []string
+		var proc *Proc
+		wakes := 0
+		if step {
+			proc = env.GoStep("proc", func(p *Proc) {
+				log = append(log, "proc@"+p.Now().String())
+				if wakes++; wakes <= 2 {
+					p.Suspend()
+				}
+			})
+		} else {
+			proc = env.Go("proc", func(p *Proc) {
+				for i := 0; i < 3; i++ {
+					log = append(log, "proc@"+p.Now().String())
+					if i < 2 {
+						p.Park()
+					}
+				}
+			})
+		}
+		for i := 1; i <= 2; i++ {
+			at := time.Duration(i) * time.Second
+			env.At(at, proc.Unpark)
+			env.At(at, func() { log = append(log, "tick@"+env.Now().String()) })
+		}
+		env.Run(time.Minute)
+		if env.Live() != 0 {
+			t.Errorf("step=%v: Live() = %d, want 0", step, env.Live())
+		}
+		return log, env.Counters()
+	}
+	runs, _ := trace(false)
+	steps, c := trace(true)
+	if got, want := strings.Join(steps, " "), strings.Join(runs, " "); got != want {
+		t.Errorf("stepping order\n  %s\nwant\n  %s", got, want)
+	}
+	if want := (Counters{Suspensions: 2, Steps: 3}); c != want {
+		t.Errorf("Counters() = %+v, want %+v", c, want)
+	}
+}
+
 // Blocking calls in a step, and a second run-ending call in one, panic
-// with the misuse named; the panic leaves Run as a *ProcPanic.
+// with the misuse named; the panic leaves Run as a *ProcPanic. A step may
+// suspend (TestSuspendInStepWakesLikePark), but not after it rested.
 func TestStepMisusePanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -210,7 +260,7 @@ func TestStepMisusePanics(t *testing.T) {
 	}{
 		{"sleep", func(p *Proc) { p.Sleep(time.Second) }, "des: Sleep in a step"},
 		{"park", func(p *Proc) { p.Park() }, "des: Park in a step"},
-		{"suspend", func(p *Proc) { p.Suspend() }, "des: Suspend in a step"},
+		{"suspend", func(p *Proc) { p.Rest(time.Second); p.Suspend() }, "des: Suspend after Rest in the same run"},
 		{"rest twice", func(p *Proc) { p.Rest(time.Second); p.Rest(time.Second) }, "des: Rest twice in the same run"},
 		{"bind after rest", func(p *Proc) { p.Rest(time.Second); p.Bind() }, "des: Bind after Rest in the same run"},
 		{"rest after bind", func(p *Proc) { p.Bind(); p.Rest(time.Second) }, "des: Rest after Bind in the same run"},

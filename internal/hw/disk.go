@@ -12,8 +12,9 @@ import (
 // served in order. The browsing mix is cache-resident and never touches
 // it; write interactions pay a synchronous commit here.
 type Disk struct {
-	env   *des.Env
-	queue *resource.Pool
+	env    *des.Env
+	queue  *resource.Pool
+	holder *des.Proc // the process whose transfer is on the device
 }
 
 // NewDisk creates a disk device.
@@ -21,15 +22,34 @@ func NewDisk(env *des.Env, name string) *Disk {
 	return &Disk{env: env, queue: resource.NewPool(env, name, 1)}
 }
 
-// Use performs one synchronous transfer of the given service time,
-// queueing FCFS behind other transfers.
-func (d *Disk) Use(p *des.Proc, service time.Duration) {
+// Use begins one synchronous transfer of the given service time for p,
+// queueing FCFS behind other transfers, and reports whether it is over:
+// at once for a service of zero. Otherwise p waits, suspended in the queue
+// or resting through its transfer; the caller must end its step, then call
+// Resume with the same service at each of p's wakes until it reports true.
+func (d *Disk) Use(p *des.Proc, service time.Duration) bool {
 	if service <= 0 {
-		return
+		return true
 	}
-	d.queue.Acquire(p)
-	p.Sleep(service)
-	d.queue.Release()
+	if d.queue.AcquireOrSuspend(p, 0) {
+		d.holder = p
+		p.Rest(service)
+	}
+	return false
+}
+
+// Resume takes p's transfer on at its wake: it frees the device at the
+// transfer's end and reports true, or starts the transfer at p's turn.
+func (d *Disk) Resume(p *des.Proc, service time.Duration) bool {
+	if d.holder == p {
+		d.holder = nil
+		d.queue.Release()
+		return true
+	}
+	d.queue.Resolve(p)
+	d.holder = p
+	p.Rest(service)
+	return false
 }
 
 // Utilization returns the fraction of time the disk was busy since the

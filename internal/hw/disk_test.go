@@ -7,13 +7,31 @@ import (
 	"github.com/softres/ntier/internal/des"
 )
 
+// transfer starts a stepping process that takes one transfer of service
+// through d and then calls done, if set.
+func transfer(env *des.Env, d *Disk, service time.Duration, done func(p *des.Proc)) {
+	started := false
+	env.GoStep("w", func(p *des.Proc) {
+		if !started {
+			started = true
+			if !d.Use(p, service) {
+				return
+			}
+		} else if !d.Resume(p, service) {
+			return
+		}
+		if done != nil {
+			done(p)
+		}
+	})
+}
+
 func TestDiskFCFS(t *testing.T) {
 	env := des.NewEnv()
 	d := NewDisk(env, "disk")
 	var done []time.Duration
 	for i := 0; i < 3; i++ {
-		env.Go("w", func(p *des.Proc) {
-			d.Use(p, 10*time.Millisecond)
+		transfer(env, d, 10*time.Millisecond, func(p *des.Proc) {
 			done = append(done, p.Now())
 		})
 	}
@@ -34,9 +52,7 @@ func TestDiskFCFS(t *testing.T) {
 func TestDiskUtilization(t *testing.T) {
 	env := des.NewEnv()
 	d := NewDisk(env, "disk")
-	env.Go("w", func(p *des.Proc) {
-		d.Use(p, 2*time.Second)
-	})
+	transfer(env, d, 2*time.Second, nil)
 	env.Run(10 * time.Second)
 	if u := d.Utilization(); u < 0.199 || u > 0.201 {
 		t.Errorf("utilization %v, want 0.2", u)
@@ -48,10 +64,8 @@ func TestDiskZeroServiceFree(t *testing.T) {
 	env := des.NewEnv()
 	d := NewDisk(env, "disk")
 	var done time.Duration
-	env.Go("w", func(p *des.Proc) {
-		d.Use(p, 0)
-		done = p.Now()
-	})
+	done = -1
+	transfer(env, d, 0, func(p *des.Proc) { done = p.Now() })
 	env.Run(time.Second)
 	if done != 0 {
 		t.Errorf("zero-service transfer took %v", done)
@@ -79,7 +93,7 @@ func TestNodeResetResetsDisk(t *testing.T) {
 	env := des.NewEnv()
 	n := NewNode(env, "mysql1", PC3000())
 	d := n.AttachDisk()
-	env.Go("w", func(p *des.Proc) { d.Use(p, time.Second) })
+	transfer(env, d, time.Second, nil)
 	env.Run(2 * time.Second)
 	n.ResetStats()
 	env.Run(4 * time.Second)

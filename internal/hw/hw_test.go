@@ -6,7 +6,15 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/des"
+	"github.com/softres/ntier/internal/resource"
 )
+
+// use runs work on c for p on its runner, parked until the job completes.
+func use(p *des.Proc, c *resource.CPU, work time.Duration) {
+	if c.Use(p, work) {
+		p.Park()
+	}
+}
 
 func TestPC3000Spec(t *testing.T) {
 	spec := PC3000()
@@ -19,7 +27,7 @@ func TestNodeUtilizationFromWork(t *testing.T) {
 	env := des.NewEnv()
 	n := NewNode(env, "tomcat1", PC3000())
 	env.Go("job", func(p *des.Proc) {
-		n.CPU().Use(p, 4*time.Second)
+		use(p, n.CPU(), 4*time.Second)
 	})
 	env.Run(10 * time.Second)
 	if u := n.Utilization(); math.Abs(u-0.4) > 1e-9 {
@@ -34,7 +42,7 @@ func TestNodeOverheadAddsToUtilization(t *testing.T) {
 	gc := 0.0
 	n.AddOverhead(func() float64 { return gc })
 	env.Go("job", func(p *des.Proc) {
-		n.CPU().Use(p, 2*time.Second)
+		use(p, n.CPU(), 2*time.Second)
 	})
 	env.At(5*time.Second, func() { gc = 3 }) // 3s of GC busy time
 	env.Run(10 * time.Second)
@@ -75,7 +83,7 @@ func TestBusyIntegralCombines(t *testing.T) {
 	env := des.NewEnv()
 	n := NewNode(env, "x", PC3000())
 	n.AddOverhead(func() float64 { return 2.5 })
-	env.Go("job", func(p *des.Proc) { n.CPU().Use(p, time.Second) })
+	env.Go("job", func(p *des.Proc) { use(p, n.CPU(), time.Second) })
 	env.Run(5 * time.Second)
 	if got := n.BusyIntegral(); math.Abs(got-3.5) > 1e-9 {
 		t.Errorf("busy integral %v, want 3.5", got)

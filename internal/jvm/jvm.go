@@ -60,6 +60,7 @@ type JVM struct {
 
 	allocated float64 // MiB allocated since the last collection
 	inGC      bool
+	pause     time.Duration // the pause of the collection in progress
 
 	statsStart time.Duration
 	gcCount    uint64
@@ -93,30 +94,31 @@ func (j *JVM) headroom() float64 {
 	return free
 }
 
-// Allocate reports alloc MiB of allocation by the calling process and runs a
-// stop-the-world collection inline if the headroom is exhausted. The caller
-// is paused for the full collection, as are all jobs on the CPU (the paper's
-// synchronous collector).
-func (j *JVM) Allocate(p *des.Proc, alloc float64) {
+// Allocate reports alloc MiB of allocation and starts a stop-the-world
+// collection if the headroom is exhausted: it freezes the CPU, so every
+// job on it pauses with the allocating process (the paper's synchronous
+// collector), and reports the pause and true. The caller then waits out
+// the pause (des.Proc.Rest) and calls Collected.
+func (j *JVM) Allocate(alloc float64) (time.Duration, bool) {
 	if alloc > 0 {
 		j.allocated += alloc
 	}
 	if j.inGC || j.allocated < j.headroom() {
-		return
+		return 0, false
 	}
-	j.collect(p)
+	j.inGC = true
+	j.pause = j.PauseEstimate()
+	j.cpu.SetSpeed(0)
+	return j.pause, true
 }
 
-// collect runs one stop-the-world collection from process p.
-func (j *JVM) collect(p *des.Proc) {
-	j.inGC = true
-	pause := j.cfg.PauseBase + time.Duration(float64(j.cfg.PausePerLiveMiB)*j.live())
-	j.cpu.SetSpeed(0)
-	p.Sleep(pause)
+// Collected ends the collection Allocate started, once its pause is over:
+// the CPU runs again and the collection is booked.
+func (j *JVM) Collected() {
 	j.cpu.SetSpeed(1)
 	j.allocated = 0
 	j.gcCount++
-	j.gcTime += pause
+	j.gcTime += j.pause
 	j.inGC = false
 }
 

@@ -8,6 +8,22 @@ import (
 	"github.com/softres/ntier/internal/resource"
 )
 
+// allocate reports alloc MiB for p on its runner, asleep through the
+// collection it starts, if any.
+func allocate(p *des.Proc, j *JVM, alloc float64) {
+	if pause, gc := j.Allocate(alloc); gc {
+		p.Sleep(pause)
+		j.Collected()
+	}
+}
+
+// use runs work on c for p on its runner, parked until the job completes.
+func use(p *des.Proc, c *resource.CPU, work time.Duration) {
+	if c.Use(p, work) {
+		p.Park()
+	}
+}
+
 func testConfig() Config {
 	return Config{
 		HeapMiB:         1000,
@@ -24,7 +40,7 @@ func TestNoGCBelowHeadroom(t *testing.T) {
 	cpu := resource.NewCPU(env, "cpu", 1)
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 10 })
 	env.Go("alloc", func(p *des.Proc) {
-		j.Allocate(p, 100) // headroom = 1000-140 = 860
+		allocate(p, j, 100) // headroom = 1000-140 = 860
 	})
 	env.Run(time.Second)
 	if got := j.Stats().GCCount; got != 0 {
@@ -39,7 +55,7 @@ func TestGCTriggersAtHeadroom(t *testing.T) {
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 10 })
 	var after time.Duration
 	env.Go("alloc", func(p *des.Proc) {
-		j.Allocate(p, 900) // exceeds headroom 860 -> collect
+		allocate(p, j, 900) // exceeds headroom 860 -> collect
 		after = p.Now()
 	})
 	env.Run(time.Minute)
@@ -64,12 +80,12 @@ func TestGCFreezesCPUJobs(t *testing.T) {
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 0 })
 	var jobDone time.Duration
 	env.Go("worker", func(p *des.Proc) {
-		cpu.Use(p, 100*time.Millisecond)
+		use(p, cpu, 100*time.Millisecond)
 		jobDone = p.Now()
 	})
 	env.Go("allocator", func(p *des.Proc) {
 		p.Sleep(50 * time.Millisecond)
-		j.Allocate(p, 2000) // forces GC; live=100 -> pause 110ms
+		allocate(p, j, 2000) // forces GC; live=100 -> pause 110ms
 	})
 	env.Run(time.Minute)
 	// Worker: 50ms done, frozen 110ms, 50ms more -> 210ms.
@@ -104,7 +120,7 @@ func TestGCFrequencyGrowsWithSlots(t *testing.T) {
 		j := New(env, "jvm", cpu, testConfig(), func() int { return slots })
 		env.Go("alloc", func(p *des.Proc) {
 			for i := 0; i < 200; i++ {
-				j.Allocate(p, 10)
+				allocate(p, j, 10)
 				p.Sleep(time.Millisecond)
 			}
 		})
@@ -135,7 +151,7 @@ func TestResetStats(t *testing.T) {
 	cpu := resource.NewCPU(env, "cpu", 1)
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 10 })
 	env.Go("alloc", func(p *des.Proc) {
-		j.Allocate(p, 900)
+		allocate(p, j, 900)
 		j.ResetStats()
 	})
 	env.Run(time.Minute)
@@ -170,7 +186,7 @@ func TestGCFractionAccounting(t *testing.T) {
 	cpu := resource.NewCPU(env, "cpu", 1)
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 10 })
 	env.Go("alloc", func(p *des.Proc) {
-		j.Allocate(p, 900) // one GC: 150ms
+		allocate(p, j, 900) // one GC: 150ms
 	})
 	env.Run(1500 * time.Millisecond)
 	st := j.Stats()

@@ -37,18 +37,10 @@ func (l Link) Delay() time.Duration {
 	return d
 }
 
-// Traverse delays the calling process by one hop.
-func (l Link) Traverse(p *des.Proc) {
-	if d := l.Delay(); d > 0 {
-		p.Sleep(d)
-	}
-}
-
-// Cross is Traverse for a process that may be in a step (des.Env.GoStep).
-// It reports whether the hop is behind the process: at once for a hop of
-// no latency. Otherwise the process rests through it (des.Proc.Rest):
-// Cross schedules its next wake at the hop's end and reports false, and fn
-// must return.
+// Cross takes p over one hop and reports whether the hop is behind it: at
+// once for a hop of no latency. Otherwise p rests through it
+// (des.Proc.Rest): Cross schedules its next wake at the hop's end and
+// reports false, and the caller must end its run or step.
 func (l Link) Cross(p *des.Proc) bool {
 	if d := l.Delay(); d > 0 {
 		p.Rest(d)

@@ -8,31 +8,41 @@ import (
 	"github.com/softres/ntier/internal/rng"
 )
 
+// cross starts a stepping process that crosses l once and returns the
+// time the hop was behind it, and how many dispatches that took.
+func cross(env *des.Env, l Link) (done *time.Duration, steps *int) {
+	done, steps = new(time.Duration), new(int)
+	*done = -1
+	crossed := false
+	env.GoStep("hop", func(p *des.Proc) {
+		*steps++
+		if !crossed {
+			crossed = true
+			if !l.Cross(p) {
+				return
+			}
+		}
+		*done = p.Now()
+	})
+	return done, steps
+}
+
 func TestLinkTraverse(t *testing.T) {
 	env := des.NewEnv()
-	l := Link{Latency: 200 * time.Microsecond}
-	var done time.Duration
-	env.Go("hop", func(p *des.Proc) {
-		l.Traverse(p)
-		done = p.Now()
-	})
+	done, steps := cross(env, Link{Latency: 200 * time.Microsecond})
 	env.Run(time.Second)
-	if done != 200*time.Microsecond {
-		t.Errorf("traverse took %v, want 200µs", done)
+	if *done != 200*time.Microsecond || *steps != 2 {
+		t.Errorf("cross took %v over %d dispatches, want 200µs over 2", *done, *steps)
 	}
 	env.Shutdown()
 }
 
 func TestZeroLatencyLinkIsFree(t *testing.T) {
 	env := des.NewEnv()
-	var done time.Duration
-	env.Go("hop", func(p *des.Proc) {
-		Link{}.Traverse(p)
-		done = p.Now()
-	})
+	done, steps := cross(env, Link{})
 	env.Run(time.Second)
-	if done != 0 {
-		t.Errorf("zero-latency traverse took %v", done)
+	if *done != 0 || *steps != 1 {
+		t.Errorf("zero-latency cross took %v over %d dispatches, want 0 over 1", *done, *steps)
 	}
 	env.Shutdown()
 }

@@ -16,7 +16,7 @@ func TestPoolAudit(t *testing.T) {
 	pl := NewPool(env, "p", 2)
 	for i := 0; i < 4; i++ {
 		env.Go("h", func(p *des.Proc) {
-			pl.Acquire(p)
+			acquire(p, pl)
 			p.Sleep(time.Second)
 			pl.Release()
 		})
@@ -63,7 +63,7 @@ func TestPoolAuditOccupancyConservation(t *testing.T) {
 	pl := NewPool(env, "p", 3)
 	env.Go("h", func(p *des.Proc) {
 		for i := 0; i < 5; i++ {
-			pl.Acquire(p)
+			acquire(p, pl)
 			p.Sleep(137 * time.Millisecond)
 			pl.Release()
 			p.Sleep(41 * time.Millisecond)
@@ -87,7 +87,7 @@ func TestCPUAudit(t *testing.T) {
 	defer env.Shutdown()
 	c := NewCPU(env, "c", 2)
 	for i := 0; i < 3; i++ {
-		env.Go("j", func(p *des.Proc) { c.Use(p, time.Second) })
+		env.Go("j", func(p *des.Proc) { use(p, c, time.Second) })
 	}
 	env.Run(time.Second) // jobs still running under PS
 	if err := c.Audit(); err != nil {

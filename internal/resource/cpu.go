@@ -182,11 +182,13 @@ func (c *CPU) complete() {
 	c.reschedule()
 }
 
-// Use runs `work` seconds of service for the calling process under PS,
-// blocking until it completes. Zero or negative work returns immediately.
-func (c *CPU) Use(p *des.Proc, work time.Duration) {
+// Use queues `work` seconds of service for p under PS and reports whether
+// p must wait for it: false for zero or negative work; true once the job
+// is admitted, and then p waits (des.Proc.Suspend) for the Unpark its
+// completion sends.
+func (c *CPU) Use(p *des.Proc, work time.Duration) bool {
 	if work <= 0 {
-		return
+		return false
 	}
 	c.update()
 	if len(c.jobs) == 0 {
@@ -196,7 +198,7 @@ func (c *CPU) Use(p *des.Proc, work time.Duration) {
 	c.jobs.push(cpuJob{finishV: c.vnow + w, proc: p})
 	c.workDone += w // counted on admission; conserved because jobs always finish
 	c.reschedule()
-	p.Park()
+	return true
 }
 
 // SetSpeed changes the speed factor (0 freezes all jobs — a stop-the-world

@@ -10,12 +10,19 @@ import (
 	"github.com/softres/ntier/internal/des"
 )
 
+// use runs work on c for p on its runner, parked until the job completes.
+func use(p *des.Proc, c *CPU, work time.Duration) {
+	if c.Use(p, work) {
+		p.Park()
+	}
+}
+
 func TestCPUSingleJobTakesWork(t *testing.T) {
 	env := des.NewEnv()
 	cpu := NewCPU(env, "cpu", 1)
 	var done time.Duration
 	env.Go("job", func(p *des.Proc) {
-		cpu.Use(p, 3*time.Second)
+		use(p, cpu, 3*time.Second)
 		done = p.Now()
 	})
 	env.Run(time.Minute)
@@ -30,11 +37,11 @@ func TestCPUProcessorSharingSlowdown(t *testing.T) {
 	cpu := NewCPU(env, "cpu", 1)
 	var doneA, doneB time.Duration
 	env.Go("a", func(p *des.Proc) {
-		cpu.Use(p, 2*time.Second)
+		use(p, cpu, 2*time.Second)
 		doneA = p.Now()
 	})
 	env.Go("b", func(p *des.Proc) {
-		cpu.Use(p, 2*time.Second)
+		use(p, cpu, 2*time.Second)
 		doneB = p.Now()
 	})
 	env.Run(time.Minute)
@@ -50,11 +57,11 @@ func TestCPUUnequalJobsPS(t *testing.T) {
 	cpu := NewCPU(env, "cpu", 1)
 	var doneShort, doneLong time.Duration
 	env.Go("short", func(p *des.Proc) {
-		cpu.Use(p, 1*time.Second)
+		use(p, cpu, 1*time.Second)
 		doneShort = p.Now()
 	})
 	env.Go("long", func(p *des.Proc) {
-		cpu.Use(p, 3*time.Second)
+		use(p, cpu, 3*time.Second)
 		doneLong = p.Now()
 	})
 	env.Run(time.Minute)
@@ -74,11 +81,11 @@ func TestCPUMultiCoreFullSpeedBelowCapacity(t *testing.T) {
 	cpu := NewCPU(env, "cpu", 2)
 	var doneA, doneB time.Duration
 	env.Go("a", func(p *des.Proc) {
-		cpu.Use(p, 2*time.Second)
+		use(p, cpu, 2*time.Second)
 		doneA = p.Now()
 	})
 	env.Go("b", func(p *des.Proc) {
-		cpu.Use(p, 2*time.Second)
+		use(p, cpu, 2*time.Second)
 		doneB = p.Now()
 	})
 	env.Run(time.Minute)
@@ -94,12 +101,12 @@ func TestCPULateArrival(t *testing.T) {
 	cpu := NewCPU(env, "cpu", 1)
 	var doneA, doneB time.Duration
 	env.Go("a", func(p *des.Proc) {
-		cpu.Use(p, 3*time.Second)
+		use(p, cpu, 3*time.Second)
 		doneA = p.Now()
 	})
 	env.Go("b", func(p *des.Proc) {
 		p.Sleep(1 * time.Second)
-		cpu.Use(p, 1*time.Second)
+		use(p, cpu, 1*time.Second)
 		doneB = p.Now()
 	})
 	env.Run(time.Minute)
@@ -119,7 +126,7 @@ func TestCPUStopTheWorldFreezesJobs(t *testing.T) {
 	cpu := NewCPU(env, "cpu", 1)
 	var done time.Duration
 	env.Go("job", func(p *des.Proc) {
-		cpu.Use(p, 2*time.Second)
+		use(p, cpu, 2*time.Second)
 		done = p.Now()
 	})
 	env.At(1*time.Second, func() { cpu.SetSpeed(0) })
@@ -140,7 +147,7 @@ func TestCPUUtilization(t *testing.T) {
 	env := des.NewEnv()
 	cpu := NewCPU(env, "cpu", 2)
 	env.Go("job", func(p *des.Proc) {
-		cpu.Use(p, 4*time.Second)
+		use(p, cpu, 4*time.Second)
 	})
 	env.Run(10 * time.Second)
 	// 4 core-seconds of work over 10s on 2 cores: utilization 0.2.
@@ -159,7 +166,7 @@ func TestCPUZeroWorkReturnsImmediately(t *testing.T) {
 	cpu := NewCPU(env, "cpu", 1)
 	var done time.Duration
 	env.Go("job", func(p *des.Proc) {
-		cpu.Use(p, 0)
+		use(p, cpu, 0)
 		done = p.Now()
 	})
 	env.Run(time.Second)
@@ -172,10 +179,10 @@ func TestCPUZeroWorkReturnsImmediately(t *testing.T) {
 func TestCPUResetStats(t *testing.T) {
 	env := des.NewEnv()
 	cpu := NewCPU(env, "cpu", 1)
-	env.Go("a", func(p *des.Proc) { cpu.Use(p, 2*time.Second) })
+	env.Go("a", func(p *des.Proc) { use(p, cpu, 2*time.Second) })
 	env.Run(2 * time.Second)
 	cpu.ResetStats()
-	env.Go("b", func(p *des.Proc) { cpu.Use(p, 1*time.Second) })
+	env.Go("b", func(p *des.Proc) { use(p, cpu, 1*time.Second) })
 	env.Run(4 * time.Second)
 	st := cpu.Stats()
 	// After reset at t=2: 1 core-second over 2 seconds = 0.5.
@@ -204,7 +211,7 @@ func TestQuickCPUWorkConservation(t *testing.T) {
 			env.Go("j", func(p *des.Proc) {
 				p.Sleep(start)
 				t0 := p.Now()
-				cpu.Use(p, work)
+				use(p, cpu, work)
 				if p.Now()-t0 < work-time.Microsecond {
 					okTimes = false
 				}

@@ -1,5 +1,5 @@
 // Package resource provides the resource models the n-tier simulator is
-// built from: blocking FIFO pools (the paper's "soft resources" — thread
+// built from: FIFO pools (the paper's "soft resources" — thread
 // pools and connection pools) and a processor-sharing CPU (the hardware
 // resource whose saturation the paper's algorithm hunts for).
 package resource
@@ -34,14 +34,13 @@ type waiter struct {
 // queued — the soft-resource analogue of 100% hardware utilization), and
 // waiting-time statistics.
 //
-// Two fault/resilience extensions ride on the same FIFO machinery:
-// AcquireTimeout bounds the queueing delay (the per-hop acquire timeout of
-// the resilience layer), and Leak/Restore model connection-leak faults that
-// bleed units out of the pool without going through a holder.
+// Two fault/resilience extensions ride on the same FIFO machinery: an
+// acquire timeout bounds the queueing delay (the per-hop acquire timeout
+// of the resilience layer), and Leak/Restore model connection-leak faults
+// that bleed units out of the pool without going through a holder.
 //
-// A waiter either parks inside Acquire/AcquireTimeout, keeping its stack,
-// or — through AcquireOrSuspend and Resolve — waits suspended, holding no
-// coroutine; both go through the same queue, timeout and bookkeeping.
+// A waiter waits suspended (AcquireOrSuspend, then Resolve at its wake),
+// holding no coroutine.
 type Pool struct {
 	env      *des.Env
 	name     string
@@ -193,8 +192,7 @@ func (pl *Pool) wake(w *waiter) {
 }
 
 // enqueue queues the caller at the tail, arming a timeout if d > 0. The
-// caller then parks or suspends until wake, and resolves the wait with
-// Resolve. The window grows by doubling, not append's 1.25× steps: a
+// caller then waits until wake, and resolves the wait with Resolve. The window grows by doubling, not append's 1.25× steps: a
 // 10⁵-deep queue would otherwise copy itself dozens of times.
 func (pl *Pool) enqueue(p *des.Proc, d time.Duration) {
 	pl.account()
@@ -228,32 +226,10 @@ func (pl *Pool) expire(w *waiter) {
 	}
 }
 
-// Acquire obtains one unit, blocking the calling process in FIFO order until
-// one is available. It returns the time spent waiting.
-func (pl *Pool) Acquire(p *des.Proc) time.Duration {
-	_, wait := pl.AcquireTimeout(p, 0)
-	return wait
-}
-
-// AcquireTimeout obtains one unit like Acquire, but gives up after waiting
-// `timeout`. It reports whether a unit was obtained and the time spent
-// waiting. A non-positive timeout blocks indefinitely.
-func (pl *Pool) AcquireTimeout(p *des.Proc, timeout time.Duration) (bool, time.Duration) {
-	if pl.TryAcquire() {
-		return true, 0
-	}
-	pl.enqueue(p, timeout)
-	p.Park()
-	return pl.Resolve(p)
-}
-
-// AcquireOrSuspend is the non-blocking AcquireTimeout, for a caller with
-// nothing on its stack worth keeping while it waits: it either takes a
-// unit now and returns true, or queues p in FIFO order (giving up after
-// timeout, if positive), suspends it (des.Proc.Suspend) and returns
-// false. The caller must then end its run; at the grant or the timeout
-// its process runs again and calls Resolve. The queue, timeout and
-// statistics are those of AcquireTimeout, event for event.
+// AcquireOrSuspend obtains one unit for p: it either takes a unit now and
+// returns true, or queues p in FIFO order (giving up after timeout, if
+// positive), suspends it (des.Proc.Suspend) and returns false. The caller
+// must then end its step; at the grant or the timeout it calls Resolve.
 func (pl *Pool) AcquireOrSuspend(p *des.Proc, timeout time.Duration) bool {
 	if pl.TryAcquire() {
 		return true
@@ -264,9 +240,8 @@ func (pl *Pool) AcquireOrSuspend(p *des.Proc, timeout time.Duration) bool {
 }
 
 // Resolve completes the acquisition p began with AcquireOrSuspend, on the
-// run its grant or timeout woke. Like AcquireTimeout it reports whether a
-// unit was obtained and the time spent waiting; p queued at Now() minus
-// that wait. It reads the outcome from p's waiter record, recycles the
+// run or step its grant or timeout woke. It reports whether a unit was
+// obtained and the time spent waiting; p queued at Now() minus that wait. It reads the outcome from p's waiter record, recycles the
 // record, and books the wait: a grant (the releaser already transferred
 // the unit, so inUse stays at its level on p's behalf) or a timeout.
 // Resolve panics if p has no resolved acquisition here.

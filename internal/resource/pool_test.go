@@ -15,7 +15,7 @@ func TestPoolCapacityNeverExceeded(t *testing.T) {
 	maxSeen := 0
 	for i := 0; i < 10; i++ {
 		env.Go("worker", func(p *des.Proc) {
-			pl.Acquire(p)
+			acquire(p, pl)
 			if pl.InUse() > maxSeen {
 				maxSeen = pl.InUse()
 			}
@@ -39,7 +39,7 @@ func TestPoolFIFOGrantOrder(t *testing.T) {
 	var grants []int
 	// Holder occupies the unit; five waiters queue in a known order.
 	env.Go("holder", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(10 * time.Second)
 		pl.Release()
 	})
@@ -47,7 +47,7 @@ func TestPoolFIFOGrantOrder(t *testing.T) {
 		i := i
 		env.Go("waiter", func(p *des.Proc) {
 			p.Sleep(time.Duration(i+1) * time.Second) // arrive in index order
-			pl.Acquire(p)
+			acquire(p, pl)
 			grants = append(grants, i)
 			p.Sleep(time.Second)
 			pl.Release()
@@ -70,13 +70,13 @@ func TestPoolWaitTimes(t *testing.T) {
 	pl := NewPool(env, "tp", 1)
 	var waited time.Duration
 	env.Go("first", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(5 * time.Second)
 		pl.Release()
 	})
 	env.Go("second", func(p *des.Proc) {
 		p.Sleep(1 * time.Second)
-		waited = pl.Acquire(p)
+		waited = acquire(p, pl)
 		pl.Release()
 	})
 	env.Run(time.Minute)
@@ -96,7 +96,7 @@ func TestPoolUtilizationIntegral(t *testing.T) {
 	// One unit held for 4s of a 10s interval: utilization = 4/(10*2) = 0.2.
 	env.Go("u", func(p *des.Proc) {
 		p.Sleep(2 * time.Second)
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(4 * time.Second)
 		pl.Release()
 	})
@@ -112,13 +112,13 @@ func TestPoolSaturationFraction(t *testing.T) {
 	env := des.NewEnv()
 	pl := NewPool(env, "tp", 1)
 	env.Go("holder", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(8 * time.Second)
 		pl.Release()
 	})
 	env.Go("waiter", func(p *des.Proc) {
 		p.Sleep(2 * time.Second)
-		pl.Acquire(p) // queues from t=2 to t=8
+		acquire(p, pl) // queues from t=2 to t=8
 		pl.Release()
 	})
 	env.Run(10 * time.Second)
@@ -136,13 +136,13 @@ func TestPoolOccupancyDensity(t *testing.T) {
 	env := des.NewEnv()
 	pl := NewPool(env, "tp", 2)
 	env.Go("a", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(6 * time.Second)
 		pl.Release()
 	})
 	env.Go("b", func(p *des.Proc) {
 		p.Sleep(2 * time.Second)
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(2 * time.Second)
 		pl.Release()
 	})
@@ -196,7 +196,7 @@ func TestPoolResetStats(t *testing.T) {
 	env := des.NewEnv()
 	pl := NewPool(env, "tp", 1)
 	env.Go("a", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(5 * time.Second)
 		pl.Release()
 	})
@@ -232,7 +232,7 @@ func TestQuickPoolConservation(t *testing.T) {
 			i := i
 			env.Go("w", func(p *des.Proc) {
 				p.Sleep(starts[i])
-				pl.Acquire(p)
+				acquire(p, pl)
 				if pl.InUse() > cap {
 					t.Errorf("in-use %d > capacity %d", pl.InUse(), cap)
 				}

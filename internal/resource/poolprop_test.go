@@ -72,7 +72,7 @@ func runPoolProperty(t *testing.T, seed uint64) {
 				}
 				ticket := ticketSeq
 				ticketSeq++
-				ok, _ := pool.AcquireTimeout(p, timeout)
+				ok, _ := acquireTimeout(p, pool, timeout)
 				if !ok {
 					continue
 				}

@@ -16,7 +16,7 @@ func TestCPURescheduleOverflowClamps(t *testing.T) {
 	env := des.NewEnv()
 	cpu := NewCPU(env, "cpu", 1)
 	env.Go("job", func(p *des.Proc) {
-		cpu.Use(p, time.Hour)
+		use(p, cpu, time.Hour)
 	})
 	env.Run(time.Millisecond) // job admitted, barely progressed
 	// ~3600s of work at 1e-15 speed: remain/rate ≈ 3.6e21 s, far past
@@ -51,7 +51,7 @@ func TestCPURebaseConservesWork(t *testing.T) {
 	done := 0
 	for i := 0; i < jobs; i++ {
 		env.Go("job", func(p *des.Proc) {
-			cpu.Use(p, work)
+			use(p, cpu, work)
 			done++
 		})
 	}
@@ -78,7 +78,7 @@ func TestPoolOverfullStatsAndReset(t *testing.T) {
 	// directly via Release between Run horizons.
 	for i := 0; i < 4; i++ {
 		env.Go("holder", func(p *des.Proc) {
-			pl.Acquire(p)
+			acquire(p, pl)
 			p.Park()
 		})
 	}
@@ -111,7 +111,7 @@ func TestPoolOverfullStatsAndReset(t *testing.T) {
 	// A waiter arriving while over-full makes the interval saturated.
 	granted := false
 	env.Go("waiter", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		granted = true
 	})
 	env.Run(4 * time.Second) // 1s queued, still over-full
@@ -168,14 +168,14 @@ func TestPoolWaiterReuseAfterTimeout(t *testing.T) {
 	env := des.NewEnv()
 	pl := NewPool(env, "pool", 1)
 	env.Go("holder", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(10 * time.Second)
 		pl.Release()
 	})
 	timedOut := false
 	env.Go("impatient", func(p *des.Proc) {
 		p.Sleep(time.Second)
-		ok, wait := pl.AcquireTimeout(p, 2*time.Second)
+		ok, wait := acquireTimeout(p, pl, 2*time.Second)
 		if ok {
 			t.Error("impatient acquisition succeeded under a held pool")
 		}
@@ -189,7 +189,7 @@ func TestPoolWaiterReuseAfterTimeout(t *testing.T) {
 	granted := false
 	env.Go("patient", func(p *des.Proc) {
 		p.Sleep(4 * time.Second)
-		ok, _ := pl.AcquireTimeout(p, 20*time.Second)
+		ok, _ := acquireTimeout(p, pl, 20*time.Second)
 		granted = ok
 	})
 	env.Run(30 * time.Second)
@@ -215,7 +215,7 @@ func TestPoolUntimedWaitsArmNoTimer(t *testing.T) {
 	defer env.Shutdown()
 	pl := NewPool(env, "pool", 1)
 	env.Go("holder", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(time.Second)
 		pl.Release()
 	})
@@ -229,7 +229,7 @@ func TestPoolUntimedWaitsArmNoTimer(t *testing.T) {
 			runs++
 			switch {
 			case i%2 == 0:
-				pl.Acquire(p)
+				acquire(p, pl)
 			case runs == 1:
 				if !pl.AcquireOrSuspend(p, 0) {
 					return
@@ -271,17 +271,17 @@ func TestPoolWaiterTimerOnFirstTimedReuse(t *testing.T) {
 	defer env.Shutdown()
 	pl := NewPool(env, "pool", 1)
 	env.Go("holder", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(time.Second)
 		pl.Release()
 		p.Sleep(time.Second) // the untimed waiter holds [1s, 1s]
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(10 * time.Second)
 		pl.Release()
 	})
 	env.Go("untimed", func(p *des.Proc) {
 		p.Sleep(500 * time.Millisecond)
-		pl.Acquire(p)
+		acquire(p, pl)
 		pl.Release()
 	})
 	timedOut := time.Duration(-1)
@@ -291,7 +291,7 @@ func TestPoolWaiterTimerOnFirstTimedReuse(t *testing.T) {
 			t.Fatalf("want one recycled record without a timer before the timed wait")
 		}
 		w := pl.freeW[0]
-		ok, wait := pl.AcquireTimeout(p, 2*time.Second)
+		ok, wait := acquireTimeout(p, pl, 2*time.Second)
 		if ok || wait != 2*time.Second {
 			t.Errorf("AcquireTimeout = %v after %v, want a timeout after 2s", ok, wait)
 		}
@@ -315,12 +315,12 @@ func TestPoolDeepQueueFIFOWithTimeouts(t *testing.T) {
 	env := des.NewEnv()
 	pl := NewPool(env, "pool", 1)
 	env.Go("holder", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(100 * time.Second)
 		for i := 0; i < 200; i++ {
 			p.Sleep(time.Second)
 			pl.Release()
-			pl.Acquire(p)
+			acquire(p, pl)
 		}
 		pl.Release()
 	})
@@ -332,9 +332,9 @@ func TestPoolDeepQueueFIFOWithTimeouts(t *testing.T) {
 			p.Sleep(time.Duration(i+1) * time.Millisecond)
 			var ok bool
 			if i%3 == 0 { // every third waiter gives up before any grant
-				ok, _ = pl.AcquireTimeout(p, 50*time.Second)
+				ok, _ = acquireTimeout(p, pl, 50*time.Second)
 			} else {
-				ok, _ = pl.AcquireTimeout(p, 1000*time.Second)
+				ok, _ = acquireTimeout(p, pl, 1000*time.Second)
 			}
 			if ok {
 				order = append(order, i)

@@ -14,7 +14,7 @@ func TestResizeGrowAdmitsWaiters(t *testing.T) {
 	var grantTimes []time.Duration
 	for i := 0; i < 3; i++ {
 		env.Go("w", func(p *des.Proc) {
-			pl.Acquire(p)
+			acquire(p, pl)
 			grantTimes = append(grantTimes, p.Now())
 			p.Sleep(10 * time.Second)
 			pl.Release()
@@ -39,7 +39,7 @@ func TestResizeShrinkDrains(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		env.Go("w", func(p *des.Proc) {
-			pl.Acquire(p)
+			acquire(p, pl)
 			p.Sleep(time.Duration(i+1) * time.Second)
 			pl.Release()
 			released++
@@ -55,7 +55,7 @@ func TestResizeShrinkDrains(t *testing.T) {
 	var lateGrant time.Duration
 	env.Go("late", func(p *des.Proc) {
 		p.Sleep(600 * time.Millisecond)
-		pl.Acquire(p)
+		acquire(p, pl)
 		lateGrant = p.Now()
 		pl.Release()
 	})
@@ -89,7 +89,7 @@ func TestResizeChurnUnderLoad(t *testing.T) {
 		i := i
 		env.At(time.Duration(i)*100*time.Millisecond, func() {
 			env.Go("job", func(p *des.Proc) {
-				pl.Acquire(p)
+				acquire(p, pl)
 				p.Sleep(700 * time.Millisecond)
 				pl.Release()
 				served++
@@ -149,18 +149,18 @@ func TestResizeOverfullCountsAsSaturated(t *testing.T) {
 	env := des.NewEnv()
 	pl := NewPool(env, "tp", 2)
 	env.Go("a", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(10 * time.Second)
 		pl.Release()
 	})
 	env.Go("b", func(p *des.Proc) {
-		pl.Acquire(p)
+		acquire(p, pl)
 		p.Sleep(10 * time.Second)
 		pl.Release()
 	})
 	env.Go("waiter", func(p *des.Proc) {
 		p.Sleep(time.Second)
-		pl.Acquire(p)
+		acquire(p, pl)
 		pl.Release()
 	})
 	env.At(2*time.Second, func() { pl.Resize(1) })
@@ -183,14 +183,14 @@ func TestSaturatedIntegralMatchesStats(t *testing.T) {
 	pl := NewPool(env, "tp", 2)
 	for _, name := range []string{"a", "b"} {
 		env.Go(name, func(p *des.Proc) {
-			pl.Acquire(p)
+			acquire(p, pl)
 			p.Sleep(10 * time.Second)
 			pl.Release()
 		})
 	}
 	env.Go("waiter", func(p *des.Proc) {
 		p.Sleep(3 * time.Second)
-		pl.Acquire(p) // queued from t=3 until a holder leaves at t=10
+		acquire(p, pl) // queued from t=3 until a holder leaves at t=10
 		p.Sleep(time.Second)
 		pl.Release()
 	})

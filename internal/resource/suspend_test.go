@@ -10,7 +10,26 @@ import (
 	"github.com/softres/ntier/internal/rng"
 )
 
-// AcquireOrSuspend and Resolve are AcquireTimeout without the stack: the
+// acquireTimeout takes a unit of pl for p on its runner, parked while it
+// waits in the pool's queue, giving up after timeout if positive. It
+// reports whether a unit was obtained and the time spent waiting.
+func acquireTimeout(p *des.Proc, pl *Pool, timeout time.Duration) (bool, time.Duration) {
+	if pl.TryAcquire() {
+		return true, 0
+	}
+	pl.enqueue(p, timeout)
+	p.Park()
+	return pl.Resolve(p)
+}
+
+// acquire takes a unit of pl for p on its runner, parked until the grant,
+// and returns the time spent waiting.
+func acquire(p *des.Proc, pl *Pool) time.Duration {
+	_, wait := acquireTimeout(p, pl, 0)
+	return wait
+}
+
+// AcquireOrSuspend and Resolve are acquireTimeout without the stack: the
 // same seeded schedule of timed and untimed acquisitions, holds, resizes
 // and leaks, run once with waiters that park and once with waiters that
 // suspend, grants the same units at the same instants, times out the same
@@ -40,7 +59,7 @@ func TestAcquireOrSuspendMatchesAcquireTimeout(t *testing.T) {
 				case runs == 1:
 					p.Rest(arrive)
 				case !suspend:
-					ok, wait := pl.AcquireTimeout(p, timeout)
+					ok, wait := acquireTimeout(p, pl, timeout)
 					outcome(p, ok, wait)
 				case runs == 2:
 					if pl.AcquireOrSuspend(p, timeout) {

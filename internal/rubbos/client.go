@@ -16,16 +16,14 @@ import (
 // A non-nil error then means the browser got an error or degraded
 // response instead of the page (crash faults, shed requests, timeouts).
 //
-// Do is re-entrant, and the first call of each dispatch comes in a step
-// (des.Env.GoStep: no coroutine, on the scheduler's stack). A Target that
-// has to block first makes sure of a runner with des.Proc.Bind, and where
-// it has nothing on its stack worth keeping it waits without one: it
-// records where the request stands in c, schedules the next wake
-// (des.Proc.Rest), asks for a runner, or suspends the process
-// (des.Proc.Suspend), and returns false. The caller must then end its run
-// or step without blocking; on the process's next dispatch it calls Do
-// again with the same it and c, until Do returns true. A new request
-// starts from the zero Call, and Do leaves c zero when it returns true.
+// Do is re-entrant, and each call comes in a step (des.Env.GoStep: no
+// coroutine, on the scheduler's stack). Wherever the request waits, the
+// Target records where it stands in c (and in a record c.Rec names),
+// schedules the next wake (des.Proc.Rest) or suspends the process
+// (des.Proc.Suspend), and returns false. The caller must then end its
+// step; at the process's next dispatch it calls Do again with the same it
+// and c, until Do returns true. A new request starts from the zero Call,
+// and Do leaves c zero when it returns true.
 type Target interface {
 	Do(p *des.Proc, it *Interaction, c *Call) (done bool, err error)
 }
@@ -41,6 +39,9 @@ type Call struct {
 	Reply uint8
 	// Server is the target's index of the server the request went to.
 	Server uint16
+	// Rec is the target's handle of a record of the rest of the
+	// request's state, 0 while it keeps none.
+	Rec uint32
 }
 
 // Collector receives one record per finished request; err is non-nil when
@@ -192,10 +193,8 @@ func (w *Workload) AuditQuiescent() error {
 // when the simulation stops; the experiment layer gates measurement windows.
 //
 // A session is a stepping process (des.Env.GoStep): its ramp offset, its
-// think times and the bookkeeping around each request are steps, and its
-// request holds a coroutine only where the target binds one (see Target)
-// — for a request in service, not one crossing the network, refused at
-// the front door or queued there.
+// think times, the bookkeeping around each request and the request itself
+// are steps (see Target), so it never holds a coroutine.
 func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect Collector) (*Workload, error) {
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("rubbos: %d users", cfg.Users)
@@ -222,7 +221,7 @@ func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect 
 		label := string(strconv.AppendInt(append(buf[:0], "user-"...), int64(u), 10))
 		s := &session{w: w, r: rng.Stream(cfg.Seed, label), state: uint8(StoriesOfTheDay)}
 		if cfg.RampUp > 0 {
-			s.think = time.Duration(uint64(cfg.RampUp) * uint64(u) / uint64(cfg.Users))
+			s.issued = time.Duration(uint64(cfg.RampUp) * uint64(u) / uint64(cfg.Users))
 		}
 		env.GoStep(label, s.run)
 	}
@@ -232,14 +231,18 @@ func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect 
 // session is one emulated user's state between the dispatches of its
 // process, kept in one 64-byte allocation. Each dispatch does one step of
 // the closed loop and ends with a Rest, or wherever its request waits, so
-// no coroutine stack is held through think times or front-door waits.
+// no coroutine stack is held through think times or requests.
 type session struct {
-	w      *Workload
-	r      rng.Rand
-	think  time.Duration // mean of the next think time; until the first run, the ramp offset
-	issued time.Duration // when the request in flight was issued
-	state  uint8         // the interaction the user issues next
+	w *Workload
+	r rng.Rand
+	// issued is when the request in flight was issued; until the first
+	// run, the ramp offset.
+	issued time.Duration
+	state  uint8 // the interaction the user issues next
 	phase  sessionPhase
+	// abandoned is set after a response slower than the patience: the
+	// next think time is the abandonment think, not the normal one.
+	abandoned bool
 	// call is the target's state of the request in flight.
 	call Call
 }
@@ -261,8 +264,7 @@ func (s *session) run(p *des.Proc) {
 	switch s.phase {
 	case ramping:
 		s.phase = arriving
-		p.Rest(s.think)
-		s.think = w.cfg.ThinkMean
+		p.Rest(s.issued)
 		return
 	case arriving:
 		s.phase = browsing
@@ -285,12 +287,16 @@ func (s *session) run(p *des.Proc) {
 			return // the request waits: the target scheduled its next dispatch
 		}
 	}
-	p.Rest(time.Duration(s.r.Exp(float64(s.think))))
+	think := w.cfg.ThinkMean
+	if s.abandoned {
+		think = w.cfg.AbandonThink
+	}
+	p.Rest(time.Duration(s.r.Exp(float64(think))))
 }
 
 // request takes the request in flight on through the target. It reports
 // false while the request waits; once done it records the outcome and
-// picks the next interaction and think-time mean.
+// picks the next interaction and whether the user abandoned.
 func (s *session) request(p *des.Proc) bool {
 	w := s.w
 	cfg := &w.cfg
@@ -304,7 +310,7 @@ func (s *session) request(p *des.Proc) bool {
 		cfg.Tracer.Finish(tr, p.Now())
 		p.SetData(nil)
 	}
-	s.think = cfg.ThinkMean
+	s.abandoned = false
 	issued := s.issued
 	rt := p.Now() - issued
 	if err != nil {
@@ -325,7 +331,7 @@ func (s *session) request(p *des.Proc) bool {
 		// after a long pause.
 		w.abandoned++
 		s.state = uint8(StoriesOfTheDay)
-		s.think = cfg.AbandonThink
+		s.abandoned = true
 		return true
 	}
 	s.state = uint8(cfg.Matrix.Next(&s.r, int(s.state)))

@@ -183,7 +183,7 @@ func Interactions() []Interaction {
 
 	// Write interactions pay a synchronous disk commit at the database
 	// (log flush + fsync on the 10k-rpm drive), once per SQL statement:
-	// MySQL.Query charges it on each of the request's Queries.
+	// tier.MySQL charges it on each of the request's Queries.
 	writeCost := map[int]float64{
 		RegisterUser: 6, StoreComment: 8, AcceptStory: 7, RejectStory: 6,
 		StoreStory: 9, StoreModeratorComment: 7, SubmitStory: 5,

@@ -49,8 +49,8 @@ type OpenConfig struct {
 // generator process draws inter-arrival gaps from cfg.Arrivals and spawns
 // one request process per arrival. Each request carries a trace.Ctx with
 // its deadline and interaction class down the tier chain. It is a stepping
-// process (des.Env.GoStep), so a request that crosses to the front door,
-// is refused there and crosses back never holds a coroutine (see Target).
+// process (des.Env.GoStep), so a request never holds a coroutine (see
+// Target).
 // Failures are split by kind: rejections that implement `Shed() bool`
 // (admission control, deadline fail-fast) count as shed, everything else
 // as failed.
@@ -84,7 +84,7 @@ func StartOpen(env *des.Env, cfg OpenConfig, table *Table, target Target, collec
 	// generator would cost two process switches per arrival, which at the
 	// 10⁵/s rates of the overload experiments dominates the run. Gaps are
 	// drawn a batch at a time (exact — see trace.FillGaps); requests still
-	// run as processes, since they block in the tiers.
+	// run as processes, since they wait in the tiers.
 	state := StoriesOfTheDay
 	gaps := make([]time.Duration, arrivalBatch)
 	idx := len(gaps)
@@ -151,8 +151,8 @@ func (g *openGen) newReq(it *Interaction, issued time.Duration) *openReq {
 
 // openReq is one open-system request between the dispatches of its
 // process: its context, carried down the tier chain as the process's
-// data, and the target's state of it. Each dispatch, a step unless the
-// target bound a runner, takes it on until the target is done with it.
+// data, and the target's state of it. Each dispatch, a step, takes it on
+// until the target is done with it.
 // A finished request's record goes back to its openGen, and step, its
 // process body, is bound once per record, so once the free list covers
 // the requests in flight an arrival allocates nothing.
@@ -170,7 +170,7 @@ func (r *openReq) run(p *des.Proc) {
 	g := r.gen
 	done, err := g.target.Do(p, r.it, &r.call)
 	if !done {
-		return // queued: suspended until the grant
+		return // waiting: the target scheduled its next dispatch
 	}
 	if r.Trace != nil {
 		g.tracer.Finish(r.Trace, p.Now())

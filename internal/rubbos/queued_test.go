@@ -14,56 +14,88 @@ import (
 )
 
 // poolTarget is a front door of a few workers: a network hop, a worker
-// acquire with a timeout, then service on the worker. With suspend set it
-// queues the way a real front door does, suspended; without, it parks —
-// the blocking reference the re-entrant path must reproduce.
+// acquire with a timeout, then service on the worker. With step set it
+// runs the way a real front door does, in steps: it rests through the hop
+// and the service. Without, it parks through them on a runner — the
+// blocking reference the re-entrant path must reproduce. Both wait for a
+// worker suspended.
 type poolTarget struct {
 	workers *resource.Pool
-	suspend bool
+	step    bool
 }
 
-// poolQueued is poolTarget's Call.Stage for a request queued suspended.
-const poolQueued = 1
+// poolTarget's Call.Stage values.
+const (
+	poolSent    = iota + 1 // the hop is behind the request
+	poolQueued             // queued suspended for a worker
+	poolServed             // the service is behind the request
+	poolRefused            // the timeout's error crossed back
+)
 
 func (t *poolTarget) Do(p *des.Proc, it *Interaction, c *Call) (bool, error) {
-	if !p.Bind() {
+	if !t.step && !p.Bind() {
 		return false, nil
 	}
+	// wait takes the request through d: parked on the runner, or resting
+	// through it to the next stage.
+	wait := func(d time.Duration, next uint8) bool {
+		if !t.step {
+			p.Sleep(d)
+			return true
+		}
+		c.Stage = next
+		p.Rest(d)
+		return false
+	}
 	var ok bool
-	switch {
-	case c.Stage == poolQueued:
-		c.Stage = 0
-		ok, _ = t.workers.Resolve(p)
-	case t.suspend:
-		p.Sleep(time.Millisecond)
+	switch c.Stage {
+	case 0:
+		if !wait(time.Millisecond, poolSent) {
+			return false, nil
+		}
+		fallthrough
+	case poolSent:
 		if !t.workers.AcquireOrSuspend(p, 150*time.Millisecond) {
 			c.Stage = poolQueued
 			return false, nil
 		}
 		ok = true
-	default:
-		p.Sleep(time.Millisecond)
-		ok, _ = t.workers.AcquireTimeout(p, 150*time.Millisecond)
+	case poolQueued:
+		ok, _ = t.workers.Resolve(p)
+	case poolServed:
+		t.workers.Release()
+		*c = Call{}
+		return true, nil
+	case poolRefused:
+		*c = Call{}
+		return true, errors.New("pool: worker timeout")
 	}
 	if !ok {
-		p.Sleep(time.Millisecond)
+		if !wait(time.Millisecond, poolRefused) {
+			return false, nil
+		}
+		*c = Call{}
 		return true, errors.New("pool: worker timeout")
 	}
 	if tr, _ := p.Data().(*trace.Trace); tr != nil {
 		tr.Add("web1", "served", p.Now(), p.Now())
 	}
-	p.Sleep(time.Duration(20+len(it.Name)) * time.Millisecond)
+	if !wait(time.Duration(20+len(it.Name))*time.Millisecond, poolServed) {
+		return false, nil
+	}
 	t.workers.Release()
+	*c = Call{}
 	return true, nil
 }
 
-// Sessions and open requests that queue suspended at the front door issue,
-// finish, trace and time out exactly as they do when they park there.
+// Sessions and open requests that wait in steps — resting through their
+// hops and service, suspended for a worker — issue, finish, trace and time
+// out exactly as they do when they park through them on runners.
 func TestQueuedRequestsMatchParkedOnes(t *testing.T) {
-	run := func(open, suspend bool) string {
+	run := func(open, step bool) string {
 		env := des.NewEnv()
 		defer env.Shutdown()
-		target := &poolTarget{workers: resource.NewPool(env, "workers", 3), suspend: suspend}
+		target := &poolTarget{workers: resource.NewPool(env, "workers", 3), step: step}
 		tracer := trace.NewTracer(5, 1000)
 		var log []string
 		collect := func(it *Interaction, issued, rt time.Duration, err error) {
@@ -84,8 +116,8 @@ func TestQueuedRequestsMatchParkedOnes(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := env.Run(20 * time.Second)
-		if suspended := env.Counters().Suspensions; suspend == (suspended == 0) {
-			t.Errorf("open=%v suspend=%v: %d suspensions", open, suspend, suspended)
+		if c := env.Counters(); c.Suspensions == 0 || step == (c.Binds > 0) {
+			t.Errorf("open=%v step=%v: %d suspensions, %d binds", open, step, c.Suspensions, c.Binds)
 		}
 		spans := 0
 		for _, tr := range tracer.Traces() {
@@ -95,9 +127,9 @@ func TestQueuedRequestsMatchParkedOnes(t *testing.T) {
 			n, w.Issued(), w.Completed(), w.Failed(), w.InFlight(), spans, target.workers.Stats(), log)
 	}
 	for _, open := range []bool{false, true} {
-		parked, suspended := run(open, false), run(open, true)
-		if parked != suspended {
-			t.Errorf("open=%v: suspended run\n  %.600s\nparked run\n  %.600s", open, suspended, parked)
+		parked, stepped := run(open, false), run(open, true)
+		if parked != stepped {
+			t.Errorf("open=%v: stepping run\n  %.600s\nparked run\n  %.600s", open, stepped, parked)
 		}
 		if !strings.Contains(parked, "pool: worker timeout") || !strings.Contains(parked, "<nil>") {
 			t.Errorf("open=%v: the run misses the timeout or the served path", open)
@@ -191,7 +223,7 @@ func (d *dirtyTarget) Do(p *des.Proc, it *Interaction, c *Call) (bool, error) {
 		d.t.Errorf("request at %v started with call %+v, context %+v", p.Now(), *c, *ctx)
 	}
 	d.records[ctx] = true
-	*c = Call{Stage: 3, Reply: 2, Server: 1}
+	*c = Call{Stage: 3, Reply: 2, Server: 1, Rec: 4}
 	*ctx = trace.Ctx{Deadline: time.Hour, Write: !it.Write}
 	return true, nil
 }

@@ -198,10 +198,8 @@ func TestHardwareUtilizationReported(t *testing.T) {
 }
 
 // Past the knee a closed workload queues most of its requests for an
-// Apache worker, and a queued request holds no runner: the peak number of
-// runners bound at once stays within the worker pool plus the few
-// requests crossing the network or backing off outside it, while
-// thousands wait suspended. A runner is bound only at the worker.
+// Apache worker, and no request holds a runner, queued or in service:
+// thousands wait suspended, and every dispatch is a step.
 func TestQueuedRequestsHoldNoRunner(t *testing.T) {
 	const workers = 100
 	tb, err := Build(Options{Hardware: Hardware{1, 1, 1, 1}, Soft: SoftAlloc{workers, 8, 4}, Seed: 1})
@@ -222,16 +220,10 @@ func TestQueuedRequestsHoldNoRunner(t *testing.T) {
 		t.Fatalf("%d requests queued after %d suspensions; the trial does not saturate the front door", queued, c.Suspensions)
 	}
 	t.Logf("%d queued, %+v", queued, c)
-	if limit := workers + 32; c.PeakBound > limit {
-		t.Errorf("peak %d runners bound with %d workers, want at most %d (%d requests in flight)", c.PeakBound, workers, limit, w.InFlight())
-	}
-	// A request binds a runner at its worker acquire — taking the worker
-	// or queueing for it — and again at the grant that ends a queued wait,
-	// and nowhere else: the users' think times and each request's hop in
-	// are steps (des.Env.GoStep).
-	grants := tb.Apaches[0].Workers.Stats().Grants
-	if c.Binds != grants+c.Suspensions {
-		t.Errorf("%d binds, want one per worker grant (%d) and per queued wait (%d)", c.Binds, grants, c.Suspensions)
+	// The users' think times, each request's hops, its worker wait and
+	// its whole service behind the front door are steps (des.Env.GoStep).
+	if c.Binds != 0 || c.Resumes != 0 || c.PeakBound != 0 {
+		t.Errorf("%d binds, %d resumes, peak %d runners bound (%d requests in flight), want none", c.Binds, c.Resumes, c.PeakBound, w.InFlight())
 	}
 	if c.Steps < w.Issued() {
 		t.Errorf("%d steps, want at least one per request issued (%d)", c.Steps, w.Issued())

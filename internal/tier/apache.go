@@ -73,6 +73,12 @@ type Apache struct {
 	processed    *metrics.Windows // requests completed per second
 	ptTotal      *metrics.Windows // worker busy time per request (ms)
 	ptConnecting *metrics.Windows // time interacting with Tomcat (ms)
+
+	// recs holds the in-service records of this server's requests, each
+	// at the handle its rubbos.Call carries less one; spare lists the
+	// handles not in use.
+	recs  []*inService
+	spare []uint32
 }
 
 // NewApache creates the web server on node, balancing over tomcats.
@@ -153,15 +159,12 @@ func (a *Apache) Timeline() (processed, ptTotal, ptConnecting *metrics.Windows) 
 // follow-ups, then the connection close. A non-nil error means the browser
 // received an error (or degraded) response instead of the page.
 //
-// Do is the front door, written as stages recorded in c. The hop in, the
-// refusals that cost no CPU — a crashed server, a full accept backlog —
-// and every hop back are one step each (des.Env.GoStep), with no
-// coroutine; a runner is bound (des.Proc.Bind) at the worker acquire, or
-// for a refusal whose degraded response burns CPU, and given back when the
-// response starts back. A request that must queue for a worker waits
-// suspended (resource.Pool.AcquireOrSuspend). Whenever Do returns false
-// the caller must end its run or step; its next dispatch calls Do again to
-// go on from the stage c records.
+// Do is the front door of the request's in-service path, and each server's
+// part of it is a stage function of Do's shape (see the package doc): it
+// returns false wherever the request waits, and then the caller must end
+// its step; its next dispatch calls Do again to go on. Do records the
+// front-door stage in c, and, from the worker grant until the response
+// reaches the client, the rest in an in-service record c.Rec names.
 func (a *Apache) Do(p *des.Proc, it *rubbos.Interaction, c *rubbos.Call) (bool, error) {
 	switch c.Stage {
 	case sending:
@@ -186,36 +189,33 @@ func (a *Apache) Do(p *des.Proc, it *rubbos.Interaction, c *rubbos.Call) (bool, 
 			return a.reply(p, c, &a.errs[FailShed])
 		}
 		if kind, ok := a.admit(p, it); !ok {
-			c.Stage, c.Reply = degrading, uint8(kind)+1
-			return a.degrade(p, c)
+			return a.degrade(p, c, kind)
 		}
-		c.Stage = acquiring
-		if !p.Bind() {
-			return false, nil
-		}
-		fallthrough
-	case acquiring:
 		t0 := p.Now()
 		if !a.Workers.AcquireOrSuspend(p, a.res.acquireTimeout()) {
 			c.Stage = queued
 			return false, nil
 		}
-		return a.reply(p, c, a.serve(p, it, t0))
+		return a.grant(p, it, c, t0)
 	case queued:
-		if !p.Bind() {
-			return false, nil
-		}
 		ok, wait := a.Workers.Resolve(p)
 		t0 := p.Now() - wait
 		if ok {
-			return a.reply(p, c, a.serve(p, it, t0))
+			return a.grant(p, it, c, t0)
 		}
 		a.res.stats.AcquireTimeouts++
 		a.res.stats.Failures++
 		addSpan(p, a.Node.Name(), "worker-timeout", t0)
 		return a.reply(p, c, &a.errs[FailTimeout])
 	case degrading:
-		return a.degrade(p, c)
+		a.rejecting--
+		return a.reply(p, c, &a.errs[c.Reply-1])
+	case serving:
+		done, err := a.serve(p, it, a.recs[c.Rec-1])
+		if !done {
+			return false, nil
+		}
+		return a.reply(p, c, err)
 	case replying:
 		return a.replied(c)
 	}
@@ -224,13 +224,14 @@ func (a *Apache) Do(p *des.Proc, it *rubbos.Interaction, c *rubbos.Call) (bool, 
 
 // The stages of a request at Apache's front door, in rubbos.Call.Stage.
 // While degrading or replying, Call.Reply holds the response: 0 for the
-// page, else the kind of the front door's own error plus one.
+// page or an error from behind the front door, else the kind of the front
+// door's own error plus one.
 const (
 	sending   uint8 = iota // not yet sent: the hop in is next
 	arriving               // crossing to the server
-	degrading              // refused by admit, its degraded response next
-	acquiring              // admitted, the worker acquire next
+	degrading              // refused by admit, its degraded response on the CPU
 	queued                 // waiting suspended for a worker
+	serving                // in service, holding a worker and a record
 	replying               // the page or a refusal crossing back
 )
 
@@ -261,36 +262,33 @@ func (a *Apache) admit(p *des.Proc, it *rubbos.Interaction) (FailKind, bool) {
 	return 0, true
 }
 
-// degrade emits the degraded response to a refusal from admit without
-// holding a worker — on a runner, when the response costs CPU; the request
-// counts toward the accept backlog while it does — and replies with it.
-func (a *Apache) degrade(p *des.Proc, c *rubbos.Call) (bool, error) {
-	if a.res.enabled() && a.res.cfg.DegradedMS > 0 {
-		if !p.Bind() {
-			return false, nil
-		}
-		a.rejecting++
-		a.Node.CPU().Use(p, time.Duration(a.res.cfg.DegradedMS*float64(time.Millisecond)))
-		a.rejecting--
+// degrade emits the degraded response to a refusal of the given kind
+// from admit without holding a worker — on the CPU, when the response
+// costs any; the request counts toward the accept backlog while it does —
+// and replies with it.
+func (a *Apache) degrade(p *des.Proc, c *rubbos.Call, kind FailKind) (bool, error) {
+	c.Reply = uint8(kind) + 1
+	if !a.res.enabled() || a.res.cfg.DegradedMS <= 0 {
+		return a.reply(p, c, &a.errs[kind])
 	}
-	return a.reply(p, c, &a.errs[c.Reply-1])
+	a.rejecting++
+	c.Stage = degrading
+	if !a.use(p, time.Duration(a.res.cfg.DegradedMS*float64(time.Millisecond))) {
+		return false, nil
+	}
+	a.rejecting--
+	return a.reply(p, c, &a.errs[kind])
 }
 
 // reply sends the response — the page when err is nil — back across the
-// link to the client and ends the request. The page and the front door's
-// own refusals cross as a rest (netsim.Link.Cross), which ends the run or
-// step; the wake at the hop's end delivers the response, rebuilt from
-// c.Reply. An error raised behind the front door is
-// held only by this runner's stack, so it crosses back asleep.
+// link to the client and ends the request. It crosses as a rest
+// (netsim.Link.Cross), which ends the step; the wake at the hop's end
+// delivers the response: the front door's own error, rebuilt from
+// c.Reply, or the outcome of the request's service, which its in-service
+// record holds.
 func (a *Apache) reply(p *des.Proc, c *rubbos.Call, err error) (bool, error) {
 	c.Reply = 0
-	if err != nil {
-		e, ok := err.(*Error)
-		if !ok || e != &a.errs[e.Kind] {
-			a.link.Traverse(p)
-			*c = rubbos.Call{}
-			return true, err
-		}
+	if e, ok := err.(*Error); ok && e == &a.errs[e.Kind] {
 		c.Reply = uint8(e.Kind) + 1
 	}
 	c.Stage = replying
@@ -300,128 +298,195 @@ func (a *Apache) reply(p *des.Proc, c *rubbos.Call, err error) (bool, error) {
 	return a.replied(c)
 }
 
-// replied ends the request whose response has crossed back to the client.
+// replied ends the request whose response has crossed back to the client,
+// putting back its in-service record, if it has one.
 func (a *Apache) replied(c *rubbos.Call) (bool, error) {
 	var err error
-	if c.Reply > 0 {
+	if h := c.Rec; h > 0 {
+		err = a.recs[h-1].web.err
+		a.spare = append(a.spare, h)
+	} else if c.Reply > 0 {
 		err = &a.errs[c.Reply-1]
 	}
 	*c = rubbos.Call{}
 	return true, err
 }
 
-// serve is the request's service, on the worker it queued for since
-// admitted, the time it passed the front door. The caller replies with the
-// outcome.
-func (a *Apache) serve(p *des.Proc, it *rubbos.Interaction, admitted time.Duration) error {
-	addSpan(p, a.Node.Name(), "worker-wait", admitted)
-	if a.adm != nil {
-		a.adm.observeWait(p.Now() - admitted)
+// grant starts the service of a request granted a worker, which it queued
+// for since admitted: it takes an in-service record, reusing one a
+// finished request put back.
+func (a *Apache) grant(p *des.Proc, it *rubbos.Interaction, c *rubbos.Call, admitted time.Duration) (bool, error) {
+	var h uint32
+	if n := len(a.spare) - 1; n >= 0 {
+		h = a.spare[n]
+		a.spare = a.spare[:n]
+	} else {
+		a.recs = append(a.recs, new(inService))
+		h = uint32(len(a.recs))
 	}
-	// Residence is measured while holding a worker (see Tomcat.Serve).
-	busyStart := p.Now()
-
-	// Request parsing and response/static-content work, half before the
-	// proxy call and half after. Static follow-ups are cache hits served
-	// by the same worker and are folded into the Apache CPU demand.
-	t0 := p.Now()
-	a.Node.CPU().Use(p, sampleMS(a.r, it.ApacheMS/2, it.CV))
-	addSpan(p, a.Node.Name(), "cpu", t0)
-
-	a.connecting++
-	connStart := p.Now()
-	err := a.proxy(p, it)
-	connDur := p.Now() - connStart
-	a.connecting--
-
-	if err != nil {
-		// Error response: close fast (no static follow-ups, no
-		// lingering close worth modelling for an aborted connection).
-		a.res.stats.Failures++
-		busy := p.Now() - busyStart
-		a.Workers.Release()
-		a.log.Observe(p.Now(), busy)
-		return err
-	}
-
-	t0 = p.Now()
-	a.Node.CPU().Use(p, sampleMS(a.r, it.ApacheMS/2, it.CV))
-	addSpan(p, a.Node.Name(), "cpu", t0)
-
-	// The client has the full response at this point; the lingering close
-	// below holds the worker but adds nothing to the user-visible latency,
-	// so the deadline estimator observes time-to-response-delivered here.
-	a.est.observe(p.Now() - admitted)
-
-	// Lingering close: the worker stays busy until the client FIN arrives.
-	a.Fin.SetLoad(a.finLoad)
-	if !a.Fin.Disabled() {
-		t0 = p.Now()
-		a.finWaiting++
-		p.Sleep(a.Fin.Sample())
-		a.finWaiting--
-		addSpan(p, a.Node.Name(), "fin-wait", t0)
-	}
-
-	busy := p.Now() - busyStart
-	a.Workers.Release()
-	now := p.Now()
-	a.log.Observe(now, busy)
-	if a.processed != nil {
-		a.processed.Observe(now, 1)
-		a.ptTotal.Observe(now, float64(busy)/float64(time.Millisecond))
-		a.ptConnecting.Observe(now, float64(connDur)/float64(time.Millisecond))
-	}
-	return nil
+	s := a.recs[h-1]
+	*s = inService{}
+	s.web.entry = admitted
+	c.Stage, c.Rec = serving, h
+	return a.Do(p, it, c)
 }
 
-// proxy forwards the dynamic request to the application tier: one attempt
-// on the fault-free path, or up to 1+Retries attempts with breaker checks,
-// backoff, and round-robin failover when resilience is enabled.
-func (a *Apache) proxy(p *des.Proc, it *rubbos.Interaction) error {
-	var err error
-	attempts := a.res.attempts()
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			a.res.stats.Retries++
-			if d := a.res.cfg.backoff(a.res.r, i-1); d > 0 {
-				t0 := p.Now()
-				p.Sleep(d)
-				addSpan(p, a.Node.Name(), "backoff", t0)
+// The stages of a request in service at Apache, in inService.web.stage.
+const (
+	webGranted uint8 = iota // granted a worker: the parse next
+	webParse                // on the CPU for the first half
+	webProxy                // the proxy call in progress
+	webRender               // on the CPU for the second half
+	webClose                // resting in the lingering close
+	webDone                 // done, with web.err: the worker is released next
+)
+
+// serve is the request's service on its worker, as a stage function (see
+// Do). Do replies with the outcome.
+func (a *Apache) serve(p *des.Proc, it *rubbos.Interaction, s *inService) (bool, error) {
+	l := &s.web
+	for {
+		switch l.stage {
+		case webGranted:
+			addSpan(p, a.Node.Name(), "worker-wait", l.entry)
+			if a.adm != nil {
+				a.adm.observeWait(p.Now() - l.entry)
 			}
+			// Residence is measured while holding a worker (see
+			// Tomcat.serve).
+			l.start = p.Now()
+			// Request parsing and response/static-content work, half
+			// before the proxy call and half after. Static follow-ups are
+			// cache hits served by the same worker and are folded into the
+			// Apache CPU demand.
+			s.t0 = p.Now()
+			l.stage = webParse
+			if !a.use(p, sampleMS(a.r, it.ApacheMS/2, it.CV)) {
+				return false, nil
+			}
+		case webParse:
+			addSpan(p, a.Node.Name(), "cpu", s.t0)
+			a.connecting++
+			l.conn = p.Now()
+			l.stage = webProxy
+		case webProxy:
+			done, err := a.proxy(p, it, s)
+			if !done {
+				return false, nil
+			}
+			l.connDur = p.Now() - l.conn
+			a.connecting--
+			if l.err = err; err != nil {
+				// Error response: close fast (no static follow-ups, no
+				// lingering close worth modelling for an aborted
+				// connection).
+				a.res.stats.Failures++
+				l.stage = webDone
+				continue
+			}
+			s.t0 = p.Now()
+			l.stage = webRender
+			if !a.use(p, sampleMS(a.r, it.ApacheMS/2, it.CV)) {
+				return false, nil
+			}
+		case webRender:
+			addSpan(p, a.Node.Name(), "cpu", s.t0)
+			// The client has the full response at this point; the
+			// lingering close below holds the worker but adds nothing to
+			// the user-visible latency, so the deadline estimator observes
+			// time-to-response-delivered here.
+			a.est.observe(p.Now() - l.entry)
+			// Lingering close: the worker stays busy until the client FIN
+			// arrives.
+			a.Fin.SetLoad(a.finLoad)
+			l.stage = webDone
+			if !a.Fin.Disabled() {
+				s.t0 = p.Now()
+				a.finWaiting++
+				l.stage = webClose
+				p.Rest(a.Fin.Sample())
+				return false, nil
+			}
+		case webClose:
+			a.finWaiting--
+			addSpan(p, a.Node.Name(), "fin-wait", s.t0)
+			l.stage = webDone
+		case webDone:
+			busy := p.Now() - l.start
+			a.Workers.Release()
+			now := p.Now()
+			a.log.Observe(now, busy)
+			if a.processed != nil && l.err == nil {
+				a.processed.Observe(now, 1)
+				a.ptTotal.Observe(now, float64(busy)/float64(time.Millisecond))
+				a.ptConnecting.Observe(now, float64(l.connDur)/float64(time.Millisecond))
+			}
+			return true, l.err
 		}
-		idx := a.rr % len(a.tomcats)
-		tc := a.tomcats[idx]
-		a.rr++
-		br := a.res.breaker(idx)
-		if br != nil && !br.Allow() {
-			err = &tc.errs[FailOpen]
-			continue
-		}
-		start := p.Now()
-		e := tc.Serve(p, it)
-		if e == nil && a.res.enabled() && a.res.cfg.CallTimeout > 0 &&
-			p.Now()-start > a.res.cfg.CallTimeout {
-			// The response arrived past the deadline: the proxy already
-			// gave up, so the completed work is wasted.
-			a.res.stats.CallTimeouts++
-			e = &tc.errs[FailTimeout]
-		}
-		if br != nil {
-			// A downstream deadline shed is the request running out of
-			// budget, not the peer failing — it must not trip the breaker.
-			br.Record(e == nil || isDeadline(e))
-		}
-		if e == nil {
-			return nil
-		}
-		if isDeadline(e) {
-			// Out of budget: retrying cannot possibly finish in time.
-			return e
-		}
-		err = e
 	}
-	return err
+}
+
+// The stages of the proxy call, in inService.web.loop.
+const (
+	proxySend    uint8 = iota // the next attempt next
+	proxyBackoff              // resting through a retry's backoff
+	proxyPick                 // the attempt's application server is picked next
+	proxyCall                 // the attempt at web.peer
+)
+
+// proxy forwards the dynamic request to the application tier, as a stage
+// function (see Do): one attempt on the fault-free path, or up to
+// 1+Retries attempts with breaker checks, backoff, and round-robin
+// failover when resilience is enabled.
+func (a *Apache) proxy(p *des.Proc, it *rubbos.Interaction, s *inService) (bool, error) {
+	l := &s.web
+	for {
+		switch l.loop {
+		case proxySend:
+			if l.attempt == a.res.attempts() {
+				return true, l.err
+			}
+			l.loop = proxyPick
+			if l.attempt > 0 {
+				a.res.stats.Retries++
+				if d := a.res.cfg.backoff(a.res.r, l.attempt-1); d > 0 {
+					s.t0 = p.Now()
+					l.loop = proxyBackoff
+					p.Rest(d)
+					return false, nil
+				}
+			}
+		case proxyBackoff:
+			addSpan(p, a.Node.Name(), "backoff", s.t0)
+			l.loop = proxyPick
+		case proxyPick:
+			l.attempt++
+			l.peer = a.rr % len(a.tomcats)
+			a.rr++
+			if br := a.res.breaker(l.peer); br != nil && !br.Allow() {
+				l.err = &a.tomcats[l.peer].errs[FailOpen]
+				l.loop = proxySend
+				continue
+			}
+			l.call = p.Now()
+			s.app = appLeg{}
+			l.loop = proxyCall
+		case proxyCall:
+			tc := a.tomcats[l.peer]
+			done, err := tc.serve(p, it, s)
+			if !done {
+				return false, nil
+			}
+			err = a.res.settle(l.peer, p.Now()-l.call, err, &tc.errs[FailTimeout])
+			if err == nil || isDeadline(err) {
+				// Done, or out of budget: retrying cannot possibly finish
+				// in time.
+				return true, err
+			}
+			l.err = err
+			l.loop = proxySend
+		}
+	}
 }
 
 // isDeadline reports whether err is a deadline fail-fast.

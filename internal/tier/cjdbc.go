@@ -120,24 +120,57 @@ func (c *CJDBC) BusyIntegral() float64 {
 	return total
 }
 
-// Checkout marks one upstream connection as checked out and services its
+// The stages of a checkout and of a statement at C-JDBC, in
+// inService.mid.stage; each call starts at midSend.
+const (
+	midSend    uint8 = iota // the hop in next
+	midArrive               // crossing in
+	midCPU                  // on the CPU: the validation, or the routing
+	midLeave                // crossing back from the validation
+	midCollect              // resting through a collection the routing's allocation started
+	midRouted               // routed: the statement goes to a database next
+	midDB                   // the statement at the database
+)
+
+// checkout marks one upstream connection as checked out and services its
 // validation round (test-on-borrow ping issued by the application server's
-// pool on every acquire). Every successful Checkout must be paired with a
-// Release; a refused checkout (server.refuse: a crashed middleware, or a
-// request that cannot finish in budget) holds nothing.
-func (c *CJDBC) Checkout(p *des.Proc) error {
-	if err := c.refuse(p); err != nil {
-		return err
+// pool on every acquire), as a stage function (see Apache.Do). Every
+// successful checkout must be paired with a Release; a refused checkout
+// (server.refuse: a crashed middleware, or a request that cannot finish in
+// budget) holds nothing.
+func (c *CJDBC) checkout(p *des.Proc, s *inService) (bool, error) {
+	l := &s.mid
+	for {
+		switch l.stage {
+		case midSend:
+			if err := c.refuse(p); err != nil {
+				return c.back(p, &l.leg, err)
+			}
+			c.accountBusy()
+			c.busy++
+			s.t0 = p.Now()
+			l.stage = midArrive
+			if !c.link.Cross(p) {
+				return false, nil
+			}
+		case midArrive:
+			demand := validationMS * c.cfg.overheadFactor(c.busy)
+			l.stage = midCPU
+			if !c.use(p, time.Duration(demand*float64(time.Millisecond))) {
+				return false, nil
+			}
+		case midCPU:
+			l.stage = midLeave
+			if !c.link.Cross(p) {
+				return false, nil
+			}
+		case midLeave:
+			addSpan(p, c.Node.Name(), "validate", s.t0)
+			return true, nil
+		case returning:
+			return true, l.err
+		}
 	}
-	c.accountBusy()
-	c.busy++
-	t0 := p.Now()
-	c.link.Traverse(p)
-	demand := validationMS * c.cfg.overheadFactor(c.busy)
-	c.Node.CPU().Use(p, time.Duration(demand*float64(time.Millisecond)))
-	c.link.Traverse(p)
-	addSpan(p, c.Node.Name(), "validate", t0)
-	return nil
 }
 
 // Release returns the checked-out connection; its handler thread idles.
@@ -152,37 +185,65 @@ func (c *CJDBC) Release() {
 // validationMS is the routing cost of a checkout-validation ping.
 const validationMS = 0.05
 
-// Query routes one SQL statement to a database server and waits for the
-// result. A crashed middleware (or database server) surfaces as an error.
-func (c *CJDBC) Query(p *des.Proc, it *rubbos.Interaction) error {
-	c.link.Traverse(p)
-	if c.down {
-		// Crashed mid-checkout-hold: the statement fails on the wire.
-		c.link.Traverse(p)
-		return &c.errs[FailDown]
+// query routes one SQL statement to a database server and waits for the
+// result, as a stage function (see Apache.Do). A crashed middleware (or
+// database server) surfaces as an error.
+func (c *CJDBC) query(p *des.Proc, it *rubbos.Interaction, s *inService) (bool, error) {
+	l := &s.mid
+	for {
+		switch l.stage {
+		case midSend:
+			l.stage = midArrive
+			if !c.link.Cross(p) {
+				return false, nil
+			}
+		case midArrive:
+			if c.down {
+				// Crashed mid-checkout-hold: the statement fails on the wire.
+				return c.back(p, &l.leg, &c.errs[FailDown])
+			}
+			// Routing work: parse, schedule, and forward the statement.
+			// Demand grows with concurrency (context switching across
+			// resident busy threads, super-linear once the run queue far
+			// exceeds the core count). GC pauses triggered by this query's
+			// allocation count as routing time (the paper's pending-query
+			// delay).
+			l.start = p.Now()
+			s.t0 = p.Now()
+			demand := it.CJDBCMS * c.cfg.overheadFactor(c.busy)
+			l.stage = midCPU
+			if !c.use(p, sampleMS(c.r, demand, it.CV)) {
+				return false, nil
+			}
+		case midCPU:
+			l.stage = midRouted
+			if pause, gc := c.JVM.Allocate(it.AllocCJDBCMiB); gc {
+				l.stage = midCollect
+				p.Rest(pause)
+				return false, nil
+			}
+		case midCollect:
+			c.JVM.Collected()
+			l.stage = midRouted
+		case midRouted:
+			addSpan(p, c.Node.Name(), "route", s.t0)
+			// Balance across database servers round-robin.
+			l.peer = c.rr % len(c.backends)
+			c.rr++
+			s.db = dbLeg{}
+			l.stage = midDB
+		case midDB:
+			done, err := c.backends[l.peer].query(p, it, s)
+			if !done {
+				return false, nil
+			}
+			c.log.Observe(p.Now(), p.Now()-l.start)
+			c.est.observe(p.Now() - l.start)
+			return c.back(p, &l.leg, err)
+		case returning:
+			return true, l.err
+		}
 	}
-	start := p.Now()
-
-	// Routing work: parse, schedule, and forward the statement. Demand
-	// grows with concurrency (context switching across resident busy
-	// threads, super-linear once the run queue far exceeds the core count).
-	// GC pauses triggered by this query's allocation count as routing time
-	// (the paper's pending-query delay).
-	t0 := p.Now()
-	demand := it.CJDBCMS * c.cfg.overheadFactor(c.busy)
-	c.Node.CPU().Use(p, sampleMS(c.r, demand, it.CV))
-	c.JVM.Allocate(p, it.AllocCJDBCMiB)
-	addSpan(p, c.Node.Name(), "route", t0)
-
-	// Balance across database servers round-robin.
-	be := c.backends[c.rr%len(c.backends)]
-	c.rr++
-	err := be.Query(p, it)
-
-	c.log.Observe(p.Now(), p.Now()-start)
-	c.est.observe(p.Now() - start)
-	c.link.Traverse(p)
-	return err
 }
 
 // ResetStats starts a new measurement window.

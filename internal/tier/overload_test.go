@@ -32,10 +32,11 @@ func TestDeadlineFailFastEveryTier(t *testing.T) {
 	var errs []error
 	env.Go("req", func(p *des.Proc) {
 		expired(p)
-		errs = append(errs, mustDo(p, a, testInteraction()))
-		errs = append(errs, tc.Serve(p, testInteraction()))
-		errs = append(errs, c.Checkout(p))
-		errs = append(errs, backends[0].Query(p, testInteraction()))
+		it := testInteraction()
+		errs = append(errs, mustDo(p, a, it))
+		errs = append(errs, mustStage(p, func(p *des.Proc, s *inService) (bool, error) { return tc.serve(p, it, s) }))
+		errs = append(errs, mustStage(p, c.checkout))
+		errs = append(errs, mustStage(p, func(p *des.Proc, s *inService) (bool, error) { return backends[0].query(p, it, s) }))
 	})
 	env.Run(time.Minute)
 	if len(errs) != 4 {
@@ -69,14 +70,16 @@ func TestDeadlineEstimatorShedsBeforeQueueing(t *testing.T) {
 	defer env.Shutdown()
 	a, _ := newApache(env, 10, netsim.FinConfig{})
 	var warmErr, tightErr error
-	env.Go("req", func(p *des.Proc) {
-		warmErr = mustDo(p, a, testInteraction()) // no deadline: always admitted
+	// The warm request has no deadline: it is always admitted.
+	goServe(env, a, testInteraction(), func(p *des.Proc, err error) {
+		warmErr = err
 		est := a.est.get()
 		if est <= 0 {
 			t.Error("estimator not warmed by a served request")
 		}
-		p.SetData(&trace.Ctx{Deadline: p.Now() + est/2})
-		tightErr = mustDo(p, a, testInteraction())
+		goServeWith(env, a, testInteraction(), &trace.Ctx{Deadline: p.Now() + est/2}, func(_ *des.Proc, err error) {
+			tightErr = err
+		})
 	})
 	env.Run(time.Minute)
 	if warmErr != nil {
@@ -92,10 +95,7 @@ func TestDeadlineGenerousBudgetServes(t *testing.T) {
 	defer env.Shutdown()
 	a, _ := newApache(env, 10, netsim.FinConfig{})
 	var err error
-	env.Go("req", func(p *des.Proc) {
-		p.SetData(&trace.Ctx{Deadline: p.Now() + time.Minute})
-		err = mustDo(p, a, testInteraction())
-	})
+	goServeWith(env, a, testInteraction(), &trace.Ctx{Deadline: time.Minute}, func(_ *des.Proc, e error) { err = e })
 	env.Run(time.Minute)
 	if err != nil {
 		t.Errorf("generous-budget request failed: %v", err)
@@ -121,10 +121,7 @@ func TestDeadlineShedNeitherRetriedNorBreaking(t *testing.T) {
 	// Warm only the Tomcat estimator, so Apache admits and Tomcat sheds.
 	tc.est.observe(10 * time.Millisecond)
 	var err error
-	env.Go("req", func(p *des.Proc) {
-		p.SetData(&trace.Ctx{Deadline: p.Now() + 5*time.Millisecond})
-		err = mustDo(p, a, testInteraction())
-	})
+	goServeWith(env, a, testInteraction(), &trace.Ctx{Deadline: 5 * time.Millisecond}, func(_ *des.Proc, e error) { err = e })
 	env.Run(time.Minute)
 	if k, ok := ErrKind(err); !ok || k != FailDeadline {
 		t.Fatalf("request got %v, want FailDeadline from the Tomcat tier", err)
@@ -293,12 +290,25 @@ func TestAdmissionShedsUnderOverloadEndToEnd(t *testing.T) {
 func backlogApache(env *des.Env, cfg *ResilienceConfig) *Apache {
 	a, _ := newApache(env, 1, netsim.FinConfig{})
 	a.SetResilience(cfg, rng.New(3))
-	env.Go("holder", func(p *des.Proc) {
-		a.Workers.Acquire(p)
-		p.Sleep(time.Second)
-		a.Workers.Release()
-	})
+	holdWorker(env, a)
 	return a
+}
+
+// holdWorker starts a stepping process that holds a's only worker for the
+// first second.
+func holdWorker(env *des.Env, a *Apache) {
+	held := false
+	env.GoStep("holder", func(p *des.Proc) {
+		if held {
+			a.Workers.Release()
+			return
+		}
+		if !a.Workers.TryAcquire() {
+			panic("holdWorker: the worker is taken")
+		}
+		held = true
+		p.Rest(time.Second)
+	})
 }
 
 // An arrival at a full accept backlog is dropped before the server reads
@@ -352,11 +362,7 @@ func TestBacklogDropBindsNoRunner(t *testing.T) {
 	node := hw.NewNode(env, "apache1", hw.PC3000())
 	a := NewApache(env, node, ApacheConfig{Workers: 1}, []*Tomcat{tc}, netsim.Link{Latency: time.Millisecond}, rng.New(5))
 	a.SetResilience(&ResilienceConfig{Backlog: 1, DegradedMS: 0.05}, rng.New(3))
-	env.Go("holder", func(p *des.Proc) {
-		a.Workers.Acquire(p)
-		p.Sleep(time.Second)
-		a.Workers.Release()
-	})
+	holdWorker(env, a)
 	env.At(time.Millisecond, func() { goServe(env, a, testInteraction(), nil) })
 	var before des.Counters
 	var errs []error
@@ -382,8 +388,8 @@ func TestBacklogDropBindsNoRunner(t *testing.T) {
 	if k, ok := ErrKind(errs[0]); !ok || k != FailShed || errs[1] != errs[0] {
 		t.Errorf("refusals %v and %v, want one shared FailShed", errs[0], errs[1])
 	}
-	if after.Binds != before.Binds || after.Resumes != before.Resumes {
-		t.Errorf("the refusals bound runners: %+v before, %+v after", before, after)
+	if after.Binds != 0 || after.Resumes != 0 || after.PeakBound != 0 {
+		t.Errorf("the trial bound runners: %+v before the refusals, %+v after", before, after)
 	}
 	if steps := after.Steps - before.Steps; steps != 6 {
 		t.Errorf("%d steps, want 3 per refused request", steps)
@@ -403,10 +409,10 @@ func TestBacklogCountsDegradedInProgress(t *testing.T) {
 	env.At(time.Millisecond, func() { goServe(env, a, testInteraction(), nil) })
 	var shed, dropped error
 	env.At(2*time.Millisecond, func() {
-		env.Go("shed", func(p *des.Proc) { shed = mustDo(p, a, testInteraction()) })
+		goServe(env, a, testInteraction(), func(_ *des.Proc, err error) { shed = err })
 	})
 	env.At(3*time.Millisecond, func() {
-		env.Go("dropped", func(p *des.Proc) { dropped = mustDo(p, a, testInteraction()) })
+		goServe(env, a, testInteraction(), func(_ *des.Proc, err error) { dropped = err })
 	})
 	env.Run(time.Minute)
 	for _, err := range []error{shed, dropped} {

@@ -414,6 +414,22 @@ func (rs *resilience) attempts() int {
 	return 1 + rs.cfg.Retries
 }
 
+// settle books the outcome err of a call of length d to downstream peer i:
+// a response past the call deadline is thrown away — the caller already
+// gave up, so the completed work is wasted — and fails with timeout; the
+// peer's breaker records the outcome. A deadline shed is the request
+// running out of budget, not the peer failing, so it does not trip it.
+func (rs *resilience) settle(i int, d time.Duration, err error, timeout *Error) error {
+	if err == nil && rs.enabled() && rs.cfg.CallTimeout > 0 && d > rs.cfg.CallTimeout {
+		rs.stats.CallTimeouts++
+		err = timeout
+	}
+	if br := rs.breaker(i); br != nil {
+		br.Record(err == nil || isDeadline(err))
+	}
+	return err
+}
+
 // Stats snapshots the counters, folding in the live breaker states: opens
 // are summed across peers, and the reported state is the most-degraded one.
 func (rs *resilience) Stats() *ResilienceStats {

@@ -8,6 +8,10 @@
 // A request is carried by a single simulation process end to end (the
 // emulated browser's process), acquiring and releasing pool units as it
 // flows down and back up the tiers — the synchronous RPC chain of Fig. 9.
+// The process runs in steps (des.Env.GoStep): each server's part of the
+// chain is a stage function of Apache.Do's shape, which returns false
+// wherever the request waits and goes on at its next dispatch from the
+// request's in-service record (inService).
 package tier
 
 import (
@@ -74,20 +78,88 @@ func (s *server) auditUp() error {
 // reached it: a crashed server refuses it, and so does one whose recent
 // residence the request's remaining deadline budget cannot cover (deadline
 // propagation: no pool slot or CPU is spent on work the client will never
-// use). A refusal crosses back to the caller and returns its error; nil
-// admits the request.
+// use). It books and returns the refusal, which the caller sends back
+// (back); nil admits the request.
 func (s *server) refuse(p *des.Proc) error {
 	if s.down {
-		s.link.Traverse(p)
 		return &s.errs[FailDown]
 	}
 	if overDeadline(p, &s.est) {
 		s.dlSheds++
-		s.link.Traverse(p)
 		return &s.errs[FailDeadline]
 	}
 	return nil
 }
+
+// use puts work on the server's CPU for p and reports whether it is done,
+// as for no work; else p is suspended until its job completes.
+func (s *server) use(p *des.Proc, work time.Duration) bool {
+	if !s.Node.CPU().Use(p, work) {
+		return true
+	}
+	p.Suspend()
+	return false
+}
+
+// back ends a call at the server with err: the response crosses back to
+// the caller as a rest, with err held in l until the wake returns it.
+func (s *server) back(p *des.Proc, l *leg, err error) (bool, error) {
+	l.stage, l.err = returning, err
+	if !s.link.Cross(p) {
+		return false, nil
+	}
+	return true, err
+}
+
+// inService is one request's state from its worker grant until its
+// response reaches the client, which its Apache takes and then puts back
+// for reuse: each server's leg of it. A call starts from a zero leg.
+type inService struct {
+	t0      time.Duration // the start of the span in progress at the innermost server
+	web     webLeg
+	app     appLeg
+	mid, db dbLeg
+}
+
+// leg is what a server's stage functions remember of a call across the
+// request's waits: its stage and the error on its way back.
+type leg struct {
+	stage uint8
+	err   error
+}
+
+// webLeg is Apache's leg: the proxy call's stage, its attempts begun and
+// the Tomcat of the last, and when the request passed the front door, got
+// its worker, began and spent the proxy call, and began the last attempt.
+type webLeg struct {
+	leg
+	loop                              uint8
+	attempt, peer                     int
+	entry, start, conn, connDur, call time.Duration
+}
+
+// appLeg is Tomcat's leg: the current query's stage and attempts begun,
+// the queries to make and made, a servlet slice's mean demand, and when
+// the request arrived, got its thread and began the last backend call.
+type appLeg struct {
+	leg
+	loop                uint8
+	attempt, queries, q int
+	per                 float64
+	entry, start, call  time.Duration
+}
+
+// dbLeg is the leg of C-JDBC and of MySQL: the database the statement
+// went to, when the call began, and the disk commit's transfer.
+type dbLeg struct {
+	leg
+	peer           int
+	start, service time.Duration
+}
+
+// returning is every stage function's last stage: the response crosses
+// back (server.back).
+const returning uint8 = 255
 
 // sampleMS draws a lognormal service time with the given mean (milliseconds)
 // and coefficient of variation.

@@ -19,32 +19,71 @@ func testInteraction() *rubbos.Interaction {
 	}
 }
 
-// mustDo serves it through a, which must have a worker free: Do would
-// otherwise queue the request and suspend p, which a caller that goes on
-// to block cannot do.
+// mustDo serves it through a, which must answer at once — a refusal over
+// links of no latency, with no CPU to burn: Do would otherwise end p's
+// step, which a caller that goes on cannot do.
 func mustDo(p *des.Proc, a *Apache, it *rubbos.Interaction) error {
 	done, err := a.Do(p, it, &rubbos.Call{})
 	if !done {
-		panic("mustDo: request queued for a worker")
+		panic("mustDo: the request waits")
 	}
 	return err
 }
 
-// goServe starts a process that serves it through a to completion,
-// running Do again each time the request's worker wait ends, and passes
-// the outcome to done (if set).
+// goServe starts a stepping process that serves it through a to
+// completion, running Do again at each of its dispatches, and passes the
+// outcome to done (if set).
 func goServe(env *des.Env, a *Apache, it *rubbos.Interaction, done func(p *des.Proc, err error)) {
+	goServeWith(env, a, it, nil, done)
+}
+
+// goServeWith is goServe for a request that carries data (see
+// des.Proc.SetData), when it is not nil.
+func goServeWith(env *des.Env, a *Apache, it *rubbos.Interaction, data any, done func(p *des.Proc, err error)) {
 	var c rubbos.Call
-	env.Go("req", func(p *des.Proc) {
+	env.GoStep("req", func(p *des.Proc) {
+		if data != nil {
+			p.SetData(data)
+		}
 		if ok, err := a.Do(p, it, &c); ok && done != nil {
 			done(p, err)
 		}
 	})
 }
 
-// Requests queued for a busy worker hold no coroutine: five requests on
-// one worker all complete, four of them after a suspended wait, and at
-// most the one in service plus one arriving hold a runner.
+// goStage starts a stepping process that runs the stage function stage
+// to completion n times in a row, each time on a fresh in-service record,
+// and passes each outcome to done (if set).
+func goStage(env *des.Env, n int, stage func(p *des.Proc, s *inService) (bool, error), done func(p *des.Proc, err error)) {
+	var s inService
+	env.GoStep("call", func(p *des.Proc) {
+		for n > 0 {
+			ok, err := stage(p, &s)
+			if !ok {
+				return
+			}
+			n--
+			s = inService{}
+			if done != nil {
+				done(p, err)
+			}
+		}
+	})
+}
+
+// mustStage runs the stage function stage on a fresh in-service record;
+// it must finish at once (see mustDo).
+func mustStage(p *des.Proc, stage func(p *des.Proc, s *inService) (bool, error)) error {
+	done, err := stage(p, &inService{})
+	if !done {
+		panic("mustStage: the call waits")
+	}
+	return err
+}
+
+// Requests queued for a busy worker hold no coroutine, and neither does
+// the request in service: five requests on one worker all complete, four
+// of them after a suspended wait, and no runner is ever bound.
 func TestApacheQueuedRequestsSuspend(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
@@ -68,11 +107,14 @@ func TestApacheQueuedRequestsSuspend(t *testing.T) {
 		}
 	}
 	c := env.Counters()
-	if c.Suspensions != 4 {
-		t.Errorf("%d suspensions, want 4 (every request but the first queued)", c.Suspensions)
+	// Each request suspends for 12 CPU bursts: two at Apache, four at
+	// Tomcat (two queries), a validation and a routing at C-JDBC per query
+	// and one at MySQL per query.
+	if c.Suspensions != 4+5*12 {
+		t.Errorf("%d suspensions, want %d (every request but the first queued, and 12 CPU bursts each)", c.Suspensions, 4+5*12)
 	}
-	if c.PeakBound > 2 {
-		t.Errorf("peak %d runners bound, want at most 2", c.PeakBound)
+	if c.Binds != 0 || c.Resumes != 0 || c.PeakBound != 0 {
+		t.Errorf("requests bound runners: %+v", c)
 	}
 	if st := a.Workers.Stats(); st.Waited != 4 || st.Grants != 5 {
 		t.Errorf("worker pool waited %d / granted %d, want 4 / 5", st.Waited, st.Grants)
@@ -91,13 +133,9 @@ func TestApacheQueuedRequestTimesOut(t *testing.T) {
 	var spans []trace.Span
 	for i := 0; i < 2; i++ {
 		tr := &trace.Trace{}
-		var c rubbos.Call
-		env.Go("req", func(p *des.Proc) {
-			p.SetData(tr)
-			if ok, err := a.Do(p, testInteraction(), &c); ok {
-				errs = append(errs, err)
-				spans = append(spans, tr.Spans[0])
-			}
+		goServeWith(env, a, testInteraction(), tr, func(p *des.Proc, err error) {
+			errs = append(errs, err)
+			spans = append(spans, tr.Spans[0])
 		})
 	}
 	env.Run(time.Minute)
@@ -148,11 +186,9 @@ func TestMySQLQueryConsumesCPU(t *testing.T) {
 	node := hw.NewNode(env, "mysql1", hw.PC3000())
 	my := NewMySQL(env, node, netsim.Link{Latency: time.Millisecond}, rng.New(1))
 	var rt time.Duration
-	env.Go("q", func(p *des.Proc) {
-		start := p.Now()
-		my.Query(p, testInteraction())
-		rt = p.Now() - start
-	})
+	it := testInteraction()
+	goStage(env, 1, func(p *des.Proc, s *inService) (bool, error) { return my.query(p, it, s) },
+		func(p *des.Proc, _ error) { rt = p.Now() })
 	env.Run(time.Second)
 	// 1ms demand (CV 0) + 2 x 1ms hops = 3ms.
 	if rt != 3*time.Millisecond {
@@ -178,11 +214,8 @@ func newCJDBC(env *des.Env, nBackends int) (*CJDBC, []*MySQL) {
 func TestCJDBCRoundRobin(t *testing.T) {
 	env := des.NewEnv()
 	c, backends := newCJDBC(env, 2)
-	env.Go("q", func(p *des.Proc) {
-		for i := 0; i < 6; i++ {
-			c.Query(p, testInteraction())
-		}
-	})
+	it := testInteraction()
+	goStage(env, 6, func(p *des.Proc, s *inService) (bool, error) { return c.query(p, it, s) }, nil)
 	env.Run(time.Minute)
 	a := backends[0].Log().Count()
 	b := backends[1].Log().Count()
@@ -195,11 +228,18 @@ func TestCJDBCRoundRobin(t *testing.T) {
 func TestCJDBCCheckoutTracksBusyThreads(t *testing.T) {
 	env := des.NewEnv()
 	c, _ := newCJDBC(env, 1)
-	var during int
-	env.Go("q", func(p *des.Proc) {
-		c.Checkout(p)
-		during = c.Busy()
-		c.Query(p, testInteraction())
+	during := -1
+	it := testInteraction()
+	goStage(env, 2, func(p *des.Proc, s *inService) (bool, error) {
+		if during < 0 {
+			return c.checkout(p, s)
+		}
+		return c.query(p, it, s)
+	}, func(p *des.Proc, _ error) {
+		if during < 0 {
+			during = c.Busy()
+			return
+		}
 		c.Release()
 	})
 	env.Run(time.Minute)
@@ -265,14 +305,18 @@ func newTomcat(env *des.Env, threads, conns int) (*Tomcat, *CJDBC) {
 	return tc, c
 }
 
+// tomcatServe is the stage function of a servlet request of
+// testInteraction at tc.
+func tomcatServe(tc *Tomcat) func(p *des.Proc, s *inService) (bool, error) {
+	it := testInteraction()
+	return func(p *des.Proc, s *inService) (bool, error) { return tc.serve(p, it, s) }
+}
+
 func TestTomcatServesRequest(t *testing.T) {
 	env := des.NewEnv()
 	tc, c := newTomcat(env, 4, 2)
 	done := false
-	env.Go("req", func(p *des.Proc) {
-		tc.Serve(p, testInteraction())
-		done = true
-	})
+	goStage(env, 1, tomcatServe(tc), func(*des.Proc, error) { done = true })
 	env.Run(time.Minute)
 	if !done {
 		t.Fatal("request did not complete")
@@ -295,8 +339,7 @@ func TestTomcatThreadPoolBounds(t *testing.T) {
 	tc, _ := newTomcat(env, 2, 2)
 	maxInUse := 0
 	for i := 0; i < 8; i++ {
-		env.Go("req", func(p *des.Proc) {
-			tc.Serve(p, testInteraction())
+		goStage(env, 1, tomcatServe(tc), func(*des.Proc, error) {
 			if tc.Threads.InUse() > maxInUse {
 				maxInUse = tc.Threads.InUse()
 			}
@@ -316,9 +359,7 @@ func TestTomcatConnHeldOnlyDuringQuery(t *testing.T) {
 	env := des.NewEnv()
 	tc, _ := newTomcat(env, 4, 4)
 	st0 := tc.Conns.Stats()
-	env.Go("req", func(p *des.Proc) {
-		tc.Serve(p, testInteraction())
-	})
+	goStage(env, 1, tomcatServe(tc), nil)
 	env.Run(time.Minute)
 	st := tc.Conns.Stats()
 	if st.Grants-st0.Grants != 2 {
@@ -341,16 +382,8 @@ func TestTomcatResponseTransferHoldsThread(t *testing.T) {
 	slow := NewTomcat(env, node2, cfgSlow, c, netsim.Link{}, rng.New(4))
 
 	var fastRT, slowRT time.Duration
-	env.Go("fast", func(p *des.Proc) {
-		start := p.Now()
-		fast.Serve(p, testInteraction())
-		fastRT = p.Now() - start
-	})
-	env.Go("slow", func(p *des.Proc) {
-		start := p.Now()
-		slow.Serve(p, testInteraction())
-		slowRT = p.Now() - start
-	})
+	goStage(env, 1, tomcatServe(fast), func(p *des.Proc, _ error) { fastRT = p.Now() })
+	goStage(env, 1, tomcatServe(slow), func(p *des.Proc, _ error) { slowRT = p.Now() })
 	env.Run(time.Minute)
 	if slowRT <= fastRT+30*time.Millisecond {
 		t.Errorf("transfer phase missing: slow %v vs fast %v", slowRT, fastRT)
@@ -371,10 +404,7 @@ func TestApacheServesEndToEnd(t *testing.T) {
 	a, tc := newApache(env, 10, netsim.FinConfig{})
 	done := 0
 	for i := 0; i < 5; i++ {
-		env.Go("req", func(p *des.Proc) {
-			mustDo(p, a, testInteraction())
-			done++
-		})
+		goServe(env, a, testInteraction(), func(*des.Proc, error) { done++ })
 	}
 	env.Run(time.Minute)
 	if done != 5 {
@@ -398,11 +428,7 @@ func TestApacheFinWaitParksWorker(t *testing.T) {
 	a, _ := newApache(env, 10, fin)
 	a.SetFinLoad(1000) // far past knee: every close waits the full tail
 	var rt time.Duration
-	env.Go("req", func(p *des.Proc) {
-		start := p.Now()
-		mustDo(p, a, testInteraction())
-		rt = p.Now() - start
-	})
+	goServe(env, a, testInteraction(), func(p *des.Proc, _ error) { rt = p.Now() })
 	env.Run(time.Minute)
 	if rt < 200*time.Millisecond {
 		t.Errorf("RT %v should include the 200ms FIN wait", rt)
@@ -419,9 +445,7 @@ func TestApacheConnectingCounter(t *testing.T) {
 		p.Sleep(500 * time.Microsecond)
 		during = a.Connecting()
 	})
-	env.Go("req", func(p *des.Proc) {
-		mustDo(p, a, testInteraction())
-	})
+	goServe(env, a, testInteraction(), nil)
 	env.Run(time.Minute)
 	if during != 1 {
 		t.Errorf("connecting counter %d mid-request, want 1", during)
@@ -437,9 +461,7 @@ func TestApacheTimeline(t *testing.T) {
 	a, _ := newApache(env, 10, netsim.FinConfig{})
 	a.EnableTimeline(0, time.Second)
 	for i := 0; i < 3; i++ {
-		env.Go("req", func(p *des.Proc) {
-			mustDo(p, a, testInteraction())
-		})
+		goServe(env, a, testInteraction(), nil)
 	}
 	env.Run(time.Minute)
 	processed, ptTotal, ptConn := a.Timeline()
@@ -469,7 +491,7 @@ func TestApacheRoundRobinAcrossTomcats(t *testing.T) {
 	node := hw.NewNode(env, "apache1", hw.PC3000())
 	a := NewApache(env, node, ApacheConfig{Workers: 10}, tcs, netsim.Link{}, rng.New(6))
 	for i := 0; i < 6; i++ {
-		env.Go("req", func(p *des.Proc) { mustDo(p, a, testInteraction()) })
+		goServe(env, a, testInteraction(), nil)
 	}
 	env.Run(time.Minute)
 	if tcs[0].Log().Count() != 3 || tcs[1].Log().Count() != 3 {

@@ -59,24 +59,14 @@ type Tomcat struct {
 	Conns   *resource.Pool
 	JVM     *jvm.JVM
 
-	backend Backend
+	backend *CJDBC
 	res     resilience
 }
 
-// Backend executes SQL statements on behalf of an application server; in
-// the paper's four-tier topology it is the C-JDBC middleware. Checkout is
-// the connection checkout (with its test-on-borrow validation round): it
-// occupies one backend handler thread until the paired Release. A failed
-// Checkout (crashed backend) holds nothing and must not be Released.
-type Backend interface {
-	Checkout(p *des.Proc) error
-	Query(p *des.Proc, it *rubbos.Interaction) error
-	Release()
-}
-
 // NewTomcat creates an application server on node, forwarding queries to
-// backend.
-func NewTomcat(env *des.Env, node *hw.Node, cfg TomcatConfig, backend Backend, link netsim.Link, r *rng.Rand) *Tomcat {
+// backend: the C-JDBC middleware, where each checkout of a pool connection
+// occupies one handler thread until the paired Release.
+func NewTomcat(env *des.Env, node *hw.Node, cfg TomcatConfig, backend *CJDBC, link netsim.Link, r *rng.Rand) *Tomcat {
 	t := &Tomcat{
 		server:  newServer(env, node, link, r),
 		cfg:     cfg,
@@ -106,139 +96,243 @@ func (t *Tomcat) SetResilience(cfg *ResilienceConfig, r *rng.Rand) {
 // Resilience returns the resilience counters (nil when the layer is off).
 func (t *Tomcat) Resilience() *ResilienceStats { return t.res.Stats() }
 
-// Serve processes one servlet request for the calling process: acquire a
-// servlet thread, run the servlet's CPU phases, and issue its SQL queries
-// through the DB connection pool. A non-nil error aborts the request (the
-// connector returns an error response upstream).
-func (t *Tomcat) Serve(p *des.Proc, it *rubbos.Interaction) error {
-	t.link.Traverse(p)
-	if err := t.refuse(p); err != nil {
-		return err
-	}
-	entry := p.Now()
-	if ok, _ := t.Threads.AcquireTimeout(p, t.res.acquireTimeout()); !ok {
-		t.res.stats.AcquireTimeouts++
-		t.res.stats.Failures++
-		addSpan(p, t.Node.Name(), "thread-timeout", entry)
-		t.link.Traverse(p)
-		return &t.errs[FailTimeout]
-	}
-	addSpan(p, t.Node.Name(), "thread-wait", entry)
-	// Residence is measured while holding a servlet thread: the log's
-	// Little's-law estimate counts jobs *inside* the server, which is what
-	// the allocation algorithm sizes pools from (a request waiting in the
-	// kernel accept backlog is not a job in the server).
-	start := p.Now()
+// The stages of a servlet request at Tomcat, in inService.app.stage.
+const (
+	appSend      uint8 = iota // the hop in next
+	appArrive                 // crossing in
+	appQueued                 // waiting suspended for a servlet thread
+	appGranted                // holding a thread: the servlet starts next
+	appSlice                  // on the CPU for the pre phase or a query's slice
+	appQuery                  // a query in progress
+	appPost                   // on the CPU for the post phase
+	appCollect                // resting through a collection the allocation started
+	appCollected              // the response transfer next
+	appTransfer               // resting through the response transfer
+	appDone                   // served: the thread is released next
+)
 
-	queries := t.sampleQueries(it.Queries)
-	// Split servlet CPU across the query sequence: a pre phase, a slice
-	// after each query, and a post phase.
-	slices := queries + 2
-	per := it.ServletMS / float64(slices)
-
-	t.useCPU(p, per, it.CV)
-	for q := 0; q < queries; q++ {
-		if err := t.query(p, it); err != nil {
-			t.res.stats.Failures++
+// serve processes one servlet request for the calling process, as a stage
+// function (see Apache.Do): acquire a servlet thread, run the servlet's
+// CPU phases, and issue its SQL queries through the DB connection pool. A
+// non-nil error aborts the request (the connector returns an error
+// response upstream).
+func (t *Tomcat) serve(p *des.Proc, it *rubbos.Interaction, s *inService) (bool, error) {
+	l := &s.app
+	for {
+		switch l.stage {
+		case appSend:
+			l.stage = appArrive
+			if !t.link.Cross(p) {
+				return false, nil
+			}
+		case appArrive:
+			if err := t.refuse(p); err != nil {
+				return t.back(p, &l.leg, err)
+			}
+			l.entry = p.Now()
+			l.stage = appGranted
+			if !t.Threads.AcquireOrSuspend(p, t.res.acquireTimeout()) {
+				l.stage = appQueued
+				return false, nil
+			}
+		case appQueued:
+			if ok, _ := t.Threads.Resolve(p); !ok {
+				t.res.stats.AcquireTimeouts++
+				t.res.stats.Failures++
+				addSpan(p, t.Node.Name(), "thread-timeout", l.entry)
+				return t.back(p, &l.leg, &t.errs[FailTimeout])
+			}
+			l.stage = appGranted
+		case appGranted:
+			addSpan(p, t.Node.Name(), "thread-wait", l.entry)
+			// Residence is measured while holding a servlet thread: the
+			// log's Little's-law estimate counts jobs *inside* the server,
+			// which is what the allocation algorithm sizes pools from (a
+			// request waiting in the kernel accept backlog is not a job in
+			// the server).
+			l.start = p.Now()
+			l.queries = t.sampleQueries(it.Queries)
+			// Split servlet CPU across the query sequence: a pre phase, a
+			// slice after each query, and a post phase.
+			l.per = it.ServletMS / float64(l.queries+2)
+			l.stage = appSlice
+			if !t.useCPU(p, s, l.per, it.CV) {
+				return false, nil
+			}
+		case appSlice:
+			addSpan(p, t.Node.Name(), "cpu", s.t0)
+			if l.q < l.queries {
+				l.loop, l.attempt, l.err = querySend, 0, nil
+				l.stage = appQuery
+				continue
+			}
+			l.stage = appPost
+			if !t.useCPU(p, s, l.per, it.CV) {
+				return false, nil
+			}
+		case appQuery:
+			done, err := t.query(p, it, s)
+			if !done {
+				return false, nil
+			}
+			if l.err = err; err != nil {
+				t.res.stats.Failures++
+				l.stage = appDone
+				continue
+			}
+			l.q++
+			l.stage = appSlice
+			if !t.useCPU(p, s, l.per, it.CV) {
+				return false, nil
+			}
+		case appPost:
+			addSpan(p, t.Node.Name(), "cpu", s.t0)
+			l.stage = appCollected
+			if pause, gc := t.JVM.Allocate(it.AllocTomcatMiB); gc {
+				l.stage = appCollect
+				p.Rest(pause)
+				return false, nil
+			}
+		case appCollect:
+			t.JVM.Collected()
+			l.stage = appCollected
+		case appCollected:
+			// Stream the response out through the connector while still
+			// holding the servlet thread (but no DB connection).
+			l.stage = appDone
+			if t.cfg.ResponseTransferMS > 0 {
+				s.t0 = p.Now()
+				l.stage = appTransfer
+				p.Rest(sampleMS(t.r, t.cfg.ResponseTransferMS, transferCV))
+				return false, nil
+			}
+		case appTransfer:
+			addSpan(p, t.Node.Name(), "response-transfer", s.t0)
+			l.stage = appDone
+		case appDone:
 			t.Threads.Release()
-			t.log.Observe(p.Now(), p.Now()-start)
-			t.link.Traverse(p)
-			return err
+			t.log.Observe(p.Now(), p.Now()-l.start)
+			if l.err == nil {
+				t.est.observe(p.Now() - l.entry)
+			}
+			return t.back(p, &l.leg, l.err)
+		case returning:
+			return true, l.err
 		}
-		t.useCPU(p, per, it.CV)
 	}
-	t.useCPU(p, per, it.CV)
-	t.JVM.Allocate(p, it.AllocTomcatMiB)
-
-	// Stream the response out through the connector while still holding
-	// the servlet thread (but no DB connection).
-	if t.cfg.ResponseTransferMS > 0 {
-		t0 := p.Now()
-		p.Sleep(sampleMS(t.r, t.cfg.ResponseTransferMS, transferCV))
-		addSpan(p, t.Node.Name(), "response-transfer", t0)
-	}
-
-	t.Threads.Release()
-	t.log.Observe(p.Now(), p.Now()-start)
-	t.est.observe(p.Now() - entry)
-	t.link.Traverse(p)
-	return nil
 }
 
+// The stages of a query, in inService.app.loop.
+const (
+	querySend      uint8 = iota // the next attempt next
+	queryBackoff                // resting through a retry's backoff
+	queryAcquire                // the connection acquire next
+	queryQueued                 // waiting suspended for a connection
+	queryConn                   // holding a connection: the checkout next
+	queryCheckout               // in the checkout
+	queryStatement              // the statement in progress
+	queryDone                   // the attempt's call is over with app.err
+)
+
 // query issues one SQL statement through the connection pool and backend,
-// retrying with backoff when resilience is enabled. Each attempt checks out
-// a fresh connection — retries re-pay the checkout validation and routing
-// work downstream, which is how retry storms multiply effective backend
-// concurrency.
-func (t *Tomcat) query(p *des.Proc, it *rubbos.Interaction) error {
-	var err error
-	attempts := t.res.attempts()
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			if deadlinePassed(p) {
-				// Out of budget mid-request: abort the retry loop instead
-				// of burning another connection checkout downstream.
-				return &t.errs[FailDeadline]
+// retrying with backoff when resilience is enabled, as a stage function
+// (see Apache.Do). Each attempt checks out a fresh connection — retries
+// re-pay the checkout validation and routing work downstream, which is how
+// retry storms multiply effective backend concurrency.
+func (t *Tomcat) query(p *des.Proc, it *rubbos.Interaction, s *inService) (bool, error) {
+	l := &s.app
+	for {
+		switch l.loop {
+		case querySend:
+			if l.attempt == t.res.attempts() {
+				return true, l.err
 			}
-			t.res.stats.Retries++
-			if d := t.res.cfg.backoff(t.res.r, i-1); d > 0 {
-				t0 := p.Now()
-				p.Sleep(d)
-				addSpan(p, t.Node.Name(), "backoff", t0)
+			l.loop = queryAcquire
+			if l.attempt > 0 {
+				if deadlinePassed(p) {
+					// Out of budget mid-request: abort the retry loop
+					// instead of burning another connection checkout
+					// downstream.
+					return true, &t.errs[FailDeadline]
+				}
+				t.res.stats.Retries++
+				if d := t.res.cfg.backoff(t.res.r, l.attempt-1); d > 0 {
+					s.t0 = p.Now()
+					l.loop = queryBackoff
+					p.Rest(d)
+					return false, nil
+				}
 			}
-		}
-		t0 := p.Now()
-		ok, _ := t.Conns.AcquireTimeout(p, t.res.acquireTimeout())
-		if !ok {
-			t.res.stats.AcquireTimeouts++
-			err = &t.errs[FailTimeout]
-			continue
-		}
-		addSpan(p, t.Node.Name(), "conn-wait", t0)
-		br := t.res.breaker(0)
-		if br != nil && !br.Allow() {
-			t.Conns.Release()
-			err = &t.errs[FailOpen]
-			continue
-		}
-		start := p.Now()
-		e := t.backend.Checkout(p)
-		if e == nil {
-			e = t.backend.Query(p, it)
+		case queryBackoff:
+			addSpan(p, t.Node.Name(), "backoff", s.t0)
+			l.loop = queryAcquire
+		case queryAcquire:
+			l.attempt++
+			s.t0 = p.Now()
+			l.loop = queryConn
+			if !t.Conns.AcquireOrSuspend(p, t.res.acquireTimeout()) {
+				l.loop = queryQueued
+				return false, nil
+			}
+		case queryQueued:
+			l.loop = queryConn
+			if ok, _ := t.Conns.Resolve(p); !ok {
+				t.res.stats.AcquireTimeouts++
+				l.err = &t.errs[FailTimeout]
+				l.loop = querySend
+			}
+		case queryConn:
+			addSpan(p, t.Node.Name(), "conn-wait", s.t0)
+			if br := t.res.breaker(0); br != nil && !br.Allow() {
+				t.Conns.Release()
+				l.err = &t.errs[FailOpen]
+				l.loop = querySend
+				continue
+			}
+			l.call = p.Now()
+			s.mid = dbLeg{}
+			l.loop = queryCheckout
+		case queryCheckout:
+			done, err := t.backend.checkout(p, s)
+			if !done {
+				return false, nil
+			}
+			l.err = err
+			l.loop = queryDone
+			if err == nil {
+				s.mid = dbLeg{}
+				l.loop = queryStatement
+			}
+		case queryStatement:
+			done, err := t.backend.query(p, it, s)
+			if !done {
+				return false, nil
+			}
 			t.backend.Release()
+			l.err = err
+			l.loop = queryDone
+		case queryDone:
+			t.Conns.Release()
+			l.err = t.res.settle(0, p.Now()-l.call, l.err, &t.errs[FailTimeout])
+			if l.err == nil || isDeadline(l.err) {
+				// Done, or out of budget: retrying cannot possibly finish
+				// in time.
+				return true, l.err
+			}
+			l.loop = querySend
 		}
-		t.Conns.Release()
-		if e == nil && t.res.enabled() && t.res.cfg.CallTimeout > 0 &&
-			p.Now()-start > t.res.cfg.CallTimeout {
-			t.res.stats.CallTimeouts++
-			e = &t.errs[FailTimeout]
-		}
-		if br != nil {
-			// A downstream deadline shed is budget exhaustion, not a peer
-			// failure — it must not trip the breaker.
-			br.Record(e == nil || isDeadline(e))
-		}
-		if e == nil {
-			return nil
-		}
-		if isDeadline(e) {
-			// Out of budget: retrying cannot possibly finish in time.
-			return e
-		}
-		err = e
 	}
-	return err
 }
 
 // transferCV is the variation of a response's transfer to Apache.
 var transferCV = rng.NewCV(0.3)
 
-// useCPU runs meanMS of servlet work inflated by the concurrency overhead.
-func (t *Tomcat) useCPU(p *des.Proc, meanMS float64, cv rng.CV) {
-	t0 := p.Now()
+// useCPU puts meanMS of servlet work, inflated by the concurrency
+// overhead, on the CPU for p, starting the span s.t0 (see server.use).
+func (t *Tomcat) useCPU(p *des.Proc, s *inService, meanMS float64, cv rng.CV) bool {
+	s.t0 = p.Now()
 	demand := meanMS * (1 + t.cfg.CtxSwitchCoeff*float64(t.Threads.InUse()-1))
-	t.Node.CPU().Use(p, sampleMS(t.r, demand, cv))
-	addSpan(p, t.Node.Name(), "cpu", t0)
+	return t.use(p, sampleMS(t.r, demand, cv))
 }
 
 // sampleQueries converts a fractional mean query count into an integer

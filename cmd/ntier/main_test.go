@@ -144,7 +144,10 @@ func TestStateFingerprintsPinned(t *testing.T) {
 		want string
 	}{
 		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s"}, "bd0603abcecb7b75"},
-		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s", "-diagnose"}, "7f0082a9ce39ed9f"},
+		// -diagnose's utilization series gained the measurement's last
+		// window (one sampling grid), so state directories written before
+		// it are refused rather than mixed.
+		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s", "-diagnose"}, "f7c3150872abf5fc"},
 		{[]string{"sweep", "-hw", "1/1/1/1", "-soft", "50-6-6,50-4-4", "-wl", "10,20", "-ramp", "1s", "-measure", "1s"}, "f0ba42238fa7d360"},
 		// -admission's policy gained an accept backlog, so overload state
 		// directories written before it are refused rather than mixed.

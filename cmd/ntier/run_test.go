@@ -63,7 +63,7 @@ func TestRunDiagnoseResume(t *testing.T) {
 	if code := run(append(args, "-resume"), &second, &stderr); code != 0 {
 		t.Fatalf("resumed run = %d, stderr:\n%s", code, stderr.String())
 	}
-	if !strings.Contains(first.String(), "bottleneck pattern: none (19 windows") {
+	if !strings.Contains(first.String(), "bottleneck pattern: none (20 windows") {
 		t.Errorf("journaled run printed no diagnosis:\n%s", first.String())
 	}
 	if first.String() != second.String() {

@@ -335,7 +335,7 @@ func TestDiagnoseLongMeasureKeepsEveryWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "bottleneck pattern: none (599 windows, some-server-saturated 0%)\n"
+	want := "bottleneck pattern: none (600 windows, some-server-saturated 0%)\n"
 	if d.String() != want {
 		t.Errorf("diagnosis %q, want %q", d.String(), want)
 	}

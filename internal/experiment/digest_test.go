@@ -64,7 +64,7 @@ func TestDigestPins(t *testing.T) {
 		{"elastic-obs-snapshot", digestElasticObs, "73c7365310b7a293c94781a7"},
 		{"fleet-open-tenant", digestOpenTenantFleet, "6c6fd30ba437c839c564ac9a"},
 		{"fleet-interference", digestFleetInterference, "f78b02a957bf4db650d579ea"},
-		{"fleet-obs-snapshot", digestFleetObs, "d5b6f8a7db28b9b65bedcf7f"},
+		{"fleet-obs-snapshot", digestFleetObs, "bf9f8fd9f91cfc52645c8943"},
 		{"scenario-timeline-csv", digestTimelineCSV(func(t *testing.T) func(io.Writer) error {
 			return pinShedScenario(t).WriteTimelineCSV
 		}), "4d4d5feef85e03d582c397de"},

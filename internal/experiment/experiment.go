@@ -60,8 +60,9 @@ type RunConfig struct {
 	Timeline bool
 
 	// WindowUtil fills Result.UtilSeries from the obs recorder's per-node
-	// CPU series (attached even without ObsDir, and never decimated here),
-	// feeding obs.ClassifyWindows' multi-bottleneck diagnosis.
+	// CPU series (attached even without ObsDir), one value per
+	// obs.SampleInterval window, feeding obs.ClassifyWindows'
+	// multi-bottleneck diagnosis.
 	WindowUtil bool
 
 	// TraceEvery samples one request in N for per-phase tracing (0 = off);
@@ -294,22 +295,26 @@ func run(cfg RunConfig, win *windowing, label string) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := runLegs(cfg, tb.Env, tb.ResetStats); err != nil {
+	if err := runLegs(cfg, tb.Env, tb.ResetStats, m); err != nil {
 		return nil, err
 	}
 	return m.result()
 }
 
 // runLegs runs a trial on env: the ramp leg, then reset, which clears every
-// monitor so only the runtime window counts, then the measure leg. After
-// each leg it checks whether the watchdog or a cancellation interrupted the
-// simulation; the caller's deferred shutdown unwinds the environment.
-func runLegs(cfg RunConfig, env *des.Env, reset func()) error {
+// monitor so only the runtime window counts, and each measurement's
+// baseline, then the measure leg. After each leg it checks whether the
+// watchdog or a cancellation interrupted the simulation; the caller's
+// deferred shutdown unwinds the environment.
+func runLegs(cfg RunConfig, env *des.Env, reset func(), ms ...*measurement) error {
 	env.Run(cfg.RampUp)
 	if err := Aborted(cfg.Ctx, cfg.TrialTimeout, env); err != nil {
 		return err
 	}
 	reset()
+	for _, m := range ms {
+		m.baseline()
+	}
 	env.Run(cfg.RampUp + cfg.Measure)
 	return Aborted(cfg.Ctx, cfg.TrialTimeout, env)
 }
@@ -328,6 +333,7 @@ type measurement struct {
 	w             *rubbos.Workload
 	abandonedBase uint64
 	tracer        *trace.Tracer
+	win           *windowing
 	timeline      *ApacheTimeline
 	rec           *obs.Recorder
 }
@@ -336,7 +342,7 @@ type measurement struct {
 // the measurement window that opens at cfg.RampUp. cfg has its defaults
 // applied.
 func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, label string) (*measurement, error) {
-	m := &measurement{cfg: cfg, tb: tb, label: label, collector: sla.NewCollector(cfg.Thresholds)}
+	m := &measurement{cfg: cfg, tb: tb, label: label, win: win, collector: sla.NewCollector(cfg.Thresholds)}
 	measureStart := cfg.RampUp
 	if win != nil {
 		// A partial last window would have its closing gauge past the
@@ -402,36 +408,51 @@ func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, label 
 	if err != nil {
 		return nil, err
 	}
-	// Baseline the abandonment counter one tie-breaking nanosecond after the
-	// ramp-end ResetStats so only window abandonments count (pure read).
-	tb.Env.At(measureStart+time.Nanosecond, func() { m.abandonedBase = m.w.Abandoned() })
-	if win != nil && win.gauge != nil {
-		atBoundaries(tb.Env, measureStart, win.width, len(win.gauges), func(i int) { win.gauges[i] = win.gauge(tb) })
-	}
-
+	n := int(cfg.Measure / obs.SampleInterval)
 	if cfg.Timeline {
 		for _, a := range tb.Apaches {
-			a.EnableTimeline(measureStart, time.Second)
+			a.EnableTimeline(measureStart, obs.SampleInterval)
 		}
-		// The Fig. 7/8 parallelism samples: busy workers and workers
-		// interacting with Tomcat, every second through the horizon.
-		a, n := tb.Apaches[0], int(cfg.Measure/time.Second)+1
-		tl := &ApacheTimeline{SampleEverySec: 1, ActiveRaw: make([]float64, 0, n), ConnectRaw: make([]float64, 0, n)}
-		atBoundaries(tb.Env, measureStart, time.Second, n, func(int) {
-			tl.ActiveRaw = append(tl.ActiveRaw, float64(a.Workers.InUse()))
-			tl.ConnectRaw = append(tl.ConnectRaw, float64(a.Connecting()))
-		})
-		m.timeline = tl
+		m.timeline = &ApacheTimeline{SampleEverySec: 1, ActiveRaw: make([]float64, 0, n+1), ConnectRaw: make([]float64, 0, n+1)}
 	}
 	if cfg.WindowUtil {
 		// UtilSeries keeps every window: lift the recorder's memory bound
-		// past the window count so it never decimates.
-		m.cfg.Obs.MaxSamples = max(cfg.Obs.MaxSamples, int(cfg.Measure/obs.SampleInterval)+2)
+		// to the window count so it never decimates.
+		m.cfg.Obs.MaxSamples = max(cfg.Obs.MaxSamples, n)
 	}
-	if cfg.WindowUtil || cfg.ObsDir != "" {
-		m.rec = obs.Attach(tb, measureStart, m.cfg.Obs)
+	// The trial's one sampling grid: an event at each boundary measureStart
+	// + k·SampleInterval, k = 0..n, scheduled before the legs run.
+	if cfg.Timeline || cfg.WindowUtil || cfg.ObsDir != "" || win != nil && win.gauge != nil {
+		for k := range n + 1 {
+			tb.Env.At(measureStart+time.Duration(k)*obs.SampleInterval, m.read)
+		}
 	}
 	return m, nil
+}
+
+// read takes the grid's pure reads at a boundary: the windowed gauge, the
+// Fig. 7/8 busy and Tomcat-bound workers, and, once baseline has attached
+// the recorder (every boundary after the first), the window that ends there.
+func (m *measurement) read() {
+	if w := m.win; w != nil && w.gauge != nil {
+		w.gauges = append(w.gauges, w.gauge(m.tb))
+	}
+	if tl, a := m.timeline, m.tb.Apaches[0]; tl != nil {
+		tl.ActiveRaw = append(tl.ActiveRaw, float64(a.Workers.InUse()))
+		tl.ConnectRaw = append(tl.ConnectRaw, float64(a.Connecting()))
+	}
+	if m.rec != nil {
+		m.rec.Sample()
+	}
+}
+
+// baseline opens the window right after the ramp-end reset, before any
+// event of the measure leg: abandonments and the recorder count from here.
+func (m *measurement) baseline() {
+	m.abandonedBase = m.w.Abandoned()
+	if m.cfg.WindowUtil || m.cfg.ObsDir != "" {
+		m.rec = obs.Attach(m.tb, m.cfg.Obs)
+	}
 }
 
 // result collects the measurement once the legs have run: the window's

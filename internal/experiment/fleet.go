@@ -202,7 +202,7 @@ func runFleetRoster(cfg FleetSweepConfig, placement fleet.Placement, roster []fl
 		}
 		t.Workload = ms[i].w
 	}
-	if err := runLegs(cfg.Run, f.Env, f.ResetStats); err != nil {
+	if err := runLegs(cfg.Run, f.Env, f.ResetStats, ms...); err != nil {
 		return nil, err
 	}
 

@@ -558,9 +558,13 @@ func TestJournalConcurrentRestoreAndRecord(t *testing.T) {
 // call of op allocates. Allocations elsewhere in the process only ever
 // add bytes, and so does an op that finds encoding/json's pooled encode
 // buffer gone, as the race detector's sync.Pool does at random; the least
-// reading is op's own figure.
+// reading is op's own figure. The readings run on one P: each runs in a
+// new goroutine, and sync.Pool keeps a P's last Put in a slot no other P
+// reads, so with two Ps a reading that lands on the other P than the one
+// before it regrows the buffer, and under CPU contention all ten can.
 func leastAllocedBytes(t *testing.T, op func(b *testing.B)) int64 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	bt := flag.Lookup("test.benchtime").Value
 	old := bt.String()
 	if err := bt.Set("1x"); err != nil {

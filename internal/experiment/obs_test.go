@@ -110,10 +110,10 @@ func TestObsNonPerturbing(t *testing.T) {
 				}
 			}
 		}
-		// ~20 one-second ticks over the window (the trailing partial tick
-		// may or may not close depending on event ordering at shutdown).
-		if s := tr.FindSeries("tomcat1/cpu"); len(s.Values) < 15 || len(s.Values) > 21 {
-			t.Fatalf("series length = %d, want ≈20", len(s.Values))
+		// One value per one-second window of the measurement, the last
+		// window included.
+		if s := tr.FindSeries("tomcat1/cpu"); len(s.Values) != 20 {
+			t.Fatalf("series length = %d, want 20", len(s.Values))
 		}
 	}
 

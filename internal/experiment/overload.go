@@ -11,6 +11,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/tier"
 	"github.com/softres/ntier/internal/trace"
 )
@@ -144,7 +145,7 @@ func (c *FlashCrowdConfig) applyDefaults() {
 	c.Run.applyDefaults()
 	// The window must see the spike plus a drain tail, in whole windows.
 	if min := c.SpikeStart + c.SpikeDur + 30*time.Second; c.Run.Measure < min {
-		c.Run.Measure = (min + timelineWindow - 1).Truncate(timelineWindow)
+		c.Run.Measure = (min + obs.SampleInterval - 1).Truncate(obs.SampleInterval)
 	}
 }
 
@@ -210,7 +211,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	// the measurement window) shift by the ramp.
 	cfg.Run.Arrivals = trace.FlashCrowd(cfg.BaseRate, cfg.BaseRate*cfg.SpikeMult,
 		cfg.Run.RampUp+cfg.SpikeStart, cfg.SpikeDur)
-	win := &windowing{width: timelineWindow, threshold: cfg.GoodputThreshold, gauge: queued}
+	win := &windowing{width: obs.SampleInterval, threshold: cfg.GoodputThreshold, gauge: queued}
 	res, err := run(cfg.Run, win, "")
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 
 	"github.com/softres/ntier/internal/adaptive"
 	"github.com/softres/ntier/internal/fault"
+	"github.com/softres/ntier/internal/obs"
 	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/tier"
 )
@@ -110,7 +111,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		ctl *adaptive.ElasticController
 	)
 	win := &windowing{
-		width:     timelineWindow,
+		width:     obs.SampleInterval,
 		threshold: cfg.GoodputThreshold,
 		disturb: func(tb *testbed.Testbed) (err error) {
 			inj = fault.NewInjector(tb.Env, tb.FaultTargets(), cfg.Run.Testbed.Seed)

@@ -230,8 +230,12 @@ func (c RunConfig) fingerprintBase() string {
 	fmt.Fprintf(&b, " mix=%s think=%d clients=%d ramp=%d measure=%d th=%v",
 		hex.EncodeToString(mix[:8]), int64(c.ThinkMean), rubbos.ClientNodes,
 		int64(c.RampUp), int64(c.Measure), c.Thresholds)
-	fmt.Fprintf(&b, " timeline=%t window=%t traceEvery=%d traceKeep=0",
-		c.Timeline, c.WindowUtil, c.TraceEvery)
+	window := "false" // a WindowUtil journal older than "grid" is one window short
+	if c.WindowUtil {
+		window = "grid"
+	}
+	fmt.Fprintf(&b, " timeline=%t window=%s traceEvery=%d traceKeep=0",
+		c.Timeline, window, c.TraceEvery)
 	// Open-system fields are appended only when present, so every
 	// closed-loop fingerprint (and its journals) predating them is
 	// unchanged.

@@ -4,13 +4,13 @@ package experiment
 // scenarios, flash crowds and elastic days. Each runs through run with a
 // windowing: completions are bucketed by completion time into fixed
 // windows from the start of the measurement window, one gauge is read at
-// every window boundary, and a single baseline-and-recovery rule judges
-// how the goodput timeline came back after the disturbance.
+// every boundary of the trial's sampling grid, and a single
+// baseline-and-recovery rule judges how the goodput timeline came back
+// after the disturbance.
 
 import (
 	"time"
 
-	"github.com/softres/ntier/internal/des"
 	"github.com/softres/ntier/internal/testbed"
 )
 
@@ -22,10 +22,6 @@ const (
 	flashRecoverFrac = 0.9  // flash crowds
 )
 
-// timelineWindow is the timeline bucket width of fault scenarios and flash
-// crowds.
-const timelineWindow = time.Second
-
 // windowing is what a disturbance trial adds to a plain Run. run fills
 // points and gauges.
 type windowing struct {
@@ -35,7 +31,9 @@ type windowing struct {
 	// disturb, when set, runs after the testbed is built and before the
 	// workload starts: it schedules a fault plan or attaches a controller.
 	disturb func(tb *testbed.Testbed) error
-	// gauge, when set, is read at every window boundary (pure read).
+	// gauge, when set, is read at every boundary of the trial's sampling
+	// grid (pure read), so a gauge trial's windows are obs.SampleInterval
+	// wide.
 	gauge func(tb *testbed.Testbed) float64
 
 	points []WindowPoint // one per window of the measurement
@@ -63,9 +61,6 @@ func (w *windowing) start(measure time.Duration) {
 	w.points = make([]WindowPoint, measure/w.width)
 	for i := range w.points {
 		w.points[i].Second = float64(i) * w.width.Seconds()
-	}
-	if w.gauge != nil {
-		w.gauges = make([]float64, len(w.points)+1)
 	}
 }
 
@@ -132,15 +127,6 @@ func (w *windowing) recovery(start, end time.Duration, frac float64) (base float
 		}
 	}
 	return base, -1, -1
-}
-
-// atBoundaries schedules read(i) at start+i*width for i in [0, n): the
-// window-boundary ticks of the windowed gauges and the Fig. 7/8 samples,
-// all scheduled before the trial's legs run.
-func atBoundaries(env *des.Env, start, width time.Duration, n int, read func(i int)) {
-	for i := range n {
-		env.At(start+time.Duration(i)*width, func() { read(i) })
-	}
 }
 
 // cjdbcBusy reads the C-JDBC busy integral: its difference over a window

@@ -299,7 +299,11 @@ func TestApplySoftTenantIsolation(t *testing.T) {
 	beforeCaps := capsOf(b)
 	beforeUnits := b.TB.SoftUnits()
 
-	rec := obs.Attach(b.TB, 0, obs.Config{})
+	rec := obs.Attach(b.TB, obs.Config{})
+	const windows = 12
+	for k := 1; k <= windows; k++ {
+		f.Env.At(time.Duration(k)*obs.SampleInterval, rec.Sample)
+	}
 	startLoads(t, f, nil)
 	f.Env.Run(5 * time.Second)
 	resized := testbed.SoftAlloc{WebThreads: 200, AppThreads: 24, AppConns: 12}
@@ -325,6 +329,9 @@ func TestApplySoftTenantIsolation(t *testing.T) {
 			continue
 		}
 		capSeries++
+		if len(s.Values) != windows {
+			t.Errorf("series %s holds %d samples, want %d", s.Name, len(s.Values), windows)
+		}
 		if !strings.HasPrefix(s.Name, "b/") {
 			t.Errorf("tenant b recorder sampled foreign series %s", s.Name)
 		}

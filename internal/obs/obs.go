@@ -5,9 +5,11 @@
 // occupancy and wait-queue depth, Apache lingering-close worker counts,
 // and C-JDBC busy threads on a fixed simulated-time grid — the series
 // behind the paper's Figs. 2–8 — with bounded memory (stride decimation
-// for paper-scale runs). On top of the series, the Bottleneck analyzer
-// (Judge, Steps, DetectSignatures) implements the paper's critical-
-// resource detection: per workload step it attributes the most-utilized
+// for paper-scale runs). The Recorder schedules nothing: the trial that
+// owns it reads it on the trial's one per-second boundary grid. On top of
+// the series, the Bottleneck analyzer (Judge, Steps, DetectSignatures)
+// implements the paper's critical-resource detection: per workload step
+// it attributes the most-utilized
 // hardware resource, flags the Fig. 2 software-bottleneck signature
 // (capped goodput while every hardware resource idles), the Fig. 5
 // over-allocation signature (GC inflation consuming the critical CPU),
@@ -24,7 +26,6 @@ package obs
 import (
 	"time"
 
-	"github.com/softres/ntier/internal/des"
 	"github.com/softres/ntier/internal/resource"
 	"github.com/softres/ntier/internal/testbed"
 )
@@ -35,9 +36,10 @@ const SampleInterval = time.Second
 
 // Config tunes the recorder. Zero values take the defaults.
 type Config struct {
-	// MaxSamples bounds stored samples per series (default 512). When a
-	// series fills, adjacent samples are merged pairwise and the stored
-	// resolution halves — memory stays bounded for arbitrarily long runs.
+	// MaxSamples bounds stored samples per series (default 512, rounded
+	// up to even). When a window closes on a full series, adjacent
+	// samples are merged pairwise and the stored resolution halves —
+	// memory stays bounded for arbitrarily long runs.
 	MaxSamples int
 	// SLA is the goodput threshold the trial summary reports against
 	// (zero means 2s, the paper's response-time bound). The experiment
@@ -81,28 +83,28 @@ type probe struct {
 	prev float64        // last integral reading (rate probes)
 }
 
-// Recorder samples a testbed's probes on the grid. Create with Attach
-// before the simulation runs; read with Snapshot after it finishes.
+// Recorder samples a testbed's probes on its owner's grid. Create it with
+// Attach when the window opens, close each window with Sample, and read
+// it with Snapshot after the simulation finishes.
 type Recorder struct {
-	env    *des.Env
 	start  time.Duration
 	cfg    Config
 	probes []*probe
 
-	stride   int         // raw ticks aggregated into one stored sample
+	stride   int         // raw windows aggregated into one stored sample
 	partial  []float64   // per-probe sums of the current aggregation group
-	partialN int         // raw ticks accumulated in the group
+	partialN int         // raw windows accumulated in the group
 	values   [][]float64 // per-probe stored samples (lockstep lengths)
 }
 
 // Attach wires a recorder to every node, pool, JVM, and tier gauge of the
-// testbed and schedules its sampling ticks, the first one nanosecond after
-// `start` so the baseline reads happen after the ramp-end stats reset
-// (mirroring the experiment package's window samplers). Probes are pure
-// reads, so attaching never perturbs the simulation.
-func Attach(tb *testbed.Testbed, start time.Duration, cfg Config) *Recorder {
+// testbed when a measurement window opens, right after its statistics
+// reset: the rate probes take their baselines now. It schedules nothing;
+// the caller calls Sample at each boundary now + k·SampleInterval, k ≥ 1.
+// Probes are pure reads, so attaching never perturbs the simulation.
+func Attach(tb *testbed.Testbed, cfg Config) *Recorder {
 	cfg.applyDefaults()
-	r := &Recorder{env: tb.Env, start: start, cfg: cfg, stride: 1}
+	r := &Recorder{start: tb.Env.Now(), cfg: cfg, stride: 1}
 
 	for _, n := range tb.Nodes() {
 		node := n
@@ -137,7 +139,6 @@ func Attach(tb *testbed.Testbed, start time.Duration, cfg Config) *Recorder {
 
 	r.partial = make([]float64, len(r.probes))
 	r.values = make([][]float64, len(r.probes))
-	r.arm()
 	return r
 }
 
@@ -146,9 +147,10 @@ func (r *Recorder) gauge(name string, read func() float64) {
 	r.probes = append(r.probes, &probe{name: name, kind: KindGauge, read: read})
 }
 
-// rate registers a cumulative-integral probe reported as a per-window mean.
+// rate registers a cumulative-integral probe reported as a per-window mean,
+// with its integral now as the baseline.
 func (r *Recorder) rate(name string, read, norm func() float64, cap1 bool) {
-	r.probes = append(r.probes, &probe{name: name, kind: KindRate, read: read, norm: norm, cap1: cap1})
+	r.probes = append(r.probes, &probe{name: name, kind: KindRate, read: read, norm: norm, cap1: cap1, prev: read()})
 }
 
 // pool registers the four standard pool series: occupancy gauge,
@@ -163,33 +165,11 @@ func (r *Recorder) pool(pl *resource.Pool) {
 	r.gauge(p.Name()+"/cap", func() float64 { return float64(p.Capacity()) })
 }
 
-// arm schedules the sampling ticks. The baseline tick (offset one
-// tie-breaking nanosecond past start, after the ramp-end ResetStats zeroes
-// the integrals) only primes the rate baselines; every later tick closes
-// one raw window.
-func (r *Recorder) arm() {
-	first := true
-	var tick func()
-	tick = func() {
-		if first {
-			for _, p := range r.probes {
-				if p.kind == KindRate {
-					p.prev = p.read()
-				}
-			}
-			first = false
-		} else {
-			r.sample()
-		}
-		r.env.After(SampleInterval, tick)
-	}
-	r.env.At(r.start+time.Nanosecond, tick)
-}
-
-// sample closes one raw window: read every probe, fold the readings into
+// Sample closes one raw window: read every probe, fold the readings into
 // the current aggregation group, and store the group mean once `stride`
-// raw ticks have accumulated.
-func (r *Recorder) sample() {
+// raw windows have accumulated — or, on a full series, halve it and keep
+// the group open as half of one twice as wide.
+func (r *Recorder) Sample() {
 	window := SampleInterval.Seconds()
 	for i, p := range r.probes {
 		var v float64
@@ -220,14 +200,15 @@ func (r *Recorder) sample() {
 	if r.partialN < r.stride {
 		return
 	}
+	if len(r.values) > 0 && len(r.values[0]) == r.cfg.MaxSamples {
+		r.decimate()
+		return
+	}
 	for i := range r.probes {
 		r.values[i] = append(r.values[i], r.partial[i]/float64(r.stride))
 		r.partial[i] = 0
 	}
 	r.partialN = 0
-	if len(r.values) > 0 && len(r.values[0]) >= r.cfg.MaxSamples {
-		r.decimate()
-	}
 }
 
 // decimate halves every stored series by pairwise averaging and doubles
@@ -245,7 +226,7 @@ func (r *Recorder) decimate() {
 
 // Snapshot freezes the recorded series into a TrialObs, attaching the
 // given summary. A trailing partial aggregation group is flushed as a mean
-// over the ticks it covers. The recorder itself is left untouched.
+// over the windows it covers. The recorder itself is left untouched.
 func (r *Recorder) Snapshot(summary TrialSummary) *TrialObs {
 	t := &TrialObs{
 		Interval: (time.Duration(r.stride) * SampleInterval).Seconds(),

@@ -10,9 +10,8 @@ import (
 )
 
 // feedRecorder builds a bare recorder (no testbed) whose single gauge
-// reads successive values from ticks, then pushes every tick through the
-// sampling path. The aggregation and decimation logic is identical to the
-// attached path; only the scheduling differs.
+// reads successive values from ticks, then closes one window per tick, as
+// a trial's sampling grid does.
 func feedRecorder(maxSamples int, ticks []float64) *Recorder {
 	r := &Recorder{cfg: Config{MaxSamples: maxSamples, SLA: time.Second}, stride: 1}
 	i := -1
@@ -20,16 +19,21 @@ func feedRecorder(maxSamples int, ticks []float64) *Recorder {
 	r.partial = make([]float64, 1)
 	r.values = make([][]float64, 1)
 	for i = 0; i < len(ticks); i++ {
-		r.sample()
+		r.Sample()
 	}
 	return r
 }
 
 func TestDecimationBoundsMemory(t *testing.T) {
-	r := feedRecorder(4, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	// 4 raw ticks fill the buffer → halve to [1.5, 3.5], stride 2; the
-	// next four ticks land as two stride-2 means, filling it again →
-	// halve to [2.5, 6.5], stride 4.
+	// 4 raw ticks fill the buffer and stay at full resolution.
+	if r := feedRecorder(4, []float64{1, 2, 3, 4}); r.stride != 1 || len(r.values[0]) != 4 {
+		t.Fatalf("a full buffer decimated: stride %d, values %v", r.stride, r.values[0])
+	}
+	r := feedRecorder(4, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	// Tick 5 closes on the full buffer → halve to [1.5, 3.5], stride 2,
+	// and tick 5 opens a stride-2 group; ticks 6–8 fill it again with
+	// 5.5 and 7.5, so tick 10 halves it to [2.5, 6.5], stride 4, with
+	// ticks 9 and 10 as the open half of the next group.
 	if r.stride != 4 {
 		t.Fatalf("stride = %d, want 4", r.stride)
 	}
@@ -43,15 +47,16 @@ func TestDecimationBoundsMemory(t *testing.T) {
 	if snap.Interval != 4 {
 		t.Fatalf("effective interval = %gs, want 4s", snap.Interval)
 	}
-	if len(snap.Series) != 1 || len(snap.Series[0].Values) != 2 {
+	if len(snap.Series) != 1 || len(snap.Series[0].Values) != 3 || snap.Series[0].Values[2] != 9.5 {
 		t.Fatalf("snapshot series = %+v", snap.Series)
 	}
 }
 
 func TestSnapshotFlushesPartialGroup(t *testing.T) {
-	// 6 ticks at MaxSamples 4: decimation leaves [1.5, 3.5] at stride 2,
-	// then ticks 5 and 6 fill one complete group (5.5). A 7th tick starts
-	// a partial group that Snapshot must flush as its own mean.
+	// 7 ticks at MaxSamples 4: tick 5 closes on the full buffer, which
+	// halves to [1.5, 3.5] at stride 2, and ticks 5 and 6 fill one group
+	// (5.5). Tick 7 starts a partial group that Snapshot must flush as
+	// its own mean.
 	r := feedRecorder(4, []float64{1, 2, 3, 4, 5, 6, 7})
 	snap := r.Snapshot(TrialSummary{})
 	got := snap.Series[0].Values

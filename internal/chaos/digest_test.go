@@ -2,9 +2,12 @@ package chaos
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,23 +16,21 @@ import (
 	"github.com/softres/ntier/internal/tier"
 )
 
-var updatePins = flag.Bool("update-pins", false, "log a fresh digest pin instead of checking it")
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/pins.txt instead of checking it")
 
-// TestDigestPins pins, at full precision, one chaos trial on a resilient
-// 1/2/1/2 under a fixed-seed plan that crashes an application server,
-// browns out a database, leaks connections and spikes the link, all
-// overlapping: the verdict (class, violations, both measurement windows
-// with floats as their bits, drained), the injector's action count and the
-// workload's conservation buckets after the drain. A rewrite that keeps
-// the simulation byte-identical keeps the pin.
+// TestDigestPins pins one chaos trial on a resilient 1/2/1/2 under a
+// fixed-seed plan that crashes an application server, browns out a
+// database, leaks connections and spikes the link, all overlapping, by its
+// verdict's JSON image: one "pin field digest" line per top-level field in
+// testdata/pins.txt, as internal/experiment's pins do.
 //
-// After an intentional behaviour change, regenerate with
+// After an intentional behaviour change, rewrite the file with
 //
-//	go test ./internal/chaos -run DigestPins -update-pins -v
+//	go test ./internal/chaos -run DigestPins -update-pins
 //
-// and name the changed pin in CHANGES.md.
+// and name the changed pin in CHANGES.md: `git diff` shows the moved
+// fields.
 func TestDigestPins(t *testing.T) {
-	const want = "33ab1a49713216882beb5bba"
 	res := tier.DefaultResilienceConfig()
 	cfg := TrialConfig{
 		Topology: testbed.Options{
@@ -59,22 +60,28 @@ func TestDigestPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	bits := func(f float64) string { return fmt.Sprintf("%x", math.Float64bits(f)) }
-	fmt.Fprintf(h, "class %q violations %q drained %t faults %d\n", v.Class, v.Violations, v.Drained, v.Faults)
-	for _, w := range []WindowStats{v.Baseline, v.Recovery} {
-		fmt.Fprintf(h, "w %d %d %s %d\n", w.Completions, w.Errors, bits(w.Goodput), int64(w.P95))
+	img, err := json.Marshal(v)
+	var fields map[string]json.RawMessage
+	if err == nil {
+		err = json.Unmarshal(img, &fields)
 	}
-	r := v.Requests
-	fmt.Fprintf(h, "r %d %d %d %d %d\n", r.Issued, r.Completed, r.Failed, r.Shed, r.InFlight)
-	got := fmt.Sprintf("%x", h.Sum(nil)[:12])
-	summary := fmt.Sprintf("class %q, %d faults, baseline %.1f/s, recovery %.1f/s, requests %+v",
-		v.Class, v.Faults, v.Baseline.Goodput, v.Recovery.Goodput, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for f, b := range fields {
+		sum := sha256.Sum256(b)
+		lines = append(lines, fmt.Sprintf("chaos-resilient-plan %s %x\n", f, sum[:12]))
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "")
 	if *updatePins {
-		t.Logf("pin chaos-resilient-plan: %q (%s)", got, summary)
+		if err := os.WriteFile("testdata/pins.txt", []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		return
 	}
-	if got != want {
-		t.Errorf("digest %s, pinned %s (%s)", got, want, summary)
+	if want, err := os.ReadFile("testdata/pins.txt"); err != nil || got != string(want) {
+		t.Errorf("verdict image moved (%v):\n--- now ---\n%s--- pinned ---\n%s", err, got, want)
 	}
 }

@@ -28,18 +28,41 @@ func tunerConfig(hw testbed.Hardware, soft testbed.SoftAlloc) Config {
 	}
 }
 
-func TestTune1212FindsTomcatCPU(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tuner runs a full workload ramp")
-	}
+// tuneRun is one 1/2/1/2 Tune: its report, progress log and error.
+type tuneRun struct {
+	rep *Report
+	log string
+	err error
+}
+
+// tune1212 runs the 1/2/1/2 Tune at the given parallelism.
+func tune1212(parallelism int) tuneRun {
 	cfg := tunerConfig(
 		testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
 		testbed.SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 20},
 	)
-	rep, err := Tune(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Base.Parallelism = parallelism
+	var log strings.Builder
+	cfg.Logf = func(format string, args ...any) {
+		fmt.Fprintf(&log, format+"\n", args...)
 	}
+	rep, err := Tune(cfg)
+	return tuneRun{rep, log.String(), err}
+}
+
+// serialTune1212 is the serial 1/2/1/2 Tune, run once per test binary for
+// TestTune1212FindsTomcatCPU and TestTuneParallelMatchesSerial.
+var serialTune1212 = sync.OnceValue(func() tuneRun { return tune1212(1) })
+
+func TestTune1212FindsTomcatCPU(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tuner runs a full workload ramp")
+	}
+	serial := serialTune1212()
+	if serial.err != nil {
+		t.Fatal(serial.err)
+	}
+	rep := serial.rep
 	if rep.Critical.Tier != "tomcat" {
 		t.Errorf("critical tier %q, want tomcat (paper Table I)", rep.Critical.Tier)
 	}
@@ -124,29 +147,17 @@ func TestTuneParallelMatchesSerial(t *testing.T) {
 	}
 	// The speculative batched ramps must report exactly what the serial
 	// ramp reports — same trials observed, same order, same log.
-	run := func(parallelism int) (string, string) {
-		cfg := tunerConfig(
-			testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
-			testbed.SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 20},
-		)
-		cfg.Base.Parallelism = parallelism
-		var log strings.Builder
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(&log, format+"\n", args...)
+	serial, parallel := serialTune1212(), tune1212(4)
+	for _, r := range []tuneRun{serial, parallel} {
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
-		rep, err := Tune(cfg)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return rep.String(), log.String()
 	}
-	serialRep, serialLog := run(1)
-	parallelRep, parallelLog := run(4)
-	if serialRep != parallelRep {
+	if serialRep, parallelRep := serial.rep.String(), parallel.rep.String(); serialRep != parallelRep {
 		t.Errorf("parallel report differs:\n--- serial ---\n%s\n--- parallel ---\n%s", serialRep, parallelRep)
 	}
-	if serialLog != parallelLog {
-		t.Errorf("parallel progress log differs:\n--- serial ---\n%s\n--- parallel ---\n%s", serialLog, parallelLog)
+	if serial.log != parallel.log {
+		t.Errorf("parallel progress log differs:\n--- serial ---\n%s\n--- parallel ---\n%s", serial.log, parallel.log)
 	}
 }
 

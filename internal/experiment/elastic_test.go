@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -130,35 +132,45 @@ func elasticBase(t *testing.T) ElasticSweepConfig {
 	}
 }
 
-// elasticObsSnapshot runs elasticBase's TOP_JOB day with ObsDir set and
-// returns the one snapshot it writes, with its file name.
-func elasticObsSnapshot(t *testing.T) (*obs.TrialObs, string) {
-	t.Helper()
+// obsFile is an obs snapshot with the name of the file it was written to.
+type obsFile struct {
+	*obs.TrialObs
+	File string `json:"file"`
+}
+
+// elasticObsSnapshot runs elasticBase's TOP_JOB day with ObsDir set, once
+// per test binary, and reads back the one snapshot it writes.
+var elasticObsSnapshot = sharedTrial(func(t *testing.T) (obsFile, error) {
+	dir, err := os.MkdirTemp("", "elastic-obs-")
+	if err != nil {
+		return obsFile{}, err
+	}
+	defer os.RemoveAll(dir)
 	cfg := elasticBase(t)
-	cfg.Run.ObsDir = t.TempDir()
+	cfg.Run.ObsDir = dir
 	if _, err := RunElastic(cfg, adaptive.PolicyTopJob, cfg.Traces[0]); err != nil {
-		t.Fatal(err)
+		return obsFile{}, err
 	}
-	names, err := filepath.Glob(filepath.Join(cfg.Run.ObsDir, "*"))
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
-		t.Fatal(err)
+		return obsFile{}, err
 	}
-	snaps, err := obs.ReadDir(cfg.Run.ObsDir)
+	snaps, err := obs.ReadDir(dir)
 	if err != nil {
-		t.Fatal(err)
+		return obsFile{}, err
 	}
 	if len(names) != 1 || len(snaps) != 1 {
-		t.Fatalf("obs dir holds %v, want one snapshot", names)
+		return obsFile{}, fmt.Errorf("obs dir holds %v, want one snapshot", names)
 	}
-	return snaps[0], filepath.Base(names[0])
-}
+	return obsFile{snaps[0], filepath.Base(names[0])}, nil
+})
 
 // TestRunElasticObsSnapshot: an elastic trial with ObsDir set writes one
 // snapshot, labelled with the policy and the trace (so grid cells do not
 // collide on one file) and with the trace's peak-rate closed equivalent as
 // its workload.
 func TestRunElasticObsSnapshot(t *testing.T) {
-	snap, name := elasticObsSnapshot(t)
+	snap := elasticObsSnapshot(t)
 	cfg := elasticBase(t)
 	users := int(rubbos.OpenEquivUsers(cfg.Traces[0].Spec.MaxRate()))
 	if !strings.HasSuffix(snap.Soft, "-top_job-diurnal") {
@@ -171,8 +183,8 @@ func TestRunElasticObsSnapshot(t *testing.T) {
 	if snap.Hardware != "1/2/1/2" || snap.Seed != cfg.Run.Testbed.Seed {
 		t.Errorf("snapshot labelled %s seed %d", snap.Hardware, snap.Seed)
 	}
-	if name != snap.FileName() {
-		t.Errorf("snapshot written as %s, want %s", name, snap.FileName())
+	if snap.File != snap.FileName() {
+		t.Errorf("snapshot written as %s, want %s", snap.File, snap.FileName())
 	}
 	if snap.Summary.SLASeconds != 1 || snap.Summary.Goodput <= 0 {
 		t.Errorf("summary SLA %gs goodput %g, want the 1s goodput threshold and positive goodput",

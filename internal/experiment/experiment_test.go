@@ -104,7 +104,7 @@ func TestRunDeterministicReplay(t *testing.T) {
 }
 
 // timelineRun is the Fig. 7/8 trial that TestRunTimeline checks and the
-// apache-timeline pin hashes.
+// apache-timeline pin images.
 var timelineRun = sharedTrial(func(*testing.T) (*Result, error) {
 	cfg := baseConfig(800)
 	cfg.Timeline = true

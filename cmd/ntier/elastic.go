@@ -130,10 +130,10 @@ func runElastic(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	st, err := tf.common.openState(experiment.Fingerprint(base, journalTag("elastic"),
-		*policyS, *traceS, fmt.Sprint(*low), fmt.Sprint(*high), day.String(),
-		interval.String(), fmt.Sprint(*budget), fmt.Sprint(*step),
-		fmt.Sprint(*deadband), cooldown.String(), window.String(), slaS.String()))
+	// The image records the surrogate, a closure, by presence only, so the
+	// flags that calibrate it join the fingerprint.
+	st, err := tf.common.openState(experiment.Fingerprint(base, "elastic",
+		cfg.Fingerprint(), *calibSoft, fmt.Sprint(*calibWL)))
 	if err != nil {
 		return fail(err)
 	}

@@ -105,7 +105,7 @@ func runFigures(args []string, stdout, stderr io.Writer) int {
 
 	// The per-sweep journal fingerprints cover each figure's actual
 	// configurations; the directory fingerprint pins the shared knobs.
-	st, err := tf.common.openState(experiment.Fingerprint(base, journalTag("figures")))
+	st, err := tf.common.openState(experiment.Fingerprint(base, "figures"))
 	if err != nil {
 		return fail(err)
 	}

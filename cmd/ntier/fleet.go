@@ -121,11 +121,8 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	st, err := tf.common.openState(experiment.Fingerprint(base, journalTag("fleet"),
-		*hwS, *softS, *wlS, *namesS, *sloS, think.String(), *placeS, *countsS, *scaleS,
-		fmt.Sprint(*nodes), fmt.Sprint(*slots), fmt.Sprint(*budget), fmt.Sprint(*seed),
-		fmt.Sprint(*sloTarget), fmt.Sprint(*interference), fmt.Sprint(*aggrScale),
-		"0")) // the retired -calib-wl's slot, so earlier state directories resume
+	st, err := tf.common.openState(experiment.Fingerprint(base, "fleet",
+		cfg.Fingerprint(), fmt.Sprint(*interference), fmt.Sprint(*aggrScale)))
 	if err != nil {
 		return fail(err)
 	}

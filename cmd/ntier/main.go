@@ -154,11 +154,6 @@ func (t *trialFlags) base(ctx context.Context) experiment.RunConfig {
 	return cfg
 }
 
-// journalTag is the first fingerprint extra of a subcommand's state
-// directory: the name of the per-command binary that wrote such directories
-// before the subcommands shared one, kept so that they still resume.
-func journalTag(sub string) string { return "ntier-" + sub }
-
 // refuse returns a usage error naming the first of the given flags the
 // invocation set: the subcommand accepts it with the shared block but has
 // nothing for it to act on, and ignoring it silently would mislead.

@@ -135,29 +135,24 @@ func TestCommandsWireCommonFlags(t *testing.T) {
 	}
 }
 
-// The state fingerprint (meta.json) of each journaling subcommand matches
-// the one the earlier per-command binaries wrote for the same flags, so
-// their state directories keep resuming.
+// The state fingerprint (meta.json) of each journaling subcommand is
+// pinned, and its image is the same on every word width, so a state
+// directory resumes on any build of the same model and configuration.
 func TestStateFingerprintsPinned(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s"}, "bd0603abcecb7b75"},
-		// -diagnose's utilization series gained the measurement's last
-		// window (one sampling grid), so state directories written before
-		// it are refused rather than mixed.
-		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s", "-diagnose"}, "f7c3150872abf5fc"},
-		{[]string{"sweep", "-hw", "1/1/1/1", "-soft", "50-6-6,50-4-4", "-wl", "10,20", "-ramp", "1s", "-measure", "1s"}, "f0ba42238fa7d360"},
-		// -admission's policy gained an accept backlog, so overload state
-		// directories written before it are refused rather than mixed.
-		{[]string{"sweep", "-hw", "1/1/1/1", "-soft", "50-6-3", "-rate", "20", "-deadline", "1s", "-admission", "-ramp", "1s", "-measure", "1s"}, "c6bf206ab3de7c24"},
-		{[]string{"tune", "-hw", "1/1/1/1", "-soft0", "50-6-6", "-ramp", "1s", "-measure", "1s", "-step", "10", "-smallstep", "5", "-q"}, "fdce8269dc904eb5"},
-		{[]string{"figures", "-only", "fig8", "-seed", "3", "-out", t.TempDir()}, "7da29ba90b88b261"},
-		{[]string{"search", "-hw", "1/1/1/1", "-soft", "50-6-6", "-threads", "2,4", "-conns", "2", "-wl", "10,20", "-budget", "3", "-ramp", "1s", "-measure", "1s", "-q"}, "07219dd47fa7f100"},
-		{[]string{"elastic", "-hw", "1/1/1/1", "-soft", "50-4-4", "-policy", "STATIC", "-trace", "diurnal", "-day", "20s", "-low", "5", "-high", "10", "-ramp", "1s", "-interval", "5s"}, "9ef277fcde77c5ad"},
-		{[]string{"fleet", "-nodes", "2", "-slots", "2", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "2s", "-placement", "PACKED"}, "f6126107a267eb79"},
-		{[]string{"chaos", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-baseline", "3s", "-grace", "2s", "-recovery", "3s", "-horizon", "5s", "-seeds", "1", "-plans", "1", "-max-events", "1"}, "b6ae0bcc04b7b409"},
+		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s"}, "d4fe1986ad8bf58d"},
+		{[]string{"run", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "1s", "-diagnose"}, "2f97bd8be5162b1a"},
+		{[]string{"sweep", "-hw", "1/1/1/1", "-soft", "50-6-6,50-4-4", "-wl", "10,20", "-ramp", "1s", "-measure", "1s"}, "1b783b914ea4146a"},
+		{[]string{"sweep", "-hw", "1/1/1/1", "-soft", "50-6-3", "-rate", "20", "-deadline", "1s", "-admission", "-ramp", "1s", "-measure", "1s"}, "d2cd105f0620d7d1"},
+		{[]string{"tune", "-hw", "1/1/1/1", "-soft0", "50-6-6", "-ramp", "1s", "-measure", "1s", "-step", "10", "-smallstep", "5", "-q"}, "b32e04697223685a"},
+		{[]string{"figures", "-only", "fig8", "-seed", "3", "-out", t.TempDir()}, "b58d7ac8e71c4e36"},
+		{[]string{"search", "-hw", "1/1/1/1", "-soft", "50-6-6", "-threads", "2,4", "-conns", "2", "-wl", "10,20", "-budget", "3", "-ramp", "1s", "-measure", "1s", "-q"}, "b473d7902a155144"},
+		{[]string{"elastic", "-hw", "1/1/1/1", "-soft", "50-4-4", "-policy", "STATIC", "-trace", "diurnal", "-day", "20s", "-low", "5", "-high", "10", "-ramp", "1s", "-interval", "5s"}, "416bfea7600ea0e8"},
+		{[]string{"fleet", "-nodes", "2", "-slots", "2", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "2s", "-placement", "PACKED"}, "62f20bda6efa8a51"},
+		{[]string{"chaos", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-baseline", "3s", "-grace", "2s", "-recovery", "3s", "-horizon", "5s", "-seeds", "1", "-plans", "1", "-max-events", "1"}, "ab63965354807232"},
 	}
 	for _, tc := range cases {
 		// The watchdog cuts every trial short: the fingerprint is written

@@ -66,7 +66,7 @@ func runTrial(args []string, stdout, stderr io.Writer) int {
 	// journals it like any campaign: re-running the same configuration
 	// replays the recorded result, and -wl can vary across invocations of
 	// one state directory (the state fingerprint excludes the workload).
-	st, err := tf.common.openState(experiment.Fingerprint(cfg, "ntier"))
+	st, err := tf.common.openState(experiment.Fingerprint(cfg, "run"))
 	if err != nil {
 		return fail(err)
 	}

@@ -96,7 +96,7 @@ func runSearch(args []string, stdout, stderr io.Writer) int {
 	base.Testbed.Soft = tf.allocs[0]
 	base.Thresholds = thresholds
 
-	st, err := tf.common.openState(experiment.Fingerprint(base, journalTag("search"),
+	st, err := tf.common.openState(experiment.Fingerprint(base, "search",
 		*webS, *thrS, *connS, *wlS, fmt.Sprint(*budget), slaS.String(),
 		fmt.Sprint(*eta), fmt.Sprint(*keep)))
 	if err != nil {

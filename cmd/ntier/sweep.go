@@ -70,13 +70,8 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		base.Testbed.Resilience = experiment.OverloadProtection()
 	}
 
-	// The overload flags extend the fingerprint only when used, so state
-	// directories from closed-loop campaigns keep resuming.
-	fpExtra := []string{journalTag("sweep"), *tf.soft, *wlS, *vary, *sizesS}
-	if *rateS != "" {
-		fpExtra = append(fpExtra, *rateS, deadline.String())
-	}
-	st, err := tf.common.openState(experiment.Fingerprint(base, fpExtra...))
+	st, err := tf.common.openState(experiment.Fingerprint(base, "sweep",
+		*tf.soft, *wlS, *vary, *sizesS, *rateS, deadline.String()))
 	if err != nil {
 		return fail(err)
 	}

@@ -55,7 +55,7 @@ func runTune(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	st, err := tf.common.openState(experiment.Fingerprint(cfg.Base, journalTag("tune"),
+	st, err := tf.common.openState(experiment.Fingerprint(cfg.Base, "tune",
 		fmt.Sprint(*step), fmt.Sprint(*small), fmt.Sprint(*validate)))
 	if err != nil {
 		return fail(err)

@@ -448,9 +448,9 @@ func recvName(recv types.Type) string {
 var unsetSettingsAllowed = map[string]string{
 	"internal/rubbos.ClientConfig.Patience":      "its abandoned column is in the golden CSV and the journal image",
 	"internal/experiment.ScenarioConfig.Elastic": "the scenario-elastic-brownout pin runs it",
-	"internal/chaos.GenConfig.MinSpeed":          "the chaos fingerprint prints GenConfig with %+v",
-	"internal/chaos.GenConfig.MaxSpeed":          "the chaos fingerprint prints GenConfig with %+v",
-	"internal/chaos.GenConfig.MaxExtra":          "the chaos fingerprint prints GenConfig with %+v",
+	"internal/chaos.GenConfig.MinSpeed":          "the chaos fingerprint images GenConfig",
+	"internal/chaos.GenConfig.MaxSpeed":          "the chaos fingerprint images GenConfig",
+	"internal/chaos.GenConfig.MaxExtra":          "the chaos fingerprint images GenConfig",
 	"internal/testbed.Options.TuneTomcat":        "tests inject panics through it",
 }
 

@@ -8,8 +8,6 @@ package chaos
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 
@@ -59,34 +57,13 @@ type Outcome struct {
 	ShrinkTrials int `json:"shrink_trials,omitempty"`
 }
 
-// Fingerprint identifies everything that determines a trial's outcome —
-// topology, workload timeline, oracle tolerances, generator bounds, seed
-// anchor, shrink budget — and nothing that only affects execution
-// (parallelism, context, campaign size: keys are self-describing, so a
-// grown campaign legitimately extends its journal). The journal and the
-// command's state-dir metadata both carry it.
+// Fingerprint identifies the campaign by its configuration's image and
+// the recovery oracle's fixed p95 headroom. The journal and the command's
+// state-dir metadata both carry it. Execution knobs and the campaign's
+// size are left out: keys are self-describing, so a grown campaign
+// extends its journal.
 func (cfg CampaignConfig) Fingerprint() string {
-	t := cfg.Trial
-	t.applyDefaults()
-	o := t.Topology
-	g := cfg.Gen
-	g.applyDefaults()
-	h := sha256.New()
-	// The node, lat, clink, tuneA and p95s slots print what settings since
-	// made constants printed by default, so state directories written
-	// before keep their fingerprints.
-	fmt.Fprintf(h, "hw=%v soft=%v seed=%d node={Name: Cores:0 MemoryMiB:0} lat=0 clink=0 nogc=%t nofin=%t",
-		o.Hardware, o.Soft, o.Seed, o.DisableGC, o.DisableFinWait)
-	fmt.Fprintf(h, " tuneA=false tuneT=%t tuneC=%t", o.TuneTomcat != nil, o.TuneCJDBC != nil)
-	if o.Resilience != nil {
-		fmt.Fprintf(h, " res=%s", o.Resilience.Fingerprint())
-	}
-	fmt.Fprintf(h, " users=%d think=%d ramp=%d baseline=%d grace=%d recovery=%d drain=%d",
-		t.Users, int64(t.ThinkMean), int64(t.RampUp), int64(t.Baseline), int64(t.Grace), int64(t.Recovery), int64(t.DrainBudget))
-	fmt.Fprintf(h, " gtol=%g p95f=%g p95s=%d deficit=%d",
-		t.GoodputTol, t.P95Factor, int64(p95Slack), t.LeakRestoreDeficit)
-	fmt.Fprintf(h, " gen=%+v base=%d shrink=%d", g, cfg.BaseSeed, cfg.ShrinkBudget)
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	return experiment.FingerprintOf(cfg, p95Slack.String())
 }
 
 // RunCampaign executes (or resumes) the campaign through the experiment

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -108,9 +109,11 @@ var pins = []struct {
 
 // TestDigestPins checks each pin's image against testdata/pins.txt, one
 // digest per top-level field, so a refactor that keeps every output keeps
-// every line, and a moved pin names the fields that moved.
+// every line, and a moved pin names the fields that moved. The file's
+// header names the model epoch it was written under.
 //
-// After an intentional behaviour change, rewrite the file with
+// After an intentional behaviour change, bump modelEpoch and rewrite the
+// file with
 //
 //	go test ./internal/experiment -run DigestPins -update-pins
 //
@@ -121,12 +124,20 @@ func TestDigestPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	header, body, _ := strings.Cut(string(data), "\n")
+	epoch, err := strconv.Atoi(strings.TrimPrefix(header, "epoch "))
+	if err != nil {
+		t.Fatalf("%s header %q: %v", pinsFile, header, err)
+	}
+	if epoch != modelEpoch && !*updatePins {
+		t.Errorf("%s was written under model epoch %d, not %d: rewrite it with -update-pins", pinsFile, epoch, modelEpoch)
+	}
 	pinned := map[string][]string{}
-	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+	for _, l := range strings.Split(strings.TrimSpace(body), "\n") {
 		pin, _, _ := strings.Cut(l, " ")
 		pinned[pin] = append(pinned[pin], l)
 	}
-	var all []string
+	var all, moved []string
 	for _, p := range pins {
 		t.Run(p.name, func(t *testing.T) {
 			v, err := p.value(t)
@@ -138,6 +149,9 @@ func TestDigestPins(t *testing.T) {
 			}
 			got := imageLines(t, p.name, v)
 			if *updatePins {
+				if old := pinned[p.name]; len(old) > 0 && !slices.Equal(got, old) {
+					moved = append(moved, p.name)
+				}
 				pinned[p.name] = got
 			} else if !slices.Equal(got, pinned[p.name]) {
 				t.Errorf("image moved; now\n%s\npinned\n%s", strings.Join(got, "\n"), strings.Join(pinned[p.name], "\n"))
@@ -146,9 +160,38 @@ func TestDigestPins(t *testing.T) {
 		all = append(all, pinned[p.name]...)
 	}
 	if *updatePins {
-		if err := os.WriteFile(pinsFile, []byte(strings.Join(all, "\n")+"\n"), 0o644); err != nil {
+		if err := epochCheck(epoch, modelEpoch, moved); err != nil {
 			t.Fatal(err)
 		}
+		out := fmt.Sprintf("epoch %d\n%s\n", modelEpoch, strings.Join(all, "\n"))
+		if err := os.WriteFile(pinsFile, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// epochCheck refuses to rewrite moved pins under the epoch the pins were
+// written under: outputs that move come from another model, and only a
+// bumped epoch makes every fingerprint refuse the journals of the old one.
+func epochCheck(written, model int, moved []string) error {
+	if len(moved) > 0 && written == model {
+		return fmt.Errorf("pins %s moved under model epoch %d: bump modelEpoch so that journals of the old model are refused",
+			strings.Join(moved, ", "), model)
+	}
+	return nil
+}
+
+// TestEpochCheck: a moved pin is refused under the epoch the pins were
+// written under and accepted under a bumped one.
+func TestEpochCheck(t *testing.T) {
+	if err := epochCheck(3, 3, []string{"flash-crowd"}); err == nil || !strings.Contains(err.Error(), "flash-crowd") {
+		t.Errorf("moved pin under an unchanged epoch: err = %v, want a refusal naming it", err)
+	}
+	if err := epochCheck(3, 4, []string{"flash-crowd"}); err != nil {
+		t.Errorf("moved pin under a bumped epoch: %v", err)
+	}
+	if err := epochCheck(3, 3, nil); err != nil {
+		t.Errorf("no moved pin: %v", err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -288,48 +287,11 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 	return er, nil
 }
 
-// elasticFingerprint pins everything outcome-determining that the base
-// RunConfig fingerprint misses: the grid axes, the controller knobs and
-// constants, the open-system deadline (base.Arrivals is nil in the base
-// fingerprint), and the rule by which the controller skips a window that
-// straddles a monitor reset. The skip= part names the rule, so journals
-// decided under an earlier rule re-run instead of restoring. A SOFTMAX
-// campaign is marked apart the same way: its surrogate has read C-JDBC's
-// heap allocation per query, not per request, since the declared demand
-// model replaced the surrogate's copied constants.
-func elasticFingerprint(cfg ElasticSweepConfig) []string {
-	c := cfg.Controller
-	parts := []string{fmt.Sprint(cfg.Policies)}
-	for _, tr := range cfg.Traces {
-		parts = append(parts, tr.Name+"="+tr.Spec.String())
-	}
-	parts = append(parts,
-		fmt.Sprintf("ctl=%d/%d/%d/%d/%d/%d/%d/%d/%g/%g/%g/%g",
-			int64(c.Interval), int64(adaptive.PeakHold), c.Budget, c.MaxStep,
-			c.Deadband, int64(c.Cooldown), fixedSlot(adaptive.MinPer, 2), fixedSlot(adaptive.MaxPer, 2048),
-			fixedSlot(adaptive.GrowFactor, 1.5), fixedSlot(adaptive.ShrinkMargin, 1.25),
-			fixedSlot(adaptive.ShrinkTrigger, 2.0), fixedSlot(adaptive.Temperature, 5.0)),
-		fmt.Sprintf("window=%d sla=%d deadline=%d",
-			int64(cfg.Window), int64(cfg.GoodputThreshold), int64(cfg.Run.Deadline)),
-		"skip=occ-cover")
-	if slices.Contains(cfg.Policies, adaptive.PolicySoftmax) {
-		parts = append(parts, "surrogate=declared-alloc")
-	}
-	return parts
-}
-
-// fixedSlot renders a controller constant in the ctl= slot of the settable
-// field it replaced, where 0 stood for the field's default (was). The slot
-// stays 0 while the constant keeps that value, so journals written when it
-// was a field still resume, and shows the new value once it changes, so
-// the journals written before a retune are not restored: their cells
-// re-run.
-func fixedSlot[T comparable](v, was T) T {
-	if v == was {
-		var zero T
-		return zero
-	}
-	return v
+// Fingerprint identifies the sweep: its configuration's image and the
+// controller's fixed constants, which no field carries.
+func (cfg ElasticSweepConfig) Fingerprint() string {
+	return FingerprintOf(cfg, fmt.Sprint(adaptive.PeakHold, adaptive.MinPer, adaptive.MaxPer,
+		adaptive.GrowFactor, adaptive.ShrinkMargin, adaptive.ShrinkTrigger, adaptive.Temperature))
 }
 
 // ElasticSweep runs every (policy, trace) grid cell, fanning out, journaling,
@@ -351,7 +313,7 @@ func ElasticSweep(cfg ElasticSweepConfig) (*ElasticOutcome, error) {
 	var err error
 	out.Results, err = Outs(RunCampaign(cfg.Run, Campaign[*ElasticResult]{
 		Kind: "elastic",
-		Axes: elasticFingerprint(cfg),
+		Axes: []string{cfg.Fingerprint()},
 		N:    len(cfg.Policies) * len(cfg.Traces),
 		Key: func(i int) string {
 			policy, tr := cell(i)

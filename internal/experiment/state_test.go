@@ -389,6 +389,9 @@ func TestRunRefusesCanceledContext(t *testing.T) {
 func TestRunTrialTimeout(t *testing.T) {
 	cfg := fastSweepConfig(1)
 	cfg.Users = 300
+	// A year of simulated load takes far longer than a test's wall time, so
+	// the watchdog interrupts the trial before it can finish.
+	cfg.Measure = 365 * 24 * time.Hour
 	cfg.TrialTimeout = time.Nanosecond
 	_, err := Run(cfg)
 	var te *TimeoutError

@@ -11,7 +11,6 @@ package tier
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
@@ -154,17 +153,6 @@ func DefaultResilienceConfig() ResilienceConfig {
 		MaxQueue:       200,
 		DegradedMS:     0.05,
 	}
-}
-
-// Fingerprint renders the configuration for journal fingerprints: its %+v
-// form, without Backlog while that is zero, so fingerprints written before
-// the field existed still match.
-func (c ResilienceConfig) Fingerprint() string {
-	s := fmt.Sprintf("%+v", c)
-	if c.Backlog == 0 {
-		s = strings.Replace(s, " Backlog:0 ", " ", 1)
-	}
-	return s
 }
 
 // backoff returns the delay before retry attempt `attempt` (0-based), with

@@ -173,6 +173,7 @@ func TestArrivalSpecStrings(t *testing.T) {
 		{Poisson(120), "poisson(120/s)"},
 		{FlashCrowd(50, 200, 10*time.Second, 5*time.Second), "sched(50/sx10s,200/sx5s,50/s)"},
 		{Schedule(Phase{Rate: 10, RampTo: 90, For: 30 * time.Second}, Phase{Rate: 90}), "sched(10..90/sx30s,90/s)"},
+		{Schedule(Phase{Rate: 10, For: 30 * time.Second}, Phase{Rate: 10, RampTo: 90, For: time.Minute}), "sched(10/sx30s,10..90/sx1m0s)"},
 		{MMPP(MMPPState{Rate: 5, Mean: time.Second}), "mmpp(5/s@1s)"},
 	}
 	for _, c := range cases {

@@ -138,7 +138,10 @@ func TestTrialCancellation(t *testing.T) {
 // verdict: timeouts are environmental, so campaigns retry them.
 func TestTrialTimeoutReturnsTimeoutError(t *testing.T) {
 	cfg := tinyTrial()
-	cfg.Users = 300 // enough simulated work to outlast a 1ns budget
+	cfg.Users = 300
+	// A year of simulated baseline takes far longer than a test's wall
+	// time, so the watchdog interrupts the trial before it can finish.
+	cfg.Baseline = 365 * 24 * time.Hour
 	cfg.TrialTimeout = time.Nanosecond
 	plan := fault.Plan{Events: []fault.Event{fault.Crash("tomcat1", time.Second, 2*time.Second)}}
 	v, err := RunTrial(cfg, plan)

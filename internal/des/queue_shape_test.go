@@ -44,8 +44,8 @@ var queueShapes = []queueShape{
 	}},
 }
 
-// shapeRun replays a queueShape on the queue directly, with no event
-// records.
+// shapeRun replays a queueShape on the queue directly, with no Env: its
+// entries name nothing.
 type shapeRun struct {
 	shape queueShape
 	q     eventQueue
@@ -78,7 +78,7 @@ func (s *shapeRun) delay() time.Duration {
 }
 
 func (s *shapeRun) push(d time.Duration) {
-	s.q.push(entry{at: s.now + d, seq: s.seq}, s.now)
+	s.q.push(entry{s.now + d, s.seq << refBits}, s.now)
 	s.seq++
 }
 

@@ -146,8 +146,8 @@ func (d *queueDiff) cancel() {
 	d.events[i] = d.events[len(d.events)-1]
 	d.events = d.events[:len(d.events)-1]
 	pending := d.ref.remove(h.key)
-	if (h.tm.ev != nil) != pending {
-		d.t.Fatalf("event %d: armed = %v, reference says %v", h.key.id, h.tm.ev != nil, pending)
+	if (h.tm.key != 0) != pending {
+		d.t.Fatalf("event %d: armed = %v, reference says %v", h.key.id, h.tm.key != 0, pending)
 	}
 	h.tm.Stop()
 }

@@ -7,34 +7,39 @@ import (
 	"unsafe"
 )
 
-// Proc stays at 56 bytes on 64-bit targets: Rest keeps its flag on the
-// runner, so the Procs of a trial's peak of live processes (10⁵ closed
-// users at scale) take no more memory. The bound, not the size, is
-// asserted, so the test holds on 32-bit targets too.
-func TestProcIs56Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Proc{}); n > 56 {
-		t.Errorf("unsafe.Sizeof(Proc{}) = %d, want at most 56", n)
+// Proc is 64 bytes on 64-bit targets: its slab index, which queue entries
+// name it by, took the last 8 bytes, so the Procs of a trial's peak of live
+// processes (10⁵ closed users at scale) take no more than that. The
+// bound, not the size, is asserted, so the test holds on 32-bit targets
+// too.
+func TestProcIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Proc{}); n > 64 {
+		t.Errorf("unsafe.Sizeof(Proc{}) = %d, want at most 64", n)
 	}
 }
 
-// A Proc slab fills the 4096-byte size class exactly on 64-bit targets:
-// procSlab Procs plus the 8-byte header the runtime puts on a pointerful
-// allocation over 512 bytes. A slab one Proc short wastes 56 bytes; one
-// Proc over spills into the 4864-byte class.
+// A Proc slab fits the 4096-byte size class on 64-bit targets: procSlab
+// Procs plus the 8-byte header the runtime puts on a pointerful allocation
+// over 512 bytes take at most 4096 bytes, and one Proc more would spill
+// into the 4864-byte class.
 func TestProcSlabFillsSizeClass(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the 8-byte header and the 4096-byte class are 64-bit figures")
 	}
-	if n := procSlab*unsafe.Sizeof(Proc{}) + 8; n != 4096 {
-		t.Errorf("%d Procs of %d bytes plus the header take %d bytes, want 4096", procSlab, unsafe.Sizeof(Proc{}), n)
+	size := unsafe.Sizeof(Proc{})
+	if n := procSlab*size + 8; n > 4096 || n+size <= 4096 {
+		t.Errorf("%d Procs of %d bytes plus the header take %d bytes, want the most that fit 4096", procSlab, size, n)
 	}
 }
 
-// The event record's free-list link sits in what was its padding, so a
-// record stays 40 bytes on 64-bit targets.
-func TestEventRecordIs40Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n > 40 {
-		t.Errorf("unsafe.Sizeof(event{}) = %d, want at most 40", n)
+// A queue entry is its time and one packed key, 16 bytes on every target,
+// and a lane or bucket node adds only its link.
+func TestQueueEntryIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 16", n)
+	}
+	if n := unsafe.Sizeof(node{}); n > 24 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d, want at most 24", n)
 	}
 }
 

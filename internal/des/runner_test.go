@@ -169,7 +169,7 @@ func TestConcurrentEnvsSharePool(t *testing.T) {
 }
 
 // In steady state, starting and finishing a short process allocates
-// nothing: its Proc, runner, event record and bookkeeping are all reused.
+// nothing: its Proc, runner, queue node and bookkeeping are all reused.
 func TestShortProcAllocatesNothing(t *testing.T) {
 	env := NewEnv()
 	defer env.Shutdown()

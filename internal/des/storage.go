@@ -7,13 +7,12 @@ import (
 	"sync"
 )
 
-// storage is the memory an Env's events and processes live in: the
-// event-record arena, the Proc slabs, the finished-Proc free list and the
-// queue's node chunks and arrays. Shutdown hands it to storagePool and
-// NewEnv adopts it, so the trials of a campaign run on the storage earlier
-// trials left instead of minting their own.
+// storage is the memory an Env's processes and events live in: the Proc
+// slabs, the finished-Proc free list and the queue's node chunks and
+// arrays. Shutdown hands it to storagePool and NewEnv adopts it, so the
+// trials of a campaign run on the storage earlier trials left instead of
+// minting their own.
 type storage struct {
-	arena [][]event
 	slabs [][]Proc
 	procs []*Proc
 	q     eventQueue
@@ -51,35 +50,22 @@ func (e *Env) adopt() {
 	s := storagePool.sets[n]
 	storagePool.sets[n] = storage{}
 	storagePool.sets = storagePool.sets[:n]
-	e.arena, e.slabs, e.procs, e.q = s.arena, s.slabs, s.procs, s.q
-	e.free = 1 // every record, ascending
+	e.slabs, e.procs, e.q = s.slabs, s.procs, s.q
 }
 
 // handOn resets e's storage to a new Env's state and hands it to the pool,
 // or drops it if the pool is full; e keeps none of it. Shutdown calls it
-// once no process holds a runner. A new Env mints event records a slab at a
-// time, each slab's records on the free list in ascending index order, so
-// every record goes back resolved and on one ascending list: the records a
-// warm Env takes, and the order it takes them in, are those a new Env
-// would mint. A record still queued releases its Timer, which is left
-// unarmed. The Procs and the free list are cleared, which ends the
-// processes that held no runner, so a kept set pins nothing of the Env it
-// came from.
+// once no process holds a runner. Every Timer of e is left unarmed, and e
+// drops its timer registry, so a Timer still queued names nothing in the
+// storage. The Procs and the free list are cleared, which ends the
+// processes that held no runner, and the queue is emptied, so a kept set
+// pins nothing of the Env it came from.
 func (e *Env) handOn() {
-	s := storage{arena: e.arena, slabs: e.slabs, procs: e.procs[:0]}
-	e.arena, e.slabs, e.procs, e.slab, e.free, e.nDead = nil, nil, nil, 0, 0, 0
-	for _, slab := range s.arena {
-		for i := range slab {
-			ev := &slab[i]
-			if t := ev.timer; t != nil {
-				t.ev = nil
-			}
-			*ev = event{seq: resolvedSeq, idx: ev.idx, next: ev.idx + 2}
-		}
+	for _, t := range e.timers {
+		t.key = 0
 	}
-	if n := len(s.arena); n > 0 {
-		s.arena[n-1][slabSize-1].next = 0
-	}
+	s := storage{slabs: e.slabs, procs: e.procs[:0]}
+	e.slabs, e.procs, e.slab, e.timers, e.spare, e.nDead = nil, nil, 0, nil, nil, 0
 	for i, slab := range s.slabs {
 		clear(slab)
 		s.slabs[i] = slab[:0]
@@ -87,8 +73,8 @@ func (e *Env) handOn() {
 	clear(s.procs[:cap(s.procs)])
 	s.q, e.q = e.q, eventQueue{}
 	s.q.reset()
-	if len(s.arena) == 0 {
-		return // an Env that scheduled nothing has nothing worth keeping
+	if e.seq == 0 && len(s.slabs) == 0 && len(s.q.nodes) == 0 {
+		return // an Env that scheduled nothing on storage of its own has nothing worth keeping
 	}
 	storagePool.Lock()
 	defer storagePool.Unlock()

@@ -14,8 +14,8 @@ import (
 // churn runs users processes on env until horizon and shuts env down. The
 // processes rest, sleep on a runner, suspend until a ticking Timer unparks
 // them, re-arm a shared Timer (stopping its pending firing), schedule At
-// callbacks, and finish and start a successor, so every kind of event
-// record, every queue path and Proc reuse all take part. It returns what
+// callbacks, and finish and start a successor, so every kind of queue
+// entry, every queue path and Proc reuse all take part. It returns what
 // fired, in order, and the engine's counters.
 func churn(env *Env, users int, seed int64, horizon time.Duration) ([]string, Counters) {
 	rnd := rand.New(rand.NewSource(seed))
@@ -74,15 +74,15 @@ func churn(env *Env, users int, seed int64, horizon time.Duration) ([]string, Co
 func TestWarmEnvReplaysNewEnv(t *testing.T) {
 	DropStorage()
 	env := NewEnv()
-	if env.arena != nil {
+	if env.slabs != nil || env.q.nodes != nil {
 		t.Fatal("NewEnv adopted storage from an empty pool")
 	}
 	want, wantC := churn(env, 40, 1, 50*time.Millisecond)
 	churn(NewEnv(), 3000, 2, 100*time.Millisecond)
 	env = NewEnv()
-	if len(env.arena) == 0 || len(env.slabs) == 0 || len(env.q.nodes) == 0 {
-		t.Fatalf("NewEnv adopted %d record slabs, %d Proc slabs and %d node chunks, want some of each",
-			len(env.arena), len(env.slabs), len(env.q.nodes))
+	if len(env.slabs) == 0 || len(env.q.nodes) == 0 {
+		t.Fatalf("NewEnv adopted %d Proc slabs and %d node chunks, want some of each",
+			len(env.slabs), len(env.q.nodes))
 	}
 	got, gotC := churn(env, 40, 1, 50*time.Millisecond)
 	if len(want) < 1000 {
@@ -129,36 +129,25 @@ func TestStoragePoolConcurrentEnvs(t *testing.T) {
 }
 
 // A kept set is exactly a new Env's state and holds nothing of the Env it
-// came from: every record resolved, with no callback, process or Timer,
-// and on the free list in ascending index order; every Proc and the free
-// list of Procs cleared; the queue empty. A Timer armed at Shutdown is
-// left unarmed.
+// came from: every Proc and the free list of Procs cleared; the queue
+// empty. A Timer armed at Shutdown is left unarmed, and the Env drops its
+// timer registry and spare one-shot timers.
 func TestKeptStorageIsNew(t *testing.T) {
 	DropStorage()
 	env := NewEnv()
 	armed := env.NewTimer(func() {})
 	armed.Arm(time.Hour)
 	churn(env, 2000, 3, 100*time.Millisecond)
-	if armed.ev != nil {
+	if armed.key != 0 {
 		t.Error("a Timer armed at Shutdown still reports a pending firing")
+	}
+	if env.timers != nil || env.spare != nil {
+		t.Errorf("the shut-down Env keeps %d timers and %d spare ones", len(env.timers), len(env.spare))
 	}
 	if len(storagePool.sets) != 1 {
 		t.Fatalf("the pool holds %d sets after one Shutdown, want 1", len(storagePool.sets))
 	}
 	s := storagePool.sets[0]
-	n := uint32(len(s.arena) * slabSize)
-	for k, slab := range s.arena {
-		for i, ev := range slab {
-			idx := uint32(k*slabSize + i)
-			next := idx + 2
-			if idx == n-1 {
-				next = 0
-			}
-			if ev.seq != resolvedSeq || ev.idx != idx || ev.next != next || ev.fn != nil || ev.proc != nil || ev.timer != nil {
-				t.Fatalf("kept record %d is %+v, want resolved, empty and followed by %d", idx, ev, next)
-			}
-		}
-	}
 	for _, slab := range s.slabs {
 		if len(slab) != 0 || cap(slab) != procSlab {
 			t.Fatalf("kept Proc slab has length %d and capacity %d, want 0 and %d", len(slab), cap(slab), procSlab)
@@ -219,8 +208,8 @@ func restOnce(p *Proc) {
 }
 
 // On warm storage a trial mints no slabs: a NewEnv → 10⁴ GoStep → Run →
-// Shutdown cycle, which on an Env's own storage mints its Procs, event
-// records and queue nodes a slab or chunk at a time (see
+// Shutdown cycle, which on an Env's own storage mints its Procs and queue
+// nodes a slab or chunk at a time (see
 // TestSuspendedProcsAllocateOnlySlabs), allocates only the Env itself.
 func TestWarmCycleMintsNoSlabs(t *testing.T) {
 	const n = 10000
@@ -261,7 +250,7 @@ func TestShutdownEnvRefusesLateCalls(t *testing.T) {
 	old.Shutdown()
 
 	env := NewEnv()
-	if env.arena == nil {
+	if env.slabs == nil {
 		t.Fatal("the second Env did not adopt the first one's storage")
 	}
 	ticks := 0

@@ -183,10 +183,10 @@ func suspendOnRunner(p *Proc) {
 	}
 }
 
-// A suspension costs nothing beyond the process's own record: 10⁴
-// processes that suspend at once allocate their Procs and start events a
-// slab at a time (about n/32 mallocs) and the queue's nodes a chunk at a
-// time, plus a few slice growths, and nothing per suspension.
+// A suspension costs nothing beyond the process's own Proc: 10⁴ processes
+// that suspend at once allocate their Procs a slab at a time and the
+// queue's nodes a chunk at a time, plus a few slice growths, and nothing
+// per suspension.
 func TestSuspendedProcsAllocateOnlySlabs(t *testing.T) {
 	const n = 10000
 	allocs := testing.AllocsPerRun(1, func() {
@@ -200,7 +200,7 @@ func TestSuspendedProcsAllocateOnlySlabs(t *testing.T) {
 		}
 		env.Shutdown()
 	})
-	if limit := float64(n/procSlab + n/slabSize + n/nodeChunk + 64); allocs > limit {
+	if limit := float64(n/procSlab + n/nodeChunk + 64); allocs > limit {
 		t.Errorf("%v mallocs for %d suspended processes, want at most %v", allocs, n, limit)
 	}
 }

@@ -290,7 +290,10 @@ func TestTimeoutNotJournaled(t *testing.T) {
 	}
 	base := fastSweepConfig(1)
 	base.State = st
-	base.TrialTimeout = time.Nanosecond // fires long before the DES run ends
+	// A year of simulated load takes far longer than a test's wall time, so
+	// the watchdog interrupts the trial before it can finish.
+	base.Measure = 365 * 24 * time.Hour
+	base.TrialTimeout = time.Nanosecond
 	c, err := WorkloadSweep(base, users)
 	if err != nil {
 		t.Fatal(err)

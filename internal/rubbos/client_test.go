@@ -12,7 +12,8 @@ import (
 
 // Setting up a closed workload costs four allocations per user — its label,
 // its session state, its process body and its des.Proc — plus a share of
-// the event-record slabs. No coroutine starts until a user's first run.
+// the Proc slabs and queue nodes. No coroutine starts until a user's first
+// run.
 func TestStartAllocationsPerUser(t *testing.T) {
 	const users = 2000
 	cfg := DefaultClientConfig(users)

@@ -58,8 +58,8 @@ func TestDigestPins(t *testing.T) {
 }
 
 // A trial on the engine storage a larger one left keeps its pin: the
-// small traced trials run after closed-saturated, on its event records,
-// Procs and queue memory, which no state of it may leak through.
+// small traced trials run after closed-saturated, on its Procs and queue
+// memory, which no state of it may leak through.
 func TestDigestPinsOnWarmStorage(t *testing.T) {
 	des.DropStorage()
 	trials := map[string]digestTrial{}

@@ -4,15 +4,16 @@ package ntier_test
 // in CI: gofmt cleanliness, no dangling relative links in the Markdown
 // docs, the godoc paper-reference audit (every internal/ package comment
 // must say which paper section or figure it reproduces), a build of
-// every examples/ program, the dead-code and unset-settings gates over
-// internal/, and the gate that keeps the journal images' fields in their
-// own packages.
+// every examples/ program, the dead-code and single-valued-settings gates
+// over internal/, and the gate that keeps the journal images' fields in
+// their own packages.
 
 import (
 	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/format"
 	"go/importer"
 	"go/parser"
@@ -313,6 +314,7 @@ func typecheck(paths []string) (*token.FileSet, []*typedFiles, error) {
 		}
 		tf := &typedFiles{dir: dir, files: files, info: &types.Info{
 			Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
 		}}
 		pkg, _ := conf.Check(path, fset, files, tf.info)
 		if !xtest {
@@ -443,26 +445,40 @@ func recvName(recv types.Type) string {
 	return recv.String()
 }
 
-// unsetSettingsAllowed are the settings TestNoUnsetSettings lets stay
-// unset by non-test code, each with the reason it stays a field.
-var unsetSettingsAllowed = map[string]string{
-	"internal/rubbos.ClientConfig.Patience":      "its abandoned column is in the golden CSV and the journal image",
+// singleValuedAllowed are the settings TestNoUnsetSettings lets have one
+// value in sight, unset or one constant, each with the reason it stays a
+// field.
+var singleValuedAllowed = map[string]string{
+	"internal/rubbos.ClientConfig.Patience": "experiment.RunConfig has no Patience, so every trial's Result.Abandoned, " +
+		"the sweep CSV's abandoned column and ntier sweep's abandoned-sessions row read 0; " +
+		"only rubbos tests set it, and the benchmark's bench/campaign.go reads Result.Abandoned",
 	"internal/experiment.ScenarioConfig.Elastic": "the scenario-elastic-brownout pin runs it",
 	"internal/chaos.GenConfig.MinSpeed":          "the chaos fingerprint images GenConfig",
 	"internal/chaos.GenConfig.MaxSpeed":          "the chaos fingerprint images GenConfig",
 	"internal/chaos.GenConfig.MaxExtra":          "the chaos fingerprint images GenConfig",
 	"internal/testbed.Options.TuneTomcat":        "tests inject panics through it",
+	"internal/tier.ResilienceConfig.Backlog": "two values in use: 0 (unbounded) in DefaultResilienceConfig, " +
+		"which the gate cannot see, and 128 in experiment.OverloadProtection",
+	"internal/tier.ResilienceConfig.Admission": "two values in use: false in DefaultResilienceConfig, " +
+		"which the gate cannot see, and true in experiment.OverloadProtection",
+	"internal/tier.TomcatConfig.CtxSwitchCoeff": "a mechanisms-off oracle must zero it, " +
+		"as the thrash ablation zeroes C-JDBC's (ROADMAP item 7)",
 }
 
-// TestNoUnsetSettings is the unset-settings gate. An exported named field
-// of a struct type named *Config or *Options in internal/ is a setting;
-// one that no non-test Go file writes (bench/, cmd/ and examples/
-// included) has one value, and should be a constant. A write is a composite-literal key, an
-// assignment or increment of the field or of a field inside it, or taking
-// its address (as flag.DurationVar does). Writes in the declaring type's
-// own methods, such as the defaults it fills in, do not count. A
-// positional composite literal is not counted as a write, so it reads as
-// a false alarm, never a silent pass.
+// TestNoUnsetSettings is the single-valued-settings gate. An exported
+// named field of a struct type named *Config or *Options in internal/ is a
+// setting. One that no non-test Go file writes (bench/, cmd/ and examples/
+// included) has one value, and so has one whose every such write stores
+// the same constant: each should be a constant. A write is a
+// composite-literal key, an assignment or increment of the field or of a
+// field inside it, or taking its address (as flag.DurationVar does); only
+// a plain assignment or a composite-literal key of a constant expression
+// stores a constant. Writes in the declaring type's own methods, such as
+// the defaults it fills in, do not count; writes in Default* constructors
+// do. A positional composite literal is not counted as a write, so it
+// reads as a false alarm, never a silent pass; nor is a field a keyed
+// literal leaves zero, so a setting whose other value in use is that zero
+// needs its allowlist entry.
 func TestNoUnsetSettings(t *testing.T) {
 	fset, pkgs := typecheckRepo(t)
 	test := func(pos token.Pos) bool { return strings.HasSuffix(fset.Position(pos).Filename, "_test.go") }
@@ -474,6 +490,7 @@ func TestNoUnsetSettings(t *testing.T) {
 	type write struct {
 		field *types.Var
 		in    *types.TypeName // receiver type of the enclosing method, if any
+		val   constant.Value  // the constant stored, nil for any other write
 	}
 	var writes []write
 	for _, tp := range pkgs {
@@ -506,10 +523,11 @@ func TestNoUnsetSettings(t *testing.T) {
 				}
 			}
 			var in *types.TypeName
-			// chain marks the field x.F selects, and each field x's own
-			// selection chain passes through.
-			var chain func(e ast.Expr)
-			chain = func(e ast.Expr) {
+			// chain marks the field x.F selects, storing val, and each
+			// field x's own selection chain passes through, which the write
+			// changes in part.
+			var chain func(e ast.Expr, val constant.Value)
+			chain = func(e ast.Expr, val constant.Value) {
 				for {
 					switch x := e.(type) {
 					case *ast.ParenExpr:
@@ -517,9 +535,9 @@ func TestNoUnsetSettings(t *testing.T) {
 						continue
 					case *ast.SelectorExpr:
 						if v, ok := tp.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
-							writes = append(writes, write{v, in})
+							writes = append(writes, write{v, in, val})
 						}
-						e = x.X
+						e, val = x.X, nil
 						continue
 					}
 					return
@@ -535,19 +553,23 @@ func TestNoUnsetSettings(t *testing.T) {
 				ast.Inspect(d, func(n ast.Node) bool {
 					switch x := n.(type) {
 					case *ast.AssignStmt:
-						for _, lhs := range x.Lhs {
-							chain(lhs)
+						for i, lhs := range x.Lhs {
+							var val constant.Value
+							if x.Tok == token.ASSIGN && len(x.Rhs) == len(x.Lhs) {
+								val = tp.info.Types[x.Rhs[i]].Value
+							}
+							chain(lhs, val)
 						}
 					case *ast.IncDecStmt:
-						chain(x.X)
+						chain(x.X, nil)
 					case *ast.UnaryExpr:
 						if x.Op == token.AND {
-							chain(x.X)
+							chain(x.X, nil)
 						}
 					case *ast.KeyValueExpr:
 						if id, ok := x.Key.(*ast.Ident); ok {
 							if v, ok := tp.info.Uses[id].(*types.Var); ok && v.IsField() {
-								writes = append(writes, write{v, in})
+								writes = append(writes, write{v, in, tp.info.Types[x.Value].Value})
 							}
 						}
 					}
@@ -557,30 +579,49 @@ func TestNoUnsetSettings(t *testing.T) {
 		}
 	}
 	set := map[*types.Var]bool{}
+	stored := map[*types.Var]constant.Value{} // the one constant every write stores
+	varied := map[*types.Var]bool{}
 	for _, w := range writes {
-		if s, ok := settings[w.field]; ok && s.owner != w.in {
-			set[w.field] = true
+		s, ok := settings[w.field]
+		if !ok || s.owner == w.in {
+			continue
+		}
+		set[w.field] = true
+		switch c, seen := stored[w.field]; {
+		case w.val == nil:
+			varied[w.field] = true
+		case !seen:
+			stored[w.field] = w.val
+		case !constant.Compare(c, token.EQL, w.val):
+			varied[w.field] = true
 		}
 	}
-	var unset []string
+	var unset, single []string
 	allowed := 0
 	for v, s := range settings {
-		switch _, ok := unsetSettingsAllowed[s.key]; {
-		case set[v]:
+		switch _, ok := singleValuedAllowed[s.key]; {
+		case set[v] && varied[v]:
 		case ok:
 			allowed++
+		case set[v]:
+			single = append(single, fmt.Sprintf("%s: %s = %s", s.pos, s.key, stored[v]))
 		default:
 			unset = append(unset, s.pos+": "+s.key)
 		}
 	}
-	if allowed != len(unsetSettingsAllowed) {
-		t.Errorf("%d of the %d allowlisted settings are unset; drop the allowlist entries that are set or gone",
-			allowed, len(unsetSettingsAllowed))
+	if allowed != len(singleValuedAllowed) {
+		t.Errorf("%d of the %d allowlisted settings have one value; drop the allowlist entries that vary or are gone",
+			allowed, len(singleValuedAllowed))
 	}
 	sort.Strings(unset)
 	if len(unset) > 0 {
 		t.Errorf("%d of %d settings are written by no non-test Go file outside their own type's methods; make each a constant:\n%s",
 			len(unset), len(settings), strings.Join(unset, "\n"))
+	}
+	sort.Strings(single)
+	if len(single) > 0 {
+		t.Errorf("%d of %d settings are given one constant by every non-test Go file outside their own type's methods; make each a constant:\n%s",
+			len(single), len(settings), strings.Join(single, "\n"))
 	}
 	t.Logf("%d settings", len(settings))
 }

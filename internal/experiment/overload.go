@@ -36,10 +36,9 @@ import (
 // degraded servers — not for offered load beyond capacity.
 func OverloadProtection() *tier.ResilienceConfig {
 	return &tier.ResilienceConfig{
-		Admission:  tier.DefaultAdmissionConfig(),
-		MaxQueue:   50,
-		Backlog:    128,
-		DegradedMS: 0.05,
+		Admission: true,
+		MaxQueue:  50,
+		Backlog:   128,
 	}
 }
 

@@ -122,7 +122,7 @@ func TestRetryAmplification(t *testing.T) {
 	}
 	// The storm pushes the middleware past its thrash threshold — the
 	// super-linear overhead regime is what makes amplification explosive.
-	if th := float64(tier.DefaultCJDBCConfig().ThrashThreshold); storm.MeanCJDBCBusy <= th {
+	if th := float64(tier.ThrashThreshold); storm.MeanCJDBCBusy <= th {
 		t.Errorf("storm mean concurrency %.2f never crossed the thrash threshold %.0f", storm.MeanCJDBCBusy, th)
 	}
 	if storm.TotalResilience().Retries == 0 || sane.TotalResilience().Retries == 0 {

@@ -141,7 +141,7 @@ func RetryStormResilience() *tier.ResilienceConfig {
 	cfg.BackoffBase = 0
 	cfg.BackoffMax = 0
 	cfg.Retries = 3
-	cfg.Breaker.Enabled = false
+	cfg.Breaker = false
 	cfg.MaxQueue = 0
 	return &cfg
 }

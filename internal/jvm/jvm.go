@@ -25,25 +25,42 @@ import (
 // Config parameterizes a JVM heap/collector model. Byte quantities are in
 // MiB to keep the numbers readable; only ratios matter.
 type Config struct {
-	HeapMiB         float64       // total heap size
-	BaseLiveMiB     float64       // live set with no threads (caches, code)
-	LiveMiBPerSlot  float64       // live bytes pinned per resident slot
-	MinFreeMiB      float64       // headroom floor: below this the JVM thrashes
-	PauseBase       time.Duration // fixed pause cost per collection
-	PausePerLiveMiB time.Duration // pause growth per MiB of live set
+	HeapMiB     float64 // total heap size
+	BaseLiveMiB float64 // live set with no threads (caches, code)
+	MinFreeMiB  float64 // headroom floor: below this the JVM thrashes
 }
+
+// The collector's calibration, shared by every server process.
+const (
+	liveMiBPerSlot  = 2.0                    // live bytes pinned per resident slot
+	pauseBase       = 20 * time.Millisecond  // fixed pause cost per collection
+	pausePerLiveMiB = 300 * time.Microsecond // pause growth per MiB of live set
+)
 
 // DefaultConfig returns parameters calibrated for the paper's C-JDBC node
 // (2 GiB machine, ~1 GiB heap).
 func DefaultConfig() Config {
 	return Config{
-		HeapMiB:         1000,
-		BaseLiveMiB:     150,
-		LiveMiBPerSlot:  2.0,
-		MinFreeMiB:      100,
-		PauseBase:       20 * time.Millisecond,
-		PausePerLiveMiB: 300 * time.Microsecond,
+		HeapMiB:     1000,
+		BaseLiveMiB: 150,
+		MinFreeMiB:  100,
 	}
+}
+
+// LiveMiB returns the live set with the given number of resident slots.
+func (c Config) LiveMiB(slots int) float64 {
+	return c.BaseLiveMiB + liveMiBPerSlot*float64(slots)
+}
+
+// HeadroomMiB returns the allocation budget between collections at the
+// given live set.
+func (c Config) HeadroomMiB(live float64) float64 {
+	return max(c.HeapMiB-live, c.MinFreeMiB)
+}
+
+// Pause returns the pause of a collection at the given live set.
+func Pause(live float64) time.Duration {
+	return pauseBase + time.Duration(float64(pausePerLiveMiB)*live)
 }
 
 // JVM is one simulated Java process. Servers report allocation as they
@@ -82,17 +99,11 @@ func New(env *des.Env, name string, cpu *resource.CPU, cfg Config, slots func() 
 
 // live returns the current live set in MiB.
 func (j *JVM) live() float64 {
-	return j.cfg.BaseLiveMiB + j.cfg.LiveMiBPerSlot*float64(j.slots())
+	return j.cfg.LiveMiB(j.slots())
 }
 
 // headroom returns the allocation budget before the next collection.
-func (j *JVM) headroom() float64 {
-	free := j.cfg.HeapMiB - j.live()
-	if free < j.cfg.MinFreeMiB {
-		free = j.cfg.MinFreeMiB
-	}
-	return free
-}
+func (j *JVM) headroom() float64 { return j.cfg.HeadroomMiB(j.live()) }
 
 // Allocate reports alloc MiB of allocation and starts a stop-the-world
 // collection if the headroom is exhausted: it freezes the CPU, so every
@@ -124,7 +135,7 @@ func (j *JVM) Collected() {
 
 // PauseEstimate returns the pause a collection would take right now.
 func (j *JVM) PauseEstimate() time.Duration {
-	return j.cfg.PauseBase + time.Duration(float64(j.cfg.PausePerLiveMiB)*j.live())
+	return Pause(j.live())
 }
 
 // ResetStats discards accumulated statistics and starts a new interval.

@@ -24,15 +24,10 @@ func use(p *des.Proc, c *resource.CPU, work time.Duration) {
 	}
 }
 
+// testConfig runs under the collector's calibration: 2 MiB live per
+// slot, and a pause of 20ms plus 0.3ms per live MiB.
 func testConfig() Config {
-	return Config{
-		HeapMiB:         1000,
-		BaseLiveMiB:     100,
-		LiveMiBPerSlot:  4,
-		MinFreeMiB:      50,
-		PauseBase:       10 * time.Millisecond,
-		PausePerLiveMiB: 1 * time.Millisecond,
-	}
+	return Config{HeapMiB: 1000, BaseLiveMiB: 100, MinFreeMiB: 50}
 }
 
 func TestNoGCBelowHeadroom(t *testing.T) {
@@ -40,7 +35,7 @@ func TestNoGCBelowHeadroom(t *testing.T) {
 	cpu := resource.NewCPU(env, "cpu", 1)
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 10 })
 	env.Go("alloc", func(p *des.Proc) {
-		allocate(p, j, 100) // headroom = 1000-140 = 860
+		allocate(p, j, 100) // headroom = 1000-120 = 880
 	})
 	env.Run(time.Second)
 	if got := j.Stats().GCCount; got != 0 {
@@ -55,7 +50,7 @@ func TestGCTriggersAtHeadroom(t *testing.T) {
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 10 })
 	var after time.Duration
 	env.Go("alloc", func(p *des.Proc) {
-		allocate(p, j, 900) // exceeds headroom 860 -> collect
+		allocate(p, j, 900) // exceeds headroom 880 -> collect
 		after = p.Now()
 	})
 	env.Run(time.Minute)
@@ -63,8 +58,8 @@ func TestGCTriggersAtHeadroom(t *testing.T) {
 	if st.GCCount != 1 {
 		t.Fatalf("GC count %d, want 1", st.GCCount)
 	}
-	// live = 140 MiB -> pause = 10ms + 140ms = 150ms.
-	want := 150 * time.Millisecond
+	// live = 120 MiB -> pause = 20ms + 36ms = 56ms.
+	want := 56 * time.Millisecond
 	if st.TotalGC != want {
 		t.Errorf("GC time %v, want %v", st.TotalGC, want)
 	}
@@ -85,11 +80,11 @@ func TestGCFreezesCPUJobs(t *testing.T) {
 	})
 	env.Go("allocator", func(p *des.Proc) {
 		p.Sleep(50 * time.Millisecond)
-		allocate(p, j, 2000) // forces GC; live=100 -> pause 110ms
+		allocate(p, j, 2000) // forces GC; live=100 -> pause 50ms
 	})
 	env.Run(time.Minute)
-	// Worker: 50ms done, frozen 110ms, 50ms more -> 210ms.
-	want := 210 * time.Millisecond
+	// Worker: 50ms done, frozen 50ms, 50ms more -> 150ms.
+	want := 150 * time.Millisecond
 	if d := jobDone - want; d < -time.Millisecond || d > time.Millisecond {
 		t.Errorf("frozen job finished at %v, want ~%v", jobDone, want)
 	}
@@ -107,9 +102,9 @@ func TestPauseGrowsWithSlots(t *testing.T) {
 	if large <= small {
 		t.Errorf("pause did not grow with slots: %v vs %v", small, large)
 	}
-	// live goes 140 -> 900 MiB: pause 150ms -> 910ms.
-	if large != 910*time.Millisecond {
-		t.Errorf("pause at 200 slots %v, want 910ms", large)
+	// live goes 120 -> 500 MiB: pause 56ms -> 170ms.
+	if small != 56*time.Millisecond || large != 170*time.Millisecond {
+		t.Errorf("pause at 10 and 200 slots %v and %v, want 56ms and 170ms", small, large)
 	}
 }
 
@@ -129,8 +124,8 @@ func TestGCFrequencyGrowsWithSlots(t *testing.T) {
 		env.Shutdown()
 		return n
 	}
-	few := countGCs(10)   // headroom 860 -> 2000 MiB alloc => ~2 GCs
-	many := countGCs(230) // live 1020 > heap -> MinFree floor 50 => ~40 GCs
+	few := countGCs(10)   // headroom 880 -> 2000 MiB alloc => ~2 GCs
+	many := countGCs(460) // live 1020 > heap -> MinFree floor 50 => ~40 GCs
 	if many <= few*5 {
 		t.Errorf("GC count should grow super-linearly with slots: %d vs %d", few, many)
 	}
@@ -139,7 +134,8 @@ func TestGCFrequencyGrowsWithSlots(t *testing.T) {
 func TestMinFreeFloor(t *testing.T) {
 	env := des.NewEnv()
 	cpu := resource.NewCPU(env, "cpu", 1)
-	// 500 slots * 4 MiB = 2000 MiB live >> heap: headroom clamps to MinFree.
+	// 100 + 500 slots * 2 MiB = 1100 MiB live > heap: headroom clamps to
+	// MinFree.
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 500 })
 	if got := j.headroom(); got != 50 {
 		t.Errorf("headroom %v, want MinFree floor 50", got)
@@ -186,15 +182,15 @@ func TestGCFractionAccounting(t *testing.T) {
 	cpu := resource.NewCPU(env, "cpu", 1)
 	j := New(env, "jvm", cpu, testConfig(), func() int { return 10 })
 	env.Go("alloc", func(p *des.Proc) {
-		allocate(p, j, 900) // one GC: 150ms
+		allocate(p, j, 900) // one GC: 56ms
 	})
-	env.Run(1500 * time.Millisecond)
+	env.Run(560 * time.Millisecond)
 	st := j.Stats()
 	if st.GCFraction < 0.099 || st.GCFraction > 0.101 {
-		t.Errorf("GC fraction %v, want ~0.1 (150ms of 1.5s)", st.GCFraction)
+		t.Errorf("GC fraction %v, want ~0.1 (56ms of 560ms)", st.GCFraction)
 	}
-	if j.GCTimeIntegral() != 0.15 {
-		t.Errorf("GC integral %v, want 0.15", j.GCTimeIntegral())
+	if j.GCTimeIntegral() != 0.056 {
+		t.Errorf("GC integral %v, want 0.056", j.GCTimeIntegral())
 	}
 	env.Shutdown()
 }

@@ -62,47 +62,35 @@ func (s *Spike) Set(d time.Duration) { s.extra = d }
 // Extra returns the current per-hop extra latency.
 func (s *Spike) Extra() time.Duration { return s.extra }
 
-// FinConfig parameterizes the client FIN-reply delay model.
-type FinConfig struct {
-	// BaseMean is the mean FIN delay when client nodes are unloaded
+// The FIN-delay model's calibration for the paper topology: two client
+// nodes, tails appearing as the emulated-user count passes ~3000 per node.
+const (
+	// finBaseMean is the mean FIN delay when client nodes are unloaded
 	// (exponential).
-	BaseMean time.Duration
-	// Knee is the per-client-node user count beyond which the tail grows.
-	Knee float64
-	// TailProbMax bounds the fraction of closes that hit the slow tail.
-	TailProbMax float64
-	// TailSlope converts relative overload ((users/node - knee)/knee) into
-	// tail probability.
-	TailSlope float64
-	// TailMin and TailMax bound the slow-tail delay (uniform).
-	TailMin, TailMax time.Duration
-}
-
-// DefaultFinConfig returns the calibration used for the paper topology: two
-// client nodes, tails appearing as the emulated-user count passes ~3000 per
-// node.
-func DefaultFinConfig() FinConfig {
-	return FinConfig{
-		BaseMean:    2 * time.Millisecond,
-		Knee:        3000,
-		TailProbMax: 0.8,
-		TailSlope:   2.0,
-		TailMin:     300 * time.Millisecond,
-		TailMax:     1200 * time.Millisecond,
-	}
-}
+	finBaseMean = 2 * time.Millisecond
+	// finKnee is the per-client-node user count beyond which the tail
+	// grows.
+	finKnee = 3000
+	// finTailProbMax bounds the fraction of closes that hit the slow tail.
+	finTailProbMax = 0.8
+	// finTailSlope converts relative overload ((users/node - knee)/knee)
+	// into tail probability.
+	finTailSlope = 2.0
+	// finTailMin and finTailMax bound the slow-tail delay (uniform).
+	finTailMin = 300 * time.Millisecond
+	finTailMax = 1200 * time.Millisecond
+)
 
 // FinModel samples lingering-close delays.
 type FinModel struct {
-	cfg FinConfig
-	r   *rng.Rand
+	r *rng.Rand
 	// usersPerNode is the current emulated-user load per client node.
 	usersPerNode float64
 }
 
 // NewFinModel creates a FIN-delay model with its own random stream.
-func NewFinModel(cfg FinConfig, r *rng.Rand) *FinModel {
-	return &FinModel{cfg: cfg, r: r}
+func NewFinModel(r *rng.Rand) *FinModel {
+	return &FinModel{r: r}
 }
 
 // SetLoad records the emulated-user count per client node; the tail
@@ -112,12 +100,12 @@ func (f *FinModel) SetLoad(usersPerNode float64) { f.usersPerNode = usersPerNode
 // TailProb returns the probability that a close waits for the slow tail at
 // the current load.
 func (f *FinModel) TailProb() float64 {
-	if f.cfg.Knee <= 0 || f.usersPerNode <= f.cfg.Knee {
+	if f.usersPerNode <= finKnee {
 		return 0
 	}
-	p := f.cfg.TailSlope * (f.usersPerNode - f.cfg.Knee) / f.cfg.Knee
-	if p > f.cfg.TailProbMax {
-		p = f.cfg.TailProbMax
+	p := finTailSlope * (f.usersPerNode - finKnee) / finKnee
+	if p > finTailProbMax {
+		p = finTailProbMax
 	}
 	return p
 }
@@ -125,13 +113,7 @@ func (f *FinModel) TailProb() float64 {
 // Sample draws one FIN-reply delay.
 func (f *FinModel) Sample() time.Duration {
 	if f.r.Bool(f.TailProb()) {
-		return time.Duration(f.r.Uniform(float64(f.cfg.TailMin), float64(f.cfg.TailMax)))
+		return time.Duration(f.r.Uniform(float64(finTailMin), float64(finTailMax)))
 	}
-	return time.Duration(f.r.Exp(float64(f.cfg.BaseMean)))
-}
-
-// Disabled reports whether the model is a no-op (zero config), used by the
-// ablation benchmarks.
-func (f *FinModel) Disabled() bool {
-	return f.cfg.BaseMean == 0 && f.cfg.TailProbMax == 0
+	return time.Duration(f.r.Exp(float64(finBaseMean)))
 }

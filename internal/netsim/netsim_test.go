@@ -48,7 +48,7 @@ func TestZeroLatencyLinkIsFree(t *testing.T) {
 }
 
 func TestFinTailProbBelowKnee(t *testing.T) {
-	f := NewFinModel(DefaultFinConfig(), rng.New(1))
+	f := NewFinModel(rng.New(1))
 	f.SetLoad(1000)
 	if p := f.TailProb(); p != 0 {
 		t.Errorf("tail prob %v below knee, want 0", p)
@@ -56,7 +56,7 @@ func TestFinTailProbBelowKnee(t *testing.T) {
 }
 
 func TestFinTailProbGrowsWithLoad(t *testing.T) {
-	f := NewFinModel(DefaultFinConfig(), rng.New(1))
+	f := NewFinModel(rng.New(1))
 	f.SetLoad(3300)
 	low := f.TailProb()
 	f.SetLoad(3700)
@@ -70,18 +70,16 @@ func TestFinTailProbGrowsWithLoad(t *testing.T) {
 }
 
 func TestFinTailProbCapped(t *testing.T) {
-	cfg := DefaultFinConfig()
-	f := NewFinModel(cfg, rng.New(1))
+	f := NewFinModel(rng.New(1))
 	f.SetLoad(1e9)
-	if p := f.TailProb(); p != cfg.TailProbMax {
-		t.Errorf("tail prob %v at extreme load, want cap %v", p, cfg.TailProbMax)
+	if p := f.TailProb(); p != finTailProbMax {
+		t.Errorf("tail prob %v at extreme load, want cap %v", p, finTailProbMax)
 	}
 }
 
 func TestFinSampleDistributionShift(t *testing.T) {
-	cfg := DefaultFinConfig()
 	mean := func(load float64) time.Duration {
-		f := NewFinModel(cfg, rng.New(42))
+		f := NewFinModel(rng.New(42))
 		f.SetLoad(load)
 		var total time.Duration
 		n := 20000
@@ -101,30 +99,15 @@ func TestFinSampleDistributionShift(t *testing.T) {
 }
 
 func TestFinSampleBounds(t *testing.T) {
-	cfg := DefaultFinConfig()
-	f := NewFinModel(cfg, rng.New(7))
+	f := NewFinModel(rng.New(7))
 	f.SetLoad(5000)
 	for i := 0; i < 10000; i++ {
 		d := f.Sample()
 		if d < 0 {
 			t.Fatalf("negative FIN delay %v", d)
 		}
-		if d > cfg.TailMax {
-			t.Fatalf("FIN delay %v beyond TailMax %v", d, cfg.TailMax)
+		if d > finTailMax {
+			t.Fatalf("FIN delay %v beyond the tail's maximum %v", d, finTailMax)
 		}
-	}
-}
-
-func TestFinDisabled(t *testing.T) {
-	f := NewFinModel(FinConfig{}, rng.New(1))
-	if !f.Disabled() {
-		t.Error("zero config should report disabled")
-	}
-	f.SetLoad(1e9)
-	if d := f.Sample(); d != 0 {
-		t.Errorf("disabled model sampled %v, want 0", d)
-	}
-	if NewFinModel(DefaultFinConfig(), rng.New(1)).Disabled() {
-		t.Error("default config should not report disabled")
 	}
 }

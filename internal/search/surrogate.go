@@ -106,8 +106,8 @@ func Calibrate(res *experiment.Result) (*Surrogate, error) {
 		MidDemand:   tierDemand(res.CJDBC),
 		DBDemand:    tierDemand(res.MySQL),
 		DiskDemand:  time.Duration(disk / x * float64(time.Second)),
-		AppJVM:      jvm.DefaultConfig(),
-		MidJVM:      jvm.DefaultConfig(),
+		AppJVM:      tier.DefaultTomcatConfig(0, 0).JVM, // the heap does not depend on the pools
+		MidJVM:      tier.DefaultCJDBCConfig().JVM,
 		AllocAppMiB: declared.AllocAppMiB,
 		AllocMidMiB: declared.AllocMidMiB,
 	}
@@ -161,20 +161,15 @@ func (p Prediction) Goodput(sla time.Duration) float64 {
 }
 
 // gcFraction predicts the stop-the-world share of a JVM's CPU given the
-// resident slot count and the process's allocation rate, mirroring
-// internal/jvm: live = base + perSlot·slots; a collection fires per
-// headroom MiB allocated and pauses pauseBase + pausePerLive·live.
+// resident slot count and the process's allocation rate, from
+// internal/jvm's model: a collection fires per headroom MiB allocated and
+// pauses for jvm.Pause of the live set.
 func gcFraction(cfg jvm.Config, slots int, allocRate float64) float64 {
-	live := cfg.BaseLiveMiB + cfg.LiveMiBPerSlot*float64(slots)
-	headroom := cfg.HeapMiB - live
-	if headroom < cfg.MinFreeMiB {
-		headroom = cfg.MinFreeMiB
-	}
 	if allocRate <= 0 {
 		return 0
 	}
-	pause := (cfg.PauseBase + time.Duration(float64(cfg.PausePerLiveMiB)*live)).Seconds()
-	frac := pause * allocRate / headroom
+	live := cfg.LiveMiB(slots)
+	frac := jvm.Pause(live).Seconds() * allocRate / cfg.HeadroomMiB(live)
 	if frac > 0.9 {
 		frac = 0.9 // a thrashing collector still makes some progress
 	}

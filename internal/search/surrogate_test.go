@@ -27,6 +27,44 @@ func quickstartConfig(soft testbed.SoftAlloc, users int) experiment.RunConfig {
 	}
 }
 
+// The surrogate models the simulator's heaps: each JVM tier's live set
+// agrees with the built testbed's, and so do the heap and its floor.
+func TestSurrogateJVMsMatchSimulator(t *testing.T) {
+	cfg := quickstartConfig(testbed.SoftAlloc{WebThreads: 50, AppThreads: 6, AppConns: 4}, 50)
+	cfg.RampUp, cfg.Measure = time.Second, 2*time.Second
+	res, err := experiment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sur, err := Calibrate(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := testbed.Build(cfg.Testbed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	soft := cfg.Testbed.Soft
+	for _, c := range []struct {
+		name  string
+		sim   *jvm.JVM
+		model jvm.Config
+		slots int
+		want  jvm.Config
+	}{
+		{"tomcat", tb.Tomcats[0].JVM, sur.AppJVM, soft.AppThreads + soft.AppConns, tier.DefaultTomcatConfig(soft.AppThreads, soft.AppConns).JVM},
+		{"cjdbc", tb.CJDBCs[0].JVM, sur.MidJVM, tb.CJDBCs[0].UpstreamConns(), tier.DefaultCJDBCConfig().JVM},
+	} {
+		if sim, model := c.sim.Stats().LiveMiB, c.model.LiveMiB(c.slots); sim != model {
+			t.Errorf("%s live set: simulator %v MiB, surrogate %v MiB", c.name, sim, model)
+		}
+		if c.model != c.want {
+			t.Errorf("%s JVM: surrogate %+v, simulator %+v", c.name, c.model, c.want)
+		}
+	}
+}
+
 // TestSurrogateValidation cross-checks the MVA surrogate against the
 // simulator on the quickstart topology: calibrate from one trial at 2000
 // users, then predict the 4000-user point it has never seen.

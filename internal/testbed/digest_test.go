@@ -90,26 +90,15 @@ func checkPin(t *testing.T, tc digestTrial) {
 func digestTrials() []digestTrial {
 	hw1212 := Hardware{Web: 1, App: 2, Mid: 1, DB: 2}
 	soft := SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 6}
-	protect := &tier.ResilienceConfig{
-		Admission:  tier.DefaultAdmissionConfig(),
-		MaxQueue:   50,
-		DegradedMS: 0.05,
-	}
+	protect := &tier.ResilienceConfig{Admission: true, MaxQueue: 50}
 	timeouts := &tier.ResilienceConfig{
 		AcquireTimeout: 300 * time.Millisecond,
 		Retries:        1,
 		BackoffBase:    10 * time.Millisecond,
 		BackoffMax:     50 * time.Millisecond,
-		JitterFrac:     0.2,
-		Breaker:        tier.DefaultBreakerConfig(),
-		DegradedMS:     0.05,
+		Breaker:        true,
 	}
-	backlog := &tier.ResilienceConfig{
-		Admission:  tier.DefaultAdmissionConfig(),
-		MaxQueue:   50,
-		Backlog:    128,
-		DegradedMS: 0.05,
-	}
+	backlog := &tier.ResilienceConfig{Admission: true, MaxQueue: 50, Backlog: 128}
 	return []digestTrial{
 		{
 			// Past the knee at scale: thousands of requests queue for

@@ -73,7 +73,7 @@ func TestEveryTrialKindBindsNoRunner(t *testing.T) {
 		{
 			name: "protected open overload",
 			opts: Options{Hardware: Hardware{1, 2, 1, 2}, Soft: SoftAlloc{400, 15, 6}, Resilience: &tier.ResilienceConfig{
-				Admission: tier.DefaultAdmissionConfig(), MaxQueue: 50, Backlog: 128, DegradedMS: 0.05,
+				Admission: true, MaxQueue: 50, Backlog: 128,
 			}},
 			start: func(tb *Testbed) (*rubbos.Workload, error) {
 				return tb.StartOpenWorkload(rubbos.OpenConfig{

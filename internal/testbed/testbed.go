@@ -176,7 +176,7 @@ func Build(opts Options) (*Testbed, error) {
 	for i := 0; i < opts.Hardware.Web; i++ {
 		cfg := tier.DefaultApacheConfig(opts.Soft.WebThreads)
 		if opts.DisableFinWait {
-			cfg.Fin = netsim.FinConfig{}
+			cfg.FinWait = false
 		}
 		node := newNode(fmt.Sprintf("apache%d", i+1))
 		r := rng.NewStream(opts.Seed, node.Name())

@@ -19,48 +19,16 @@ import (
 	"github.com/softres/ntier/internal/rng"
 )
 
-// AdmissionConfig tunes the adaptive admission controller. The zero value
-// disables it.
-type AdmissionConfig struct {
-	// Enabled arms the controller.
-	Enabled bool
-	// Target is the acceptable standing worker-pool wait (default 50ms).
-	Target time.Duration
-	// Interval is the control-loop period (default 500ms).
-	Interval time.Duration
-	// MaxShed caps the drop probability (default 0.95: even saturated, a
-	// trickle of requests is admitted so the controller keeps observing
-	// real waits).
-	MaxShed float64
-	// ProtectWrites drops write-class interactions at max(0, 2p-1) instead
-	// of p, shedding browse traffic first.
-	ProtectWrites bool
-}
-
-// DefaultAdmissionConfig returns the overload-protection calibration:
-// 50ms standing-wait target, half-second control interval, write priority.
-func DefaultAdmissionConfig() AdmissionConfig {
-	return AdmissionConfig{
-		Enabled:       true,
-		Target:        50 * time.Millisecond,
-		Interval:      500 * time.Millisecond,
-		MaxShed:       0.95,
-		ProtectWrites: true,
-	}
-}
-
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.Target <= 0 {
-		c.Target = 50 * time.Millisecond
-	}
-	if c.Interval <= 0 {
-		c.Interval = 500 * time.Millisecond
-	}
-	if c.MaxShed <= 0 || c.MaxShed > 1 {
-		c.MaxShed = 0.95
-	}
-	return c
-}
+// The controller's calibration, for overload protection.
+const (
+	// admTarget is the acceptable standing worker-pool wait.
+	admTarget = 50 * time.Millisecond
+	// admInterval is the control-loop period.
+	admInterval = 500 * time.Millisecond
+	// admMaxShed caps the drop probability: even saturated, a trickle of
+	// requests is admitted so the controller keeps observing real waits.
+	admMaxShed = 0.95
+)
 
 // Controller dynamics: multiplicative increase while the backlog is growing,
 // hold while an over-target backlog is already draining, multiplicative decay
@@ -77,7 +45,6 @@ const (
 // needed and replays are exact.
 type admission struct {
 	env    *des.Env
-	cfg    AdmissionConfig
 	r      *rng.Rand
 	queued func() int // pure read of the guarded pool's wait-queue depth
 
@@ -89,15 +56,15 @@ type admission struct {
 
 // newAdmission wires a controller and schedules its control loop; r must be
 // a dedicated stream so drop draws never shift other jitter draws.
-func newAdmission(env *des.Env, cfg AdmissionConfig, r *rng.Rand, queued func() int) *admission {
-	ad := &admission{env: env, cfg: cfg.withDefaults(), r: r, queued: queued}
+func newAdmission(env *des.Env, r *rng.Rand, queued func() int) *admission {
+	ad := &admission{env: env, r: r, queued: queued}
 	ad.arm()
 	return ad
 }
 
 // arm schedules the next control tick.
 func (ad *admission) arm() {
-	ad.env.After(ad.cfg.Interval, func() {
+	ad.env.After(admInterval, func() {
 		ad.control()
 		ad.arm()
 	})
@@ -115,13 +82,13 @@ func (ad *admission) arm() {
 // the standing wait is back under target.
 func (ad *admission) control() {
 	queued := ad.queued()
-	overloaded := (ad.sawWait && ad.minWait > ad.cfg.Target) ||
+	overloaded := (ad.sawWait && ad.minWait > admTarget) ||
 		(!ad.sawWait && queued > 0)
 	switch {
 	case overloaded && queued >= ad.prevQueued:
 		ad.level = ad.level*admGrowFactor + admGrowStep
-		if ad.level > ad.cfg.MaxShed {
-			ad.level = ad.cfg.MaxShed
+		if ad.level > admMaxShed {
+			ad.level = admMaxShed
 		}
 	case overloaded:
 		// Backlog already shrinking: the current level is working; hold.
@@ -150,7 +117,7 @@ func (ad *admission) Level() float64 { return ad.level }
 // drop decides whether to shed an arriving request of the given class.
 func (ad *admission) drop(write bool) bool {
 	p := ad.level
-	if write && ad.cfg.ProtectWrites {
+	if write {
 		p = 2*p - 1
 	}
 	if p <= 0 {

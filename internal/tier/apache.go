@@ -16,14 +16,15 @@ import (
 // ApacheConfig tunes the web-server model.
 type ApacheConfig struct {
 	Workers int // worker-MPM thread pool size (#W_T)
-	// Fin parameterizes the lingering-close (client FIN wait) model;
-	// KeepAlive is off in the paper, so every request ends with a close.
-	Fin netsim.FinConfig
+	// FinWait arms the lingering close: the worker waits for the client's
+	// FIN (netsim.FinModel). KeepAlive is off in the paper, so every
+	// request ends with a close.
+	FinWait bool
 }
 
 // DefaultApacheConfig returns the calibration for the paper's Apache node.
 func DefaultApacheConfig(workers int) ApacheConfig {
-	return ApacheConfig{Workers: workers, Fin: netsim.DefaultFinConfig()}
+	return ApacheConfig{Workers: workers, FinWait: true}
 }
 
 // Apache models the web server: a worker thread pool that parses the
@@ -43,7 +44,7 @@ type Apache struct {
 	server
 
 	Workers *resource.Pool
-	Fin     *netsim.FinModel
+	Fin     *netsim.FinModel // nil without the FIN wait
 
 	tomcats []*Tomcat
 	rr      int
@@ -83,12 +84,18 @@ type Apache struct {
 
 // NewApache creates the web server on node, balancing over tomcats.
 func NewApache(env *des.Env, node *hw.Node, cfg ApacheConfig, tomcats []*Tomcat, link netsim.Link, r *rng.Rand) *Apache {
-	return &Apache{
+	a := &Apache{
 		server:  newServer(env, node, link, r),
 		Workers: resource.NewPool(env, node.Name()+"/workers", cfg.Workers),
-		Fin:     netsim.NewFinModel(cfg.Fin, rng.NewStream(r.Uint64(), "fin")),
 		tomcats: tomcats,
 	}
+	// The FIN stream is drawn either way, so the switch never shifts the
+	// server's demand draws.
+	fin := rng.NewStream(r.Uint64(), "fin")
+	if cfg.FinWait {
+		a.Fin = netsim.NewFinModel(fin)
+	}
+	return a
 }
 
 // SetResilience attaches the resilience layer; r seeds the backoff jitter.
@@ -96,11 +103,10 @@ func NewApache(env *des.Env, node *hw.Node, cfg ApacheConfig, tomcats []*Tomcat,
 // original fault-free path.
 func (a *Apache) SetResilience(cfg *ResilienceConfig, r *rng.Rand) {
 	a.res = newResilienceN(a.env, cfg, r, len(a.tomcats))
-	if cfg != nil && cfg.Admission.Enabled {
+	if cfg != nil && cfg.Admission {
 		// A dedicated stream for drop draws, so enabling admission never
 		// shifts the backoff-jitter sequence of the same configuration.
-		a.adm = newAdmission(a.env, cfg.Admission,
-			rng.NewStream(r.Uint64(), "admission"), a.Workers.Queued)
+		a.adm = newAdmission(a.env, rng.NewStream(r.Uint64(), "admission"), a.Workers.Queued)
 	}
 }
 
@@ -263,17 +269,17 @@ func (a *Apache) admit(p *des.Proc, it *rubbos.Interaction) (FailKind, bool) {
 }
 
 // degrade emits the degraded response to a refusal of the given kind
-// from admit without holding a worker — on the CPU, when the response
-// costs any; the request counts toward the accept backlog while it does —
+// from admit without holding a worker — on the CPU, under the resilience
+// layer; the request counts toward the accept backlog while it does —
 // and replies with it.
 func (a *Apache) degrade(p *des.Proc, c *rubbos.Call, kind FailKind) (bool, error) {
 	c.Reply = uint8(kind) + 1
-	if !a.res.enabled() || a.res.cfg.DegradedMS <= 0 {
+	if !a.res.enabled() {
 		return a.reply(p, c, &a.errs[kind])
 	}
 	a.rejecting++
 	c.Stage = degrading
-	if !a.use(p, time.Duration(a.res.cfg.DegradedMS*float64(time.Millisecond))) {
+	if !a.use(p, time.Duration(degradedMS*float64(time.Millisecond))) {
 		return false, nil
 	}
 	a.rejecting--
@@ -398,9 +404,9 @@ func (a *Apache) serve(p *des.Proc, it *rubbos.Interaction, s *inService) (bool,
 			a.est.observe(p.Now() - l.entry)
 			// Lingering close: the worker stays busy until the client FIN
 			// arrives.
-			a.Fin.SetLoad(a.finLoad)
 			l.stage = webDone
-			if !a.Fin.Disabled() {
+			if a.Fin != nil {
+				a.Fin.SetLoad(a.finLoad)
 				s.t0 = p.Now()
 				a.finWaiting++
 				l.stage = webClose

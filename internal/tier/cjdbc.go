@@ -16,39 +16,37 @@ type CJDBCConfig struct {
 	// CtxSwitchCoeff inflates per-query CPU demand by this fraction per
 	// additional concurrent query (thread scheduling/locking overhead).
 	CtxSwitchCoeff float64
-	// ThrashThreshold is the concurrent-query count beyond which scheduling
-	// overhead turns super-linear (run-queue lengths far past the core
-	// count: cache thrash, lock convoys).
-	ThrashThreshold int
-	// ThrashCoeff scales the quadratic overhead beyond the threshold.
+	// ThrashCoeff scales the quadratic overhead beyond ThrashThreshold.
 	ThrashCoeff float64
-	// MaxOverheadFactor caps the total demand inflation.
-	MaxOverheadFactor float64
 	// JVM parameterizes the heap/collector model.
 	JVM jvm.Config
 }
 
+const (
+	// ThrashThreshold is the concurrent-query count beyond which C-JDBC's
+	// scheduling overhead turns super-linear (run-queue lengths far past
+	// the core count: cache thrash, lock convoys).
+	ThrashThreshold = 20
+	// maxOverheadFactor caps C-JDBC's total demand inflation.
+	maxOverheadFactor = 1.35
+)
+
 // DefaultCJDBCConfig returns the calibration for the paper's C-JDBC node.
 func DefaultCJDBCConfig() CJDBCConfig {
 	return CJDBCConfig{
-		CtxSwitchCoeff:    0.002,
-		ThrashThreshold:   20,
-		ThrashCoeff:       0.005,
-		MaxOverheadFactor: 1.35,
-		JVM:               jvm.DefaultConfig(),
+		CtxSwitchCoeff: 0.002,
+		ThrashCoeff:    0.005,
+		JVM:            jvm.DefaultConfig(),
 	}
 }
 
 // overheadFactor returns the demand inflation at the given concurrency.
 func (cfg CJDBCConfig) overheadFactor(inflight int) float64 {
 	f := 1 + cfg.CtxSwitchCoeff*float64(inflight-1)
-	if over := inflight - cfg.ThrashThreshold; over > 0 && cfg.ThrashCoeff > 0 {
+	if over := inflight - ThrashThreshold; over > 0 && cfg.ThrashCoeff > 0 {
 		f += cfg.ThrashCoeff * float64(over) * float64(over)
 	}
-	if cfg.MaxOverheadFactor > 0 && f > cfg.MaxOverheadFactor {
-		f = cfg.MaxOverheadFactor
-	}
-	return f
+	return min(f, maxOverheadFactor)
 }
 
 // CJDBC models the database clustering middleware. It has no thread pool of

@@ -27,7 +27,7 @@ func expired(p *des.Proc) {
 func TestDeadlineFailFastEveryTier(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	a, tc := newApache(env, 10, netsim.FinConfig{})
+	a, tc := newApache(env, 10, false)
 	c, backends := newCJDBC(env, 1)
 	var errs []error
 	env.Go("req", func(p *des.Proc) {
@@ -68,7 +68,7 @@ func TestDeadlineFailFastEveryTier(t *testing.T) {
 func TestDeadlineEstimatorShedsBeforeQueueing(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	a, _ := newApache(env, 10, netsim.FinConfig{})
+	a, _ := newApache(env, 10, false)
 	var warmErr, tightErr error
 	// The warm request has no deadline: it is always admitted.
 	goServe(env, a, testInteraction(), func(p *des.Proc, err error) {
@@ -93,7 +93,7 @@ func TestDeadlineEstimatorShedsBeforeQueueing(t *testing.T) {
 func TestDeadlineGenerousBudgetServes(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	a, _ := newApache(env, 10, netsim.FinConfig{})
+	a, _ := newApache(env, 10, false)
 	var err error
 	goServeWith(env, a, testInteraction(), &trace.Ctx{Deadline: time.Minute}, func(_ *des.Proc, e error) { err = e })
 	env.Run(time.Minute)
@@ -108,23 +108,27 @@ func TestDeadlineGenerousBudgetServes(t *testing.T) {
 // TestDeadlineShedNeitherRetriedNorBreaking pins the two resilience
 // interactions of deadline propagation: a downstream deadline shed is final
 // (retrying cannot make the budget reappear) and it must not trip the hop's
-// circuit breaker (the peer is healthy; the request was out of budget).
+// circuit breaker (the peer is healthy; the request was out of budget),
+// not even after as many sheds as failures trip it.
 func TestDeadlineShedNeitherRetriedNorBreaking(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	a, tc := newApache(env, 10, netsim.FinConfig{})
-	cfg := &ResilienceConfig{
-		Retries: 3,
-		Breaker: BreakerConfig{Enabled: true, FailThreshold: 1, OpenFor: time.Second},
-	}
-	a.SetResilience(cfg, rng.New(7))
+	a, tc := newApache(env, 10, false)
+	a.SetResilience(&ResilienceConfig{Retries: 3, Breaker: true}, rng.New(7))
 	// Warm only the Tomcat estimator, so Apache admits and Tomcat sheds.
 	tc.est.observe(10 * time.Millisecond)
-	var err error
-	goServeWith(env, a, testInteraction(), &trace.Ctx{Deadline: 5 * time.Millisecond}, func(_ *des.Proc, e error) { err = e })
+	var errs []error
+	for i := 0; i < breakerFailThreshold; i++ {
+		goServeWith(env, a, testInteraction(), &trace.Ctx{Deadline: 5 * time.Millisecond}, func(_ *des.Proc, e error) { errs = append(errs, e) })
+	}
 	env.Run(time.Minute)
-	if k, ok := ErrKind(err); !ok || k != FailDeadline {
-		t.Fatalf("request got %v, want FailDeadline from the Tomcat tier", err)
+	if len(errs) != breakerFailThreshold {
+		t.Fatalf("%d requests finished, want %d", len(errs), breakerFailThreshold)
+	}
+	for _, err := range errs {
+		if k, ok := ErrKind(err); !ok || k != FailDeadline {
+			t.Fatalf("request got %v, want FailDeadline from the Tomcat tier", err)
+		}
 	}
 	st := a.Resilience()
 	if st.Retries != 0 {
@@ -138,7 +142,6 @@ func TestDeadlineShedNeitherRetriedNorBreaking(t *testing.T) {
 
 func newTestAdmission(q *int) *admission {
 	return &admission{
-		cfg:    DefaultAdmissionConfig().withDefaults(),
 		r:      rng.NewStream(5, "admission"),
 		queued: func() int { return *q },
 	}
@@ -216,8 +219,8 @@ func TestAdmissionLevelCappedAtMaxShed(t *testing.T) {
 		q += 10
 		ad.control()
 	}
-	if got := ad.Level(); got != ad.cfg.MaxShed {
-		t.Errorf("level %v, want capped at MaxShed %v", got, ad.cfg.MaxShed)
+	if got := ad.Level(); got != admMaxShed {
+		t.Errorf("level %v, want capped at %v", got, admMaxShed)
 	}
 }
 
@@ -258,14 +261,15 @@ func TestAdmissionWritePriority(t *testing.T) {
 }
 
 // TestAdmissionShedsUnderOverloadEndToEnd wires the controller into Apache
-// and drives sustained overload: two workers parked ~200ms per request
-// against arrivals every 5ms. The controller must engage and shed.
+// and drives sustained overload: two workers, most of them parked 300ms to
+// 1.2s per request in the lingering close of overloaded clients, against
+// arrivals every 5ms. The controller must engage and shed.
 func TestAdmissionShedsUnderOverloadEndToEnd(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	fin := netsim.FinConfig{BaseMean: 200 * time.Millisecond}
-	a, _ := newApache(env, 2, fin)
-	a.SetResilience(&ResilienceConfig{Admission: DefaultAdmissionConfig()}, rng.New(3))
+	a, _ := newApache(env, 2, true)
+	a.SetFinLoad(1e9)
+	a.SetResilience(&ResilienceConfig{Admission: true}, rng.New(3))
 	env.Go("load", func(p *des.Proc) {
 		for i := 0; ; i++ {
 			goServe(env, a, testInteraction(), nil)
@@ -288,7 +292,7 @@ func TestAdmissionShedsUnderOverloadEndToEnd(t *testing.T) {
 // backlogApache is an Apache with one worker held by a test process for
 // the first second, and the given protection.
 func backlogApache(env *des.Env, cfg *ResilienceConfig) *Apache {
-	a, _ := newApache(env, 1, netsim.FinConfig{})
+	a, _ := newApache(env, 1, false)
 	a.SetResilience(cfg, rng.New(3))
 	holdWorker(env, a)
 	return a
@@ -316,7 +320,7 @@ func holdWorker(env *des.Env, a *Apache) {
 func TestBacklogDropCostsNoCPU(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	a := backlogApache(env, &ResilienceConfig{Backlog: 2, DegradedMS: 0.05})
+	a := backlogApache(env, &ResilienceConfig{Backlog: 2})
 	env.At(time.Millisecond, func() {
 		goServe(env, a, testInteraction(), nil)
 		goServe(env, a, testInteraction(), nil)
@@ -361,7 +365,7 @@ func TestBacklogDropBindsNoRunner(t *testing.T) {
 	tc, _ := newTomcat(env, 50, 50)
 	node := hw.NewNode(env, "apache1", hw.PC3000())
 	a := NewApache(env, node, ApacheConfig{Workers: 1}, []*Tomcat{tc}, netsim.Link{Latency: time.Millisecond}, rng.New(5))
-	a.SetResilience(&ResilienceConfig{Backlog: 1, DegradedMS: 0.05}, rng.New(3))
+	a.SetResilience(&ResilienceConfig{Backlog: 1}, rng.New(3))
 	holdWorker(env, a)
 	env.At(time.Millisecond, func() { goServe(env, a, testInteraction(), nil) })
 	var before des.Counters
@@ -401,17 +405,18 @@ func TestBacklogDropBindsNoRunner(t *testing.T) {
 
 // A request whose degraded response is still on the CPU holds a backlog
 // slot: with one request queued (MaxQueue 1) and one being shed, the next
-// arrival finds the backlog of 2 full and is dropped.
+// arrival, 10µs into the 50µs degraded response, finds the backlog of 2
+// full and is dropped.
 func TestBacklogCountsDegradedInProgress(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	a := backlogApache(env, &ResilienceConfig{Backlog: 2, MaxQueue: 1, DegradedMS: 10})
+	a := backlogApache(env, &ResilienceConfig{Backlog: 2, MaxQueue: 1})
 	env.At(time.Millisecond, func() { goServe(env, a, testInteraction(), nil) })
 	var shed, dropped error
 	env.At(2*time.Millisecond, func() {
 		goServe(env, a, testInteraction(), func(_ *des.Proc, err error) { shed = err })
 	})
-	env.At(3*time.Millisecond, func() {
+	env.At(2*time.Millisecond+10*time.Microsecond, func() {
 		goServe(env, a, testInteraction(), func(_ *des.Proc, err error) { dropped = err })
 	})
 	env.Run(time.Minute)
@@ -436,7 +441,7 @@ func TestBacklogCountsDegradedInProgress(t *testing.T) {
 func TestBacklogZeroNeverDrops(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	a := backlogApache(env, &ResilienceConfig{DegradedMS: 0.05})
+	a := backlogApache(env, &ResilienceConfig{})
 	served := 0
 	env.At(time.Millisecond, func() {
 		for i := 0; i < 500; i++ {
@@ -454,26 +459,34 @@ func TestBacklogZeroNeverDrops(t *testing.T) {
 	}
 }
 
-func breakerEnv(t *testing.T) (*des.Env, *Breaker) {
+// breakerEnv is a closed breaker and its engine; trip records failures
+// until it opens.
+func breakerEnv(t *testing.T) (env *des.Env, b *Breaker, trip func()) {
 	t.Helper()
-	env := des.NewEnv()
+	env = des.NewEnv()
 	t.Cleanup(env.Shutdown)
-	b := NewBreaker(env, BreakerConfig{
-		Enabled: true, FailThreshold: 2, OpenFor: time.Second,
-		HalfOpenProbes: 2, CloseAfter: 2,
-	})
-	return env, b
+	b = NewBreaker(env)
+	return env, b, func() {
+		for i := 0; i < breakerFailThreshold; i++ {
+			b.Record(false)
+		}
+	}
 }
 
 func TestBreakerTripsAndRejectsWhileOpen(t *testing.T) {
-	_, b := breakerEnv(t)
+	_, b, _ := breakerEnv(t)
 	if !b.Allow() {
 		t.Fatal("closed breaker must allow")
 	}
-	b.Record(false)
+	for i := 1; i < breakerFailThreshold; i++ {
+		b.Record(false)
+	}
+	if b.State() != BreakerClosed {
+		t.Fatalf("state %v after %d failures, want closed", b.State(), breakerFailThreshold-1)
+	}
 	b.Record(false)
 	if b.State() != BreakerOpen {
-		t.Fatalf("state %v after %d failures, want open", b.State(), 2)
+		t.Fatalf("state %v after %d failures, want open", b.State(), breakerFailThreshold)
 	}
 	if b.Opens() != 1 {
 		t.Errorf("opens %d, want 1", b.Opens())
@@ -485,34 +498,40 @@ func TestBreakerTripsAndRejectsWhileOpen(t *testing.T) {
 
 // TestBreakerHalfOpenBoundsConcurrentProbes trips the breaker, lets the
 // cool-down elapse on the DES clock, then has five concurrent processes race
-// Allow at the same instant: exactly HalfOpenProbes may pass.
+// Allow at the same instant: exactly breakerHalfOpenProbes may pass.
 func TestBreakerHalfOpenBoundsConcurrentProbes(t *testing.T) {
-	env, b := breakerEnv(t)
-	b.Record(false)
-	b.Record(false)
+	env, b, trip := breakerEnv(t)
+	trip()
 	admitted := 0
-	env.At(1100*time.Millisecond, func() {
+	env.At(breakerOpenFor+100*time.Millisecond, func() {
 		if b.State() != BreakerHalfOpen {
 			t.Errorf("state %v after the open window, want half-open", b.State())
 		}
 	})
 	for i := 0; i < 5; i++ {
 		env.Go(fmt.Sprintf("probe-%d", i), func(p *des.Proc) {
-			p.Sleep(1200 * time.Millisecond)
+			p.Sleep(breakerOpenFor + 200*time.Millisecond)
 			if b.Allow() {
 				admitted++
 			}
 		})
 	}
-	env.Run(2 * time.Second)
-	if admitted != 2 {
-		t.Fatalf("%d concurrent probes admitted while half-open, want HalfOpenProbes=2", admitted)
+	env.Run(breakerOpenFor + time.Second)
+	if admitted != breakerHalfOpenProbes {
+		t.Fatalf("%d concurrent probes admitted while half-open, want %d", admitted, breakerHalfOpenProbes)
 	}
-	// Both probes succeed: CloseAfter=2 closes the breaker.
-	b.Record(true)
-	b.Record(true)
+	// Every probe succeeds: breakerCloseAfter successes close the breaker.
+	for i := 0; i < breakerCloseAfter; i++ {
+		if b.State() != BreakerHalfOpen {
+			t.Fatalf("state %v after %d probe successes, want half-open", b.State(), i)
+		}
+		if i >= admitted && !b.Allow() {
+			t.Fatalf("half-open breaker refused probe %d", i)
+		}
+		b.Record(true)
+	}
 	if b.State() != BreakerClosed {
-		t.Errorf("state %v after %d probe successes, want closed", b.State(), 2)
+		t.Errorf("state %v after %d probe successes, want closed", b.State(), breakerCloseAfter)
 	}
 	if !b.Allow() {
 		t.Error("closed breaker must allow")
@@ -521,16 +540,15 @@ func TestBreakerHalfOpenBoundsConcurrentProbes(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	env, b := breakerEnv(t)
-	b.Record(false)
-	b.Record(false)
+	env, b, trip := breakerEnv(t)
+	trip()
 	var allowed, allowedAfter bool
-	env.At(1500*time.Millisecond, func() {
+	env.At(breakerOpenFor+500*time.Millisecond, func() {
 		allowed = b.Allow()
 		b.Record(false) // the probe fails: straight back to open
 		allowedAfter = b.Allow()
 	})
-	env.Run(2 * time.Second)
+	env.Run(2 * breakerOpenFor)
 	if !allowed {
 		t.Fatal("half-open breaker refused its probe")
 	}
@@ -578,8 +596,8 @@ func TestBackoffBoundsAndJitterRange(t *testing.T) {
 		if nominal > cfg.BackoffMax {
 			nominal = cfg.BackoffMax
 		}
-		lo := time.Duration(float64(nominal) * (1 - cfg.JitterFrac))
-		hi := time.Duration(float64(nominal) * (1 + cfg.JitterFrac))
+		lo := time.Duration(float64(nominal) * (1 - backoffJitter))
+		hi := time.Duration(float64(nominal) * (1 + backoffJitter))
 		if d < lo || d > hi {
 			t.Errorf("attempt %d: backoff %v outside [%v, %v]", attempt, d, lo, hi)
 		}

@@ -112,13 +112,11 @@ type ResilienceConfig struct {
 	Retries int
 	// BackoffBase is the first retry delay, doubling each attempt up to
 	// BackoffMax. 0 retries immediately (the retry-storm configuration).
+	// Each backoff is spread uniformly over ±backoffJitter of itself.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// JitterFrac spreads each backoff uniformly over ±frac of itself,
-	// drawn from a dedicated seeded stream (deterministic jitter).
-	JitterFrac float64
-	// Breaker parameterizes the circuit breaker on the downstream hop.
-	Breaker BreakerConfig
+	// Breaker arms a circuit breaker on each downstream hop (see Breaker).
+	Breaker bool
 	// MaxQueue, at the web tier, sheds requests arriving while this many
 	// are already queued for a worker (0 = no admission control).
 	MaxQueue int
@@ -128,19 +126,27 @@ type ResilienceConfig struct {
 	// response) is dropped before the server sees it, at no CPU cost
 	// (0 = unbounded).
 	Backlog int
-	// DegradedMS is the CPU cost of emitting the degraded/error response
-	// for a shed or failed request (served without holding a worker).
-	DegradedMS float64
-	// Admission parameterizes the adaptive (CoDel-style) admission
-	// controller at the web tier; the zero value disables it and keeps the
-	// static MaxQueue check as the only front-door shed.
-	Admission AdmissionConfig
+	// Admission arms the adaptive (CoDel-style) admission controller at
+	// the web tier; without it the static MaxQueue check is the only
+	// front-door shed.
+	Admission bool
 }
+
+// The resilience layer's calibration.
+const (
+	// backoffJitter spreads each retry backoff uniformly over ±20% of
+	// itself, drawn from the server's seeded resilience stream
+	// (deterministic jitter).
+	backoffJitter = 0.2
+	// degradedMS is the CPU cost of the degraded/error response to a shed
+	// request, served without holding a worker.
+	degradedMS = 0.05
+)
 
 // DefaultResilienceConfig returns a production-shaped configuration:
 // half-second acquire timeouts, 2s call deadline, two retries with 25 ms
-// exponential backoff and 20% jitter, a 5-failure breaker, and web-tier
-// shedding at 200 queued requests.
+// exponential backoff, breakers, and web-tier shedding at 200 queued
+// requests.
 func DefaultResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{
 		AcquireTimeout: 500 * time.Millisecond,
@@ -148,10 +154,8 @@ func DefaultResilienceConfig() ResilienceConfig {
 		Retries:        2,
 		BackoffBase:    25 * time.Millisecond,
 		BackoffMax:     400 * time.Millisecond,
-		JitterFrac:     0.2,
-		Breaker:        DefaultBreakerConfig(),
+		Breaker:        true,
 		MaxQueue:       200,
-		DegradedMS:     0.05,
 	}
 }
 
@@ -165,8 +169,8 @@ func (c *ResilienceConfig) backoff(r *rng.Rand, attempt int) time.Duration {
 	if c.BackoffMax > 0 && d > c.BackoffMax {
 		d = c.BackoffMax
 	}
-	if c.JitterFrac > 0 && r != nil {
-		d = time.Duration(float64(d) * (1 + c.JitterFrac*(2*r.Float64()-1)))
+	if r != nil {
+		d = time.Duration(float64(d) * (1 + backoffJitter*(2*r.Float64()-1)))
 	}
 	return d
 }
@@ -205,54 +209,24 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes a circuit breaker. Enabled=false leaves the hop
-// unprotected.
-type BreakerConfig struct {
-	Enabled bool
-	// FailThreshold consecutive failures trip the breaker open.
-	FailThreshold int
-	// OpenFor is how long the breaker rejects before probing.
-	OpenFor time.Duration
-	// HalfOpenProbes bounds concurrent probe calls while half-open.
-	HalfOpenProbes int
-	// CloseAfter consecutive probe successes close the breaker.
-	CloseAfter int
-}
-
-// DefaultBreakerConfig returns a 5-failure / 2-second / single-probe
-// breaker.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{
-		Enabled:        true,
-		FailThreshold:  5,
-		OpenFor:        2 * time.Second,
-		HalfOpenProbes: 1,
-		CloseAfter:     2,
-	}
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 2 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.CloseAfter <= 0 {
-		c.CloseAfter = 2
-	}
-	return c
-}
+// The circuit breaker's calibration: a 5-failure / 2-second /
+// single-probe breaker.
+const (
+	// breakerFailThreshold consecutive failures trip the breaker open.
+	breakerFailThreshold = 5
+	// breakerOpenFor is how long the breaker rejects before probing.
+	breakerOpenFor = 2 * time.Second
+	// breakerHalfOpenProbes bounds concurrent probe calls while half-open.
+	breakerHalfOpenProbes = 1
+	// breakerCloseAfter consecutive probe successes close the breaker.
+	breakerCloseAfter = 2
+)
 
 // Breaker is a deterministic DES-clock circuit breaker guarding one
 // downstream hop. State transitions happen synchronously inside Allow and
 // Record, so replays are exact.
 type Breaker struct {
 	env   *des.Env
-	cfg   BreakerConfig
 	state BreakerState
 
 	fails    int // consecutive failures while closed
@@ -263,17 +237,12 @@ type Breaker struct {
 	opens uint64
 }
 
-// NewBreaker creates a closed breaker (nil if cfg.Enabled is false).
-func NewBreaker(env *des.Env, cfg BreakerConfig) *Breaker {
-	if !cfg.Enabled {
-		return nil
-	}
-	return &Breaker{env: env, cfg: cfg.withDefaults()}
-}
+// NewBreaker creates a closed breaker.
+func NewBreaker(env *des.Env) *Breaker { return &Breaker{env: env} }
 
 // State returns the current mode, accounting for an elapsed open window.
 func (b *Breaker) State() BreakerState {
-	if b.state == BreakerOpen && b.env.Now()-b.openedAt >= b.cfg.OpenFor {
+	if b.state == BreakerOpen && b.env.Now()-b.openedAt >= breakerOpenFor {
 		return BreakerHalfOpen
 	}
 	return b.state
@@ -282,15 +251,15 @@ func (b *Breaker) State() BreakerState {
 // Opens returns the number of times the breaker tripped open.
 func (b *Breaker) Opens() uint64 { return b.opens }
 
-// Allow reports whether a call may proceed. While half-open it admits up to
-// HalfOpenProbes concurrent probes. Each allowed call must be matched by a
-// Record.
+// Allow reports whether a call may proceed. While half-open it admits up
+// to breakerHalfOpenProbes concurrent probes. Each allowed call must be
+// matched by a Record.
 func (b *Breaker) Allow() bool {
 	switch b.state {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.env.Now()-b.openedAt < b.cfg.OpenFor {
+		if b.env.Now()-b.openedAt < breakerOpenFor {
 			return false
 		}
 		b.state = BreakerHalfOpen
@@ -298,7 +267,7 @@ func (b *Breaker) Allow() bool {
 		b.inflight = 0
 		fallthrough
 	default: // BreakerHalfOpen
-		if b.inflight >= b.cfg.HalfOpenProbes {
+		if b.inflight >= breakerHalfOpenProbes {
 			return false
 		}
 		b.inflight++
@@ -315,7 +284,7 @@ func (b *Breaker) Record(ok bool) {
 			return
 		}
 		b.fails++
-		if b.fails >= b.cfg.FailThreshold {
+		if b.fails >= breakerFailThreshold {
 			b.trip()
 		}
 	case BreakerHalfOpen:
@@ -327,7 +296,7 @@ func (b *Breaker) Record(ok bool) {
 			return
 		}
 		b.succ++
-		if b.succ >= b.cfg.CloseAfter {
+		if b.succ >= breakerCloseAfter {
 			b.state = BreakerClosed
 			b.fails = 0
 		}
@@ -365,10 +334,10 @@ func newResilience(env *des.Env, cfg *ResilienceConfig, r *rng.Rand) resilience 
 // newResilienceN wires a config to a server with n downstream peers.
 func newResilienceN(env *des.Env, cfg *ResilienceConfig, r *rng.Rand, n int) resilience {
 	res := resilience{cfg: cfg, r: r}
-	if cfg != nil && cfg.Breaker.Enabled {
+	if cfg != nil && cfg.Breaker {
 		res.breakers = make([]*Breaker, n)
 		for i := range res.breakers {
-			res.breakers[i] = NewBreaker(env, cfg.Breaker)
+			res.breakers[i] = NewBreaker(env)
 		}
 	}
 	return res

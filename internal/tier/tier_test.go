@@ -87,7 +87,7 @@ func mustStage(p *des.Proc, stage func(p *des.Proc, s *inService) (bool, error))
 func TestApacheQueuedRequestsSuspend(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	a, _ := newApache(env, 1, netsim.FinConfig{})
+	a, _ := newApache(env, 1, false)
 	var rts []time.Duration
 	for i := 0; i < 5; i++ {
 		goServe(env, a, testInteraction(), func(p *des.Proc, err error) {
@@ -126,16 +126,20 @@ func TestApacheQueuedRequestsSuspend(t *testing.T) {
 func TestApacheQueuedRequestTimesOut(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
-	fin := netsim.FinConfig{BaseMean: time.Second}
-	a, _ := newApache(env, 1, fin)
+	a, _ := newApache(env, 1, false)
 	a.SetResilience(&ResilienceConfig{AcquireTimeout: 100 * time.Millisecond}, rng.New(1))
+	holdWorker(env, a)
 	var errs []error
 	var spans []trace.Span
-	for i := 0; i < 2; i++ {
+	// The first request waits past the timeout for the held worker; the
+	// second queues 50ms before the holder lets it go.
+	for _, at := range []time.Duration{time.Millisecond, 950 * time.Millisecond} {
 		tr := &trace.Trace{}
-		goServeWith(env, a, testInteraction(), tr, func(p *des.Proc, err error) {
-			errs = append(errs, err)
-			spans = append(spans, tr.Spans[0])
+		env.At(at, func() {
+			goServeWith(env, a, testInteraction(), tr, func(p *des.Proc, err error) {
+				errs = append(errs, err)
+				spans = append(spans, tr.Spans[0])
+			})
 		})
 	}
 	env.Run(time.Minute)
@@ -264,7 +268,7 @@ func TestCJDBCReleaseWithoutCheckoutPanics(t *testing.T) {
 }
 
 func TestOverheadFactor(t *testing.T) {
-	cfg := CJDBCConfig{CtxSwitchCoeff: 0.002, ThrashThreshold: 20, ThrashCoeff: 0.005, MaxOverheadFactor: 1.35}
+	cfg := CJDBCConfig{CtxSwitchCoeff: 0.002, ThrashCoeff: 0.005}
 	if f := cfg.overheadFactor(1); f != 1 {
 		t.Errorf("factor at 1 = %v, want 1", f)
 	}
@@ -368,40 +372,52 @@ func TestTomcatConnHeldOnlyDuringQuery(t *testing.T) {
 	env.Shutdown()
 }
 
+// Two requests on one servlet thread: the second waits for the thread
+// until the first has streamed its response out.
 func TestTomcatResponseTransferHoldsThread(t *testing.T) {
 	env := des.NewEnv()
-	c, _ := newCJDBC(env, 1)
-	node := hw.NewNode(env, "tomcat1", hw.PC3000())
-	cfgFast := DefaultTomcatConfig(1, 1)
-	cfgFast.ResponseTransferMS = 0
-	fast := NewTomcat(env, node, cfgFast, c, netsim.Link{}, rng.New(4))
-
-	node2 := hw.NewNode(env, "tomcat2", hw.PC3000())
-	cfgSlow := DefaultTomcatConfig(1, 1)
-	cfgSlow.ResponseTransferMS = 50
-	slow := NewTomcat(env, node2, cfgSlow, c, netsim.Link{}, rng.New(4))
-
-	var fastRT, slowRT time.Duration
-	goStage(env, 1, tomcatServe(fast), func(p *des.Proc, _ error) { fastRT = p.Now() })
-	goStage(env, 1, tomcatServe(slow), func(p *des.Proc, _ error) { slowRT = p.Now() })
-	env.Run(time.Minute)
-	if slowRT <= fastRT+30*time.Millisecond {
-		t.Errorf("transfer phase missing: slow %v vs fast %v", slowRT, fastRT)
+	defer env.Shutdown()
+	tc, _ := newTomcat(env, 1, 1)
+	trs := []*trace.Trace{{}, {}}
+	for _, tr := range trs {
+		serve, s := tomcatServe(tc), &inService{}
+		env.GoStep("call", func(p *des.Proc) {
+			p.SetData(tr)
+			serve(p, s)
+		})
 	}
-	env.Shutdown()
+	env.Run(time.Minute)
+	span := func(tr *trace.Trace, phase string) trace.Span {
+		for _, s := range tr.Spans {
+			if s.Phase == phase {
+				return s
+			}
+		}
+		t.Fatalf("no %s span in %+v", phase, tr.Spans)
+		return trace.Span{}
+	}
+	transfer := span(trs[0], "response-transfer")
+	if transfer.Dur() <= 0 {
+		t.Fatalf("response transfer %+v takes no time", transfer)
+	}
+	if wait := span(trs[1], "thread-wait"); wait.End < transfer.End {
+		t.Errorf("second request got the thread at %v, inside the first's transfer %+v", wait.End, transfer)
+	}
 }
 
-func newApache(env *des.Env, workers int, fin netsim.FinConfig) (*Apache, *Tomcat) {
+// newApache is an Apache with the given worker pool in front of one
+// Tomcat, its lingering close armed by finWait.
+func newApache(env *des.Env, workers int, finWait bool) (*Apache, *Tomcat) {
 	tc, _ := newTomcat(env, 50, 50)
 	node := hw.NewNode(env, "apache1", hw.PC3000())
-	cfg := ApacheConfig{Workers: workers, Fin: fin}
+	cfg := ApacheConfig{Workers: workers, FinWait: finWait}
 	a := NewApache(env, node, cfg, []*Tomcat{tc}, netsim.Link{}, rng.New(5))
 	return a, tc
 }
 
 func TestApacheServesEndToEnd(t *testing.T) {
 	env := des.NewEnv()
-	a, tc := newApache(env, 10, netsim.FinConfig{})
+	a, tc := newApache(env, 10, false)
 	done := 0
 	for i := 0; i < 5; i++ {
 		goServe(env, a, testInteraction(), func(*des.Proc, error) { done++ })
@@ -419,26 +435,45 @@ func TestApacheServesEndToEnd(t *testing.T) {
 	env.Shutdown()
 }
 
-func TestApacheFinWaitParksWorker(t *testing.T) {
+// finWaitRun serves ten concurrent requests at a client load far past the
+// FIN model's knee, where most closes wait the slow tail, and returns the
+// latest completion and the number of workers parked in the close at
+// 100ms.
+func finWaitRun(finWait bool) (last time.Duration, parked int) {
 	env := des.NewEnv()
-	fin := netsim.FinConfig{
-		BaseMean: time.Millisecond, Knee: 100, TailProbMax: 1, TailSlope: 100,
-		TailMin: 200 * time.Millisecond, TailMax: 200 * time.Millisecond,
+	defer env.Shutdown()
+	a, _ := newApache(env, 10, finWait)
+	a.SetFinLoad(1e9)
+	for i := 0; i < 10; i++ {
+		goServe(env, a, testInteraction(), func(p *des.Proc, _ error) { last = max(last, p.Now()) })
 	}
-	a, _ := newApache(env, 10, fin)
-	a.SetFinLoad(1000) // far past knee: every close waits the full tail
-	var rt time.Duration
-	goServe(env, a, testInteraction(), func(p *des.Proc, _ error) { rt = p.Now() })
+	env.At(100*time.Millisecond, func() { parked = a.FinWaiting() })
 	env.Run(time.Minute)
-	if rt < 200*time.Millisecond {
-		t.Errorf("RT %v should include the 200ms FIN wait", rt)
+	return last, parked
+}
+
+func TestApacheFinWaitParksWorker(t *testing.T) {
+	last, parked := finWaitRun(true)
+	if parked == 0 {
+		t.Error("no worker parked in the lingering close")
 	}
-	env.Shutdown()
+	// The slow tail is 300ms to 1.2s.
+	if last < 300*time.Millisecond || last > 1300*time.Millisecond {
+		t.Errorf("last completion at %v, want a slow-tail FIN wait of 300ms to 1.2s in it", last)
+	}
+}
+
+// Without the FIN wait a worker closes at once, whatever the client load.
+func TestApacheWithoutFinWait(t *testing.T) {
+	last, parked := finWaitRun(false)
+	if parked != 0 || last > 100*time.Millisecond {
+		t.Errorf("%d workers parked, last completion at %v; want none parked and all done in 100ms", parked, last)
+	}
 }
 
 func TestApacheConnectingCounter(t *testing.T) {
 	env := des.NewEnv()
-	a, tc := newApache(env, 10, netsim.FinConfig{})
+	a, tc := newApache(env, 10, false)
 	_ = tc
 	var during int
 	env.Go("watch", func(p *des.Proc) {
@@ -458,7 +493,7 @@ func TestApacheConnectingCounter(t *testing.T) {
 
 func TestApacheTimeline(t *testing.T) {
 	env := des.NewEnv()
-	a, _ := newApache(env, 10, netsim.FinConfig{})
+	a, _ := newApache(env, 10, false)
 	a.EnableTimeline(0, time.Second)
 	for i := 0; i < 3; i++ {
 		goServe(env, a, testInteraction(), nil)

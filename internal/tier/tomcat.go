@@ -17,28 +17,27 @@ type TomcatConfig struct {
 	// CtxSwitchCoeff inflates servlet CPU demand per additional active
 	// thread (scheduling/locking overhead of large pools).
 	CtxSwitchCoeff float64
-	// ResponseTransferMS is the mean time a servlet thread spends streaming
-	// the response back through the connector (network transfer, no CPU,
-	// no DB connection held).
-	ResponseTransferMS float64
 	// JVM parameterizes the heap/collector model.
 	JVM jvm.Config
 }
+
+// responseTransferMS is the mean time a servlet thread spends streaming
+// the response back through the connector (network transfer, no CPU, no
+// DB connection held).
+const responseTransferMS = 2.0
 
 // DefaultTomcatConfig returns the calibration for a paper Tomcat node with
 // the given pool sizes.
 func DefaultTomcatConfig(threads, conns int) TomcatConfig {
 	cfg := TomcatConfig{
-		Threads:            threads,
-		Conns:              conns,
-		CtxSwitchCoeff:     0.0004,
-		ResponseTransferMS: 2.0,
-		JVM:                jvm.DefaultConfig(),
+		Threads:        threads,
+		Conns:          conns,
+		CtxSwitchCoeff: 0.0004,
+		JVM:            jvm.DefaultConfig(),
 	}
 	// Tomcat holds more base live data than C-JDBC (application classes,
-	// session caches) and pins a thread stack plus servlet buffers per slot.
+	// session caches); each slot pins a thread stack plus servlet buffers.
 	cfg.JVM.BaseLiveMiB = 250
-	cfg.JVM.LiveMiBPerSlot = 2.0
 	cfg.JVM.MinFreeMiB = 50
 	return cfg
 }
@@ -199,13 +198,10 @@ func (t *Tomcat) serve(p *des.Proc, it *rubbos.Interaction, s *inService) (bool,
 		case appCollected:
 			// Stream the response out through the connector while still
 			// holding the servlet thread (but no DB connection).
-			l.stage = appDone
-			if t.cfg.ResponseTransferMS > 0 {
-				s.t0 = p.Now()
-				l.stage = appTransfer
-				p.Rest(sampleMS(t.r, t.cfg.ResponseTransferMS, transferCV))
-				return false, nil
-			}
+			s.t0 = p.Now()
+			l.stage = appTransfer
+			p.Rest(sampleMS(t.r, responseTransferMS, transferCV))
+			return false, nil
 		case appTransfer:
 			addSpan(p, t.Node.Name(), "response-transfer", s.t0)
 			l.stage = appDone

@@ -161,6 +161,6 @@ func runReporting(b *testing.B, tb *testbed.Testbed, w *rubbos.Workload, horizon
 	b.ReportMetric(float64(peak), "goroutines-peak")
 	c := tb.Env.Counters()
 	if resolved := w.Completed() + w.Failed() + w.Shed(); resolved > 0 {
-		b.ReportMetric(float64(c.Steps+c.Resumes)/float64(resolved), "dispatches/req")
+		b.ReportMetric(float64(c.Steps+c.Binds)/float64(resolved), "dispatches/req")
 	}
 }

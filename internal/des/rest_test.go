@@ -78,50 +78,6 @@ func TestRestWakesLikeSleep(t *testing.T) {
 	}
 }
 
-// N resting processes share the runners of the few that are inside a run at
-// once: a run that sleeps holds its runner, a run that rests gives it back.
-func TestRestingProcsShareRunners(t *testing.T) {
-	env := NewEnv()
-	defer env.Shutdown()
-	const procs = 1000
-	runners := map[*runner]bool{}
-	inside, most := 0, 0
-	for i := 0; i < procs; i++ {
-		runs := 0
-		env.Go("user", func(p *Proc) {
-			runners[p.r] = true
-			inside++
-			most = max(most, inside)
-			runs++
-			if runs%4 == 0 {
-				// A request: hold the runner across simulated time.
-				p.Sleep(time.Duration(1+i%7) * time.Millisecond)
-			}
-			inside--
-			p.Rest(time.Duration(5+i%11) * time.Millisecond)
-		})
-	}
-	env.Run(time.Second)
-	if env.Live() != procs {
-		t.Fatalf("Live() = %d, want %d resting processes", env.Live(), procs)
-	}
-	if most < 2 || most > procs/2 {
-		t.Fatalf("at most %d processes inside a run at once; the test needs overlap well below %d", most, procs)
-	}
-	if len(runners) > most {
-		t.Errorf("%d runners bound, more than the %d processes ever inside a run at once", len(runners), most)
-	}
-	held := 0
-	for _, list := range []*runner{env.busy, env.idle} {
-		for r := list; r != nil; r = r.next {
-			held++
-		}
-	}
-	if held != len(runners) {
-		t.Errorf("Env holds %d runners, want the %d it bound", held, len(runners))
-	}
-}
-
 // A panic in a run that began at a Rest wake surfaces from Run as a
 // *ProcPanic naming the process, and finishes it.
 func TestPanicAfterRestWake(t *testing.T) {
@@ -199,8 +155,9 @@ func TestBlockingAfterRestPanics(t *testing.T) {
 }
 
 // BenchmarkRestingUsers is the closed-workload shape at scale: 10⁴
-// processes that each rest 1 ms between one-step runs, at staggered
-// phases. One op is one simulated millisecond, a run of every process.
+// processes that each rest 1 ms, at staggered phases, each wake a step
+// with no coroutine switch. One op is one simulated millisecond, a step of
+// every process.
 func BenchmarkRestingUsers(b *testing.B) {
 	const users = 10000
 	env := NewEnv()
@@ -208,7 +165,7 @@ func BenchmarkRestingUsers(b *testing.B) {
 	for i := 0; i < users; i++ {
 		phase := time.Millisecond * time.Duration(i) / users
 		started := false
-		env.Go("user", func(p *Proc) {
+		env.GoStep("user", func(p *Proc) {
 			if !started {
 				started = true
 				p.Rest(phase)

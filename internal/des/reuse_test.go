@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// A process that finishes normally, in a step or on a runner, is reused by
+// A process that finishes normally, in a step or on a coroutine, is reused by
 // the next GoStep, and starts clean: its new name, no data, and Live()
 // counts it once.
 func TestReusedProcStartsClean(t *testing.T) {
@@ -47,7 +47,7 @@ func TestReusedProcStartsClean(t *testing.T) {
 	}
 }
 
-// A process that panics after Rest, in a step or on a runner, is not
+// A process that panics after Rest, in a step or on a coroutine, is not
 // reused, so the wake its Rest scheduled stays a no-op instead of running
 // the next process early; so does an Unpark of it.
 func TestPanickedProcIsNotReused(t *testing.T) {
@@ -118,7 +118,7 @@ func TestStaleUnparkPanics(t *testing.T) {
 
 // Shutdown ends the live processes, and only those, while finished ones
 // wait on the free list for reuse; then it hands all of them on. Each
-// process that ran on a runner unwinds once: at its return, or at
+// process that ran on a coroutine unwinds once: at its return, or at
 // Shutdown.
 func TestShutdownWithRetiredProcs(t *testing.T) {
 	env := NewEnv()

@@ -36,7 +36,7 @@ func stepLoop(log *[]string, name string) func(p *Proc) {
 // same process under Go takes it: the two logs, interleaved with a
 // bystander ticking at the same instants, are identical except that the
 // stepping process's dispatch before its Bind logs twice (its step, then
-// fn again on the runner).
+// fn again on the coroutine).
 func TestStepsWakeLikeRuns(t *testing.T) {
 	trace := func(step bool) []string {
 		env := NewEnv()
@@ -66,22 +66,22 @@ func TestStepsWakeLikeRuns(t *testing.T) {
 }
 
 // Steps are counted apart from runs: the two rests of stepLoop and its
-// final dispatch after the Unpark are steps; the Bind dispatch and the
-// sleep's wake resume a coroutine; one runner is bound, once.
+// final dispatch after the Unpark are steps; the Bind dispatch starts the
+// one run on a coroutine.
 func TestStepCounters(t *testing.T) {
 	env := NewEnv()
 	defer env.Shutdown()
 	var log []string
 	env.GoStep("proc", stepLoop(&log, "proc"))
 	env.Run(time.Minute)
-	want := Counters{Binds: 1, Suspensions: 1, Steps: 3, Resumes: 2, PeakBound: 1}
+	want := Counters{Binds: 1, Suspensions: 1, Steps: 3}
 	if got := env.Counters(); got != want {
 		t.Errorf("Counters() = %+v, want %+v", got, want)
 	}
 }
 
 // A process that only rests and returns is served by steps alone: a
-// thousand of them, waking a hundred times each, never bind a runner.
+// thousand of them, waking a hundred times each, never bind a coroutine.
 func TestRestingStepsBindNoRunner(t *testing.T) {
 	env := NewEnv()
 	defer env.Shutdown()
@@ -102,27 +102,27 @@ func TestRestingStepsBindNoRunner(t *testing.T) {
 	if done != procs || env.Live() != 0 {
 		t.Fatalf("%d processes done, Live() = %d; want %d and 0", done, env.Live(), procs)
 	}
-	if c.Binds != 0 || c.Resumes != 0 || c.PeakBound != 0 {
-		t.Errorf("steps bound runners: %+v", c)
+	if c.Binds != 0 {
+		t.Errorf("steps bound coroutines: %+v", c)
 	}
 	if c.Steps != procs*(wakes+1) {
 		t.Errorf("%d steps, want %d", c.Steps, procs*(wakes+1))
 	}
 }
 
-// A process that rests on its runner gives the runner back, and its next
+// A process that rests on its coroutine ends the coroutine, and its next
 // wake is a step like any other, at the same (at, seq) a Rest in a step
-// would take: a GoStep fn that does not ask for a runner then finishes in
-// the step, and a Go fn is bound a fresh runner by its step.
+// would take: a GoStep fn that does not ask for a coroutine then finishes
+// in the step, and a Go fn is given a fresh coroutine by its step.
 func TestRestOnRunnerWakesAsStep(t *testing.T) {
 	var log []string
 	env := NewEnv()
 	defer env.Shutdown()
 	where := func(p *Proc) string {
-		if p.r == &env.stepper {
+		if p.co == nil {
 			return " in a step"
 		}
-		return " on a runner"
+		return " on a coroutine"
 	}
 	body := func(name string, bind bool) func(p *Proc) {
 		rested := false
@@ -143,12 +143,12 @@ func TestRestOnRunnerWakesAsStep(t *testing.T) {
 	env.GoStep("step", body("step", false))
 	env.GoStep("bound", body("bound", true))
 	env.Run(time.Minute)
-	want := "go rested on a runner, step rested in a step, bound rested on a runner, " +
-		"go@1s on a runner, step@1s in a step, bound@1s in a step"
+	want := "go rested on a coroutine, step rested in a step, bound rested on a coroutine, " +
+		"go@1s on a coroutine, step@1s in a step, bound@1s in a step"
 	if got := strings.Join(log, ", "); got != want {
 		t.Errorf("log %q, want %q", got, want)
 	}
-	want2 := Counters{Binds: 3, Steps: 3, Resumes: 3, PeakBound: 1}
+	want2 := Counters{Binds: 3, Steps: 3}
 	if c := env.Counters(); c != want2 {
 		t.Errorf("Counters() = %+v, want %+v", c, want2)
 	}
@@ -200,9 +200,9 @@ func TestStepPanicSurfacesAsProcPanic(t *testing.T) {
 
 func panicInStep() { panic("step kaboom") }
 
-// A step may suspend: the process then waits without a runner until an
+// A step may suspend: the process then waits without a coroutine until an
 // Unpark, and its wake is a step at the place in the event order a parked
-// runner's wake takes. Both logs, interleaved with a bystander's ticks at
+// process's wake takes. Both logs, interleaved with a bystander's ticks at
 // the same instants, read the same, and the stepping process never binds.
 func TestSuspendInStepWakesLikePark(t *testing.T) {
 	trace := func(step bool) ([]string, Counters) {
@@ -282,7 +282,7 @@ func TestStepMisusePanics(t *testing.T) {
 }
 
 // Shutdown finishes every stepping process whatever it waits on — its
-// start, a rested wake, a suspension begun on a runner, or a sleep inside
+// start, a rested wake, a suspension begun on a coroutine, or a sleep inside
 // a run, which unwinds — so Live() reaches 0.
 func TestShutdownFinishesSteppingProcs(t *testing.T) {
 	env := NewEnv()
@@ -319,33 +319,4 @@ func TestShutdownFinishesSteppingProcs(t *testing.T) {
 	if runs["resting"] != 1 || runs["suspended"] != 2 {
 		t.Errorf("runs %v, want resting 1 (its start) and suspended 2 (its step and its run)", runs)
 	}
-}
-
-// BenchmarkStepWakes is BenchmarkRestingUsers served by steps: 10⁴
-// processes resting 1 ms, each wake a step with no coroutine switch.
-func BenchmarkStepWakes(b *testing.B) {
-	const users = 10000
-	env := NewEnv()
-	defer env.Shutdown()
-	for i := 0; i < users; i++ {
-		phase := time.Millisecond * time.Duration(i) / users
-		started := false
-		env.GoStep("user", func(p *Proc) {
-			if !started {
-				started = true
-				p.Rest(phase)
-				return
-			}
-			p.Rest(time.Millisecond)
-		})
-	}
-	env.Run(time.Millisecond)
-	b.ReportAllocs()
-	b.ResetTimer()
-	fired := 0
-	for i := 0; i < b.N; i++ {
-		fired += env.Run(env.Now() + time.Millisecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/wake")
 }

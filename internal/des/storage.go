@@ -55,11 +55,11 @@ func (e *Env) adopt() {
 
 // handOn resets e's storage to a new Env's state and hands it to the pool,
 // or drops it if the pool is full; e keeps none of it. Shutdown calls it
-// once no process holds a runner. Every Timer of e is left unarmed, and e
-// drops its timer registry, so a Timer still queued names nothing in the
-// storage. The Procs and the free list are cleared, which ends the
-// processes that held no runner, and the queue is emptied, so a kept set
-// pins nothing of the Env it came from.
+// once no process holds a coroutine. Every Timer of e is left unarmed,
+// and e drops its timer registry, so a Timer still queued names nothing in
+// the storage. The Procs and the free list are cleared, which ends the
+// processes that held no coroutine, and the queue is emptied, so a kept
+// set pins nothing of the Env it came from.
 func (e *Env) handOn() {
 	for _, t := range e.timers {
 		t.key = 0

@@ -12,7 +12,7 @@ import (
 )
 
 // churn runs users processes on env until horizon and shuts env down. The
-// processes rest, sleep on a runner, suspend until a ticking Timer unparks
+// processes rest, sleep on a coroutine, suspend until a ticking Timer unparks
 // them, re-arm a shared Timer (stopping its pending firing), schedule At
 // callbacks, and finish and start a successor, so every kind of queue
 // entry, every queue path and Proc reuse all take part. It returns what

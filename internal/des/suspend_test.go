@@ -147,10 +147,8 @@ func TestPanicAfterSuspendWake(t *testing.T) {
 	}
 }
 
-// Counters count every runner bind and suspension, and the peak number of
-// runners bound at once: three processes that each sleep, suspend, and
-// finish after their Unpark bind twice each and hold at most three
-// runners, all while sleeping together.
+// Counters count every coroutine bind and suspension: three processes
+// that each sleep, suspend, and finish after their Unpark bind twice each.
 func TestCounters(t *testing.T) {
 	env := NewEnv()
 	defer env.Shutdown()
@@ -166,7 +164,7 @@ func TestCounters(t *testing.T) {
 		env.At(time.Second+time.Duration(i)*time.Millisecond, p.Unpark)
 	}
 	env.Run(time.Hour)
-	want := Counters{Binds: 6, Suspensions: 3, Resumes: 9, PeakBound: 3}
+	want := Counters{Binds: 6, Suspensions: 3}
 	if got := env.Counters(); got != want {
 		t.Errorf("Counters() = %+v, want %+v", got, want)
 	}
@@ -175,8 +173,8 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// suspendOnRunner suspends at every run; as a package-level func value it
-// costs GoStep no closure.
+// suspendOnRunner suspends at every run, on a coroutine; as a
+// package-level func value it costs GoStep no closure.
 func suspendOnRunner(p *Proc) {
 	if p.Bind() {
 		p.Suspend()
@@ -184,7 +182,7 @@ func suspendOnRunner(p *Proc) {
 }
 
 // A suspension costs nothing beyond the process's own Proc: 10⁴ processes
-// that suspend at once allocate their Procs a slab at a time and the
+// that suspend at once, in a step, allocate their Procs a slab at a time and the
 // queue's nodes a chunk at a time, plus a few slice growths, and nothing
 // per suspension.
 func TestSuspendedProcsAllocateOnlySlabs(t *testing.T) {
@@ -192,7 +190,7 @@ func TestSuspendedProcsAllocateOnlySlabs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		env := NewEnv()
 		for i := 0; i < n; i++ {
-			env.GoStep("user", suspendOnRunner)
+			env.GoStep("user", (*Proc).Suspend)
 		}
 		env.Run(time.Second)
 		if env.Live() != n || env.Counters().Suspensions != n {
@@ -205,11 +203,11 @@ func TestSuspendedProcsAllocateOnlySlabs(t *testing.T) {
 	}
 }
 
-// Once warm, a suspend/Unpark cycle allocates nothing.
+// Once warm, a suspend/Unpark cycle of steps allocates nothing.
 func TestSuspendUnparkCycleAllocatesNothing(t *testing.T) {
 	env := NewEnv()
 	defer env.Shutdown()
-	p := env.GoStep("waiter", suspendOnRunner)
+	p := env.GoStep("waiter", (*Proc).Suspend)
 	env.Run(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		p.Unpark()
@@ -225,7 +223,7 @@ func TestSuspendUnparkCycleAllocatesNothing(t *testing.T) {
 
 // Shutdown ends every live process over several Proc slabs, the last one
 // partial: processes suspended, suspended with an Unpark pending, resting,
-// sleeping on a runner and not yet started. Live() is 0 when it returns;
+// sleeping on a coroutine and not yet started. Live() is 0 when it returns;
 // the sleeping ones have unwound; and none of them runs again, neither at
 // the wakes its old Env had queued nor on the next Env, which takes over
 // the storage. Retired and panicked processes, already finished, stay so.

@@ -9,7 +9,7 @@ import (
 	"github.com/softres/ntier/internal/resource"
 )
 
-// use runs work on c for p on its runner, parked until the job completes.
+// use runs work on c for p on its coroutine, parked until the job completes.
 func use(p *des.Proc, c *resource.CPU, work time.Duration) {
 	if c.Use(p, work) {
 		p.Park()

@@ -8,7 +8,7 @@ import (
 	"github.com/softres/ntier/internal/resource"
 )
 
-// allocate reports alloc MiB for p on its runner, asleep through the
+// allocate reports alloc MiB for p on its coroutine, asleep through the
 // collection it starts, if any.
 func allocate(p *des.Proc, j *JVM, alloc float64) {
 	if pause, gc := j.Allocate(alloc); gc {
@@ -17,7 +17,7 @@ func allocate(p *des.Proc, j *JVM, alloc float64) {
 	}
 }
 
-// use runs work on c for p on its runner, parked until the job completes.
+// use runs work on c for p on its coroutine, parked until the job completes.
 func use(p *des.Proc, c *resource.CPU, work time.Duration) {
 	if c.Use(p, work) {
 		p.Park()

@@ -10,7 +10,7 @@ import (
 	"github.com/softres/ntier/internal/rng"
 )
 
-// acquireTimeout takes a unit of pl for p on its runner, parked while it
+// acquireTimeout takes a unit of pl for p on its coroutine, parked while it
 // waits in the pool's queue, giving up after timeout if positive. It
 // reports whether a unit was obtained and the time spent waiting.
 func acquireTimeout(p *des.Proc, pl *Pool, timeout time.Duration) (bool, time.Duration) {
@@ -22,7 +22,7 @@ func acquireTimeout(p *des.Proc, pl *Pool, timeout time.Duration) (bool, time.Du
 	return pl.Resolve(p)
 }
 
-// acquire takes a unit of pl for p on its runner, parked until the grant,
+// acquire takes a unit of pl for p on its coroutine, parked until the grant,
 // and returns the time spent waiting.
 func acquire(p *des.Proc, pl *Pool) time.Duration {
 	_, wait := acquireTimeout(p, pl, 0)

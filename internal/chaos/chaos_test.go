@@ -11,6 +11,7 @@ import (
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fault"
 	"github.com/softres/ntier/internal/testbed"
+	"github.com/softres/ntier/internal/tier"
 )
 
 // tinyTrial is a deliberately small deployment and timeline so a full
@@ -117,6 +118,23 @@ func TestTrialDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("verdicts differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// A model bug that panics is a deterministic verdict, not an error: the
+// experiment runner's *PanicError becomes a ClassPanic verdict that names
+// the panic, so campaigns journal and shrink it like any other failure.
+func TestPanicIsClassPanicVerdict(t *testing.T) {
+	cfg := tinyTrial()
+	cfg.Topology.TuneTomcat = func(*tier.TomcatConfig) { panic("planted tomcat panic") }
+	v, err := RunTrial(cfg, fault.Plan{Events: []fault.Event{
+		fault.Crash("apache1", time.Second, 2*time.Second),
+	}})
+	if err != nil {
+		t.Fatalf("RunTrial err = %v, want a verdict", err)
+	}
+	if v.Class != ClassPanic || len(v.Violations) != 1 || !strings.Contains(v.Violations[0], "planted tomcat panic") {
+		t.Fatalf("verdict = %+v, want one ClassPanic violation naming the panic", v)
 	}
 }
 

@@ -182,10 +182,10 @@ func (e *Env) Counters() Counters { return e.counters }
 // dead-entry counter must stay within the physical queue, and the queue's
 // own accounting must hold — its components sum to its size, the wheel's
 // count matches its buckets, and every lane entry is at the lane's clock.
-// It is a pure read, linear in the queue size, called between Run calls by
-// the chaos campaign's conservation-invariant oracle; a violation means the
-// event lifecycle itself lost track of an event, not that the model
-// misbehaved.
+// It is a pure read, linear in the queue size, called through
+// testbed.Testbed.Audit at every experiment trial's horizon and, for a
+// trial that drains, after the drain; a violation means the event
+// lifecycle itself lost track of an event, not that the model misbehaved.
 func (e *Env) Audit() error {
 	if e.nDead < 0 || e.nDead > e.q.len() {
 		return fmt.Errorf("des: dead-entry counter %d outside physical queue of %d entries", e.nDead, e.q.len())

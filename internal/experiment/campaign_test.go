@@ -242,18 +242,26 @@ func TestRunCampaignDropsEngineStorage(t *testing.T) {
 	}
 }
 
-// A state directory written before the record layout changed is refused
-// with the format error rather than silently re-simulated.
-func TestFormat1StateRefused(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "old")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
+// A state directory written before the record layout changed — format 1
+// before every output moved into the record's data, format 2 before
+// Result carried its request buckets — is refused with the format error
+// rather than silently re-simulated.
+func TestOldFormatStateRefused(t *testing.T) {
+	if journalFormat != 3 {
+		t.Fatalf("journalFormat = %d: name the formats it refuses here", journalFormat)
 	}
-	if err := os.WriteFile(filepath.Join(dir, stateMetaFile), []byte(`{"format":1,"fingerprint":"fp"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenState(dir, "fp", true)
-	if want := fmt.Sprintf("state format 1, want %d", journalFormat); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("err = %v, want %q", err, want)
+	for _, format := range []int{1, 2} {
+		dir := filepath.Join(t.TempDir(), "old")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		meta := fmt.Sprintf(`{"format":%d,"fingerprint":"fp"}`, format)
+		if err := os.WriteFile(filepath.Join(dir, stateMetaFile), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenState(dir, "fp", true)
+		if want := fmt.Sprintf("state format %d, want %d", format, journalFormat); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
 	}
 }

@@ -17,10 +17,13 @@ func (c *Curve) WriteCSV(w io.Writer, thresholds []time.Duration) error {
 
 // writeTrialsCSV writes a sweep's per-trial record — the axis value,
 // throughput, goodput per threshold, error/degraded responses,
-// shed/abandoned/late counts, mean/p95 response time, and per-tier CPU —
-// as CSV, with axisName heading the first column. The errors column keeps
-// badput visible in fault-scenario curves; shed and abandoned keep
-// deliberate rejections and frustrated users visible next to it. A trial
+// shed/abandoned/late counts, the requests issued and still in flight,
+// mean/p95 response time, and per-tier CPU — as CSV, with axisName heading
+// the first column. The errors column keeps badput visible in
+// fault-scenario curves; shed and abandoned keep deliberate rejections and
+// frustrated users visible next to it. Issued and in_flight are the
+// workload's buckets at the horizon, counted from the start of the trial
+// (Result.Requests), so a backlog growing past the window shows. A trial
 // that failed (errs) still gets a row: empty metric cells and the failure
 // in the status column, so a partially-failed sweep remains plottable.
 func writeTrialsCSV(w io.Writer, axisName string, axis func(i int) string, results []*Result, errs []error, thresholds []time.Duration) error {
@@ -29,7 +32,7 @@ func writeTrialsCSV(w io.Writer, axisName string, axis func(i int) string, resul
 	for _, th := range thresholds {
 		header = append(header, fmt.Sprintf("goodput_%s", th))
 	}
-	header = append(header, "errors", "shed", "abandoned", "late", "mean_rt_s", "p95_rt_s",
+	header = append(header, "errors", "shed", "abandoned", "late", "issued", "in_flight", "mean_rt_s", "p95_rt_s",
 		"apache_cpu", "tomcat_cpu", "cjdbc_cpu", "mysql_cpu", "status")
 	if err := cw.Write(header); err != nil {
 		return err
@@ -59,6 +62,8 @@ func writeTrialsCSV(w io.Writer, axisName string, axis func(i int) string, resul
 			strconv.FormatUint(r.Shed, 10),
 			strconv.FormatUint(r.Abandoned, 10),
 			strconv.FormatUint(r.Late, 10),
+			strconv.FormatUint(r.Requests.Issued, 10),
+			strconv.Itoa(r.Requests.InFlight),
 			fmt.Sprintf("%.4f", r.SLA.ResponseTimes().Mean()),
 			fmt.Sprintf("%.4f", r.SLA.ResponseTimes().Percentile(95)),
 			fmt.Sprintf("%.4f", TierCPU(r.Apache)),

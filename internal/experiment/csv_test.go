@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"encoding/csv"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +34,7 @@ func TestWriteCSV(t *testing.T) {
 	if records[0][0] != "workload" || records[1][0] != "300" || records[2][0] != "600" {
 		t.Errorf("rows: %v", records)
 	}
-	wantCols := 2 + len(sla.StandardThresholds) + 11
+	wantCols := 2 + len(sla.StandardThresholds) + 13
 	if len(records[0]) != wantCols {
 		t.Errorf("csv has %d columns, want %d", len(records[0]), wantCols)
 	}
@@ -43,6 +45,16 @@ func TestWriteCSV(t *testing.T) {
 		}
 		if records[1][errCol+off] != "0" || records[2][errCol+off] != "0" {
 			t.Errorf("fault-free sweep reported %s: %v %v", name, records[1][errCol+off], records[2][errCol+off])
+		}
+	}
+	// The workload's buckets at the horizon sit next to the outcome counts.
+	if records[0][errCol+4] != "issued" || records[0][errCol+5] != "in_flight" {
+		t.Fatalf("columns after late are %q, %q, want issued, in_flight", records[0][errCol+4], records[0][errCol+5])
+	}
+	for i, r := range curve.Results {
+		want := []string{strconv.FormatUint(r.Requests.Issued, 10), strconv.Itoa(r.Requests.InFlight)}
+		if got := records[i+1][errCol+4 : errCol+6]; r.Requests.Issued == 0 || !slices.Equal(got, want) {
+			t.Errorf("row %d: issued, in_flight = %v, want %v (nonzero issued)", i+1, got, want)
 		}
 	}
 }

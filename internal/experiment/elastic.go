@@ -242,19 +242,22 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 	// collide on the same file name.
 	rc.Obs.SLA = cfg.GoodputThreshold
 	win := &windowing{width: cfg.Window, threshold: cfg.GoodputThreshold}
-	var ctl *adaptive.ElasticController
+	var (
+		ctl *adaptive.ElasticController
+		d   Disturbance
+	)
 	if policy != adaptive.PolicyStatic {
 		ccfg := cfg.Controller
 		ccfg.Policy = policy
 		if ccfg.UsersAt == nil {
 			ccfg.UsersAt = UsersAtFor(tr.Spec)
 		}
-		win.disturb = func(tb *testbed.Testbed) (err error) {
+		d.Arm = func(tb *testbed.Testbed) (err error) {
 			ctl, err = adaptive.AttachElastic(tb, ccfg)
 			return err
 		}
 	}
-	res, err := run(rc, win, "-"+strings.ToLower(string(policy))+"-"+tr.Name)
+	res, _, err := run(rc, d, win, "-"+strings.ToLower(string(policy))+"-"+tr.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -203,6 +203,11 @@ type Result struct {
 	// window (0 unless the closed-loop client models patience).
 	Abandoned uint64
 
+	// Requests holds the workload's conservation buckets at the horizon,
+	// counted from the start of the trial, ramp included: issued =
+	// completed + failed + shed + in flight.
+	Requests rubbos.Requests
+
 	Apache, Tomcat, CJDBC, MySQL []ServerStats
 
 	Timeline *ApacheTimeline // non-nil when RunConfig.Timeline
@@ -258,57 +263,104 @@ func TierCPU(ss []ServerStats) float64 {
 }
 
 // Run executes one trial: build the topology, ramp the workload, reset all
-// monitors, measure, and collect. A panic anywhere in the trial — the
-// build, a simulated process (re-raised by the DES scheduler as a
+// monitors, measure, audit, and collect. A panic anywhere in the trial —
+// the build, a simulated process (re-raised by the DES scheduler as a
 // *des.ProcPanic), or collection — is recovered into a *PanicError so one
-// bad grid point cannot take down a sweep's worker pool. Cancellation via
-// Ctx and the TrialTimeout watchdog interrupt the simulation between
-// events and shut the testbed down cleanly.
-func Run(cfg RunConfig) (*Result, error) { return run(cfg, nil, "") }
+// bad grid point cannot take down a sweep's worker pool; so is a failed
+// horizon audit, as an *AuditError value. Cancellation via Ctx and the
+// TrialTimeout watchdog interrupt the simulation between events and shut
+// the testbed down cleanly.
+func Run(cfg RunConfig) (*Result, error) {
+	res, _, err := run(cfg, Disturbance{}, nil, "")
+	return res, err
+}
 
-// run is Run, plus the windowed timeline of a fault scenario, flash crowd
-// or elastic day when win is set: its disturbance is armed before the
-// workload starts, and its per-window points and gauges are filled in.
-// label is appended to the obs snapshot's Soft label.
-func run(cfg RunConfig, win *windowing, label string) (res *Result, err error) {
+// Disturbance is what a caller adds to a plain trial: something armed
+// after the build, an observer of every completion, and a drain to
+// quiescence once the result is collected.
+type Disturbance struct {
+	// Arm, when set, runs after the testbed is built and before the
+	// workload starts: it schedules a fault plan or attaches a controller.
+	Arm func(tb *testbed.Testbed) error
+	// Observe, when set, sees every completion of the trial, ramp
+	// included: its issue instant, response time and error.
+	Observe func(issued, rt time.Duration, err error)
+	// Drain, when positive, asks for a drain to quiescence after the
+	// result is collected: the workload stops and the clock runs on, at
+	// most Drain longer, until no process is live and no event pending;
+	// then the testbed's quiescent audit runs.
+	Drain time.Duration
+}
+
+// Quiescence is the outcome of a trial's drain. It is the caller's to
+// judge: a violation here does not fail the trial.
+type Quiescence struct {
+	// Drained reports whether the trial reached zero live processes and an
+	// empty event queue within the drain budget.
+	Drained bool
+	// Violations holds the quiescent audit's findings, led by the drain's
+	// own when it ran out of budget.
+	Violations []error
+	// Requests holds the workload's conservation buckets after the drain.
+	Requests rubbos.Requests
+}
+
+// RunDisturbed is Run with d added. Its Quiescence is nil unless d.Drain
+// is positive.
+func RunDisturbed(cfg RunConfig, d Disturbance) (*Result, *Quiescence, error) {
+	return run(cfg, d, nil, "")
+}
+
+// run is RunDisturbed, plus the windowed timeline of a fault scenario,
+// flash crowd or elastic day when win is set: its per-window points and
+// gauges are filled in. label is appended to the obs snapshot's Soft label.
+func run(cfg RunConfig, d Disturbance, win *windowing, label string) (res *Result, q *Quiescence, err error) {
 	cfg.applyDefaults()
 	if cerr := ctxErr(cfg.Ctx); cerr != nil {
-		return nil, cerr
+		return nil, nil, cerr
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, newPanicError(r)
+			res, q, err = nil, nil, newPanicError(r)
 		}
 	}()
 	tb, err := testbed.Build(cfg.Testbed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer tb.Close()
-	defer Watchdog(cfg.Ctx, cfg.TrialTimeout, tb.Env)()
-	if win != nil && win.disturb != nil {
-		if err := win.disturb(tb); err != nil {
-			return nil, err
+	defer watchdog(cfg.Ctx, cfg.TrialTimeout, tb.Env)()
+	if d.Arm != nil {
+		if err := d.Arm(tb); err != nil {
+			return nil, nil, err
 		}
 	}
-	m, err := startMeasurement(cfg, tb, win, label)
+	m, err := startMeasurement(cfg, tb, win, d.Observe, label)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := runLegs(cfg, tb.Env, tb.ResetStats, m); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return m.result()
+	if res, err = m.result(); err != nil || d.Drain <= 0 {
+		return res, nil, err
+	}
+	if q, err = m.quiesce(d.Drain); err != nil {
+		return nil, nil, err
+	}
+	return res, q, nil
 }
 
 // runLegs runs a trial on env: the ramp leg, then reset, which clears every
 // monitor so only the runtime window counts, and each measurement's
-// baseline, then the measure leg. After each leg it checks whether the
-// watchdog or a cancellation interrupted the simulation; the caller's
-// deferred shutdown unwinds the environment.
+// baseline, then the measure leg, then every measurement's testbed audit.
+// After each leg it checks whether the watchdog or a cancellation
+// interrupted the simulation; the caller's deferred shutdown unwinds the
+// environment. A failed audit returns as a *PanicError holding an
+// *AuditError.
 func runLegs(cfg RunConfig, env *des.Env, reset func(), ms ...*measurement) error {
 	env.Run(cfg.RampUp)
-	if err := Aborted(cfg.Ctx, cfg.TrialTimeout, env); err != nil {
+	if err := aborted(cfg.Ctx, cfg.TrialTimeout, env); err != nil {
 		return err
 	}
 	reset()
@@ -316,7 +368,17 @@ func runLegs(cfg RunConfig, env *des.Env, reset func(), ms ...*measurement) erro
 		m.baseline()
 	}
 	env.Run(cfg.RampUp + cfg.Measure)
-	return Aborted(cfg.Ctx, cfg.TrialTimeout, env)
+	if err := aborted(cfg.Ctx, cfg.TrialTimeout, env); err != nil {
+		return err
+	}
+	var violations []error
+	for _, m := range ms {
+		violations = append(violations, m.tb.Audit(false)...)
+	}
+	if len(violations) > 0 {
+		return &PanicError{Value: &AuditError{Violations: violations}}
+	}
+	return nil
 }
 
 // measurement is one testbed's share of a trial: the workload and the
@@ -339,9 +401,9 @@ type measurement struct {
 }
 
 // startMeasurement starts cfg's workload on tb and arms every monitor of
-// the measurement window that opens at cfg.RampUp. cfg has its defaults
-// applied.
-func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, label string) (*measurement, error) {
+// the measurement window that opens at cfg.RampUp; observe, when set, sees
+// every completion. cfg has its defaults applied.
+func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, observe func(issued, rt time.Duration, err error), label string) (*measurement, error) {
 	m := &measurement{cfg: cfg, tb: tb, label: label, win: win, collector: sla.NewCollector(cfg.Thresholds)}
 	measureStart := cfg.RampUp
 	if win != nil {
@@ -365,6 +427,9 @@ func startMeasurement(cfg RunConfig, tb *testbed.Testbed, win *windowing, label 
 		ccfg.Tracer = m.tracer
 	}
 	collect := func(it *rubbos.Interaction, issued, rt time.Duration, rerr error) {
+		if observe != nil {
+			observe(issued, rt, rerr)
+		}
 		shed := false
 		if rerr != nil {
 			k, ok := tier.ErrKind(rerr)
@@ -465,6 +530,7 @@ func (m *measurement) result() (*Result, error) {
 		Config: cfg, SLA: m.collector, Errors: m.errCount,
 		Shed: m.collector.Shed(), Late: m.collector.Late(),
 		Abandoned: m.w.Abandoned() - m.abandonedBase,
+		Requests:  m.w.Requests(),
 	}
 	res.Apache, res.Tomcat, res.CJDBC, res.MySQL = collectStats(tb)
 
@@ -515,6 +581,28 @@ func (m *measurement) result() (*Result, error) {
 	return res, nil
 }
 
+// quiesce stops the workload and runs the clock on in one-second legs,
+// for at most budget, until no process is live and no event pending; then
+// it audits the quiescent testbed.
+func (m *measurement) quiesce(budget time.Duration) (*Quiescence, error) {
+	env := m.tb.Env
+	m.w.Stop()
+	for deadline := env.Now() + budget; (env.Live() > 0 || env.Pending() > 0) && env.Now() < deadline; {
+		env.Run(env.Now() + time.Second)
+		if err := aborted(m.cfg.Ctx, m.cfg.TrialTimeout, env); err != nil {
+			return nil, err
+		}
+	}
+	q := &Quiescence{Drained: env.Live() == 0 && env.Pending() == 0, Requests: m.w.Requests()}
+	if !q.Drained {
+		q.Violations = append(q.Violations, fmt.Errorf(
+			"experiment: not quiescent after %v drain budget (%d live processes, %d pending events)",
+			budget, env.Live(), env.Pending()))
+	}
+	q.Violations = append(q.Violations, m.tb.Audit(true)...)
+	return q, nil
+}
+
 // collectStats reads every server's monitors for the window that started at
 // the last ResetStats.
 func collectStats(tb *testbed.Testbed) (apache, tomcat, cjdbc, mysql []ServerStats) {
@@ -562,7 +650,8 @@ func collectStats(tb *testbed.Testbed) (apache, tomcat, cjdbc, mysql []ServerSta
 
 // Describe summarizes a result in one line (used by the CLIs). Trials that
 // saw error or degraded responses report the count — badput must not hide
-// behind the goodput numbers.
+// behind the goodput numbers — and so do trials with requests still in
+// flight at the horizon.
 func (r *Result) Describe() string {
 	load := fmt.Sprintf("N=%d", r.Config.Users)
 	if r.Config.Arrivals != nil {
@@ -584,6 +673,9 @@ func (r *Result) Describe() string {
 	}
 	if r.Late > 0 {
 		s += fmt.Sprintf(", late %d", r.Late)
+	}
+	if n := r.Requests.InFlight; n != 0 {
+		s += fmt.Sprintf(", in flight %d", n)
 	}
 	return s
 }

@@ -187,7 +187,7 @@ func runFleetRoster(cfg FleetSweepConfig, placement fleet.Placement, roster []fl
 		return nil, err
 	}
 	defer f.Close()
-	defer Watchdog(cfg.Run.Ctx, cfg.Run.TrialTimeout, f.Env)()
+	defer watchdog(cfg.Run.Ctx, cfg.Run.TrialTimeout, f.Env)()
 
 	// Each tenant is measured as its own trial over the shared environment;
 	// the one pair of legs then runs them all, and one reset keeps their
@@ -195,11 +195,10 @@ func runFleetRoster(cfg FleetSweepConfig, placement fleet.Placement, roster []fl
 	ms := make([]*measurement, len(f.Tenants))
 	for i, t := range f.Tenants {
 		label := "-" + strings.ToLower(string(placement)) + "-" + t.Spec.Name + "-" + cell
-		ms[i], err = startMeasurement(tenantRun(cfg.Run, t), t.TB, nil, label)
+		ms[i], err = startMeasurement(tenantRun(cfg.Run, t), t.TB, nil, nil, label)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: tenant %s workload: %w", t.Spec.Name, err)
 		}
-		t.Workload = ms[i].w
 	}
 	if err := runLegs(cfg.Run, f.Env, f.ResetStats, ms...); err != nil {
 		return nil, err

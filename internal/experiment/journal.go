@@ -29,8 +29,10 @@ import (
 // journalFormat versions the record payload schema. Format 2 keeps every
 // trial output, *Result included, in TrialRecord.Data (format 1 gave
 // Results a field of their own) and keys RunTrials records by
-// "soft ... workload ..."; a format-1 state directory is refused.
-const journalFormat = 2
+// "soft ... workload ..."; format 3 adds Result.Requests, and journals a
+// failed horizon audit as a panic. A state directory of an older format
+// is refused.
+const journalFormat = 3
 
 // recordHeaderSize is the framing prefix: 4-byte little-endian payload
 // length followed by 4-byte IEEE CRC32 of the payload.

@@ -209,7 +209,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	cfg.Run.Arrivals = trace.FlashCrowd(cfg.BaseRate, cfg.BaseRate*cfg.SpikeMult,
 		cfg.Run.RampUp+cfg.SpikeStart, cfg.SpikeDur)
 	win := &windowing{width: obs.SampleInterval, threshold: cfg.GoodputThreshold, gauge: queued}
-	res, err := run(cfg.Run, win, "")
+	res, _, err := run(cfg.Run, Disturbance{}, win, "")
 	if err != nil {
 		return nil, err
 	}

@@ -110,22 +110,18 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		inj *fault.Injector
 		ctl *adaptive.ElasticController
 	)
-	win := &windowing{
-		width:     obs.SampleInterval,
-		threshold: cfg.GoodputThreshold,
-		disturb: func(tb *testbed.Testbed) (err error) {
-			inj = fault.NewInjector(tb.Env, tb.FaultTargets(), cfg.Run.Testbed.Seed)
-			if err := inj.Schedule(cfg.Run.RampUp, cfg.Plan); err != nil {
-				return err
-			}
-			if cfg.Elastic != nil {
-				ctl, err = adaptive.AttachElastic(tb, *cfg.Elastic)
-			}
+	arm := func(tb *testbed.Testbed) (err error) {
+		inj = fault.NewInjector(tb.Env, tb.FaultTargets(), cfg.Run.Testbed.Seed)
+		if err := inj.Schedule(cfg.Run.RampUp, cfg.Plan); err != nil {
 			return err
-		},
-		gauge: cjdbcBusy,
+		}
+		if cfg.Elastic != nil {
+			ctl, err = adaptive.AttachElastic(tb, *cfg.Elastic)
+		}
+		return err
 	}
-	res, err := run(cfg.Run, win, "")
+	win := &windowing{width: obs.SampleInterval, threshold: cfg.GoodputThreshold, gauge: cjdbcBusy}
+	res, _, err := run(cfg.Run, Disturbance{Arm: arm}, win, "")
 	if err != nil {
 		return nil, err
 	}

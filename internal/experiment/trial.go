@@ -1,8 +1,9 @@
-// Per-trial fault containment: panic recovery and the wall-clock
-// watchdog. A panicking simulation — a model bug at one grid point — must
-// not kill the sweep's worker pool or lose the campaign's completed
-// trials, and a wedged DES run must not hang the process forever. Both
-// degrade into typed per-trial errors the sweeps turn into error rows.
+// Per-trial fault containment: panic recovery, the horizon audit and the
+// wall-clock watchdog. A panicking simulation or a trial whose books do
+// not balance — a model bug at one grid point — must not kill the sweep's
+// worker pool or lose the campaign's completed trials, and a wedged DES
+// run must not hang the process forever. All degrade into typed per-trial
+// errors the sweeps turn into error rows.
 
 package experiment
 
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
@@ -20,7 +22,9 @@ import (
 // typically a *des.ProcPanic re-raised by the scheduler, or a testbed
 // build panic — is captured with its stack so the failure is reportable
 // as a per-trial error row. Panics are deterministic functions of the
-// configuration, so journals record them and resume does not retry.
+// configuration, so journals record them and resume does not retry. A
+// failed horizon audit takes the same path, with an *AuditError as Value
+// and no stack; a journal restores either Value as its text.
 type PanicError struct {
 	Value any    // the original panic value
 	Stack string // goroutine stack captured at the panic site
@@ -45,6 +49,22 @@ func newPanicError(r any) *PanicError {
 	return &PanicError{Value: r, Stack: string(debug.Stack())}
 }
 
+// AuditError is a trial whose books did not balance at its horizon: the
+// testbed's audit, its workload's request conservation included, found
+// Violations. The simulation is deterministic, so run returns it as a
+// *PanicError's value, which campaigns journal and resume replays.
+type AuditError struct {
+	Violations []error
+}
+
+func (e *AuditError) Error() string {
+	msgs := make([]string, len(e.Violations))
+	for i, v := range e.Violations {
+		msgs[i] = v.Error()
+	}
+	return "experiment: audit at the horizon: " + strings.Join(msgs, "; ")
+}
+
 // TimeoutError reports a trial whose wall-clock watchdog fired: the DES
 // run was interrupted with the simulated clock at SimTime and the testbed
 // shut down. Timeouts are environmental (load, scheduling), so they are
@@ -59,9 +79,10 @@ func (e *TimeoutError) Error() string {
 }
 
 // IsTrialFailure reports whether err is a contained per-trial failure —
-// a panic or a watchdog timeout — that sweeps convert into an error row
-// and keep going, as opposed to an error that aborts the campaign
-// (cancellation, unbuildable configuration, journal I/O).
+// a panic, a failed horizon audit or a watchdog timeout — that sweeps
+// convert into an error row and keep going, as opposed to an error that
+// aborts the campaign (cancellation, unbuildable configuration, journal
+// I/O).
 func IsTrialFailure(err error) bool {
 	var pe *PanicError
 	if errors.As(err, &pe) {
@@ -71,11 +92,11 @@ func IsTrialFailure(err error) bool {
 	return errors.As(err, &te)
 }
 
-// Watchdog interrupts env's run when ctx is done or the wall-clock
+// watchdog interrupts env's run when ctx is done or the wall-clock
 // timeout (0 = none) expires; env.Interrupt is the only cross-thread call
 // made. The returned stop disarms it and waits for its goroutine, so no
 // Interrupt can land on a later trial's Env.
-func Watchdog(ctx context.Context, timeout time.Duration, env *des.Env) (stop func()) {
+func watchdog(ctx context.Context, timeout time.Duration, env *des.Env) (stop func()) {
 	var ctxDone <-chan struct{}
 	if ctx != nil {
 		ctxDone = ctx.Done()
@@ -109,10 +130,10 @@ func Watchdog(ctx context.Context, timeout time.Duration, env *des.Env) (stop fu
 	}
 }
 
-// Aborted classifies a run of env that Watchdog(ctx, timeout, env)
+// aborted classifies a run of env that watchdog(ctx, timeout, env)
 // guarded: the context's own error when it was canceled, a *TimeoutError
 // when the watchdog expired, nil when the run completed undisturbed.
-func Aborted(ctx context.Context, timeout time.Duration, env *des.Env) error {
+func aborted(ctx context.Context, timeout time.Duration, env *des.Env) error {
 	if !env.Interrupted() {
 		return nil
 	}

@@ -22,15 +22,12 @@ const (
 	flashRecoverFrac = 0.9  // flash crowds
 )
 
-// windowing is what a disturbance trial adds to a plain Run. run fills
-// points and gauges.
+// windowing is what a windowed trial adds to a plain Run; its disturbance,
+// if any, arms through a Disturbance. run fills points and gauges.
 type windowing struct {
 	width     time.Duration // bucket width
 	threshold time.Duration // a success within it is goodput
 
-	// disturb, when set, runs after the testbed is built and before the
-	// workload starts: it schedules a fault plan or attaches a controller.
-	disturb func(tb *testbed.Testbed) error
 	// gauge, when set, is read at every boundary of the trial's sampling
 	// grid (pure read), so a gauge trial's windows are obs.SampleInterval
 	// wide.

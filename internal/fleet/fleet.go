@@ -116,10 +116,6 @@ type Tenant struct {
 	Spec TenantSpec       // Soft holds the effective (post-budget-split) allocation
 	Seed uint64           // rng.SubSeed(fleet seed, "tenant/"+name)
 	TB   *testbed.Testbed // the tenant's namespaced topology
-
-	// Workload is the tenant's load, set by whoever starts it; Audit checks
-	// it when set.
-	Workload *rubbos.Workload
 }
 
 // Fleet is a built multi-tenant deployment: one DES environment, one shared
@@ -206,26 +202,16 @@ func (f *Fleet) ResetStats() {
 }
 
 // audit runs every tenant's full conservation audit (scheduler, shared
-// hardware through each tenant's aliases, servers) plus the per-tenant
-// workload audits, returning all violations. Quiescent additionally
-// requires drained pools, idle CPUs at full speed, and stopped workloads
-// with nothing in flight — the fleet-wide conservation check the chaos
-// oracle and the consolidation regression tests rely on. Pure read.
+// hardware through each tenant's aliases, servers, and the workload
+// started on the tenant's testbed), returning all violations. Quiescent
+// additionally requires drained pools, idle CPUs at full speed, and
+// stopped workloads with nothing in flight — the fleet-wide conservation
+// check of the consolidation regression tests. Pure read.
 func (f *Fleet) audit(quiescent bool) []error {
 	var errs []error
 	for _, t := range f.Tenants {
 		for _, err := range t.TB.Audit(quiescent) {
 			errs = append(errs, fmt.Errorf("tenant %s: %w", t.Spec.Name, err))
-		}
-		if t.Workload == nil {
-			continue
-		}
-		werr := t.Workload.Audit()
-		if quiescent {
-			werr = t.Workload.AuditQuiescent()
-		}
-		if werr != nil {
-			errs = append(errs, fmt.Errorf("tenant %s: %w", t.Spec.Name, werr))
 		}
 	}
 	return errs

@@ -215,10 +215,11 @@ func smallFleet(t *testing.T) *Fleet {
 
 // startLoads starts every tenant's closed-loop load as a fleet trial does
 // (two client nodes, a one-second ramp, browse-only mix, the tenant's seed)
-// and sets Tenant.Workload. collect, when set, receives tenant ti's
-// completions.
-func startLoads(t *testing.T, f *Fleet, collect func(ti int, issued, rt time.Duration, err error)) {
+// and returns the workloads in tenant order. collect, when set, receives
+// tenant ti's completions.
+func startLoads(t *testing.T, f *Fleet, collect func(ti int, issued, rt time.Duration, err error)) []*rubbos.Workload {
 	t.Helper()
+	ws := make([]*rubbos.Workload, len(f.Tenants))
 	for ti, tn := range f.Tenants {
 		var c rubbos.Collector
 		if collect != nil {
@@ -234,8 +235,9 @@ func startLoads(t *testing.T, f *Fleet, collect func(ti int, issued, rt time.Dur
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn.Workload = w
+		ws[ti] = w
 	}
+	return ws
 }
 
 // drainFleet advances the clock until every process has exited and the
@@ -258,7 +260,7 @@ func TestFleetAuditQuiescent(t *testing.T) {
 	f := smallFleet(t)
 	defer f.Close()
 	done := make([]int, len(f.Tenants))
-	startLoads(t, f, func(ti int, _, _ time.Duration, err error) {
+	ws := startLoads(t, f, func(ti int, _, _ time.Duration, err error) {
 		if err == nil {
 			done[ti]++
 		}
@@ -272,8 +274,8 @@ func TestFleetAuditQuiescent(t *testing.T) {
 			t.Fatalf("tenant %s completed nothing; audit is vacuous", f.Tenants[ti].Spec.Name)
 		}
 	}
-	for _, tn := range f.Tenants {
-		tn.Workload.Stop()
+	for _, w := range ws {
+		w.Stop()
 	}
 	drainFleet(t, f, time.Minute)
 	if errs := f.audit(true); len(errs) > 0 {

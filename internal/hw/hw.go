@@ -111,7 +111,7 @@ func (n *Node) ResetStats() {
 
 // Audit runs the node's hardware invariant checks (CPU and, when attached,
 // the disk queue); quiescent additionally requires both devices idle with
-// full speed restored. Pure read — part of the chaos oracle.
+// full speed restored. Pure read — part of testbed.Testbed.Audit.
 func (n *Node) Audit(quiescent bool) error {
 	audit := func() error {
 		if quiescent {

@@ -60,8 +60,8 @@ func TestFigureDigestPins(t *testing.T) {
 		"fig4":     "b70c5c7953e521f21d6d2966",
 		"fig5":     "a1d0bd5943bc7cc998d5f742",
 		"fig6":     "6e2625e4c63f59dcff42f40c",
-		"fig7":     "d9737b1e25f2a8520a3f0403",
-		"fig8":     "4bdde2fbc7de294d9de81f2e",
+		"fig7":     "7e8c7a7e97f69e3d140174f9",
+		"fig8":     "e1d057f2044bd2ff8ba94f96",
 		"table1":   "bb85683ff6e3d0309cb683ab",
 	}
 	for _, e := range Table {

@@ -261,7 +261,8 @@ const cpuAuditSlack = 1e-6
 // Audit checks the CPU's conservation invariants: non-negative integrals,
 // delivered work within the capacity bound (busy core-seconds can never
 // exceed cores x elapsed), stall time within wall time, and the job heap
-// ordered. Pure read, run by the chaos oracle after every trial.
+// ordered. Pure read, run by testbed.Testbed.Audit at every trial's
+// horizon.
 func (c *CPU) Audit() error {
 	if c.busyIntegral < 0 || c.stallBusy < 0 || c.workDone < 0 {
 		return fmt.Errorf("resource: cpu %q accumulated negative statistics", c.name)

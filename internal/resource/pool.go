@@ -477,7 +477,7 @@ func (pl *Pool) SaturatedIntegral() time.Duration {
 // grants, and the occupancy histogram accounting for every nanosecond
 // since the last stats reset (the integration in account is exact integer
 // arithmetic, so the check is an equality, not a tolerance). Pure read,
-// cheap enough for the chaos oracle to run after every trial.
+// cheap enough for testbed.Testbed.Audit to run at every trial's horizon.
 func (pl *Pool) Audit() error {
 	switch {
 	case pl.inUse < 0:
@@ -505,8 +505,8 @@ func (pl *Pool) Audit() error {
 	return nil
 }
 
-// AuditQuiescent is Audit plus the post-drain checks the chaos oracle runs
-// once every fault has reverted and the workload has drained: no unit held,
+// AuditQuiescent is Audit plus the post-drain checks a trial's quiescent
+// audit runs once every fault has reverted and the workload has drained: no unit held,
 // no waiter parked, and no leak outstanding — the pool's full capacity is
 // back in service.
 func (pl *Pool) AuditQuiescent() error {

@@ -103,8 +103,8 @@ type Workload struct {
 
 	// stopped makes sessions (and the open-workload arrival pump) exit at
 	// their next issue point instead of looping forever, so a trial can
-	// drain to zero requests in flight — the precondition for the chaos
-	// conservation audit. Set via Stop between Run calls.
+	// drain to zero requests in flight — the precondition for the
+	// quiescent audit. Set via Stop between Run calls.
 	stopped bool
 }
 
@@ -144,6 +144,21 @@ func (w *Workload) InFlight() int {
 	return int(w.issued - w.completed - w.failed - w.shed)
 }
 
+// Requests holds the conservation buckets of a workload: issued =
+// completed + failed + shed + in flight.
+type Requests struct {
+	Issued    uint64 `json:"issued"`
+	Completed uint64 `json:"completed"`
+	Failed    uint64 `json:"failed"`
+	Shed      uint64 `json:"shed"`
+	InFlight  int    `json:"in_flight"`
+}
+
+// Requests returns the workload's conservation buckets so far.
+func (w *Workload) Requests() Requests {
+	return Requests{Issued: w.issued, Completed: w.completed, Failed: w.failed, Shed: w.shed, InFlight: w.InFlight()}
+}
+
 // Stop makes every session exit at its next issue point (after the current
 // think or request) and stops the open-workload arrival pump, so the run
 // drains instead of offering load forever. Call it between Env.Run calls;
@@ -156,8 +171,8 @@ func (w *Workload) Stopped() bool { return w.stopped }
 // Audit checks request conservation: every issued request is completed,
 // failed, shed, or still in flight — never double-counted, never lost —
 // and the derived counters stay within their parents (abandonments and
-// late finishes are completions). Pure read; the chaos oracle calls it
-// both mid-run and after drain.
+// late finishes are completions). Pure read; Testbed.Audit calls it for
+// the workload the testbed started.
 func (w *Workload) Audit() error {
 	if done := w.completed + w.failed + w.shed; done > w.issued {
 		return fmt.Errorf("rubbos: %d requests resolved of %d issued", done, w.issued)

@@ -73,8 +73,9 @@ type Testbed struct {
 	// fault injector's "link" target); zero extra means no change.
 	LinkSpike *netsim.Spike
 
-	rr      int  // front-end round-robin cursor
-	ownsEnv bool // Close shuts the Env down only when Build created it
+	rr       int              // front-end round-robin cursor
+	ownsEnv  bool             // Close shuts the Env down only when Build created it
+	workload *rubbos.Workload // the last workload started on it, which Audit checks too
 }
 
 // qualify prefixes base with the build namespace (identity when empty).
@@ -286,6 +287,7 @@ func (tb *Testbed) StartWorkload(cfg rubbos.ClientConfig, collect rubbos.Collect
 	if err != nil {
 		return nil, err
 	}
+	tb.workload = w
 	for _, a := range tb.Apaches {
 		a.SetFinLoad(w.UsersPerNode())
 	}
@@ -318,6 +320,7 @@ func (tb *Testbed) StartOpenWorkload(cfg rubbos.OpenConfig, collect rubbos.Colle
 	if err != nil {
 		return nil, err
 	}
+	tb.workload = w
 	for _, a := range tb.Apaches {
 		a.SetFinLoad(w.UsersPerNode())
 	}
@@ -394,11 +397,13 @@ func (tb *Testbed) Close() {
 }
 
 // Audit runs every component's invariant audit — the DES scheduler, each
-// node's hardware, and each server's bookkeeping — and returns all
+// node's hardware, each server's bookkeeping, and the request
+// conservation of the workload started on the testbed — and returns all
 // violations found (nil when clean). With quiescent=true the deployment
 // must additionally be fully recovered and drained: pools empty and
 // leak-free, CPUs idle at full speed, crash flags cleared, no worker
-// parked. Pure read; the chaos oracle calls it once per trial.
+// parked, the workload stopped with nothing in flight. Pure read; every
+// experiment trial calls it at its horizon.
 func (tb *Testbed) Audit(quiescent bool) []error {
 	var errs []error
 	add := func(err error) {
@@ -421,6 +426,13 @@ func (tb *Testbed) Audit(quiescent bool) []error {
 	}
 	for _, m := range tb.MySQLs {
 		add(m.Audit(quiescent))
+	}
+	switch w := tb.workload; {
+	case w == nil:
+	case quiescent:
+		add(w.AuditQuiescent())
+	default:
+		add(w.Audit())
 	}
 	return errs
 }

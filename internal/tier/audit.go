@@ -1,8 +1,9 @@
-// Invariant audit hooks for the chaos oracles. Every server exposes a
-// cheap pure-read Audit: the structural checks always hold, and with
-// quiescent=true the server must additionally be fully recovered — no
-// request in flight, no worker parked, crash flag cleared, soft-resource
-// pools back to their leak-free capacity. A violation after a drained
+// Invariant audit hooks for testbed.Testbed.Audit, which every experiment
+// trial runs at its horizon and a draining trial (chaos) runs again at
+// quiescence. Every server exposes a cheap pure-read Audit: the structural
+// checks always hold, and with quiescent=true the server must additionally
+// be fully recovered — no request in flight, no worker parked, crash flag
+// cleared, soft-resource pools back to their leak-free capacity. A violation after a drained
 // fault plan points at lost accounting in the simulator itself (the
 // failure mode the paper's soft-resource bookkeeping — thread and
 // connection counts per tier, §III — makes observable).

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/chaos"
+	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fault"
-	"github.com/softres/ntier/internal/testbed"
 )
 
 // runChaos is `ntier chaos`: it fuzzes the simulated deployment with
@@ -82,11 +82,10 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		*jitter = 0 // the planted revert is scheduled at the nominal end
 	}
 
+	ctx, stop := withSignalContext(context.Background())
+	defer stop()
 	trial := chaos.TrialConfig{
-		Topology:           testbed.Options{Hardware: tf.hardware, Soft: tf.allocs[0]},
-		Users:              *users,
-		ThinkMean:          *think,
-		RampUp:             *tf.ramp,
+		Run:                tf.base(ctx),
 		Baseline:           *baseline,
 		Grace:              *grace,
 		Recovery:           *recovery,
@@ -94,19 +93,16 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		GoodputTol:         *goodTol,
 		P95Factor:          *p95Fac,
 		LeakRestoreDeficit: *plant,
-		TrialTimeout:       *tf.common.trialTimeout,
 	}
-
-	ctx, stop := withSignalContext(context.Background())
-	defer stop()
-	trial.Ctx = ctx
+	trial.Run.Testbed.Soft = tf.allocs[0]
+	trial.Run.Users = *users
+	trial.Run.ThinkMean = *think
 
 	if *replay != "" {
-		return runReplay(stdout, stderr, trial, *replay, *tf.seed)
+		return runReplay(stdout, stderr, trial, *replay)
 	}
 
-	trial.Topology.Seed = *tf.seed
-	targets, err := chaos.Discover(trial.Topology)
+	targets, err := chaos.Discover(trial.Run.Testbed)
 	if err != nil {
 		return failUsage(fs, err)
 	}
@@ -123,17 +119,17 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		Seeds:        *seeds,
 		PlansPerSeed: *plans,
 		ShrinkBudget: *shrink,
-		Parallelism:  *tf.common.parallel,
-		Ctx:          ctx,
 	}
 
+	// The campaign's fingerprint leaves the population out, as every
+	// RunConfig image does; the state folds -wl in, as sweep's does.
 	fail := func(err error) int { return exitErr(stderr, *tf.common.stateDir, err) }
-	st, err := tf.common.openState(cfg.Fingerprint())
+	st, err := tf.common.openState(experiment.Fingerprint(trial.Run, "chaos", cfg.Fingerprint(), strconv.Itoa(*users)))
 	if err != nil {
 		return fail(err)
 	}
 	defer st.Close()
-	cfg.State = st
+	cfg.Trial.Run.State = st
 
 	var mu sync.Mutex
 	done := 0
@@ -286,7 +282,7 @@ func writeRepros(dir string, outcomes []chaos.Outcome) (int, error) {
 }
 
 // runReplay loads one plan file and runs a single judged trial.
-func runReplay(stdout, stderr io.Writer, trial chaos.TrialConfig, path string, seed uint64) int {
+func runReplay(stdout, stderr io.Writer, trial chaos.TrialConfig, path string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return exitErr(stderr, "", err)
@@ -295,12 +291,11 @@ func runReplay(stdout, stderr io.Writer, trial chaos.TrialConfig, path string, s
 	if err != nil {
 		return exitErr(stderr, "", fmt.Errorf("%s: %w", path, err))
 	}
-	trial.Topology.Seed = seed
 	v, err := chaos.RunTrial(trial, plan)
 	if err != nil {
 		return exitErr(stderr, "", fmt.Errorf("%s: %w", path, err))
 	}
-	fmt.Fprintf(stdout, "replay %s (%d events, seed %d): %s\n", path, len(plan.Events), seed, verdictClass(v))
+	fmt.Fprintf(stdout, "replay %s (%d events, seed %d): %s\n", path, len(plan.Events), trial.Run.Testbed.Seed, verdictClass(v))
 	fmt.Fprintf(stdout, "  baseline: %d pages, %.1f/s, p95 %v\n",
 		v.Baseline.Completions, v.Baseline.Goodput, v.Baseline.P95.Round(time.Millisecond))
 	fmt.Fprintf(stdout, "  recovery: %d pages, %.1f/s, p95 %v\n",

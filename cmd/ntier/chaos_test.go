@@ -151,6 +151,21 @@ func TestChaosResumeRestoresVerdicts(t *testing.T) {
 	}
 }
 
+// The campaign's fingerprint leaves the population out, so a resume at
+// another -wl must be refused by the state's own fingerprint.
+func TestChaosResumeRefusesAnotherWorkload(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "state")
+	args := chaosArgs("-seeds", "1", "-plans", "1", "-max-events", "1", "-state-dir", state)
+	var stdout, stderr strings.Builder
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("first run exit %d, stderr:\n%s", code, stderr.String())
+	}
+	stderr.Reset()
+	if code := run(append(args, "-resume", "-wl", "20"), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "fingerprint mismatch") {
+		t.Errorf("resume at -wl 20 exit %d, want 1 with a fingerprint mismatch; stderr:\n%s", code, stderr.String())
+	}
+}
+
 // The planted-bug path requires deterministic fault timing, so -plant
 // forces the jitter fraction to zero.
 func TestChaosPlantForcesZeroJitter(t *testing.T) {

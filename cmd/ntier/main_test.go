@@ -152,7 +152,7 @@ func TestStateFingerprintsPinned(t *testing.T) {
 		{[]string{"search", "-hw", "1/1/1/1", "-soft", "50-6-6", "-threads", "2,4", "-conns", "2", "-wl", "10,20", "-budget", "3", "-ramp", "1s", "-measure", "1s", "-q"}, "b473d7902a155144"},
 		{[]string{"elastic", "-hw", "1/1/1/1", "-soft", "50-4-4", "-policy", "STATIC", "-trace", "diurnal", "-day", "20s", "-low", "5", "-high", "10", "-ramp", "1s", "-interval", "5s"}, "416bfea7600ea0e8"},
 		{[]string{"fleet", "-nodes", "2", "-slots", "2", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-measure", "2s", "-placement", "PACKED"}, "62f20bda6efa8a51"},
-		{[]string{"chaos", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-baseline", "3s", "-grace", "2s", "-recovery", "3s", "-horizon", "5s", "-seeds", "1", "-plans", "1", "-max-events", "1"}, "ab63965354807232"},
+		{[]string{"chaos", "-hw", "1/1/1/1", "-soft", "50-6-6", "-wl", "10", "-ramp", "1s", "-baseline", "3s", "-grace", "2s", "-recovery", "3s", "-horizon", "5s", "-seeds", "1", "-plans", "1", "-max-events", "1"}, "101f2bce8be87fcc"},
 	}
 	for _, tc := range cases {
 		// The watchdog cuts every trial short: the fingerprint is written

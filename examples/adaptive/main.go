@@ -12,45 +12,48 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/adaptive"
-	"github.com/softres/ntier/internal/rubbos"
+	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/testbed"
 )
 
 // run measures steady-state throughput (70s-100s window) with or without
 // the controller, returning TP, the final pool size, and the decisions.
+// The trial is an experiment trial whose disturbance attaches the
+// controller and counts the requests issued in the window.
 func run(threads, users int, controlled bool) (float64, int, []adaptive.ElasticDecision) {
-	tb, err := testbed.Build(testbed.Options{
-		Hardware: testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
-		Soft:     testbed.SoftAlloc{WebThreads: 400, AppThreads: threads, AppConns: 20},
-		Seed:     31,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tb.Close()
-
-	var ctl *adaptive.ElasticController
-	if controlled {
-		if ctl, err = adaptive.AttachElastic(tb, adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob}); err != nil {
-			log.Fatal(err)
+	var (
+		ctl  *adaptive.ElasticController
+		late uint64
+	)
+	arm := func(tb *testbed.Testbed) (err error) {
+		if controlled {
+			ctl, err = adaptive.AttachElastic(tb, adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob})
 		}
+		return err
 	}
-	ccfg := rubbos.DefaultClientConfig(users)
-	ccfg.RampUp = 10 * time.Second
-	var late uint64
-	if _, err := tb.StartWorkload(ccfg, func(it *rubbos.Interaction, issued, rt time.Duration, err error) {
+	observe := func(issued, _ time.Duration, _ error) {
 		if issued >= 70*time.Second {
 			late++
 		}
-	}); err != nil {
+	}
+	res, _, err := experiment.RunDisturbed(experiment.RunConfig{
+		Testbed: testbed.Options{
+			Hardware: testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
+			Soft:     testbed.SoftAlloc{WebThreads: 400, AppThreads: threads, AppConns: 20},
+			Seed:     31,
+		},
+		Users:   users,
+		RampUp:  20 * time.Second, // the sessions start over its first 10s
+		Measure: 80 * time.Second,
+	}, experiment.Disturbance{Arm: arm, Observe: observe})
+	if err != nil {
 		log.Fatal(err)
 	}
-	tb.Env.Run(100 * time.Second)
 	var decisions []adaptive.ElasticDecision
 	if ctl != nil {
 		decisions = ctl.Decisions()
 	}
-	return float64(late) / 30, tb.Tomcats[0].Threads.Capacity(), decisions
+	return float64(late) / 30, res.Tomcat[0].Pool("threads").Capacity, decisions
 }
 
 func scenario(name string, threads, users int) {

@@ -436,8 +436,8 @@ func TestNoDeadInternalFuncs(t *testing.T) {
 
 // TestOneTrialProtocol keeps one trial protocol: internal/experiment's run
 // (ramp, reset, measure, audit, and the drain a Disturbance asks for) is
-// the only non-test code under internal/ or cmd/ that advances a
-// simulation's clock. Any other caller of (*des.Env).Run is a second,
+// the only non-test code under internal/, cmd/ or examples/ that advances
+// a simulation's clock. Any other caller of (*des.Env).Run is a second,
 // hand-rolled protocol that skips the horizon audit; arm it through
 // experiment.Disturbance instead. Calls are resolved by type, so another
 // type's Run method does not trip the gate.
@@ -445,7 +445,8 @@ func TestOneTrialProtocol(t *testing.T) {
 	fset, pkgs := typecheckRepo(t)
 	var calls []string
 	for _, tp := range pkgs {
-		if !strings.HasPrefix(tp.dir, "internal/") && !strings.HasPrefix(tp.dir, "cmd/") || tp.dir == "internal/experiment" {
+		inScope := strings.HasPrefix(tp.dir, "internal/") || strings.HasPrefix(tp.dir, "cmd/") || strings.HasPrefix(tp.dir, "examples/")
+		if !inScope || tp.dir == "internal/experiment" {
 			continue
 		}
 		for id, obj := range tp.info.Uses {

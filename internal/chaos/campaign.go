@@ -7,7 +7,6 @@
 package chaos
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -16,7 +15,9 @@ import (
 )
 
 // CampaignConfig describes a chaos campaign: one trial configuration and
-// one generator, fanned out over Seeds × PlansPerSeed trials.
+// one generator, fanned out over Seeds × PlansPerSeed trials. Trial.Run
+// is the campaign's base: its Parallelism, Ctx and State (nil runs
+// unjournaled) run the campaign.
 type CampaignConfig struct {
 	Trial TrialConfig
 	Gen   GenConfig
@@ -33,10 +34,6 @@ type CampaignConfig struct {
 	// most that many extra runs (see Shrink). The minimized reproducer is
 	// journaled alongside the verdict.
 	ShrinkBudget int
-
-	Parallelism int
-	Ctx         context.Context
-	State       *experiment.State // nil runs unjournaled
 
 	// OnVerdict observes each resolved trial (possibly from concurrent
 	// workers); restored marks outcomes replayed from the journal.
@@ -61,7 +58,9 @@ type Outcome struct {
 // the recovery oracle's fixed p95 headroom. The journal and the command's
 // state-dir metadata both carry it. Execution knobs and the campaign's
 // size are left out: keys are self-describing, so a grown campaign
-// extends its journal.
+// extends its journal. So is the population, as from every RunConfig
+// image: RunCampaign names the journal after it, and a command's state
+// fingerprint adds it.
 func (cfg CampaignConfig) Fingerprint() string {
 	return experiment.FingerprintOf(cfg, p95Slack.String())
 }
@@ -78,10 +77,13 @@ func RunCampaign(cfg CampaignConfig) ([]Outcome, error) {
 	if cfg.PlansPerSeed <= 0 {
 		cfg.PlansPerSeed = 1
 	}
-	base := experiment.RunConfig{Ctx: cfg.Ctx, Parallelism: cfg.Parallelism, State: cfg.State}
+	cfg.Trial.applyDefaults()
+	base := cfg.Trial.Run
 	return experiment.Outs(experiment.RunCampaign(base, experiment.Campaign[Outcome]{
 		Kind: "chaos",
-		Axes: []string{cfg.Fingerprint()},
+		// The population is execution-only in the fingerprint, since sweep
+		// keys name it; chaos keys do not, so the journal's name does.
+		Axes: []string{cfg.Fingerprint(), fmt.Sprintf("users=%d", base.Users)},
 		N:    cfg.Seeds * cfg.PlansPerSeed,
 		Key:  cfg.key,
 		Run:  cfg.runOne,
@@ -104,10 +106,7 @@ func (cfg CampaignConfig) runOne(i int) (Outcome, error) {
 	planSeed := topoSeed<<20 | uint64(i%cfg.PlansPerSeed)
 	plan := cfg.Gen.Generate(planSeed)
 	tcfg := cfg.Trial
-	tcfg.Topology.Seed = topoSeed
-	if tcfg.Ctx == nil {
-		tcfg.Ctx = cfg.Ctx
-	}
+	tcfg.Run.Testbed.Seed = topoSeed
 	v, err := RunTrial(tcfg, plan)
 	if err != nil {
 		return Outcome{}, err

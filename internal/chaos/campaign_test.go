@@ -20,13 +20,15 @@ import (
 // hardware with a compressed timeline, 5 topology seeds × 10 plans.
 func campaignConfig() CampaignConfig {
 	trial := TrialConfig{
-		Topology: testbed.Options{
-			Hardware: testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
-			Soft:     testbed.SoftAlloc{WebThreads: 50, AppThreads: 6, AppConns: 6},
+		Run: experiment.RunConfig{
+			Testbed: testbed.Options{
+				Hardware: testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
+				Soft:     testbed.SoftAlloc{WebThreads: 50, AppThreads: 6, AppConns: 6},
+			},
+			Users:     10,
+			ThinkMean: 400 * time.Millisecond,
+			RampUp:    time.Second,
 		},
-		Users:       10,
-		ThinkMean:   400 * time.Millisecond,
-		RampUp:      time.Second,
 		Baseline:    3 * time.Second,
 		Grace:       2 * time.Second,
 		Recovery:    3 * time.Second,
@@ -54,7 +56,7 @@ func TestCampaignResumeCrashSafety(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	fresh := 0
-	cfg.Ctx = ctx
+	cfg.Trial.Run.Ctx = ctx
 	cfg.OnVerdict = func(o Outcome, restored bool) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -67,7 +69,7 @@ func TestCampaignResumeCrashSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.State = st
+	cfg.Trial.Run.State = st
 	if _, err := RunCampaign(cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted campaign returned %v, want context.Canceled", err)
 	}
@@ -81,7 +83,7 @@ func TestCampaignResumeCrashSafety(t *testing.T) {
 
 	// Phase 2: resume and finish all 50.
 	restored, freshAfter := 0, 0
-	cfg.Ctx = nil
+	cfg.Trial.Run.Ctx = nil
 	cfg.OnVerdict = func(o Outcome, r bool) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -94,7 +96,7 @@ func TestCampaignResumeCrashSafety(t *testing.T) {
 	if st, err = experiment.OpenState(dir, fp, true); err != nil {
 		t.Fatal(err)
 	}
-	cfg.State = st
+	cfg.Trial.Run.State = st
 	full, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +127,7 @@ func TestCampaignResumeCrashSafety(t *testing.T) {
 	if st, err = experiment.OpenState(dir, fp, true); err != nil {
 		t.Fatal(err)
 	}
-	cfg.State = st
+	cfg.Trial.Run.State = st
 	replay, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +135,44 @@ func TestCampaignResumeCrashSafety(t *testing.T) {
 	st.Close()
 	if !reflect.DeepEqual(full, replay) {
 		t.Fatal("journaled outcomes differ from the run that produced them")
+	}
+}
+
+// Chaos keys ("seed=S/plan=P") name no population, and the fingerprint
+// leaves it out as every RunConfig image does, so the journal's name must
+// carry it: a campaign resumed at another population restores nothing.
+func TestCampaignResumeAtAnotherPopulationRestoresNothing(t *testing.T) {
+	cfg := campaignConfig()
+	cfg.Gen.Targets = testTargets(t)
+	cfg.Seeds, cfg.PlansPerSeed = 1, 2
+	dir := filepath.Join(t.TempDir(), "state")
+	run := func(users int, resume bool) (restored int) {
+		t.Helper()
+		st, err := experiment.OpenState(dir, cfg.Fingerprint(), resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var mu sync.Mutex
+		cfg.Trial.Run.Users, cfg.Trial.Run.State = users, st
+		cfg.OnVerdict = func(_ Outcome, r bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			if r {
+				restored++
+			}
+		}
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return restored
+	}
+	run(10, false)
+	if n := run(10, true); n != 2 {
+		t.Fatalf("resume at the same population restored %d outcomes, want 2", n)
+	}
+	if n := run(20, true); n != 0 {
+		t.Errorf("resume at another population restored %d outcomes, want 0", n)
 	}
 }
 
@@ -185,7 +225,7 @@ func TestCampaignPlantedBugShrinksToMinimalRepro(t *testing.T) {
 		// ...and the minimized repro reproduces the defect from a fresh
 		// trial, both directly and after a JSON round trip.
 		tcfg := cfg.Trial
-		tcfg.Topology.Seed = o.TopoSeed
+		tcfg.Run.Testbed.Seed = o.TopoSeed
 		v, err := RunTrial(tcfg, *o.Shrunk)
 		if err != nil {
 			t.Fatal(err)

@@ -32,7 +32,6 @@
 package chaos
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -65,15 +64,15 @@ const (
 // baseline, so sub-millisecond baselines don't flag on noise.
 const p95Slack = 200 * time.Millisecond
 
-// TrialConfig describes one chaos trial: the deployment, the workload,
+// TrialConfig describes one chaos trial: the experiment trial it runs,
 // and the measurement timeline wrapped around a fault plan.
 type TrialConfig struct {
-	// Topology is the deployment under test (testbed.Build options).
-	Topology testbed.Options
-
-	Users     int           // closed-loop emulated users (default 150)
-	ThinkMean time.Duration // think time mean (default 1s; short trials)
-	RampUp    time.Duration // session ramp (default 5s)
+	// Run is the trial's deployment, workload and execution knobs; RunTrial
+	// sets its Measure from the timeline below. Chaos trials are short:
+	// zero values take 150 users, a 1s think time and a 5s ramp. Ctx and
+	// TrialTimeout interrupt a wedged run; both resolve to errors (never
+	// verdicts), so a resumed campaign retries them.
+	Run experiment.RunConfig
 
 	// Baseline is the fault-free measurement window between ramp end and
 	// the plan's base instant (default 20s). Start-time jitter can only
@@ -101,22 +100,17 @@ type TrialConfig struct {
 	// which the conservation oracle must catch. Requires an unjittered
 	// plan (the planted revert is scheduled at the event's nominal end).
 	LeakRestoreDeficit int
-
-	// Ctx and TrialTimeout interrupt a wedged run; both resolve to errors
-	// (never verdicts), so a resumed campaign retries them.
-	Ctx          context.Context
-	TrialTimeout time.Duration
 }
 
 func (cfg *TrialConfig) applyDefaults() {
-	if cfg.Users == 0 {
-		cfg.Users = 150
+	if cfg.Run.Users == 0 {
+		cfg.Run.Users = 150
 	}
-	if cfg.ThinkMean == 0 {
-		cfg.ThinkMean = time.Second
+	if cfg.Run.ThinkMean == 0 {
+		cfg.Run.ThinkMean = time.Second
 	}
-	if cfg.RampUp == 0 {
-		cfg.RampUp = 5 * time.Second
+	if cfg.Run.RampUp == 0 {
+		cfg.Run.RampUp = 5 * time.Second
 	}
 	if cfg.Baseline == 0 {
 		cfg.Baseline = 20 * time.Second
@@ -205,7 +199,7 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (*Verdict, error) {
 	// start offset, so every effective start stays ≥ (1-J)·start ≥ 0 —
 	// after base, keeping the baseline window fault-free — and every
 	// effective end stays ≤ (1+J)·LastEnd, bounding the recovery start.
-	baselineStart := cfg.RampUp
+	baselineStart := cfg.Run.RampUp
 	base := baselineStart + cfg.Baseline
 	jitterPad := time.Duration(plan.JitterFrac * float64(plan.LastEnd()))
 	recoveryStart := base + plan.LastEnd() + jitterPad + cfg.Grace
@@ -218,7 +212,7 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (*Verdict, error) {
 	)
 	arm := func(tb *testbed.Testbed) error {
 		targets := tb.FaultTargets()
-		inj = fault.NewInjector(tb.Env, targets, cfg.Topology.Seed)
+		inj = fault.NewInjector(tb.Env, targets, cfg.Run.Testbed.Seed)
 		if err := inj.Schedule(base, plan); err != nil {
 			return err
 		}
@@ -261,15 +255,9 @@ func RunTrial(cfg TrialConfig, plan fault.Plan) (*Verdict, error) {
 		win.rts.Add(rt.Seconds())
 	}
 
-	_, q, err := experiment.RunDisturbed(experiment.RunConfig{
-		Testbed:      cfg.Topology,
-		Users:        cfg.Users,
-		ThinkMean:    cfg.ThinkMean,
-		RampUp:       cfg.RampUp,
-		Measure:      recoveryEnd - cfg.RampUp,
-		Ctx:          cfg.Ctx,
-		TrialTimeout: cfg.TrialTimeout,
-	}, experiment.Disturbance{Arm: arm, Observe: observe, Drain: cfg.DrainBudget})
+	run := cfg.Run
+	run.Measure = recoveryEnd - baselineStart
+	_, q, err := experiment.RunDisturbed(run, experiment.Disturbance{Arm: arm, Observe: observe, Drain: cfg.DrainBudget})
 	var pe *experiment.PanicError
 	if errors.As(err, &pe) {
 		ae, ok := pe.Value.(*experiment.AuditError)

@@ -19,14 +19,16 @@ import (
 // under a second of wall clock.
 func tinyTrial() TrialConfig {
 	return TrialConfig{
-		Topology: testbed.Options{
-			Hardware: testbed.Hardware{Web: 1, App: 1, Mid: 1, DB: 1},
-			Soft:     testbed.SoftAlloc{WebThreads: 50, AppThreads: 6, AppConns: 6},
-			Seed:     1,
+		Run: experiment.RunConfig{
+			Testbed: testbed.Options{
+				Hardware: testbed.Hardware{Web: 1, App: 1, Mid: 1, DB: 1},
+				Soft:     testbed.SoftAlloc{WebThreads: 50, AppThreads: 6, AppConns: 6},
+				Seed:     1,
+			},
+			Users:     12,
+			ThinkMean: 400 * time.Millisecond,
+			RampUp:    2 * time.Second,
 		},
-		Users:       12,
-		ThinkMean:   400 * time.Millisecond,
-		RampUp:      2 * time.Second,
 		Baseline:    5 * time.Second,
 		Grace:       3 * time.Second,
 		Recovery:    5 * time.Second,
@@ -126,7 +128,7 @@ func TestTrialDeterministic(t *testing.T) {
 // the panic, so campaigns journal and shrink it like any other failure.
 func TestPanicIsClassPanicVerdict(t *testing.T) {
 	cfg := tinyTrial()
-	cfg.Topology.TuneTomcat = func(*tier.TomcatConfig) { panic("planted tomcat panic") }
+	cfg.Run.Testbed.TuneTomcat = func(*tier.TomcatConfig) { panic("planted tomcat panic") }
 	v, err := RunTrial(cfg, fault.Plan{Events: []fault.Event{
 		fault.Crash("apache1", time.Second, 2*time.Second),
 	}})
@@ -142,7 +144,7 @@ func TestTrialCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := tinyTrial()
-	cfg.Ctx = ctx
+	cfg.Run.Ctx = ctx
 	_, err := RunTrial(cfg, fault.Plan{Events: []fault.Event{
 		fault.Crash("apache1", time.Second, 2*time.Second),
 	}})
@@ -156,11 +158,11 @@ func TestTrialCancellation(t *testing.T) {
 // verdict: timeouts are environmental, so campaigns retry them.
 func TestTrialTimeoutReturnsTimeoutError(t *testing.T) {
 	cfg := tinyTrial()
-	cfg.Users = 300
+	cfg.Run.Users = 300
 	// A year of simulated baseline takes far longer than a test's wall
 	// time, so the watchdog interrupts the trial before it can finish.
 	cfg.Baseline = 365 * 24 * time.Hour
-	cfg.TrialTimeout = time.Nanosecond
+	cfg.Run.TrialTimeout = time.Nanosecond
 	plan := fault.Plan{Events: []fault.Event{fault.Crash("tomcat1", time.Second, 2*time.Second)}}
 	v, err := RunTrial(cfg, plan)
 	var te *experiment.TimeoutError

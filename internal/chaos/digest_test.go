@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/fault"
 	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/tier"
@@ -33,15 +34,17 @@ var updatePins = flag.Bool("update-pins", false, "rewrite testdata/pins.txt inst
 func TestDigestPins(t *testing.T) {
 	res := tier.DefaultResilienceConfig()
 	cfg := TrialConfig{
-		Topology: testbed.Options{
-			Hardware:   testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
-			Soft:       testbed.SoftAlloc{WebThreads: 100, AppThreads: 10, AppConns: 6},
-			Seed:       5,
-			Resilience: &res,
+		Run: experiment.RunConfig{
+			Testbed: testbed.Options{
+				Hardware:   testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
+				Soft:       testbed.SoftAlloc{WebThreads: 100, AppThreads: 10, AppConns: 6},
+				Seed:       5,
+				Resilience: &res,
+			},
+			Users:     300,
+			ThinkMean: 500 * time.Millisecond,
+			RampUp:    2 * time.Second,
 		},
-		Users:       300,
-		ThinkMean:   500 * time.Millisecond,
-		RampUp:      2 * time.Second,
 		Baseline:    4 * time.Second,
 		Grace:       3 * time.Second,
 		Recovery:    4 * time.Second,

@@ -61,10 +61,10 @@ var pins = []struct {
 		base.Testbed.Soft = testbed.SoftAlloc{WebThreads: 200, AppThreads: 4, AppConns: 4}
 		base.Users = 900
 		base.Measure = 60 * time.Second
+		base.Testbed.Resilience = defaultScenarioResilience()
 		return RunScenario(ScenarioConfig{
-			Run:        base,
-			Resilience: defaultScenarioResilience(),
-			Elastic:    &adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob, Interval: 5 * time.Second},
+			Run:     base,
+			Elastic: &adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob, Interval: 5 * time.Second},
 			Plan: fault.Plan{Events: []fault.Event{
 				fault.Brownout("tomcat2", 20*time.Second, 40*time.Second, 0.4),
 			}},
@@ -149,7 +149,7 @@ func TestDigestPins(t *testing.T) {
 			}
 			got := imageLines(t, p.name, v)
 			if *updatePins {
-				if old := pinned[p.name]; len(old) > 0 && !slices.Equal(got, old) {
+				if pinMoved(pinned[p.name], got) {
 					moved = append(moved, p.name)
 				}
 				pinned[p.name] = got
@@ -181,17 +181,45 @@ func epochCheck(written, model int, moved []string) error {
 	return nil
 }
 
-// TestEpochCheck: a moved pin is refused under the epoch the pins were
-// written under and accepted under a bumped one.
+// pinMoved reports whether a pin's rewritten lines move it: one of its
+// old lines changed or vanished. A pin whose image only gained fields
+// keeps every old line, and a new pin has none, so neither moved.
+func pinMoved(old, got []string) bool {
+	for _, l := range old {
+		if !slices.Contains(got, l) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestEpochCheck: a pin with a changed or vanished line is refused under
+// the epoch the pins were written under and accepted under a bumped one;
+// a pin that only gained lines, or a new one, is accepted under either.
 func TestEpochCheck(t *testing.T) {
-	if err := epochCheck(3, 3, []string{"flash-crowd"}); err == nil || !strings.Contains(err.Error(), "flash-crowd") {
-		t.Errorf("moved pin under an unchanged epoch: err = %v, want a refusal naming it", err)
+	const a, b, c = "flash-crowd Goodput 0a", "flash-crowd Goodput 0b", "flash-crowd Shed 0c"
+	cases := []struct {
+		name     string
+		old, got []string
+		model    int
+		refused  bool
+	}{
+		{"unchanged", []string{a, c}, []string{a, c}, 3, false},
+		{"changed line", []string{a, c}, []string{b, c}, 3, true},
+		{"changed line, bumped epoch", []string{a, c}, []string{b, c}, 4, false},
+		{"vanished line", []string{a, c}, []string{a}, 3, true},
+		{"gained line", []string{a}, []string{a, c}, 3, false},
+		{"new pin", nil, []string{a, c}, 3, false},
 	}
-	if err := epochCheck(3, 4, []string{"flash-crowd"}); err != nil {
-		t.Errorf("moved pin under a bumped epoch: %v", err)
-	}
-	if err := epochCheck(3, 3, nil); err != nil {
-		t.Errorf("no moved pin: %v", err)
+	for _, tc := range cases {
+		var moved []string
+		if pinMoved(tc.old, tc.got) {
+			moved = append(moved, "flash-crowd")
+		}
+		err := epochCheck(3, tc.model, moved)
+		if refused := err != nil; refused != tc.refused || refused && !strings.Contains(err.Error(), "flash-crowd") {
+			t.Errorf("%s: err = %v, want refused %v naming the pin", tc.name, err, tc.refused)
+		}
 	}
 }
 
@@ -430,9 +458,9 @@ var pinShedScenario = sharedTrial(func(*testing.T) (*ScenarioResult, error) {
 	run.Users = 1200
 	run.Measure = 30 * time.Second
 	run.RampUp = 5 * time.Second
+	run.Testbed.Resilience = OverloadProtection()
 	return RunScenario(ScenarioConfig{
-		Run:        run,
-		Resilience: OverloadProtection(),
+		Run: run,
 		Plan: fault.Plan{Events: []fault.Event{
 			fault.Brownout("tomcat1", 10*time.Second, 20*time.Second, 0.3),
 			fault.Crash("mysql1", 22*time.Second, 23*time.Second),

@@ -37,11 +37,6 @@ var executionOnly = map[string]string{
 	"experiment.RunConfig.Obs":          "the recorder's settings, as ObsDir",
 	"experiment.RunConfig.Users":        "an axis: trial keys name each trial's population",
 	"testbed.Options.Env":               "the engine a build borrows, not a setting",
-	"chaos.TrialConfig.Ctx":             "a canceled trial is an error, never a verdict",
-	"chaos.TrialConfig.TrialTimeout":    "a timed-out trial is an error, never a verdict",
-	"chaos.CampaignConfig.Parallelism":  "output is byte-identical at every parallelism",
-	"chaos.CampaignConfig.Ctx":          "a canceled trial is never journaled",
-	"chaos.CampaignConfig.State":        "the journals themselves",
 	"chaos.CampaignConfig.OnVerdict":    "observes resolved trials",
 	"chaos.CampaignConfig.Seeds":        "an axis: trial keys name each trial's seed",
 	"chaos.CampaignConfig.PlansPerSeed": "an axis: trial keys name each trial's plan",

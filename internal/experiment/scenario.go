@@ -11,18 +11,14 @@ import (
 	"github.com/softres/ntier/internal/tier"
 )
 
-// ScenarioConfig describes one fault-injection trial: a base experiment, a
-// fault plan (offsets relative to the start of the measurement window), and
-// the resilience policy under test. The timeline has 1s windows; recovery
-// is the trailing 5-window goodput average regaining 95% of the pre-fault
-// baseline.
+// ScenarioConfig describes one fault-injection trial: a base experiment,
+// whose Testbed.Resilience is the policy under test, and a fault plan
+// (offsets relative to the start of the measurement window). The timeline
+// has 1s windows; recovery is the trailing 5-window goodput average
+// regaining 95% of the pre-fault baseline.
 type ScenarioConfig struct {
 	Run  RunConfig
 	Plan fault.Plan
-
-	// Resilience is applied to every Apache and Tomcat (nil runs the bare
-	// fault-free pipeline against the plan — no timeouts, no retries).
-	Resilience *tier.ResilienceConfig
 
 	// GoodputThreshold classifies a response as goodput (default 1s).
 	GoodputThreshold time.Duration
@@ -100,12 +96,11 @@ func (sr *ScenarioResult) Describe() string {
 }
 
 // RunScenario executes one fault-injection trial: build the topology with
-// the resilience policy, ramp the workload, arm the fault plan at the start
+// its resilience policy, ramp the workload, arm the fault plan at the start
 // of the measurement window, measure through fault and recovery, and report
 // the timeline with recovery statistics.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	cfg.applyDefaults()
-	cfg.Run.Testbed.Resilience = cfg.Resilience
 	var (
 		inj *fault.Injector
 		ctl *adaptive.ElasticController

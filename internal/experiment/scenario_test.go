@@ -34,9 +34,10 @@ func scenarioBase(users int) RunConfig {
 // regains at least 95% of the pre-fault baseline.
 func TestCrashTomcatRecovery(t *testing.T) {
 	faultStart, faultEnd := 30*time.Second, 60*time.Second
+	base := scenarioBase(3000)
+	base.Testbed.Resilience = defaultScenarioResilience()
 	sr, err := RunScenario(ScenarioConfig{
-		Run:        scenarioBase(3000),
-		Resilience: defaultScenarioResilience(),
+		Run: base,
 		Plan: fault.Plan{Events: []fault.Event{
 			fault.Crash("tomcat1", faultStart, faultEnd),
 		}},
@@ -94,9 +95,9 @@ func TestRetryAmplification(t *testing.T) {
 	run := func(res *tier.ResilienceConfig) *ScenarioResult {
 		base := scenarioBase(5000)
 		base.Testbed.Soft.AppConns = 12 // enough conn headroom for the storm to build
+		base.Testbed.Resilience = res
 		sr, err := RunScenario(ScenarioConfig{
-			Run:        base,
-			Resilience: res,
+			Run: base,
 			Plan: fault.Plan{Events: []fault.Event{
 				fault.Crash("mysql1", 30*time.Second, 90*time.Second),
 			}},
@@ -144,9 +145,9 @@ func TestScenarioDeterminism(t *testing.T) {
 			RampUp:  10 * time.Second,
 			Measure: 40 * time.Second,
 		}
+		base.Testbed.Resilience = defaultScenarioResilience()
 		sr, err := RunScenario(ScenarioConfig{
-			Run:        base,
-			Resilience: defaultScenarioResilience(),
+			Run: base,
 			Plan: fault.Plan{
 				JitterFrac: 0.1, // exercise the injector's seeded jitter
 				Events: []fault.Event{
@@ -214,10 +215,10 @@ func TestScenarioUnderElasticControl(t *testing.T) {
 		RampUp:  10 * time.Second,
 		Measure: 60 * time.Second,
 	}
+	base.Testbed.Resilience = defaultScenarioResilience()
 	sr, err := RunScenario(ScenarioConfig{
-		Run:        base,
-		Resilience: defaultScenarioResilience(),
-		Elastic:    &adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob},
+		Run:     base,
+		Elastic: &adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob},
 		Plan: fault.Plan{Events: []fault.Event{
 			fault.Brownout("tomcat2", 20*time.Second, 40*time.Second, 0.4),
 		}},

@@ -25,9 +25,9 @@ func Scenarios() []Scenario {
 			Description: "crash one application server for 60s; resilient front end fails over and recovers",
 			Configure: func(base RunConfig) ScenarioConfig {
 				base.Measure = scenarioMeasure(base.Measure)
+				base.Testbed.Resilience = defaultScenarioResilience()
 				return ScenarioConfig{
-					Run:        base,
-					Resilience: defaultScenarioResilience(),
+					Run: base,
 					Plan: fault.Plan{Events: []fault.Event{
 						fault.Crash("tomcat1", 30*time.Second, 90*time.Second),
 					}},
@@ -39,9 +39,9 @@ func Scenarios() []Scenario {
 			Description: "slow the C-JDBC node to 30% CPU speed for 60s (thermal throttling / noisy neighbor)",
 			Configure: func(base RunConfig) ScenarioConfig {
 				base.Measure = scenarioMeasure(base.Measure)
+				base.Testbed.Resilience = defaultScenarioResilience()
 				return ScenarioConfig{
-					Run:        base,
-					Resilience: defaultScenarioResilience(),
+					Run: base,
 					Plan: fault.Plan{Events: []fault.Event{
 						fault.Brownout("cjdbc1", 30*time.Second, 90*time.Second, 0.3),
 					}},
@@ -57,9 +57,9 @@ func Scenarios() []Scenario {
 				if units < 1 {
 					units = 1
 				}
+				base.Testbed.Resilience = defaultScenarioResilience()
 				return ScenarioConfig{
-					Run:        base,
-					Resilience: defaultScenarioResilience(),
+					Run: base,
 					Plan: fault.Plan{Events: []fault.Event{
 						fault.ConnLeak("tomcat1/conns", 30*time.Second, 90*time.Second, units),
 					}},
@@ -71,9 +71,9 @@ func Scenarios() []Scenario {
 			Description: "add 5ms to every tier-to-tier hop for 60s (switch congestion)",
 			Configure: func(base RunConfig) ScenarioConfig {
 				base.Measure = scenarioMeasure(base.Measure)
+				base.Testbed.Resilience = defaultScenarioResilience()
 				return ScenarioConfig{
-					Run:        base,
-					Resilience: defaultScenarioResilience(),
+					Run: base,
 					Plan: fault.Plan{Events: []fault.Event{
 						fault.NetSpike("link", 30*time.Second, 90*time.Second, 5*time.Millisecond),
 					}},
@@ -85,9 +85,9 @@ func Scenarios() []Scenario {
 			Description: "crash one database for 60s under retries with no timeouts and no backoff (retry amplification)",
 			Configure: func(base RunConfig) ScenarioConfig {
 				base.Measure = scenarioMeasure(base.Measure)
+				base.Testbed.Resilience = RetryStormResilience()
 				return ScenarioConfig{
-					Run:        base,
-					Resilience: RetryStormResilience(),
+					Run: base,
 					Plan: fault.Plan{Events: []fault.Event{
 						fault.Crash("mysql1", 30*time.Second, 90*time.Second),
 					}},

@@ -150,7 +150,9 @@ func TestWindowedTrialsContainPanics(t *testing.T) {
 		run  func() error
 	}{
 		{"scenario", func() error {
-			_, err := RunScenario(ScenarioConfig{Run: base, Resilience: defaultScenarioResilience()})
+			run := base
+			run.Testbed.Resilience = defaultScenarioResilience()
+			_, err := RunScenario(ScenarioConfig{Run: run})
 			return err
 		}},
 		{"flash-crowd", func() error {

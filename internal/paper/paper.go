@@ -252,11 +252,3 @@ func best(name string, s, size int, users []int, f func(*experiment.Result) floa
 func goodput(th time.Duration) func(*experiment.Result) float64 {
 	return func(r *experiment.Result) float64 { return r.Goodput(th) }
 }
-
-func mean(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}

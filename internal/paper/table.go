@@ -7,6 +7,7 @@ import (
 
 	"github.com/softres/ntier/internal/experiment"
 	"github.com/softres/ntier/internal/sla"
+	"github.com/softres/ntier/internal/stats"
 	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/tier"
 )
@@ -220,9 +221,9 @@ func fig7() *Entry {
 	for _, u := range users {
 		l := fmt.Sprintf("wl%d_", u)
 		nums = append(nums,
-			at(l+"activeWorkers", 0, 0, u, func(r *experiment.Result) float64 { return mean(r.Timeline.ActiveRaw) }),
-			at(l+"connectingTomcat", 0, 0, u, func(r *experiment.Result) float64 { return mean(r.Timeline.ConnectRaw) }),
-			at(l+"PTtotalMs", 0, 0, u, func(r *experiment.Result) float64 { return mean(r.Timeline.PTTotalMS) }))
+			at(l+"activeWorkers", 0, 0, u, func(r *experiment.Result) float64 { return stats.Mean(r.Timeline.ActiveRaw) }),
+			at(l+"connectingTomcat", 0, 0, u, func(r *experiment.Result) float64 { return stats.Mean(r.Timeline.ConnectRaw) }),
+			at(l+"PTtotalMs", 0, 0, u, func(r *experiment.Result) float64 { return stats.Mean(r.Timeline.PTTotalMS) }))
 	}
 	return apache("fig7", "Fig7ApacheInternals", "Figure 7: small Apache buffer (300 workers)", "300-6-20", users, nums)
 }
@@ -231,7 +232,7 @@ func fig7() *Entry {
 func fig8() *Entry {
 	u := 7400
 	return apache("fig8", "Fig8LargeBuffer", "Figure 8: large Apache buffer (400 workers)", "400-6-20", []int{u}, []Number{
-		at("connectingTomcat", 0, 0, u, func(r *experiment.Result) float64 { return mean(r.Timeline.ConnectRaw) }),
+		at("connectingTomcat", 0, 0, u, func(r *experiment.Result) float64 { return stats.Mean(r.Timeline.ConnectRaw) }),
 		at("TP", 0, 0, u, throughput)})
 }
 

@@ -50,14 +50,14 @@
 // Shutdown ends every live process: one inside a run unwinds its stack,
 // deferred calls included, and its coroutine ends; one that holds no
 // coroutine has no stack and never runs again. An Env's storage outlives
-// it (storage.go):
-// Shutdown resets its Proc slabs and queue memory to a new Env's state and
+// it (storage.go): Shutdown resets its Proc slabs, queue memory and the
+// records the layer above keeps with them (Keep) to a new Env's state and
 // hands them to a process-wide pool of at most GOMAXPROCS sets; NewEnv
-// adopts one, so the trials of a campaign run on the storage earlier trials
-// left; and DropStorage, which a campaign calls when it returns, lets the
-// pool's memory go. Pop order is (at, seq) whatever storage an Env runs
-// on, so a warm Env replays identically, and a shut-down Env panics at any
-// call that would write into the storage it handed on.
+// adopts one, so the trials of a campaign run on the storage earlier
+// trials left; and DropStorage, which a campaign calls when it returns,
+// lets the pool's memory go. Pop order is (at, seq) whatever storage an
+// Env runs on, so a warm Env replays identically, and a shut-down Env
+// panics at any call that would write into the storage it handed on.
 //
 // The coroutines need Go 1.23 for iter.Pull; see toolchain.go.
 package des
@@ -108,6 +108,8 @@ type Env struct {
 	slabs [][]Proc
 	slab  int
 	procs []*Proc
+	// kept is what the layer above keeps in the storage (Keep).
+	kept Keeper
 	// interrupted is the only cross-thread input to a running simulation:
 	// wall-clock watchdogs set it to make Run return at the next event
 	// boundary (Shutdown cannot be called concurrently with Run). Run
@@ -376,9 +378,9 @@ func (e *Env) Interrupted() bool { return e.interrupted.Load() }
 // deferred calls and ends its coroutine. A process that holds no
 // coroutine — not yet started, resting, suspended, or waiting between
 // steps — has no stack to unwind and simply never runs again. The Env's
-// storage — its Proc slabs and queue memory — then goes to a process-wide
-// pool for the next NewEnv to adopt (see DropStorage). Every Timer armed
-// at Shutdown is left unarmed.
+// storage — its Proc slabs, queue memory and kept records (Keep) — then
+// goes to a process-wide pool for the next NewEnv to adopt (see
+// DropStorage). Every Timer armed at Shutdown is left unarmed.
 //
 // After Shutdown the Env is unusable, and scheduling on it — At, After,
 // Timer.Arm, ArmAt or Stop, Unpark — panics rather than write into

@@ -291,3 +291,36 @@ func TestShutdownEnvRefusesLateCalls(t *testing.T) {
 	env.Shutdown()
 	DropStorage()
 }
+
+// keeper counts its Resets.
+type keeper struct{ resets int }
+
+func (k *keeper) Reset() { k.resets++ }
+
+// The value kept with an Env's storage is Reset once at Shutdown and goes
+// with the storage: to the next NewEnv, and not past DropStorage.
+func TestKeptValueGoesWithStorage(t *testing.T) {
+	DropStorage()
+	defer DropStorage()
+	k := &keeper{}
+	env := NewEnv()
+	env.Keep(k)
+	env.GoStep("p", func(p *Proc) {})
+	env.Run(time.Second)
+	env.Shutdown()
+	if k.resets != 1 || env.Kept() != nil {
+		t.Fatalf("after Shutdown: %d resets, Env keeps %v; want 1 reset and nothing kept", k.resets, env.Kept())
+	}
+	warm := NewEnv()
+	if warm.Kept() != k {
+		t.Fatalf("a warm Env keeps %v, want the shut-down Env's value", warm.Kept())
+	}
+	warm.Shutdown()
+	if k.resets != 2 {
+		t.Errorf("%d resets after the warm Env's Shutdown, want 2", k.resets)
+	}
+	DropStorage()
+	if cold := NewEnv(); cold.Kept() != nil {
+		t.Errorf("an Env after DropStorage keeps %v", cold.Kept())
+	}
+}

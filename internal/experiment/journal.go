@@ -81,10 +81,11 @@ type Journal struct {
 	size int64 // end of the last intact record, where the next one goes
 	done map[string]recordRef
 
-	// enc encodes each appended record into buf. free holds the read
-	// buffers of restores not in progress; a new one takes the length of
-	// the longest payload indexed, largest, so each lasts the campaign.
-	buf     bytes.Buffer
+	// enc encodes each appended record through w, straight into the file.
+	// free holds the read buffers of restores not in progress; a new one
+	// takes the length of the longest payload indexed, largest, so each
+	// lasts the campaign.
+	w       recordWriter
 	enc     *json.Encoder
 	free    [][]byte
 	largest int
@@ -103,7 +104,7 @@ func OpenJournal(path, fingerprint string) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{path: path, f: f, done: make(map[string]recordRef)}
-	j.enc = json.NewEncoder(&j.buf)
+	j.enc = json.NewEncoder(&j.w)
 	if err := j.load(fingerprint); err != nil {
 		f.Close()
 		return nil, err
@@ -247,30 +248,25 @@ func decodeHead(payload []byte) (key string, ref recordRef, err error) {
 	return key, ref, nil
 }
 
-// append encodes v as one record into the journal's buffer, frames it,
-// writes it at the end of the journal, and fsyncs it. The header and the
-// payload go out as two writes, so the payload (a trial's whole output) is
-// not copied behind the header; a crash between them leaves a short
-// payload, which load drops as a torn tail. Writes go to explicit offsets,
-// so a failed write is overwritten by the next record. The caller holds
-// the mutex, or is load.
+// append encodes v as one record at the end of the journal and fsyncs
+// it. The encoder writes the payload straight into the file, past the
+// record's header (recordWriter), and the header goes in after it, so the
+// payload is never staged or copied; a crash before the header is written
+// leaves a record whose length or checksum does not hold, which load
+// drops as a torn tail. Writes go to explicit offsets, so a failed write
+// is overwritten by the next record. The caller holds the mutex, or is
+// load.
 func (j *Journal) append(v any) (recordRef, error) {
-	j.buf.Reset()
+	ref := recordRef{off: j.size + recordHeaderSize}
+	j.w = recordWriter{f: j.f, off: ref.off}
 	if err := j.enc.Encode(v); err != nil {
 		return recordRef{}, err
 	}
-	payload := bytes.TrimSuffix(j.buf.Bytes(), []byte{'\n'}) // Encode ends the value with a newline
-	if len(payload) > maxRecordSize {
-		return recordRef{}, fmt.Errorf("experiment: journal record of %d bytes exceeds limit", len(payload))
-	}
 	var header [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(header[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
-	ref := recordRef{off: j.size + recordHeaderSize, n: len(payload)}
+	ref.n = j.w.n
+	binary.LittleEndian.PutUint32(header[:4], uint32(ref.n))
+	binary.LittleEndian.PutUint32(header[4:8], j.w.sum)
 	if _, err := j.f.WriteAt(header[:], j.size); err != nil {
-		return recordRef{}, err
-	}
-	if _, err := j.f.WriteAt(payload, ref.off); err != nil {
 		return recordRef{}, err
 	}
 	if err := j.f.Sync(); err != nil {
@@ -278,6 +274,32 @@ func (j *Journal) append(v any) (recordRef, error) {
 	}
 	j.size = ref.off + int64(ref.n)
 	return ref, nil
+}
+
+// recordWriter takes a record's payload from the journal's encoder and
+// writes it into the file from off on, keeping its length n and its CRC32
+// sum as it goes. The encoder ends each value with a newline, which is not
+// part of the payload. encoding/json escapes every newline inside a value,
+// so a newline that ends a Write is that one, however the encoder splits
+// its output.
+type recordWriter struct {
+	f   *os.File
+	off int64
+	n   int
+	sum uint32
+}
+
+func (w *recordWriter) Write(b []byte) (int, error) {
+	p := bytes.TrimSuffix(b, []byte{'\n'})
+	if w.n+len(p) > maxRecordSize {
+		return 0, fmt.Errorf("record exceeds the %d-byte limit", maxRecordSize)
+	}
+	if _, err := w.f.WriteAt(p, w.off+int64(w.n)); err != nil {
+		return 0, err
+	}
+	w.n += len(p)
+	w.sum = crc32.Update(w.sum, crc32.IEEETable, p)
+	return len(b), nil
 }
 
 // Record durably appends one trial outcome and indexes it for Restore:

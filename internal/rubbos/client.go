@@ -3,6 +3,8 @@ package rubbos
 import (
 	"fmt"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
@@ -209,7 +211,10 @@ func (w *Workload) AuditQuiescent() error {
 //
 // A session is a stepping process (des.Env.GoStep): its ramp offset, its
 // think times, the bookkeeping around each request and the request itself
-// are steps (see Target), so it never holds a coroutine.
+// are steps (see Target), so it never holds a coroutine. Every session of
+// the workload runs one step function, and its process's data is its
+// session record, taken from the records env's storage keeps (sessions),
+// so a warm Start allocates nothing per user.
 func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect Collector) (*Workload, error) {
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("rubbos: %d users", cfg.Users)
@@ -227,29 +232,110 @@ func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect 
 		cfg.AbandonThink = 3 * cfg.ThinkMean
 	}
 	w := &Workload{cfg: cfg, table: table, target: target, collect: collect}
-	var buf [32]byte
+	k, _ := env.Kept().(*sessions)
+	if k == nil {
+		k = new(sessions)
+		env.Keep(k)
+	}
+	names := userLabels(cfg.Users)
+	step := w.step
 	for u := 0; u < cfg.Users; u++ {
 		// label doubles as the RNG stream name and the diagnostic process
 		// name; it is part of the deterministic contract (changing stream
 		// labels changes every trial outcome) and so must stay "user-<u>".
-		// Formatting into buf costs one allocation, the label itself.
-		label := string(strconv.AppendInt(append(buf[:0], "user-"...), int64(u), 10))
-		s := &session{w: w, r: rng.Stream(cfg.Seed, label), state: uint8(StoriesOfTheDay)}
+		label := names[labelOffset(u):labelOffset(u+1)]
+		s := k.next()
+		*s = session{r: rng.Stream(cfg.Seed, label), state: uint8(StoriesOfTheDay)}
 		if cfg.RampUp > 0 {
 			s.issued = time.Duration(uint64(cfg.RampUp) * uint64(u) / uint64(cfg.Users))
 		}
-		env.GoStep(label, s.run)
+		env.GoStep(label, step).SetData(s)
 	}
 	return w, nil
 }
 
+// labels is the label of every user from 0 to n-1, "user-0user-1…", in
+// one string that every workload of the process shares: a user's label is
+// a slice of it (labelOffset), so it costs no allocation of its own. It
+// grows by doubling.
+var labels struct {
+	sync.Mutex
+	s string
+	n int
+}
+
+// userLabels returns a string holding the labels of users 0 to n-1 at
+// their offsets.
+func userLabels(n int) string {
+	labels.Lock()
+	defer labels.Unlock()
+	if n > labels.n {
+		m := max(n, 2*labels.n)
+		var b strings.Builder
+		b.Grow(labelOffset(m))
+		b.WriteString(labels.s)
+		var buf [32]byte
+		for u := labels.n; u < m; u++ {
+			b.Write(strconv.AppendInt(append(buf[:0], "user-"...), int64(u), 10))
+		}
+		labels.s, labels.n = b.String(), m
+	}
+	return labels.s
+}
+
+// labelOffset returns where user u's label starts in the labels string:
+// five bytes of "user-" for each user before it, plus their digits, one
+// each and one more for each power of ten at or below the user's index.
+func labelOffset(u int) int {
+	off := 6 * u
+	for p := 10; p < u; p *= 10 {
+		off += u - p
+	}
+	return off
+}
+
+// sessions is the session records of the closed workloads started on one
+// Env, which its storage keeps (des.Env.Keep) for the Envs that adopt it:
+// a warm Start takes the records an earlier trial left. Records are handed
+// out in order from slabs of sessionSlab, so they never move, and the
+// workloads started on one Env (a fleet's tenants) take disjoint ones.
+type sessions struct {
+	slabs [][]session
+	n     int // records handed out since the last Reset
+}
+
+// sessionSlab is how many session records a slab holds: as for des's Proc
+// slabs, 63 records of 64 bytes fit the 4096-byte size class with the
+// runtime's 8-byte header.
+const sessionSlab = 63
+
+// next returns the next record, which the caller overwrites whole.
+func (k *sessions) next() *session {
+	i := k.n
+	if i == len(k.slabs)*sessionSlab {
+		k.slabs = append(k.slabs, make([]session, sessionSlab))
+	}
+	k.n++
+	return &k.slabs[i/sessionSlab][i%sessionSlab]
+}
+
+// Reset zeroes the records handed out, which hold the traces of the
+// requests in flight at Shutdown, and rewinds the cursor.
+func (k *sessions) Reset() {
+	for _, slab := range k.slabs[:(k.n+sessionSlab-1)/sessionSlab] {
+		clear(slab)
+	}
+	k.n = 0
+}
+
 // session is one emulated user's state between the dispatches of its
-// process, kept in one 64-byte allocation. Each dispatch does one step of
-// the closed loop and ends with a Rest, or wherever its request waits, so
-// no coroutine stack is held through think times or requests.
+// process, one 64-byte record. Each dispatch does one step of the closed
+// loop and ends with a Rest, or wherever its request waits, so no
+// coroutine stack is held through think times or requests.
 type session struct {
-	w *Workload
-	r rng.Rand
+	// tr is the sampled trace of the request in flight, or nil.
+	tr *trace.Trace
+	r  rng.Rand
 	// issued is when the request in flight was issued; until the first
 	// run, the ramp offset.
 	issued time.Duration
@@ -261,6 +347,10 @@ type session struct {
 	// call is the target's state of the request in flight.
 	call Call
 }
+
+// Sampled returns the trace of the request in flight, which the tiers add
+// their spans to.
+func (s *session) Sampled() *trace.Trace { return s.tr }
 
 // Every interaction index fits session.state.
 const _ uint8 = NumInteractions - 1
@@ -274,8 +364,10 @@ const (
 	requesting                     // the request is in flight, over as many dispatches as it takes
 )
 
-func (s *session) run(p *des.Proc) {
-	w := s.w
+// step is the process body of every session of w: one step of the closed
+// loop of the session that is p's data.
+func (w *Workload) step(p *des.Proc) {
+	s := p.Data().(*session)
 	switch s.phase {
 	case ramping:
 		s.phase = arriving
@@ -292,13 +384,11 @@ func (s *session) run(p *des.Proc) {
 		s.issued = p.Now()
 		w.issued++
 		if t := w.cfg.Tracer; t != nil {
-			if tr := t.Sample(w.table.Items[s.state].Name, s.issued); tr != nil {
-				p.SetData(tr)
-			}
+			s.tr = t.Sample(w.table.Items[s.state].Name, s.issued)
 		}
 		fallthrough
 	case requesting:
-		if !s.request(p) {
+		if !w.request(p, s) {
 			return // the request waits: the target scheduled its next dispatch
 		}
 	}
@@ -312,8 +402,7 @@ func (s *session) run(p *des.Proc) {
 // request takes the request in flight on through the target. It reports
 // false while the request waits; once done it records the outcome and
 // picks the next interaction and whether the user abandoned.
-func (s *session) request(p *des.Proc) bool {
-	w := s.w
+func (w *Workload) request(p *des.Proc, s *session) bool {
 	cfg := &w.cfg
 	it := &w.table.Items[s.state]
 	done, err := w.target.Do(p, it, &s.call)
@@ -321,9 +410,9 @@ func (s *session) request(p *des.Proc) bool {
 		return false
 	}
 	s.phase = browsing
-	if tr, _ := p.Data().(*trace.Trace); tr != nil {
-		cfg.Tracer.Finish(tr, p.Now())
-		p.SetData(nil)
+	if s.tr != nil {
+		cfg.Tracer.Finish(s.tr, p.Now())
+		s.tr = nil
 	}
 	s.abandoned = false
 	issued := s.issued

@@ -1,32 +1,161 @@
 package rubbos
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
 	"github.com/softres/ntier/internal/rng"
+	"github.com/softres/ntier/internal/trace"
 )
 
-// Setting up a closed workload costs four allocations per user — its label,
-// its session state, its process body and its des.Proc — plus a share of
-// the Proc slabs and queue nodes. No coroutine starts until a user's first
-// run.
+// Setting up a closed workload on cold storage costs a share of the slabs
+// its users' des.Procs and session records are minted in, 63 to a slab,
+// and of the queue's arrays: about 0.05 allocations per user. A user's
+// label is a slice of one string every workload shares, and its process
+// body is its workload's, so neither costs an allocation of its own. No
+// coroutine starts until a user's first run.
 func TestStartAllocationsPerUser(t *testing.T) {
 	const users = 2000
 	cfg := DefaultClientConfig(users)
 	table := NewTable()
+	userLabels(users) // the shared labels outlast a trial; grow them first
 	allocs := testing.AllocsPerRun(5, func() {
+		des.DropStorage()
 		env := des.NewEnv()
 		if _, err := Start(env, cfg, table, &stubTarget{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		env.Shutdown()
 	})
-	if perUser := allocs / users; perUser > 4.1 {
-		t.Errorf("%.2f allocations per user, want at most 4.1", perUser)
+	des.DropStorage()
+	if perUser := allocs / users; perUser > 0.06 {
+		t.Errorf("%.3f allocations per user, want at most 0.06", perUser)
+	}
+}
+
+// A warm Start, on the storage an earlier trial of as many users handed
+// on, allocates nothing per user: its users' des.Procs and session
+// records are the earlier trial's. What it allocates is the Env, the
+// Workload and the workload's process body.
+func TestWarmStartAllocatesNothingPerUser(t *testing.T) {
+	const users = 2000
+	cfg := DefaultClientConfig(users)
+	table := NewTable()
+	target := &stubTarget{}
+	des.DropStorage()
+	defer des.DropStorage()
+	start := func() {
+		env := des.NewEnv()
+		if _, err := Start(env, cfg, table, target, nil); err != nil {
+			t.Fatal(err)
+		}
+		env.Shutdown()
+	}
+	start() // cold: mints the storage the measured Starts adopt
+	if allocs := testing.AllocsPerRun(5, start); allocs > 3 {
+		t.Errorf("a warm Start of %d users made %v allocations, want at most 3", users, allocs)
+	}
+}
+
+// sessionTarget serves every request at once and records the session
+// record of each process it serves.
+type sessionTarget struct{ seen map[*session]bool }
+
+func (s *sessionTarget) Do(p *des.Proc, _ *Interaction, _ *Call) (bool, error) {
+	s.seen[p.Data().(*session)] = true
+	return true, nil
+}
+
+// Two workloads started on one Env, as a fleet's tenants are, take
+// disjoint session records, on cold storage and on the warm storage the
+// first pair handed on, whose records the second pair reuses.
+func TestWorkloadsOnOneEnvTakeDisjointSessions(t *testing.T) {
+	des.DropStorage()
+	defer des.DropStorage()
+	sizes := []int{100, 70}
+	run := func() map[*session]bool {
+		env := des.NewEnv()
+		defer env.Shutdown()
+		var targets []*sessionTarget
+		for _, users := range sizes {
+			cfg := DefaultClientConfig(users)
+			cfg.RampUp, cfg.ThinkMean = 0, 10*time.Millisecond
+			target := &sessionTarget{seen: map[*session]bool{}}
+			targets = append(targets, target)
+			if _, err := Start(env, cfg, NewTable(), target, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env.Run(time.Second)
+		all := map[*session]bool{}
+		for i, target := range targets {
+			if len(target.seen) != sizes[i] {
+				t.Errorf("workload %d served %d session records, want %d", i, len(target.seen), sizes[i])
+			}
+			for s := range target.seen {
+				if all[s] {
+					t.Errorf("workload %d served a session record of another workload", i)
+				}
+				all[s] = true
+			}
+		}
+		return all
+	}
+	cold, warm := run(), run()
+	for s := range warm {
+		if !cold[s] {
+			t.Fatal("the warm workloads minted session records of their own")
+		}
+	}
+}
+
+// The storage a Shutdown hands on pins nothing of the trial: once it is
+// shut down, its Workload and the trace of a request in flight are
+// collected, though the session records that held them stay kept.
+func TestKeptSessionsPinNothing(t *testing.T) {
+	des.DropStorage()
+	defer des.DropStorage()
+	env := des.NewEnv()
+	cfg := DefaultClientConfig(50)
+	cfg.RampUp, cfg.ThinkMean = 0, 10*time.Millisecond
+	cfg.Tracer = trace.NewTracer(1, 1)
+	w, err := Start(env, cfg, NewTable(), &overlapTarget{delay: time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Run(time.Second)
+	var tr *trace.Trace
+	for _, slab := range env.Kept().(*sessions).slabs {
+		for i := range slab {
+			tr = cmp.Or(tr, slab[i].tr)
+		}
+	}
+	if tr == nil || w.InFlight() != cfg.Users {
+		t.Fatalf("%d requests in flight, trace %v: want every user's in flight, traced", w.InFlight(), tr)
+	}
+	collected := make(chan string, 2)
+	runtime.SetFinalizer(w, func(*Workload) { collected <- "the Workload" })
+	runtime.SetFinalizer(tr, func(*trace.Trace) { collected <- "the trace in flight" })
+	w, tr = nil, nil
+	env.Shutdown()
+	deadline := time.After(5 * time.Second)
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("%d of the Workload and the trace in flight collected after Shutdown; the kept storage pins the rest", got)
+		}
+	}
+	if n := des.DropStorage(); n != 1 {
+		t.Errorf("%d storage sets kept through the collection, want 1", n)
 	}
 }
 
@@ -153,5 +282,26 @@ func TestRestingSessionsMatchSleepingLoop(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("request %d: resting %q, sleeping %q", i, got[i], want[i])
 		}
+	}
+}
+
+// BenchmarkWarmStart runs a campaign's trials back to back: each starts
+// 2000 users on the storage the one before it handed on, runs a second of
+// their ramp and shuts down.
+func BenchmarkWarmStart(b *testing.B) {
+	cfg := DefaultClientConfig(2000)
+	cfg.RampUp, cfg.ThinkMean = time.Second, 100*time.Millisecond
+	table := NewTable()
+	target := &overlapTarget{delay: 50 * time.Millisecond}
+	des.DropStorage()
+	defer des.DropStorage()
+	b.ReportAllocs()
+	for range b.N {
+		env := des.NewEnv()
+		if _, err := Start(env, cfg, table, target, nil); err != nil {
+			b.Fatal(err)
+		}
+		env.Run(time.Second)
+		env.Shutdown()
 	}
 }

@@ -77,8 +77,8 @@ func (t *poolTarget) Do(p *des.Proc, it *Interaction, c *Call) (bool, error) {
 		*c = Call{}
 		return true, errors.New("pool: worker timeout")
 	}
-	if tr, _ := p.Data().(*trace.Trace); tr != nil {
-		tr.Add("web1", "served", p.Now(), p.Now())
+	if c, _ := p.Data().(interface{ Sampled() *trace.Trace }); c != nil && c.Sampled() != nil {
+		c.Sampled().Add("web1", "served", p.Now(), p.Now())
 	}
 	if !wait(time.Duration(20+len(it.Name))*time.Millisecond, poolServed) {
 		return false, nil

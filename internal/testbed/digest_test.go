@@ -8,6 +8,7 @@ import (
 	"hash"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +32,8 @@ type digestTrial struct {
 	deadline time.Duration
 	ramp     time.Duration
 	horizon  time.Duration
+	// patience, when set, makes closed users abandon slow responses.
+	patience time.Duration
 	tracer   *trace.Tracer
 	// setup, when set, runs on the built testbed before the workload
 	// starts (to schedule fault windows).
@@ -57,19 +60,39 @@ func TestDigestPins(t *testing.T) {
 	}
 }
 
-// A trial on the engine storage a larger one left keeps its pin: the
-// small traced trials run after closed-saturated, on its Procs and queue
-// memory, which no state of it may leak through.
+// A trial on the engine storage an earlier one left keeps its pin: the
+// small traced trials run on the Procs, queue memory and session records
+// of closed-saturated and of a trial stopped mid-request, with sampled
+// traces in flight and abandoned sessions, none of whose state may leak
+// through. That trial, run again warm, keeps its cold digest too.
 func TestDigestPinsOnWarmStorage(t *testing.T) {
 	des.DropStorage()
+	defer des.DropStorage()
 	trials := map[string]digestTrial{}
 	for _, tc := range digestTrials() {
 		trials[tc.name] = tc
 	}
-	for _, name := range []string{"closed-saturated", "closed-traced", "open-traced-down"} {
+	// More users than closed-traced, every request traced, slow pages
+	// abandoned, and a horizon that stops thousands of requests mid-way.
+	dirty := digestTrial{
+		name: "closed-abandoning", opts: Options{Hardware: Hardware{Web: 1, App: 1, Mid: 1, DB: 1}, Soft: SoftAlloc{WebThreads: 40, AppThreads: 8, AppConns: 4}, Seed: 8},
+		users: 4000, ramp: time.Second, horizon: 3 * time.Second, patience: 200 * time.Millisecond,
+	}
+	runDirty := func() (string, string) {
+		dirty.tracer = trace.NewTracer(1, 1<<20)
+		return runDigest(t, dirty)
+	}
+	cold, summary := runDirty()
+	if strings.Contains(summary, "inflight=0 ") || strings.Contains(summary, "abandoned=0") {
+		t.Fatalf("%s: want requests in flight at the horizon and abandoned sessions", summary)
+	}
+	t.Run("closed-saturated", func(t *testing.T) { checkPin(t, trials["closed-saturated"]) })
+	if warm, _ := runDirty(); warm != cold {
+		t.Errorf("%s on warm storage: digest %s, cold %s", dirty.name, warm, cold)
+	}
+	for _, name := range []string{"closed-traced", "open-traced-down"} {
 		t.Run(name, func(t *testing.T) { checkPin(t, trials[name]) })
 	}
-	des.DropStorage()
 }
 
 // checkPin runs tc and checks its digest against its pin, or logs the
@@ -193,6 +216,7 @@ func runDigest(t *testing.T, tc digestTrial) (string, string) {
 		cfg.RampUp = tc.ramp
 		cfg.Seed = tc.opts.Seed
 		cfg.Tracer = tc.tracer
+		cfg.Patience = tc.patience
 		w, err = tb.StartWorkload(cfg, collect)
 	} else {
 		w, err = tb.StartOpenWorkload(rubbos.OpenConfig{
@@ -252,6 +276,9 @@ func runDigest(t *testing.T, tc digestTrial) (string, string) {
 		if res := a.Resilience(); res != nil {
 			summary += fmt.Sprintf(" %s-acquire-timeouts=%d", a.Node.Name(), res.AcquireTimeouts)
 		}
+	}
+	if tc.patience > 0 {
+		summary += fmt.Sprintf(" abandoned=%d", w.Abandoned())
 	}
 	if tc.tracer != nil {
 		spans := spanTotals(h, tc.tracer.Traces())

@@ -223,18 +223,18 @@ func (l *ServiceLog) Jobs(now time.Duration) float64 {
 	return l.Throughput(now) * l.MeanRT().Seconds()
 }
 
-// addSpan records a phase on the request's trace, if the carrying process
-// has one attached — either a bare *trace.Trace (closed-loop clients) or a
-// *trace.Ctx wrapping one (open-system requests).
+// traced is the data of a process that may carry a sampled trace down
+// the tier chain: an open-system request's *trace.Ctx, or a closed-loop
+// user's session. Sampled returns the trace of the request in flight, or
+// nil.
+type traced interface{ Sampled() *trace.Trace }
+
+// addSpan records a phase on the request's trace, if the carrying
+// process's data carries a sampled one.
 func addSpan(p *des.Proc, server, phase string, start time.Duration) {
-	switch d := p.Data().(type) {
-	case *trace.Trace:
-		if d != nil {
-			d.Add(server, phase, start, p.Now())
-		}
-	case *trace.Ctx:
-		if d != nil && d.Trace != nil {
-			d.Trace.Add(server, phase, start, p.Now())
+	if c, ok := p.Data().(traced); ok {
+		if tr := c.Sampled(); tr != nil {
+			tr.Add(server, phase, start, p.Now())
 		}
 	}
 }

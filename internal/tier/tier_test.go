@@ -136,7 +136,7 @@ func TestApacheQueuedRequestTimesOut(t *testing.T) {
 	for _, at := range []time.Duration{time.Millisecond, 950 * time.Millisecond} {
 		tr := &trace.Trace{}
 		env.At(at, func() {
-			goServeWith(env, a, testInteraction(), tr, func(p *des.Proc, err error) {
+			goServeWith(env, a, testInteraction(), &trace.Ctx{Trace: tr}, func(p *des.Proc, err error) {
 				errs = append(errs, err)
 				spans = append(spans, tr.Spans[0])
 			})
@@ -382,7 +382,7 @@ func TestTomcatResponseTransferHoldsThread(t *testing.T) {
 	for _, tr := range trs {
 		serve, s := tomcatServe(tc), &inService{}
 		env.GoStep("call", func(p *des.Proc) {
-			p.SetData(tr)
+			p.SetData(&trace.Ctx{Trace: tr})
 			serve(p, s)
 		})
 	}

@@ -20,6 +20,9 @@ type Ctx struct {
 	Write bool
 }
 
+// Sampled returns the request's trace, or nil when it is not sampled.
+func (c *Ctx) Sampled() *Trace { return c.Trace }
+
 // remaining returns the budget left at now (negative once past the
 // deadline); it returns a very large value when no deadline is set.
 func (c *Ctx) remaining(now time.Duration) time.Duration {

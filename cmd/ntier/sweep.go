@@ -12,6 +12,9 @@ import (
 	"github.com/softres/ntier/internal/testbed"
 )
 
+// varyAxes maps each -vary value to the pool it sweeps.
+var varyAxes = map[string]testbed.Axis{"threads": testbed.AppThreads, "conns": testbed.AppConns, "web": testbed.WebThreads}
+
 // runSweep is `ntier sweep`: workload sweeps and soft-allocation sweeps,
 // printing the goodput series behind the paper's figures.
 //
@@ -93,18 +96,11 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		if err != nil || len(sizes) == 0 {
 			return failUsage(fs, fmt.Errorf("-vary needs -sizes (got %q)", *sizesS))
 		}
-		var fn func(testbed.SoftAlloc, int) testbed.SoftAlloc
-		switch *vary {
-		case "threads":
-			fn = experiment.VaryAppThreads
-		case "conns":
-			fn = experiment.VaryAppConns
-		case "web":
-			fn = experiment.VaryWebThreads
-		default:
+		ax, ok := varyAxes[*vary]
+		if !ok {
 			return failUsage(fs, fmt.Errorf("-vary: unknown pool %q (want threads, conns, or web)", *vary))
 		}
-		points, err := experiment.AllocSweep(base, users, sizes, fn)
+		points, err := experiment.AllocSweep(base, users, sizes, ax)
 		if err != nil {
 			return fail(err)
 		}

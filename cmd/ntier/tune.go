@@ -75,38 +75,26 @@ func runTune(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "\nValidation sweep (Fig. 10): max throughput vs pool size")
 	base := cfg.Base
 	base.Testbed.Soft = rep.ReservedSoft
-	var (
-		sizes []int
-		varyF func(testbed.SoftAlloc, int) testbed.SoftAlloc
-		rec   int
-		what  string
-	)
+	ax, what := testbed.AppThreads, "thread pool per Tomcat"
 	if rep.Critical.Tier == "cjdbc" {
 		// Control C-JDBC threads through the Tomcat DB connection pool.
-		rec = rep.Recommended.AppConns
-		varyF = experiment.VaryAppConns
-		what = "DB conn pool per Tomcat"
-	} else {
-		rec = rep.Recommended.AppThreads
-		varyF = experiment.VaryAppThreads
-		what = "thread pool per Tomcat"
+		ax, what = testbed.AppConns, "DB conn pool per Tomcat"
 	}
+	rec := rep.Recommended.Get(ax)
+	var sizes []int
 	for _, s := range []int{rec / 4, rec / 2, rec - 2, rec, rec + 2, rec * 2, rec * 6} {
 		if s >= 1 && (len(sizes) == 0 || s > sizes[len(sizes)-1]) {
 			sizes = append(sizes, s)
 		}
 	}
 	users := []int{rep.SaturationWL - *small, rep.SaturationWL, rep.SaturationWL + *small}
-	points, err := experiment.AllocSweep(base, users, sizes, varyF)
+	points, err := experiment.AllocSweep(base, users, sizes, ax)
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "%-10s %12s\n", what, "max TP [req/s]")
 	for _, p := range points {
-		size := p.Soft.AppThreads
-		if rep.Critical.Tier == "cjdbc" {
-			size = p.Soft.AppConns
-		}
+		size := p.Soft.Get(ax)
 		marker := ""
 		if size == rec {
 			marker = "  <- recommended"

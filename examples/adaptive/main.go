@@ -53,7 +53,7 @@ func run(threads, users int, controlled bool) (float64, int, []adaptive.ElasticD
 	if ctl != nil {
 		decisions = ctl.Decisions()
 	}
-	return float64(late) / 30, res.Tomcat[0].Pool("threads").Capacity, decisions
+	return float64(late) / 30, res.Tomcat[0].Pool(testbed.AppThreads).Capacity, decisions
 }
 
 func scenario(name string, threads, users int) {

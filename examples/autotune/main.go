@@ -47,7 +47,7 @@ func main() {
 	rec := rep.Recommended.AppThreads
 	sizes := []int{rec / 2, rec, rec * 2, rec * 8}
 	users := []int{rep.SaturationWL, rep.SaturationWL + 600}
-	points, err := ntier.AllocSweep(base, users, sizes, ntier.VaryAppThreads)
+	points, err := ntier.AllocSweep(base, users, sizes, ntier.AppThreads)
 	if err != nil {
 		log.Fatal(err)
 	}

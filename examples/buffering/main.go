@@ -30,7 +30,7 @@ func main() {
 
 	fmt.Println("C-JDBC CPU utilization vs workload (note the small pools *decline*):")
 	users := []int{6600, 7200, 7800}
-	points, err := ntier.AllocSweep(base, users, []int{100, 300, 400}, ntier.VaryWebThreads)
+	points, err := ntier.AllocSweep(base, users, []int{100, 300, 400}, ntier.WebThreads)
 	if err != nil {
 		log.Fatal(err)
 	}

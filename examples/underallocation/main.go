@@ -33,7 +33,7 @@ func main() {
 
 	users := []int{4400, 5200, 6000}
 	sizes := []int{6, 10, 20, 200}
-	points, err := ntier.AllocSweep(base, users, sizes, ntier.VaryAppThreads)
+	points, err := ntier.AllocSweep(base, users, sizes, ntier.AppThreads)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func main() {
 	for _, p := range points {
 		last := p.Curve.Results[len(p.Curve.Results)-1]
 		tc := last.Tomcat[0]
-		pool := tc.Pool("/threads")
+		pool := tc.Pool(ntier.AppThreads)
 		fmt.Printf("%-10d %15.1f%% %17.1f%% %13.1f%%\n",
 			p.Soft.AppThreads, pool.Saturated*100,
 			experiment.TierCPU(last.Tomcat)*100, tc.GC.GCFraction*100)

@@ -74,20 +74,6 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// The three pool axes an allocation moves units between. Axis order is tier
-// order (web upstream, connections downstream-most), which decision logs
-// and arbitration iterate in.
-type axis int
-
-const (
-	axisWeb  axis = iota // Apache worker pools (per web server)
-	axisApp              // Tomcat servlet thread pools (per app server)
-	axisConn             // Tomcat DB connection pools (per app server)
-	numAxes
-)
-
-var axisNames = [numAxes]string{"web-threads", "app-threads", "app-conns"}
-
 // The fixed parts of the control law; ElasticConfig holds the knobs.
 const (
 	// PeakHold is how long a window must spend in total at or above an
@@ -233,10 +219,10 @@ type ElasticController struct {
 	budget int
 
 	watched []ctlServer
-	peak    [numAxes]int // each axis's per-server peak occupancy in the last window
+	peak    [testbed.NumAxes]int // each axis's per-server peak occupancy in the last window
 
-	lastAct   [numAxes]time.Duration
-	acted     [numAxes]bool
+	lastAct   [testbed.NumAxes]time.Duration
+	acted     [testbed.NumAxes]bool
 	decisions []ElasticDecision
 }
 
@@ -282,36 +268,6 @@ func AttachElastic(tb *testbed.Testbed, cfg ElasticConfig) (*ElasticController, 
 // Decisions returns the resize actions applied so far.
 func (c *ElasticController) Decisions() []ElasticDecision { return c.decisions }
 
-// servers returns how many per-server pools an axis spans.
-func (c *ElasticController) servers(ax axis) int {
-	if ax == axisWeb {
-		return c.tb.Opts.Hardware.Web
-	}
-	return c.tb.Opts.Hardware.App
-}
-
-func axisGet(s testbed.SoftAlloc, ax axis) int {
-	switch ax {
-	case axisWeb:
-		return s.WebThreads
-	case axisApp:
-		return s.AppThreads
-	default:
-		return s.AppConns
-	}
-}
-
-func axisSet(s *testbed.SoftAlloc, ax axis, v int) {
-	switch ax {
-	case axisWeb:
-		s.WebThreads = v
-	case axisApp:
-		s.AppThreads = v
-	default:
-		s.AppConns = v
-	}
-}
-
 // resetWindow re-baselines every cumulative integral.
 func (c *ElasticController) resetWindow() {
 	for i := range c.watched {
@@ -340,7 +296,7 @@ func (c *ElasticController) scheduleControl() {
 // histograms speak for the nodes' integrals too.
 func (c *ElasticController) summarize() (s obs.TrialSummary, ok bool) {
 	secs := c.cfg.Interval.Seconds()
-	var peak [numAxes]int
+	var peak [testbed.NumAxes]int
 	for i := range c.watched {
 		sv := &c.watched[i]
 		busy, gc, disk := sv.integrals()
@@ -361,7 +317,7 @@ func (c *ElasticController) summarize() (s obs.TrialSummary, ok bool) {
 			st.Utilization = (b - m.busy) / secs / float64(st.Capacity)
 			st.Saturated = (sat - m.sat).Seconds() / secs
 			pools[j] = st
-			ax, _ := axisOf(st.Name)
+			ax, _ := testbed.AxisOf(st.Name)
 			peak[ax] = max(peak[ax], heldPeak(st.OccTime))
 		}
 		cores := float64(sv.node.Spec().Cores)
@@ -383,19 +339,6 @@ func heldPeak(occ []time.Duration) int {
 	return 0
 }
 
-// axisOf maps a pool name to its axis by path suffix.
-func axisOf(name string) (axis, bool) {
-	switch {
-	case strings.HasSuffix(name, "/workers"):
-		return axisWeb, true
-	case strings.HasSuffix(name, "/threads"):
-		return axisApp, true
-	case strings.HasSuffix(name, "/conns"):
-		return axisConn, true
-	}
-	return 0, false
-}
-
 // control runs one policy step and resets the window.
 func (c *ElasticController) control() {
 	defer c.resetWindow()
@@ -405,8 +348,8 @@ func (c *ElasticController) control() {
 	}
 	verdict := obs.Judge(summary, obs.JudgeConfig{})
 
-	var targets [numAxes]int
-	var reasons [numAxes]string
+	var targets [testbed.NumAxes]int
+	var reasons [testbed.NumAxes]string
 	for ax := range targets {
 		targets[ax] = -1
 	}
@@ -422,10 +365,10 @@ func (c *ElasticController) control() {
 }
 
 // planUniform rebalances toward an even three-way budget split.
-func (c *ElasticController) planUniform(targets *[numAxes]int, reasons *[numAxes]string) {
-	share := c.budget / int(numAxes)
-	for ax := axisWeb; ax < numAxes; ax++ {
-		targets[ax] = share / c.servers(ax)
+func (c *ElasticController) planUniform(targets *[testbed.NumAxes]int, reasons *[testbed.NumAxes]string) {
+	share := c.budget / int(testbed.NumAxes)
+	for ax := range testbed.NumAxes {
+		targets[ax] = share / ax.Servers(c.tb.Opts.Hardware)
 		reasons[ax] = fmt.Sprintf("uniform share %d units", share)
 	}
 }
@@ -433,42 +376,40 @@ func (c *ElasticController) planUniform(targets *[numAxes]int, reasons *[numAxes
 // planTopJob grows the axis behind the bottleneck verdict and shrinks axes
 // idling far below capacity. When the budget is exhausted, the most
 // over-provisioned other axis donates units in the same step.
-func (c *ElasticController) planTopJob(v obs.Verdict, targets *[numAxes]int, reasons *[numAxes]string) {
+func (c *ElasticController) planTopJob(v obs.Verdict, targets *[testbed.NumAxes]int, reasons *[testbed.NumAxes]string) {
 	if v.SoftLimited() {
 		blame := v.Blamed()
-		ax, ok := axisOf(blame.Name)
+		ax, ok := testbed.AxisOf(blame.Name)
 		if !ok {
 			return
 		}
-		cur := axisGet(c.soft, ax)
+		cur := c.soft.Get(ax)
 		targets[ax] = int(float64(cur)*GrowFactor) + 1
 		reasons[ax] = fmt.Sprintf("soft-bottleneck %s sat %.0f%%", blame.Name, blame.Saturated*100)
 
 		// Donate from the most over-provisioned other axis if growth would
 		// blow the budget.
-		grown := c.soft
-		axisSet(&grown, ax, targets[ax])
-		if grown.Units(c.tb.Opts.Hardware) > c.budget {
-			donor, headroom := axis(-1), 0
-			for d := axisWeb; d < numAxes; d++ {
+		if c.soft.With(ax, targets[ax]).Units(c.tb.Opts.Hardware) > c.budget {
+			donor, headroom := testbed.Axis(-1), 0
+			for d := range testbed.NumAxes {
 				if d == ax {
 					continue
 				}
-				if h := axisGet(c.soft, d) - c.peak[d]; h > headroom {
+				if h := c.soft.Get(d) - c.peak[d]; h > headroom {
 					donor, headroom = d, h
 				}
 			}
 			if donor >= 0 {
 				targets[donor] = int(float64(c.peak[donor])*ShrinkMargin) + 1
-				reasons[donor] = fmt.Sprintf("donate to %s", axisNames[ax])
+				reasons[donor] = fmt.Sprintf("donate to %s", ax)
 			}
 		}
 		return
 	}
 	// No soft bottleneck: release what the window did not use, following
 	// the load back down (and shedding the §III-B GC cost of idle pools).
-	for ax := axisWeb; ax < numAxes; ax++ {
-		cur, peak := axisGet(c.soft, ax), c.peak[ax]
+	for ax := range testbed.NumAxes {
+		cur, peak := c.soft.Get(ax), c.peak[ax]
 		if float64(cur) > ShrinkTrigger*float64(peak) {
 			targets[ax] = int(float64(peak)*ShrinkMargin) + 1
 			why := "idle"
@@ -481,7 +422,7 @@ func (c *ElasticController) planTopJob(v obs.Verdict, targets *[numAxes]int, rea
 }
 
 // planSoftmax apportions the budget by softmax-weighted marginal goodput.
-func (c *ElasticController) planSoftmax(targets *[numAxes]int, reasons *[numAxes]string) {
+func (c *ElasticController) planSoftmax(targets *[testbed.NumAxes]int, reasons *[testbed.NumAxes]string) {
 	users := c.cfg.UsersAt(c.tb.Env.Now())
 	if users <= 0 {
 		return
@@ -490,14 +431,9 @@ func (c *ElasticController) planSoftmax(targets *[numAxes]int, reasons *[numAxes
 	if err != nil {
 		return
 	}
-	var gains [numAxes]float64
-	for ax := axisWeb; ax < numAxes; ax++ {
-		probe := c.soft
-		grown := axisGet(probe, ax) + c.cfg.MaxStep
-		if grown > MaxPer {
-			grown = MaxPer
-		}
-		axisSet(&probe, ax, grown)
+	var gains [testbed.NumAxes]float64
+	for ax := range testbed.NumAxes {
+		probe := c.soft.With(ax, min(c.soft.Get(ax)+c.cfg.MaxStep, MaxPer))
 		g, err := c.cfg.Goodput(probe, users)
 		if err != nil {
 			return
@@ -505,14 +441,14 @@ func (c *ElasticController) planSoftmax(targets *[numAxes]int, reasons *[numAxes
 		gains[ax] = g - base
 	}
 	var sum float64
-	var weights [numAxes]float64
-	for ax := axisWeb; ax < numAxes; ax++ {
+	var weights [testbed.NumAxes]float64
+	for ax := range testbed.NumAxes {
 		weights[ax] = math.Exp(gains[ax] / Temperature)
 		sum += weights[ax]
 	}
-	for ax := axisWeb; ax < numAxes; ax++ {
+	for ax := range testbed.NumAxes {
 		w := weights[ax] / sum
-		targets[ax] = int(w*float64(c.budget)) / c.servers(ax)
+		targets[ax] = int(w*float64(c.budget)) / ax.Servers(c.tb.Opts.Hardware)
 		reasons[ax] = fmt.Sprintf("softmax w=%.2f gain=%+.1f req/s @%d users", w, gains[ax], users)
 	}
 }
@@ -521,17 +457,17 @@ func (c *ElasticController) planSoftmax(targets *[numAxes]int, reasons *[numAxes
 // against the rate limit, hysteresis deadband, per-axis cooldown, bounds,
 // and the budget, then applies the surviving resizes in one live step.
 // Shrinks are applied before grows so freed units fund same-step growth.
-func (c *ElasticController) applyTargets(targets [numAxes]int, reasons [numAxes]string) {
+func (c *ElasticController) applyTargets(targets [testbed.NumAxes]int, reasons [testbed.NumAxes]string) {
 	now := c.tb.Env.Now()
 	next := c.soft
 	var pending []ElasticDecision
 
-	step := func(ax axis, wantShrink bool) {
+	step := func(ax testbed.Axis, wantShrink bool) {
 		t := targets[ax]
 		if t < 0 {
 			return
 		}
-		cur := axisGet(next, ax)
+		cur := next.Get(ax)
 		if t < MinPer {
 			t = MinPer
 		}
@@ -555,28 +491,28 @@ func (c *ElasticController) applyTargets(targets [numAxes]int, reasons [numAxes]
 			return // cooldown: this axis moved too recently
 		}
 		to := cur + delta
-		trial := next
-		axisSet(&trial, ax, to)
+		trial := next.With(ax, to)
 		if over := trial.Units(c.tb.Opts.Hardware) - c.budget; over > 0 {
 			// Trim the growth to what the budget still covers.
-			to -= (over + c.servers(ax) - 1) / c.servers(ax)
+			n := ax.Servers(c.tb.Opts.Hardware)
+			to -= (over + n - 1) / n
 			if to-cur < c.cfg.Deadband {
 				return
 			}
-			axisSet(&trial, ax, to)
+			trial = trial.With(ax, to)
 		}
 		next = trial
 		pending = append(pending, ElasticDecision{
-			At: now, Policy: c.cfg.Policy, Axis: axisNames[ax],
+			At: now, Policy: c.cfg.Policy, Axis: ax.String(),
 			From: cur, To: to, Units: next.Units(c.tb.Opts.Hardware), Reason: reasons[ax],
 		})
 		c.lastAct[ax], c.acted[ax] = now, true
 	}
 
-	for ax := axisWeb; ax < numAxes; ax++ {
+	for ax := range testbed.NumAxes {
 		step(ax, true)
 	}
-	for ax := axisWeb; ax < numAxes; ax++ {
+	for ax := range testbed.NumAxes {
 		step(ax, false)
 	}
 	if next == c.soft {

@@ -495,14 +495,8 @@ func (c *Config) calculateMinAllocation(rep *Report) error {
 
 	// Never recommend below 1 or above the reserved (known-working)
 	// allocation's doubled sizes.
-	if rec.WebThreads < 1 {
-		rec.WebThreads = 1
-	}
-	if rec.AppThreads < 1 {
-		rec.AppThreads = 1
-	}
-	if rec.AppConns < 1 {
-		rec.AppConns = 1
+	for ax := range testbed.NumAxes {
+		rec = rec.With(ax, max(rec.Get(ax), 1))
 	}
 	rep.Recommended = rec
 	c.logf("allocate: recommended %s", rec)

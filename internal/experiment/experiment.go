@@ -148,19 +148,10 @@ type ServerStats struct {
 	Resilience *tier.ResilienceStats
 }
 
-// Pool returns the stats of the pool whose name ends in suffix, or nil.
-// The suffix must match a whole path segment: a "conns" query matches
-// "tomcat1/conns" but never a pool named "tomcat1/db-conns".
-func (s *ServerStats) Pool(suffix string) *resource.PoolStats {
-	if suffix == "" {
-		return nil
-	}
+// Pool returns the stats of the server's pool on axis ax, or nil.
+func (s *ServerStats) Pool(ax testbed.Axis) *resource.PoolStats {
 	for i := range s.Pools {
-		name := s.Pools[i].Name
-		if !strings.HasSuffix(name, suffix) {
-			continue
-		}
-		if len(name) == len(suffix) || suffix[0] == '/' || name[len(name)-len(suffix)-1] == '/' {
+		if a, ok := testbed.AxisOf(s.Pools[i].Name); ok && a == ax {
 			return &s.Pools[i]
 		}
 	}

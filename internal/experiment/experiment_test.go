@@ -139,13 +139,13 @@ func TestServerStatsPoolLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := res.Tomcat[0]
-	if tc.Pool("/threads") == nil || tc.Pool("/conns") == nil {
-		t.Error("tomcat pools not found by suffix")
+	if tc.Pool(testbed.AppThreads) == nil || tc.Pool(testbed.AppConns) == nil {
+		t.Error("tomcat pools not found by axis")
 	}
-	if tc.Pool("/nope") != nil {
-		t.Error("bogus suffix matched")
+	if tc.Pool(testbed.WebThreads) != nil {
+		t.Error("a tomcat answered for the apache worker pool")
 	}
-	if got := tc.Pool("/threads").Capacity; got != 15 {
+	if got := tc.Pool(testbed.AppThreads).Capacity; got != 15 {
 		t.Errorf("thread pool capacity %d, want 15", got)
 	}
 }
@@ -155,25 +155,17 @@ func TestPoolSuffixMatchesWholeSegmentsOnly(t *testing.T) {
 		{Name: "tomcat1/db-conns", Capacity: 5},
 		{Name: "tomcat1/conns", Capacity: 7},
 	}}
-	// An ambiguous bare suffix must match the whole segment "conns", not
-	// the earlier pool that merely ends in "-conns".
-	if got := s.Pool("conns"); got == nil || got.Capacity != 7 {
-		t.Errorf("Pool(conns) = %v, want the tomcat1/conns pool", got)
+	// The connection axis must match the whole segment "conns", not the
+	// earlier pool that merely ends in "-conns".
+	if got := s.Pool(testbed.AppConns); got == nil || got.Capacity != 7 {
+		t.Errorf("Pool(AppConns) = %v, want the tomcat1/conns pool", got)
 	}
-	if got := s.Pool("/conns"); got == nil || got.Capacity != 7 {
-		t.Errorf("Pool(/conns) = %v, want the tomcat1/conns pool", got)
+	if got := s.Pool(testbed.AppThreads); got != nil {
+		t.Errorf("Pool(AppThreads) matched %v", got)
 	}
-	if got := s.Pool("db-conns"); got == nil || got.Capacity != 5 {
-		t.Errorf("Pool(db-conns) = %v, want the tomcat1/db-conns pool", got)
-	}
-	if got := s.Pool("tomcat1/conns"); got == nil || got.Capacity != 7 {
-		t.Errorf("full-name Pool lookup = %v", got)
-	}
-	if got := s.Pool("onns"); got != nil {
-		t.Errorf("partial-segment suffix matched %v", got)
-	}
-	if got := s.Pool(""); got != nil {
-		t.Errorf("empty suffix matched %v", got)
+	s.Pools = s.Pools[:1]
+	if got := s.Pool(testbed.AppConns); got != nil {
+		t.Errorf("Pool(AppConns) matched %v", got)
 	}
 }
 
@@ -212,7 +204,7 @@ func TestAllocSweep(t *testing.T) {
 	cfg := baseConfig(0)
 	cfg.RampUp = 10 * time.Second
 	cfg.Measure = 15 * time.Second
-	points, err := AllocSweep(cfg, []int{600}, []int{2, 30}, VaryAppThreads)
+	points, err := AllocSweep(cfg, []int{600}, []int{2, 30}, testbed.AppThreads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +218,6 @@ func TestAllocSweep(t *testing.T) {
 	if points[0].Curve.MaxThroughput() >= points[1].Curve.MaxThroughput() {
 		t.Errorf("tiny pool TP %.1f >= ample pool TP %.1f",
 			points[0].Curve.MaxThroughput(), points[1].Curve.MaxThroughput())
-	}
-}
-
-func TestVaryHelpers(t *testing.T) {
-	s := testbed.SoftAlloc{WebThreads: 400, AppThreads: 15, AppConns: 6}
-	if got := VaryAppThreads(s, 99); got.AppThreads != 99 || got.WebThreads != 400 {
-		t.Errorf("VaryAppThreads: %v", got)
-	}
-	if got := VaryAppConns(s, 7); got.AppConns != 7 {
-		t.Errorf("VaryAppConns: %v", got)
-	}
-	if got := VaryWebThreads(s, 100); got.WebThreads != 100 {
-		t.Errorf("VaryWebThreads: %v", got)
 	}
 }
 

@@ -153,12 +153,12 @@ func TestAllocSweepParallelMatchesSerial(t *testing.T) {
 		}
 		return b.String()
 	}
-	serial, err := AllocSweep(fastSweepConfig(1), users, sizes, VaryAppThreads)
+	serial, err := AllocSweep(fastSweepConfig(1), users, sizes, testbed.AppThreads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Parallelism 8 exceeds the 6-trial grid: also exercises worker capping.
-	parallel, err := AllocSweep(fastSweepConfig(8), users, sizes, VaryAppThreads)
+	parallel, err := AllocSweep(fastSweepConfig(8), users, sizes, testbed.AppThreads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestWorkloadSweepReportsFirstFailingWorkload(t *testing.T) {
 	if !strings.Contains(err.Error(), "workload 100") {
 		t.Errorf("err = %v, want the first workload (100) reported", err)
 	}
-	if _, err := AllocSweep(cfg, []int{100, 200}, []int{1, 2}, VaryAppThreads); err == nil {
+	if _, err := AllocSweep(cfg, []int{100, 200}, []int{1, 2}, testbed.AppThreads); err == nil {
 		t.Fatal("invalid testbed must fail the alloc sweep too")
 	}
 }

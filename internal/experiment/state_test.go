@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/softres/ntier/internal/adaptive"
+	"github.com/softres/ntier/internal/testbed"
 	"github.com/softres/ntier/internal/tier"
 	"github.com/softres/ntier/internal/trace"
 )
@@ -180,7 +181,7 @@ func TestAllocSweepIsolatesPanickingTrial(t *testing.T) {
 	sizes := []int{4, 15}
 	base := fastSweepConfig(2)
 	base.Testbed.TuneTomcat = poisonTomcat(4, nil)
-	points, err := AllocSweep(base, users, sizes, VaryAppThreads)
+	points, err := AllocSweep(base, users, sizes, testbed.AppThreads)
 	if err != nil {
 		t.Fatalf("a contained trial panic aborted the sweep: %v", err)
 	}

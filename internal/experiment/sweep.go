@@ -107,26 +107,25 @@ type AllocPoint struct {
 	Curve *Curve
 }
 
-// AllocSweep runs a workload sweep for every soft allocation produced by
-// vary(i) over sizes, e.g. varying the Tomcat thread pool for Fig. 4 /
-// Fig. 10(a) or the DB connection pool for Fig. 5 / Fig. 10(b).
+// AllocSweep runs a workload sweep for every size of the pool on axis ax,
+// e.g. varying the Tomcat thread pool for Fig. 4 / Fig. 10(a) or the DB
+// connection pool for Fig. 5 / Fig. 10(b).
 //
 // The whole (size x workload) grid is one flat batch of independent
 // trials, so base.Parallelism workers stay busy even when a single
 // workload axis is shorter than the worker pool.
-func AllocSweep(base RunConfig, users []int, sizes []int, vary func(testbed.SoftAlloc, int) testbed.SoftAlloc) ([]AllocPoint, error) {
+func AllocSweep(base RunConfig, users []int, sizes []int, ax testbed.Axis) ([]AllocPoint, error) {
 	softs := make([]testbed.SoftAlloc, len(sizes))
 	var cfgs []RunConfig
 	for j, size := range sizes {
-		softs[j] = vary(base.Testbed.Soft, size)
+		softs[j] = base.Testbed.Soft.With(ax, size)
 		for _, u := range users {
 			cfg := base
 			cfg.Testbed.Soft, cfg.Users = softs[j], u
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	// vary is a closure and cannot be fingerprinted; the allocations it
-	// produced can, and they are what determines the grid's outcomes.
+	// The journal's axes are the allocations the grid runs.
 	cells, err := RunTrials(base, "alloc", []string{fmt.Sprint(users), fmt.Sprint(softs)}, cfgs)
 	if err != nil {
 		return nil, err
@@ -141,24 +140,6 @@ func AllocSweep(base RunConfig, users []int, sizes []int, vary func(testbed.Soft
 		out[j] = AllocPoint{Soft: soft, Curve: c}
 	}
 	return out, nil
-}
-
-// VaryAppThreads returns s with the Tomcat thread pool set to size.
-func VaryAppThreads(s testbed.SoftAlloc, size int) testbed.SoftAlloc {
-	s.AppThreads = size
-	return s
-}
-
-// VaryAppConns returns s with the Tomcat DB connection pool set to size.
-func VaryAppConns(s testbed.SoftAlloc, size int) testbed.SoftAlloc {
-	s.AppConns = size
-	return s
-}
-
-// VaryWebThreads returns s with the Apache worker pool set to size.
-func VaryWebThreads(s testbed.SoftAlloc, size int) testbed.SoftAlloc {
-	s.WebThreads = size
-	return s
 }
 
 // Table renders rows of figure data as a fixed-width ASCII table.

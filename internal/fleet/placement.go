@@ -252,17 +252,10 @@ func SplitBudget(budget int, tenants []TenantSpec) ([]testbed.SoftAlloc, error) 
 		return out, nil
 	}
 	f := float64(budget) / float64(total)
-	scale := func(v int) int {
-		s := int(f * float64(v))
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
 	for i := range out {
-		out[i].WebThreads = scale(out[i].WebThreads)
-		out[i].AppThreads = scale(out[i].AppThreads)
-		out[i].AppConns = scale(out[i].AppConns)
+		for ax := range testbed.NumAxes {
+			out[i] = out[i].With(ax, max(int(f*float64(out[i].Get(ax))), 1))
+		}
 	}
 	return out, nil
 }

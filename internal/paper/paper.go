@@ -43,8 +43,8 @@ func (h Horizon) Config() experiment.RunConfig {
 // the pool it varies and the sizes it takes.
 type Series struct {
 	Hardware, Soft string
-	Vary           func(testbed.SoftAlloc, int) testbed.SoftAlloc // nil: Soft as given
-	Sizes          []int
+	Vary           testbed.Axis           // the pool Sizes varies
+	Sizes          []int                  // nil: Soft as given
 	Users          []int                  // the workload grid, ascending
 	Ablate         func(*testbed.Options) // switches a mechanism off; nil: none
 	Timeline       bool                   // the Fig. 7/8 per-second Apache instrumentation
@@ -152,13 +152,13 @@ func (e *Entry) run(base experiment.RunConfig, r *Reading) (*Data, error) {
 		}
 		users := or(r.Users, sr.Users)
 		d.sizes[s] = []int{0}
-		if sr.Vary != nil {
+		if sr.Sizes != nil {
 			d.sizes[s] = or(r.Sizes, sr.Sizes)
 		}
 		switch {
 		case e.tune:
 			d.reports[s], err = core.Tune(core.Config{Base: cfg})
-		case sr.Vary == nil:
+		case sr.Sizes == nil:
 			var c *experiment.Curve
 			c, err = experiment.WorkloadSweep(cfg, users)
 			d.points[s] = []experiment.AllocPoint{{Soft: cfg.Testbed.Soft, Curve: c}}

@@ -125,7 +125,7 @@ func TestTableInvariants(t *testing.T) {
 						t.Errorf("%s/%s: workload %d is off series %d's grid %v", e.Name, r.Name, u, s, sr.Users)
 					}
 				}
-				if r.Sizes != nil && sr.Vary == nil {
+				if r.Sizes != nil && sr.Sizes == nil {
 					t.Errorf("%s/%s: sizes on series %d, which varies no pool", e.Name, r.Name, s)
 				}
 				for _, n := range r.Sizes {

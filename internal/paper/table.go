@@ -93,14 +93,14 @@ func renderFig3(d *Data) (string, error) {
 // CPU, and thread-pool utilization density per size.
 func fig4() *Entry {
 	bench := []int{5200, 6000}
-	sr := Series{Hardware: "1/2/1/2", Soft: "400-15-20", Vary: experiment.VaryAppThreads,
+	sr := Series{Hardware: "1/2/1/2", Soft: "400-15-20", Vary: testbed.AppThreads,
 		Sizes: []int{6, 10, 20, 200}, Users: span(4000, 6800, 400)}
 	var nums []Number
 	for _, n := range sr.Sizes {
 		l := fmt.Sprintf("threads%d", n)
 		nums = append(nums, best(l+"_maxGoodput2s", 0, n, bench, goodput(2*time.Second)),
 			at(l+"_tomcatCPU%", 0, n, 6000, func(r *experiment.Result) float64 { return experiment.TierCPU(r.Tomcat) * 100 }),
-			at(l+"_poolSat%", 0, n, 6000, func(r *experiment.Result) float64 { return r.Tomcat[0].Pool("/threads").Saturated * 100 }))
+			at(l+"_poolSat%", 0, n, 6000, func(r *experiment.Result) float64 { return r.Tomcat[0].Pool(testbed.AppThreads).Saturated * 100 }))
 	}
 	return &Entry{Name: "fig4", Series: []Series{sr}, Render: renderFig4,
 		Readings: []Reading{{Name: "Fig4ThreadPoolUnderAlloc", Users: bench, Numbers: nums}}}
@@ -122,7 +122,7 @@ func renderFig4(d *Data) (string, error) {
 		fmt.Fprintf(&b, "\npool size %d (%s): rows = workload, cols = occupancy 0-10%% .. 90-100%%\n",
 			p.Soft.AppThreads, p.Soft)
 		for i, n := range p.Curve.Users {
-			st := p.Curve.Results[i].Tomcat[0].Pool("/threads")
+			st := p.Curve.Results[i].Tomcat[0].Pool(testbed.AppThreads)
 			if st == nil {
 				continue
 			}
@@ -146,7 +146,7 @@ func renderFig4(d *Data) (string, error) {
 // CPU, and total JVM GC time.
 func fig5() *Entry {
 	bench := []int{7000, 7800}
-	sr := Series{Hardware: "1/4/1/4", Soft: "400-200-10", Vary: experiment.VaryAppConns,
+	sr := Series{Hardware: "1/4/1/4", Soft: "400-200-10", Vary: testbed.AppConns,
 		Sizes: []int{10, 50, 100, 200}, Users: grid(span(6000, 7800, 600), 7000, 7400)}
 	var nums []Number
 	for _, n := range sr.Sizes {
@@ -184,7 +184,7 @@ func renderFig5(d *Data) (string, error) {
 // non-monotone C-JDBC CPU utilization.
 func fig6() *Entry {
 	bench := []int{6600, 7400}
-	sr := Series{Hardware: "1/4/1/4", Soft: "400-6-20", Vary: experiment.VaryWebThreads,
+	sr := Series{Hardware: "1/4/1/4", Soft: "400-6-20", Vary: testbed.WebThreads,
 		Sizes: []int{50, 100, 200, 300, 400}, Users: grid(span(6000, 7800, 300), 7400)}
 	benchSizes := []int{100, 200, 300, 400}
 	var nums []Number
@@ -312,9 +312,9 @@ func fig10() *Entry {
 		}
 	}
 	return &Entry{Name: "fig10", Render: renderFig10, Readings: readings, Series: []Series{
-		{Hardware: "1/2/1/2", Soft: "400-15-20", Vary: experiment.VaryAppThreads,
+		{Hardware: "1/2/1/2", Soft: "400-15-20", Vary: testbed.AppThreads,
 			Sizes: []int{4, 6, 8, 10, 13, 16, 20, 30, 60, 120, 200}, Users: span(5200, 6400, 400)},
-		{Hardware: "1/4/1/4", Soft: "400-200-10", Vary: experiment.VaryAppConns,
+		{Hardware: "1/4/1/4", Soft: "400-200-10", Vary: testbed.AppConns,
 			Sizes: []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20}, Users: span(6400, 7600, 400)},
 	}}
 }
@@ -339,9 +339,9 @@ func renderFig10(d *Data) (string, error) {
 // worker sweep, and the C-JDBC scheduling-thrash model under Fig. 3's
 // 400-15-6.
 func ablation() *Entry {
-	gc := Series{Hardware: "1/4/1/4", Soft: "400-200-10", Vary: experiment.VaryAppConns,
+	gc := Series{Hardware: "1/4/1/4", Soft: "400-200-10", Vary: testbed.AppConns,
 		Sizes: []int{10, 200}, Users: []int{7000, 7400, 7800}}
-	fin := Series{Hardware: "1/4/1/4", Soft: "400-6-20", Vary: experiment.VaryWebThreads,
+	fin := Series{Hardware: "1/4/1/4", Soft: "400-6-20", Vary: testbed.WebThreads,
 		Sizes: []int{100, 400}, Users: []int{7400}}
 	thrash := Series{Hardware: "1/4/1/4", Soft: "400-15-6", Users: []int{7000, 7400}}
 	noGC, noFin, noThrash := gc, fin, thrash

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/softres/ntier/internal/experiment"
@@ -491,41 +490,27 @@ func (s *searcher) mutations(soft testbed.SoftAlloc, sum obs.TrialSummary) []mut
 	return out
 }
 
-// growPool doubles the pool named by the saturated resource ("…/workers",
-// "…/threads", "…/conns" — the pool naming of internal/tier).
+// growPool doubles the pool named by the saturated resource.
 func growPool(soft testbed.SoftAlloc, pool string) (testbed.SoftAlloc, bool) {
-	switch {
-	case strings.HasSuffix(pool, "/workers"):
-		soft.WebThreads *= 2
-	case strings.HasSuffix(pool, "/threads"):
-		soft.AppThreads *= 2
-	case strings.HasSuffix(pool, "/conns"):
-		soft.AppConns *= 2
-	default:
+	ax, ok := testbed.AxisOf(pool)
+	if !ok {
 		return soft, false
 	}
-	return soft, true
+	return soft.With(ax, 2*soft.Get(ax)), true
 }
 
-// shrinkPool halves the pool dominating the named JVM tier's resident
-// slots: the Tomcat heap is pinned by its thread pool, the C-JDBC heap by
-// the upstream connection total.
+// heapPool is the pool dominating each JVM tier's resident slots: the
+// Tomcat heap is pinned by its thread pool, the C-JDBC heap by the
+// upstream connection total.
+var heapPool = map[string]testbed.Axis{"tomcat": testbed.AppThreads, "cjdbc": testbed.AppConns}
+
+// shrinkPool halves the pool dominating the named JVM tier's heap.
 func shrinkPool(soft testbed.SoftAlloc, tier string) (testbed.SoftAlloc, bool) {
-	switch tier {
-	case "tomcat":
-		if soft.AppThreads <= 1 {
-			return soft, false
-		}
-		soft.AppThreads /= 2
-	case "cjdbc":
-		if soft.AppConns <= 1 {
-			return soft, false
-		}
-		soft.AppConns /= 2
-	default:
+	ax, ok := heapPool[tier]
+	if !ok || soft.Get(ax) <= 1 {
 		return soft, false
 	}
-	return soft, true
+	return soft.With(ax, soft.Get(ax)/2), true
 }
 
 // affordableWidth returns the largest rung-0 width whose successive

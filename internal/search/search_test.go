@@ -319,8 +319,10 @@ func TestGrowShrinkPool(t *testing.T) {
 	if m, ok := growPool(soft, "tomcat2/conns"); !ok || m.AppConns != 8 {
 		t.Errorf("grow conns: %v %v", m, ok)
 	}
-	if _, ok := growPool(soft, "mystery/pool"); ok {
-		t.Error("grew an unknown pool")
+	for _, pool := range []string{"mystery/pool", "tomcat1/db-conns"} {
+		if _, ok := growPool(soft, pool); ok {
+			t.Errorf("grew the unknown pool %s", pool)
+		}
 	}
 	if m, ok := shrinkPool(soft, "tomcat"); !ok || m.AppThreads != 4 {
 		t.Errorf("shrink tomcat: %v %v", m, ok)

@@ -56,6 +56,54 @@ type SoftAlloc struct {
 	AppConns   int // Tomcat DB connection pool per app server
 }
 
+// Axis is one pool of a soft allocation: the unit Algorithm 1 grows when
+// the bottleneck names its pool, and a pool-size study varies.
+type Axis int
+
+// The three pools of a Wt-At-Ac allocation, in tier order.
+const (
+	WebThreads Axis = iota // Apache worker pool per web server
+	AppThreads             // Tomcat thread pool per app server
+	AppConns               // Tomcat DB connection pool per app server
+	NumAxes                // the number of axes
+)
+
+// axisNames are the decision-log names, poolNames the last path segment of
+// each axis's pool names (internal/tier's naming), both in tier order.
+var (
+	axisNames = [NumAxes]string{"web-threads", "app-threads", "app-conns"}
+	poolNames = [NumAxes]string{"workers", "threads", "conns"}
+)
+
+// String returns the axis's decision-log name ("app-threads").
+func (a Axis) String() string {
+	if a < 0 || a >= NumAxes {
+		return fmt.Sprintf("Axis(%d)", int(a))
+	}
+	return axisNames[a]
+}
+
+// Servers returns how many servers of hw hold one pool of the axis each.
+func (a Axis) Servers(hw Hardware) int {
+	if a == WebThreads {
+		return hw.Web
+	}
+	return hw.App
+}
+
+// AxisOf returns the axis of a pool by the last segment of its path name:
+// "tomcat1/conns" and "vic/tomcat1/conns" are AppConns, "tomcat1/db-conns"
+// is no axis.
+func AxisOf(pool string) (Axis, bool) {
+	seg := pool[strings.LastIndexByte(pool, '/')+1:]
+	for a, name := range poolNames {
+		if seg == name {
+			return Axis(a), true
+		}
+	}
+	return 0, false
+}
+
 // ParseSoftAlloc parses "400-15-6".
 func ParseSoftAlloc(s string) (SoftAlloc, error) {
 	parts := strings.Split(s, "-")
@@ -93,6 +141,34 @@ func (s SoftAlloc) Validate() error {
 // currency of the elastic and fleet budgets.
 func (s SoftAlloc) Units(hw Hardware) int {
 	return hw.Web*s.WebThreads + hw.App*(s.AppThreads+s.AppConns)
+}
+
+// Get returns the allocation's per-server pool size on axis a.
+func (s SoftAlloc) Get(a Axis) int {
+	switch a {
+	case WebThreads:
+		return s.WebThreads
+	case AppThreads:
+		return s.AppThreads
+	case AppConns:
+		return s.AppConns
+	}
+	panic(fmt.Sprintf("testbed: no pool on %v", a))
+}
+
+// With returns s with axis a's per-server pool size set to size.
+func (s SoftAlloc) With(a Axis, size int) SoftAlloc {
+	switch a {
+	case WebThreads:
+		s.WebThreads = size
+	case AppThreads:
+		s.AppThreads = size
+	case AppConns:
+		s.AppConns = size
+	default:
+		panic(fmt.Sprintf("testbed: no pool on %v", a))
+	}
+	return s
 }
 
 // Scale returns the allocation with every pool multiplied by k (the

@@ -8,7 +8,8 @@
 //   - Build and run RUBBoS-style workloads against simulated 4-tier
 //     topologies (Apache / Tomcat / C-JDBC / MySQL) described by the
 //     paper's #W/#A/#C/#D hardware and Wt-At-Ac soft-allocation notation.
-//   - Sweep workloads and pool sizes, measuring goodput under SLA
+//   - Sweep workloads and the size of one pool, named by an Axis
+//     (WebThreads, AppThreads, AppConns), measuring goodput under SLA
 //     thresholds (Figs. 2-6, 10).
 //   - Run the paper's three-procedure allocation algorithm (Algorithm 1)
 //     to find the "Goldilocks" soft-resource allocation for a hardware
@@ -45,10 +46,21 @@ type (
 	// SoftAlloc is a Wt-At-Ac soft allocation (Apache workers / Tomcat
 	// threads / Tomcat DB connections, per server).
 	SoftAlloc = testbed.SoftAlloc
+	// Axis is one pool of a soft allocation: WebThreads, AppThreads or
+	// AppConns.
+	Axis = testbed.Axis
 	// TestbedOptions configures a topology build, including ablation
 	// switches (DisableGC, DisableFinWait) and the Tomcat and C-JDBC
 	// model tuning hooks.
 	TestbedOptions = testbed.Options
+)
+
+// The pools of a Wt-At-Ac allocation, in tier order, for AllocSweep and
+// ServerStats.Pool.
+const (
+	WebThreads = testbed.WebThreads
+	AppThreads = testbed.AppThreads
+	AppConns   = testbed.AppConns
 )
 
 // ParseHardware parses "1/2/1/2".
@@ -80,18 +92,11 @@ func WorkloadSweep(base RunConfig, users []int) (*Curve, error) {
 	return experiment.WorkloadSweep(base, users)
 }
 
-// AllocSweep sweeps a pool size across workload sweeps; combine with
-// VaryAppThreads, VaryAppConns, or VaryWebThreads.
-func AllocSweep(base RunConfig, users []int, sizes []int, vary func(SoftAlloc, int) SoftAlloc) ([]AllocPoint, error) {
-	return experiment.AllocSweep(base, users, sizes, vary)
+// AllocSweep sweeps the size of one pool, the axis ax, across workload
+// sweeps.
+func AllocSweep(base RunConfig, users []int, sizes []int, ax Axis) ([]AllocPoint, error) {
+	return experiment.AllocSweep(base, users, sizes, ax)
 }
-
-// Pool-variation helpers for AllocSweep.
-var (
-	VaryAppThreads = experiment.VaryAppThreads
-	VaryAppConns   = experiment.VaryAppConns
-	VaryWebThreads = experiment.VaryWebThreads
-)
 
 // CurveTable renders curves at one SLA threshold.
 func CurveTable(title string, th time.Duration, curves ...*Curve) *Table {

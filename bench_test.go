@@ -142,6 +142,7 @@ func BenchmarkExtensionMVAAccuracy(b *testing.B) {
 // controller's TOP_JOB policy grows a 3-thread pool out of its software
 // bottleneck; the bench reports static vs adaptive steady-state throughput.
 func BenchmarkExtensionAdaptiveRecovery(b *testing.B) {
+	const horizon = 90 * time.Second
 	for i := 0; i < b.N; i++ {
 		for _, controlled := range []bool{false, true} {
 			tb, err := testbed.Build(testbed.Options{
@@ -153,7 +154,7 @@ func BenchmarkExtensionAdaptiveRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			if controlled {
-				if _, err := adaptive.AttachElastic(tb, adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob}); err != nil {
+				if _, err := adaptive.AttachElastic(tb, adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob}, horizon); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,7 +168,7 @@ func BenchmarkExtensionAdaptiveRecovery(b *testing.B) {
 			}); err != nil {
 				b.Fatal(err)
 			}
-			tb.Env.Run(90 * time.Second)
+			tb.Env.Run(horizon)
 			label := "static_TP"
 			if controlled {
 				label = "adaptive_TP"

@@ -21,22 +21,7 @@ import (
 // The trial is an experiment trial whose disturbance attaches the
 // controller and counts the requests issued in the window.
 func run(threads, users int, controlled bool) (float64, int, []adaptive.ElasticDecision) {
-	var (
-		ctl  *adaptive.ElasticController
-		late uint64
-	)
-	arm := func(tb *testbed.Testbed) (err error) {
-		if controlled {
-			ctl, err = adaptive.AttachElastic(tb, adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob})
-		}
-		return err
-	}
-	observe := func(issued, _ time.Duration, _ error) {
-		if issued >= 70*time.Second {
-			late++
-		}
-	}
-	res, _, err := experiment.RunDisturbed(experiment.RunConfig{
+	cfg := experiment.RunConfig{
 		Testbed: testbed.Options{
 			Hardware: testbed.Hardware{Web: 1, App: 2, Mid: 1, DB: 2},
 			Soft:     testbed.SoftAlloc{WebThreads: 400, AppThreads: threads, AppConns: 20},
@@ -45,7 +30,23 @@ func run(threads, users int, controlled bool) (float64, int, []adaptive.ElasticD
 		Users:   users,
 		RampUp:  20 * time.Second, // the sessions start over its first 10s
 		Measure: 80 * time.Second,
-	}, experiment.Disturbance{Arm: arm, Observe: observe})
+	}
+	var (
+		ctl  *adaptive.ElasticController
+		late uint64
+	)
+	arm := func(tb *testbed.Testbed) (err error) {
+		if controlled {
+			ctl, err = adaptive.AttachElastic(tb, adaptive.ElasticConfig{Policy: adaptive.PolicyTopJob}, cfg.RampUp+cfg.Measure)
+		}
+		return err
+	}
+	observe := func(issued, _ time.Duration, _ error) {
+		if issued >= 70*time.Second {
+			late++
+		}
+	}
+	res, _, err := experiment.RunDisturbed(cfg, experiment.Disturbance{Arm: arm, Observe: observe})
 	if err != nil {
 		log.Fatal(err)
 	}

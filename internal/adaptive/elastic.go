@@ -217,6 +217,7 @@ type ElasticController struct {
 	tb     *testbed.Testbed
 	soft   testbed.SoftAlloc
 	budget int
+	until  time.Duration // the trial's horizon: no tick at or after it
 
 	watched []ctlServer
 	peak    [testbed.NumAxes]int // each axis's per-server peak occupancy in the last window
@@ -228,7 +229,10 @@ type ElasticController struct {
 
 // AttachElastic starts the elastic controller on a freshly built testbed.
 // It must be called before the simulation runs the period it should govern.
-func AttachElastic(tb *testbed.Testbed, cfg ElasticConfig) (*ElasticController, error) {
+// horizon is when the trial ends (its ramp-up plus measure): the
+// controller arms no tick at or after it, since a resize there reaches no
+// measured request.
+func AttachElastic(tb *testbed.Testbed, cfg ElasticConfig, horizon time.Duration) (*ElasticController, error) {
 	cfg.applyDefaults()
 	switch cfg.Policy {
 	case PolicyUniform, PolicyTopJob:
@@ -242,7 +246,7 @@ func AttachElastic(tb *testbed.Testbed, cfg ElasticConfig) (*ElasticController, 
 		return nil, fmt.Errorf("adaptive: unknown policy %q", cfg.Policy)
 	}
 
-	c := &ElasticController{cfg: cfg, tb: tb, soft: tb.Opts.Soft}
+	c := &ElasticController{cfg: cfg, tb: tb, soft: tb.Opts.Soft, until: horizon}
 	if c.budget = cfg.Budget; c.budget <= 0 {
 		c.budget = c.soft.Units(c.tb.Opts.Hardware)
 	}
@@ -281,6 +285,9 @@ func (c *ElasticController) resetWindow() {
 }
 
 func (c *ElasticController) scheduleControl() {
+	if c.tb.Env.Now()+c.cfg.Interval >= c.until {
+		return
+	}
 	c.tb.Env.After(c.cfg.Interval, func() {
 		c.control()
 		c.scheduleControl()

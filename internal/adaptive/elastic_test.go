@@ -41,13 +41,13 @@ func TestParsePolicy(t *testing.T) {
 
 func TestAttachElasticValidation(t *testing.T) {
 	tb := buildTB(t, testbed.SoftAlloc{WebThreads: 60, AppThreads: 4, AppConns: 4}, 1)
-	if _, err := AttachElastic(tb, ElasticConfig{Policy: PolicyStatic}); err == nil {
+	if _, err := AttachElastic(tb, ElasticConfig{Policy: PolicyStatic}, time.Minute); err == nil {
 		t.Error("STATIC must be rejected (it is the no-controller baseline)")
 	}
-	if _, err := AttachElastic(tb, ElasticConfig{Policy: PolicySoftmax}); err == nil {
+	if _, err := AttachElastic(tb, ElasticConfig{Policy: PolicySoftmax}, time.Minute); err == nil {
 		t.Error("SOFTMAX without oracles must be rejected")
 	}
-	if _, err := AttachElastic(tb, ElasticConfig{Policy: "GREEDY"}); err == nil {
+	if _, err := AttachElastic(tb, ElasticConfig{Policy: "GREEDY"}, time.Minute); err == nil {
 		t.Error("unknown policy must be rejected")
 	}
 }
@@ -65,7 +65,7 @@ func runElastic(t *testing.T, cfg ElasticConfig, soft testbed.SoftAlloc, users i
 	var ctl *ElasticController
 	if cfg.Policy != PolicyStatic {
 		var err error
-		if ctl, err = AttachElastic(tb, cfg); err != nil {
+		if ctl, err = AttachElastic(tb, cfg, horizon); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +295,8 @@ func TestHeldPeakNeedsPeakHold(t *testing.T) {
 // reset. UNIFORM acts at its first usable window.
 func TestElasticSkipsWindowAcrossReset(t *testing.T) {
 	tb := buildTB(t, testbed.SoftAlloc{WebThreads: 60, AppThreads: 4, AppConns: 4}, 23)
-	ctl, err := AttachElastic(tb, ElasticConfig{Policy: PolicyUniform, Interval: 15 * time.Second})
+	const horizon = 31 * time.Second
+	ctl, err := AttachElastic(tb, ElasticConfig{Policy: PolicyUniform, Interval: 15 * time.Second}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestElasticSkipsWindowAcrossReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.Env.At(10*time.Second, tb.ResetStats)
-	tb.Env.Run(31 * time.Second)
+	tb.Env.Run(horizon)
 	ds := ctl.Decisions()
 	if len(ds) == 0 || ds[0].At != 30*time.Second {
 		t.Fatalf("decisions %v; want the first at 30s, after the window the reset at 10s fell in", ds)

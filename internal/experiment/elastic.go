@@ -253,7 +253,7 @@ func RunElastic(cfg ElasticSweepConfig, policy adaptive.Policy, tr ElasticTrace)
 			ccfg.UsersAt = UsersAtFor(tr.Spec)
 		}
 		d.Arm = func(tb *testbed.Testbed) (err error) {
-			ctl, err = adaptive.AttachElastic(tb, ccfg)
+			ctl, err = adaptive.AttachElastic(tb, ccfg, rc.RampUp+rc.Measure)
 			return err
 		}
 	}

@@ -73,7 +73,7 @@ func TestElasticFingerprintPinned(t *testing.T) {
 		GoodputThreshold: time.Second,
 	}
 	cfg.applyDefaults()
-	if got, want := cfg.Fingerprint(), "5c41d8c2e0a3b1be"; got != want {
+	if got, want := cfg.Fingerprint(), "354d504a201e619f"; got != want {
 		t.Errorf("fingerprint %s, want %s", got, want)
 	}
 }
@@ -161,6 +161,39 @@ func TestRunElasticObsSnapshot(t *testing.T) {
 	if snap.Summary.SLASeconds != 1 || snap.Summary.Goodput <= 0 {
 		t.Errorf("summary SLA %gs goodput %g, want the 1s goodput threshold and positive goodput",
 			snap.Summary.SLASeconds, snap.Summary.Goodput)
+	}
+}
+
+// A resize at the horizon reaches no measured request. This trial's
+// horizon is a whole number of control intervals and TOP_JOB acts on every
+// tick: it reports a decision on the last tick before the horizon and none
+// at or after it.
+func TestElasticStopsBeforeHorizon(t *testing.T) {
+	cfg := ElasticSweepConfig{
+		Run: RunConfig{
+			Testbed: testbed.Options{
+				Hardware: testbed.Hardware{Web: 1, App: 1, Mid: 1, DB: 1},
+				Soft:     testbed.SoftAlloc{WebThreads: 60, AppThreads: 2, AppConns: 20},
+				Seed:     23,
+			},
+			RampUp:  10 * time.Second,
+			Measure: 30 * time.Second,
+		},
+		Controller: adaptive.ElasticConfig{Interval: 5 * time.Second, Cooldown: 5 * time.Second, MaxStep: 2, Budget: 1000},
+	}
+	r, err := RunElastic(cfg, adaptive.PolicyTopJob, ElasticTrace{Name: "flat", Spec: trace.Poisson(100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := cfg.Run.RampUp + cfg.Run.Measure
+	last := horizon - cfg.Controller.Interval
+	if n := len(r.Decisions); n == 0 || r.Decisions[n-1].At < last {
+		t.Fatalf("no decision on the %v tick, the last before the horizon:\n%s", last, r.DecisionLog)
+	}
+	for _, d := range r.Decisions {
+		if d.At >= horizon {
+			t.Errorf("decision at or after the %v horizon: %v", horizon, d)
+		}
 	}
 }
 

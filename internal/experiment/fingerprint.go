@@ -21,7 +21,7 @@ import (
 // an earlier model. A change that moves a digest pin bumps it:
 // `go test ./internal/experiment -run DigestPins -update-pins` refuses to
 // rewrite a moved pin under the epoch testdata/pins.txt was written under.
-const modelEpoch = 1
+const modelEpoch = 2
 
 // executionOnly lists the configuration fields that change how a campaign
 // runs, not what its trials measure, keyed "package.Type.Field", each with

@@ -265,10 +265,10 @@ func TestFleetJournalsPinned(t *testing.T) {
 		p            fleet.Placement
 		want         string
 	}{
-		{false, fleet.PlacementPacked, "fleet-c0e726c1e3c9670f.journal"},
-		{false, fleet.PlacementGreedy, "fleet-9861605280f5c833.journal"},
-		{true, fleet.PlacementPacked, "fleet-interf-ac18e41a401766e4.journal"},
-		{true, fleet.PlacementGreedy, "fleet-interf-6732e91c7f1d5590.journal"},
+		{false, fleet.PlacementPacked, "fleet-063565723f8a9ff2.journal"},
+		{false, fleet.PlacementGreedy, "fleet-ac544278942601e6.journal"},
+		{true, fleet.PlacementPacked, "fleet-interf-e98f21ca9a5c651f.journal"},
+		{true, fleet.PlacementGreedy, "fleet-interf-2ca216848ed22296.journal"},
 	}
 	for _, tc := range cases {
 		if got := journal(tc.interference, tc.p); got != tc.want {

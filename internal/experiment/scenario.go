@@ -111,7 +111,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			return err
 		}
 		if cfg.Elastic != nil {
-			ctl, err = adaptive.AttachElastic(tb, *cfg.Elastic)
+			ctl, err = adaptive.AttachElastic(tb, *cfg.Elastic, cfg.Run.RampUp+cfg.Run.Measure)
 		}
 		return err
 	}

@@ -486,9 +486,6 @@ var singleValuedAllowed = map[string]string{
 		"the sweep CSV's abandoned column and ntier sweep's abandoned-sessions row read 0; " +
 		"only rubbos tests set it, and the benchmark's bench/campaign.go reads Result.Abandoned",
 	"internal/experiment.ScenarioConfig.Elastic": "the scenario-elastic-brownout pin runs it",
-	"internal/chaos.GenConfig.MinSpeed":          "the chaos fingerprint images GenConfig",
-	"internal/chaos.GenConfig.MaxSpeed":          "the chaos fingerprint images GenConfig",
-	"internal/chaos.GenConfig.MaxExtra":          "the chaos fingerprint images GenConfig",
 	"internal/testbed.Options.TuneTomcat":        "tests inject panics through it",
 	"internal/tier.ResilienceConfig.Backlog": "two values in use: 0 (unbounded) in DefaultResilienceConfig, " +
 		"which the gate cannot see, and 128 in experiment.OverloadProtection",

@@ -54,15 +54,16 @@ type Outcome struct {
 	ShrinkTrials int `json:"shrink_trials,omitempty"`
 }
 
-// Fingerprint identifies the campaign by its configuration's image and
-// the recovery oracle's fixed p95 headroom. The journal and the command's
+// Fingerprint identifies the campaign by its configuration's image, the
+// recovery oracle's fixed p95 headroom and the generator's magnitude
+// bands, which no field carries. The journal and the command's
 // state-dir metadata both carry it. Execution knobs and the campaign's
 // size are left out: keys are self-describing, so a grown campaign
 // extends its journal. So is the population, as from every RunConfig
 // image: RunCampaign names the journal after it, and a command's state
 // fingerprint adds it.
 func (cfg CampaignConfig) Fingerprint() string {
-	return experiment.FingerprintOf(cfg, p95Slack.String())
+	return experiment.FingerprintOf(cfg, p95Slack.String(), fmt.Sprint(MinSpeed, MaxSpeed, MaxExtra))
 }
 
 // RunCampaign executes (or resumes) the campaign through the experiment

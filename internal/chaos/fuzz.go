@@ -77,12 +77,15 @@ type GenConfig struct {
 
 	// JitterFrac is copied onto generated plans (fault.Plan.JitterFrac).
 	JitterFrac float64
-
-	// MinSpeed and MaxSpeed band brown-out severity (default [0.05, 0.8]).
-	MinSpeed, MaxSpeed float64
-	// MaxExtra caps the per-hop latency a spike may add (default 25ms).
-	MaxExtra time.Duration
 }
+
+// The generator's magnitude bands: brown-outs run the CPU at a speed in
+// [MinSpeed, MaxSpeed], and a spike adds at most MaxExtra per hop.
+const (
+	MinSpeed = 0.05
+	MaxSpeed = 0.8
+	MaxExtra = 25 * time.Millisecond
+)
 
 func (g *GenConfig) applyDefaults() {
 	if g.Horizon == 0 {
@@ -93,12 +96,6 @@ func (g *GenConfig) applyDefaults() {
 	}
 	if g.MaxEvents < g.MinEvents {
 		g.MaxEvents = g.MinEvents + 5
-	}
-	if g.MaxSpeed == 0 {
-		g.MinSpeed, g.MaxSpeed = 0.05, 0.8
-	}
-	if g.MaxExtra == 0 {
-		g.MaxExtra = 25 * time.Millisecond
 	}
 }
 
@@ -142,10 +139,10 @@ func (g GenConfig) Generate(seed uint64) fault.Plan {
 		case fault.KindCrash:
 			events = append(events, fault.Crash(pick(r, g.Targets.Nodes), start, end))
 		case fault.KindBrownout:
-			speed := r.Uniform(g.MinSpeed, g.MaxSpeed)
+			speed := r.Uniform(MinSpeed, MaxSpeed)
 			events = append(events, fault.Brownout(pick(r, g.Targets.CPUs), start, end, speed))
 		case fault.KindNetSpike:
-			extra := time.Duration(r.Uniform(float64(time.Millisecond), float64(g.MaxExtra)))
+			extra := time.Duration(r.Uniform(float64(time.Millisecond), float64(MaxExtra)))
 			events = append(events, fault.NetSpike(pick(r, g.Targets.Links), start, end, extra))
 		case fault.KindConnLeak:
 			pt := g.Targets.Pools[r.Intn(len(g.Targets.Pools))]

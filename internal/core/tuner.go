@@ -493,8 +493,7 @@ func (c *Config) calculateMinAllocation(rep *Report) error {
 		return fmt.Errorf("core: unknown critical tier %q", rep.Critical.Tier)
 	}
 
-	// Never recommend below 1 or above the reserved (known-working)
-	// allocation's doubled sizes.
+	// Never recommend a pool below one unit.
 	for ax := range testbed.NumAxes {
 		rec = rec.With(ax, max(rec.Get(ax), 1))
 	}

@@ -76,12 +76,7 @@ var (
 )
 
 // String returns the axis's decision-log name ("app-threads").
-func (a Axis) String() string {
-	if a < 0 || a >= NumAxes {
-		return fmt.Sprintf("Axis(%d)", int(a))
-	}
-	return axisNames[a]
-}
+func (a Axis) String() string { return axisNames[a] }
 
 // Servers returns how many servers of hw hold one pool of the axis each.
 func (a Axis) Servers(hw Hardware) int {
@@ -153,7 +148,7 @@ func (s SoftAlloc) Get(a Axis) int {
 	case AppConns:
 		return s.AppConns
 	}
-	panic(fmt.Sprintf("testbed: no pool on %v", a))
+	panic(fmt.Sprintf("testbed: no pool on axis %d", int(a)))
 }
 
 // With returns s with axis a's per-server pool size set to size.
@@ -166,7 +161,7 @@ func (s SoftAlloc) With(a Axis, size int) SoftAlloc {
 	case AppConns:
 		s.AppConns = size
 	default:
-		panic(fmt.Sprintf("testbed: no pool on %v", a))
+		panic(fmt.Sprintf("testbed: no pool on axis %d", int(a)))
 	}
 	return s
 }

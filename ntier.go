@@ -55,8 +55,8 @@ type (
 	TestbedOptions = testbed.Options
 )
 
-// The pools of a Wt-At-Ac allocation, in tier order, for AllocSweep and
-// ServerStats.Pool.
+// The pools of a Wt-At-Ac allocation, in tier order: what AllocSweep
+// varies and what a Result's per-server Pool looks up.
 const (
 	WebThreads = testbed.WebThreads
 	AppThreads = testbed.AppThreads
